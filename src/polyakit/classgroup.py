@@ -30,6 +30,7 @@ from .cubicfield import (
     factor_prime,
     is_principal,
     minkowski_bound,
+    pi_ideal,
     primes_up_to,
 )
 from .intlinalg import hnf_rows, smith_normal_form
@@ -623,11 +624,42 @@ class OstrowskiReport:
         return OstrowskiReport(**d)
 
 
+def ostrowski_check(
+    order: MaximalOrder,
+    prime_bound: int,
+    radius_factor: float = 2.0,
+    max_candidates: int = 400000,
+) -> list[dict]:
+    """Search a generator of every unramified split-product ideal
+    Pi_{p^f} with p <= prime_bound, returning one record per (p, f).
+
+    This is the direct check that bypasses class-group machinery: each
+    record carries the generator found (integral-basis coordinates), or
+    "principal": false when is_principal found none in its search
+    region, which does not prove the ideal non-principal.
+    """
+    out = []
+    for p in primes_up_to(prime_bound):
+        if order.disc_K % p == 0:
+            continue
+        for f in sorted({q.f for q in factor_prime(order, p)}):
+            ideal = pi_ideal(order, p**f)
+            gen = is_principal(order, ideal, radius_factor, max_candidates)
+            out.append(
+                {
+                    "p": p,
+                    "f": f,
+                    "norm": ideal.norm,
+                    "principal": gen is not None,
+                    "generator": list(gen) if gen is not None else None,
+                }
+            )
+    return out
+
+
 def ostrowski_report(
     order: MaximalOrder, prime_bound: int = 200, max_candidates: int = 400000
 ) -> OstrowskiReport:
-    from .cubicfield import ostrowski_check
-
     records = ostrowski_check(order, prime_bound, max_candidates=max_candidates)
     return OstrowskiReport(
         kind="ostrowski",

@@ -1,11 +1,14 @@
 """Exact arithmetic in cubic number fields.
 
-Everything is integer or rational arithmetic: maximal orders are built
-by repeated radical/multiplier enlargement at primes whose square
-divides the polynomial discriminant, ideals are integer lattices in
-Hermite normal form on the integral basis, and the class group is
-presented by Smith normal form of a harvested relation lattice over the
-factor base of primes below the Minkowski bound.
+Orders, ideals and primes are integer-only: a maximal order is built by
+repeated radical/multiplier enlargement at primes whose square divides
+the polynomial discriminant, every order carries an integer
+multiplication table on its basis, ideals are integer lattices in
+Hermite normal form on the integral basis, and primes come from
+splitting the polynomial mod p or, at index primes, from the radical of
+O/pO.  Rationals appear only where the quantity is one: the Minkowski
+bound and splitting frequencies.  The class group built on this layer
+lives in classgroup.py.
 
 Degree is fixed at three: the checks that need actual ideal arithmetic
 are run on cubic fields, where every algorithm here is exhaustive and
@@ -157,10 +160,6 @@ class CubicPoly:
         r = math.isqrt(d)
         return r * r == d
 
-    @staticmethod
-    def from_string(text: str) -> "CubicPoly":
-        return parse_cubic(text)
-
     def __str__(self) -> str:
         parts = ["x^3"]
         for coeff, power in ((self.a2, "x^2"), (self.a1, "x"), (self.a0, "")):
@@ -270,34 +269,59 @@ def power_sums(poly: CubicPoly, upto: int = 4) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Maximal orders
+# Orders
 
 
 @dataclass(frozen=True)
-class MaximalOrder:
-    """The ring of integers of a cubic field.
+class Order:
+    """An order of a cubic field, in integers only.
 
-    The integral basis is `basis_num / den` (rows, power-basis
-    coordinates, Hermite normal form); disc(poly) = index^2 * disc_K.
-    Derived structures (multiplication table, norm form, prime caches)
-    are lazily attached and treated as immutable once built; concurrent
-    idempotent writes to the caches are harmless.
+    The basis is `basis_num / den` (rows, power-basis coordinates,
+    Hermite normal form) and must span a ring.  Derived structures
+    (coordinate transform, multiplication table) are lazily attached and
+    treated as immutable once built; concurrent idempotent writes to the
+    caches are harmless.
     """
 
     poly: CubicPoly
     den: int
     basis_num: tuple[tuple[int, int, int], ...]
-    disc_K: int
-    index: int
 
     @cached_property
-    def basis(self) -> list[list[Fraction]]:
-        return [[Fraction(a, self.den) for a in row] for row in self.basis_num]
+    def _omega_transform(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(den * adjugate(basis_num), det(basis_num)): integer data for
+        the power-to-integral coordinate change."""
+        m = self.basis_num
+        a, b, c = m[0]
+        d, e, f = m[1]
+        g, h, i = m[2]
+        adj = (
+            (e * i - f * h, c * h - b * i, b * f - c * e),
+            (f * g - d * i, a * i - c * g, c * d - a * f),
+            (d * h - e * g, b * g - a * h, a * e - b * d),
+        )
+        det = det3(m)
+        scaled = tuple(tuple(self.den * x for x in row) for row in adj)
+        return scaled, det
 
-    @cached_property
-    def inv_basis(self) -> list[list[Fraction]]:
-        """Transform power-basis coordinates to integral-basis ones."""
-        return invert3(self.basis)
+    def _to_omega(self, power_num, scale: int) -> tuple[int, int, int]:
+        """Integral-basis coordinates of the element whose power-basis
+        coordinates are power_num / scale (integers over an integer)."""
+        adj, det = self._omega_transform
+        det *= scale
+        out = []
+        for i in range(3):
+            w = power_num[0] * adj[0][i] + power_num[1] * adj[1][i] + power_num[2] * adj[2][i]
+            q, r = divmod(w, det)
+            if r:
+                raise ValueError(f"element {power_num}/{scale} is not in the order")
+            out.append(q)
+        return tuple(out)
+
+    def to_omega_int(self, power_vec) -> tuple[int, int, int]:
+        """Integral-basis coordinates of an element given by integer
+        power-basis coordinates."""
+        return self._to_omega(power_vec, 1)
 
     @cached_property
     def one(self) -> tuple[int, int, int]:
@@ -305,79 +329,78 @@ class MaximalOrder:
         return self.to_omega_int((1, 0, 0))
 
     @cached_property
-    def theta(self) -> tuple[int, int, int]:
-        """Integral-basis coordinates of theta."""
-        return self.to_omega_int((0, 1, 0))
-
-    @cached_property
     def mult_table(self) -> tuple:
-        """table[i][j] = integral-basis coordinates of omega_i * omega_j."""
+        """table[i][j] = integral-basis coordinates of omega_i * omega_j.
+
+        With omega_i = basis_num[i] / den, the product of the numerators
+        is den^2 times the power-basis coordinates of omega_i * omega_j."""
+        bn = self.basis_num
+        scale = self.den * self.den
         rows = []
         for i in range(3):
             row = []
             for j in range(3):
-                prod = mul_power(self.basis[i], self.basis[j], self.poly)
-                row.append(self.to_omega_int(prod))
+                prod = mul_power(bn[i], bn[j], self.poly)
+                row.append(self._to_omega(prod, scale))
             rows.append(tuple(row))
         return tuple(rows)
 
-    @cached_property
-    def _norm_form(self) -> dict[tuple[int, int, int], int]:
-        """Coefficients of the norm as a cubic form in integral-basis
-        coordinates: det of multiplication-by-y, expanded symbolically."""
+    def omega_mul(self, y, z) -> tuple[int, int, int]:
         table = self.mult_table
-        # entry (j, k) of the multiplication matrix is the linear form
-        # sum_i y_i * table[i][j][k]
-        def lin(j, k):
-            return {
-                (1, 0, 0): table[0][j][k],
-                (0, 1, 0): table[1][j][k],
-                (0, 0, 1): table[2][j][k],
-            }
-
-        def polymul(a, b):
-            out: dict = {}
-            for ea, ca in a.items():
-                if not ca:
+        out = [0, 0, 0]
+        for i in range(3):
+            yi = y[i]
+            if not yi:
+                continue
+            for j in range(3):
+                zj = z[j]
+                if not zj:
                     continue
-                for eb, cb in b.items():
-                    if not cb:
-                        continue
-                    e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-                    out[e] = out.get(e, 0) + ca * cb
-            return out
+                t = table[i][j]
+                c = yi * zj
+                out[0] += c * t[0]
+                out[1] += c * t[1]
+                out[2] += c * t[2]
+        return tuple(out)
 
-        def polyadd(a, b, sgn=1):
-            out = dict(a)
-            for e, c in b.items():
-                out[e] = out.get(e, 0) + sgn * c
-            return out
 
-        total: dict = {}
-        for perm, sgn in (
-            ((0, 1, 2), 1),
-            ((1, 2, 0), 1),
-            ((2, 0, 1), 1),
-            ((0, 2, 1), -1),
-            ((1, 0, 2), -1),
-            ((2, 1, 0), -1),
-        ):
-            term = polymul(polymul(lin(0, perm[0]), lin(1, perm[1])), lin(2, perm[2]))
-            total = polyadd(total, term, sgn)
-        return {e: c for e, c in total.items() if c}
+@dataclass(frozen=True)
+class MaximalOrder(Order):
+    """The ring of integers of a cubic field; disc(poly) = index^2 * disc_K.
+
+    On top of the order arithmetic it carries the norm form, the prime
+    caches and the numeric embeddings of the integral basis.
+    """
+
+    disc_K: int
+    index: int
 
     @cached_property
     def _norm_form_flat(self) -> tuple[int, ...]:
         """Norm-form coefficients in the fixed monomial order
         y0^3, y0^2 y1, y0^2 y2, y0 y1^2, y0 y1 y2, y0 y2^2,
-        y1^3, y1^2 y2, y1 y2^2, y2^3."""
-        nf = self._norm_form
+        y1^3, y1^2 y2, y1 y2^2, y2^3.
+
+        The norm is the determinant of multiplication-by-y, whose row j
+        is sum_i y_i * table[i][j].  The determinant is linear in each
+        row, so the coefficient of y_a y_b y_c collects
+        det(table[a][0], table[b][1], table[c][2]) over the orderings of
+        a, b, c."""
+        table = self.mult_table
         monomials = (
             (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
             (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
         )
-        assert set(nf) <= set(monomials)
-        return tuple(nf.get(m, 0) for m in monomials)
+        coeffs = dict.fromkeys(monomials, 0)
+        for a in range(3):
+            for b in range(3):
+                for c in range(3):
+                    e = [0, 0, 0]
+                    e[a] += 1
+                    e[b] += 1
+                    e[c] += 1
+                    coeffs[tuple(e)] += det3((table[a][0], table[b][1], table[c][2]))
+        return tuple(coeffs[m] for m in monomials)
 
     def norm_omega(self, y) -> int:
         """Field norm of an order element in integral-basis coordinates."""
@@ -398,65 +421,6 @@ class MaximalOrder:
             + c[8] * y1 * s2
             + c[9] * s2 * y2
         )
-
-    @cached_property
-    def _omega_transform(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(den * adjugate(basis_num), det(basis_num)): integer data for
-        the power-to-integral coordinate change."""
-        m = self.basis_num
-        a, b, c = m[0]
-        d, e, f = m[1]
-        g, h, i = m[2]
-        adj = (
-            (e * i - f * h, c * h - b * i, b * f - c * e),
-            (f * g - d * i, a * i - c * g, c * d - a * f),
-            (d * h - e * g, b * g - a * h, a * e - b * d),
-        )
-        det = det3(m)
-        scaled = tuple(tuple(self.den * x for x in row) for row in adj)
-        return scaled, det
-
-    def to_omega(self, power_vec) -> tuple[Fraction, Fraction, Fraction]:
-        adj, det = self._omega_transform
-        return tuple(
-            Fraction(sum(power_vec[k] * adj[k][i] for k in range(3)), det)
-            for i in range(3)
-        )
-
-    def to_omega_int(self, power_vec) -> tuple[int, int, int]:
-        adj, det = self._omega_transform
-        out = []
-        for i in range(3):
-            w = power_vec[0] * adj[0][i] + power_vec[1] * adj[1][i] + power_vec[2] * adj[2][i]
-            q, r = divmod(w, det)
-            if r:
-                raise ValueError(f"element {power_vec} is not in the order")
-            out.append(q)
-        return tuple(out)
-
-    def from_omega(self, y) -> tuple[Fraction, Fraction, Fraction]:
-        b = self.basis
-        return tuple(
-            sum(Fraction(y[i]) * b[i][k] for i in range(3)) for k in range(3)
-        )
-
-    def omega_mul(self, y, z) -> tuple[int, int, int]:
-        table = self.mult_table
-        out = [0, 0, 0]
-        for i in range(3):
-            yi = y[i]
-            if not yi:
-                continue
-            for j in range(3):
-                zj = z[j]
-                if not zj:
-                    continue
-                t = table[i][j]
-                c = yi * zj
-                out[0] += c * t[0]
-                out[1] += c * t[1]
-                out[2] += c * t[2]
-        return tuple(out)
 
     def poly_of_theta_omega(self, coeffs) -> tuple[int, int, int]:
         """Integral-basis coordinates of g(theta) for integer g (low first)."""
@@ -484,7 +448,7 @@ class MaximalOrder:
         boxes; all decisions are made with exact arithmetic."""
         roots = cubic_roots(self.poly)
         return [
-            [sum(float(self.basis[i][k]) * root**k for k in range(3)) for i in range(3)]
+            [sum(self.basis_num[i][k] / self.den * root**k for k in range(3)) for i in range(3)]
             for root in roots
         ]
 
@@ -535,49 +499,7 @@ def _canonical_lattice(den: int, rows) -> tuple[int, tuple[tuple[int, int, int],
     return den, mat
 
 
-def _order_structures(poly: CubicPoly, den: int, basis_num):
-    """Fraction basis, omega-coordinate transform, and integer
-    multiplication table for an order lattice (must be a ring)."""
-    basis = [[Fraction(a, den) for a in row] for row in basis_num]
-    inv = invert3(basis)
-
-    def to_omega_int(power_vec):
-        out = []
-        for i in range(3):
-            c = sum(Fraction(power_vec[k]) * inv[k][i] for k in range(3))
-            if c.denominator != 1:
-                raise ValueError("lattice is not multiplicatively closed")
-            out.append(int(c))
-        return tuple(out)
-
-    table = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            row.append(to_omega_int(mul_power(basis[i], basis[j], poly)))
-        table.append(tuple(row))
-    return basis, to_omega_int, tuple(table)
-
-
-def _omega_mul_table(table, y, z):
-    out = [0, 0, 0]
-    for i in range(3):
-        yi = y[i]
-        if not yi:
-            continue
-        for j in range(3):
-            zj = z[j]
-            if not zj:
-                continue
-            t = table[i][j]
-            c = yi * zj
-            out[0] += c * t[0]
-            out[1] += c * t[1]
-            out[2] += c * t[2]
-    return tuple(out)
-
-
-def _radical_kernel(table, one, p: int):
+def _radical_kernel(order: Order, p: int):
     """Basis of the nilradical of the order mod p, via the kernel of the
     iterated Frobenius x -> x^q with q = p^k >= 3."""
     q = p if p >= 3 else 4
@@ -586,13 +508,13 @@ def _radical_kernel(table, one, p: int):
         e = [0, 0, 0]
         e[i] = 1
         # e^q via binary powering in the mod-p algebra
-        acc = tuple(a % p for a in one)
+        acc = tuple(a % p for a in order.one)
         base = tuple(e)
         k = q
         while k:
             if k & 1:
-                acc = tuple(a % p for a in _omega_mul_table(table, acc, base))
-            base = tuple(a % p for a in _omega_mul_table(table, base, base))
+                acc = tuple(a % p for a in order.omega_mul(acc, base))
+            base = tuple(a % p for a in order.omega_mul(base, base))
             k >>= 1
         cols.append(acc)
     # matrix rows indexed by output component, columns by input basis vector
@@ -618,12 +540,10 @@ def _solve_in_triangular(basisrows, vec):
     return coords
 
 
-def _p_enlarge_once(poly: CubicPoly, den: int, basis_num, p: int):
+def _p_enlarge_once(order: Order, p: int) -> Order:
     """One radical/multiplier-ring enlargement step at p.  Returns the
-    canonical (den, basis) of the possibly larger order."""
-    basis, to_omega_int, table = _order_structures(poly, den, basis_num)
-    one = to_omega_int((1, 0, 0))
-    rad = _radical_kernel(table, one, p)
+    possibly larger order, its lattice in canonical form."""
+    rad = _radical_kernel(order, p)
     ip_rows = [[p * int(i == j) for j in range(3)] for i in range(3)]
     ip_rows += [list(v) for v in rad]
     W = hnf_rows(ip_rows, 3)
@@ -636,7 +556,7 @@ def _p_enlarge_once(poly: CubicPoly, den: int, basis_num, p: int):
         e = (int(i == 0), int(i == 1), int(i == 2))
         cols = []
         for wrow in W:
-            prod = _omega_mul_table(table, e, wrow)
+            prod = order.omega_mul(e, wrow)
             cols.append(_solve_in_triangular(W, prod))
         per_basis.append(cols)
     for j in range(3):
@@ -647,6 +567,7 @@ def _p_enlarge_once(poly: CubicPoly, den: int, basis_num, p: int):
     u_rows += [list(v) for v in ker]
     U = hnf_rows(u_rows, 3)
     # new order basis in power coords: (U / p) * (basis_num / den)
+    basis_num = order.basis_num
     prod_rows = []
     for urow in U:
         prod_rows.append(
@@ -655,22 +576,24 @@ def _p_enlarge_once(poly: CubicPoly, den: int, basis_num, p: int):
                 for k in range(3)
             ]
         )
-    return _canonical_lattice(den * p, prod_rows)
+    den, basis = _canonical_lattice(order.den * p, prod_rows)
+    return Order(order.poly, den, basis)
 
 
 def maximal_order(poly: CubicPoly) -> MaximalOrder:
     """Ring of integers, by enlarging Z[theta] at every prime whose
     square divides the polynomial discriminant until stable."""
     disc_poly = poly.discriminant()
-    den, basis_num = 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    order = Order(poly, 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     for p, e in factor_int(disc_poly).items():
         if e < 2:
             continue
         while True:
-            nden, nbasis = _p_enlarge_once(poly, den, basis_num, p)
-            if (nden, nbasis) == (den, basis_num):
+            larger = _p_enlarge_once(order, p)
+            if larger == order:
                 break
-            den, basis_num = nden, nbasis
+            order = larger
+    den, basis_num = order.den, order.basis_num
     detnum = det3(basis_num)
     index = den**3 // abs(detnum)
     assert disc_poly % (index * index) == 0
@@ -757,18 +680,17 @@ class IntegralIdeal:
 @dataclass(frozen=True)
 class PrimeIdeal:
     """A maximal ideal above p with residue degree f and ramification
-    index e, plus a two-element representation (p, second_gen).
+    index e, as the HNF of its lattice in the integral basis.
 
-    generator_poly is the integer polynomial g with second generator
-    g(theta) when p does not divide the index; for the finitely many
-    index primes the second generator is only available as an
-    integral-basis coordinate vector."""
+    generator_poly is the integer polynomial g (low degree first) with
+    the ideal equal to p*O + g(theta)*O when p does not divide the
+    index; it is None at the finitely many index primes, where the ideal
+    comes from the radical of O/pO instead."""
 
     p: int
     f: int
     e: int
     hnf: tuple[tuple[int, int, int], ...]
-    second_gen: tuple[int, int, int]
     generator_poly: Optional[tuple[int, ...]]
     label: str
 
@@ -904,16 +826,6 @@ def element_valuation(order: MaximalOrder, y, prime: PrimeIdeal) -> int:
     return k
 
 
-def ideal_valuation(order: MaximalOrder, I: IntegralIdeal, prime: PrimeIdeal) -> int:
-    k = 0
-    while True:
-        power = _prime_power(order, prime, k + 1)
-        if all(lattice_contains(power.hnf, row) for row in I.hnf):
-            k += 1
-        else:
-            return k
-
-
 # --- prime factorization ----------------------------------------------------
 
 
@@ -932,39 +844,6 @@ def _exact_prime_log(n: int, p: int) -> int:
         n //= p
         f += 1
     return f
-
-
-def _second_generator(order: MaximalOrder, p: int, hnf) -> tuple[int, int, int]:
-    """A lattice vector beta with p*O + beta*O equal to the ideal (the
-    two-element representation).  Small combinations of the HNF rows are
-    scanned until the reconstruction check passes; one always exists."""
-    target = tuple(tuple(r) for r in hnf)
-    prows = [[p * int(i == j) for j in range(3)] for i in range(3)]
-
-    def regenerates(beta) -> bool:
-        rows = [list(r) for r in prows]
-        for j in range(3):
-            ej = (int(j == 0), int(j == 1), int(j == 2))
-            rows.append(list(order.omega_mul(beta, ej)))
-        return hnf_rows(rows, 3) == target
-
-    if target == tuple(tuple(p * int(i == j) for j in range(3)) for i in range(3)):
-        return tuple(a * p for a in order.one)
-    for shell in range(1, p + 2):
-        for c0 in range(0, shell + 1):
-            for c1 in range(0, shell + 1):
-                for c2 in range(0, shell + 1):
-                    if max(c0, c1, c2) != shell and shell > 1:
-                        continue
-                    beta = tuple(
-                        c0 * hnf[0][i] + c1 * hnf[1][i] + c2 * hnf[2][i]
-                        for i in range(3)
-                    )
-                    if beta == (0, 0, 0):
-                        continue
-                    if regenerates(beta):
-                        return beta
-    raise AssertionError("no two-element representation found")
 
 
 def _etale_maximal_ideals(p: int, dim: int, mul, one):
@@ -1102,13 +981,12 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
             mat = hnf_rows(rows, 3)
             entries.append((f, mat, tuple(int(c) for c in g), e))
     else:
-        table = order.mult_table
         one = order.one
 
         def mul(u, v):
-            return tuple(a % p for a in _omega_mul_table(table, u, v))
+            return tuple(a % p for a in order.omega_mul(u, v))
 
-        rad = _radical_kernel(table, one, p)
+        rad = _radical_kernel(order, p)
         red, pivots = rref_mod_p([list(v) for v in rad], 3, p)
         for ideal_rows_sub in _quotient_maximal_ideals(
             p, 3, mul, tuple(a % p for a in one), [tuple(r) for r in red], pivots
@@ -1131,7 +1009,6 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
                 f=f,
                 e=int(e),
                 hnf=mat,
-                second_gen=_second_generator(order, p, mat),
                 generator_poly=gpoly,
                 label=label,
             )
@@ -1224,14 +1101,17 @@ def is_principal(
 ) -> Optional[tuple[int, int, int]]:
     """Search I for a generator: an element of norm +-norm(I).
 
-    The search region is the box of lattice points whose numeric
-    embeddings are all at most radius_factor * norm(I)^(1/3) in absolute
-    value; a balanced generator lies inside the unit box and the default
-    factor 2 is the configured safety margin.  Returns the generator's
-    integral-basis coordinates, or None when the whole region holds no
-    generator ("not principal within the certified region").  Raises
-    SearchBudgetExceededError when the region itself is larger than
-    max_candidates; a budget failure is never reported as non-principal.
+    The search region is a box of HNF coordinates that holds every
+    element of I whose numeric embeddings are all at most
+    R = radius_factor * norm(I)^(1/3) in absolute value (up to float
+    rounding of the embeddings).  Returns the first generator found, in
+    integral-basis coordinates, or None when no element of the region
+    generates I.  None is not a proof that I is non-principal: the
+    generators of a principal ideal differ by units, and when the units
+    are large every generator can have an embedding above R (the field
+    of x^3-12x-5 has such ideals).  Raises SearchBudgetExceededError when
+    the region itself is larger than max_candidates; a budget failure is
+    never reported as None.
     """
     m = I.norm
     n = I.scalar_generator()
@@ -1246,7 +1126,7 @@ def is_principal(
         [sum(rows[t][i] * emb[j][i] for i in range(3)) for t in range(3)]
         for j in range(3)
     ]
-    Einv = _cinv3(E)
+    Einv = invert3(E)
     caps = []
     for t in range(3):
         c = sum(abs(Einv[t][j]) for j in range(3)) * R
@@ -1282,22 +1162,8 @@ def is_principal(
     return None
 
 
-def _cinv3(m):
-    """Inverse of a complex 3x3 matrix via the adjugate."""
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    adj = [
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ]
-    return [[x / det for x in row] for row in adj]
-
-
 # ---------------------------------------------------------------------------
-# Splitting statistics and the principality sweep for unramified products
+# Splitting statistics
 
 
 def splitting_census(
@@ -1334,59 +1200,3 @@ def splitting_census(
         t: (c, Fraction(c, total)) for t, c in sorted(counts.items())
     }
 
-
-# The class-group layer lives in classgroup.py (which imports this
-# module); expose its operations here as well so the field API is one
-# surface, without creating an import cycle.
-_CLASSGROUP_EXPORTS = {
-    "ClassGroupData",
-    "PolyaResult",
-    "PolyaReport",
-    "OstrowskiReport",
-    "class_group",
-    "prime_class_vector",
-    "pi_class_map",
-    "polya_group",
-    "verify_main_theorem",
-    "ostrowski_report",
-}
-
-
-def __getattr__(name):
-    if name in _CLASSGROUP_EXPORTS:
-        from . import classgroup
-
-        return getattr(classgroup, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def ostrowski_check(
-    order: MaximalOrder,
-    prime_bound: int,
-    radius_factor: float = 2.0,
-    max_candidates: int = 400000,
-) -> list[dict]:
-    """Verify principality of every unramified split-product ideal
-    Pi_{p^f} with p <= prime_bound, returning one record per (p, f).
-
-    This is the direct check that bypasses class-group machinery: each
-    record carries the generator witness found (integral-basis
-    coordinates) or marks the ideal non-principal within the region.
-    """
-    out = []
-    for p in primes_up_to(prime_bound):
-        if order.disc_K % p == 0:
-            continue
-        for f in sorted({q.f for q in factor_prime(order, p)}):
-            ideal = pi_ideal(order, p**f)
-            gen = is_principal(order, ideal, radius_factor, max_candidates)
-            out.append(
-                {
-                    "p": p,
-                    "f": f,
-                    "norm": ideal.norm,
-                    "principal": gen is not None,
-                    "generator": list(gen) if gen is not None else None,
-                }
-            )
-    return out

@@ -8,8 +8,6 @@ of columns.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
@@ -96,15 +94,16 @@ def lattice_contains(hnf: tuple[tuple[int, ...], ...], vec) -> bool:
 
 
 def det3(m) -> int:
-    """Determinant of a 3x3 matrix (rows of ints or Fractions)."""
+    """Determinant of a 3x3 matrix (rows of ints, Fractions or complex)."""
     a, b, c = m[0]
     d, e, f = m[1]
     g, h, i = m[2]
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def invert3(m) -> list[list[Fraction]]:
-    """Exact inverse of a 3x3 matrix via the adjugate."""
+def invert3(m) -> list[list]:
+    """Inverse of a 3x3 matrix via the adjugate, dividing as x / det:
+    exact for Fraction entries, float or complex arithmetic otherwise."""
     det = det3(m)
     if det == 0:
         raise ZeroDivisionError("singular matrix")
@@ -116,7 +115,7 @@ def invert3(m) -> list[list[Fraction]]:
         [f * g - d * i, a * i - c * g, c * d - a * f],
         [d * h - e * g, b * g - a * h, a * e - b * d],
     ]
-    return [[Fraction(x, 1) / det for x in row] for row in adj]
+    return [[x / det for x in row] for row in adj]
 
 
 def smith_normal_form(rows, ncols: int):

@@ -179,10 +179,6 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and self.elements <= other.elements
 
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(a * b == b * a for a in gens for b in gens)
-
     def is_transitive(self) -> bool:
         """Transitivity of the natural action on {0, ..., degree-1}."""
         orbit = {0}

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, output formats, determinism, round trips."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -253,3 +254,28 @@ def test_bad_prime_bound(capsys):
 def test_unknown_flag_exits_2(capsys):
     code = main(["field-analyze", "x^3-2", "--frobnicate"])
     assert code == 2
+
+
+# The runs whose stdout must hash the same across refactors: the five
+# fixture fields, an index-10 field (enlargement and index-prime paths),
+# a --witnesses report and a small survey.
+GOLDEN_RUNS = (
+    ("field-analyze", "x^3-2"),
+    ("field-analyze", "x^3-x-1"),
+    ("field-analyze", "x^3-x^2-2x-8"),
+    ("field-analyze", "x^3-3x-1"),
+    ("field-analyze", "x^3+4x-1"),
+    ("field-analyze", "x^3-12x^2-5x-4"),
+    ("field-analyze", "x^3+4x-1", "--witnesses"),
+    ("survey", "--coeff-bound", "3"),
+)
+
+
+def test_outputs_match_golden_hashes(capsys):
+    golden = json.loads((Path(__file__).parent / "data" / "golden_outputs.json").read_text())
+    got = {}
+    for argv in GOLDEN_RUNS:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        got[" ".join(argv)] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == golden

@@ -141,11 +141,12 @@ def test_kernel_mod_p(rows, p):
 
 
 def test_invert3_exact():
-    m = [[2, 1, 0], [0, 3, 1], [1, 0, 4]]
+    m = [[Fraction(a) for a in row] for row in ([2, 1, 0], [0, 3, 1], [1, 0, 4])]
     inv = invert3(m)
+    assert all(isinstance(x, Fraction) for row in inv for x in row)
     for i in range(3):
         for j in range(3):
-            s = sum(Fraction(m[i][k]) * inv[k][j] for k in range(3))
+            s = sum(m[i][k] * inv[k][j] for k in range(3))
             assert s == (1 if i == j else 0)
 
 
