@@ -33,13 +33,14 @@ from .cubicfield import (
     pi_ideal,
     primes_up_to,
 )
-from .intlinalg import hnf_rows, smith_normal_form
+from .intlinalg import hnf_rows, lattice_points, smith_normal_form
 
 DEFAULT_HARVEST_RADIUS = 4
 MAX_HARVEST_RADIUS = 48
 PROBE_RADIUS_FACTOR = 1.3
 PROBE_MAX_CANDIDATES = 8000
 EXPRESSION_MAX_SHELL = 16
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @dataclass
@@ -78,21 +79,33 @@ class ClassGroupData:
         return self.snf.reduce(w[i] for i in self._kept)
 
 
-def _box_elements(radius: int):
-    """Nonzero integral-basis coordinate vectors with sup norm <= radius,
-    one per sign pair (first nonzero coordinate positive), ascending."""
-    for y2 in range(-radius, radius + 1):
-        for y1 in range(-radius, radius + 1):
-            for y0 in range(-radius, radius + 1):
-                y = (y0, y1, y2)
-                for c in (y2, y1, y0):
-                    if c > 0:
-                        break
-                    if c < 0:
-                        y = None
-                        break
-                if y is not None and y != (0, 0, 0):
-                    yield y
+def _smooth_row(order: MaximalOrder, y, index_of, over) -> Optional[list[int]]:
+    """Exponent row of the principal ideal (y) over the prime columns
+    `index_of` (prime HNF -> column), or None when (y) is not smooth over
+    them.  `over` maps each rational prime below a column to every prime
+    above it."""
+    rem = abs(order.norm_omega(y))
+    expo: dict[int, int] = {}
+    for p in over:
+        while rem % p == 0:
+            rem //= p
+            expo[p] = expo.get(p, 0) + 1
+    if rem != 1:
+        return None
+    row = [0] * len(index_of)
+    for p, vp in expo.items():
+        seen = 0
+        for prime in over[p]:
+            v = element_valuation(order, y, prime)
+            if v:
+                idx = index_of.get(prime.hnf)
+                if idx is None:
+                    return None  # a prime outside the columns divides (y)
+                row[idx] = v
+                seen += v * prime.f
+        if seen != vp:
+            return None
+    return row
 
 
 def _factor_base(order: MaximalOrder) -> tuple[tuple[PrimeIdeal, ...], Fraction]:
@@ -148,35 +161,10 @@ def _harvest(order: MaximalOrder, fb, mb: Fraction, radius: int, probes) -> list
         rows.add(tuple(row))
 
     # principal ideals of box elements that factor over the base
-    fb_rats = sorted({prime.p for prime in fb})
-    over = {p: factor_prime(order, p) for p in fb_rats}
-    for y in _box_elements(radius):
-        n = abs(order.norm_omega(y))
-        rem = n
-        expo: dict[int, int] = {}
-        for p in fb_rats:
-            while rem % p == 0:
-                rem //= p
-                expo[p] = expo.get(p, 0) + 1
-        if rem != 1:
-            continue
-        row = [0] * k
-        ok = True
-        for p, vp in expo.items():
-            seen = 0
-            for prime in over[p]:
-                v = element_valuation(order, y, prime)
-                if v:
-                    idx = index_of.get(prime.hnf)
-                    if idx is None:
-                        ok = False  # a prime outside the base divides (y)
-                        break
-                    row[idx] = v
-                    seen += v * prime.f
-            if not ok or seen != vp:
-                ok = False
-                break
-        if ok and any(row):
+    over = {p: factor_prime(order, p) for p in sorted({prime.p for prime in fb})}
+    for y in lattice_points(_IDENTITY, (radius,) * 3):
+        row = _smooth_row(order, y, index_of, over)
+        if row is not None and any(row):
             rows.add(tuple(row))
     return [list(r) for r in sorted(rows)]
 
@@ -293,73 +281,22 @@ def prime_class_vector(
     if cached is not None:
         return cached
 
+    # the target prime is the extra column k; every y below lies in it
     k = len(data.fb)
     index_of = {q.hnf: i for i, q in enumerate(data.fb)}
-    fb_rats = sorted({q.p for q in data.fb})
-    rows = prime.hnf
-    pnorm = prime.norm
-    over_cache = {p: factor_prime(order, p) for p in fb_rats}
-    if prime.p not in over_cache:
-        over_cache[prime.p] = factor_prime(order, prime.p)
-
-    def candidates(shell):
-        # lattice points with max coefficient exactly `shell`
-        rng = range(-shell, shell + 1)
-        for c0 in rng:
-            for c1 in rng:
-                for c2 in rng:
-                    if max(abs(c0), abs(c1), abs(c2)) != shell:
-                        continue
-                    yield (
-                        c0 * rows[0][0] + c1 * rows[1][0] + c2 * rows[2][0],
-                        c0 * rows[0][1] + c1 * rows[1][1] + c2 * rows[2][1],
-                        c0 * rows[0][2] + c1 * rows[1][2] + c2 * rows[2][2],
-                    )
-
+    index_of[prime.hnf] = k
+    over = {p: factor_prime(order, p) for p in sorted({q.p for q in data.fb} | {prime.p})}
     for shell in range(1, EXPRESSION_MAX_SHELL + 1):
-        for y in candidates(shell):
-            n = abs(order.norm_omega(y))
-            if n == 0 or n % pnorm:
-                continue
-            rem = n
-            rats = set(fb_rats) | {prime.p}
-            expo: dict[int, int] = {}
-            for p in sorted(rats):
-                while rem % p == 0:
-                    rem //= p
-                    expo[p] = expo.get(p, 0) + 1
-            if rem != 1:
-                continue
-            # exact factorization of (y) over the involved primes
-            row = [0] * k
-            v_target = None
-            ok = True
-            for p, vp in expo.items():
-                seen = 0
-                for q in over_cache[p]:
-                    v = element_valuation(order, y, q)
-                    if not v:
-                        continue
-                    seen += v * q.f
-                    if q.hnf == prime.hnf:
-                        v_target = v
-                    else:
-                        idx = index_of.get(q.hnf)
-                        if idx is None:
-                            ok = False
-                            break
-                        row[idx] = v
-                if not ok or seen != vp:
-                    ok = False
-                    break
-            if not ok or v_target != 1:
+        for y in lattice_points(prime.hnf, (shell,) * 3, skip=shell - 1):
+            row = _smooth_row(order, y, index_of, over)
+            if row is None or row[k] != 1:
                 continue
             # (y) = prime * prod fb^row  =>  [prime] = -sum row
-            coords = data.snf.neg(data.project_fb_vector(row))
+            coords = data.snf.neg(data.project_fb_vector(row[:k]))
             data._expr_cache[key] = coords
             return coords
     raise ExpressionBudgetExceededError(
-        f"could not express the class of the norm-{pnorm} prime over {prime.p} "
+        f"could not express the class of the norm-{prime.norm} prime over {prime.p} "
         f"within shell {EXPRESSION_MAX_SHELL}"
     )
 

@@ -203,8 +203,6 @@ def _collect_witnesses(order, report, config: RunConfig) -> list[dict]:
     for p in cubicfield.primes_up_to(min(config.prime_bound, 50)):
         for f in sorted({q.f for q in cubicfield.factor_prime(order, p)}):
             ideal = cubicfield.pi_ideal(order, p**f)
-            if ideal.is_unit_ideal():
-                continue
             try:
                 gen = cubicfield.is_principal(order, ideal, max_candidates=config.max_enum)
             except SearchBudgetExceededError:
@@ -280,17 +278,13 @@ def survey_box(coeff_bound: int, prime_bound: int = 200, budget=None, workers: i
 
         with mp.Pool(workers) as pool:
             yield from pool.imap(
-                partial(_survey_worker, prime_bound=prime_bound, budget=budget),
+                partial(survey_field, prime_bound=prime_bound, budget=budget),
                 triples,
                 chunksize=64,
             )
     else:
         for t in triples:
             yield survey_field(t, prime_bound, budget)
-
-
-def _survey_worker(triple, prime_bound, budget):
-    return survey_field(triple, prime_bound, budget)
 
 
 def _cmd_survey(args, config: RunConfig) -> int:

@@ -26,7 +26,9 @@ from typing import Optional
 
 from . import modpoly
 from .artin import SplittingType
-from .intlinalg import det3, hnf_rows, invert3, kernel_mod_p, lattice_contains, rref_mod_p
+from .intlinalg import (
+    det3, hnf_rows, invert3, kernel_mod_p, lattice_contains, lattice_points, rref_mod_p,
+)
 
 DEFAULT_PRIME_BOUND = 200
 
@@ -1111,7 +1113,9 @@ def is_principal(
     are large every generator can have an embedding above R (the field
     of x^3-12x-5 has such ideals).  Raises SearchBudgetExceededError when
     the region itself is larger than max_candidates; a budget failure is
-    never reported as None.
+    never reported as None.  The search visits one element of each pair
+    +-y (y generates I exactly when -y does), in the order of the full
+    box scan, so it returns the generator that scan would find first.
     """
     m = I.norm
     n = I.scalar_generator()
@@ -1139,26 +1143,10 @@ def is_principal(
             f"enumeration region of {volume} points exceeds ceiling {max_candidates}"
         )
 
-    def by_abs(cap):
-        yield 0
-        for v in range(1, cap + 1):
-            yield v
-            yield -v
-
-    v0, v1, v2 = rows
-    for c0 in by_abs(caps[0]):
-        for c1 in by_abs(caps[1]):
-            for c2 in by_abs(caps[2]):
-                if c0 == 0 and c1 == 0 and c2 == 0:
-                    continue
-                y = (
-                    c0 * v0[0] + c1 * v1[0] + c2 * v2[0],
-                    c0 * v0[1] + c1 * v1[1] + c2 * v2[1],
-                    c0 * v0[2] + c1 * v1[2] + c2 * v2[2],
-                )
-                if abs(order.norm_omega(y)) == m:
-                    assert element_ideal(order, y) == I
-                    return y
+    for y in lattice_points(rows, caps):
+        if abs(order.norm_omega(y)) == m:
+            assert element_ideal(order, y) == I
+            return y
     return None
 
 

@@ -1,4 +1,5 @@
-"""Exact integer and mod-p linear algebra: HNF, SNF, kernels.
+"""Exact integer and mod-p linear algebra: HNF, SNF, kernels, and the
+enumeration of rank-3 lattice points in a coefficient box.
 
 Everything here works on plain Python ints (arbitrary precision) and
 small matrices given as sequences of rows.  No external dependencies;
@@ -116,6 +117,38 @@ def invert3(m) -> list[list]:
         [d * h - e * g, b * g - a * h, a * e - b * d],
     ]
     return [[x / det for x in row] for row in adj]
+
+
+def _zigzag(cap: int, lo: int = 0, nonneg: bool = False):
+    """lo, -lo, lo+1, -(lo+1), ..., cap, -cap, with 0 once and no
+    negatives when `nonneg`."""
+    for v in range(lo, cap + 1):
+        yield v
+        if v and not nonneg:
+            yield -v
+
+
+def lattice_points(rows, caps, skip: int = -1):
+    """Nonzero points y = c0*rows[0] + c1*rows[1] + c2*rows[2] with
+    |c_t| <= caps[t] and max |c_t| > skip, one of each pair +-y: the one
+    whose first nonzero c_t is positive.
+
+    c0 is the outermost loop and each c_t runs 0, 1, -1, 2, -2, ..., so
+    the points come in the full box's nested order with the other half
+    of each pair left out.
+    """
+    (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = rows
+    floor = max(skip, 0)
+    for c0 in _zigzag(caps[0], nonneg=True):
+        for c1 in _zigzag(caps[1], nonneg=c0 == 0):
+            # c2 alone must lift max |c_t| above skip, and above 0
+            lo = 0 if max(c0, abs(c1)) > floor else floor + 1
+            for c2 in _zigzag(caps[2], lo, nonneg=c0 == c1 == 0):
+                yield (
+                    c0 * a0 + c1 * b0 + c2 * d0,
+                    c0 * a1 + c1 * b1 + c2 * d1,
+                    c0 * a2 + c1 * b2 + c2 * d2,
+                )
 
 
 def smith_normal_form(rows, ncols: int):

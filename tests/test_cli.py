@@ -258,7 +258,8 @@ def test_unknown_flag_exits_2(capsys):
 
 # The runs whose stdout must hash the same across refactors: the five
 # fixture fields, an index-10 field (enlargement and index-prime paths),
-# a --witnesses report and a small survey.
+# a --witnesses report, a field that expresses the class of a prime
+# outside the factor base (x^3+8x-6) and a small survey.
 GOLDEN_RUNS = (
     ("field-analyze", "x^3-2"),
     ("field-analyze", "x^3-x-1"),
@@ -267,6 +268,7 @@ GOLDEN_RUNS = (
     ("field-analyze", "x^3+4x-1"),
     ("field-analyze", "x^3-12x^2-5x-4"),
     ("field-analyze", "x^3+4x-1", "--witnesses"),
+    ("field-analyze", "x^3+8x-6"),
     ("survey", "--coeff-bound", "3"),
 )
 

@@ -42,7 +42,7 @@ from polyakit.cubicfield import (
     power_sums,
     primes_up_to,
 )
-from polyakit.intlinalg import det3
+from polyakit.intlinalg import det3, invert3
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
 
@@ -535,6 +535,58 @@ def test_is_principal_finds_unbalanced_generators():
     O = maximal_order(parse_cubic("x^3-12x-5"))
     for y in ((-4, -9, 5), (11, 28, -2)):
         assert is_principal(O, element_ideal(O, y)) is not None, y
+
+
+def _full_box_generator(O, I, radius_factor, max_candidates):
+    """Reference search: the same box as is_principal, scanned whole
+    (both y and -y), c0 outermost and each c_t running 0, 1, -1, ..."""
+    m = I.norm
+    n = I.scalar_generator()
+    if n is not None:
+        return tuple(n * c for c in O.one)
+    R = radius_factor * m ** (1.0 / 3.0)
+    rows = I.hnf
+    E = [
+        [sum(rows[t][i] * O.embeddings[j][i] for i in range(3)) for t in range(3)]
+        for j in range(3)
+    ]
+    Einv = invert3(E)
+    caps = [max(0, int(sum(abs(Einv[t][j]) for j in range(3)) * R + 1e-9)) for t in range(3)]
+    if (2 * caps[0] + 1) * (2 * caps[1] + 1) * (2 * caps[2] + 1) > max_candidates:
+        raise SearchBudgetExceededError("over budget")
+
+    def by_abs(cap):
+        yield 0
+        for v in range(1, cap + 1):
+            yield v
+            yield -v
+
+    v0, v1, v2 = rows
+    for c0 in by_abs(caps[0]):
+        for c1 in by_abs(caps[1]):
+            for c2 in by_abs(caps[2]):
+                y = tuple(c0 * v0[i] + c1 * v1[i] + c2 * v2[i] for i in range(3))
+                if any(y) and abs(O.norm_omega(y)) == m:
+                    return y
+    return None
+
+
+@pytest.mark.parametrize("s", FIXTURE_POLYS + ("x^3-12x-5",))
+def test_is_principal_returns_the_full_box_first_generator(s):
+    O = maximal_order(parse_cubic(s))
+
+    def outcome(search, I, radius_factor, max_candidates):
+        try:
+            return search(O, I, radius_factor, max_candidates)
+        except SearchBudgetExceededError:
+            return "over budget"
+
+    for p in primes_up_to(50):
+        for f in sorted({q.f for q in factor_prime(O, p)}):
+            I = pi_ideal(O, p**f)
+            for search_args in ((2.0, 400000), (1.3, 8000)):
+                want = outcome(_full_box_generator, I, *search_args)
+                assert outcome(is_principal, I, *search_args) == want, (p, f, search_args)
 
 
 def test_is_principal_budget_signal(orders):

@@ -12,6 +12,7 @@ from polyakit.intlinalg import (
     invert3,
     kernel_mod_p,
     lattice_contains,
+    lattice_points,
     rref_mod_p,
     smith_normal_form,
 )
@@ -161,3 +162,44 @@ def test_rref_mod_p_idempotent():
     again, pivots2 = rref_mod_p([list(r) for r in red], 3, 7)
     assert [tuple(r) for r in again] == [tuple(r) for r in red]
     assert pivots == pivots2
+
+
+# --- lattice enumeration --------------------------------------------------------
+
+def _full_box(rows, caps):
+    """(c, y) over the whole box, in nested order: c0 outermost, each c_t
+    running 0, 1, -1, 2, -2, ..."""
+    signed = [[0] + [s * v for v in range(1, cap + 1) for s in (1, -1)] for cap in caps]
+    for c0 in signed[0]:
+        for c1 in signed[1]:
+            for c2 in signed[2]:
+                c = (c0, c1, c2)
+                yield c, tuple(sum(c[t] * rows[t][i] for t in range(3)) for i in range(3))
+
+
+LATTICE_ROWS = ((1, 0, 0), (3, 2, 0), (-1, 5, 7))
+
+
+@pytest.mark.parametrize("caps", [(2, 1, 3), (0, 2, 1), (1, 0, 2), (2, 2, 0), (1, 1, 1)])
+@pytest.mark.parametrize("skip", [-1, 0, 1, 2])
+def test_lattice_points_contract(caps, skip):
+    got = list(lattice_points(LATTICE_ROWS, caps, skip))
+    box = list(_full_box(LATTICE_ROWS, caps))
+    assert (0, 0, 0) not in got
+    assert len(set(got)) == len(got)
+    # one point of each nonzero +-pair, exactly those with max |c_t| > skip
+    wanted = {y for c, y in box if any(c) and max(map(abs, c)) > skip}
+    for y in wanted:
+        assert (y in got) + (tuple(-a for a in y) in got) == 1, y
+    assert set(got) <= wanted
+    if skip < 0:
+        k0, k1, k2 = caps
+        assert len(got) == ((2 * k0 + 1) * (2 * k1 + 1) * (2 * k2 + 1) - 1) // 2
+    # the kept member has its first nonzero coefficient positive, and the
+    # points come in the full box's order
+    kept = [
+        y
+        for c, y in box
+        if any(c) and max(map(abs, c)) > skip and next(a for a in c if a) > 0
+    ]
+    assert got == kept
