@@ -395,10 +395,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A coefficient triple with a negative leading entry, which argparse
+# would read as an option; same shape as parse_cubic's triple form.
+_NEGATIVE_TRIPLE = re.compile(r"-\d+\s*,\s*[-+]?\d+\s*,\s*[-+]?\d+")
+
+
+def _triple_after_dashes(argv: list[str]) -> list[str]:
+    """`field-analyze -3,2,1` and `census -3,2,1` as if written with
+    `-- -3,2,1`: the triple moves behind a "--" after the options."""
+    if argv[:1] not in (["field-analyze"], ["census"]) or "--" in argv:
+        return argv
+    triples = [a for a in argv if _NEGATIVE_TRIPLE.fullmatch(a)]
+    if not triples:
+        return argv
+    return [a for a in argv if a not in triples] + ["--", *triples]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_triple_after_dashes(argv))
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the parse-error code
         return EXIT_PARSE if exc.code else EXIT_OK

@@ -600,7 +600,12 @@ def maximal_order(poly: CubicPoly) -> MaximalOrder:
     index = den**3 // abs(detnum)
     assert disc_poly % (index * index) == 0
     disc_K = disc_poly // (index * index)
-    return MaximalOrder(poly=poly, den=den, basis_num=basis_num, disc_K=disc_K, index=index)
+    maximal = MaximalOrder(poly=poly, den=den, basis_num=basis_num, disc_K=disc_K, index=index)
+    # The last enlargement step built these on the same lattice.
+    for name in ("_omega_transform", "one", "mult_table"):
+        if name in vars(order):
+            vars(maximal)[name] = vars(order)[name]
+    return maximal
 
 
 def is_p_maximal_dedekind(poly: CubicPoly, p: int) -> bool:

@@ -2,9 +2,11 @@
 enumeration of rank-3 lattice points in a coefficient box.
 
 Everything here works on plain Python ints (arbitrary precision) and
-small matrices given as sequences of rows.  No external dependencies;
-the matrices in this package are at most a few dozen rows by a handful
-of columns.
+dense matrices given as sequences of rows.  No external dependencies.
+Most matrices in this package are a few rows by three columns (ideal and
+order lattices) or by the rank of a small abelian group; the class-group
+relation matrices are the large ones, thousands of sparse rows by up to
+about 70 columns, which is why `hnf_rows` works modulo the determinant.
 """
 
 from __future__ import annotations
@@ -25,49 +27,106 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _reduce_above(basis, hi: int, lo: int, det: int) -> None:
+    """Reduce the rows basis[hi], ..., basis[lo], bottom up, at every pivot
+    column to their right into [0, pivot), using the rows below them; with
+    det > 0 every entry a row operation touches is also taken mod det."""
+    ncols = len(basis)
+    for i in range(hi, lo - 1, -1):
+        row = basis[i]
+        if row is None:
+            continue
+        for t in range(i + 1, ncols):
+            a = row[t]
+            if a:
+                b = basis[t]
+                if b is not None:
+                    q = a // b[t]
+                    if q:
+                        if det:
+                            row[t:] = [(x - q * y) % det for x, y in zip(row[t:], b[t:])]
+                        else:
+                            row[t:] = [x - q * y for x, y in zip(row[t:], b[t:])]
+
+
 def hnf_rows(rows, ncols: int | None = None) -> tuple[tuple[int, ...], ...]:
     """Row-style Hermite normal form of the lattice spanned by `rows`.
 
     Returns the nonzero rows of the canonical form: row-echelon with
     positive pivots, entries above each pivot reduced into [0, pivot).
-    For a full-rank square input this is the upper-triangular HNF.
+    For a full-rank square input this is the upper-triangular HNF.  The
+    rows have `ncols` entries each (default: the length of the first).
+
+    Method: HNF modulo the determinant (Cohen, GTM 138, Alg. 2.4.8;
+    Domich-Kannan-Trotter 1987), inserting one row at a time into an
+    upper-triangular basis keyed by pivot column.  Where the row's
+    leading column already has a pivot a, it subtracts a multiple of
+    that basis row when a divides its entry, and otherwise takes one
+    Bezout step, which shrinks the pivot to the gcd.  Once every column
+    has a pivot, det is their product, the determinant of the lattice
+    spanned so far, so det*Z^ncols lies inside it: from then on incoming
+    rows and every row operation right of a pivot are taken mod det, and
+    det shrinks with the pivots.  That bounds entry growth on tall
+    relation matrices.
+
+    Invariant: the basis rows span the lattice of the rows inserted so
+    far; once det > 0 that lattice contains det*Z^ncols, so reducing mod
+    det leaves it unchanged.  A basis row is reduced above the later
+    pivots before it is subtracted from another row, so it adds no
+    entries in columns whose pivot is 1.  The HNF of a lattice is
+    unique, so the output does not depend on the order of the rows.
     """
-    mat = [list(r) for r in rows]
-    if not mat:
+    rows = list(rows)
+    if not rows:
         return ()
     if ncols is None:
-        ncols = len(mat[0])
-    r = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][j] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, len(mat)):
-            b = mat[i][j]
-            if b == 0:
+        ncols = len(rows[0])
+    basis: list[list[int] | None] = [None] * ncols
+    free = ncols  # columns without a pivot
+    det = 0  # 0 until every column has a pivot
+    dirty = -1  # basis rows 0..dirty may need _reduce_above
+    for v in rows:
+        v = [a % det for a in v] if det else list(v)
+        for j in range(ncols):
+            c = v[j]
+            if not c:
                 continue
-            a = mat[r][j]
-            # single Bezout combination replaces the euclidean loop
-            g, x, y = _ext_gcd(a, b)
-            u, v = a // g, b // g
-            row_r, row_i = mat[r], mat[i]
-            mat[r] = [x * p + y * q for p, q in zip(row_r, row_i)]
-            mat[i] = [u * q - v * p for p, q in zip(row_r, row_i)]
-        if mat[r][j] < 0:
-            mat[r] = [-a for a in mat[r]]
-        for i in range(r):
-            q = mat[i][j] // mat[r][j]
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:r])
+            b = basis[j]
+            if b is None:
+                if c < 0:
+                    v = [-a for a in v]
+                basis[j] = v
+                dirty = j if j > dirty else dirty
+                free -= 1
+                if not free:
+                    det = 1
+                    for i, row in enumerate(basis):
+                        det *= row[i]
+                break
+            a = b[j]
+            if c % a:
+                g, x, y = _ext_gcd(a, c)
+                u, w = a // g, c // g
+                b = [x * p + y * q for p, q in zip(basis[j], v)]
+                if det:
+                    det = det // a * g
+                    b[j + 1:] = [t % det for t in b[j + 1:]]
+                    v = [(u * q - w * p) % det for p, q in zip(basis[j], v)]
+                else:
+                    v = [u * q - w * p for p, q in zip(basis[j], v)]
+                basis[j] = b
+                dirty = j if j > dirty else dirty
+            else:
+                if j <= dirty:
+                    _reduce_above(basis, dirty, j, det)
+                    dirty = j - 1
+                q = c // a
+                if det:
+                    v[j:] = [(p - q * r) % det for p, r in zip(v[j:], b[j:])]
+                else:
+                    v[j:] = [p - q * r for p, r in zip(v[j:], b[j:])]
+    _reduce_above(basis, dirty, 0, det)
+    return tuple(tuple(row) for row in basis if row is not None)
 
 
 def hnf_pivots(hnf: tuple[tuple[int, ...], ...]) -> list[int]:

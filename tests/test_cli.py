@@ -4,6 +4,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from polyakit.cli import main, survey_field
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -256,10 +258,32 @@ def test_unknown_flag_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, reference",
+    [
+        (["field-analyze", "-3,2,1"], ["field-analyze", "--", "-3,2,1"]),
+        (["census", "-3,2,1"], ["census", "--", "-3,2,1"]),
+        (
+            ["field-analyze", "-3,2,1", "--witnesses"],
+            ["field-analyze", "--witnesses", "--", "-3,2,1"],
+        ),
+    ],
+)
+def test_negative_leading_triple_is_the_poly(capsys, argv, reference):
+    # argparse alone reads -3,2,1 as an unknown option and exits 2
+    code, out, _ = run_cli(capsys, *argv)
+    ref_code, ref_out, _ = run_cli(capsys, *reference)
+    assert code == ref_code == 0
+    assert out == ref_out
+
+
 # The runs whose stdout must hash the same across refactors: the five
 # fixture fields, an index-10 field (enlargement and index-prime paths),
 # a --witnesses report, a field that expresses the class of a prime
-# outside the factor base (x^3+8x-6) and a small survey.
+# outside the factor base (x^3+8x-6), a field whose 3862-row relation
+# matrix (disc_K 602645, Cl = (2, 2)) takes hnf_rows through its mod-det
+# path on the way to class_generators (x^3-21x^2+19x+16) and a small
+# survey.
 GOLDEN_RUNS = (
     ("field-analyze", "x^3-2"),
     ("field-analyze", "x^3-x-1"),
@@ -269,6 +293,7 @@ GOLDEN_RUNS = (
     ("field-analyze", "x^3-12x^2-5x-4"),
     ("field-analyze", "x^3+4x-1", "--witnesses"),
     ("field-analyze", "x^3+8x-6"),
+    ("field-analyze", "x^3-21x^2+19x+16"),
     ("survey", "--coeff-bound", "3"),
 )
 

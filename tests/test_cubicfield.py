@@ -175,6 +175,29 @@ def test_maximal_order_idempotent(orders):
             assert (got.den, got.basis_num) == (O.den, O.basis_num), s
 
 
+@pytest.mark.parametrize("poly", ["x^3-2", "x^3-x^2-2x-8", "x^3-12x^2-5x-4"])
+def test_maximal_order_builds_each_table_once(monkeypatch, poly):
+    # the last enlargement step and the MaximalOrder share one lattice
+    import functools
+
+    from polyakit import cubicfield
+
+    built = []
+    table = cubicfield.Order.mult_table.func
+
+    def counting(self):
+        built.append((self.den, self.basis_num))
+        return table(self)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(cubicfield.Order, "mult_table")
+    monkeypatch.setattr(cubicfield.Order, "mult_table", counted)
+    O = maximal_order(parse_cubic(poly))
+    O.omega_mul(O.one, O.one)
+    assert len(built) == len(set(built))
+    assert (O.den, O.basis_num) in built
+
+
 def test_maximal_order_disc_sign_and_index_relation():
     for s in FIXTURE_POLYS + ("x^3+6x^2+9x+3", "x^3-12x-12", "x^3+9x+9"):
         poly = parse_cubic(s)

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyakit.intlinalg import (
+    _ext_gcd,
     det3,
     hnf_rows,
     invert3,
@@ -82,6 +83,121 @@ def test_hnf_determinant_invariant(rows):
     else:
         assert len(h) == 3
         assert h[0][0] * h[1][1] * h[2][2] == d
+
+
+def _hnf_rows_reference(rows, ncols):
+    """Column-by-column HNF over the whole matrix, as hnf_rows computed it
+    before it worked modulo the determinant."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return ()
+    r = 0
+    for j in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][j] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(r + 1, len(mat)):
+            b = mat[i][j]
+            if b == 0:
+                continue
+            a = mat[r][j]
+            g, x, y = _ext_gcd(a, b)
+            u, v = a // g, b // g
+            row_r, row_i = mat[r], mat[i]
+            mat[r] = [x * p + y * q for p, q in zip(row_r, row_i)]
+            mat[i] = [u * q - v * p for p, q in zip(row_r, row_i)]
+        if mat[r][j] < 0:
+            mat[r] = [-a for a in mat[r]]
+        for i in range(r):
+            q = mat[i][j] // mat[r][j]
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:r])
+
+
+def _check_hnf(rows, ncols):
+    h = hnf_rows(rows, ncols)
+    ref = _hnf_rows_reference(rows, ncols)
+    pivots = []
+    for row in h:
+        assert len(row) == ncols
+        j = next(j for j, a in enumerate(row) if a)
+        assert row[j] > 0
+        pivots.append(j)
+    assert pivots == sorted(set(pivots))
+    for i, j in enumerate(pivots):
+        assert all(0 <= h[r][j] < h[i][j] for r in range(i))
+    # the same lattice both ways; the reference spans L(rows) by
+    # unimodular row steps
+    assert all(lattice_contains(h, row) for row in rows)
+    assert all(lattice_contains(ref, row) for row in h)
+    assert h == ref
+    return h
+
+
+@st.composite
+def hnf_inputs(draw):
+    """Up to 10 rows of up to 6 columns, zero-heavy, with zero and
+    duplicate rows, and a zero or a dependent column for deficient rank."""
+    k = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), small_int)
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), max_size=10))
+    shape = draw(st.sampled_from(["any", "zero column", "dependent column"]))
+    a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    if shape == "zero column":
+        rows = [r[:a] + [0] + r[a + 1:] for r in rows]
+    elif shape == "dependent column" and a != b:
+        for r in rows:
+            r[b] = 2 * r[a]
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * k)
+    return rows, k
+
+
+@given(hnf_inputs())
+@example(([], 3))
+@example(([[0], [0]], 1))
+@example(([[6], [-4], [0], [9]], 1))
+@settings(max_examples=300, deadline=None)
+def test_hnf_rows_matches_reference(case):
+    rows, k = case
+    h = _check_hnf(rows, k)
+    if not any(any(r) for r in rows):
+        assert h == ()
+
+
+@st.composite
+def relation_matrices(draw):
+    """Relation-shaped input: a diagonal block that gives full rank at
+    once, with one pivot above 1, a row that shrinks that pivot, then a
+    few hundred sparse rows with small entries, as the harvest makes."""
+    k = draw(st.integers(16, 22))
+    pivots = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    j0 = draw(st.integers(0, k - 1))
+    pivots[j0] = draw(st.integers(2, 6))
+    rows = [[d * (i == j) for j in range(k)] for i, d in enumerate(pivots)]
+    rows.append([int(j == j0) for j in range(k)])
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(rng.randint(200, 400)):
+        row = [0] * k
+        for j in rng.sample(range(k), rng.randint(1, 4)):
+            row[j] = rng.choice((-3, -2, -1, 1, 2, 3))
+        rows.append(row)
+    return rows, k
+
+
+@given(relation_matrices())
+@settings(max_examples=15, deadline=None)
+def test_hnf_rows_tall_relation_matrices(case):
+    rows, k = case
+    h = _check_hnf(rows, k)
+    assert len(h) == k
 
 
 @given(matrices(4, 4))
