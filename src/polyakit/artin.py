@@ -143,9 +143,12 @@ class Abelianization:
             raise ValueError("element not in the subgroup being abelianized")
         v = self._vec[self._coset_key(p)]
         k = len(self._gens)
-        w = [sum(v[i] * self._V[i][j] for i in range(k)) for j in range(k)]
+        V = self._V
         result = AbelianizedElement(
-            tuple(w[i] % d for i, d in zip(self._kept, self._mods))
+            tuple(
+                sum(v[i] * V[i][j] for i in range(k)) % d
+                for j, d in zip(self._kept, self._mods)
+            )
         )
         self._class_cache[p] = result
         return result

@@ -11,12 +11,22 @@ err on the large side; the stability contract (doubling the harvest
 budget must not change the invariant factors) is the guard, and when
 every factor-base prime is certified principal the trivial answer is
 exact with no heuristic at all.
+
+Each box point is factored once per field: the box rows are kept and
+the box grows one shell at a time as the radius doubles, and a pass
+that follows a doubling without a new certificate starts from the
+previous pass's doubled presentation instead of presenting it again.
+A point whose norm has a gcd of 1 with the product of the factor-base
+primes' rational primes before the norm is used up is rejected without
+trial division, and the valuations of the rest come from one cached
+kernel per prime (cubicfield.valuation_kernel).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, prod
 from typing import Optional
 
 from .abelian import AbelianGroupSNF, Subgroup
@@ -26,12 +36,13 @@ from .cubicfield import (
     MaximalOrder,
     PrimeIdeal,
     SearchBudgetExceededError,
-    element_valuation,
     factor_prime,
     is_principal,
     minkowski_bound,
     pi_ideal,
     primes_up_to,
+    valuation,
+    valuation_kernel,
 )
 from .intlinalg import hnf_rows, lattice_points, smith_normal_form
 
@@ -72,37 +83,63 @@ class ClassGroupData:
 
     def project_fb_vector(self, row) -> tuple[int, ...]:
         """Class coordinates of an exponent vector over the factor base."""
-        k = len(self.fb)
         if not self.snf.invariant_factors:
             return ()
-        w = [sum(row[i] * self._V[i][j] for i in range(k)) for j in range(k)]
-        return self.snf.reduce(w[i] for i in self._kept)
+        V = self._V
+        k = len(self.fb)
+        return self.snf.reduce(sum(row[i] * V[i][j] for i in range(k)) for j in self._kept)
 
 
-def _smooth_row(order: MaximalOrder, y, index_of, over) -> Optional[list[int]]:
-    """Exponent row of the principal ideal (y) over the prime columns
-    `index_of` (prime HNF -> column), or None when (y) is not smooth over
-    them.  `over` maps each rational prime below a column to every prime
-    above it."""
-    rem = abs(order.norm_omega(y))
-    expo: dict[int, int] = {}
-    for p in over:
-        while rem % p == 0:
-            rem //= p
-            expo[p] = expo.get(p, 0) + 1
+def _columns(order: MaximalOrder, index_of, ps):
+    """Smoothness data for the prime columns `index_of` (prime HNF ->
+    column) over the rational primes `ps` below them: the product of
+    `ps`, and for each p the (f, column or None, valuation kernel) of
+    every prime above p."""
+    over = [
+        (p, [(q.f, index_of.get(q.hnf), valuation_kernel(order, q)) for q in factor_prime(order, p)])
+        for p in sorted(ps)
+    ]
+    return prod(ps), over
+
+
+def _smooth_row(order: MaximalOrder, y, ncols: int, screen: int, over) -> Optional[list[int]]:
+    """Exponent row of the principal ideal (y) over `ncols` prime
+    columns, or None when (y) is not smooth over them.  `screen` and
+    `over` come from `_columns`.
+
+    Most norms are not smooth, so repeated gcds with `screen` first
+    strip the norm of its smooth part and reject y, without trial
+    division, when a gcd of 1 comes before the remainder reaches 1.
+    The exponent of each p in the norm must then equal the sum of f*v
+    over the primes above p, with every v computed from its kernel."""
+    norm = abs(order.norm_omega(y))
+    rem, g = norm, gcd(norm, screen)
+    while rem != 1:
+        if g == 1:
+            return None
+        rem //= g
+        g = gcd(rem, g)
+    rem = norm
+    expo = []
+    for p, primes in over:
+        if rem % p == 0:
+            vp = 0
+            while rem % p == 0:
+                rem //= p
+                vp += 1
+            expo.append((vp, primes))
     if rem != 1:
         return None
-    row = [0] * len(index_of)
-    for p, vp in expo.items():
+    row = [0] * ncols
+    for vp, primes in expo:
         seen = 0
-        for prime in over[p]:
-            v = element_valuation(order, y, prime)
+        for f, idx, kernel in primes:
+            v = valuation(order, kernel, y)
             if v:
-                idx = index_of.get(prime.hnf)
                 if idx is None:
                     return None  # a prime outside the columns divides (y)
                 row[idx] = v
-                seen += v * prime.f
+                seen += v * f
         if seen != vp:
             return None
     return row
@@ -139,34 +176,47 @@ def _probe_certificates(order: MaximalOrder, fb, indices) -> dict[int, tuple]:
     return out
 
 
-def _harvest(order: MaximalOrder, fb, mb: Fraction, radius: int, probes) -> list[list[int]]:
-    k = len(fb)
-    index_of = {prime.hnf: i for i, prime in enumerate(fb)}
-    rows: set[tuple[int, ...]] = set()
+class _Harvest:
+    """The relations of one `class_group` call.
 
-    # rational-prime relations: p*O = prod p_i^{e_i} with all factors in base
-    mb_floor = mb.numerator // mb.denominator
-    for p in primes_up_to(mb_floor):
-        facs = factor_prime(order, p)
-        if all(q.norm <= mb for q in facs):
-            row = [0] * k
-            for q in facs:
-                row[index_of[q.hnf]] = q.e
-            rows.add(tuple(row))
+    Three sources: factorizations p*O = prod p_i^{e_i} with every factor
+    in the base, principality certificates (unit rows), and the
+    principal ideals of the elements of the coordinate box of radius R
+    that factor over the base.  The box rows are kept and grow one shell
+    at a time: asking for a larger radius scans only the points beyond
+    the radius scanned so far, so each point is factored once per field.
+    """
 
-    # principality certificates
-    for i in probes:
-        row = [0] * k
-        row[i] = 1
-        rows.add(tuple(row))
+    def __init__(self, order: MaximalOrder, fb, mb: Fraction):
+        self.order = order
+        self.k = k = len(fb)
+        index_of = {prime.hnf: i for i, prime in enumerate(fb)}
+        self.prime_rows: set[tuple[int, ...]] = set()
+        mb_floor = mb.numerator // mb.denominator
+        for p in primes_up_to(mb_floor):
+            facs = factor_prime(order, p)
+            if all(q.norm <= mb for q in facs):
+                row = [0] * k
+                for q in facs:
+                    row[index_of[q.hnf]] = q.e
+                self.prime_rows.add(tuple(row))
+        self.screen, self.over = _columns(order, index_of, {prime.p for prime in fb})
+        self.box_rows: set[tuple[int, ...]] = set()
+        self.radius = 0
 
-    # principal ideals of box elements that factor over the base
-    over = {p: factor_prime(order, p) for p in sorted({prime.p for prime in fb})}
-    for y in lattice_points(_IDENTITY, (radius,) * 3):
-        row = _smooth_row(order, y, index_of, over)
-        if row is not None and any(row):
-            rows.add(tuple(row))
-    return [list(r) for r in sorted(rows)]
+    def relations(self, radius: int, probes) -> list[list[int]]:
+        """Relation rows, sorted, at box radius `radius`, which must not be
+        below a radius asked for before."""
+        assert radius >= self.radius, "the box rows only grow"
+        order, k, screen, over = self.order, self.k, self.screen, self.over
+        for y in lattice_points(_IDENTITY, (radius,) * 3, skip=self.radius):
+            row = _smooth_row(order, y, k, screen, over)
+            if row is not None and any(row):
+                self.box_rows.add(tuple(row))
+        self.radius = radius
+        rows = self.box_rows | self.prime_rows
+        rows.update(tuple(int(j == i) for j in range(k)) for i in probes)
+        return [list(r) for r in sorted(rows)]
 
 
 def _present(order: MaximalOrder, fb, mb, relations, certified, budget) -> Optional[ClassGroupData]:
@@ -210,19 +260,31 @@ def class_group(
     whose class came out nontrivial gets a bounded principality probe;
     any disagreement escalates the budget, and running out of budget
     raises ClassGroupInconclusiveError.
+
+    The pass at the doubled radius presents exactly the relations of the
+    next pass's first harvest unless a probe added a certificate, so
+    that presentation is reused with its budget set to the new radius.
     """
     fb, mb = _factor_base(order)
     if not fb:
         return _present(order, fb, mb, [], True, 0)
 
+    harvest = _Harvest(order, fb, mb)
     base = budget if budget is not None else DEFAULT_HARVEST_RADIUS
     radius = base
     max_radius = max(MAX_HARVEST_RADIUS, base)
     probes: dict[int, tuple] = {}
+    reuse = False
     while radius <= max_radius:
-        first = _present(
-            order, fb, mb, _harvest(order, fb, mb, radius, probes), False, radius
-        )
+        if reuse:
+            # the last pass's doubled presentation: same radius, same probes
+            first = second
+            if first is not None:
+                first.budget = radius
+        else:
+            first = _present(
+                order, fb, mb, harvest.relations(radius, probes), False, radius
+            )
         if first is not None and first.snf.is_trivial():
             first.certified_trivial = True
             return first
@@ -233,11 +295,12 @@ def class_group(
                 )
             return first
         second = _present(
-            order, fb, mb, _harvest(order, fb, mb, 2 * radius, probes), False, radius
+            order, fb, mb, harvest.relations(2 * radius, probes), False, radius
         )
         if second is not None and second.snf.is_trivial():
             second.certified_trivial = True
             return second
+        reuse = True
         if first is not None and second is not None:
             if first.snf.invariant_factors == second.snf.invariant_factors:
                 # backstop: certificate search on the primes presented as
@@ -251,6 +314,7 @@ def class_group(
                 if not extra:
                     return second
                 probes.update(extra)
+                reuse = False
         radius *= 2
     raise ClassGroupInconclusiveError(
         f"class group not stable within max harvest radius {max_radius}"
@@ -285,10 +349,10 @@ def prime_class_vector(
     k = len(data.fb)
     index_of = {q.hnf: i for i, q in enumerate(data.fb)}
     index_of[prime.hnf] = k
-    over = {p: factor_prime(order, p) for p in sorted({q.p for q in data.fb} | {prime.p})}
+    screen, over = _columns(order, index_of, {q.p for q in data.fb} | {prime.p})
     for shell in range(1, EXPRESSION_MAX_SHELL + 1):
         for y in lattice_points(prime.hnf, (shell,) * 3, skip=shell - 1):
-            row = _smooth_row(order, y, index_of, over)
+            row = _smooth_row(order, y, k + 1, screen, over)
             if row is None or row[k] != 1:
                 continue
             # (y) = prime * prod fb^row  =>  [prime] = -sum row

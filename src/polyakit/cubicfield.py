@@ -440,7 +440,7 @@ class MaximalOrder(Order):
         return {}
 
     @cached_property
-    def _power_cache(self) -> dict:
+    def _valuation_cache(self) -> dict:
         return {}
 
     @cached_property
@@ -743,19 +743,6 @@ def ideal_equal(I: IntegralIdeal, J: IntegralIdeal) -> bool:
     return I.hnf == J.hnf
 
 
-def _prime_power(order: MaximalOrder, prime: PrimeIdeal, k: int) -> IntegralIdeal:
-    cache = order._power_cache
-    key = (prime.hnf, k)
-    got = cache.get(key)
-    if got is None:
-        if k == 0:
-            got = IntegralIdeal.unit()
-        else:
-            got = ideal_product(order, _prime_power(order, prime, k - 1), prime.as_integral())
-        cache[key] = got
-    return got
-
-
 def _contains3(hnf, y) -> bool:
     """Membership in a full-rank upper-triangular 3x3 HNF lattice,
     allocation-free (the hot path of valuation computations)."""
@@ -772,22 +759,35 @@ def _contains3(hnf, y) -> bool:
     return t2 % r2[2] == 0
 
 
-def _hensel_data(order: MaximalOrder, prime: PrimeIdeal):
-    """Lifted-root valuation data for an unramified degree-1 prime away
-    from the index: (root mod p^K, p^K, K).  None when not applicable."""
-    cache = order.__dict__.setdefault("_hensel_cache", {})
-    got = cache.get(prime.hnf, False)
-    if got is not False:
-        return got
-    data = None
+def valuation_kernel(order: MaximalOrder, prime: PrimeIdeal) -> tuple:
+    """The data `valuation` needs to compute v_P((y)) for one prime P of
+    the order, built once and cached on the order.
+
+    At an unramified degree-1 prime away from the index the completion
+    at P is Z_p with theta sent to the Hensel lift r of the root of the
+    polynomial mod p.  The kernel folds that map and the integral basis
+    into one linear form l mod p^K, so t = y . l mod p^K is den times
+    the image of y (den a p-unit), and v_P(y) = v_p(t) when t != 0.
+    Every other prime, and t = 0 (v_P(y) >= K), walks the powers P,
+    P^2, ... of a list of their HNFs that grows on demand.
+
+    The kernel is plain data, (p, l, p^K, powers) with l None off the
+    Hensel case, and holds no reference to the order, so an order and
+    its cache are freed as soon as the last reference to it goes.
+    """
+    cache = order._valuation_cache
+    kernel = cache.get(prime.hnf)
+    if kernel is not None:
+        return kernel
+    p = prime.p
+    lin = pK = None
     if (
         prime.f == 1
         and prime.e == 1
-        and order.index % prime.p
+        and order.index % p
         and prime.generator_poly is not None
         and len(prime.generator_poly) == 2
     ):
-        p = prime.p
         K = 24 if p < 16 else 12
         pK = p**K
         r = (-prime.generator_poly[0]) % p
@@ -799,38 +799,43 @@ def _hensel_data(order: MaximalOrder, prime: PrimeIdeal):
             dfr = ((3 * r + 2 * coeffs[2]) * r + coeffs[1]) % modulus
             r = (r - fr * pow(dfr, -1, modulus)) % modulus
         assert (((r + coeffs[2]) * r + coeffs[1]) * r + coeffs[0]) % pK == 0
-        bn = order.basis_num  # y . basis_num = den * (power coords), den prime to p
-        data = (r % p, r, (r * r) % pK, pK, bn)
-    cache[prime.hnf] = data
-    return data
+        # y . basis_num = den * (power-basis coordinates); evaluate at theta = r
+        lin = tuple((b[0] + b[1] * r + b[2] * r * r) % pK for b in order.basis_num)
+    kernel = cache[prime.hnf] = (p, lin, pK, [prime.hnf])
+    return kernel
 
 
-def element_valuation(order: MaximalOrder, y, prime: PrimeIdeal) -> int:
-    """v_p of the principal ideal (y): the largest k with y in p^k."""
-    if all(a == 0 for a in y):
-        raise ValueError("zero element")
-    hensel = _hensel_data(order, prime)
-    if hensel is not None:
-        r0, r, r2, pK, bn = hensel
-        p = prime.p
-        # numerators of the power-basis coordinates; den is a p-unit
-        n0 = y[0] * bn[0][0] + y[1] * bn[1][0] + y[2] * bn[2][0]
-        n1 = y[0] * bn[0][1] + y[1] * bn[1][1] + y[2] * bn[2][1]
-        n2 = y[0] * bn[0][2] + y[1] * bn[1][2] + y[2] * bn[2][2]
-        if (n0 + n1 * r0 + n2 * r0 * r0) % p:
+def valuation(order: MaximalOrder, kernel: tuple, y) -> int:
+    """v_P((y)) for a nonzero order element y, from P's valuation_kernel."""
+    p, lin, pK, powers = kernel
+    if lin is not None:
+        t = (y[0] * lin[0] + y[1] * lin[1] + y[2] * lin[2]) % pK
+        if t % p:
             return 0
-        t = (n0 + n1 * r + n2 * r2) % pK
         if t:
             v = 0
             while t % p == 0:
                 t //= p
                 v += 1
             return v
-        # valuation at least K: fall through to the exact lattice walk
+    # powers[k] is the HNF of P^(k+1)
     k = 0
-    while _contains3(_prime_power(order, prime, k + 1).hnf, y):
+    while True:
+        if k == len(powers):
+            powers.append(
+                ideal_product(order, IntegralIdeal(powers[-1]), IntegralIdeal(powers[0])).hnf
+            )
+        if not _contains3(powers[k], y):
+            return k
         k += 1
-    return k
+
+
+def element_valuation(order: MaximalOrder, y, prime: PrimeIdeal) -> int:
+    """v_P of the principal ideal (y): the largest k with y in P^k
+    (see valuation_kernel)."""
+    if all(a == 0 for a in y):
+        raise ValueError("zero element")
+    return valuation(order, valuation_kernel(order, prime), y)
 
 
 # --- prime factorization ----------------------------------------------------

@@ -248,7 +248,8 @@ def smith_normal_form(rows, ncols: int):
 
     t = 0
     while t < m and t < n:
-        # find smallest nonzero entry in the remaining submatrix
+        # find the first smallest nonzero entry in the remaining
+        # submatrix; no later entry beats an entry of absolute value 1
         piv = None
         best = None
         for i in range(t, m):
@@ -257,6 +258,10 @@ def smith_normal_form(rows, ncols: int):
                 if a and (best is None or a < best):
                     best = a
                     piv = (i, j)
+                    if a == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         swap_rows(t, piv[0])

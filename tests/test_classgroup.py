@@ -6,9 +6,13 @@ and by a brute-force ideal-class count that only relies on Minkowski's
 bound, ideal arithmetic, and exhaustive generator search.
 """
 
+import itertools
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyakit import (
     IntegralIdeal,
@@ -28,16 +32,21 @@ from polyakit import (
     prime_class_vector,
     verify_main_theorem,
 )
+from polyakit import classgroup
 from polyakit.classgroup import PolyaReport
-from polyakit.cubicfield import primes_up_to
+from polyakit.cubicfield import element_valuation, primes_up_to
+
+FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
 
 
 @pytest.fixture(scope="module")
 def orders():
-    return {
-        s: maximal_order(parse_cubic(s))
-        for s in ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
-    }
+    return {s: maximal_order(parse_cubic(s)) for s in FIXTURE_POLYS}
+
+
+@lru_cache(maxsize=None)
+def _order_of(s):
+    return maximal_order(parse_cubic(s))
 
 
 def test_trivial_class_groups(orders):
@@ -276,3 +285,202 @@ def test_nontrivial_pi_classes_are_consistent_with_ideals(orders):
     assert ideal_norm(pi2) == 2
     assert is_principal(order, pi2, radius_factor=2.5) is None
     assert is_principal(order, IntegralIdeal.from_scalar(2)) is not None
+
+
+# --- the shell-by-shell harvest against the full-box loop ---------------------
+
+
+def _reference_row(order, y, index_of, ps):
+    """Reference for _smooth_row: plain trial division of the norm by the
+    rational primes `ps`, then element_valuation at every prime above."""
+    rem = abs(order.norm_omega(y))
+    expo = {}
+    for p in sorted(ps):
+        while rem % p == 0:
+            rem //= p
+            expo[p] = expo.get(p, 0) + 1
+    if rem != 1:
+        return None
+    row = [0] * len(index_of)
+    for p, vp in expo.items():
+        seen = 0
+        for q in factor_prime(order, p):
+            v = element_valuation(order, y, q)
+            if v:
+                if q.hnf not in index_of:
+                    return None
+                row[index_of[q.hnf]] = v
+                seen += v * q.f
+        if seen != vp:
+            return None
+    return row
+
+
+def _full_box_harvest(order, fb, mb, radius, probes):
+    """Reference: every relation at box radius `radius`, rescanning the
+    whole box."""
+    k = len(fb)
+    index_of = {prime.hnf: i for i, prime in enumerate(fb)}
+    rows = set()
+    for p in primes_up_to(mb.numerator // mb.denominator):
+        facs = factor_prime(order, p)
+        if all(q.norm <= mb for q in facs):
+            row = [0] * k
+            for q in facs:
+                row[index_of[q.hnf]] = q.e
+            rows.add(tuple(row))
+    for i in probes:
+        rows.add(tuple(int(j == i) for j in range(k)))
+    ps = {prime.p for prime in fb}
+    for y in itertools.product(range(-radius, radius + 1), repeat=3):
+        if y > tuple(-a for a in y):  # one of each pair +-y, and not 0
+            row = _reference_row(order, y, index_of, ps)
+            if row is not None and any(row):
+                rows.add(tuple(row))
+    return [list(r) for r in sorted(rows)]
+
+
+def _full_box_class_group(order, budget, reusable):
+    """Reference: the loop that harvests and presents both radii afresh
+    on every pass.  Appends to `reusable` the radius of each pass and
+    whether it could start from the previous pass's doubled
+    presentation: every pass after the first, unless the previous one
+    added a certificate."""
+    fb, mb = classgroup._factor_base(order)
+    if not fb:
+        return classgroup._present(order, fb, mb, [], True, 0)
+    radius = budget if budget is not None else classgroup.DEFAULT_HARVEST_RADIUS
+    max_radius = max(classgroup.MAX_HARVEST_RADIUS, radius)
+    probes = {}
+    extra = None
+    while radius <= max_radius:
+        reusable.append((radius, bool(reusable) and not extra))
+        extra = None
+        first = classgroup._present(
+            order, fb, mb, _full_box_harvest(order, fb, mb, radius, probes), False, radius
+        )
+        if first is not None and first.snf.is_trivial():
+            first.certified_trivial = True
+            return first
+        second = classgroup._present(
+            order, fb, mb, _full_box_harvest(order, fb, mb, 2 * radius, probes), False, radius
+        )
+        if second is not None and second.snf.is_trivial():
+            second.certified_trivial = True
+            return second
+        if first is not None and second is not None:
+            if first.snf.invariant_factors == second.snf.invariant_factors:
+                suspicious = [
+                    i
+                    for i, prime in enumerate(fb)
+                    if any(second.snf.generator_classes[prime.label])
+                ]
+                extra = classgroup._probe_certificates(order, fb, suspicious)
+                if not extra:
+                    return second
+                probes.update(extra)
+        radius *= 2
+    raise AssertionError("the reference loop ran out of budget")
+
+
+def _one_genuine_certificate(real, calls):
+    """A stand-in for _probe_certificates (`real`) whose first call
+    certifies the first factor-base prime that really is principal,
+    suspicious or not, and whose later calls certify nothing; `calls`
+    collects the calls."""
+
+    def fake(order, fb, indices):
+        calls.append(list(indices))
+        if len(calls) > 1:
+            return {}
+        hits = real(order, fb, range(len(fb)))
+        return dict([min(hits.items())])
+
+    return fake
+
+
+ESCALATING = ("x^3-21x^2+19x+16", "x^3+24x^2-13x+13")  # both harvest radius 16
+
+
+@pytest.mark.parametrize(
+    "s, budget, genuine_probe",
+    [(s, None, False) for s in FIXTURE_POLYS + ESCALATING]
+    + [("x^3+24x^2-13x+13", 2, True)],
+)
+def test_shell_harvest_matches_full_box_loop(monkeypatch, s, budget, genuine_probe):
+    order = maximal_order(parse_cubic(s))
+    present, probe = classgroup._present, classgroup._probe_certificates
+    presented = []
+
+    def counting_present(*args):
+        presented.append(args[-1])
+        return present(*args)
+
+    points, scanned = classgroup.lattice_points, []
+
+    def recording_points(rows, caps, skip=-1):
+        for y in points(rows, caps, skip):
+            scanned.append((caps, y))
+            yield y
+
+    monkeypatch.setattr(classgroup, "_present", counting_present)
+    monkeypatch.setattr(classgroup, "lattice_points", recording_points)
+    reference_calls, calls = [], []
+    if genuine_probe:
+        monkeypatch.setattr(
+            classgroup, "_probe_certificates", _one_genuine_certificate(probe, reference_calls)
+        )
+    reusable = []
+    expected = _full_box_class_group(order, budget, reusable)
+    reference_presented, presented[:] = presented[:], []
+    if genuine_probe:
+        monkeypatch.setattr(classgroup, "_probe_certificates", _one_genuine_certificate(probe, calls))
+    got = class_group(order, budget=budget)
+
+    assert got.invariant_factors == expected.invariant_factors
+    assert got.snf.generator_classes == expected.snf.generator_classes
+    assert got.budget == expected.budget
+    assert got.certified_trivial == expected.certified_trivial
+    assert calls == reference_calls
+    # each point of the largest box scanned is factored once
+    if scanned:
+        R = max(caps[0] for caps, _ in scanned)
+        assert len({y for _, y in scanned}) == len(scanned) == ((2 * R + 1) ** 3 - 1) // 2
+    # the reference's presentations, less the first of each reusable pass
+    for radius, reuse in reusable:
+        if reuse:
+            reference_presented.remove(radius)
+    assert presented == reference_presented
+    if s in ESCALATING:
+        assert any(reuse for _, reuse in reusable)
+    if genuine_probe:
+        # a stable pass gained a certificate, so the next pass rebuilt
+        # `first` from the kept box rows plus the new probe row
+        assert len(calls) == 2 and reusable[-1][1] is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.sampled_from(("x^3+4x-1", "x^3-12x^2-5x-4", "x^3-21x^2+19x+16", "x^3-2")),
+    coords=st.tuples(*[st.integers(-12, 12)] * 3).filter(any),
+    extra_column=st.booleans(),
+)
+def test_smooth_row_matches_trial_division(s, coords, extra_column):
+    order = _order_of(s)
+    fb, _ = classgroup._factor_base(order)
+    index_of = {prime.hnf: i for i, prime in enumerate(fb)}
+    ps = {prime.p for prime in fb}
+    y = coords
+    if extra_column:
+        # prime_class_vector's layout: a prime outside the base is column
+        # k, and y lies in it
+        target = next(
+            q for p in primes_up_to(60) for q in factor_prime(order, p) if q.hnf not in index_of
+        )
+        index_of[target.hnf] = len(fb)
+        ps.add(target.p)
+        y = tuple(sum(c * r[j] for c, r in zip(coords, target.hnf)) for j in range(3))
+    got = classgroup._smooth_row(
+        order, y, len(index_of), *classgroup._columns(order, index_of, ps)
+    )
+    assert got == _reference_row(order, y, index_of, ps)

@@ -7,6 +7,7 @@ cubic x^3-3x-1 and the first complex cubic with nontrivial class group.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,6 @@ from polyakit import (
 from polyakit.cubicfield import (
     SearchBudgetExceededError,
     _contains3,
-    _prime_power,
     element_valuation,
     is_p_maximal_dedekind,
     mul_power,
@@ -50,6 +50,11 @@ FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
 @pytest.fixture(scope="module")
 def orders():
     return {s: maximal_order(parse_cubic(s)) for s in FIXTURE_POLYS}
+
+
+@lru_cache(maxsize=None)
+def _order_of(s):
+    return maximal_order(parse_cubic(s))
 
 
 # --- polynomials ------------------------------------------------------------
@@ -382,6 +387,35 @@ def test_index_prime_splitting_nonmonogenic(orders):
     assert len({q.hnf for q in f2}) == 3
 
 
+def _walk_valuation(O, q, y):
+    """v_q(y) by testing y against q, q^2, ... (reference)."""
+    k, power = 0, q.as_integral()  # power = q^(k+1)
+    while _contains3(power.hnf, y):
+        k += 1
+        power = ideal_product(O, power, q.as_integral())
+    return k
+
+
+INDEX_10_POLY = "x^3-12x^2-5x-4"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.sampled_from(FIXTURE_POLYS + (INDEX_10_POLY,)),
+    coords=st.tuples(*[st.integers(-30, 30)] * 3).filter(any),
+    scale=st.sampled_from((0, 1, 2, 12, 24)),
+)
+def test_element_valuation_matches_power_walk(s, coords, scale):
+    """Every prime above every p <= 50: split, ramified, f = 2 and f = 3,
+    index primes.  Scaling y by p^12 or p^24 (the Hensel precision K for
+    p >= 16 and p < 16) sends the Hensel kernel to its lattice walk."""
+    O = _order_of(s)
+    for p in primes_up_to(50):
+        y = tuple(c * p**scale for c in coords)
+        for q in factor_prime(O, p):
+            assert element_valuation(O, y, q) == _walk_valuation(O, q, y), (s, p, q.label)
+
+
 def test_hensel_valuation_agrees_with_lattice_walk(orders):
     rng = random.Random(3)
     for s in FIXTURE_POLYS:
@@ -392,11 +426,7 @@ def test_hensel_valuation_agrees_with_lattice_walk(orders):
                     y = tuple(rng.randint(-9, 9) for _ in range(3))
                     if y == (0, 0, 0):
                         continue
-                    v = element_valuation(O, y, q)
-                    k = 0
-                    while _contains3(_prime_power(O, q, k + 1).hnf, y):
-                        k += 1
-                    assert v == k, (s, p, y)
+                    assert element_valuation(O, y, q) == _walk_valuation(O, q, y), (s, p, y)
 
 
 # --- ideal arithmetic -------------------------------------------------------
