@@ -21,7 +21,9 @@ from typing import Optional, Sequence
 
 from .abelian import AbelianGroupSNF
 from .intlinalg import smith_normal_form
-from .permgroup import CosetAction, Perm, PermGroup, cycle_structure, derived_subgroup
+from .permgroup import (
+    CosetAction, Perm, PermGroup, cycle_structure, derived_subgroup, quotient_labels,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -82,12 +84,8 @@ class Abelianization:
     def __init__(self, subgroup: PermGroup):
         self.source = subgroup
         self._hprime = derived_subgroup(subgroup)
-        hp = self._hprime.sorted_elements()
-
-        def coset_key(x: Perm) -> Perm:
-            return min(x * d for d in hp)
-
-        self._coset_key = coset_key
+        labels, reps = quotient_labels(subgroup, self._hprime)
+        self._labels = labels
         gens = []
         seen_gens = set()
         for g in subgroup.generators:
@@ -96,21 +94,21 @@ class Abelianization:
                 seen_gens.add(g)
         self._gens = gens
         k = len(gens)
+        gen_images = [g.images for g in gens]
 
         # Breadth-first walk of the quotient, recording one exponent
-        # vector per coset; every revisit yields a relation among the
-        # generator images, and those relations span the full relation
-        # lattice.
-        ident_key = coset_key(Perm.identity(subgroup.degree))
-        vec: dict[Perm, tuple[int, ...]] = {ident_key: (0,) * k}
+        # vector per coset label; every revisit yields a relation among
+        # the generator images, and those relations span the full
+        # relation lattice.
+        vec: dict[int, tuple[int, ...]] = {0: (0,) * k}
         relations: list[tuple[int, ...]] = []
-        frontier = [ident_key]
+        frontier = [0]
         while frontier:
             nxt = []
             for x in frontier:
                 vx = vec[x]
-                for i, g in enumerate(gens):
-                    y = coset_key(x * g)
+                for i, g in enumerate(gen_images):
+                    y = labels[tuple(map(g.__getitem__, reps[x]))]  # x then g
                     w = tuple(v + (1 if j == i else 0) for j, v in enumerate(vx))
                     if y in vec:
                         rel = tuple(a - b for a, b in zip(w, vec[y]))
@@ -139,9 +137,10 @@ class Abelianization:
         cached = self._class_cache.get(p)
         if cached is not None:
             return cached
-        if p not in self.source.elements:
+        label = self._labels.get(p.images)
+        if label is None:
             raise ValueError("element not in the subgroup being abelianized")
-        v = self._vec[self._coset_key(p)]
+        v = self._vec[label]
         k = len(self._gens)
         V = self._V
         result = AbelianizedElement(

@@ -8,6 +8,13 @@ elements fix only the distinguished coset, and the combined generation
 test built from T and the derived subgroup, together with Frobenius and
 2-transitivity predicates.
 
+Loops that run over a whole group work on raw image tuples and never
+build or compare `Perm` objects; `Perm` (which validates its images)
+wraps what they return.  When H is the full stabilizer of a point p,
+the coset action is read off the orbit of p instead of enumerating
+cosets, and the generation test is decided in H/H' instead of closing
+<T, H'> as a set of permutations.
+
 Composition convention: ``a * b`` means "apply a, then b", so that a
 right coset ``H*s`` moved by ``g`` lands on ``H*(s*g)``.  Permutations
 are 0-indexed internally; cycle-notation text I/O is 1-indexed.
@@ -17,13 +24,25 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Optional
 
 DEFAULT_CLOSURE_CEILING = 10**6
 
 
 class GroupTooLargeError(RuntimeError):
     """Raised when a closure would exceed the configured element ceiling."""
+
+
+def _then(first: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map sending the image tuple of b to that of "first, then b".
+
+    An itemgetter composes raw image tuples several times faster than a
+    Python-level loop, so every hot loop below builds one per fixed factor.
+    """
+    if len(first) == 1:
+        return lambda b: (b[first[0]],)
+    return itemgetter(*first)
 
 
 @dataclass(frozen=True, order=True)
@@ -63,8 +82,7 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         # apply self first, then other
-        a, b = self.images, other.images
-        return Perm(tuple(b[a[i]] for i in range(len(a))))
+        return Perm(_then(self.images)(other.images))
 
     def __pow__(self, k: int) -> "Perm":
         n = self.degree
@@ -139,6 +157,9 @@ def parse_perm(text: str, degree: int) -> Perm:
     return Perm.from_cycles(degree, cycles)
 
 
+_images = attrgetter("images")
+
+
 class PermGroup:
     """A finite permutation group with its full element set enumerated."""
 
@@ -160,7 +181,7 @@ class PermGroup:
 
     def sorted_elements(self) -> tuple[Perm, ...]:
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements))
+            self._sorted = tuple(sorted(self.elements, key=_images))
         return self._sorted
 
     def __contains__(self, p: Perm) -> bool:
@@ -179,36 +200,44 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and self.elements <= other.elements
 
-    def is_transitive(self) -> bool:
-        """Transitivity of the natural action on {0, ..., degree-1}."""
-        orbit = {0}
-        frontier = [0]
+    def orbit(self, point: int) -> set[int]:
+        """Orbit of a point under the natural action."""
+        orbit = {point}
+        frontier = [point]
         while frontier:
             nxt = []
             for x in frontier:
                 for g in self.generators:
-                    y = g(x)
+                    y = g.images[x]
                     if y not in orbit:
                         orbit.add(y)
                         nxt.append(y)
             frontier = nxt
-        return len(orbit) == self.degree
+        return orbit
+
+    def is_transitive(self) -> bool:
+        """Transitivity of the natural action on {0, ..., degree-1}."""
+        return len(self.orbit(0)) == self.degree
 
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} order={self.order}>"
 
 
-def _close(degree: int, gens: list[tuple[int, ...]], ceiling: int) -> set[tuple[int, ...]]:
-    """Closure of generator image-tuples under composition (raw tuples)."""
-    ident = tuple(range(degree))
-    els = {ident}
-    frontier = [ident]
-    rng = range(degree)
+def _extend(els: set[tuple[int, ...]], gens: list[tuple[int, ...]], ceiling: int) -> None:
+    """Close the group `els`, generated by every generator in `gens` but
+    the last, under the last one too (raw image tuples, in place).
+
+    Only the products of `els` with the new generator, and those of the
+    elements they add with every generator, are formed.
+    """
+    frontier = list(els)
+    all_steps = [_then(a) for a in gens]
+    steps = all_steps[-1:]
     while frontier:
         new = []
         for b in frontier:
-            for a in gens:
-                c = tuple(b[a[i]] for i in rng)  # a then b; order irrelevant for the set
+            for a_then in steps:
+                c = a_then(b)  # a then b; order irrelevant for the set
                 if c not in els:
                     els.add(c)
                     if len(els) > ceiling:
@@ -217,6 +246,15 @@ def _close(degree: int, gens: list[tuple[int, ...]], ceiling: int) -> set[tuple[
                         )
                     new.append(c)
         frontier = new
+        steps = all_steps
+
+
+def _close(degree: int, gens: list[tuple[int, ...]], ceiling: int) -> set[tuple[int, ...]]:
+    """Closure of generator image-tuples under composition (raw tuples)."""
+    els = {tuple(range(degree))}
+    for k, g in enumerate(gens):
+        if g not in els:
+            _extend(els, gens[: k + 1], ceiling)
     return els
 
 
@@ -244,11 +282,11 @@ def subgroup_from_elements(degree: int, elements: Iterable[Perm]) -> PermGroup:
     small generating set greedily (lexicographic element order)."""
     els = frozenset(elements)
     gens: list[Perm] = []
-    cur = {Perm.identity(degree).images}
-    for x in sorted(els):
+    cur = {tuple(range(degree))}
+    for x in sorted(els, key=_images):
         if x.images not in cur:
             gens.append(x)
-            cur = _close(degree, [g.images for g in gens], len(els))
+            _extend(cur, [g.images for g in gens], len(els))
             if len(cur) == len(els):
                 break
     assert len(cur) == len(els), "element set was not closed"
@@ -264,11 +302,11 @@ def generated_subgroup(
     """Subgroup generated by `elements` (and `seed_generators`), adding
     generators incrementally so large redundant generator sets stay cheap."""
     gens: list[Perm] = []
-    cur = {Perm.identity(degree).images}
-    for x in list(seed_generators) + sorted(set(elements)):
+    cur = {tuple(range(degree))}
+    for x in list(seed_generators) + sorted(set(elements), key=_images):
         if x.images not in cur:
             gens.append(x)
-            cur = _close(degree, [g.images for g in gens], ceiling)
+            _extend(cur, [g.images for g in gens], ceiling)
     return PermGroup(degree, tuple(gens), frozenset(Perm(t) for t in cur))
 
 
@@ -277,8 +315,20 @@ def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
     if not 0 <= point < group.degree:
         raise ValueError("point out of range")
     return subgroup_from_elements(
-        group.degree, (g for g in group.elements if g(point) == point)
+        group.degree, (g for g in group.elements if g.images[point] == point)
     )
+
+
+def _stabilized_point(group: PermGroup, subgroup: PermGroup) -> Optional[int]:
+    """The least point p whose full stabilizer in `group` is `subgroup`,
+    or None.  Every generator of H fixing p puts H inside the stabilizer
+    of p, and |orbit(p)|*|H| = |G| makes the two equal."""
+    for p in range(group.degree):
+        if all(h.images[p] == p for h in subgroup.generators) and (
+            len(group.orbit(p)) * subgroup.order == group.order
+        ):
+            return p
+    return None
 
 
 class CosetAction:
@@ -286,30 +336,58 @@ class CosetAction:
 
     Cosets are indexed 0..[G:H]-1 in lexicographic order of their least
     element; each stored representative is that least element, so the
-    representative of coset 0 (= H itself) is the identity.  Action rows
-    are built lazily and cached.
+    representative of coset 0 (= H itself) is the identity.
+
+    When H is the full stabilizer of a point p, `point` is p and the
+    coset H*s is the point s(p): one pass over G keeps the least element
+    sending p to each orbit point, and row(g) sends the index of each
+    orbit point q to that of g(q).  Nothing sorts or hashes all of G.
+    For any other H, `point` is None and the cosets are enumerated; their
+    action rows are built lazily and cached.
     """
 
-    __slots__ = ("group", "subgroup", "representatives", "_coset_of", "_rows")
+    __slots__ = (
+        "group", "subgroup", "representatives", "point", "_points", "_index",
+        "_coset_of", "_rep_then", "_rows",
+    )
 
     def __init__(self, group: PermGroup, subgroup: PermGroup):
         self.group = group
         self.subgroup = subgroup
+        self.point = _stabilized_point(group, subgroup)
+        if self.point is None:
+            self._enumerate_cosets()
+        else:
+            self._read_orbit(self.point)
+
+    def _read_orbit(self, p: int) -> None:
+        least: dict[int, Perm] = {}
+        for g in self.group.elements:
+            gi = g.images
+            best = least.get(gi[p])
+            if best is None or gi < best.images:
+                least[gi[p]] = g
+        self.representatives = tuple(sorted(least.values(), key=_images))
+        self._points = tuple(s.images[p] for s in self.representatives)
+        self._index = [-1] * self.group.degree
+        for i, q in enumerate(self._points):
+            self._index[q] = i
+
+    def _enumerate_cosets(self) -> None:
         reps: list[Perm] = []
-        coset_of: dict[Perm, int] = {}
-        h_images = [h.images for h in subgroup.elements]
-        n = group.degree
-        rng = range(n)
-        for s in group.sorted_elements():
-            if s in coset_of:
+        coset_of: dict[tuple[int, ...], int] = {}
+        h_then = [_then(h.images) for h in self.subgroup.elements]
+        for s in self.group.sorted_elements():
+            si = s.images
+            if si in coset_of:
                 continue
             idx = len(reps)
             reps.append(s)
-            si = s.images
-            for h in h_images:
-                coset_of[Perm(tuple(si[h[i]] for i in rng))] = idx  # h then s
+            for f in h_then:
+                coset_of[f(si)] = idx  # h then s
         self.representatives = tuple(reps)
         self._coset_of = coset_of
+        self._rep_then = [_then(s.images) for s in reps]
         self._rows: dict[Perm, tuple[int, ...]] = {}
 
     @property
@@ -318,13 +396,24 @@ class CosetAction:
 
     def coset_index(self, g: Perm) -> int:
         """Index of the coset H*g."""
-        return self._coset_of[g]
+        if self.point is None:
+            return self._coset_of[g.images]
+        if g not in self.group.elements:
+            raise KeyError(g)
+        return self._index[g.images[self.point]]
 
     def row(self, g: Perm) -> tuple[int, ...]:
         """Images of every coset index under right multiplication by g."""
+        gi = g.images
+        if self.point is not None:
+            if g not in self.group.elements:
+                raise KeyError(g)
+            index = self._index
+            return tuple([index[gi[q]] for q in self._points])
         cached = self._rows.get(g)
         if cached is None:
-            cached = tuple(self._coset_of[s * g] for s in self.representatives)
+            coset_of = self._coset_of
+            cached = tuple([coset_of[f(gi)] for f in self._rep_then])  # s then g
             self._rows[g] = cached
         return cached
 
@@ -473,22 +562,75 @@ class ConditionReport:
     holds: bool
 
 
+def quotient_labels(
+    group: PermGroup, normal: PermGroup
+) -> tuple[dict[tuple[int, ...], int], list[tuple[int, ...]]]:
+    """Label every element of `group` with its coset modulo `normal`, a
+    normal subgroup, in one pass of |group| products on image tuples.
+
+    Returns the map from image tuples to labels and one representative
+    image tuple per label; label 0 is `normal` itself.  As `normal` is
+    normal, the label of a product depends only on its factors' labels.
+    """
+    n_images = [d.images for d in normal.elements]
+    labels: dict[tuple[int, ...], int] = {}
+    reps: list[tuple[int, ...]] = []
+    for x in [tuple(range(group.degree))] + [g.images for g in group.elements]:
+        if x in labels:
+            continue
+        x_then = _then(x)
+        for d in n_images:
+            labels[x_then(d)] = len(reps)
+        reps.append(x)
+    return labels, reps
+
+
 def check_condition_2B(
     group: PermGroup, subgroup: PermGroup, action: Optional[CosetAction] = None
 ) -> ConditionReport:
     """Evaluate the generation criterion for the pair (G, H).
 
-    Computes T, the derived subgroup H', and the subgroup they generate;
+    Computes T and the derived subgroup H', then decides <T, H'> = H in
+    H/H' without closing <T, H'> as permutations: H' is normal in H and
+    lies in <T, H'>, so the two are equal iff T's cosets generate H/H'.
+    Every element of H is labelled with its H'-coset, and the labels of
+    T are closed under multiplication until they fill H/H'.
+    `generated` is then H itself, or else the union of the H'-cosets
+    reached, generated by the generators of H' and the least element of
+    T in each coset T meets; either way its element set is <T, H'>.
     holds() iff T is nonempty and <T, H'> is all of H.
     """
     if action is None:
         action = coset_action(group, subgroup)
     T = compute_T(group, subgroup, action)
     hprime = derived_subgroup(subgroup)
-    generated = generated_subgroup(
-        group.degree, T, seed_generators=hprime.generators
-    )
-    holds = bool(T) and generated.elements == subgroup.elements
+    labels, reps = quotient_labels(subgroup, hprime)
+    least: dict[int, Perm] = {}  # the least element of T in each H'-coset it meets
+    for t in sorted(T, key=_images):
+        least.setdefault(labels[t.images], t)
+    steps = [t.images for t in least.values()]
+    reached = {0}
+    frontier = [0]
+    while frontier and len(reached) < len(reps):
+        new = []
+        for a in frontier:
+            a_then = _then(reps[a])
+            for b in steps:
+                c = labels[a_then(b)]
+                if c not in reached:
+                    reached.add(c)
+                    new.append(c)
+        frontier = new
+    fills = len(reached) == len(reps)
+    if fills:
+        generated = subgroup
+    else:
+        generated = PermGroup(
+            group.degree,
+            hprime.generators + tuple(least.values()),
+            frozenset(h for h in subgroup.elements if labels[h.images] in reached),
+        )
+    holds = bool(T) and fills
     return ConditionReport(T=T, T_nonempty=bool(T), generated=generated, holds=holds)
 
 
@@ -496,9 +638,9 @@ def is_frobenius(group: PermGroup, action: CosetAction) -> bool:
     """Whether the action is a Frobenius action: no non-identity element
     fixes two points, and some non-identity element fixes one."""
     some_fixes_one = False
-    ident = Perm.identity(group.degree)
+    ident = tuple(range(group.degree))
     for g in group.elements:
-        if g == ident:
+        if g.images == ident:
             continue
         row = action.row(g)
         fixed = sum(1 for i, j in enumerate(row) if i == j)

@@ -295,6 +295,8 @@ GOLDEN_RUNS = (
     ("field-analyze", "x^3+8x-6"),
     ("field-analyze", "x^3-21x^2+19x+16"),
     ("survey", "--coeff-bound", "3"),
+    ("group-check", "--family", "S", "--n", "3..8"),
+    ("group-check", "--family", "A", "--n", "3..8"),
 )
 
 

@@ -6,6 +6,7 @@ cubic x^3-3x-1 and the first complex cubic with nontrivial class group.
 """
 
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -91,6 +92,54 @@ def test_reducible_rejected():
         CubicPoly(0, -1, 0)  # x^3 - x
 
 
+def _divisor_loop_root(a2, a1, a0):
+    """The integer-root search CubicPoly made before its bounded one: try
+    every divisor d of a0 in increasing order, d before -d."""
+    if a0 == 0:
+        return 0
+    for d in range(1, abs(a0) + 1):
+        if abs(a0) % d:
+            continue
+        for r in (d, -d):
+            if ((r + a2) * r + a1) * r + a0 == 0:
+                return r
+    return None
+
+
+def _named_root(a2, a1, a0):
+    try:
+        CubicPoly(a2, a1, a0)
+    except ReduciblePolynomialError as exc:
+        return int(str(exc).rsplit(" ", 1)[1])
+    return None
+
+
+def test_reducibility_matches_divisor_loop_on_box_12():
+    box = range(-12, 13)
+    for a2 in box:
+        for a1 in box:
+            for a0 in box:
+                assert _named_root(a2, a1, a0) == _divisor_loop_root(a2, a1, a0), (a2, a1, a0)
+
+
+def test_reducibility_names_least_root_of_split_cubics():
+    # (x - r1)(x - r2)(x - r3): repeated roots sit on a critical point of f
+    for r1 in range(-9, 10):
+        for r2 in range(r1, 10):
+            for r3 in range(r2, 10):
+                a2, a1, a0 = -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+                assert _named_root(a2, a1, a0) == _divisor_loop_root(a2, a1, a0)
+
+
+def test_reducibility_check_bounded_on_huge_constant():
+    start = time.perf_counter()
+    assert _named_root(0, 1, 10**12 + 39) is None
+    assert _named_root(0, 1, 10**40 + 1) is None
+    r = 10**15 + 37  # (x - r)(x^2 + x + 1)
+    assert _named_root(1 - r, 1 - r, -r) == r
+    assert time.perf_counter() - start < 2
+
+
 def test_parse_cubic_forms():
     assert parse_cubic("x^3 - 3*x - 1") == CubicPoly(0, -3, -1)
     assert parse_cubic("x^3-x^2-2x-8") == CubicPoly(-1, -2, -8)
@@ -135,6 +184,21 @@ def test_omega_norm_matches_power_norm(u, v):
     assert tuple(den * c for c in power_num(yu)) == mul_power(pu, pv, order.poly)
     n = order.norm_omega(u)
     assert den**3 * n == norm_power(pu, order.poly)
+
+
+@given(
+    s=st.sampled_from(FIXTURE_POLYS),
+    y=st.tuples(*[st.integers(-10**6, 10**6)] * 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_norm_omega_matches_expanded_form(s, y):
+    c = _order_of(s)._norm_form_flat
+    y0, y1, y2 = y
+    monomials = (
+        y0**3, y0**2 * y1, y0**2 * y2, y0 * y1**2, y0 * y1 * y2,
+        y0 * y2**2, y1**3, y1**2 * y2, y1 * y2**2, y2**3,
+    )
+    assert _order_of(s).norm_omega(y) == sum(ci * m for ci, m in zip(c, monomials))
 
 
 def test_power_sums_newton():

@@ -6,6 +6,7 @@ production code paths they validate.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -378,6 +379,96 @@ def test_condition_report_invariant():
         assert rep.T_nonempty == bool(rep.T), name
         assert rep.holds == (rep.T_nonempty and rep.generated == h), name
         assert rep.generated.is_subgroup_of(h), name
+
+
+# --- orbit-read coset actions and the H/H' decision against references -------
+
+class _EnumeratedCosets:
+    """Reference coset action, built by enumeration: walk G in sorted
+    order, open a coset at each element not yet placed (its least
+    element), and map every element of that coset to its index."""
+
+    def __init__(self, g, h):
+        self.representatives = []
+        self.coset_of = {}
+        for s in sorted(g.elements):
+            if s in self.coset_of:
+                continue
+            self.representatives.append(s)
+            for x in h.elements:
+                self.coset_of[x * s] = len(self.representatives) - 1
+
+    def row(self, x):
+        return tuple(self.coset_of[s * x] for s in self.representatives)
+
+
+def _closure_reference(g, h):
+    """Reference <T, H'>: close T and the generators of H' as permutations."""
+    return generated_subgroup(
+        g.degree, compute_T(g, h), seed_generators=derived_subgroup(h).generators
+    )
+
+
+def _relabelled_stabilizer_pairs():
+    """Each stabilizer pair of the corpus up to degree 7, conjugated by a
+    seeded point map, with H the stabilizer of a seeded point."""
+    rng = random.Random(6)
+    pairs = []
+    for name, g, _ in groupcorpus.corpus_with_degree8():
+        if not name.endswith("/stab") or g.degree > 7:
+            continue
+        sigma = list(range(g.degree))
+        rng.shuffle(sigma)
+        sigma = Perm(tuple(sigma))
+        gens = [sigma.inverse() * x * sigma for x in g.generators]
+        g2 = group_closure(g.degree, gens)
+        pairs.append((name + "^sigma", g2, point_stabilizer(g2, rng.randrange(g.degree))))
+    return pairs
+
+
+def _sample(g):
+    els = g.sorted_elements()
+    return els if g.order <= 5040 else els[::37]
+
+
+def test_coset_action_matches_enumeration_reference():
+    fixing_not_full = (
+        "S4/<(1 2)>",
+        symmetric_group(4),
+        generated_subgroup(4, [Perm.from_cycles(4, [[0, 1]])]),
+    )
+    pairs = groupcorpus.corpus_with_degree8() + _relabelled_stabilizer_pairs()
+    for name, g, h in pairs + [fixing_not_full]:
+        act = coset_action(g, h)
+        ref = _EnumeratedCosets(g, h)
+        stabilizer_pair = "/stab" in name
+        assert (act.point is not None) == stabilizer_pair, name
+        assert act.representatives == tuple(ref.representatives), name
+        for x in _sample(g):
+            assert act.coset_index(x) == ref.coset_of[x], name
+            assert act.row(x) == ref.row(x), name
+
+
+def test_coset_action_rejects_non_members_on_both_paths():
+    a4 = alternating_group(4)
+    odd = Perm.from_cycles(4, [[0, 1]])
+    for h in (point_stabilizer(a4, 3), groupcorpus.klein_four()):
+        act = coset_action(a4, h)
+        with pytest.raises(KeyError):
+            act.row(odd)
+        with pytest.raises(KeyError):
+            act.coset_index(odd)
+
+
+def test_condition_2b_matches_closure_reference():
+    pairs = groupcorpus.corpus_with_degree8() + _relabelled_stabilizer_pairs()
+    for name, g, h in pairs:
+        rep = check_condition_2B(g, h)
+        ref = _closure_reference(g, h)
+        assert rep.generated.elements == ref.elements, name
+        assert rep.holds == (bool(rep.T) and ref.elements == h.elements), name
+        regenerated = generated_subgroup(g.degree, rep.generated.generators)
+        assert regenerated.elements == rep.generated.elements, name
 
 
 # --- frobenius / 2-transitivity ---------------------------------------------
