@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .abelian import AbelianGroupSNF
 from .intlinalg import smith_normal_form
 from .permgroup import (
-    CosetAction, Perm, PermGroup, cycle_structure, derived_subgroup, quotient_labels,
+    CosetAction, Perm, PermGroup, cycle_structure, derived_quotient,
 )
 
 
@@ -83,8 +83,7 @@ class Abelianization:
 
     def __init__(self, subgroup: PermGroup):
         self.source = subgroup
-        self._hprime = derived_subgroup(subgroup)
-        labels, reps = quotient_labels(subgroup, self._hprime)
+        self._hprime, labels, reps = derived_quotient(subgroup)
         self._labels = labels
         gens = []
         seen_gens = set()

@@ -9,17 +9,20 @@ the elements in a coordinate box.  The harvested lattice always yields
 a group surjecting onto the true class group, so the result can only
 err on the large side; the stability contract (doubling the harvest
 budget must not change the invariant factors) is the guard, and when
-every factor-base prime is certified principal the trivial answer is
-exact with no heuristic at all.
+the relations span Z^k the trivial answer is exact with no heuristic at
+all.
 
-Each box point is factored once per field: the box rows are kept and
-the box grows one shell at a time as the radius doubles, and a pass
-that follows a doubling without a new certificate starts from the
-previous pass's doubled presentation instead of presenting it again.
-A point whose norm has a gcd of 1 with the product of the factor-base
-primes' rational primes before the norm is used up is rejected without
-trial division, and the valuations of the rest come from one cached
-kernel per prime (cubicfield.valuation_kernel).
+Each `class_group` call grows one relation lattice, an
+intlinalg.HermiteBasis: every new relation goes in as soon as it is
+found, the box grows one shell at a time as the radius doubles, so each
+box point is factored once per field, and the scan stops the moment the
+lattice is Z^k.  A presentation only runs the SNF of the lattice's HNF,
+and only when that HNF has changed since the last one.  A point whose
+norm has a gcd of 1 with the product of the factor-base primes'
+rational primes before the norm is used up is rejected without trial
+division; the valuations of the rest come from one cached kernel per
+prime (cubicfield.valuation_kernel), and where a single prime above p
+has no Hensel form its valuation follows from the norm.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .cubicfield import (
     valuation,
     valuation_kernel,
 )
-from .intlinalg import hnf_rows, lattice_points, smith_normal_form
+from .intlinalg import HermiteBasis, lattice_points, smith_normal_form
 
 DEFAULT_HARVEST_RADIUS = 4
 MAX_HARVEST_RADIUS = 48
@@ -60,8 +63,7 @@ class ClassGroupData:
 
     `snf.generator_classes` maps each factor-base prime label to its
     class coordinates.  `certified_trivial` marks the exact path where
-    every factor-base prime carried a principality certificate (then no
-    stability heuristic was involved).
+    the relations span Z^k (then no stability heuristic was involved).
     """
 
     snf: AbelianGroupSNF
@@ -93,12 +95,26 @@ class ClassGroupData:
 def _columns(order: MaximalOrder, index_of, ps):
     """Smoothness data for the prime columns `index_of` (prime HNF ->
     column) over the rational primes `ps` below them: the product of
-    `ps`, and for each p the (f, column or None, valuation kernel) of
-    every prime above p."""
-    over = [
-        (p, [(q.f, index_of.get(q.hnf), valuation_kernel(order, q)) for q in factor_prime(order, p)])
-        for p in sorted(ps)
-    ]
+    `ps`, and for each p a triple (p, direct, rest).
+
+    When exactly one prime above p has no Hensel form in its valuation
+    kernel (p inert, the f = 2 prime of a (1, 2) split, a ramified P^2
+    next to a split prime, a single prime above an index prime), `rest`
+    is its (f, column or None) and `direct` holds the (f, column or
+    None, valuation kernel) of the other primes; otherwise `rest` is
+    None and `direct` holds every prime above p."""
+    over = []
+    for p in sorted(ps):
+        direct = [
+            (q.f, index_of.get(q.hnf), valuation_kernel(order, q)) for q in factor_prime(order, p)
+        ]
+        no_hensel = [t for t in direct if t[2][1] is None]
+        rest = None
+        if len(no_hensel) == 1:
+            f, idx, _ = no_hensel[0]
+            rest = (f, idx)
+            direct = [t for t in direct if t[2][1] is not None]
+        over.append((p, direct, rest))
     return prod(ps), over
 
 
@@ -110,8 +126,11 @@ def _smooth_row(order: MaximalOrder, y, ncols: int, screen: int, over) -> Option
     Most norms are not smooth, so repeated gcds with `screen` first
     strip the norm of its smooth part and reject y, without trial
     division, when a gcd of 1 comes before the remainder reaches 1.
-    The exponent of each p in the norm must then equal the sum of f*v
-    over the primes above p, with every v computed from its kernel."""
+    The exponent v_p of each p in the norm equals the sum of f*v over
+    the primes above p (the fundamental identity).  Each v is computed
+    from its kernel, except that of the one prime `rest` without a
+    Hensel form, when there is one: it is (v_p - the others' sum) / f.
+    """
     norm = abs(order.norm_omega(y))
     rem, g = norm, gcd(norm, screen)
     while rem != 1:
@@ -121,27 +140,40 @@ def _smooth_row(order: MaximalOrder, y, ncols: int, screen: int, over) -> Option
         g = gcd(rem, g)
     rem = norm
     expo = []
-    for p, primes in over:
+    for p, direct, rest in over:
         if rem % p == 0:
             vp = 0
             while rem % p == 0:
                 rem //= p
                 vp += 1
-            expo.append((vp, primes))
+            expo.append((p, vp, direct, rest))
     if rem != 1:
         return None
     row = [0] * ncols
-    for vp, primes in expo:
+    for p, vp, direct, rest in expo:
         seen = 0
-        for f, idx, kernel in primes:
+        for f, idx, kernel in direct:
             v = valuation(order, kernel, y)
             if v:
                 if idx is None:
                     return None  # a prime outside the columns divides (y)
                 row[idx] = v
                 seen += v * f
-        if seen != vp:
-            return None
+        if rest is None:
+            if seen != vp:
+                return None
+            continue
+        f, idx = rest
+        v, r = divmod(vp - seen, f)
+        if v < 0 or r:
+            raise AssertionError(
+                f"valuations at {p} of {tuple(y)} break the norm: v_p(N) = {vp}, "
+                f"sum of the others' f*v = {seen}, remaining f = {f}"
+            )
+        if v:
+            if idx is None:
+                return None
+            row[idx] = v
     return row
 
 
@@ -177,21 +209,25 @@ def _probe_certificates(order: MaximalOrder, fb, indices) -> dict[int, tuple]:
 
 
 class _Harvest:
-    """The relations of one `class_group` call.
+    """The relation lattice of one `class_group` call.
 
     Three sources: factorizations p*O = prod p_i^{e_i} with every factor
     in the base, principality certificates (unit rows), and the
     principal ideals of the elements of the coordinate box of radius R
-    that factor over the base.  The box rows are kept and grow one shell
-    at a time: asking for a larger radius scans only the points beyond
-    the radius scanned so far, so each point is factored once per field.
+    that factor over the base.  Each distinct row goes into one
+    HermiteBasis as soon as it is found, so the lattice only grows.
+    Asking for a larger radius scans only the points beyond the radius
+    scanned so far, so each point is factored once per field, and the
+    scan stops once the lattice is Z^k: Cl is then proved trivial, and
+    no further relation can change that.
     """
 
     def __init__(self, order: MaximalOrder, fb, mb: Fraction):
-        self.order = order
+        self.order, self.fb, self.mb = order, fb, mb
         self.k = k = len(fb)
+        self.lattice = HermiteBasis(k)
+        self.rows: set[tuple[int, ...]] = set()
         index_of = {prime.hnf: i for i, prime in enumerate(fb)}
-        self.prime_rows: set[tuple[int, ...]] = set()
         mb_floor = mb.numerator // mb.denominator
         for p in primes_up_to(mb_floor):
             facs = factor_prime(order, p)
@@ -199,47 +235,50 @@ class _Harvest:
                 row = [0] * k
                 for q in facs:
                     row[index_of[q.hnf]] = q.e
-                self.prime_rows.add(tuple(row))
+                self._add(tuple(row))
         self.screen, self.over = _columns(order, index_of, {prime.p for prime in fb})
-        self.box_rows: set[tuple[int, ...]] = set()
         self.radius = 0
+        self._last = None  # (HNF, presentation) of the last `present`
 
-    def relations(self, radius: int, probes) -> list[list[int]]:
-        """Relation rows, sorted, at box radius `radius`, which must not be
-        below a radius asked for before."""
-        assert radius >= self.radius, "the box rows only grow"
-        order, k, screen, over = self.order, self.k, self.screen, self.over
-        for y in lattice_points(_IDENTITY, (radius,) * 3, skip=self.radius):
-            row = _smooth_row(order, y, k, screen, over)
-            if row is not None and any(row):
-                self.box_rows.add(tuple(row))
+    def _add(self, row: tuple[int, ...]) -> None:
+        if row not in self.rows:
+            self.rows.add(row)
+            self.lattice.add(row)
+
+    def certify(self, probes) -> None:
+        """Add the unit row of each certified factor-base prime index."""
+        for i in probes:
+            self._add(tuple(int(j == i) for j in range(self.k)))
+
+    def present(self, radius: int) -> Optional[ClassGroupData]:
+        """Scan the box up to `radius`, which must not be below a radius
+        asked for before, and present the lattice (see `_present`)."""
+        assert radius >= self.radius, "the box only grows"
+        order, k, screen, over, lattice = self.order, self.k, self.screen, self.over, self.lattice
+        if lattice.det != 1:
+            for y in lattice_points(_IDENTITY, (radius,) * 3, skip=self.radius):
+                row = _smooth_row(order, y, k, screen, over)
+                if row is not None and any(row):
+                    self._add(tuple(row))
+                    if lattice.det == 1:
+                        break
         self.radius = radius
-        rows = self.box_rows | self.prime_rows
-        rows.update(tuple(int(j == i) for j in range(k)) for i in probes)
-        return [list(r) for r in sorted(rows)]
+        hnf = lattice.rows()
+        if self._last is None or self._last[0] != hnf:
+            self._last = (hnf, _present(self.fb, self.mb, hnf))
+        return self._last[1]
 
 
-def _present(order: MaximalOrder, fb, mb, relations, certified, budget) -> Optional[ClassGroupData]:
-    """Build the SNF presentation; None when relations leave free rank."""
+def _present(fb, mb: Fraction, hnf) -> Optional[ClassGroupData]:
+    """The SNF presentation of Z^k modulo the relation lattice whose HNF
+    rows are `hnf`, with budget 0; None when the lattice has rank < k."""
     k = len(fb)
-    if k == 0:
-        snf = AbelianGroupSNF(())
-        return ClassGroupData(snf, fb, mb, budget, certified_trivial=True)
-    reduced = [list(r) for r in hnf_rows(relations, k)]
-    diag, _, V = smith_normal_form(reduced, k)
+    diag, _, V = smith_normal_form([list(r) for r in hnf], k)
     if len(diag) < k or any(d == 0 for d in diag):
         return None
     kept = [i for i, d in enumerate(diag) if d > 1]
     snf = AbelianGroupSNF(tuple(diag[i] for i in kept))
-    data = ClassGroupData(
-        snf,
-        fb,
-        mb,
-        budget,
-        certified_trivial=certified,
-        _V=V,
-        _kept=kept,
-    )
+    data = ClassGroupData(snf, fb, mb, 0, certified_trivial=not kept, _V=V, _kept=kept)
     for i, prime in enumerate(fb):
         unit = [int(j == i) for j in range(k)]
         snf.generator_classes[prime.label] = data.project_fb_vector(unit)
@@ -259,48 +298,31 @@ def class_group(
     the budget (element-box radius) and, as a backstop, every prime
     whose class came out nontrivial gets a bounded principality probe;
     any disagreement escalates the budget, and running out of budget
-    raises ClassGroupInconclusiveError.
+    raises ClassGroupInconclusiveError.  The result's `budget` is the
+    radius of the pass that returned it.
 
-    The pass at the doubled radius presents exactly the relations of the
-    next pass's first harvest unless a probe added a certificate, so
-    that presentation is reused with its budget set to the new radius.
+    Every pass presents the one lattice of the call, so the pass after
+    a doubling starts where the last one ended, and a presentation is
+    recomputed only when new relations changed the lattice.
     """
     fb, mb = _factor_base(order)
     if not fb:
-        return _present(order, fb, mb, [], True, 0)
+        return _present(fb, mb, ())
 
     harvest = _Harvest(order, fb, mb)
-    base = budget if budget is not None else DEFAULT_HARVEST_RADIUS
-    radius = base
-    max_radius = max(MAX_HARVEST_RADIUS, base)
-    probes: dict[int, tuple] = {}
-    reuse = False
+    radius = budget if budget is not None else DEFAULT_HARVEST_RADIUS
+    max_radius = max(MAX_HARVEST_RADIUS, radius)
     while radius <= max_radius:
-        if reuse:
-            # the last pass's doubled presentation: same radius, same probes
-            first = second
-            if first is not None:
-                first.budget = radius
-        else:
-            first = _present(
-                order, fb, mb, harvest.relations(radius, probes), False, radius
-            )
-        if first is not None and first.snf.is_trivial():
-            first.certified_trivial = True
+        first = harvest.present(radius)
+        if first is not None and (first.certified_trivial or not verify_stability):
+            first.budget = radius
             return first
         if not verify_stability:
-            if first is None:
-                raise ClassGroupInconclusiveError(
-                    f"relations of deficient rank at budget {radius}"
-                )
-            return first
-        second = _present(
-            order, fb, mb, harvest.relations(2 * radius, probes), False, radius
-        )
-        if second is not None and second.snf.is_trivial():
-            second.certified_trivial = True
+            raise ClassGroupInconclusiveError(f"relations of deficient rank at budget {radius}")
+        second = harvest.present(2 * radius)
+        if second is not None and second.certified_trivial:
+            second.budget = radius
             return second
-        reuse = True
         if first is not None and second is not None:
             if first.snf.invariant_factors == second.snf.invariant_factors:
                 # backstop: certificate search on the primes presented as
@@ -312,9 +334,9 @@ def class_group(
                 ]
                 extra = _probe_certificates(order, fb, suspicious)
                 if not extra:
+                    second.budget = radius
                     return second
-                probes.update(extra)
-                reuse = False
+                harvest.certify(extra)
         radius *= 2
     raise ClassGroupInconclusiveError(
         f"class group not stable within max harvest radius {max_radius}"

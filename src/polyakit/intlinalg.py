@@ -5,8 +5,11 @@ Everything here works on plain Python ints (arbitrary precision) and
 dense matrices given as sequences of rows.  No external dependencies.
 Most matrices in this package are a few rows by three columns (ideal and
 order lattices) or by the rank of a small abelian group; the class-group
-relation matrices are the large ones, thousands of sparse rows by up to
-about 70 columns, which is why `hnf_rows` works modulo the determinant.
+relation lattices are the large ones, thousands of sparse rows by up to
+about 70 columns.  `HermiteBasis` grows one such lattice a row at a time,
+modulo its determinant once the rank is full, so a caller can read the
+determinant (and stop adding rows) at any point; `hnf_rows` is the
+one-shot form of it.
 """
 
 from __future__ import annotations
@@ -49,13 +52,15 @@ def _reduce_above(basis, hi: int, lo: int, det: int) -> None:
                             row[t:] = [x - q * y for x, y in zip(row[t:], b[t:])]
 
 
-def hnf_rows(rows, ncols: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """Row-style Hermite normal form of the lattice spanned by `rows`.
+class HermiteBasis:
+    """A lattice in Z^ncols grown one row at a time, kept in Hermite form.
 
-    Returns the nonzero rows of the canonical form: row-echelon with
+    `add(row)` inserts one row and `extend(rows)` several; `rows()`
+    returns the canonical HNF of the rows added so far: row-echelon with
     positive pivots, entries above each pivot reduced into [0, pivot).
-    For a full-rank square input this is the upper-triangular HNF.  The
-    rows have `ncols` entries each (default: the length of the first).
+    More rows may be added after a `rows()` call.  `det` is 0 until
+    every column has a pivot, and then the determinant of the lattice,
+    so `det == 1` exactly when the lattice is all of Z^ncols.
 
     Method: HNF modulo the determinant (Cohen, GTM 138, Alg. 2.4.8;
     Domich-Kannan-Trotter 1987), inserting one row at a time into an
@@ -63,70 +68,96 @@ def hnf_rows(rows, ncols: int | None = None) -> tuple[tuple[int, ...], ...]:
     leading column already has a pivot a, it subtracts a multiple of
     that basis row when a divides its entry, and otherwise takes one
     Bezout step, which shrinks the pivot to the gcd.  Once every column
-    has a pivot, det is their product, the determinant of the lattice
-    spanned so far, so det*Z^ncols lies inside it: from then on incoming
-    rows and every row operation right of a pivot are taken mod det, and
-    det shrinks with the pivots.  That bounds entry growth on tall
-    relation matrices.
+    has a pivot, det is their product, so det*Z^ncols lies inside the
+    lattice: from then on incoming rows and every row operation right of
+    a pivot are taken mod det, and det shrinks with the pivots.  That
+    bounds entry growth on tall relation matrices.
 
-    Invariant: the basis rows span the lattice of the rows inserted so
-    far; once det > 0 that lattice contains det*Z^ncols, so reducing mod
-    det leaves it unchanged.  A basis row is reduced above the later
-    pivots before it is subtracted from another row, so it adds no
-    entries in columns whose pivot is 1.  The HNF of a lattice is
-    unique, so the output does not depend on the order of the rows.
+    Invariant: the basis rows span the lattice of the rows added so far;
+    once det > 0 that lattice contains det*Z^ncols, so reducing mod det
+    leaves it unchanged.  A basis row is reduced above the later pivots
+    before it is subtracted from another row, so it adds no entries in
+    columns whose pivot is 1.  The HNF of a lattice is unique, so
+    `rows()` does not depend on the order of the rows added.
     """
+
+    __slots__ = ("ncols", "det", "_basis", "_free", "_dirty")
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.det = int(ncols == 0)
+        self._basis: list[list[int] | None] = [None] * ncols
+        self._free = ncols  # columns without a pivot
+        self._dirty = -1  # basis rows 0.._dirty may need _reduce_above
+
+    def add(self, row) -> None:
+        """Insert one row of `ncols` integers."""
+        self.extend((row,))
+
+    def extend(self, rows) -> None:
+        """Insert rows of `ncols` integers, one at a time."""
+        basis, det, dirty, free = self._basis, self.det, self._dirty, self._free
+        ncols = self.ncols
+        for row in rows:
+            v = [a % det for a in row] if det else list(row)
+            for j in range(ncols):
+                c = v[j]
+                if not c:
+                    continue
+                b = basis[j]
+                if b is None:
+                    if c < 0:
+                        v = [-a for a in v]
+                    basis[j] = v
+                    dirty = j if j > dirty else dirty
+                    free -= 1
+                    if not free:
+                        det = 1
+                        for i, r in enumerate(basis):
+                            det *= r[i]
+                    break
+                a = b[j]
+                if c % a:
+                    g, x, y = _ext_gcd(a, c)
+                    u, w = a // g, c // g
+                    b = [x * p + y * q for p, q in zip(basis[j], v)]
+                    if det:
+                        det = det // a * g
+                        b[j + 1:] = [t % det for t in b[j + 1:]]
+                        v = [(u * q - w * p) % det for p, q in zip(basis[j], v)]
+                    else:
+                        v = [u * q - w * p for p, q in zip(basis[j], v)]
+                    basis[j] = b
+                    dirty = j if j > dirty else dirty
+                else:
+                    if j <= dirty:
+                        _reduce_above(basis, dirty, j, det)
+                        dirty = j - 1
+                    q = c // a
+                    if det:
+                        v[j:] = [(p - q * r) % det for p, r in zip(v[j:], b[j:])]
+                    else:
+                        v[j:] = [p - q * r for p, r in zip(v[j:], b[j:])]
+        self.det, self._dirty, self._free = det, dirty, free
+
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The nonzero rows of the canonical HNF of the rows added so far."""
+        _reduce_above(self._basis, self._dirty, 0, self.det)
+        self._dirty = -1
+        return tuple(tuple(row) for row in self._basis if row is not None)
+
+
+def hnf_rows(rows, ncols: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Row-style Hermite normal form of the lattice spanned by `rows`:
+    the nonzero rows of the canonical form (see HermiteBasis).  For a
+    full-rank square input this is the upper-triangular HNF.  The rows
+    have `ncols` entries each (default: the length of the first)."""
     rows = list(rows)
     if not rows:
         return ()
-    if ncols is None:
-        ncols = len(rows[0])
-    basis: list[list[int] | None] = [None] * ncols
-    free = ncols  # columns without a pivot
-    det = 0  # 0 until every column has a pivot
-    dirty = -1  # basis rows 0..dirty may need _reduce_above
-    for v in rows:
-        v = [a % det for a in v] if det else list(v)
-        for j in range(ncols):
-            c = v[j]
-            if not c:
-                continue
-            b = basis[j]
-            if b is None:
-                if c < 0:
-                    v = [-a for a in v]
-                basis[j] = v
-                dirty = j if j > dirty else dirty
-                free -= 1
-                if not free:
-                    det = 1
-                    for i, row in enumerate(basis):
-                        det *= row[i]
-                break
-            a = b[j]
-            if c % a:
-                g, x, y = _ext_gcd(a, c)
-                u, w = a // g, c // g
-                b = [x * p + y * q for p, q in zip(basis[j], v)]
-                if det:
-                    det = det // a * g
-                    b[j + 1:] = [t % det for t in b[j + 1:]]
-                    v = [(u * q - w * p) % det for p, q in zip(basis[j], v)]
-                else:
-                    v = [u * q - w * p for p, q in zip(basis[j], v)]
-                basis[j] = b
-                dirty = j if j > dirty else dirty
-            else:
-                if j <= dirty:
-                    _reduce_above(basis, dirty, j, det)
-                    dirty = j - 1
-                q = c // a
-                if det:
-                    v[j:] = [(p - q * r) % det for p, r in zip(v[j:], b[j:])]
-                else:
-                    v[j:] = [p - q * r for p, r in zip(v[j:], b[j:])]
-    _reduce_above(basis, dirty, 0, det)
-    return tuple(tuple(row) for row in basis if row is not None)
+    basis = HermiteBasis(len(rows[0]) if ncols is None else ncols)
+    basis.extend(rows)
+    return basis.rows()
 
 
 def hnf_pivots(hnf: tuple[tuple[int, ...], ...]) -> list[int]:

@@ -163,13 +163,14 @@ _images = attrgetter("images")
 class PermGroup:
     """A finite permutation group with its full element set enumerated."""
 
-    __slots__ = ("degree", "generators", "elements", "_sorted")
+    __slots__ = ("degree", "generators", "elements", "_sorted", "_derived")
 
     def __init__(self, degree: int, generators: tuple[Perm, ...], elements: frozenset[Perm]):
         self.degree = degree
         self.generators = generators
         self.elements = elements
         self._sorted: Optional[tuple[Perm, ...]] = None
+        self._derived: Optional[tuple] = None  # see derived_quotient
 
     @property
     def order(self) -> int:
@@ -585,6 +586,17 @@ def quotient_labels(
     return labels, reps
 
 
+def derived_quotient(
+    group: PermGroup,
+) -> tuple[PermGroup, dict[tuple[int, ...], int], list[tuple[int, ...]]]:
+    """(H', labels, reps) for H = `group`: its derived subgroup and
+    quotient_labels(H, H'), computed once per group object."""
+    if group._derived is None:
+        hprime = derived_subgroup(group)
+        group._derived = (hprime, *quotient_labels(group, hprime))
+    return group._derived
+
+
 def check_condition_2B(
     group: PermGroup, subgroup: PermGroup, action: Optional[CosetAction] = None
 ) -> ConditionReport:
@@ -603,8 +615,7 @@ def check_condition_2B(
     if action is None:
         action = coset_action(group, subgroup)
     T = compute_T(group, subgroup, action)
-    hprime = derived_subgroup(subgroup)
-    labels, reps = quotient_labels(subgroup, hprime)
+    hprime, labels, reps = derived_quotient(subgroup)
     least: dict[int, Perm] = {}  # the least element of T in each H'-coset it meets
     for t in sorted(T, key=_images):
         least.setdefault(labels[t.images], t)

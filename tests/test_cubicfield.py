@@ -5,6 +5,7 @@ x^3-x-1, and the classical index-2 field x^3-x^2-2x-8) plus the cyclic
 cubic x^3-3x-1 and the first complex cubic with nontrivial class group.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -297,6 +298,43 @@ def test_maximal_order_matches_sympy_round_two():
             assert poly.discriminant() == O.index**2 * O.disc_K, poly
             checked += 1
     assert checked == 522
+
+
+def test_factor_prime_matches_sympy_prime_decomp():
+    """Independent oracle for (e, f): sympy's prime_decomp, given the
+    maximal order from its own round_two, splits every p <= 30 the same
+    way on a fixed slice of the |a_i| <= 12 box (every 61st triple).
+
+    Primes dividing the index [O_K : Z[theta]] are skipped and counted:
+    there sympy 1.14 raises (AssertionError, ClosureFailure) or does not
+    return at all (x^3-8x^2-x-8 and x^3+10x^2-7x+8 at p = 2 ran past
+    5 s).  The norm-derived valuations of the relation harvest rest on
+    these (e, f).
+    """
+    from sympy import Poly, symbols
+    from sympy.polys.numberfields.basis import round_two
+    from sympy.polys.numberfields.primes import prime_decomp
+
+    x = symbols("x")
+    checked = skipped = 0
+    for a2, a1, a0 in itertools.islice(itertools.product(range(-12, 13), repeat=3), 0, None, 61):
+        try:
+            O = maximal_order(CubicPoly(a2, a1, a0))
+        except ReduciblePolynomialError:
+            continue
+        T = Poly(x**3 + a2 * x**2 + a1 * x + a0, x)
+        ZK, dK = round_two(T)
+        assert dK == O.disc_K
+        for p in primes_up_to(30):
+            ours = sorted((q.e, q.f) for q in factor_prime(O, p))
+            assert sum(e * f for e, f in ours) == 3
+            if O.index % p == 0:
+                skipped += 1
+                continue
+            theirs = sorted((P.e, P.f) for P in prime_decomp(p, T=T, ZK=ZK, dK=dK))
+            assert ours == theirs, (a2, a1, a0, p)
+            checked += 1
+    assert (checked, skipped) == (2212, 78)
 
 
 def test_order_disc_via_trace_form(orders):

@@ -1,12 +1,14 @@
 """HNF/SNF against first-principles oracles on small random matrices."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyakit.intlinalg import (
+    HermiteBasis,
     _ext_gcd,
     det3,
     hnf_rows,
@@ -198,6 +200,37 @@ def test_hnf_rows_tall_relation_matrices(case):
     rows, k = case
     h = _check_hnf(rows, k)
     assert len(h) == k
+
+
+@st.composite
+def growing_lattices(draw):
+    """Rows for an interleaved add/rows() run, with a snapshot flag per
+    row: hnf_inputs, or up to 12 rows of up to 4 columns with entries in
+    [-2, 2], which often span Z^k part way through."""
+    if draw(st.booleans()):
+        rows, k = draw(hnf_inputs())
+    else:
+        k = draw(st.integers(1, 4))
+        rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), max_size=12))
+    snaps = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return rows, k, snaps
+
+
+@given(growing_lattices())
+@example(([[2, 1], [0, 3], [1, 1], [5, 7]], 2, [True] * 4))
+@settings(max_examples=300, deadline=None)
+def test_hermite_basis_snapshots_match_reference(case):
+    rows, k, snaps = case
+    basis = HermiteBasis(k)
+    identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    for n, (row, snap) in enumerate(zip(rows, snaps), 1):
+        basis.add(row)
+        if snap:
+            h = basis.rows()
+            assert h == _hnf_rows_reference(rows[:n], k)
+            assert basis.det == (prod(r[i] for i, r in enumerate(h)) if len(h) == k else 0)
+            assert (basis.det == 1) == (h == identity)
+    assert basis.rows() == hnf_rows(rows, k) == _hnf_rows_reference(rows, k)
 
 
 @given(matrices(4, 4))

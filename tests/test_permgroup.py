@@ -288,6 +288,26 @@ def test_derived_subgroup_a4_is_klein():
     assert d == groupcorpus.klein_four()
 
 
+def test_derived_quotient_is_computed_once_per_group(monkeypatch):
+    """check_condition_2B and the abelianization of the same H share one
+    H' and one labelling of H by H'-cosets."""
+    from polyakit import abelianization, permgroup
+
+    calls = []
+    real = permgroup.derived_subgroup
+    monkeypatch.setattr(permgroup, "derived_subgroup", lambda g: calls.append(g) or real(g))
+    G = symmetric_group(5)
+    H = point_stabilizer(G, 4)
+    report = check_condition_2B(G, H)
+    ab = abelianization(H)
+    assert calls == [H]
+    hprime, labels, reps = permgroup.derived_quotient(H)
+    assert permgroup.derived_quotient(H) is H._derived
+    assert hprime == real(H) and hprime.order == 12
+    assert (labels, reps) == permgroup.quotient_labels(H, hprime)
+    assert report.holds and ab.group.invariant_factors == (2,)
+
+
 def test_derived_subgroup_matches_allpairs_oracle():
     for name, g, h in groupcorpus.corpus():
         if h.order > 60:
