@@ -93,7 +93,6 @@ class Abelianization:
                 seen_gens.add(g)
         self._gens = gens
         k = len(gens)
-        gen_images = [g.images for g in gens]
 
         # Breadth-first walk of the quotient, recording one exponent
         # vector per coset label; every revisit yields a relation among
@@ -106,7 +105,7 @@ class Abelianization:
             nxt = []
             for x in frontier:
                 vx = vec[x]
-                for i, g in enumerate(gen_images):
+                for i, g in enumerate(gens):
                     y = labels[tuple(map(g.__getitem__, reps[x]))]  # x then g
                     w = tuple(v + (1 if j == i else 0) for j, v in enumerate(vx))
                     if y in vec:
@@ -136,7 +135,7 @@ class Abelianization:
         cached = self._class_cache.get(p)
         if cached is not None:
             return cached
-        label = self._labels.get(p.images)
+        label = self._labels.get(p)
         if label is None:
             raise ValueError("element not in the subgroup being abelianized")
         v = self._vec[label]
@@ -173,19 +172,7 @@ def _cycles_with_reps(
     for i, s in enumerate(reps):
         if action.coset_index(s) != i:
             raise ValueError(f"representative {i} lies in the wrong coset")
-    row = action.row(g)
-    seen = [False] * len(row)
-    out = []
-    for start in range(len(row)):
-        if seen[start]:
-            continue
-        cur, length = start, 0
-        while not seen[cur]:
-            seen[cur] = True
-            length += 1
-            cur = row[cur]
-        out.append((length, reps[start]))
-    return out
+    return [(len(c), reps[c[0]]) for c in action.perm_on_cosets(g).cycles(include_fixed=True)]
 
 
 def splitting_from_frobenius(g: Perm, action: CosetAction) -> SplittingType:

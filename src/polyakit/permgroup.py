@@ -8,12 +8,12 @@ elements fix only the distinguished coset, and the combined generation
 test built from T and the derived subgroup, together with Frobenius and
 2-transitivity predicates.
 
-Loops that run over a whole group work on raw image tuples and never
-build or compare `Perm` objects; `Perm` (which validates its images)
-wraps what they return.  When H is the full stabilizer of a point p,
-the coset action is read off the orbit of p instead of enumerating
-cosets, and the generation test is decided in H/H' instead of closing
-<T, H'> as a set of permutations.
+A `Perm` is a tuple subclass whose value is its image tuple, so loops
+over a whole group compose, hash and compare `Perm`s at tuple cost.
+When H is the full stabilizer of a point p, the coset action is read
+off the orbit of p instead of enumerating cosets, and the generation
+test is decided in H/H' instead of closing <T, H'> as a set of
+permutations.
 
 Composition convention: ``a * b`` means "apply a, then b", so that a
 right coset ``H*s`` moved by ``g`` lands on ``H*(s*g)``.  Permutations
@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 DEFAULT_CLOSURE_CEILING = 10**6
@@ -45,26 +46,31 @@ def _then(first: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]
     return itemgetter(*first)
 
 
-@dataclass(frozen=True, order=True)
-class Perm:
-    """A permutation of {0, ..., degree-1}, stored as its image tuple."""
+class Perm(tuple):
+    """A permutation of {0, ..., degree-1}: the tuple of its images.
 
-    images: tuple[int, ...]
+    It equals, hashes and sorts like that tuple.  Construction checks
+    the images; products and inverses are wrapped unchecked by `_perm`.
+    """
 
-    def __post_init__(self):
-        n = len(self.images)
+    __slots__ = ()
+
+    def __new__(cls, images: Iterable[int]) -> "Perm":
+        self = tuple.__new__(cls, images)
+        n = len(self)
         if n == 0:
             raise ValueError("degree must be positive")
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.images}")
+        if sorted(self) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {tuple(self)}")
+        return self
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
 
     @staticmethod
     def identity(degree: int) -> "Perm":
-        return Perm(tuple(range(degree)))
+        return Perm(range(degree))
 
     @staticmethod
     def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> "Perm":
@@ -78,11 +84,11 @@ class Perm:
                     raise ValueError(f"point {a} repeated across cycles")
                 seen.add(a)
                 images[a] = b
-        return Perm(tuple(images))
+        return Perm(images)
 
     def __mul__(self, other: "Perm") -> "Perm":
         # apply self first, then other
-        return Perm(_then(self.images)(other.images))
+        return _perm(_then(self)(other))
 
     def __pow__(self, k: int) -> "Perm":
         n = self.degree
@@ -98,19 +104,13 @@ class Perm:
         return result
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, j in enumerate(self):
             inv[j] = i
-        return Perm(tuple(inv))
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
+        return _perm(inv)
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.images) if i == j)
+        return all(i == j for i, j in enumerate(self))
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its least point, sorted by it."""
@@ -123,7 +123,7 @@ class Perm:
             while not seen[cur]:
                 seen[cur] = True
                 cyc.append(cur)
-                cur = self.images[cur]
+                cur = self[cur]
             if len(cyc) > 1 or include_fixed:
                 out.append(tuple(cyc))
         return out
@@ -136,7 +136,11 @@ class Perm:
         return "".join("(" + " ".join(str(i + 1) for i in c) + ")" for c in cycs)
 
     def __repr__(self) -> str:
-        return f"Perm{self.images!r}"
+        return f"Perm{tuple.__repr__(self)}"
+
+
+# A product or inverse of permutations is a permutation: wrap it unchecked.
+_perm: Callable[[Iterable[int]], Perm] = partial(tuple.__new__, Perm)
 
 
 def parse_perm(text: str, degree: int) -> Perm:
@@ -155,9 +159,6 @@ def parse_perm(text: str, degree: int) -> Perm:
         if len(pts) > 1:
             cycles.append(pts)
     return Perm.from_cycles(degree, cycles)
-
-
-_images = attrgetter("images")
 
 
 class PermGroup:
@@ -182,7 +183,7 @@ class PermGroup:
 
     def sorted_elements(self) -> tuple[Perm, ...]:
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements, key=_images))
+            self._sorted = tuple(sorted(self.elements))
         return self._sorted
 
     def __contains__(self, p: Perm) -> bool:
@@ -209,7 +210,7 @@ class PermGroup:
             nxt = []
             for x in frontier:
                 for g in self.generators:
-                    y = g.images[x]
+                    y = g[x]
                     if y not in orbit:
                         orbit.add(y)
                         nxt.append(y)
@@ -224,9 +225,9 @@ class PermGroup:
         return f"<PermGroup degree={self.degree} order={self.order}>"
 
 
-def _extend(els: set[tuple[int, ...]], gens: list[tuple[int, ...]], ceiling: int) -> None:
+def _extend(els: set[Perm], gens: list[Perm], ceiling: int) -> None:
     """Close the group `els`, generated by every generator in `gens` but
-    the last, under the last one too (raw image tuples, in place).
+    the last, under the last one too (in place).
 
     Only the products of `els` with the new generator, and those of the
     elements they add with every generator, are formed.
@@ -240,6 +241,7 @@ def _extend(els: set[tuple[int, ...]], gens: list[tuple[int, ...]], ceiling: int
             for a_then in steps:
                 c = a_then(b)  # a then b; order irrelevant for the set
                 if c not in els:
+                    c = _perm(c)
                     els.add(c)
                     if len(els) > ceiling:
                         raise GroupTooLargeError(
@@ -250,13 +252,16 @@ def _extend(els: set[tuple[int, ...]], gens: list[tuple[int, ...]], ceiling: int
         steps = all_steps
 
 
-def _close(degree: int, gens: list[tuple[int, ...]], ceiling: int) -> set[tuple[int, ...]]:
-    """Closure of generator image-tuples under composition (raw tuples)."""
-    els = {tuple(range(degree))}
-    for k, g in enumerate(gens):
-        if g not in els:
-            _extend(els, gens[: k + 1], ceiling)
-    return els
+def _close(degree: int, perms: Iterable[Perm], ceiling: int) -> tuple[list[Perm], set[Perm]]:
+    """The generators kept, each of `perms` not in the closure of those
+    before it, and their closure under composition."""
+    gens: list[Perm] = []
+    els = {Perm.identity(degree)}
+    for x in perms:
+        if x not in els:
+            gens.append(x)
+            _extend(els, gens, ceiling)
+    return gens, els
 
 
 def group_closure(
@@ -274,24 +279,16 @@ def group_closure(
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    raw = _close(degree, [g.images for g in gens], ceiling)
-    return PermGroup(degree, gens, frozenset(Perm(t) for t in raw))
+    return PermGroup(degree, gens, frozenset(_close(degree, gens, ceiling)[1]))
 
 
 def subgroup_from_elements(degree: int, elements: Iterable[Perm]) -> PermGroup:
     """Wrap a set already closed under the group operations, finding a
     small generating set greedily (lexicographic element order)."""
     els = frozenset(elements)
-    gens: list[Perm] = []
-    cur = {tuple(range(degree))}
-    for x in sorted(els, key=_images):
-        if x.images not in cur:
-            gens.append(x)
-            _extend(cur, [g.images for g in gens], len(els))
-            if len(cur) == len(els):
-                break
-    assert len(cur) == len(els), "element set was not closed"
-    return PermGroup(degree, tuple(gens), els)
+    group = generated_subgroup(degree, els, ceiling=len(els))
+    assert group.order == len(els), "element set was not closed"
+    return group
 
 
 def generated_subgroup(
@@ -302,13 +299,8 @@ def generated_subgroup(
 ) -> PermGroup:
     """Subgroup generated by `elements` (and `seed_generators`), adding
     generators incrementally so large redundant generator sets stay cheap."""
-    gens: list[Perm] = []
-    cur = {tuple(range(degree))}
-    for x in list(seed_generators) + sorted(set(elements), key=_images):
-        if x.images not in cur:
-            gens.append(x)
-            _extend(cur, [g.images for g in gens], ceiling)
-    return PermGroup(degree, tuple(gens), frozenset(Perm(t) for t in cur))
+    gens, els = _close(degree, [*seed_generators, *sorted(set(elements))], ceiling)
+    return PermGroup(degree, tuple(gens), frozenset(els))
 
 
 def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
@@ -316,7 +308,7 @@ def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
     if not 0 <= point < group.degree:
         raise ValueError("point out of range")
     return subgroup_from_elements(
-        group.degree, (g for g in group.elements if g.images[point] == point)
+        group.degree, (g for g in group.elements if g[point] == point)
     )
 
 
@@ -325,7 +317,7 @@ def _stabilized_point(group: PermGroup, subgroup: PermGroup) -> Optional[int]:
     or None.  Every generator of H fixing p puts H inside the stabilizer
     of p, and |orbit(p)|*|H| = |G| makes the two equal."""
     for p in range(group.degree):
-        if all(h.images[p] == p for h in subgroup.generators) and (
+        if all(h[p] == p for h in subgroup.generators) and (
             len(group.orbit(p)) * subgroup.order == group.order
         ):
             return p
@@ -364,12 +356,11 @@ class CosetAction:
     def _read_orbit(self, p: int) -> None:
         least: dict[int, Perm] = {}
         for g in self.group.elements:
-            gi = g.images
-            best = least.get(gi[p])
-            if best is None or gi < best.images:
-                least[gi[p]] = g
-        self.representatives = tuple(sorted(least.values(), key=_images))
-        self._points = tuple(s.images[p] for s in self.representatives)
+            best = least.get(g[p])
+            if best is None or g < best:
+                least[g[p]] = g
+        self.representatives = tuple(sorted(least.values()))
+        self._points = tuple(s[p] for s in self.representatives)
         self._index = [-1] * self.group.degree
         for i, q in enumerate(self._points):
             self._index[q] = i
@@ -377,18 +368,17 @@ class CosetAction:
     def _enumerate_cosets(self) -> None:
         reps: list[Perm] = []
         coset_of: dict[tuple[int, ...], int] = {}
-        h_then = [_then(h.images) for h in self.subgroup.elements]
+        h_then = [_then(h) for h in self.subgroup.elements]
         for s in self.group.sorted_elements():
-            si = s.images
-            if si in coset_of:
+            if s in coset_of:
                 continue
             idx = len(reps)
             reps.append(s)
             for f in h_then:
-                coset_of[f(si)] = idx  # h then s
+                coset_of[f(s)] = idx  # h then s
         self.representatives = tuple(reps)
         self._coset_of = coset_of
-        self._rep_then = [_then(s.images) for s in reps]
+        self._rep_then = [_then(s) for s in reps]
         self._rows: dict[Perm, tuple[int, ...]] = {}
 
     @property
@@ -398,23 +388,22 @@ class CosetAction:
     def coset_index(self, g: Perm) -> int:
         """Index of the coset H*g."""
         if self.point is None:
-            return self._coset_of[g.images]
+            return self._coset_of[g]
         if g not in self.group.elements:
             raise KeyError(g)
-        return self._index[g.images[self.point]]
+        return self._index[g[self.point]]
 
     def row(self, g: Perm) -> tuple[int, ...]:
         """Images of every coset index under right multiplication by g."""
-        gi = g.images
         if self.point is not None:
             if g not in self.group.elements:
                 raise KeyError(g)
             index = self._index
-            return tuple([index[gi[q]] for q in self._points])
+            return tuple([index[g[q]] for q in self._points])
         cached = self._rows.get(g)
         if cached is None:
             coset_of = self._coset_of
-            cached = tuple([coset_of[f(gi)] for f in self._rep_then])  # s then g
+            cached = tuple([coset_of[f(g)] for f in self._rep_then])  # s then g
             self._rows[g] = cached
         return cached
 
@@ -424,7 +413,7 @@ class CosetAction:
 
     def perm_on_cosets(self, g: Perm) -> Perm:
         """The permutation of coset indices induced by g."""
-        return Perm(self.row(g))
+        return _perm(self.row(g))
 
 
 def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
@@ -446,19 +435,8 @@ def cycle_structure(g: Perm, action: CosetAction) -> list[tuple[int, Perm]]:
     """
     if g not in action.group:
         raise ValueError("element not in the acting group")
-    row = action.row(g)
-    seen = [False] * len(row)
-    out = []
-    for start in range(len(row)):
-        if seen[start]:
-            continue
-        cur, length = start, 0
-        while not seen[cur]:
-            seen[cur] = True
-            length += 1
-            cur = row[cur]
-        out.append((length, action.representatives[start]))
-    return out
+    reps = action.representatives
+    return [(len(c), reps[c[0]]) for c in action.perm_on_cosets(g).cycles(include_fixed=True)]
 
 
 def _check_proper_subgroup(group: PermGroup, subgroup: PermGroup) -> None:
@@ -565,22 +543,22 @@ class ConditionReport:
 
 def quotient_labels(
     group: PermGroup, normal: PermGroup
-) -> tuple[dict[tuple[int, ...], int], list[tuple[int, ...]]]:
+) -> tuple[dict[tuple[int, ...], int], list[Perm]]:
     """Label every element of `group` with its coset modulo `normal`, a
-    normal subgroup, in one pass of |group| products on image tuples.
+    normal subgroup, in one pass of |group| products.
 
-    Returns the map from image tuples to labels and one representative
-    image tuple per label; label 0 is `normal` itself.  As `normal` is
-    normal, the label of a product depends only on its factors' labels.
+    Returns the map from image tuples to labels, which takes `Perm`s
+    directly, and one representative per label; label 0 is `normal`
+    itself.  As `normal` is normal, the label of a product depends only
+    on its factors' labels.
     """
-    n_images = [d.images for d in normal.elements]
     labels: dict[tuple[int, ...], int] = {}
-    reps: list[tuple[int, ...]] = []
-    for x in [tuple(range(group.degree))] + [g.images for g in group.elements]:
+    reps: list[Perm] = []
+    for x in (group.identity, *group.elements):
         if x in labels:
             continue
         x_then = _then(x)
-        for d in n_images:
+        for d in normal.elements:
             labels[x_then(d)] = len(reps)
         reps.append(x)
     return labels, reps
@@ -588,7 +566,7 @@ def quotient_labels(
 
 def derived_quotient(
     group: PermGroup,
-) -> tuple[PermGroup, dict[tuple[int, ...], int], list[tuple[int, ...]]]:
+) -> tuple[PermGroup, dict[tuple[int, ...], int], list[Perm]]:
     """(H', labels, reps) for H = `group`: its derived subgroup and
     quotient_labels(H, H'), computed once per group object."""
     if group._derived is None:
@@ -617,9 +595,9 @@ def check_condition_2B(
     T = compute_T(group, subgroup, action)
     hprime, labels, reps = derived_quotient(subgroup)
     least: dict[int, Perm] = {}  # the least element of T in each H'-coset it meets
-    for t in sorted(T, key=_images):
-        least.setdefault(labels[t.images], t)
-    steps = [t.images for t in least.values()]
+    for t in sorted(T):
+        least.setdefault(labels[t], t)
+    steps = list(least.values())
     reached = {0}
     frontier = [0]
     while frontier and len(reached) < len(reps):
@@ -639,7 +617,7 @@ def check_condition_2B(
         generated = PermGroup(
             group.degree,
             hprime.generators + tuple(least.values()),
-            frozenset(h for h in subgroup.elements if labels[h.images] in reached),
+            frozenset(h for h in subgroup.elements if labels[h] in reached),
         )
     holds = bool(T) and fills
     return ConditionReport(T=T, T_nonempty=bool(T), generated=generated, holds=holds)
@@ -649,9 +627,9 @@ def is_frobenius(group: PermGroup, action: CosetAction) -> bool:
     """Whether the action is a Frobenius action: no non-identity element
     fixes two points, and some non-identity element fixes one."""
     some_fixes_one = False
-    ident = tuple(range(group.degree))
+    ident = group.identity
     for g in group.elements:
-        if g.images == ident:
+        if g == ident:
             continue
         row = action.row(g)
         fixed = sum(1 for i, j in enumerate(row) if i == j)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from polyakit import (
     PermGroup,
     alternating_group,
@@ -92,3 +94,45 @@ def corpus_with_degree8() -> list[tuple[str, PermGroup, PermGroup]]:
         a = alternating_group(n)
         pairs.append((f"A{n}/stab", a, point_stabilizer(a, n - 1)))
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed group-file text
+
+# The closure ceiling for fuzzed groups: a random generator set of degree
+# 12 can generate A12 or S12, which the default ceiling would list to a
+# million elements before giving up.
+FUZZ_CEILING = 2000
+
+
+def _cycle_text(cycles) -> str:
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+
+
+def perm_lines(degree: int):
+    """A line of cycle-notation text for `degree`: one cycle of valid
+    points, cycles that may repeat points or leave 1..degree, or arbitrary
+    text over the notation's alphabet."""
+    cycle = st.lists(st.integers(1, degree), unique=True, min_size=1, max_size=6)
+    wild = st.lists(st.lists(st.integers(0, degree + 1), max_size=5), max_size=3)
+    return st.one_of(
+        cycle.map(lambda c: _cycle_text([c])),
+        cycle.map(lambda c: _cycle_text([c])),
+        wild.map(_cycle_text),
+        st.text("0123456789(), ", max_size=16),
+    )
+
+
+def _group_file(head: str, degree: int):
+    line = st.one_of(perm_lines(degree), st.just("# comment"), st.just(""))
+    return st.lists(line, max_size=4).map(lambda body: "\n".join([head, *body]))
+
+
+# A group file: a well-formed degree line with degree <= 12, or a
+# malformed one.  The malformed alphabet has no digits, so no draw asks
+# for a huge degree.
+group_files = st.one_of(
+    st.integers(-1, 12).flatmap(lambda d: _group_file(f"degree={d}", max(d, 1))),
+    st.integers(1, 12).flatmap(lambda d: _group_file(f"degree={d}", d)),
+    st.text("degree= ,()#", max_size=10).flatmap(lambda head: _group_file(head, 5)),
+)

@@ -5,7 +5,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+import groupcorpus
 from polyakit.cli import main, survey_field
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -43,6 +45,22 @@ def test_group_check_tokens_and_file(capsys):
     assert rows[1]["order_G"] == 21
     assert rows[1]["frobenius"] is True
     assert rows[1]["condition_2B"] is True
+
+
+@given(groupcorpus.group_files)
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_group_check_on_fuzzed_files_exits_cleanly(capsys, tmp_path, text):
+    path = tmp_path / "fuzzed.grp"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "group-check", "--max-closure", str(groupcorpus.FUZZ_CEILING), str(path)
+    )
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
 
 
 def test_group_check_csv(capsys):
@@ -282,8 +300,10 @@ def test_negative_leading_triple_is_the_poly(capsys, argv, reference):
 # a --witnesses report, a field that expresses the class of a prime
 # outside the factor base (x^3+8x-6), a field whose 3862-row relation
 # matrix (disc_K 602645, Cl = (2, 2)) takes hnf_rows through its mod-det
-# path on the way to class_generators (x^3-21x^2+19x+16) and a small
-# survey.
+# path on the way to class_generators (x^3-21x^2+19x+16), a small
+# survey, group-check on every family and both fixture files, and census,
+# the one field-side user of permutations.  Group files are named
+# relative to the fixtures directory, since group-check prints the name.
 GOLDEN_RUNS = (
     ("field-analyze", "x^3-2"),
     ("field-analyze", "x^3-x-1"),
@@ -297,10 +317,16 @@ GOLDEN_RUNS = (
     ("survey", "--coeff-bound", "3"),
     ("group-check", "--family", "S", "--n", "3..8"),
     ("group-check", "--family", "A", "--n", "3..8"),
+    ("group-check", "--family", "D", "--n", "3..8"),
+    ("group-check", "--family", "C", "--n", "3..8"),
+    ("group-check", "F20", "c7_c3.grp", "d4.grp"),
+    ("census", "x^3-2"),
+    ("census", "x^3-3x-1"),
 )
 
 
-def test_outputs_match_golden_hashes(capsys):
+def test_outputs_match_golden_hashes(capsys, monkeypatch):
+    monkeypatch.chdir(FIXTURES)
     golden = json.loads((Path(__file__).parent / "data" / "golden_outputs.json").read_text())
     got = {}
     for argv in GOLDEN_RUNS:

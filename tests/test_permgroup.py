@@ -16,6 +16,7 @@ import groupcorpus
 from polyakit import (
     GroupTooLargeError,
     Perm,
+    PermGroup,
     alternating_group,
     check_condition_2B,
     compute_T,
@@ -36,13 +37,13 @@ from polyakit import (
     point_stabilizer,
     symmetric_group,
 )
-from polyakit.permgroup import action_image, generated_subgroup
+from polyakit.permgroup import action_image, generated_subgroup, subgroup_from_elements
 
 
 def naive_closure(gens, degree):
     """Oracle: repeated all-pairs multiplication until fixpoint."""
     els = {tuple(range(degree))}
-    els.update(g.images for g in gens)
+    els.update(tuple(g) for g in gens)
     while True:
         new = set()
         for a in els:
@@ -80,9 +81,39 @@ def test_perm_rejects_non_bijection():
         Perm(())
 
 
+@given(st.lists(st.permutations(list(range(4))), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_perm_is_its_image_tuple(images):
+    perms = [Perm(t) for t in images]
+    for p, t in zip(perms, images):
+        assert p == tuple(t) and hash(p) == hash(tuple(t))
+    assert sorted(perms) == sorted(perms, key=tuple)
+    assert {tuple(t) for t in images} == set(perms)
+
+
+def test_every_returned_element_is_a_perm():
+    """A product left unwrapped would put a plain tuple in `elements`."""
+    s5 = symmetric_group(5)
+    h = point_stabilizer(s5, 4)
+    groups = [
+        group_closure(5, [parse_perm("(1 2 3)", 5), parse_perm("(1 2)(4 5)", 5)]),
+        generated_subgroup(
+            5, [parse_perm("(1 2 3 4)", 5)], seed_generators=[parse_perm("(1 2)", 5)]
+        ),
+        subgroup_from_elements(4, alternating_group(4).elements),
+        h,
+        derived_subgroup(h),
+        normal_core(alternating_group(4), groupcorpus.klein_four()),
+    ]
+    for g in groups:
+        for x in g.elements:
+            assert type(x) is Perm and x * x.inverse() == g.identity
+    assert all(type(s) is Perm for s in coset_action(s5, h).representatives)
+
+
 def test_cycle_string_round_trip():
     p = parse_perm("(1 2)(3 4)", 5)
-    assert p.images == (1, 0, 3, 2, 4)
+    assert p == (1, 0, 3, 2, 4)
     assert p.cycle_string() == "(1 2)(3 4)"
     assert parse_perm(p.cycle_string(), 5) == p
     assert parse_perm("()", 3) == Perm.identity(3)
@@ -103,7 +134,7 @@ def test_closure_a5_against_naive_oracle():
     gens = [parse_perm("(1 2 3)", 5), parse_perm("(1 2 3 4 5)", 5)]
     g = group_closure(5, gens)
     assert g.order == 60
-    assert {p.images for p in g.elements} == naive_closure(gens, 5)
+    assert g.elements == naive_closure(gens, 5)
 
 
 def test_closure_empty_generators():
@@ -212,8 +243,13 @@ def test_cycle_structure_lengths_sum():
         for x in g.sorted_elements()[:10]:
             cs = cycle_structure(x, act)
             assert sum(f for f, _ in cs) == act.num_cosets, name
-            for f, rep in cs:
-                assert act.act(act.coset_index(rep), x**f) == act.coset_index(rep)
+            starts = [act.coset_index(rep) for _, rep in cs]
+            assert starts == sorted(starts), name
+            for (f, rep), i in zip(cs, starts):
+                assert rep == act.representatives[i], name
+                cycle = {act.act(i, x**k) for k in range(f)}
+                assert len(cycle) == f and min(cycle) == i, name
+                assert act.act(i, x**f) == i, name
 
 
 # --- T ----------------------------------------------------------------------
@@ -635,6 +671,27 @@ def test_parse_group_file():
         parse_group_file("(1 2)\n")
     with pytest.raises(ValueError):
         parse_group_file("degree=x\n")
+
+
+@given(st.integers(1, 12).flatmap(lambda d: st.tuples(groupcorpus.perm_lines(d), st.just(d))))
+@settings(max_examples=200, deadline=None)
+def test_parse_perm_fuzz_gives_a_perm_or_value_error(case):
+    text, degree = case
+    try:
+        p = parse_perm(text, degree)
+    except ValueError:
+        return
+    assert type(p) is Perm and p.degree == degree
+
+
+@given(groupcorpus.group_files)
+@settings(max_examples=200, deadline=None)
+def test_parse_group_file_fuzz_gives_a_group_or_a_documented_error(text):
+    try:
+        g = parse_group_file(text, ceiling=groupcorpus.FUZZ_CEILING)
+    except (ValueError, GroupTooLargeError):
+        return
+    assert isinstance(g, PermGroup) and g.order <= groupcorpus.FUZZ_CEILING
 
 
 def test_c7_c3_fixture():
