@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intlinalg import hnf_rows, smith_normal_form
+from .intlinalg import hnf_rows, lattice_contains, lattice_coordinates, smith_normal_form
 
 
 @dataclass
@@ -100,13 +100,9 @@ class Subgroup:
         return self.order == self.ambient.order
 
     def contains(self, vec) -> bool:
-        from .intlinalg import lattice_contains
-
         return lattice_contains(self.basis, self.ambient.reduce(vec))
 
     def is_subgroup_of(self, other: "Subgroup") -> bool:
-        from .intlinalg import lattice_contains
-
         if self.ambient != other.ambient:
             return False
         return all(lattice_contains(other.basis, row) for row in self.basis)
@@ -121,19 +117,10 @@ class Subgroup:
         r = self.ambient.rank
         if r == 0:
             return ()
-        # rows of D in terms of basis rows: with B upper triangular,
-        # column k of c*B only involves rows 0..k, so solve ascending.
-        coords = []
-        for i in range(r):
-            v = [self.ambient.invariant_factors[i] * int(i == j) for j in range(r)]
-            c = [0] * r
-            for k in range(r):
-                q, rem = divmod(v[k], self.basis[k][k])
-                assert rem == 0, "relation lattice not inside subgroup lattice"
-                c[k] = q
-                if q:
-                    v = [a - q * b for a, b in zip(v, self.basis[k])]
-            assert all(a == 0 for a in v)
-            coords.append(c)
+        coords = [
+            lattice_coordinates(self.basis, [d * int(i == j) for j in range(r)])
+            for i, d in enumerate(self.ambient.invariant_factors)
+        ]
+        assert None not in coords, "relation lattice not inside subgroup lattice"
         diag, _, _ = smith_normal_form(coords, r)
         return tuple(d for d in diag if d > 1)

@@ -21,8 +21,9 @@ and only when that HNF has changed since the last one.  A point whose
 norm has a gcd of 1 with the product of the factor-base primes'
 rational primes before the norm is used up is rejected without trial
 division; the valuations of the rest come from one cached kernel per
-prime (cubicfield.valuation_kernel), and where a single prime above p
-has no Hensel form its valuation follows from the norm.
+prime (cubicfield.valuation_kernel: a Hensel linear form, or the rows of
+one multiplier tau with tau*P in p*O), and where a single prime above p
+has no Hensel form its valuation follows from the norm, with no kernel.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .cubicfield import (
     PrimeIdeal,
     SearchBudgetExceededError,
     factor_prime,
+    has_hensel_form,
     is_principal,
     minkowski_bound,
     pi_ideal,
@@ -97,23 +99,23 @@ def _columns(order: MaximalOrder, index_of, ps):
     column) over the rational primes `ps` below them: the product of
     `ps`, and for each p a triple (p, direct, rest).
 
-    When exactly one prime above p has no Hensel form in its valuation
-    kernel (p inert, the f = 2 prime of a (1, 2) split, a ramified P^2
-    next to a split prime, a single prime above an index prime), `rest`
-    is its (f, column or None) and `direct` holds the (f, column or
-    None, valuation kernel) of the other primes; otherwise `rest` is
-    None and `direct` holds every prime above p."""
+    When exactly one prime above p has no Hensel form (p inert, the
+    f = 2 prime of a (1, 2) split, a ramified P^2 next to a split prime,
+    a single prime above an index prime), `rest` is its (f, column or
+    None) and `direct` holds the (f, column or None, valuation kernel)
+    of the other primes; otherwise `rest` is None and `direct` holds
+    every prime above p.  `rest` gets no kernel, so no tau is built
+    that nothing uses."""
     over = []
     for p in sorted(ps):
-        direct = [
-            (q.f, index_of.get(q.hnf), valuation_kernel(order, q)) for q in factor_prime(order, p)
-        ]
-        no_hensel = [t for t in direct if t[2][1] is None]
+        primes = factor_prime(order, p)
+        no_hensel = [q for q in primes if not has_hensel_form(order, q)]
         rest = None
         if len(no_hensel) == 1:
-            f, idx, _ = no_hensel[0]
-            rest = (f, idx)
-            direct = [t for t in direct if t[2][1] is not None]
+            (lone,) = no_hensel
+            rest = (lone.f, index_of.get(lone.hnf))
+            primes = [q for q in primes if q is not lone]
+        direct = [(q.f, index_of.get(q.hnf), valuation_kernel(order, q)) for q in primes]
         over.append((p, direct, rest))
     return prod(ps), over
 

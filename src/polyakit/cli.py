@@ -112,9 +112,11 @@ def _load_group(name: str, kind: str, config: RunConfig) -> permgroup.PermGroup:
     try:
         with open(name, "r", encoding="utf-8") as fh:
             text = fh.read()
+        return permgroup.parse_group_file(text, ceiling=config.max_closure)
     except OSError as exc:
         raise _ParseFailure(f"cannot read group file {name!r}: {exc}") from exc
-    return permgroup.parse_group_file(text, ceiling=config.max_closure)
+    except ValueError as exc:
+        raise _ParseFailure(f"bad group file {name!r}: {exc}") from exc
 
 
 def _group_report(name: str, group: permgroup.PermGroup) -> dict:
@@ -146,9 +148,7 @@ def _cmd_group_check(args, config: RunConfig) -> int:
         except GroupTooLargeError as exc:
             _diag(f"budget exceeded for {name}: {exc}")
             return EXIT_BUDGET
-        except (_ParseFailure, ValueError) as exc:
-            if isinstance(exc, _ParseFailure):
-                raise
+        except ValueError as exc:  # a group that parsed but does not suit the check
             rows.append({"group": name, "error": str(exc)})
     if config.format == "json":
         for row in rows:

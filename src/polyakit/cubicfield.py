@@ -27,10 +27,12 @@ from typing import Optional
 from . import modpoly
 from .artin import SplittingType
 from .intlinalg import (
-    det3, hnf_rows, invert3, kernel_mod_p, lattice_contains, lattice_points, rref_mod_p,
+    det3, hnf_rows, invert3, kernel_mod_p, lattice_contains, lattice_coordinates, lattice_points,
+    rref_mod_p,
 )
 
 DEFAULT_PRIME_BOUND = 200
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 # Rational upper bound for 4/pi, used in the Minkowski bound so that the
 # factor base can only gain candidate generators, never lose one.
@@ -545,24 +547,6 @@ def _radical_kernel(order: Order, p: int):
     return kernel_mod_p(rows, 3, p)
 
 
-def _solve_in_triangular(basisrows, vec):
-    """Express `vec` over upper-triangular lattice basis rows; the
-    coordinates must come out integral."""
-    v = list(vec)
-    coords = [0] * len(basisrows)
-    for k in range(len(basisrows)):
-        piv = basisrows[k][k]
-        q, r = divmod(v[k], piv)
-        if r:
-            raise ValueError("vector not in lattice")
-        coords[k] = q
-        if q:
-            v = [a - q * b for a, b in zip(v, basisrows[k])]
-    if any(v):
-        raise ValueError("vector not in lattice")
-    return coords
-
-
 def _p_enlarge_once(order: Order, p: int) -> Order:
     """One radical/multiplier-ring enlargement step at p.  Returns the
     possibly larger order, its lattice in canonical form."""
@@ -572,19 +556,10 @@ def _p_enlarge_once(order: Order, p: int) -> Order:
     W = hnf_rows(ip_rows, 3)
     assert len(W) == 3
     # multiplier ring: y with y * I_p <= p * I_p, i.e. the kernel of
-    # y -> (coords of y*w_j in the W basis) mod p
-    eq_rows = []  # 9 equations (j, component) in 3 unknowns
-    per_basis = []
-    for i in range(3):
-        e = (int(i == 0), int(i == 1), int(i == 2))
-        cols = []
-        for wrow in W:
-            prod = order.omega_mul(e, wrow)
-            cols.append(_solve_in_triangular(W, prod))
-        per_basis.append(cols)
-    for j in range(3):
-        for k in range(3):
-            eq_rows.append([per_basis[i][j][k] % p for i in range(3)])
+    # y -> (coords of y*w_j in the W basis) mod p, 9 equations (j,
+    # component) in 3 unknowns; I_p is an ideal, so every y*w_j lies in W
+    per_basis = [[lattice_coordinates(W, order.omega_mul(e, w)) for w in W] for e in _UNITS]
+    eq_rows = [[per_basis[i][j][k] for i in range(3)] for j in range(3) for k in range(3)]
     ker = kernel_mod_p(eq_rows, 3, p)
     u_rows = [[p * int(i == j) for j in range(3)] for i in range(3)]
     u_rows += [list(v) for v in ker]
@@ -732,11 +707,7 @@ class PrimeIdeal:
 
 def element_ideal(order: MaximalOrder, y) -> IntegralIdeal:
     """The principal ideal generated by an order element (omega coords)."""
-    rows = []
-    for j in range(3):
-        e = (int(j == 0), int(j == 1), int(j == 2))
-        rows.append(list(order.omega_mul(y, e)))
-    return IntegralIdeal.from_rows(rows)
+    return IntegralIdeal.from_rows([order.omega_mul(y, e) for e in _UNITS])
 
 
 def ideal_product(order: MaximalOrder, I: IntegralIdeal, J: IntegralIdeal) -> IntegralIdeal:
@@ -764,51 +735,70 @@ def ideal_equal(I: IntegralIdeal, J: IntegralIdeal) -> bool:
     return I.hnf == J.hnf
 
 
-def _contains3(hnf, y) -> bool:
-    """Membership in a full-rank upper-triangular 3x3 HNF lattice,
-    allocation-free (the hot path of valuation computations)."""
-    r0, r1, r2 = hnf
-    d0 = r0[0]
-    q0, rem = divmod(y[0], d0)
-    if rem:
-        return False
-    t1 = y[1] - q0 * r0[1]
-    q1, rem = divmod(t1, r1[1])
-    if rem:
-        return False
-    t2 = y[2] - q0 * r0[2] - q1 * r1[2]
-    return t2 % r2[2] == 0
+def has_hensel_form(order: MaximalOrder, prime: PrimeIdeal) -> bool:
+    """Whether `valuation_kernel` values P by a Hensel linear form: P is
+    unramified of degree 1 and p does not divide the index."""
+    return prime.f == prime.e == 1 and order.index % prime.p != 0
+
+
+def _multiplier_rows(order: MaximalOrder, p: int, hnf) -> tuple:
+    """The rows omega_i * tau of a fixed tau with tau * P in p*O and tau
+    not in p*O, for the prime P of HNF `hnf` above p (Cohen, GTM 138,
+    4.8.3).  tau is a nonzero vector of the kernel mod p of y -> y * w
+    over the HNF rows w of P.  Then v_P(tau / p) = -1 and tau / p is
+    integral at every other prime, so v_P(y) is the number of times
+    y -> y * tau / p stays integral (`_tau_valuation`)."""
+    prods = [[order.omega_mul(e, w) for e in _UNITS] for w in hnf]
+    eqs = [[prod[i][k] for i in range(3)] for prod in prods for k in range(3)]
+    tau = kernel_mod_p(eqs, 3, p)[0]
+    return tuple(order.omega_mul(e, tau) for e in _UNITS)
+
+
+def _tau_valuation(p: int, rows, y) -> int:
+    """v_P(y) for a nonzero y, from P's `_multiplier_rows`."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    y0, y1, y2 = y
+    v = 0
+    while True:
+        z0 = y0 * a0 + y1 * b0 + y2 * c0
+        if z0 % p:
+            return v
+        z1 = y0 * a1 + y1 * b1 + y2 * c1
+        if z1 % p:
+            return v
+        z2 = y0 * a2 + y1 * b2 + y2 * c2
+        if z2 % p:
+            return v
+        y0, y1, y2 = z0 // p, z1 // p, z2 // p
+        v += 1
 
 
 def valuation_kernel(order: MaximalOrder, prime: PrimeIdeal) -> tuple:
     """The data `valuation` needs to compute v_P((y)) for one prime P of
     the order, built once and cached on the order.
 
-    At an unramified degree-1 prime away from the index the completion
-    at P is Z_p with theta sent to the Hensel lift r of the root of the
-    polynomial mod p.  The kernel folds that map and the integral basis
-    into one linear form l mod p^K, so t = y . l mod p^K is den times
-    the image of y (den a p-unit), and v_P(y) = v_p(t) when t != 0.
-    Every other prime, and t = 0 (v_P(y) >= K), walks the powers P,
-    P^2, ... of a list of their HNFs that grows on demand.
+    Where `has_hensel_form` holds, the completion at P is Z_p with theta
+    sent to the Hensel lift r of the root of the polynomial mod p.  The
+    kernel folds that map and the integral basis into one linear form l
+    mod p^K, so t = y . l mod p^K is den times the image of y (den a
+    p-unit), and v_P(y) = v_p(t) when t != 0.  Every other prime is
+    valued with the rows of one fixed multiplier tau
+    (`_multiplier_rows`); at a Hensel prime t = 0 (v_P(y) >= K, rare)
+    builds that tau on the spot without caching it.
 
-    The kernel is plain data, (p, l, p^K, powers) with l None off the
-    Hensel case, and holds no reference to the order, so an order and
-    its cache are freed as soon as the last reference to it goes.
+    The kernel is an immutable tuple (p, l, p^K, HNF of P, tau rows),
+    with l and p^K None off the Hensel case and the tau rows None on it.
+    It holds no reference to the order, so an order and its cache are
+    freed as soon as the last reference to it goes.
     """
     cache = order._valuation_cache
     kernel = cache.get(prime.hnf)
     if kernel is not None:
         return kernel
     p = prime.p
-    lin = pK = None
-    if (
-        prime.f == 1
-        and prime.e == 1
-        and order.index % p
-        and prime.generator_poly is not None
-        and len(prime.generator_poly) == 2
-    ):
+    if not has_hensel_form(order, prime):
+        kernel = (p, None, None, prime.hnf, _multiplier_rows(order, p, prime.hnf))
+    else:
         K = 24 if p < 16 else 12
         pK = p**K
         r = (-prime.generator_poly[0]) % p
@@ -822,13 +812,14 @@ def valuation_kernel(order: MaximalOrder, prime: PrimeIdeal) -> tuple:
         assert (((r + coeffs[2]) * r + coeffs[1]) * r + coeffs[0]) % pK == 0
         # y . basis_num = den * (power-basis coordinates); evaluate at theta = r
         lin = tuple((b[0] + b[1] * r + b[2] * r * r) % pK for b in order.basis_num)
-    kernel = cache[prime.hnf] = (p, lin, pK, [prime.hnf])
+        kernel = (p, lin, pK, prime.hnf, None)
+    cache[prime.hnf] = kernel
     return kernel
 
 
 def valuation(order: MaximalOrder, kernel: tuple, y) -> int:
     """v_P((y)) for a nonzero order element y, from P's valuation_kernel."""
-    p, lin, pK, powers = kernel
+    p, lin, pK, hnf, rows = kernel
     if lin is not None:
         t = (y[0] * lin[0] + y[1] * lin[1] + y[2] * lin[2]) % pK
         if t % p:
@@ -839,16 +830,8 @@ def valuation(order: MaximalOrder, kernel: tuple, y) -> int:
                 t //= p
                 v += 1
             return v
-    # powers[k] is the HNF of P^(k+1)
-    k = 0
-    while True:
-        if k == len(powers):
-            powers.append(
-                ideal_product(order, IntegralIdeal(powers[-1]), IntegralIdeal(powers[0])).hnf
-            )
-        if not _contains3(powers[k], y):
-            return k
-        k += 1
+        rows = _multiplier_rows(order, p, hnf)
+    return _tau_valuation(p, rows, y)
 
 
 def element_valuation(order: MaximalOrder, y, prime: PrimeIdeal) -> int:
@@ -990,9 +973,9 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
     """Primes above p with ramification exponents: p*O = prod p_i^{e_i}.
 
     Away from the index this is splitting the polynomial mod p; at index
-    primes the maximal ideals of O/pO are computed from its radical and
-    the product identity pins down the exponents.  Results are cached on
-    the order.
+    primes the maximal ideals of O/pO are computed from its radical, and
+    each exponent is e = v_P(p), read off P's multiplier tau.  Results
+    are cached on the order.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -1008,9 +991,7 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
             f = modpoly.pdeg(g)
             gtheta = order.poly_of_theta_omega([int(c) for c in g])
             rows = [[p * int(i == j) for j in range(3)] for i in range(3)]
-            for j in range(3):
-                ej = (int(j == 0), int(j == 1), int(j == 2))
-                rows.append(list(order.omega_mul(gtheta, ej)))
+            rows += [order.omega_mul(gtheta, e) for e in _UNITS]
             mat = hnf_rows(rows, 3)
             entries.append((f, mat, tuple(int(c) for c in g), e))
     else:
@@ -1026,9 +1007,8 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
         ):
             mat = _prime_from_subspace(order, p, ideal_rows_sub)
             f = _exact_prime_log(det3(mat), p)
-            entries.append((f, mat, None, None))
-        # ramification exponents from the product identity
-        entries = _assign_exponents(order, p, entries)
+            e = _tau_valuation(p, _multiplier_rows(order, p, mat), tuple(p * c for c in one))
+            entries.append((f, mat, None, e))
 
     entries.sort(key=lambda t: (t[0], t[1]))
     primes = []
@@ -1050,38 +1030,6 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
     assert sum(q.e * q.f for q in primes) == 3
     cache[p] = primes
     return primes
-
-
-def _assign_exponents(order: MaximalOrder, p: int, entries):
-    """Find the exponent vector with prod p_i^{e_i} = p*O (unique)."""
-    target = IntegralIdeal.from_scalar(p)
-    fs = [f for f, _, _, _ in entries]
-    ideals = [IntegralIdeal(mat) for _, mat, _, _ in entries]
-
-    def products(idx, remaining):
-        if idx == len(fs):
-            return [[]] if remaining == 0 else []
-        out = []
-        emax = remaining // fs[idx]
-        for e in range(1, emax + 1):
-            for rest in products(idx + 1, remaining - e * fs[idx]):
-                out.append([e] + rest)
-        return out
-
-    matches = []
-    for evec in products(0, 3):
-        acc = IntegralIdeal.unit()
-        for ideal, e in zip(ideals, evec):
-            for _ in range(e):
-                acc = ideal_product(order, acc, ideal)
-        if acc == target:
-            matches.append(evec)
-    assert len(matches) == 1, f"exponent assignment not unique at p={p}"
-    evec = matches[0]
-    return [
-        (f, mat, gpoly, e)
-        for (f, mat, gpoly, _), e in zip(entries, evec)
-    ]
 
 
 def pi_ideal(order: MaximalOrder, q: int) -> IntegralIdeal:

@@ -171,17 +171,25 @@ def hnf_pivots(hnf: tuple[tuple[int, ...], ...]) -> list[int]:
     return cols
 
 
-def lattice_contains(hnf: tuple[tuple[int, ...], ...], vec) -> bool:
-    """Whether `vec` lies in the lattice spanned by the HNF rows."""
+def lattice_coordinates(hnf: tuple[tuple[int, ...], ...], vec) -> list[int] | None:
+    """The integer coordinates c with vec = sum c_i * hnf[i], solved row
+    by row down the pivots of the HNF rows, or None when `vec` is not in
+    their lattice."""
     v = list(vec)
-    pivots = hnf_pivots(hnf)
-    for row, j in zip(hnf, pivots):
-        if v[j] % row[j] != 0:
-            return False
-        q = v[j] // row[j]
+    coords = []
+    for row, j in zip(hnf, hnf_pivots(hnf)):
+        q, r = divmod(v[j], row[j])
+        if r:
+            return None
+        coords.append(q)
         if q:
             v = [a - q * b for a, b in zip(v, row)]
-    return all(a == 0 for a in v)
+    return None if any(v) else coords
+
+
+def lattice_contains(hnf: tuple[tuple[int, ...], ...], vec) -> bool:
+    """Whether `vec` lies in the lattice spanned by the HNF rows."""
+    return lattice_coordinates(hnf, vec) is not None
 
 
 def det3(m) -> int:

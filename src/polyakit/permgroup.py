@@ -740,7 +740,11 @@ def family_group(token: str) -> PermGroup:
 
 def parse_group_file(text: str, ceiling: int = DEFAULT_CLOSURE_CEILING) -> PermGroup:
     """Parse the group-presentation text format: a ``degree=<n>`` line
-    followed by one generator per line in 1-indexed cycle notation."""
+    followed by one generator per line in 1-indexed cycle notation.
+
+    A degree above `ceiling` raises GroupTooLargeError before any
+    generator is parsed: every element the closure builds is a
+    degree-length tuple, so the degree is bounded like the order."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].replace(" ", "").startswith("degree="):
@@ -749,5 +753,7 @@ def parse_group_file(text: str, ceiling: int = DEFAULT_CLOSURE_CEILING) -> PermG
         degree = int(lines[0].split("=", 1)[1])
     except ValueError as exc:
         raise ValueError("bad degree line") from exc
+    if degree > ceiling:
+        raise GroupTooLargeError(f"degree {degree} exceeds closure ceiling {ceiling}")
     gens = [parse_perm(ln, degree) for ln in lines[1:]]
     return group_closure(degree, gens, ceiling=ceiling)

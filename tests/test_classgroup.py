@@ -527,6 +527,33 @@ def test_norm_derived_valuations_match_the_walk():
     assert fields == 84
 
 
+def test_columns_build_kernels_only_for_directly_valued_primes():
+    """Every kernel `_columns` hands out is an immutable tuple holding a
+    Hensel form or tau rows, and the one prime above p valued from the
+    norm gets no kernel at all."""
+    tau_valued = rests = 0
+    for s in FIXTURE_POLYS:
+        order = maximal_order(parse_cubic(s))  # fresh: an empty kernel cache
+        fb, _ = classgroup._factor_base(order)
+        index_of = {prime.hnf: i for i, prime in enumerate(fb)}
+        _, over = classgroup._columns(order, index_of, {prime.p for prime in fb} | {2, 3, 5, 7})
+        cached = set(order._valuation_cache)
+        for p, direct, rest in over:
+            primes = factor_prime(order, p)
+            assert {q.hnf for q in primes} & cached == {kernel[3] for _, _, kernel in direct}
+            for _, _, kernel in direct:
+                hash(kernel)  # immutable all the way down
+                _, lin, _, _, tau = kernel
+                assert (lin is None) == (tau is not None)
+                tau_valued += tau is not None
+            if rest is not None:
+                rests += 1
+                (q,) = [q for q in primes if q.hnf not in cached]
+                assert rest == (q.f, index_of.get(q.hnf))
+    # the three primes above 2 in x^3-x^2-2x-8 are valued with tau
+    assert tau_valued >= 3 and rests > 0
+
+
 def test_norm_derived_valuation_rejects_a_broken_identity():
     """A remainder the norm-derived prime cannot take raises instead of
     reading as 'not smooth'."""

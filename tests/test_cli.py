@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import groupcorpus
 from polyakit.cli import main, survey_field
+from polyakit.cubicfield import CubicPoly, parse_cubic
+from polyakit.permgroup import GroupTooLargeError, parse_group_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -54,13 +58,44 @@ def test_group_check_tokens_and_file(capsys):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_group_check_on_fuzzed_files_exits_cleanly(capsys, tmp_path, text):
+    """Exit 2 exactly when parse_group_file rejects the text, 3 when the
+    group is too large, and 0 (a report or error row) otherwise."""
+    try:
+        parse_group_file(text, ceiling=groupcorpus.FUZZ_CEILING)
+        expected = 0
+    except GroupTooLargeError:
+        expected = 3
+    except ValueError:
+        expected = 2
     path = tmp_path / "fuzzed.grp"
     path.write_text(text, encoding="utf-8")
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "group-check", "--max-closure", str(groupcorpus.FUZZ_CEILING), str(path)
     )
-    assert code in (0, 2, 3)
+    assert code == expected, text
     assert "Traceback" not in err
+    if expected:
+        assert out == ""
+
+
+def test_group_check_malformed_body_exits_2(capsys, tmp_path):
+    path = tmp_path / "open_cycle.grp"
+    path.write_text("degree=4\n(1 2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "group-check", str(path))
+    assert code == 2
+    assert out == ""
+    assert "bad cycle notation" in err
+
+
+def test_group_check_huge_degree_exits_3_at_once(capsys, tmp_path):
+    path = tmp_path / "huge.grp"
+    path.write_text("degree=1000000000\n(1 2)\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "group-check", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "budget" in err.lower()
 
 
 def test_group_check_csv(capsys):
@@ -274,6 +309,44 @@ def test_bad_prime_bound(capsys):
 def test_unknown_flag_exits_2(capsys):
     code = main(["field-analyze", "x^3-2", "--frobnicate"])
     assert code == 2
+
+
+_CUBIC_ALPHABET = "x^0123456789+-*, "
+_cubic_term = st.tuples(
+    st.sampled_from(["", "+", "-"]),
+    st.sampled_from(["", "0", "1", "2", "12", "*"]),
+    st.sampled_from(["", "x", "x^0", "x^2", "x^3", "x^4", "*x"]),
+).map("".join)
+_cubic_texts = st.one_of(
+    st.text(_CUBIC_ALPHABET, max_size=20),
+    st.lists(_cubic_term, max_size=5).map("".join),
+    st.lists(st.from_regex(r"[-+]?[0-9]{1,3}", fullmatch=True), min_size=3, max_size=3).map(
+        ",".join
+    ),
+)
+
+
+@given(_cubic_texts)
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_parse_cubic_fuzz_gives_a_cubic_or_field_analyze_exits_2(capsys, text):
+    """Every draw over the polynomial alphabet parses to a CubicPoly or
+    raises ValueError (ReduciblePolynomialError is one); field-analyze on
+    every rejected draw exits 2 without a traceback."""
+    try:
+        poly = parse_cubic(text)
+    except ValueError:  # ReduciblePolynomialError is a ValueError
+        poly = None
+    if poly is not None:
+        assert isinstance(poly, CubicPoly)
+        return
+    code, out, err = run_cli(capsys, "field-analyze", text)
+    assert code == 2, text
+    assert out == ""
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

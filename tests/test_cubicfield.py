@@ -36,8 +36,9 @@ from polyakit import (
 )
 from polyakit.cubicfield import (
     SearchBudgetExceededError,
-    _contains3,
+    _multiplier_rows,
     element_valuation,
+    has_hensel_form,
     is_p_maximal_dedekind,
     mul_power,
     norm_power,
@@ -492,25 +493,53 @@ def test_index_prime_splitting_nonmonogenic(orders):
 def _walk_valuation(O, q, y):
     """v_q(y) by testing y against q, q^2, ... (reference)."""
     k, power = 0, q.as_integral()  # power = q^(k+1)
-    while _contains3(power.hnf, y):
+    while power.contains(y):
         k += 1
         power = ideal_product(O, power, q.as_integral())
     return k
 
 
+INDEX_9_POLY = "x^3-8x^2-2x-9"
 INDEX_10_POLY = "x^3-12x^2-5x-4"
+VALUATION_POLYS = FIXTURE_POLYS + (INDEX_10_POLY,)
+
+
+def test_valuation_fields_include_a_prime_with_no_hensel_form():
+    """x^3-x^2-2x-8 splits 2 into three index primes: none has a Hensel
+    form, so the multiplier tau values all three."""
+    assert "x^3-x^2-2x-8" in VALUATION_POLYS
+    O = _order_of("x^3-x^2-2x-8")
+    primes = factor_prime(O, 2)
+    assert len(primes) == 3
+    assert not any(has_hensel_form(O, q) for q in primes)
+
+
+@pytest.mark.parametrize("s", FIXTURE_POLYS + (INDEX_9_POLY, INDEX_10_POLY))
+def test_multiplier_tau_contract(s):
+    """For every prime P above p <= 50: tau * P lies in p*O, tau does not,
+    and v_P(tau) = e - 1 by the walk (so v_P(tau / p) = -1)."""
+    O = _order_of(s)
+    for p in primes_up_to(50):
+        for q in factor_prime(O, p):
+            rows = _multiplier_rows(O, p, q.hnf)
+            tau = tuple(sum(O.one[i] * rows[i][k] for i in range(3)) for k in range(3))
+            for w in q.hnf:
+                tau_w = [sum(w[i] * rows[i][k] for i in range(3)) for k in range(3)]
+                assert all(c % p == 0 for c in tau_w), (s, q.label)
+            assert any(c % p for c in tau), (s, q.label)
+            assert _walk_valuation(O, q, tau) == q.e - 1, (s, q.label)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    s=st.sampled_from(FIXTURE_POLYS + (INDEX_10_POLY,)),
+    s=st.sampled_from(VALUATION_POLYS),
     coords=st.tuples(*[st.integers(-30, 30)] * 3).filter(any),
     scale=st.sampled_from((0, 1, 2, 12, 24)),
 )
 def test_element_valuation_matches_power_walk(s, coords, scale):
     """Every prime above every p <= 50: split, ramified, f = 2 and f = 3,
     index primes.  Scaling y by p^12 or p^24 (the Hensel precision K for
-    p >= 16 and p < 16) sends the Hensel kernel to its lattice walk."""
+    p >= 16 and p < 16) sends the Hensel kernel to its fallback tau."""
     O = _order_of(s)
     for p in primes_up_to(50):
         y = tuple(c * p**scale for c in coords)

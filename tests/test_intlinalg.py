@@ -15,6 +15,7 @@ from polyakit.intlinalg import (
     invert3,
     kernel_mod_p,
     lattice_contains,
+    lattice_coordinates,
     lattice_points,
     rref_mod_p,
     smith_normal_form,
@@ -43,6 +44,21 @@ def row_span_mod(rows, vec, bound=4):
         if got == list(vec):
             return True
     return False
+
+
+@given(matrices(2, 4), st.lists(small_int, min_size=4, max_size=4), st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_lattice_coordinates_solve_or_reject(rows, vec, k):
+    """On a rank <= 2 lattice in Z^4, coordinates come back exactly for
+    the members and None otherwise; membership is decided by whether
+    adding vec changes the HNF."""
+    h = hnf_rows(rows, 4)
+    for v in (vec, [k * a + b for a, b in zip(rows[0], rows[1])]):
+        coords = lattice_coordinates(h, v)
+        member = hnf_rows(list(h) + [v], 4) == h
+        assert (coords is not None) == member == lattice_contains(h, v)
+        if member:
+            assert [sum(c * row[j] for c, row in zip(coords, h)) for j in range(4)] == list(v)
 
 
 @given(matrices(4, 3))
