@@ -17,11 +17,13 @@ intlinalg.HermiteBasis: every new relation goes in as soon as it is
 found, the box grows one shell at a time as the radius doubles, so each
 box point is factored once per field, and the scan stops the moment the
 lattice is Z^k.  A presentation only runs the SNF of the lattice's HNF,
-and only when that HNF has changed since the last one.  A point whose
-norm has a gcd of 1 with the product of the factor-base primes'
-rational primes before the norm is used up is rejected without trial
-division; the valuations of the rest come from one cached kernel per
-prime (cubicfield.valuation_kernel: a Hensel linear form, or the rows of
+and only when that HNF has changed since the last one.  The box is
+scanned by lines (`_smooth_points`): along each line the norm is a
+one-variable cubic (cubicfield.norm_line), so no point is built as an
+element before its norm is known.  A point whose norm has a gcd of 1
+with the product of the factor-base primes' rational primes before the
+norm is used up is rejected without trial division; the valuations of
+the rest come from one cached kernel per prime (cubicfield.valuation_kernel: a Hensel linear form, or the rows of
 one multiplier tau with tau*P in p*O), and where a single prime above p
 has no Hensel form its valuation follows from the norm, with no kernel.
 """
@@ -44,12 +46,13 @@ from .cubicfield import (
     has_hensel_form,
     is_principal,
     minkowski_bound,
+    norm_line,
     pi_ideal,
     primes_up_to,
     valuation,
     valuation_kernel,
 )
-from .intlinalg import HermiteBasis, lattice_points, smith_normal_form
+from .intlinalg import HermiteBasis, lattice_lines, smith_normal_form
 
 DEFAULT_HARVEST_RADIUS = 4
 MAX_HARVEST_RADIUS = 48
@@ -120,26 +123,16 @@ def _columns(order: MaximalOrder, index_of, ps):
     return prod(ps), over
 
 
-def _smooth_row(order: MaximalOrder, y, ncols: int, screen: int, over) -> Optional[list[int]]:
-    """Exponent row of the principal ideal (y) over `ncols` prime
-    columns, or None when (y) is not smooth over them.  `screen` and
-    `over` come from `_columns`.
+def _smooth_row(order: MaximalOrder, y, norm: int, ncols: int, over) -> Optional[list[int]]:
+    """Exponent row of the principal ideal (y), of norm `norm` (> 0), over
+    `ncols` prime columns, or None when (y) is not smooth over them.
+    `over` comes from `_columns`.
 
-    Most norms are not smooth, so repeated gcds with `screen` first
-    strip the norm of its smooth part and reject y, without trial
-    division, when a gcd of 1 comes before the remainder reaches 1.
     The exponent v_p of each p in the norm equals the sum of f*v over
     the primes above p (the fundamental identity).  Each v is computed
     from its kernel, except that of the one prime `rest` without a
     Hensel form, when there is one: it is (v_p - the others' sum) / f.
     """
-    norm = abs(order.norm_omega(y))
-    rem, g = norm, gcd(norm, screen)
-    while rem != 1:
-        if g == 1:
-            return None
-        rem //= g
-        g = gcd(rem, g)
     rem = norm
     expo = []
     for p, direct, rest in over:
@@ -177,6 +170,40 @@ def _smooth_row(order: MaximalOrder, y, ncols: int, screen: int, over) -> Option
                 return None
             row[idx] = v
     return row
+
+
+def _smooth_points(order: MaximalOrder, rows, form, caps, skip: int, ncols: int, screen: int, over):
+    """The `_smooth_row` of each point y = c0*rows[0] + c1*rows[1] +
+    c2*rows[2] of the box `lattice_lines(caps, skip)` whose principal
+    ideal is smooth over the columns, in the box's order.  `form` is the
+    norm form of `rows` (MaximalOrder.norm_form); `screen` and `over`
+    come from `_columns`.
+
+    Each norm comes from its line's cubic (norm_line).  Most norms are
+    not smooth, so repeated gcds with `screen` first strip a norm of its
+    smooth part and reject it, without trial division, when a gcd of 1
+    comes before the remainder reaches 1.  Only the norms that pass are
+    built into an element, and a smooth one is checked against
+    norm_omega.
+    """
+    (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = rows
+    for c0, c1, xs in lattice_lines(caps, skip):
+        A, B, C, D = norm_line(form, c0, c1)
+        e0, e1, e2 = c0 * a0 + c1 * b0, c0 * a1 + c1 * b1, c0 * a2 + c1 * b2
+        for x in xs:
+            norm = abs(((A * x + B) * x + C) * x + D)
+            rem, g = norm, gcd(norm, screen)
+            while rem != 1:
+                if g == 1:
+                    break
+                rem //= g
+                g = gcd(rem, g)
+            else:
+                y = (e0 + x * d0, e1 + x * d1, e2 + x * d2)
+                row = _smooth_row(order, y, norm, ncols, over)
+                if row is not None:
+                    assert abs(order.norm_omega(y)) == norm
+                    yield row
 
 
 def _factor_base(order: MaximalOrder) -> tuple[tuple[PrimeIdeal, ...], Fraction]:
@@ -258,9 +285,10 @@ class _Harvest:
         assert radius >= self.radius, "the box only grows"
         order, k, screen, over, lattice = self.order, self.k, self.screen, self.over, self.lattice
         if lattice.det != 1:
-            for y in lattice_points(_IDENTITY, (radius,) * 3, skip=self.radius):
-                row = _smooth_row(order, y, k, screen, over)
-                if row is not None and any(row):
+            box = (radius,) * 3
+            form = order._norm_form_flat
+            for row in _smooth_points(order, _IDENTITY, form, box, self.radius, k, screen, over):
+                if any(row):
                     self._add(tuple(row))
                     if lattice.det == 1:
                         break
@@ -374,10 +402,11 @@ def prime_class_vector(
     index_of = {q.hnf: i for i, q in enumerate(data.fb)}
     index_of[prime.hnf] = k
     screen, over = _columns(order, index_of, {q.p for q in data.fb} | {prime.p})
+    form = order.norm_form(prime.hnf)
     for shell in range(1, EXPRESSION_MAX_SHELL + 1):
-        for y in lattice_points(prime.hnf, (shell,) * 3, skip=shell - 1):
-            row = _smooth_row(order, y, k + 1, screen, over)
-            if row is None or row[k] != 1:
+        box = (shell,) * 3
+        for row in _smooth_points(order, prime.hnf, form, box, shell - 1, k + 1, screen, over):
+            if row[k] != 1:
                 continue
             # (y) = prime * prod fb^row  =>  [prime] = -sum row
             coords = data.snf.neg(data.project_fb_vector(row[:k]))

@@ -27,12 +27,17 @@ from typing import Optional
 from . import modpoly
 from .artin import SplittingType
 from .intlinalg import (
-    det3, hnf_rows, invert3, kernel_mod_p, lattice_contains, lattice_coordinates, lattice_points,
+    det3, hnf_rows, invert3, kernel_mod_p, lattice_contains, lattice_coordinates, lattice_lines,
     rref_mod_p,
 )
 
 DEFAULT_PRIME_BOUND = 200
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# exponents of c0, c1, c2 in the monomial order of MaximalOrder.norm_form
+_MONOMIALS = (
+    (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
+    (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
+)
 
 # Rational upper bound for 4/pi, used in the Minkowski bound so that the
 # factor base can only gain candidate generators, never lose one.
@@ -410,23 +415,20 @@ class MaximalOrder(Order):
     disc_K: int
     index: int
 
-    @cached_property
-    def _norm_form_flat(self) -> tuple[int, ...]:
-        """Norm-form coefficients in the fixed monomial order
-        y0^3, y0^2 y1, y0^2 y2, y0 y1^2, y0 y1 y2, y0 y2^2,
-        y1^3, y1^2 y2, y1 y2^2, y2^3.
+    def norm_form(self, rows) -> tuple[int, ...]:
+        """Coefficients of the ternary cubic form
+        F(c) = N(c0*rows[0] + c1*rows[1] + c2*rows[2]) in the fixed
+        monomial order c0^3, c0^2 c1, c0^2 c2, c0 c1^2, c0 c1 c2,
+        c0 c2^2, c1^3, c1^2 c2, c1 c2^2, c2^3 (`rows` in integral-basis
+        coordinates).
 
         The norm is the determinant of multiplication-by-y, whose row j
-        is sum_i y_i * table[i][j].  The determinant is linear in each
-        row, so the coefficient of y_a y_b y_c collects
-        det(table[a][0], table[b][1], table[c][2]) over the orderings of
-        a, b, c."""
-        table = self.mult_table
-        monomials = (
-            (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
-            (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
-        )
-        coeffs = dict.fromkeys(monomials, 0)
+        is sum_t c_t * M_t[j] with M_t[j] the coordinates of
+        rows[t] * omega_j.  The determinant is linear in each row, so
+        the coefficient of c_a c_b c_c collects
+        det(M_a[0], M_b[1], M_c[2]) over the orderings of a, b, c."""
+        mats = [[self.omega_mul(r, e) for e in _UNITS] for r in rows]
+        coeffs = dict.fromkeys(_MONOMIALS, 0)
         for a in range(3):
             for b in range(3):
                 for c in range(3):
@@ -434,8 +436,14 @@ class MaximalOrder(Order):
                     e[a] += 1
                     e[b] += 1
                     e[c] += 1
-                    coeffs[tuple(e)] += det3((table[a][0], table[b][1], table[c][2]))
-        return tuple(coeffs[m] for m in monomials)
+                    coeffs[tuple(e)] += det3((mats[a][0], mats[b][1], mats[c][2]))
+        return tuple(coeffs[m] for m in _MONOMIALS)
+
+    @cached_property
+    def _norm_form_flat(self) -> tuple[int, ...]:
+        """The norm form on the integral basis itself, in the variables
+        y0, y1, y2 (see norm_form)."""
+        return self.norm_form(_UNITS)
 
     def norm_omega(self, y) -> int:
         """Field norm of an order element in integral-basis coordinates."""
@@ -476,6 +484,22 @@ class MaximalOrder(Order):
             [sum(self.basis_num[i][k] / self.den * root**k for k in range(3)) for i in range(3)]
             for root in roots
         ]
+
+
+def norm_line(form, c0: int, c1: int) -> tuple[int, int, int, int]:
+    """(A, B, C, D) with F(c0, c1, x) = ((A*x + B)*x + C)*x + D for the
+    norm form F whose coefficients `form` are in MaximalOrder.norm_form's
+    monomial order: the norm along the line of c2 through (c0, c1).  A
+    does not depend on the line; B is linear, C quadratic and D cubic in
+    (c0, c1)."""
+    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = form
+    s1 = c1 * c1
+    return (
+        k9,
+        k5 * c0 + k8 * c1,
+        (k2 * c0 + k4 * c1) * c0 + k7 * s1,
+        ((k0 * c0 + k1 * c1) * c0 + k3 * s1) * c0 + k6 * s1 * c1,
+    )
 
 
 def cubic_roots(poly: CubicPoly) -> list[complex]:
@@ -755,9 +779,12 @@ def _multiplier_rows(order: MaximalOrder, p: int, hnf) -> tuple:
 
 
 def _tau_valuation(p: int, rows, y) -> int:
-    """v_P(y) for a nonzero y, from P's `_multiplier_rows`."""
+    """v_P(y) for a nonzero y, from P's `_multiplier_rows`; a zero y,
+    which every power of P holds, raises ValueError."""
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
     y0, y1, y2 = y
+    if not (y0 or y1 or y2):
+        raise ValueError("zero element")
     v = 0
     while True:
         z0 = y0 * a0 + y1 * b0 + y2 * c0
@@ -818,7 +845,8 @@ def valuation_kernel(order: MaximalOrder, prime: PrimeIdeal) -> tuple:
 
 
 def valuation(order: MaximalOrder, kernel: tuple, y) -> int:
-    """v_P((y)) for a nonzero order element y, from P's valuation_kernel."""
+    """v_P((y)) for a nonzero order element y, from P's valuation_kernel;
+    a zero y raises ValueError (a Hensel form meets it as t = 0)."""
     p, lin, pK, hnf, rows = kernel
     if lin is not None:
         t = (y[0] * lin[0] + y[1] * lin[1] + y[2] * lin[2]) % pK
@@ -837,8 +865,6 @@ def valuation(order: MaximalOrder, kernel: tuple, y) -> int:
 def element_valuation(order: MaximalOrder, y, prime: PrimeIdeal) -> int:
     """v_P of the principal ideal (y): the largest k with y in P^k
     (see valuation_kernel)."""
-    if all(a == 0 for a in y):
-        raise ValueError("zero element")
     return valuation(order, valuation_kernel(order, prime), y)
 
 
@@ -974,8 +1000,9 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
 
     Away from the index this is splitting the polynomial mod p; at index
     primes the maximal ideals of O/pO are computed from its radical, and
-    each exponent is e = v_P(p), read off P's multiplier tau.  Results
-    are cached on the order.
+    each exponent is e = v_P(p), read off P's multiplier tau; that tau
+    is P's valuation kernel, so it goes into the order's kernel cache.
+    Results are cached on the order.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -1007,7 +1034,10 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
         ):
             mat = _prime_from_subspace(order, p, ideal_rows_sub)
             f = _exact_prime_log(det3(mat), p)
-            e = _tau_valuation(p, _multiplier_rows(order, p, mat), tuple(p * c for c in one))
+            rows = _multiplier_rows(order, p, mat)
+            e = _tau_valuation(p, rows, tuple(p * c for c in one))
+            # p divides the index, so valuation_kernel would build these rows
+            order._valuation_cache[mat] = (p, None, None, mat, rows)
             entries.append((f, mat, None, e))
 
     entries.sort(key=lambda t: (t[0], t[1]))
@@ -1095,6 +1125,13 @@ def is_principal(
     never reported as None.  The search visits one element of each pair
     +-y (y generates I exactly when -y does), in the order of the full
     box scan, so it returns the generator that scan would find first.
+
+    The box is scanned by lines (intlinalg.lattice_lines): with the
+    first two HNF coordinates fixed, the norm form of I's basis is a
+    cubic in the third (norm_line), evaluated over the whole line at
+    once, and a line without a value +-norm(I) is rejected as a whole.
+    Only the hit is built as an element, and checked against norm_omega
+    and the ideal it generates.
     """
     m = I.norm
     n = I.scalar_generator()
@@ -1122,8 +1159,15 @@ def is_principal(
             f"enumeration region of {volume} points exceeds ceiling {max_candidates}"
         )
 
-    for y in lattice_points(rows, caps):
-        if abs(order.norm_omega(y)) == m:
+    form = order.norm_form(rows)
+    r0, r1, r2 = rows
+    for c0, c1, xs in lattice_lines(caps):
+        A, B, C, D = norm_line(form, c0, c1)
+        vals = [((A * x + B) * x + C) * x + D for x in xs]
+        if m in vals or -m in vals:
+            x = next(x for x, v in zip(xs, vals) if v == m or v == -m)
+            y = tuple(c0 * a + c1 * b + x * d for a, b, d in zip(r0, r1, r2))
+            assert abs(order.norm_omega(y)) == m
             assert element_ideal(order, y) == I
             return y
     return None

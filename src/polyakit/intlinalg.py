@@ -1,5 +1,9 @@
 """Exact integer and mod-p linear algebra: HNF, SNF, kernels, and the
-enumeration of rank-3 lattice points in a coefficient box.
+enumeration of a rank-3 coefficient box line by line (`lattice_lines`:
+the first two coefficients fixed, the third running over the line), so
+that a caller can evaluate a function of the point, such as a norm form,
+along a whole line at once; `lattice_points` is the same box point by
+point.
 
 Everything here works on plain Python ints (arbitrary precision) and
 dense matrices given as sequences of rows.  No external dependencies.
@@ -226,27 +230,41 @@ def _zigzag(cap: int, lo: int = 0, nonneg: bool = False):
             yield -v
 
 
-def lattice_points(rows, caps, skip: int = -1):
-    """Nonzero points y = c0*rows[0] + c1*rows[1] + c2*rows[2] with
-    |c_t| <= caps[t] and max |c_t| > skip, one of each pair +-y: the one
-    whose first nonzero c_t is positive.
+def lattice_lines(caps, skip: int = -1):
+    """The box |c_t| <= caps[t] with max |c_t| > skip, one of each pair
+    +-c (the one whose first nonzero c_t is positive), as lines: triples
+    (c0, c1, xs) with xs the tuple of c2 values on the line (c0, c1),
+    which may be shared with other lines.  Lines with no c2 value left
+    are left out.
 
     c0 is the outermost loop and each c_t runs 0, 1, -1, 2, -2, ..., so
-    the points come in the full box's nested order with the other half
-    of each pair left out.
+    flattening the lines gives the full box's nested order with the
+    other half of each pair left out.  A caller that fixes c0 and c1 can
+    treat a function of c as one of c2 alone along each line.
     """
-    (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = rows
     floor = max(skip, 0)
+    # c2 alone must lift max |c_t| above skip, and above 0
+    every = tuple(_zigzag(caps[2]))
+    outside = tuple(_zigzag(caps[2], floor + 1))
+    first = tuple(_zigzag(caps[2], floor + 1, nonneg=True))
     for c0 in _zigzag(caps[0], nonneg=True):
         for c1 in _zigzag(caps[1], nonneg=c0 == 0):
-            # c2 alone must lift max |c_t| above skip, and above 0
-            lo = 0 if max(c0, abs(c1)) > floor else floor + 1
-            for c2 in _zigzag(caps[2], lo, nonneg=c0 == c1 == 0):
-                yield (
-                    c0 * a0 + c1 * b0 + c2 * d0,
-                    c0 * a1 + c1 * b1 + c2 * d1,
-                    c0 * a2 + c1 * b2 + c2 * d2,
-                )
+            if max(c0, abs(c1)) > floor:
+                xs = every
+            else:
+                xs = outside if c0 or c1 else first
+            if xs:
+                yield c0, c1, xs
+
+
+def lattice_points(rows, caps, skip: int = -1):
+    """Nonzero points y = c0*rows[0] + c1*rows[1] + c2*rows[2] over the
+    coefficients c of `lattice_lines(caps, skip)`, in its order."""
+    (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = rows
+    for c0, c1, xs in lattice_lines(caps, skip):
+        e0, e1, e2 = c0 * a0 + c1 * b0, c0 * a1 + c1 * b1, c0 * a2 + c1 * b2
+        for c2 in xs:
+            yield e0 + c2 * d0, e1 + c2 * d1, e2 + c2 * d2
 
 
 def smith_normal_form(rows, ncols: int):

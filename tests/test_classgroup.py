@@ -37,7 +37,7 @@ from polyakit import (
 from polyakit import classgroup
 from polyakit.classgroup import PolyaReport
 from polyakit.cubicfield import element_valuation, primes_up_to
-from polyakit.intlinalg import hnf_rows
+from polyakit.intlinalg import hnf_rows, lattice_points
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
 
@@ -422,12 +422,13 @@ def test_shell_harvest_matches_full_box_loop(monkeypatch, s, budget, genuine_pro
         presented.append(args)
         return present(*args)
 
-    points, scanned = classgroup.lattice_points, []
+    lines, scanned = classgroup.lattice_lines, []
 
-    def recording_points(rows, caps, skip=-1):
-        for y in points(rows, caps, skip):
-            scanned.append((caps, y))
-            yield y
+    def recording_lines(caps, skip=-1):
+        # the harvest scans the identity basis, so c is the point itself
+        for c0, c1, xs in lines(caps, skip):
+            scanned.extend((caps, (c0, c1, x)) for x in xs)
+            yield c0, c1, xs
 
     monkeypatch.setattr(classgroup, "_present", counting_present)
     reference_calls, calls = [], []
@@ -438,7 +439,7 @@ def test_shell_harvest_matches_full_box_loop(monkeypatch, s, budget, genuine_pro
     reusable = []
     expected = _full_box_class_group(order, budget, reusable)
     reference_presented, presented[:] = presented[:], []
-    monkeypatch.setattr(classgroup, "lattice_points", recording_points)
+    monkeypatch.setattr(classgroup, "lattice_lines", recording_lines)
     if genuine_probe:
         monkeypatch.setattr(
             classgroup, "_probe_certificates", _one_genuine_certificate(probe, calls)
@@ -504,8 +505,8 @@ def _walked_row(order, y, index_of, ps, powers):
 def test_norm_derived_valuations_match_the_walk():
     """On a fixed slice of box-12 fields whose factor base has a prime
     valued from the norm (inert, f = 2, ramified or above an index
-    prime), _smooth_row agrees with the full walk on every point of the
-    radius-4 box."""
+    prime), the line scan of the radius-4 box yields the walked rows
+    that are not None, in the box's order."""
     fields = 0
     for a2, a1, a0 in itertools.islice(itertools.product(range(-12, 13), repeat=3), 0, None, 151):
         try:
@@ -520,10 +521,15 @@ def test_norm_derived_valuations_match_the_walk():
             continue
         fields += 1
         powers = {}
-        for y in itertools.product(range(-4, 5), repeat=3):
-            if y > tuple(-a for a in y):
-                got = classgroup._smooth_row(order, y, len(fb), screen, over)
-                assert got == _walked_row(order, y, index_of, ps, powers), (a2, a1, a0, y)
+        walked = (
+            _walked_row(order, y, index_of, ps, powers)
+            for y in lattice_points(classgroup._IDENTITY, (4, 4, 4))
+        )
+        form = order.norm_form(classgroup._IDENTITY)
+        got = classgroup._smooth_points(
+            order, classgroup._IDENTITY, form, (4, 4, 4), -1, len(fb), screen, over
+        )
+        assert list(got) == [row for row in walked if row is not None], (a2, a1, a0)
     assert fields == 84
 
 
@@ -560,14 +566,14 @@ def test_norm_derived_valuation_rejects_a_broken_identity():
     order = _order_of("x^3-2")
     fb, _ = classgroup._factor_base(order)
     index_of = {prime.hnf: i for i, prime in enumerate(fb)}
-    screen, over = classgroup._columns(order, index_of, {prime.p for prime in fb})
+    _, over = classgroup._columns(order, index_of, {prime.p for prime in fb})
     p, direct, (f, idx) = next(t for t in over if t[2] is not None)
     assert (direct, f) == ([], 1)  # p is totally ramified in Q(2^(1/3))
     broken = [(q, w, (2, r[1]) if r else r) for q, w, r in over]
     y = tuple(p * c for c in order.one)  # N(p) = p^3, and 2 does not divide 3
-    assert classgroup._smooth_row(order, y, len(fb), screen, over) is not None
+    assert classgroup._smooth_row(order, y, p**3, len(fb), over) is not None
     with pytest.raises(AssertionError, match="break the norm"):
-        classgroup._smooth_row(order, y, len(fb), screen, broken)
+        classgroup._smooth_row(order, y, p**3, len(fb), broken)
 
 
 @settings(max_examples=60, deadline=None)
@@ -591,7 +597,6 @@ def test_smooth_row_matches_trial_division(s, coords, extra_column):
         index_of[target.hnf] = len(fb)
         ps.add(target.p)
         y = tuple(sum(c * r[j] for c, r in zip(coords, target.hnf)) for j in range(3))
-    got = classgroup._smooth_row(
-        order, y, len(index_of), *classgroup._columns(order, index_of, ps)
-    )
+    _, over = classgroup._columns(order, index_of, ps)
+    got = classgroup._smooth_row(order, y, abs(order.norm_omega(y)), len(index_of), over)
     assert got == _reference_row(order, y, index_of, ps)

@@ -387,6 +387,8 @@ GOLDEN_RUNS = (
     ("field-analyze", "x^3+4x-1", "--witnesses"),
     ("field-analyze", "x^3+8x-6"),
     ("field-analyze", "x^3-21x^2+19x+16"),
+    ("field-analyze", "x^3+8x-6", "--witnesses"),
+    ("field-analyze", "x^3-12x-5", "--witnesses"),
     ("survey", "--coeff-bound", "3"),
     ("group-check", "--family", "S", "--n", "3..8"),
     ("group-check", "--family", "A", "--n", "3..8"),

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyakit import (
@@ -34,6 +34,7 @@ from polyakit import (
     pi_ideal,
     splitting_census,
 )
+from polyakit import cubicfield
 from polyakit.cubicfield import (
     SearchBudgetExceededError,
     _multiplier_rows,
@@ -41,11 +42,14 @@ from polyakit.cubicfield import (
     has_hensel_form,
     is_p_maximal_dedekind,
     mul_power,
+    norm_line,
     norm_power,
     power_sums,
     primes_up_to,
+    valuation,
+    valuation_kernel,
 )
-from polyakit.intlinalg import det3, invert3
+from polyakit.intlinalg import det3, invert3, lattice_lines
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
 
@@ -201,6 +205,31 @@ def test_norm_omega_matches_expanded_form(s, y):
         y0 * y2**2, y1**3, y1**2 * y2, y1 * y2**2, y2**3,
     )
     assert _order_of(s).norm_omega(y) == sum(ci * m for ci, m in zip(c, monomials))
+
+
+@given(
+    s=st.sampled_from(FIXTURE_POLYS + ("x^3-12x-5",)),
+    p=st.sampled_from(primes_up_to(50)),
+    y=st.tuples(*[st.integers(-30, 30)] * 3),
+    caps=st.tuples(*[st.integers(0, 3)] * 3),
+)
+@settings(max_examples=80, deadline=None)
+def test_norm_lines_match_norm_omega(s, p, y, caps):
+    """On the basis of Pi_{p^f} (every f above p) or of (y) when y != 0,
+    each line's cubic gives norm_omega of every point on the line."""
+    O = _order_of(s)
+    if any(y):
+        ideals = [element_ideal(O, y)]
+    else:
+        ideals = [pi_ideal(O, p**f) for f in sorted({q.f for q in factor_prime(O, p)})]
+    for I in ideals:
+        form = O.norm_form(I.hnf)
+        r0, r1, r2 = I.hnf
+        for c0, c1, xs in lattice_lines(caps):
+            A, B, C, D = norm_line(form, c0, c1)
+            for x in xs:
+                point = tuple(c0 * a + c1 * b + x * d for a, b, d in zip(r0, r1, r2))
+                assert ((A * x + B) * x + C) * x + D == O.norm_omega(point), (I, c0, c1, x)
 
 
 def test_power_sums_newton():
@@ -547,6 +576,41 @@ def test_element_valuation_matches_power_walk(s, coords, scale):
             assert element_valuation(O, y, q) == _walk_valuation(O, q, y), (s, p, q.label)
 
 
+@pytest.mark.parametrize("s, p", [("x^3-x^2-2x-8", 2), ("x^3-2", 5)])
+def test_valuation_of_zero_raises(s, p):
+    """Zero lies in every power of P, so no valuation exists: the tau path
+    (the index primes above 2) and the Hensel path, which meets zero as
+    t = 0, both raise."""
+    O = _order_of(s)
+    primes = factor_prime(O, p)
+    assert any(has_hensel_form(O, q) for q in primes) == (s == "x^3-2")
+    for q in primes:
+        with pytest.raises(ValueError, match="zero element"):
+            valuation(O, valuation_kernel(O, q), (0, 0, 0))
+
+
+@pytest.mark.parametrize("s", ["x^3-x^2-2x-8", INDEX_10_POLY])
+def test_index_prime_multiplier_built_once(monkeypatch, s):
+    """factor_prime's tau at an index prime is the prime's valuation
+    kernel: valuation_kernel builds no second one."""
+    O = maximal_order(parse_cubic(s))  # fresh: empty prime and kernel caches
+    calls = []
+
+    def spy(order, p, hnf):
+        calls.append(hnf)
+        return _multiplier_rows(order, p, hnf)
+
+    monkeypatch.setattr(cubicfield, "_multiplier_rows", spy)
+    index_primes = [p for p in primes_up_to(50) if O.index % p == 0]
+    assert index_primes
+    for p in index_primes:
+        primes = factor_prime(O, p)
+        kernels = [valuation_kernel(O, q) for q in primes]
+        assert sorted(calls) == sorted(q.hnf for q in primes), (s, p)
+        assert all(kernel[4] is not None for kernel in kernels)
+        calls.clear()
+
+
 def test_hensel_valuation_agrees_with_lattice_walk(orders):
     rng = random.Random(3)
     for s in FIXTURE_POLYS:
@@ -771,6 +835,39 @@ def test_is_principal_returns_the_full_box_first_generator(s):
             for search_args in ((2.0, 400000), (1.3, 8000)):
                 want = outcome(_full_box_generator, I, *search_args)
                 assert outcome(is_principal, I, *search_args) == want, (p, f, search_args)
+
+
+def _nongalois_field(t):
+    try:
+        poly = CubicPoly(*t)
+    except ReduciblePolynomialError:
+        return None
+    return None if poly.is_galois() else poly
+
+
+@given(
+    poly=st.tuples(*[st.integers(-12, 12)] * 3).map(_nongalois_field).filter(bool),
+    p=st.sampled_from(primes_up_to(50)),
+    y=st.tuples(*[st.integers(-6, 6)] * 3).filter(any),
+    search_args=st.sampled_from(((2.0, 100000), (1.3, 8000), (3.0, 100000))),
+)
+@settings(max_examples=30, deadline=None)
+def test_is_principal_matches_the_full_scan_on_drawn_fields(poly, p, y, search_args):
+    """On box-12 non-Galois fields, every Pi_{p^f} above p and the
+    principal ideal (y), whose generators lie deep in the box: the same
+    outcome as the full scan, None and the budget error included."""
+    O = maximal_order(poly)
+    assume(abs(O.norm_omega(y)) > 1)  # (y) = O is the scalar case
+
+    def outcome(search, I):
+        try:
+            return search(O, I, *search_args)
+        except SearchBudgetExceededError:
+            return "over budget"
+
+    ideals = [pi_ideal(O, p**f) for f in sorted({q.f for q in factor_prime(O, p)})]
+    for I in ideals + [element_ideal(O, y)]:
+        assert outcome(is_principal, I) == outcome(_full_box_generator, I), (poly, I.hnf)
 
 
 def test_is_principal_budget_signal(orders):

@@ -16,6 +16,7 @@ from polyakit.intlinalg import (
     kernel_mod_p,
     lattice_contains,
     lattice_coordinates,
+    lattice_lines,
     lattice_points,
     rref_mod_p,
     smith_normal_form,
@@ -368,3 +369,20 @@ def test_lattice_points_contract(caps, skip):
         if any(c) and max(map(abs, c)) > skip and next(a for a in c if a) > 0
     ]
     assert got == kept
+
+
+@pytest.mark.parametrize("caps", [(2, 1, 3), (0, 2, 1), (1, 0, 2), (2, 2, 0), (1, 1, 1)])
+@pytest.mark.parametrize("skip", [-1, 0, 1, 2])
+def test_lattice_lines_flatten_to_lattice_points(caps, skip):
+    """The lines, flattened, are the kept coefficients of the full box in
+    its order, and mapped through the rows they are lattice_points."""
+    flat = [(c0, c1, c2) for c0, c1, xs in lattice_lines(caps, skip) for c2 in xs]
+    kept = [
+        c
+        for c, _ in _full_box(LATTICE_ROWS, caps)
+        if any(c) and max(map(abs, c)) > skip and next(a for a in c if a) > 0
+    ]
+    assert flat == kept
+    points = [tuple(sum(c[t] * LATTICE_ROWS[t][i] for t in range(3)) for i in range(3)) for c in flat]
+    assert points == list(lattice_points(LATTICE_ROWS, caps, skip))
+    assert all(xs for _, _, xs in lattice_lines(caps, skip))  # no empty line
