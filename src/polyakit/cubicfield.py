@@ -4,9 +4,9 @@ Orders, ideals and primes are integer-only: a maximal order is built by
 repeated radical/multiplier enlargement at primes whose square divides
 the polynomial discriminant, every order carries an integer
 multiplication table on its basis, ideals are integer lattices in
-Hermite normal form on the integral basis, and primes come from
-splitting the polynomial mod p or, at index primes, from the radical of
-O/pO.  Rationals appear only where the quantity is one: the Minkowski
+Hermite normal form on the integral basis, and primes come in closed
+form from the roots of the polynomial mod p or, at index primes, from
+the radical of O/pO.  Rationals appear only where the quantity is one: the Minkowski
 bound and splitting frequencies.  The class group built on this layer
 lives in classgroup.py.
 
@@ -32,6 +32,10 @@ from .intlinalg import (
 )
 
 DEFAULT_PRIME_BOUND = 200
+# factor_prime tries every residue for a root of f mod p below this p and
+# calls modpoly.roots_mod_p from it on: both take ~0.23 ms a cubic near
+# p = 1400 (Python 3.11 on a 2-core x86-64 machine).
+_ROOT_SCAN_LIMIT = 1400
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # exponents of c0, c1, c2 in the monomial order of MaximalOrder.norm_form
 _MONOMIALS = (
@@ -291,23 +295,6 @@ def mul_power(u, v, poly: CubicPoly):
     )
 
 
-def norm_power(u, poly: CubicPoly):
-    """Field norm of an element given in power-basis coordinates."""
-    row1 = mul_power(u, (0, 1, 0), poly)
-    row2 = mul_power(row1, (0, 1, 0), poly)
-    return det3([list(u), list(row1), list(row2)])
-
-
-def power_sums(poly: CubicPoly, upto: int = 4) -> list[int]:
-    """Traces of theta^k for k = 0..upto via Newton's identities."""
-    a2, a1, a0 = poly.a2, poly.a1, poly.a0
-    p = [3, -a2, a2 * a2 - 2 * a1]
-    while len(p) <= upto:
-        k = len(p)
-        p.append(-(a2 * p[k - 1] + a1 * p[k - 2] + a0 * p[k - 3]))
-    return p[: upto + 1]
-
-
 # ---------------------------------------------------------------------------
 # Orders
 
@@ -454,17 +441,6 @@ class MaximalOrder(Order):
         quad = y1 * (c[3] * y1 + c[4] * y2) + c[5] * s2
         tail = ((c[6] * y1 + c[7] * y2) * y1 + c[8] * s2) * y1 + c[9] * s2 * y2
         return ((c[0] * y0 + c[1] * y1 + c[2] * y2) * y0 + quad) * y0 + tail
-
-    def poly_of_theta_omega(self, coeffs) -> tuple[int, int, int]:
-        """Integral-basis coordinates of g(theta) for integer g (low first)."""
-        acc = (0, 0, 0)
-        power = (1, 0, 0)
-        theta = (0, 1, 0)
-        for c in coeffs:
-            if c:
-                acc = tuple(a + c * b for a, b in zip(acc, power))
-            power = mul_power(power, theta, self.poly)
-        return self.to_omega_int(acc)
 
     @cached_property
     def _prime_cache(self) -> dict:
@@ -626,34 +602,6 @@ def maximal_order(poly: CubicPoly) -> MaximalOrder:
         if name in vars(order):
             vars(maximal)[name] = vars(order)[name]
     return maximal
-
-
-def is_p_maximal_dedekind(poly: CubicPoly, p: int) -> bool:
-    """Dedekind's criterion at p for the equation order Z[theta]; an
-    independent cross-check of the enlargement loop."""
-    f = [c % p for c in poly.coefficients()]
-    factors = modpoly.factor_monic_cubic(f, p)
-    gstar = (1,)
-    hstar = (1,)
-    for g, e in factors:
-        gstar = modpoly.pmul(gstar, g, p)
-        for _ in range(e - 1):
-            hstar = modpoly.pmul(hstar, g, p)
-    # integer lift product minus f, divided by p
-    def lift(a):
-        return [int(c) for c in a]
-
-    gl, hl = lift(gstar), lift(hstar)
-    prod = [0] * (len(gl) + len(hl) - 1)
-    for i, a in enumerate(gl):
-        for j, b in enumerate(hl):
-            prod[i + j] += a * b
-    fc = list(poly.coefficients())
-    big = [a - b for a, b in zip(prod + [0] * (4 - len(prod)), fc)]
-    assert all(c % p == 0 for c in big)
-    F = tuple((c // p) % p for c in big)
-    d = modpoly.pgcd(modpoly.pgcd(F, gstar, p), hstar, p)
-    return modpoly.pdeg(d) <= 0
 
 
 # ---------------------------------------------------------------------------
@@ -995,14 +943,46 @@ def _quotient_maximal_ideals(p, dim, mul, one, ideal_rows, pivots):
     return out
 
 
+def _kernel_of_form(p: int, l) -> tuple:
+    """HNF of {y : y . l = 0 mod p} for l nonzero mod p (index p)."""
+    l0, l1, l2 = l
+    if l2:
+        inv = pow(l2, -1, p)
+        return ((1, 0, -l0 * inv % p), (0, 1, -l1 * inv % p), (0, 0, p))
+    if l1:
+        return ((1, -l0 * pow(l1, -1, p) % p, 0), (0, p, 0), (0, 0, 1))
+    return ((p, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _span_mod_p(p: int, v) -> tuple:
+    """HNF of p*Z^3 + Z*v for v nonzero mod p (index p^2)."""
+    v0, v1, v2 = v
+    if v0:
+        inv = pow(v0, -1, p)
+        return ((1, v1 * inv % p, v2 * inv % p), (0, p, 0), (0, 0, p))
+    if v1:
+        return ((p, 0, 0), (0, 1, v2 * pow(v1, -1, p) % p), (0, 0, p))
+    return ((p, 0, 0), (0, p, 0), (0, 0, 1))
+
+
 def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
     """Primes above p with ramification exponents: p*O = prod p_i^{e_i}.
 
-    Away from the index this is splitting the polynomial mod p; at index
-    primes the maximal ideals of O/pO are computed from its radical, and
-    each exponent is e = v_P(p), read off P's multiplier tau; that tau
-    is P's valuation kernel, so it goes into the order's kernel cache.
-    Results are cached on the order.
+    Away from the index O/pO is F_p[x]/(f mod p) (Dedekind-Kummer;
+    Cohen, GTM 138, 4.8.2), and every prime is built from a root of
+    f mod p with no polynomial factoring.  A root r gives the degree-1
+    prime ker(O -> F_p, theta -> r): the kernel mod p of the form
+    l_i = b_i0 + b_i1 r + b_i2 r^2 on the basis numerators b (den is a
+    p-unit there), with e the multiplicity of r.  A single simple root
+    leaves an irreducible cofactor g = x^2 + g1 x + g0; reducing
+    theta^2 to -g0 - g1 theta turns O -> F_p[x]/(g) into two forms u, w,
+    and the degree-2 prime is p*Z^3 + Z*(u x w).  No root means p is
+    inert.  The generator_poly is x - r, g or f mod p.
+
+    At index primes the maximal ideals of O/pO are computed from its
+    radical, and each exponent is e = v_P(p), read off P's multiplier
+    tau; that tau is P's valuation kernel, so it goes into the order's
+    kernel cache.  Results are cached on the order.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -1011,16 +991,34 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
     if got is not None:
         return got
 
-    entries = []  # (f, hnf, gen_poly or None)
+    entries = []  # (f, hnf, gen_poly or None, e)
     if order.index % p:
-        fbar = [c % p for c in order.poly.coefficients()]
-        for g, e in modpoly.factor_monic_cubic(fbar, p):
-            f = modpoly.pdeg(g)
-            gtheta = order.poly_of_theta_omega([int(c) for c in g])
-            rows = [[p * int(i == j) for j in range(3)] for i in range(3)]
-            rows += [order.omega_mul(gtheta, e) for e in _UNITS]
-            mat = hnf_rows(rows, 3)
-            entries.append((f, mat, tuple(int(c) for c in g), e))
+        a0, a1, a2, _ = (c % p for c in order.poly.coefficients())
+        if p < _ROOT_SCAN_LIMIT:
+            roots = [x for x in range(p) if not (((x + a2) * x + a1) * x + a0) % p]
+        else:
+            roots = modpoly.roots_mod_p((a0, a1, a2, 1), p)
+        basis = order.basis_num
+        for r in roots:
+            # f = (x - r)(x^2 + g1 x + g0) mod p, by synthetic division
+            g1 = (a2 + r) % p
+            g0 = (a1 + r * g1) % p
+            e = 1
+            if not (r * r + g1 * r + g0) % p:
+                e = 3 if not (2 * r + g1) % p else 2
+            form = [(b0 + (b1 + b2 * r) * r) % p for b0, b1, b2 in basis]
+            entries.append((1, _kernel_of_form(p, form), ((-r) % p, 1), e))
+        if not roots:
+            entries.append((3, ((p, 0, 0), (0, p, 0), (0, 0, p)), (a0, a1, a2, 1), 1))
+        elif len(roots) == 1 and e == 1:  # the cofactor g is irreducible
+            u = [(b0 - b2 * g0) % p for b0, b1, b2 in basis]
+            w = [(b1 - b2 * g1) % p for b0, b1, b2 in basis]
+            v = (
+                (u[1] * w[2] - u[2] * w[1]) % p,
+                (u[2] * w[0] - u[0] * w[2]) % p,
+                (u[0] * w[1] - u[1] * w[0]) % p,
+            )
+            entries.append((2, _span_mod_p(p, v), (g0, g1, 1), 1))
     else:
         one = order.one
 

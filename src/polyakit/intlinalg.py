@@ -2,8 +2,7 @@
 enumeration of a rank-3 coefficient box line by line (`lattice_lines`:
 the first two coefficients fixed, the third running over the line), so
 that a caller can evaluate a function of the point, such as a norm form,
-along a whole line at once; `lattice_points` is the same box point by
-point.
+along a whole line at once.
 
 Everything here works on plain Python ints (arbitrary precision) and
 dense matrices given as sequences of rows.  No external dependencies.
@@ -255,16 +254,6 @@ def lattice_lines(caps, skip: int = -1):
                 xs = outside if c0 or c1 else first
             if xs:
                 yield c0, c1, xs
-
-
-def lattice_points(rows, caps, skip: int = -1):
-    """Nonzero points y = c0*rows[0] + c1*rows[1] + c2*rows[2] over the
-    coefficients c of `lattice_lines(caps, skip)`, in its order."""
-    (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = rows
-    for c0, c1, xs in lattice_lines(caps, skip):
-        e0, e1, e2 = c0 * a0 + c1 * b0, c0 * a1 + c1 * b1, c0 * a2 + c1 * b2
-        for c2 in xs:
-            yield e0 + c2 * d0, e1 + c2 * d1, e2 + c2 * d2
 
 
 def smith_normal_form(rows, ncols: int):

@@ -1,11 +1,13 @@
 """Monic polynomial arithmetic over GF(p) for degree <= 3.
 
 Polynomials are coefficient tuples, low degree first, always reduced
-mod p with no trailing zeros (the zero polynomial is ()).  The only
-consumer is prime splitting in cubic orders, so factorization is
-specialized to cubics: root counting via gcd with x^p - x, root
-extraction via equal-degree splitting with a deterministic shift sweep,
-multiplicities by division.
+mod p with no trailing zeros (the zero polynomial is ()).  Roots are
+counted by a gcd with x^p - x and extracted by equal-degree splitting
+with a deterministic shift sweep; multiplicities come from division.
+The consumers are in cubicfield: `factor_monic_small` splits the etale
+algebra O/pO at index primes, `roots_mod_p` finds the roots of f mod p
+for factor_prime at large p (small p are scanned there), and
+`distinct_root_count` gives the splitting census its patterns.
 """
 
 from __future__ import annotations

@@ -29,6 +29,10 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 DEFAULT_CLOSURE_CEILING = 10**6
+# The largest degree parse_group_file accepts: every element is a
+# degree-length tuple, so a closure ceiling of 10^6 alone would still let
+# one degree line build million-entry tuples.
+MAX_GROUP_DEGREE = 1000
 
 
 class GroupTooLargeError(RuntimeError):
@@ -742,9 +746,10 @@ def parse_group_file(text: str, ceiling: int = DEFAULT_CLOSURE_CEILING) -> PermG
     """Parse the group-presentation text format: a ``degree=<n>`` line
     followed by one generator per line in 1-indexed cycle notation.
 
-    A degree above `ceiling` raises GroupTooLargeError before any
-    generator is parsed: every element the closure builds is a
-    degree-length tuple, so the degree is bounded like the order."""
+    A degree above MAX_GROUP_DEGREE or above `ceiling` raises
+    GroupTooLargeError before any generator is parsed: every element the
+    closure builds is a degree-length tuple, so the degree is bounded
+    like the order, and far below the default ceiling."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].replace(" ", "").startswith("degree="):
@@ -753,6 +758,8 @@ def parse_group_file(text: str, ceiling: int = DEFAULT_CLOSURE_CEILING) -> PermG
         degree = int(lines[0].split("=", 1)[1])
     except ValueError as exc:
         raise ValueError("bad degree line") from exc
+    if degree > MAX_GROUP_DEGREE:
+        raise GroupTooLargeError(f"degree {degree} exceeds the degree cap {MAX_GROUP_DEGREE}")
     if degree > ceiling:
         raise GroupTooLargeError(f"degree {degree} exceeds closure ceiling {ceiling}")
     gens = [parse_perm(ln, degree) for ln in lines[1:]]

@@ -1,0 +1,96 @@
+"""Reference arithmetic that only the tests use: independent routes to
+quantities that polyakit computes another way.
+
+- `norm_power` and `power_sums`: norms and traces in the power basis.
+- `is_p_maximal_dedekind`: Dedekind's criterion for Z[theta] at p.
+- `poly_of_theta_omega`: g(theta) in integral-basis coordinates.
+- `lattice_points`: the points of `lattice_lines`, one at a time.
+- `generic_factor_prime`: the primes above p, away from the index, by
+  factoring f mod p and taking the HNF of p*O + g(theta)*O.
+"""
+
+from polyakit import modpoly
+from polyakit.cubicfield import mul_power
+from polyakit.intlinalg import det3, hnf_rows, lattice_lines
+
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def norm_power(u, poly):
+    """Field norm of an element given in power-basis coordinates."""
+    row1 = mul_power(u, (0, 1, 0), poly)
+    row2 = mul_power(row1, (0, 1, 0), poly)
+    return det3([list(u), list(row1), list(row2)])
+
+
+def power_sums(poly, upto=4):
+    """Traces of theta^k for k = 0..upto via Newton's identities."""
+    a2, a1, a0 = poly.a2, poly.a1, poly.a0
+    p = [3, -a2, a2 * a2 - 2 * a1]
+    while len(p) <= upto:
+        k = len(p)
+        p.append(-(a2 * p[k - 1] + a1 * p[k - 2] + a0 * p[k - 3]))
+    return p[: upto + 1]
+
+
+def is_p_maximal_dedekind(poly, p):
+    """Dedekind's criterion at p for the equation order Z[theta]; an
+    independent cross-check of the enlargement loop."""
+    f = [c % p for c in poly.coefficients()]
+    gstar = (1,)
+    hstar = (1,)
+    for g, e in modpoly.factor_monic_cubic(f, p):
+        gstar = modpoly.pmul(gstar, g, p)
+        for _ in range(e - 1):
+            hstar = modpoly.pmul(hstar, g, p)
+    # (integer lift of gstar * hstar - f) / p, mod p
+    prod = [0] * (len(gstar) + len(hstar) - 1)
+    for i, a in enumerate(gstar):
+        for j, b in enumerate(hstar):
+            prod[i + j] += a * b
+    big = [a - b for a, b in zip(prod + [0] * (4 - len(prod)), poly.coefficients())]
+    assert all(c % p == 0 for c in big)
+    F = tuple((c // p) % p for c in big)
+    d = modpoly.pgcd(modpoly.pgcd(F, gstar, p), hstar, p)
+    return modpoly.pdeg(d) <= 0
+
+
+def poly_of_theta_omega(order, coeffs):
+    """Integral-basis coordinates of g(theta) for integer g (low first)."""
+    acc = (0, 0, 0)
+    power = (1, 0, 0)
+    for c in coeffs:
+        if c:
+            acc = tuple(a + c * b for a, b in zip(acc, power))
+        power = mul_power(power, (0, 1, 0), order.poly)
+    return order.to_omega_int(acc)
+
+
+def lattice_points(rows, caps, skip=-1):
+    """Nonzero points y = c0*rows[0] + c1*rows[1] + c2*rows[2] over the
+    coefficients c of `lattice_lines(caps, skip)`, in its order."""
+    (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = rows
+    for c0, c1, xs in lattice_lines(caps, skip):
+        e0, e1, e2 = c0 * a0 + c1 * b0, c0 * a1 + c1 * b1, c0 * a2 + c1 * b2
+        for c2 in xs:
+            yield e0 + c2 * d0, e1 + c2 * d1, e2 + c2 * d2
+
+
+def generic_factor_prime(order, p):
+    """(p, f, e, hnf, generator_poly, label) of each prime above p, for p
+    not dividing the index: every monic irreducible factor g of f mod p,
+    with multiplicity e, gives the prime of HNF hnf_rows(p*O, g(theta)*O),
+    and the primes are sorted and labelled as factor_prime does."""
+    assert order.index % p
+    fbar = [c % p for c in order.poly.coefficients()]
+    entries = []
+    for g, e in modpoly.factor_monic_cubic(fbar, p):
+        gtheta = poly_of_theta_omega(order, g)
+        rows = [[p * int(i == j) for j in range(3)] for i in range(3)]
+        rows += [order.omega_mul(gtheta, u) for u in _UNITS]
+        entries.append((modpoly.pdeg(g), hnf_rows(rows, 3), tuple(g), e))
+    entries.sort(key=lambda t: (t[0], t[1]))
+    return [
+        (p, f, e, mat, g, f"{p}{'abc'[k]}" if len(entries) > 1 else str(p))
+        for k, (f, mat, g, e) in enumerate(entries)
+    ]

@@ -37,7 +37,9 @@ from polyakit import (
 from polyakit import classgroup
 from polyakit.classgroup import PolyaReport
 from polyakit.cubicfield import element_valuation, primes_up_to
-from polyakit.intlinalg import hnf_rows, lattice_points
+from polyakit.intlinalg import hnf_rows
+
+from fieldref import lattice_points
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
 

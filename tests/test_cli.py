@@ -98,6 +98,19 @@ def test_group_check_huge_degree_exits_3_at_once(capsys, tmp_path):
     assert "budget" in err.lower()
 
 
+def test_group_check_degree_line_alone_exits_3_at_once(capsys, tmp_path):
+    """A degree within the default closure ceiling but above the degree
+    cap: no identity tuple of a million entries is built."""
+    path = tmp_path / "degree_only.grp"
+    path.write_text("degree=1000000\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "group-check", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "degree cap" in err
+
+
 def test_group_check_csv(capsys):
     code, out, _ = run_cli(capsys, "group-check", "--format", "csv", "D4", "F20")
     assert code == 0

@@ -40,16 +40,17 @@ from polyakit.cubicfield import (
     _multiplier_rows,
     element_valuation,
     has_hensel_form,
-    is_p_maximal_dedekind,
     mul_power,
     norm_line,
-    norm_power,
-    power_sums,
     primes_up_to,
     valuation,
     valuation_kernel,
 )
 from polyakit.intlinalg import det3, invert3, lattice_lines
+
+from fieldref import (
+    generic_factor_prime, is_p_maximal_dedekind, norm_power, poly_of_theta_omega, power_sums,
+)
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
 
@@ -457,8 +458,73 @@ def test_prime_norms_and_two_generator_form(orders):
                 assert q.as_integral().contains(tuple(p * c for c in O.one))
                 if O.index % p:
                     assert q.generator_poly is not None
-                    gt = O.poly_of_theta_omega(list(q.generator_poly))
+                    gt = poly_of_theta_omega(O, q.generator_poly)
                     assert q.as_integral().contains(gt)
+
+
+def _prime_tuples(O, p):
+    return [(q.p, q.f, q.e, q.hnf, q.generator_poly, q.label) for q in factor_prime(O, p)]
+
+
+ABOVE_SCAN_LIMIT = (1409, 1601, 2003, 3001)
+
+
+def test_factor_prime_matches_the_generic_path():
+    """Away from the index, the primes built from roots of f mod p are the
+    primes of the generic path (factor f mod p, then the HNF of
+    p*O + g(theta)*O) field by field: hnf, label, generator_poly, order."""
+    assert min(ABOVE_SCAN_LIMIT) > cubicfield._ROOT_SCAN_LIMIT
+    seen, seen_above = set(), set()
+    for s in FIXTURE_POLYS + ("x^3-12x-5", "x^3-8x^2-2x-9", "x^3-12x^2-5x-4"):
+        O = _order_of(s)
+        for p in primes_up_to(200) + list(ABOVE_SCAN_LIMIT):
+            if O.index % p:
+                assert _prime_tuples(O, p) == generic_factor_prime(O, p), (s, p)
+                seen.update((min(p, 5), q.f, q.e) for q in factor_prime(O, p))
+                if p > 200:
+                    seen_above.add(tuple(q.f for q in factor_prime(O, p)))
+    # p = 2 and p = 3 off the index, double and triple roots, f = 2 and 3
+    assert {(2, 1, 3), (3, 1, 3), (5, 1, 2), (5, 2, 1), (5, 3, 1)} <= seen
+    assert {(2, 1, 1), (3, 1, 1), (5, 1, 1)} <= seen
+    # every unramified pattern on the modpoly.roots_mod_p side
+    assert seen_above == {(1, 1, 1), (1, 2), (3,)}
+
+
+def _box_field(t):
+    try:
+        return CubicPoly(*t)
+    except ReduciblePolynomialError:
+        return None
+
+
+@given(
+    poly=st.tuples(*[st.integers(-16, 16)] * 3).map(_box_field).filter(bool),
+    ps=st.lists(st.sampled_from(primes_up_to(200) + list(ABOVE_SCAN_LIMIT)), min_size=1, max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_factor_prime_matches_the_generic_path_on_box_16(poly, ps):
+    """The same comparison on drawn |a_i| <= 16 fields, with primes on
+    both sides of the root-scan crossover."""
+    O = maximal_order(poly)
+    for p in ps:
+        if O.index % p:
+            assert _prime_tuples(O, p) == generic_factor_prime(O, p), (poly, p)
+
+
+def test_factor_prime_off_the_index_factors_no_polynomial(monkeypatch):
+    """A non-index factor_prime call reaches neither the cubic factoring
+    of modpoly nor an HNF reduction: every prime is in closed form."""
+    O = maximal_order(parse_cubic("x^3-x^2-2x-8"))  # fresh: empty prime cache
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reached on a non-index prime")
+
+    monkeypatch.setattr(cubicfield.modpoly, "factor_monic_cubic", forbidden)
+    monkeypatch.setattr(cubicfield, "hnf_rows", forbidden)
+    ps = [p for p in primes_up_to(200) + list(ABOVE_SCAN_LIMIT) if O.index % p]
+    assert len(ps) == 49
+    for p in ps:
+        assert sum(q.e * q.f for q in factor_prime(O, p)) == 3
 
 
 def test_large_index_orders_factor_consistently():

@@ -17,10 +17,11 @@ from polyakit.intlinalg import (
     lattice_contains,
     lattice_coordinates,
     lattice_lines,
-    lattice_points,
     rref_mod_p,
     smith_normal_form,
 )
+
+from fieldref import lattice_points
 
 small_int = st.integers(min_value=-30, max_value=30)
 

@@ -37,6 +37,7 @@ from polyakit import (
     point_stabilizer,
     symmetric_group,
 )
+from polyakit import permgroup
 from polyakit.permgroup import action_image, generated_subgroup, subgroup_from_elements
 
 
@@ -671,6 +672,14 @@ def test_parse_group_file():
         parse_group_file("(1 2)\n")
     with pytest.raises(ValueError):
         parse_group_file("degree=x\n")
+
+
+def test_parse_group_file_degree_cap():
+    cap = permgroup.MAX_GROUP_DEGREE
+    assert cap * 1000 <= permgroup.DEFAULT_CLOSURE_CEILING
+    assert parse_group_file(f"degree={cap}\n").degree == cap
+    with pytest.raises(GroupTooLargeError, match="degree cap"):
+        parse_group_file(f"degree={cap + 1}\n", ceiling=10**9)
 
 
 @given(st.integers(1, 12).flatmap(lambda d: st.tuples(groupcorpus.perm_lines(d), st.just(d))))
