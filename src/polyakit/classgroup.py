@@ -22,15 +22,16 @@ scanned by lines (`_smooth_points`): along each line the norm is a
 one-variable cubic (cubicfield.norm_line), so no point is built as an
 element before its norm is known.  A point whose norm has a gcd of 1
 with the product of the factor-base primes' rational primes before the
-norm is used up is rejected without trial division; the valuations of
-the rest come from one cached kernel per prime (cubicfield.valuation_kernel: a Hensel linear form, or the rows of
-one multiplier tau with tau*P in p*O), and where a single prime above p
-has no Hensel form its valuation follows from the norm, with no kernel.
+norm is used up is rejected without trial division.  For the rest,
+every prime above p but the last of cubicfield.factor_prime is valued
+with one cached kernel (cubicfield.valuation_kernel: the rows of one
+multiplier tau with tau*P in p*O), and the valuation of the last one
+follows from the norm, with no kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 from typing import Optional
@@ -43,7 +44,6 @@ from .cubicfield import (
     PrimeIdeal,
     SearchBudgetExceededError,
     factor_prime,
-    has_hensel_form,
     is_principal,
     minkowski_bound,
     norm_line,
@@ -102,24 +102,15 @@ def _columns(order: MaximalOrder, index_of, ps):
     column) over the rational primes `ps` below them: the product of
     `ps`, and for each p a triple (p, direct, rest).
 
-    When exactly one prime above p has no Hensel form (p inert, the
-    f = 2 prime of a (1, 2) split, a ramified P^2 next to a split prime,
-    a single prime above an index prime), `rest` is its (f, column or
-    None) and `direct` holds the (f, column or None, valuation kernel)
-    of the other primes; otherwise `rest` is None and `direct` holds
-    every prime above p.  `rest` gets no kernel, so no tau is built
-    that nothing uses."""
+    `rest` is the (f, column or None) of the last prime of
+    factor_prime(order, p), the one of largest (f, HNF), and `direct`
+    holds the (f, column or None, valuation kernel) of the others.
+    `rest` gets no kernel, so no tau is built that nothing uses."""
     over = []
     for p in sorted(ps):
-        primes = factor_prime(order, p)
-        no_hensel = [q for q in primes if not has_hensel_form(order, q)]
-        rest = None
-        if len(no_hensel) == 1:
-            (lone,) = no_hensel
-            rest = (lone.f, index_of.get(lone.hnf))
-            primes = [q for q in primes if q is not lone]
+        *primes, last = factor_prime(order, p)
         direct = [(q.f, index_of.get(q.hnf), valuation_kernel(order, q)) for q in primes]
-        over.append((p, direct, rest))
+        over.append((p, direct, (last.f, index_of.get(last.hnf))))
     return prod(ps), over
 
 
@@ -130,8 +121,9 @@ def _smooth_row(order: MaximalOrder, y, norm: int, ncols: int, over) -> Optional
 
     The exponent v_p of each p in the norm equals the sum of f*v over
     the primes above p (the fundamental identity).  Each v is computed
-    from its kernel, except that of the one prime `rest` without a
-    Hensel form, when there is one: it is (v_p - the others' sum) / f.
+    from its kernel, except that of the prime `rest`: it is
+    (v_p - the others' sum) / f, and a remainder that is negative or
+    not a multiple of f raises AssertionError.
     """
     rem = norm
     expo = []
@@ -148,16 +140,12 @@ def _smooth_row(order: MaximalOrder, y, norm: int, ncols: int, over) -> Optional
     for p, vp, direct, rest in expo:
         seen = 0
         for f, idx, kernel in direct:
-            v = valuation(order, kernel, y)
+            v = valuation(kernel, y)
             if v:
                 if idx is None:
                     return None  # a prime outside the columns divides (y)
                 row[idx] = v
                 seen += v * f
-        if rest is None:
-            if seen != vp:
-                return None
-            continue
         f, idx = rest
         v, r = divmod(vp - seen, f)
         if v < 0 or r:
@@ -548,25 +536,7 @@ class PolyaReport:
     principal_witnesses: list[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "poly": self.poly,
-            "coefficients": list(self.coefficients),
-            "disc_poly": self.disc_poly,
-            "disc_K": self.disc_K,
-            "index": self.index,
-            "galois": self.galois,
-            "prime_bound": self.prime_bound,
-            "minkowski_bound": self.minkowski_bound,
-            "class_invariants": list(self.class_invariants),
-            "class_generators": self.class_generators,
-            "variants": self.variants,
-            "equalities": self.equalities,
-            "status": self.status,
-            "harvest_budget": self.harvest_budget,
-            "certified_trivial": self.certified_trivial,
-            "principal_witnesses": self.principal_witnesses,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json_dict(d: dict) -> "PolyaReport":
@@ -659,19 +629,7 @@ class OstrowskiReport:
     witnesses: list[dict]
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "poly": self.poly,
-            "coefficients": list(self.coefficients),
-            "disc_poly": self.disc_poly,
-            "disc_K": self.disc_K,
-            "index": self.index,
-            "galois": self.galois,
-            "prime_bound": self.prime_bound,
-            "checked": self.checked,
-            "all_principal": self.all_principal,
-            "witnesses": self.witnesses,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json_dict(d: dict) -> "OstrowskiReport":

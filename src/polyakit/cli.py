@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -245,7 +246,7 @@ def survey_field(triple: tuple[int, int, int], prime_bound: int, budget=None) ->
     rec.update(
         disc_K=order.disc_K,
         index=order.index,
-        h=1 if not report.class_invariants else _prod(report.class_invariants),
+        h=math.prod(report.class_invariants),
         invariant_factors=report.class_invariants,
         certified_trivial=report.certified_trivial,
         nr1_full_at=report.variants["nr1"]["full_at"],
@@ -253,13 +254,6 @@ def survey_field(triple: tuple[int, int, int], prime_bound: int, budget=None) ->
         status="verified" if report.equalities["all_equal"] else "undetermined",
     )
     return rec
-
-
-def _prod(xs) -> int:
-    n = 1
-    for x in xs:
-        n *= x
-    return n
 
 
 def survey_box(coeff_bound: int, prime_bound: int = 200, budget=None, workers: int = 1):

@@ -655,18 +655,12 @@ class IntegralIdeal:
 @dataclass(frozen=True)
 class PrimeIdeal:
     """A maximal ideal above p with residue degree f and ramification
-    index e, as the HNF of its lattice in the integral basis.
-
-    generator_poly is the integer polynomial g (low degree first) with
-    the ideal equal to p*O + g(theta)*O when p does not divide the
-    index; it is None at the finitely many index primes, where the ideal
-    comes from the radical of O/pO instead."""
+    index e, as the HNF of its lattice in the integral basis."""
 
     p: int
     f: int
     e: int
     hnf: tuple[tuple[int, int, int], ...]
-    generator_poly: Optional[tuple[int, ...]]
     label: str
 
     @property
@@ -707,29 +701,38 @@ def ideal_equal(I: IntegralIdeal, J: IntegralIdeal) -> bool:
     return I.hnf == J.hnf
 
 
-def has_hensel_form(order: MaximalOrder, prime: PrimeIdeal) -> bool:
-    """Whether `valuation_kernel` values P by a Hensel linear form: P is
-    unramified of degree 1 and p does not divide the index."""
-    return prime.f == prime.e == 1 and order.index % prime.p != 0
-
-
 def _multiplier_rows(order: MaximalOrder, p: int, hnf) -> tuple:
     """The rows omega_i * tau of a fixed tau with tau * P in p*O and tau
     not in p*O, for the prime P of HNF `hnf` above p (Cohen, GTM 138,
     4.8.3).  tau is a nonzero vector of the kernel mod p of y -> y * w
-    over the HNF rows w of P.  Then v_P(tau / p) = -1 and tau / p is
-    integral at every other prime, so v_P(y) is the number of times
-    y -> y * tau / p stays integral (`_tau_valuation`)."""
-    prods = [[order.omega_mul(e, w) for e in _UNITS] for w in hnf]
+    over the HNF rows w of P (a row in p*O adds no equation, so it is
+    skipped).  Then v_P(tau / p) = -1 and tau / p is integral at every
+    other prime, so v_P(y) is the number of times y -> y * tau / p
+    stays integral (`valuation`)."""
+    prods = [[order.omega_mul(e, w) for e in _UNITS] for w in hnf if any(c % p for c in w)]
     eqs = [[prod[i][k] for i in range(3)] for prod in prods for k in range(3)]
     tau = kernel_mod_p(eqs, 3, p)[0]
     return tuple(order.omega_mul(e, tau) for e in _UNITS)
 
 
-def _tau_valuation(p: int, rows, y) -> int:
-    """v_P(y) for a nonzero y, from P's `_multiplier_rows`; a zero y,
-    which every power of P holds, raises ValueError."""
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+def valuation_kernel(order: MaximalOrder, prime: PrimeIdeal) -> tuple:
+    """The data `valuation` needs to compute v_P((y)) for one prime P of
+    the order: the immutable tuple (p, rows of P's multiplier tau), see
+    `_multiplier_rows`.  It is built once and cached on the order, and
+    it holds no reference to the order, so an order and its cache are
+    freed as soon as the last reference to it goes.
+    """
+    cache = order._valuation_cache
+    kernel = cache.get(prime.hnf)
+    if kernel is None:
+        kernel = cache[prime.hnf] = (prime.p, _multiplier_rows(order, prime.p, prime.hnf))
+    return kernel
+
+
+def valuation(kernel: tuple, y) -> int:
+    """v_P((y)) for a nonzero order element y, from P's valuation_kernel;
+    a zero y, which every power of P holds, raises ValueError."""
+    p, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) = kernel
     y0, y1, y2 = y
     if not (y0 or y1 or y2):
         raise ValueError("zero element")
@@ -748,72 +751,10 @@ def _tau_valuation(p: int, rows, y) -> int:
         v += 1
 
 
-def valuation_kernel(order: MaximalOrder, prime: PrimeIdeal) -> tuple:
-    """The data `valuation` needs to compute v_P((y)) for one prime P of
-    the order, built once and cached on the order.
-
-    Where `has_hensel_form` holds, the completion at P is Z_p with theta
-    sent to the Hensel lift r of the root of the polynomial mod p.  The
-    kernel folds that map and the integral basis into one linear form l
-    mod p^K, so t = y . l mod p^K is den times the image of y (den a
-    p-unit), and v_P(y) = v_p(t) when t != 0.  Every other prime is
-    valued with the rows of one fixed multiplier tau
-    (`_multiplier_rows`); at a Hensel prime t = 0 (v_P(y) >= K, rare)
-    builds that tau on the spot without caching it.
-
-    The kernel is an immutable tuple (p, l, p^K, HNF of P, tau rows),
-    with l and p^K None off the Hensel case and the tau rows None on it.
-    It holds no reference to the order, so an order and its cache are
-    freed as soon as the last reference to it goes.
-    """
-    cache = order._valuation_cache
-    kernel = cache.get(prime.hnf)
-    if kernel is not None:
-        return kernel
-    p = prime.p
-    if not has_hensel_form(order, prime):
-        kernel = (p, None, None, prime.hnf, _multiplier_rows(order, p, prime.hnf))
-    else:
-        K = 24 if p < 16 else 12
-        pK = p**K
-        r = (-prime.generator_poly[0]) % p
-        coeffs = order.poly.coefficients()
-        modulus = p
-        while modulus < pK:
-            modulus = min(modulus * modulus, pK)
-            fr = (((r + coeffs[2]) * r + coeffs[1]) * r + coeffs[0]) % modulus
-            dfr = ((3 * r + 2 * coeffs[2]) * r + coeffs[1]) % modulus
-            r = (r - fr * pow(dfr, -1, modulus)) % modulus
-        assert (((r + coeffs[2]) * r + coeffs[1]) * r + coeffs[0]) % pK == 0
-        # y . basis_num = den * (power-basis coordinates); evaluate at theta = r
-        lin = tuple((b[0] + b[1] * r + b[2] * r * r) % pK for b in order.basis_num)
-        kernel = (p, lin, pK, prime.hnf, None)
-    cache[prime.hnf] = kernel
-    return kernel
-
-
-def valuation(order: MaximalOrder, kernel: tuple, y) -> int:
-    """v_P((y)) for a nonzero order element y, from P's valuation_kernel;
-    a zero y raises ValueError (a Hensel form meets it as t = 0)."""
-    p, lin, pK, hnf, rows = kernel
-    if lin is not None:
-        t = (y[0] * lin[0] + y[1] * lin[1] + y[2] * lin[2]) % pK
-        if t % p:
-            return 0
-        if t:
-            v = 0
-            while t % p == 0:
-                t //= p
-                v += 1
-            return v
-        rows = _multiplier_rows(order, p, hnf)
-    return _tau_valuation(p, rows, y)
-
-
 def element_valuation(order: MaximalOrder, y, prime: PrimeIdeal) -> int:
     """v_P of the principal ideal (y): the largest k with y in P^k
     (see valuation_kernel)."""
-    return valuation(order, valuation_kernel(order, prime), y)
+    return valuation(valuation_kernel(order, prime), y)
 
 
 # --- prime factorization ----------------------------------------------------
@@ -977,12 +918,13 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
     leaves an irreducible cofactor g = x^2 + g1 x + g0; reducing
     theta^2 to -g0 - g1 theta turns O -> F_p[x]/(g) into two forms u, w,
     and the degree-2 prime is p*Z^3 + Z*(u x w).  No root means p is
-    inert.  The generator_poly is x - r, g or f mod p.
+    inert.
 
     At index primes the maximal ideals of O/pO are computed from its
     radical, and each exponent is e = v_P(p), read off P's multiplier
     tau; that tau is P's valuation kernel, so it goes into the order's
-    kernel cache.  Results are cached on the order.
+    kernel cache.  The primes come sorted by (f, HNF), so the last one
+    has the largest residue degree.  Results are cached on the order.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -991,7 +933,7 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
     if got is not None:
         return got
 
-    entries = []  # (f, hnf, gen_poly or None, e)
+    entries = []  # (f, hnf, e)
     if order.index % p:
         a0, a1, a2, _ = (c % p for c in order.poly.coefficients())
         if p < _ROOT_SCAN_LIMIT:
@@ -1007,9 +949,9 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
             if not (r * r + g1 * r + g0) % p:
                 e = 3 if not (2 * r + g1) % p else 2
             form = [(b0 + (b1 + b2 * r) * r) % p for b0, b1, b2 in basis]
-            entries.append((1, _kernel_of_form(p, form), ((-r) % p, 1), e))
+            entries.append((1, _kernel_of_form(p, form), e))
         if not roots:
-            entries.append((3, ((p, 0, 0), (0, p, 0), (0, 0, p)), (a0, a1, a2, 1), 1))
+            entries.append((3, ((p, 0, 0), (0, p, 0), (0, 0, p)), 1))
         elif len(roots) == 1 and e == 1:  # the cofactor g is irreducible
             u = [(b0 - b2 * g0) % p for b0, b1, b2 in basis]
             w = [(b1 - b2 * g1) % p for b0, b1, b2 in basis]
@@ -1018,7 +960,7 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
                 (u[2] * w[0] - u[0] * w[2]) % p,
                 (u[0] * w[1] - u[1] * w[0]) % p,
             )
-            entries.append((2, _span_mod_p(p, v), (g0, g1, 1), 1))
+            entries.append((2, _span_mod_p(p, v), 1))
     else:
         one = order.one
 
@@ -1032,28 +974,16 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
         ):
             mat = _prime_from_subspace(order, p, ideal_rows_sub)
             f = _exact_prime_log(det3(mat), p)
-            rows = _multiplier_rows(order, p, mat)
-            e = _tau_valuation(p, rows, tuple(p * c for c in one))
-            # p divides the index, so valuation_kernel would build these rows
-            order._valuation_cache[mat] = (p, None, None, mat, rows)
-            entries.append((f, mat, None, e))
+            kernel = order._valuation_cache[mat] = (p, _multiplier_rows(order, p, mat))
+            entries.append((f, mat, valuation(kernel, tuple(p * c for c in one))))
 
-    entries.sort(key=lambda t: (t[0], t[1]))
+    entries.sort()  # by (f, hnf): distinct primes have distinct HNFs
     primes = []
     letters = "abcdefgh"
-    for k, (f, mat, gpoly, e) in enumerate(entries):
+    for k, (f, mat, e) in enumerate(entries):
         assert det3(mat) == p**f
         label = f"{p}{letters[k]}" if len(entries) > 1 else str(p)
-        primes.append(
-            PrimeIdeal(
-                p=p,
-                f=f,
-                e=int(e),
-                hnf=mat,
-                generator_poly=gpoly,
-                label=label,
-            )
-        )
+        primes.append(PrimeIdeal(p=p, f=f, e=e, hnf=mat, label=label))
     # the fundamental identity sum e_i f_i = 3
     assert sum(q.e * q.f for q in primes) == 3
     cache[p] = primes

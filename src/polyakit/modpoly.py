@@ -24,11 +24,6 @@ def pdeg(a) -> int:
     return len(a) - 1  # zero polynomial gets -1
 
 
-def padd(a, b, p):
-    n = max(len(a), len(b))
-    return pnorm([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)], p)
-
-
 def psub(a, b, p):
     n = max(len(a), len(b))
     return pnorm([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)], p)

@@ -665,14 +665,6 @@ def is_2transitive(group: PermGroup, action: CosetAction) -> bool:
     return len(orbit) == n * (n - 1)
 
 
-def action_image(action: CosetAction) -> tuple[PermGroup, dict[Perm, Perm]]:
-    """The permutation group induced on coset indices, with the map
-    g -> induced permutation.  Its kernel is the normal core of H."""
-    hom = {g: action.perm_on_cosets(g) for g in action.group.elements}
-    image = subgroup_from_elements(action.num_cosets, set(hom.values()))
-    return image, hom
-
-
 # ---------------------------------------------------------------------------
 # Named families and the group-file text format
 

@@ -1,6 +1,7 @@
 """Reference arithmetic that only the tests use: independent routes to
 quantities that polyakit computes another way.
 
+- `padd`: the sum of two polynomials over GF(p).
 - `norm_power` and `power_sums`: norms and traces in the power basis.
 - `is_p_maximal_dedekind`: Dedekind's criterion for Z[theta] at p.
 - `poly_of_theta_omega`: g(theta) in integral-basis coordinates.
@@ -14,6 +15,14 @@ from polyakit.cubicfield import mul_power
 from polyakit.intlinalg import det3, hnf_rows, lattice_lines
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def padd(a, b, p):
+    """a + b over GF(p), in modpoly's coefficient-tuple form."""
+    n = max(len(a), len(b))
+    return modpoly.pnorm(
+        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)], p
+    )
 
 
 def norm_power(u, poly):
@@ -77,10 +86,11 @@ def lattice_points(rows, caps, skip=-1):
 
 
 def generic_factor_prime(order, p):
-    """(p, f, e, hnf, generator_poly, label) of each prime above p, for p
-    not dividing the index: every monic irreducible factor g of f mod p,
-    with multiplicity e, gives the prime of HNF hnf_rows(p*O, g(theta)*O),
-    and the primes are sorted and labelled as factor_prime does."""
+    """(p, f, e, hnf, g, label) of each prime above p, for p not dividing
+    the index: every monic irreducible factor g of f mod p (low degree
+    first), with multiplicity e, gives the prime of HNF
+    hnf_rows(p*O, g(theta)*O), and the primes are sorted and labelled as
+    factor_prime does."""
     assert order.index % p
     fbar = [c % p for c in order.poly.coefficients()]
     entries = []

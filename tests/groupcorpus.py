@@ -4,6 +4,8 @@ Each entry is (name, G, H) with H a proper subgroup of G.  The corpus
 mixes the point-stabilizer pairs of the named families with assorted
 non-stabilizer subgroups, so the lemma-level invariants get exercised
 on cores, quotients, and abelianizations of different shapes.
+`action_image` gives the image of a coset action, which only the tests
+need.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from polyakit import (
     point_stabilizer,
     symmetric_group,
 )
-from polyakit.permgroup import Perm, generated_subgroup
+from polyakit.permgroup import CosetAction, Perm, generated_subgroup, subgroup_from_elements
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -45,6 +47,14 @@ def _subgroup_of(group: PermGroup, *cycle_sets) -> PermGroup:
     sub = generated_subgroup(group.degree, gens)
     assert sub.is_subgroup_of(group)
     return sub
+
+
+def action_image(action: CosetAction) -> tuple[PermGroup, dict[Perm, Perm]]:
+    """The permutation group induced on coset indices, with the map
+    g -> induced permutation.  Its kernel is the normal core of H."""
+    hom = {g: action.perm_on_cosets(g) for g in action.group.elements}
+    image = subgroup_from_elements(action.num_cosets, set(hom.values()))
+    return image, hom
 
 
 @lru_cache(maxsize=1)

@@ -39,7 +39,9 @@ from polyakit import (
 )
 from polyakit.cli import _census_rows, main, survey_field
 from polyakit.cubicfield import primes_up_to
-from polyakit.permgroup import action_image, generated_subgroup
+from polyakit.permgroup import generated_subgroup
+
+from groupcorpus import action_image
 
 DATA = Path(__file__).parent / "data"
 

@@ -475,7 +475,7 @@ def test_shell_harvest_matches_full_box_loop(monkeypatch, s, budget, genuine_pro
 
 
 def _walked_row(order, y, index_of, ps, powers):
-    """Reference for _smooth_row with no Hensel form and no norm shortcut:
+    """Reference for _smooth_row with no valuation kernel and no norm shortcut:
     trial division of the norm by `ps`, then v_P at every prime P above
     by walking P, P^2, ... (`powers` caches the HNFs per prime)."""
     rem = abs(order.norm_omega(y))
@@ -505,10 +505,10 @@ def _walked_row(order, y, index_of, ps, powers):
 
 
 def test_norm_derived_valuations_match_the_walk():
-    """On a fixed slice of box-12 fields whose factor base has a prime
-    valued from the norm (inert, f = 2, ramified or above an index
-    prime), the line scan of the radius-4 box yields the walked rows
-    that are not None, in the box's order."""
+    """On a fixed slice of box-12 fields, where the last prime above each
+    factor-base p is valued from the norm (split, inert, f = 2, ramified
+    or above an index prime), the line scan of the radius-4 box yields
+    the walked rows that are not None, in the box's order."""
     fields = 0
     for a2, a1, a0 in itertools.islice(itertools.product(range(-12, 13), repeat=3), 0, None, 151):
         try:
@@ -519,7 +519,7 @@ def test_norm_derived_valuations_match_the_walk():
         index_of = {prime.hnf: i for i, prime in enumerate(fb)}
         ps = {prime.p for prime in fb}
         screen, over = classgroup._columns(order, index_of, ps)
-        if not any(rest for _, _, rest in over):
+        if not over:
             continue
         fields += 1
         powers = {}
@@ -532,34 +532,36 @@ def test_norm_derived_valuations_match_the_walk():
             order, classgroup._IDENTITY, form, (4, 4, 4), -1, len(fb), screen, over
         )
         assert list(got) == [row for row in walked if row is not None], (a2, a1, a0)
-    assert fields == 84
+    assert fields == 88
 
 
 def test_columns_build_kernels_only_for_directly_valued_primes():
-    """Every kernel `_columns` hands out is an immutable tuple holding a
-    Hensel form or tau rows, and the one prime above p valued from the
-    norm gets no kernel at all."""
-    tau_valued = rests = 0
+    """Every p has exactly one prime valued from the norm, the last of
+    factor_prime, and `_columns` builds it no kernel (factor_prime has
+    cached one only at an index prime); every other prime above p gets
+    its immutable (p, tau rows) kernel."""
+    direct_count = index_rests = 0
     for s in FIXTURE_POLYS:
         order = maximal_order(parse_cubic(s))  # fresh: an empty kernel cache
         fb, _ = classgroup._factor_base(order)
         index_of = {prime.hnf: i for i, prime in enumerate(fb)}
         _, over = classgroup._columns(order, index_of, {prime.p for prime in fb} | {2, 3, 5, 7})
-        cached = set(order._valuation_cache)
+        cache = order._valuation_cache
+        assert [p for p, _, _ in over] == sorted({prime.p for prime in fb} | {2, 3, 5, 7})
         for p, direct, rest in over:
-            primes = factor_prime(order, p)
-            assert {q.hnf for q in primes} & cached == {kernel[3] for _, _, kernel in direct}
-            for _, _, kernel in direct:
+            *primes, last = factor_prime(order, p)
+            assert rest == (last.f, index_of.get(last.hnf))
+            assert (last.hnf in cache) == (order.index % p == 0), (s, p)
+            index_rests += order.index % p == 0
+            assert [(f, idx) for f, idx, _ in direct] == [
+                (q.f, index_of.get(q.hnf)) for q in primes
+            ]
+            for (_, _, kernel), q in zip(direct, primes):
                 hash(kernel)  # immutable all the way down
-                _, lin, _, _, tau = kernel
-                assert (lin is None) == (tau is not None)
-                tau_valued += tau is not None
-            if rest is not None:
-                rests += 1
-                (q,) = [q for q in primes if q.hnf not in cached]
-                assert rest == (q.f, index_of.get(q.hnf))
-    # the three primes above 2 in x^3-x^2-2x-8 are valued with tau
-    assert tau_valued >= 3 and rests > 0
+                assert kernel is cache[q.hnf] and kernel[0] == p
+            direct_count += len(direct)
+    # x^3-x^2-2x-8 splits its index prime 2 into three primes
+    assert index_rests == 1 and direct_count >= 2
 
 
 def test_norm_derived_valuation_rejects_a_broken_identity():
@@ -569,9 +571,9 @@ def test_norm_derived_valuation_rejects_a_broken_identity():
     fb, _ = classgroup._factor_base(order)
     index_of = {prime.hnf: i for i, prime in enumerate(fb)}
     _, over = classgroup._columns(order, index_of, {prime.p for prime in fb})
-    p, direct, (f, idx) = next(t for t in over if t[2] is not None)
+    p, direct, (f, idx) = over[0]
     assert (direct, f) == ([], 1)  # p is totally ramified in Q(2^(1/3))
-    broken = [(q, w, (2, r[1]) if r else r) for q, w, r in over]
+    broken = [(q, w, (2, r[1])) for q, w, r in over]
     y = tuple(p * c for c in order.one)  # N(p) = p^3, and 2 does not divide 3
     assert classgroup._smooth_row(order, y, p**3, len(fb), over) is not None
     with pytest.raises(AssertionError, match="break the norm"):

@@ -38,7 +38,9 @@ from polyakit import (
     symmetric_group,
 )
 from polyakit import permgroup
-from polyakit.permgroup import action_image, generated_subgroup, subgroup_from_elements
+from polyakit.permgroup import generated_subgroup, subgroup_from_elements
+
+from groupcorpus import action_image
 
 
 def naive_closure(gens, degree):
