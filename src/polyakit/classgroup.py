@@ -16,8 +16,14 @@ Each `class_group` call grows one relation lattice, an
 intlinalg.HermiteBasis: every new relation goes in as soon as it is
 found, the box grows one shell at a time as the radius doubles, so each
 box point is factored once per field, and the scan stops the moment the
-lattice is Z^k.  A presentation only runs the SNF of the lattice's HNF,
-and only when that HNF has changed since the last one.  The box is
+lattice is Z^k.  Once the lattice has full rank, a relation it already
+holds, the common case in a field with nontrivial Cl and a repeated
+row alike, costs only the basis's test in the quotient Z^k/L (a few dot
+products over the columns whose pivot is not 1), not an insertion.
+More than MAX_FACTOR_BASE_PRIMES rational primes below the Minkowski
+bound raise SearchBudgetExceededError before any prime is factored.
+A presentation only runs the SNF of the lattice's HNF, and only when
+that HNF has changed since the last one.  The box is
 scanned by lines (`_smooth_points`): along each line the norm is a
 one-variable cubic (cubicfield.norm_line), so no point is built as an
 element before its norm is known.  A point whose norm has a gcd of 1
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, log, prod
 from typing import Optional
 
 from .abelian import AbelianGroupSNF, Subgroup
@@ -59,6 +65,11 @@ MAX_HARVEST_RADIUS = 48
 PROBE_RADIUS_FACTOR = 1.3
 PROBE_MAX_CANDIDATES = 8000
 EXPRESSION_MAX_SHELL = 16
+# The most rational primes below the Minkowski bound that class_group
+# takes on: each is factored and its primes become lattice columns.
+# Every field with |a_i| <= 24 has fewer than 80; fields near 200 take
+# about a second, and near 500 about ten on a 2-core x86-64 box.
+MAX_FACTOR_BASE_PRIMES = 300
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -195,10 +206,22 @@ def _smooth_points(order: MaximalOrder, rows, form, caps, skip: int, ncols: int,
 
 
 def _factor_base(order: MaximalOrder) -> tuple[tuple[PrimeIdeal, ...], Fraction]:
+    """The primes of norm at most the Minkowski bound, and the bound.
+    More than MAX_FACTOR_BASE_PRIMES rational primes below the bound
+    raise SearchBudgetExceededError before any prime is factored."""
     mb = minkowski_bound(order)
     mb_floor = mb.numerator // mb.denominator
+    # pi(x) > x / ln x for x >= 17 (Rosser-Schoenfeld), so a bound that
+    # far over the cap needs no sieve up to it
+    over = mb_floor >= 17 and mb_floor / log(mb_floor) > MAX_FACTOR_BASE_PRIMES
+    ps = [] if over else primes_up_to(mb_floor)
+    if over or len(ps) > MAX_FACTOR_BASE_PRIMES:
+        raise SearchBudgetExceededError(
+            f"more than {MAX_FACTOR_BASE_PRIMES} rational primes lie below "
+            f"the Minkowski bound {float(mb):.6g}"
+        )
     fb = []
-    for p in primes_up_to(mb_floor):
+    for p in ps:
         for prime in factor_prime(order, p):
             if prime.norm <= mb:
                 fb.append(prime)
@@ -231,8 +254,10 @@ class _Harvest:
     Three sources: factorizations p*O = prod p_i^{e_i} with every factor
     in the base, principality certificates (unit rows), and the
     principal ideals of the elements of the coordinate box of radius R
-    that factor over the base.  Each distinct row goes into one
-    HermiteBasis as soon as it is found, so the lattice only grows.
+    that factor over the base.  Each row goes into one HermiteBasis as
+    soon as it is found, so the lattice only grows; a row the lattice
+    already holds, a repeat among them, costs only the basis's test in
+    the quotient once the rank is full.
     Asking for a larger radius scans only the points beyond the radius
     scanned so far, so each point is factored once per field, and the
     scan stops once the lattice is Z^k: Cl is then proved trivial, and
@@ -243,7 +268,6 @@ class _Harvest:
         self.order, self.fb, self.mb = order, fb, mb
         self.k = k = len(fb)
         self.lattice = HermiteBasis(k)
-        self.rows: set[tuple[int, ...]] = set()
         index_of = {prime.hnf: i for i, prime in enumerate(fb)}
         mb_floor = mb.numerator // mb.denominator
         for p in primes_up_to(mb_floor):
@@ -252,20 +276,15 @@ class _Harvest:
                 row = [0] * k
                 for q in facs:
                     row[index_of[q.hnf]] = q.e
-                self._add(tuple(row))
+                self.lattice.add(row)
         self.screen, self.over = _columns(order, index_of, {prime.p for prime in fb})
         self.radius = 0
         self._last = None  # (HNF, presentation) of the last `present`
 
-    def _add(self, row: tuple[int, ...]) -> None:
-        if row not in self.rows:
-            self.rows.add(row)
-            self.lattice.add(row)
-
     def certify(self, probes) -> None:
         """Add the unit row of each certified factor-base prime index."""
         for i in probes:
-            self._add(tuple(int(j == i) for j in range(self.k)))
+            self.lattice.add([int(j == i) for j in range(self.k)])
 
     def present(self, radius: int) -> Optional[ClassGroupData]:
         """Scan the box up to `radius`, which must not be below a radius
@@ -277,7 +296,7 @@ class _Harvest:
             form = order._norm_form_flat
             for row in _smooth_points(order, _IDENTITY, form, box, self.radius, k, screen, over):
                 if any(row):
-                    self._add(tuple(row))
+                    lattice.add(row)
                     if lattice.det == 1:
                         break
         self.radius = radius

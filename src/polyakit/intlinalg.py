@@ -12,10 +12,16 @@ relation lattices are the large ones, thousands of sparse rows by up to
 about 70 columns.  `HermiteBasis` grows one such lattice a row at a time,
 modulo its determinant once the rank is full, so a caller can read the
 determinant (and stop adding rows) at any point; `hnf_rows` is the
-one-shot form of it.
+one-shot form of it.  Once the rank is full most incoming relations
+already lie in the lattice L, and the basis tests each one in the
+quotient Z^ncols/L first: its image on the few columns whose pivot is
+not 1, reduced through their triangular block (`_quotient_map`), is 0
+exactly for the rows of L, which are then dropped without an insertion.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -55,6 +61,56 @@ def _reduce_above(basis, hi: int, lo: int, det: int) -> None:
                             row[t:] = [x - q * y for x, y in zip(row[t:], b[t:])]
 
 
+def _quotient_map(basis, det: int):
+    """(cols, block) for a full-rank upper-triangular basis of a lattice
+    L with determinant det, whose m pivots above 1 sit at the columns
+    t_0 < ... < t_{m-1}: the map from Z^ncols onto Z^m that takes each
+    vector to one congruent to it mod L and zero at every pivot-1 column.
+
+    Coordinate i of the image of e_j is cols[i][j].  The image of e_t_i
+    is e_t_i itself.  For a pivot 1 at j, e_j = b_j - sum_{s>j} b_j[s]*e_s
+    is congruent to minus that sum, so the images are built bottom up;
+    every entry is taken mod det, since det*Z^ncols lies in L.  `block`
+    holds the images of the basis rows b_t_i: upper triangular with
+    those pivots on the diagonal, and a basis of the vectors of L that
+    vanish at every pivot-1 column.  So a vector lies in L exactly when
+    its image reduces to 0 through the block (`_in_lattice`).  The basis
+    rows need not be reduced above the pivots.
+    """
+    ncols = len(basis)
+    tops = [j for j, b in enumerate(basis) if b[j] != 1]
+    cols = [[0] * ncols for _ in tops]
+    block = []
+    for j in range(ncols - 1, -1, -1):
+        b = basis[j]
+        tail = b[j + 1:]
+        image = [sum(map(mul, tail, c[j + 1:])) % det for c in cols]
+        if b[j] == 1:
+            for c, x in zip(cols, image):
+                c[j] = -x % det
+        else:
+            i = tops.index(j)
+            cols[i][j] = 1
+            image[i] = b[j]
+            block.append(image)
+    block.reverse()
+    return cols, block
+
+
+def _in_lattice(quotient, row) -> bool:
+    """Whether `row` lies in the lattice of the `_quotient_map` `quotient`:
+    its image, reduced down the block, is 0."""
+    cols, block = quotient
+    image = [sum(map(mul, row, c)) for c in cols]
+    for i, b in enumerate(block):
+        q, r = divmod(image[i], b[i])
+        if r:
+            return False
+        if q:
+            image[i + 1:] = [x - q * y for x, y in zip(image[i + 1:], b[i + 1:])]
+    return True
+
+
 class HermiteBasis:
     """A lattice in Z^ncols grown one row at a time, kept in Hermite form.
 
@@ -74,7 +130,19 @@ class HermiteBasis:
     has a pivot, det is their product, so det*Z^ncols lies inside the
     lattice: from then on incoming rows and every row operation right of
     a pivot are taken mod det, and det shrinks with the pivots.  That
-    bounds entry growth on tall relation matrices.
+    bounds entry growth on tall relation matrices.  Also from then on,
+    each incoming row is first tested in the quotient by L (the split
+    into an easy part, the pivot-1 columns, and a hard one, Cohen
+    §6.5.2; Hafner-McCurley 1989): `_quotient_map` sends e_j to a vector
+    congruent to it mod L on the m columns whose pivot is above 1, and
+    a row lies in L exactly when its image reduces to 0 through the
+    m x m block of those pivot rows.  Such a row is dropped, at a cost
+    of m dot products; any other row is inserted as above and drops the
+    map.  The map is built when an inserted row turns out to lie in L
+    already (det did not change), so a lattice whose rows mostly shrink
+    det, such as a 3-column ideal lattice, rarely pays for one.  Each
+    row outside L divides det by at least 2, so a lattice builds the
+    map at most about log2(det) + 1 times.
 
     Invariant: the basis rows span the lattice of the rows added so far;
     once det > 0 that lattice contains det*Z^ncols, so reducing mod det
@@ -84,7 +152,7 @@ class HermiteBasis:
     `rows()` does not depend on the order of the rows added.
     """
 
-    __slots__ = ("ncols", "det", "_basis", "_free", "_dirty")
+    __slots__ = ("ncols", "det", "_basis", "_free", "_dirty", "_quotient")
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -92,6 +160,7 @@ class HermiteBasis:
         self._basis: list[list[int] | None] = [None] * ncols
         self._free = ncols  # columns without a pivot
         self._dirty = -1  # basis rows 0.._dirty may need _reduce_above
+        self._quotient = None  # _quotient_map of the basis, or None
 
     def add(self, row) -> None:
         """Insert one row of `ncols` integers."""
@@ -100,8 +169,13 @@ class HermiteBasis:
     def extend(self, rows) -> None:
         """Insert rows of `ncols` integers, one at a time."""
         basis, det, dirty, free = self._basis, self.det, self._dirty, self._free
-        ncols = self.ncols
+        ncols, quotient = self.ncols, self._quotient
         for row in rows:
+            if quotient is not None:
+                if _in_lattice(quotient, row):
+                    continue
+                quotient = None
+            before = det
             v = [a % det for a in row] if det else list(row)
             for j in range(ncols):
                 c = v[j]
@@ -141,7 +215,11 @@ class HermiteBasis:
                         v[j:] = [(p - q * r) % det for p, r in zip(v[j:], b[j:])]
                     else:
                         v[j:] = [p - q * r for p, r in zip(v[j:], b[j:])]
-        self.det, self._dirty, self._free = det, dirty, free
+            if before and det == before:
+                # the row lay in the lattice already, as the next ones
+                # likely will: test those in the quotient
+                quotient = _quotient_map(basis, det)
+        self.det, self._dirty, self._free, self._quotient = det, dirty, free, quotient
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The nonzero rows of the canonical HNF of the rows added so far."""

@@ -36,7 +36,7 @@ from polyakit import (
 )
 from polyakit import classgroup
 from polyakit.classgroup import PolyaReport
-from polyakit.cubicfield import element_valuation, primes_up_to
+from polyakit.cubicfield import SearchBudgetExceededError, element_valuation, primes_up_to
 from polyakit.intlinalg import hnf_rows
 
 from fieldref import lattice_points
@@ -52,6 +52,23 @@ def orders():
 @lru_cache(maxsize=None)
 def _order_of(s):
     return maximal_order(parse_cubic(s))
+
+
+@pytest.mark.parametrize("s", ["x^3+4x-1", "x^3-1000003"])
+def test_factor_base_cap_counts_primes_below_the_bound(s, monkeypatch):
+    """class_group takes exactly MAX_FACTOR_BASE_PRIMES rational primes
+    below the Minkowski bound and raises on one more, before factoring."""
+    order = _order_of(s)
+    mb = minkowski_bound(order)
+    count = len(primes_up_to(mb.numerator // mb.denominator))
+    monkeypatch.setattr(classgroup, "MAX_FACTOR_BASE_PRIMES", count - 1)
+    monkeypatch.setattr(classgroup, "factor_prime", None)  # never reached
+    with pytest.raises(SearchBudgetExceededError, match="Minkowski"):
+        class_group(order)
+    if count <= 1000:
+        monkeypatch.undo()
+        monkeypatch.setattr(classgroup, "MAX_FACTOR_BASE_PRIMES", count)
+        assert class_group(order).invariant_factors == (2,)
 
 
 def test_trivial_class_groups(orders):

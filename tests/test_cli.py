@@ -154,6 +154,17 @@ def test_field_analyze_h1(capsys):
     assert rep["disc_K"] == -108
 
 
+def test_field_analyze_huge_minkowski_bound_exits_3(capsys):
+    """A Minkowski bound of 1.47e6 puts far more rational primes below it
+    than classgroup.MAX_FACTOR_BASE_PRIMES: exit 3 before any is factored."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "field-analyze", "x^3-1000003")
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert out == ""
+    assert "budget" in err.lower() and "Minkowski" in err
+
+
 def test_field_analyze_galois_runs_ostrowski(capsys):
     code, out, _ = run_cli(capsys, "field-analyze", "x^3-3x-1", "--prime-bound", "60")
     assert code == 0

@@ -673,7 +673,7 @@ def test_index_prime_multiplier_built_once(monkeypatch, s):
         calls.clear()
 
 
-def test_hensel_valuation_agrees_with_lattice_walk(orders):
+def test_tau_valuation_agrees_with_lattice_walk(orders):
     """element_valuation against the walk on small random elements, at
     every prime above a few split, ramified and inert p."""
     rng = random.Random(3)

@@ -251,6 +251,80 @@ def test_hermite_basis_snapshots_match_reference(case):
     assert basis.rows() == hnf_rows(rows, k) == _hnf_rows_reference(rows, k)
 
 
+@st.composite
+def quotient_runs(draw):
+    """Batches of rows for a HermiteBasis whose lattice has full rank and
+    a nontrivial quotient from its first batch on: a triangular basis
+    with m = 2 or 3 pivots above 1 and det at most 60, then tall runs of
+    sparse combinations of it, all inside the lattice.  Some batches
+    hold a random sparse row, which may lie outside it, at a random
+    place, and some a unit row e_t at a column whose pivot is above 1,
+    which turns that pivot into 1.  Each batch has a flag for a rows()
+    call after it."""
+    rng = draw(st.randoms(use_true_random=False))
+    k = rng.randint(4, 12)
+    tops = rng.sample(range(k), rng.randint(2, 3))
+    ds = [rng.randint(2, 7) for _ in tops]
+    while prod(ds) > 60:
+        ds[rng.randrange(len(ds))] = 2
+    pivots = [1] * k
+    for t, d in zip(tops, ds):
+        pivots[t] = d
+    base = []
+    for j in range(k):
+        row = [0] * k
+        row[j] = pivots[j]
+        for t in range(j + 1, k):
+            if rng.random() < 0.3:
+                row[t] = rng.randint(-3, 3)
+        base.append(row)
+    batches = [(base, rng.random() < 0.5)]
+    for _ in range(rng.randint(2, 8)):
+        batch = []
+        for _ in range(rng.randint(1, 40)):
+            row = [0] * k
+            for b in rng.sample(base, rng.randint(1, 3)):
+                c = rng.choice((-3, -2, -1, 1, 2, 3))
+                row = [x + c * y for x, y in zip(row, b)]
+            batch.append(row)
+        extra = []
+        if rng.random() < 0.5:
+            extra.append([0] * k)
+            for j in rng.sample(range(k), rng.randint(1, 3)):
+                extra[-1][j] = rng.randint(-3, 3)
+        if rng.random() < 0.3:
+            extra.append([int(j == rng.choice(tops)) for j in range(k)])
+        for row in extra:
+            batch.insert(rng.randint(1, len(batch)), row)
+        batches.append((batch, rng.random() < 0.5))
+    return k, batches
+
+
+@given(quotient_runs())
+@example((3, [([[2, 1, 0], [0, 3, 1], [0, 0, 1]], True), ([[2, 4, 1], [0, 1, 0], [4, 2, 0]], True)]))
+@settings(max_examples=80, deadline=None)
+def test_hermite_basis_quotient_test_matches_reference(case):
+    """Full-rank lattices with pivots above 1: rows the lattice holds go
+    through its test in the quotient, the others are inserted and drop
+    the map, which the next inserted row that lies in the lattice builds
+    again, and rows() and det match the reference."""
+    k, batches = case
+    basis, seen = HermiteBasis(k), []
+    for batch, snap in batches:
+        basis.extend(batch)
+        seen += batch
+        # a kept map is one of the current lattice, not of an earlier one
+        if basis._quotient is not None:
+            assert prod(b[i] for i, b in enumerate(basis._quotient[1])) == basis.det
+        if snap:
+            h = basis.rows()
+            assert h == _hnf_rows_reference(seen, k)
+            assert basis.det == prod(r[i] for i, r in enumerate(h))
+    h = basis.rows()
+    assert h == _hnf_rows_reference(seen, k)
+    assert len(h) == k and basis.det == prod(r[i] for i, r in enumerate(h))
+
+
 @given(matrices(4, 4))
 @settings(max_examples=200, deadline=None)
 def test_snf_transforms_reconstruct(rows):
