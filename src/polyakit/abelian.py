@@ -5,11 +5,19 @@ di > 1.  Elements are integer coordinate tuples reduced modulo the
 invariant factors.  Subgroups are represented canonically by the HNF of
 the lattice their generators span together with the relation lattice
 diag(d1, ..., dr), which makes subgroup equality a matrix comparison.
+
+`AbelianGroupSNF.presented` builds the group Z^k/L from generators of a
+full-rank relation lattice L, through the Smith normal form (Cohen,
+GTM 138, 2.4.3), and keeps the columns of the SNF column transform at
+the invariant factors, so that `project` sends a vector of Z^k to its
+class.  The class group over a factor base and H/H' over the generators
+of a permutation group are both built this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .intlinalg import hnf_rows, lattice_contains, lattice_coordinates, smith_normal_form
 
@@ -19,11 +27,31 @@ class AbelianGroupSNF:
     """Invariant-factor presentation of a finite abelian group.
 
     generator_classes maps external generator labels (e.g. prime-ideal
-    labels) to their coordinate vectors.
+    labels) to their coordinate vectors.  A group built by `presented`
+    also keeps its projection from Z^k, which group equality ignores.
     """
 
     invariant_factors: tuple[int, ...]
     generator_classes: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    # one column of the SNF column transform per invariant factor
+    _projection: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
+
+    @classmethod
+    def presented(cls, relations, k: int) -> "AbelianGroupSNF":
+        """Z^k modulo the lattice spanned by the rows `relations`, which
+        must have rank k (a finite quotient); ValueError otherwise."""
+        diag, V = smith_normal_form(relations, k)
+        if len(diag) < k or 0 in diag:
+            raise ValueError("relations of deficient rank: the quotient is not finite")
+        kept = [j for j, d in enumerate(diag) if d > 1]
+        return cls(
+            tuple(diag[j] for j in kept),
+            _projection=tuple(tuple(row[j] for row in V) for j in kept),
+        )
+
+    def project(self, vec) -> tuple[int, ...]:
+        """Class of the vector `vec` of Z^k in a group built by `presented`."""
+        return self.reduce(sum(map(mul, vec, col)) for col in self._projection)
 
     def __post_init__(self):
         for d in self.invariant_factors:
@@ -122,5 +150,5 @@ class Subgroup:
             for i, d in enumerate(self.ambient.invariant_factors)
         ]
         assert None not in coords, "relation lattice not inside subgroup lattice"
-        diag, _, _ = smith_normal_form(coords, r)
+        diag, _ = smith_normal_form(coords, r)
         return tuple(d for d in diag if d > 1)

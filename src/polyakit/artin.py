@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .abelian import AbelianGroupSNF
-from .intlinalg import smith_normal_form
 from .permgroup import (
     CosetAction, Perm, PermGroup, cycle_structure, derived_quotient,
 )
@@ -91,7 +90,6 @@ class Abelianization:
             if not g.is_identity() and g not in seen_gens:
                 gens.append(g)
                 seen_gens.add(g)
-        self._gens = gens
         k = len(gens)
 
         # Breadth-first walk of the quotient, recording one exponent
@@ -120,12 +118,7 @@ class Abelianization:
         assert len(vec) == quotient_order
         self._vec = vec
 
-        diag, _, V = smith_normal_form(relations, k)
-        assert all(d != 0 for d in diag) and len(diag) == k, "quotient not finite"
-        self._V = V
-        self._kept = [i for i, d in enumerate(diag) if d > 1]
-        self._mods = [diag[i] for i in self._kept]
-        self.group = AbelianGroupSNF(tuple(self._mods))
+        self.group = AbelianGroupSNF.presented(relations, k)
         assert self.group.order == quotient_order
 
         self._class_cache: dict[Perm, AbelianizedElement] = {}
@@ -138,15 +131,7 @@ class Abelianization:
         label = self._labels.get(p)
         if label is None:
             raise ValueError("element not in the subgroup being abelianized")
-        v = self._vec[label]
-        k = len(self._gens)
-        V = self._V
-        result = AbelianizedElement(
-            tuple(
-                sum(v[i] * V[i][j] for i in range(k)) % d
-                for j, d in zip(self._kept, self._mods)
-            )
-        )
+        result = AbelianizedElement(self.group.project(self._vec[label]))
         self._class_cache[p] = result
         return result
 

@@ -22,17 +22,17 @@ row alike, costs only the basis's test in the quotient Z^k/L (a few dot
 products over the columns whose pivot is not 1), not an insertion.
 More than MAX_FACTOR_BASE_PRIMES rational primes below the Minkowski
 bound raise SearchBudgetExceededError before any prime is factored.
-A presentation only runs the SNF of the lattice's HNF, and only when
-that HNF has changed since the last one.  The box is
-scanned by lines (`_smooth_points`): along each line the norm is a
-one-variable cubic (cubicfield.norm_line), so no point is built as an
-element before its norm is known.  A point whose norm has a gcd of 1
-with the product of the factor-base primes' rational primes before the
-norm is used up is rejected without trial division.  For the rest,
-every prime above p but the last of cubicfield.factor_prime is valued
-with one cached kernel (cubicfield.valuation_kernel: the rows of one
-multiplier tau with tau*P in p*O), and the valuation of the last one
-follows from the norm, with no kernel.
+A presentation (AbelianGroupSNF.presented) only runs the SNF of the
+lattice's HNF, and only when that HNF has changed since the last one.
+The box is scanned by lines (`_smooth_points`): along each line the
+norm is a one-variable cubic (cubicfield.norm_line), so no point is
+built as an element before its norm is known.  A point whose norm has
+a gcd of 1 with the product of the factor-base primes' rational primes
+before the norm is used up is rejected without trial division.  For
+the rest, every prime above p but the last of cubicfield.factor_prime
+is valued with one cached kernel (cubicfield.valuation_kernel: the
+rows of one multiplier tau with tau*P in p*O), and the valuation of
+the last one follows from the norm, with no kernel.
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ from .cubicfield import (
     is_principal,
     minkowski_bound,
     norm_line,
-    pi_ideal,
     primes_up_to,
+    split_products,
     valuation,
     valuation_kernel,
 )
-from .intlinalg import HermiteBasis, lattice_lines, smith_normal_form
+from .intlinalg import HermiteBasis, lattice_lines
 
 DEFAULT_HARVEST_RADIUS = 4
 MAX_HARVEST_RADIUS = 48
@@ -78,8 +78,10 @@ class ClassGroupData:
     """Cl(K) in invariant-factor form plus the factor-base witnesses.
 
     `snf.generator_classes` maps each factor-base prime label to its
-    class coordinates.  `certified_trivial` marks the exact path where
-    the relations span Z^k (then no stability heuristic was involved).
+    class coordinates, and `snf.project` gives the class of an exponent
+    vector over the factor base.  `certified_trivial` marks the exact
+    path where the relations span Z^k (then no stability heuristic was
+    involved).
     """
 
     snf: AbelianGroupSNF
@@ -87,8 +89,6 @@ class ClassGroupData:
     mb: Fraction
     budget: int
     certified_trivial: bool
-    _V: list = field(default_factory=list, repr=False)
-    _kept: list = field(default_factory=list, repr=False)
     _expr_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -98,14 +98,6 @@ class ClassGroupData:
     @property
     def order(self) -> int:
         return self.snf.order
-
-    def project_fb_vector(self, row) -> tuple[int, ...]:
-        """Class coordinates of an exponent vector over the factor base."""
-        if not self.snf.invariant_factors:
-            return ()
-        V = self._V
-        k = len(self.fb)
-        return self.snf.reduce(sum(row[i] * V[i][j] for i in range(k)) for j in self._kept)
 
 
 def _columns(order: MaximalOrder, index_of, ps):
@@ -307,19 +299,17 @@ class _Harvest:
 
 
 def _present(fb, mb: Fraction, hnf) -> Optional[ClassGroupData]:
-    """The SNF presentation of Z^k modulo the relation lattice whose HNF
-    rows are `hnf`, with budget 0; None when the lattice has rank < k."""
+    """Z^k modulo the relation lattice whose HNF rows are `hnf`, through
+    AbelianGroupSNF.presented, with each factor-base prime's class in
+    `snf.generator_classes` and budget 0; None when the lattice has
+    rank < k."""
     k = len(fb)
-    diag, _, V = smith_normal_form([list(r) for r in hnf], k)
-    if len(diag) < k or any(d == 0 for d in diag):
+    if len(hnf) < k:
         return None
-    kept = [i for i, d in enumerate(diag) if d > 1]
-    snf = AbelianGroupSNF(tuple(diag[i] for i in kept))
-    data = ClassGroupData(snf, fb, mb, 0, certified_trivial=not kept, _V=V, _kept=kept)
+    snf = AbelianGroupSNF.presented(hnf, k)
     for i, prime in enumerate(fb):
-        unit = [int(j == i) for j in range(k)]
-        snf.generator_classes[prime.label] = data.project_fb_vector(unit)
-    return data
+        snf.generator_classes[prime.label] = snf.project([int(j == i) for j in range(k)])
+    return ClassGroupData(snf, fb, mb, 0, certified_trivial=snf.is_trivial())
 
 
 def class_group(
@@ -336,12 +326,15 @@ def class_group(
     whose class came out nontrivial gets a bounded principality probe;
     any disagreement escalates the budget, and running out of budget
     raises ClassGroupInconclusiveError.  The result's `budget` is the
-    radius of the pass that returned it.
+    radius of the pass that returned it; a budget below 1 raises
+    ValueError.
 
     Every pass presents the one lattice of the call, so the pass after
     a doubling starts where the last one ended, and a presentation is
     recomputed only when new relations changed the lattice.
     """
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be >= 1")
     fb, mb = _factor_base(order)
     if not fb:
         return _present(fb, mb, ())
@@ -395,10 +388,9 @@ def prime_class_vector(
     """
     if not data.snf.invariant_factors:
         return ()
-    for i, q in enumerate(data.fb):
-        if q.hnf == prime.hnf:
-            unit = [int(j == i) for j in range(len(data.fb))]
-            return data.project_fb_vector(unit)
+    known = data.snf.generator_classes.get(prime.label)
+    if known is not None:
+        return known
     key = prime.hnf
     cached = data._expr_cache.get(key)
     if cached is not None:
@@ -416,7 +408,7 @@ def prime_class_vector(
             if row[k] != 1:
                 continue
             # (y) = prime * prod fb^row  =>  [prime] = -sum row
-            coords = data.snf.neg(data.project_fb_vector(row[:k]))
+            coords = data.snf.neg(data.snf.project(row[:k]))
             data._expr_cache[key] = coords
             return coords
     raise ExpressionBudgetExceededError(
@@ -670,21 +662,19 @@ def ostrowski_check(
     region, which does not prove the ideal non-principal.
     """
     out = []
-    for p in primes_up_to(prime_bound):
+    for p, f, ideal in split_products(order, prime_bound):
         if order.disc_K % p == 0:
             continue
-        for f in sorted({q.f for q in factor_prime(order, p)}):
-            ideal = pi_ideal(order, p**f)
-            gen = is_principal(order, ideal, radius_factor, max_candidates)
-            out.append(
-                {
-                    "p": p,
-                    "f": f,
-                    "norm": ideal.norm,
-                    "principal": gen is not None,
-                    "generator": list(gen) if gen is not None else None,
-                }
-            )
+        gen = is_principal(order, ideal, radius_factor, max_candidates)
+        out.append(
+            {
+                "p": p,
+                "f": f,
+                "norm": ideal.norm,
+                "principal": gen is not None,
+                "generator": list(gen) if gen is not None else None,
+            }
+        )
     return out
 
 

@@ -56,6 +56,8 @@ class RunConfig:
             raise ValueError("format must be json or csv")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError("budget must be >= 1")
 
 
 class _ParseFailure(Exception):
@@ -201,15 +203,13 @@ def _collect_witnesses(order, report, config: RunConfig) -> list[dict]:
     """Generators for the split-product ideals whose class is trivial,
     where the bounded search finds one."""
     out = []
-    for p in cubicfield.primes_up_to(min(config.prime_bound, 50)):
-        for f in sorted({q.f for q in cubicfield.factor_prime(order, p)}):
-            ideal = cubicfield.pi_ideal(order, p**f)
-            try:
-                gen = cubicfield.is_principal(order, ideal, max_candidates=config.max_enum)
-            except SearchBudgetExceededError:
-                gen = None
-            if gen is not None:
-                out.append({"q": p**f, "generator": list(gen)})
+    for p, f, ideal in cubicfield.split_products(order, min(config.prime_bound, 50)):
+        try:
+            gen = cubicfield.is_principal(order, ideal, max_candidates=config.max_enum)
+        except SearchBudgetExceededError:
+            gen = None
+        if gen is not None:
+            out.append({"q": p**f, "generator": list(gen)})
     return out
 
 

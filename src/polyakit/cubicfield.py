@@ -1011,6 +1011,15 @@ def pi_ideal(order: MaximalOrder, q: int) -> IntegralIdeal:
     return acc
 
 
+def split_products(order: MaximalOrder, prime_bound: int):
+    """(p, f, Pi_{p^f}) for every prime p <= prime_bound and every
+    residual degree f above p, in increasing (p, f): the ideals that the
+    Ostrowski sweep asks a generator of."""
+    for p in primes_up_to(prime_bound):
+        for f in sorted({q.f for q in factor_prime(order, p)}):
+            yield p, f, pi_ideal(order, p**f)
+
+
 def splitting_type_of(order: MaximalOrder, p: int) -> SplittingType:
     return SplittingType.from_ef_parts(
         (prime.f, prime.e) for prime in factor_prime(order, p)

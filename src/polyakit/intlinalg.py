@@ -335,24 +335,24 @@ def lattice_lines(caps, skip: int = -1):
 
 
 def smith_normal_form(rows, ncols: int):
-    """Smith normal form of an integer matrix.
+    """Smith normal form of an integer matrix A (Cohen, GTM 138, 2.4.3).
 
-    Returns (diag, U, V) where U @ A @ V = D, U and V unimodular, and
-    diag is the list of the min(m, n) diagonal entries of D satisfying
-    the divisibility chain d0 | d1 | ... (trailing entries may be 0 if
-    the matrix has deficient rank).
+    Returns (diag, V) with V unimodular and A @ V = U^-1 @ D for some
+    unimodular U that is not built: the row lattice of A @ V is that of
+    D, so the columns of V present Z^ncols / rowspace(A).  diag is the
+    list of the min(m, n) diagonal entries of D, all >= 0, satisfying
+    the divisibility chain d0 | d1 | ... (trailing entries are 0 if the
+    matrix has deficient rank).
 
-    Rows may be empty, in which case diag is all zeros.
+    Rows may be empty, in which case diag is empty too.
     """
     m = len(rows)
     n = ncols
     A = [list(r) for r in rows]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row i -= q * row j
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col i -= q * col j
         for row in A:
@@ -362,7 +362,6 @@ def smith_normal_form(rows, ncols: int):
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in A:
@@ -421,51 +420,27 @@ def smith_normal_form(rows, ncols: int):
             continue
         t += 1
 
-    diag = []
-    for k in range(min(m, n)):
-        d = A[k][k] if k < len(A) else 0
-        if d < 0:
-            d = -d
-            A[k] = [-x for x in A[k]]
-            U[k] = [-x for x in U[k]]
-        diag.append(d)
-    return diag, U, V
+    return [abs(A[k][k]) for k in range(min(m, n))], V
 
 
 def kernel_mod_p(rows, ncols: int, p: int) -> list[tuple[int, ...]]:
     """Basis of the right kernel of a matrix over GF(p).
 
     `rows` are the matrix rows; solves A x = 0 for column vectors x,
-    returned as tuples of ints in [0, p).
+    returned as tuples of ints in [0, p).  The basis is the canonical one
+    read off `rref_mod_p`: one vector per free column j, in increasing j,
+    with 1 at j, 0 at the other free columns and -R[r][j] at the pivot
+    column of each row r of the reduced form R.
     """
-    A = [[a % p for a in r] for r in rows]
-    m = len(A)
-    pivots = {}
-    r = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if A[i][j] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][j], -1, p)
-        A[r] = [(a * inv) % p for a in A[r]]
-        for i in range(m):
-            if i != r and A[i][j]:
-                c = A[i][j]
-                A[i] = [(a - c * b) % p for a, b in zip(A[i], A[r])]
-        pivots[j] = r
-        r += 1
+    red, pivots = rref_mod_p(rows, ncols, p)
     basis = []
-    free = [j for j in range(ncols) if j not in pivots]
-    for j in free:
+    for j in range(ncols):
+        if j in pivots:
+            continue
         v = [0] * ncols
         v[j] = 1
-        for pj, pr in pivots.items():
-            v[pj] = (-A[pr][j]) % p
+        for row, pj in zip(red, pivots):
+            v[pj] = -row[j] % p
         basis.append(tuple(v))
     return basis
 

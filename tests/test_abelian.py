@@ -2,12 +2,14 @@
 force enumeration on small ambients."""
 
 from itertools import product
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyakit.abelian import AbelianGroupSNF, Subgroup
+from polyakit.intlinalg import hnf_rows, lattice_contains
 
 
 def brute_force_span(group, vectors):
@@ -90,3 +92,55 @@ def test_subgroup_structure_examples():
     assert g.subgroup([(0, 2)]).structure() == (2,)
     assert g.subgroup([(1, 1)]).structure() == (4,)
     assert g.subgroup([]).structure() == ()
+
+
+@st.composite
+def relation_lattices(draw, full_rank=True):
+    """(k, rows): k <= 5 and relation rows with small entries spanning a
+    lattice of rank k (of rank < k when not `full_rank`), with extra
+    rows that are integer combinations of the others, in any order."""
+    k = draw(st.integers(1, 5))
+    vectors = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+    base = draw(st.lists(vectors, min_size=k, max_size=k) if full_rank else
+                st.lists(vectors, max_size=k - 1))
+    if full_rank:
+        assume(len(hnf_rows(base, k)) == k)
+    extra = []
+    for coeffs in draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base),
+                                         max_size=len(base)), max_size=3)):
+        extra.append([sum(c * r[j] for c, r in zip(coeffs, base)) for j in range(k)])
+    return k, draw(st.permutations(base + extra))
+
+
+vectors5 = st.lists(st.integers(-20, 20), min_size=5, max_size=5)
+
+
+@given(relation_lattices(), vectors5, vectors5)
+@settings(max_examples=150, deadline=None)
+def test_presented_quotient(lattice, a, b):
+    k, rows = lattice
+    a, b = a[:k], b[:k]
+    g = AbelianGroupSNF.presented(rows, k)
+    h = hnf_rows(rows, k)
+    assert g.order == prod(h[i][i] for i in range(k))
+    for row in rows:
+        assert g.project(row) == g.identity()
+    assert g.project([x + y for x, y in zip(a, b)]) == g.add(g.project(a), g.project(b))
+    units = [g.project([int(i == j) for j in range(k)]) for i in range(k)]
+    assert g.subgroup(units).is_full()
+    # the kernel of the projection is exactly the relation lattice
+    assert (g.project(a) == g.identity()) == lattice_contains(h, a)
+
+
+@given(relation_lattices(full_rank=False))
+@settings(max_examples=60, deadline=None)
+def test_presented_rejects_rank_deficient(lattice):
+    k, rows = lattice
+    with pytest.raises(ValueError):
+        AbelianGroupSNF.presented(rows, k)
+
+
+def test_presented_equality_ignores_projection():
+    g = AbelianGroupSNF.presented([[2, 0], [0, 3]], 2)
+    assert g == AbelianGroupSNF((6,))
+    assert g.subgroup([g.project((1, 1))]).is_full()

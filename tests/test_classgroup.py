@@ -299,6 +299,13 @@ def test_class_group_budget_above_escalation_cap_still_runs(orders):
     assert cl.invariant_factors == ()
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_class_group_rejects_budget_below_1(orders, budget):
+    """A radius below 1 would double forever (0) or shrink the box (-1)."""
+    with pytest.raises(ValueError):
+        class_group(orders["x^3+4x-1"], budget=budget)
+
+
 def test_nontrivial_pi_classes_are_consistent_with_ideals(orders):
     """Cross-check a nontrivial class claim directly: the split-product
     ideal over 2 is not principal, while (2) itself is."""

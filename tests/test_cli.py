@@ -330,6 +330,16 @@ def test_bad_prime_bound(capsys):
     assert "configuration" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_below_1_exits_2_at_once(capsys, budget):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "field-analyze", "x^3-12x-5", "--budget", budget)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
 def test_unknown_flag_exits_2(capsys):
     code = main(["field-analyze", "x^3-2", "--frobnicate"])
     assert code == 2

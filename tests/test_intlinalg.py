@@ -328,15 +328,15 @@ def test_hermite_basis_quotient_test_matches_reference(case):
 @given(matrices(4, 4))
 @settings(max_examples=200, deadline=None)
 def test_snf_transforms_reconstruct(rows):
-    diag, U, V = smith_normal_form(rows, 4)
+    diag, V = smith_normal_form(rows, 4)
     m, n = 4, 4
-    # U * A * V must equal diag(diag)
-    UA = [[sum(U[i][k] * rows[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
-    UAV = [[sum(UA[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
-    for i in range(m):
-        for j in range(n):
-            expected = diag[i] if i == j and i < len(diag) else 0
-            assert UAV[i][j] == expected
+    # V is unimodular and A * V has the row lattice of diag(diag), which
+    # is exactly U * A * V = diag(diag) for some unimodular U
+    assert abs(_det(V)) == 1
+    AV = [[sum(rows[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
+    D = [[diag[i] if i == j else 0 for j in range(n)] for i in range(len(diag))]
+    assert hnf_rows(AV, n) == hnf_rows(D, n)
+    assert len(diag) == min(m, n) and all(d >= 0 for d in diag)
     # divisibility chain among nonzero entries, zeros trail
     nz = [d for d in diag if d]
     assert diag[: len(nz)] == nz
@@ -358,7 +358,7 @@ def _det(mat):
 @given(matrices(4, 4))
 @settings(max_examples=150, deadline=None)
 def test_snf_preserves_determinant_up_to_sign(rows):
-    diag, _, _ = smith_normal_form(rows, 4)
+    diag, _ = smith_normal_form(rows, 4)
     prod = 1
     for d in diag:
         prod *= d
@@ -370,16 +370,27 @@ def test_snf_preserves_determinant_up_to_sign(rows):
 def test_kernel_mod_p(rows, p):
     ker = kernel_mod_p(rows, 3, p)
     for v in ker:
+        assert all(0 <= a < p for a in v)
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) % p == 0
-    # dimension check against brute force over GF(p)^3
+    # dimension check against brute force over GF(p)^3; a column j is
+    # free when some kernel vector has its last nonzero entry at j
     from itertools import product
 
     count = 0
+    free = set()
     for v in product(range(p), repeat=3):
         if all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows):
             count += 1
+            if any(v):
+                free.add(max(j for j in range(3) if v[j]))
     assert count == p ** len(ker)
+    # the canonical basis: one vector per free column, in increasing
+    # order, 1 at its own free column and 0 at the other free columns
+    free = sorted(free)
+    assert len(free) == len(ker)
+    for v, j in zip(ker, free):
+        assert [v[i] for i in free] == [int(i == j) for i in free]
 
 
 def test_invert3_exact():
