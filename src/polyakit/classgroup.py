@@ -197,8 +197,10 @@ def _smooth_points(order: MaximalOrder, rows, form, caps, skip: int, ncols: int,
                     yield row
 
 
-def _factor_base(order: MaximalOrder) -> tuple[tuple[PrimeIdeal, ...], Fraction]:
-    """The primes of norm at most the Minkowski bound, and the bound.
+def _factor_base(order: MaximalOrder) -> tuple[tuple[PrimeIdeal, ...], Fraction, list]:
+    """The primes of norm at most the Minkowski bound in (p, f, HNF)
+    order, the bound, and the exponent rows of p*O = prod p_i^{e_i} over
+    them for each p whose primes all lie in the base, in increasing p.
     More than MAX_FACTOR_BASE_PRIMES rational primes below the bound
     raise SearchBudgetExceededError before any prime is factored."""
     mb = minkowski_bound(order)
@@ -212,13 +214,14 @@ def _factor_base(order: MaximalOrder) -> tuple[tuple[PrimeIdeal, ...], Fraction]
             f"more than {MAX_FACTOR_BASE_PRIMES} rational primes lie below "
             f"the Minkowski bound {float(mb):.6g}"
         )
-    fb = []
+    fb, split = [], []  # split: (first column, exponents) of each p wholly in fb
     for p in ps:
-        for prime in factor_prime(order, p):
-            if prime.norm <= mb:
-                fb.append(prime)
-    fb.sort(key=lambda q: (q.p, q.f, q.hnf))
-    return tuple(fb), mb
+        facs = factor_prime(order, p)  # sorted by (f, HNF)
+        if all(q.norm <= mb for q in facs):
+            split.append((len(fb), [q.e for q in facs]))
+        fb.extend(q for q in facs if q.norm <= mb)
+    rows = [[0] * i + es + [0] * (len(fb) - i - len(es)) for i, es in split]
+    return tuple(fb), mb, rows
 
 
 def _probe_certificates(order: MaximalOrder, fb, indices) -> dict[int, tuple]:
@@ -244,9 +247,9 @@ class _Harvest:
     """The relation lattice of one `class_group` call.
 
     Three sources: factorizations p*O = prod p_i^{e_i} with every factor
-    in the base, principality certificates (unit rows), and the
-    principal ideals of the elements of the coordinate box of radius R
-    that factor over the base.  Each row goes into one HermiteBasis as
+    in the base (the rows of `_factor_base`), principality certificates
+    (unit rows), and the principal ideals of the elements of the
+    coordinate box of radius R that factor over the base.  Each row goes into one HermiteBasis as
     soon as it is found, so the lattice only grows; a row the lattice
     already holds, a repeat among them, costs only the basis's test in
     the quotient once the rank is full.
@@ -256,19 +259,12 @@ class _Harvest:
     no further relation can change that.
     """
 
-    def __init__(self, order: MaximalOrder, fb, mb: Fraction):
+    def __init__(self, order: MaximalOrder, fb, mb: Fraction, rows):
         self.order, self.fb, self.mb = order, fb, mb
-        self.k = k = len(fb)
-        self.lattice = HermiteBasis(k)
+        self.k = len(fb)
+        self.lattice = HermiteBasis(self.k)
+        self.lattice.extend(rows)
         index_of = {prime.hnf: i for i, prime in enumerate(fb)}
-        mb_floor = mb.numerator // mb.denominator
-        for p in primes_up_to(mb_floor):
-            facs = factor_prime(order, p)
-            if all(q.norm <= mb for q in facs):
-                row = [0] * k
-                for q in facs:
-                    row[index_of[q.hnf]] = q.e
-                self.lattice.add(row)
         self.screen, self.over = _columns(order, index_of, {prime.p for prime in fb})
         self.radius = 0
         self._last = None  # (HNF, presentation) of the last `present`
@@ -335,11 +331,11 @@ def class_group(
     """
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
-    fb, mb = _factor_base(order)
+    fb, mb, rows = _factor_base(order)
     if not fb:
         return _present(fb, mb, ())
 
-    harvest = _Harvest(order, fb, mb)
+    harvest = _Harvest(order, fb, mb, rows)
     radius = budget if budget is not None else DEFAULT_HARVEST_RADIUS
     max_radius = max(MAX_HARVEST_RADIUS, radius)
     while radius <= max_radius:
@@ -650,7 +646,6 @@ class OstrowskiReport:
 def ostrowski_check(
     order: MaximalOrder,
     prime_bound: int,
-    radius_factor: float = 2.0,
     max_candidates: int = 400000,
 ) -> list[dict]:
     """Search a generator of every unramified split-product ideal
@@ -665,7 +660,7 @@ def ostrowski_check(
     for p, f, ideal in split_products(order, prime_bound):
         if order.disc_K % p == 0:
             continue
-        gen = is_principal(order, ideal, radius_factor, max_candidates)
+        gen = is_principal(order, ideal, max_candidates=max_candidates)
         out.append(
             {
                 "p": p,

@@ -5,10 +5,11 @@ repeated radical/multiplier enlargement at primes whose square divides
 the polynomial discriminant, every order carries an integer
 multiplication table on its basis, ideals are integer lattices in
 Hermite normal form on the integral basis, and primes come in closed
-form from the roots of the polynomial mod p or, at index primes, from
-the radical of O/pO.  Rationals appear only where the quantity is one: the Minkowski
-bound and splitting frequencies.  The class group built on this layer
-lives in classgroup.py.
+form from the roots mod p of the characteristic polynomial of a
+p-generator: theta away from the index, a small basis combination at
+index primes.  Rationals appear only where the quantity is one: the
+Minkowski bound and splitting frequencies.  The class group built on
+this layer lives in classgroup.py.
 
 Degree is fixed at three: the checks that need actual ideal arithmetic
 are run on cubic fields, where every algorithm here is exhaustive and
@@ -18,6 +19,7 @@ fast; higher degrees are covered on the group side only.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +29,8 @@ from typing import Optional
 from . import modpoly
 from .artin import SplittingType
 from .intlinalg import (
-    det3, hnf_rows, invert3, kernel_mod_p, lattice_contains, lattice_coordinates, lattice_lines,
-    rref_mod_p,
+    adj3, det3, hnf_rows, invert3, kernel_mod_p, lattice_contains, lattice_coordinates,
+    lattice_lines,
 )
 
 DEFAULT_PRIME_BOUND = 200
@@ -319,17 +321,8 @@ class Order:
         """(den * adjugate(basis_num), det(basis_num)): integer data for
         the power-to-integral coordinate change."""
         m = self.basis_num
-        a, b, c = m[0]
-        d, e, f = m[1]
-        g, h, i = m[2]
-        adj = (
-            (e * i - f * h, c * h - b * i, b * f - c * e),
-            (f * g - d * i, a * i - c * g, c * d - a * f),
-            (d * h - e * g, b * g - a * h, a * e - b * d),
-        )
-        det = det3(m)
-        scaled = tuple(tuple(self.den * x for x in row) for row in adj)
-        return scaled, det
+        scaled = tuple(tuple(self.den * x for x in row) for row in adj3(m))
+        return scaled, det3(m)
 
     def _to_omega(self, power_num, scale: int) -> tuple[int, int, int]:
         """Integral-basis coordinates of the element whose power-basis
@@ -760,130 +753,6 @@ def element_valuation(order: MaximalOrder, y, prime: PrimeIdeal) -> int:
 # --- prime factorization ----------------------------------------------------
 
 
-def _prime_from_subspace(order: MaximalOrder, p: int, subspace_rows):
-    rows = [[p * int(i == j) for j in range(3)] for i in range(3)]
-    rows += [list(v) for v in subspace_rows]
-    mat = hnf_rows(rows, 3)
-    assert len(mat) == 3
-    return mat
-
-
-def _exact_prime_log(n: int, p: int) -> int:
-    f = 0
-    while n > 1:
-        assert n % p == 0
-        n //= p
-        f += 1
-    return f
-
-
-def _etale_maximal_ideals(p: int, dim: int, mul, one):
-    """Maximal ideals of a commutative semisimple algebra over GF(p) of
-    dimension <= 3, as lists of coordinate-vector generators (spanning
-    the ideal as a subspace).  mul is a bilinear product on coordinate
-    tuples of length dim, one is the unit."""
-    if dim == 1:
-        return [[]]
-
-    def min_poly(u):
-        # smallest monic dependency among 1, u, u^2, ...
-        powers = [tuple(one)]
-        cur = tuple(one)
-        for _ in range(dim):
-            cur = mul(cur, u)
-            powers.append(cur)
-        for d in range(1, dim + 1):
-            rows = [list(powers[k]) for k in range(d)]
-            rows.append(list(powers[d]))
-            # solve c_0 .. c_{d-1}: sum c_k powers[k] = powers[d]
-            aug = [[powers[k][i] for k in range(d)] + [powers[d][i]] for i in range(dim)]
-            red, pivots = rref_mod_p(aug, d + 1, p)
-            if d in pivots:
-                continue  # inconsistent: no degree-d dependency
-            sol = [0] * d
-            for rowi, pc in enumerate(pivots):
-                sol[pc] = red[rowi][d]
-            return tuple((-c) % p for c in sol) + (1,)
-        raise AssertionError("no minimal polynomial found")
-
-    basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    candidates = list(basis)
-    candidates += [
-        tuple((a + b) % p for a, b in zip(basis[i], basis[j]))
-        for i in range(dim)
-        for j in range(i + 1, dim)
-    ]
-    for u in candidates:
-        mu = min_poly(u)
-        if modpoly.pdeg(mu) < 1:
-            continue
-        if modpoly.pdeg(mu) == 1 and dim > 1:
-            continue  # scalar element, no information
-        factors = modpoly.factor_monic_small(mu, p)
-        if len(factors) < 2:
-            continue
-        assert all(e == 1 for _, e in factors), "semisimple algebra had nilpotents"
-        ideals = []
-        for q, _ in factors:
-            # the maximal ideals containing q(u): pass to the quotient
-            # algebra A / (q(u)) and recurse
-            qu = _eval_poly_alg(q, u, mul, one, p)
-            gen_rows = [mul(qu, b) for b in basis]
-            red, pivots = rref_mod_p([list(r) for r in gen_rows], dim, p)
-            ideal_rows = [tuple(r) for r in red]
-            sub_ideals = _quotient_maximal_ideals(p, dim, mul, one, ideal_rows, pivots)
-            ideals.extend(sub_ideals)
-        return ideals
-    # no candidate splits: the algebra is a field
-    return [[]]
-
-
-def _eval_poly_alg(q, u, mul, one, p):
-    acc = tuple(0 for _ in one)
-    power = tuple(a % p for a in one)
-    for c in q:
-        if c:
-            acc = tuple((a + c * b) % p for a, b in zip(acc, power))
-        power = mul(power, u)
-    return acc
-
-
-def _quotient_maximal_ideals(p, dim, mul, one, ideal_rows, pivots):
-    """Maximal ideals of A containing the given ideal, via the quotient
-    algebra on the complement coordinates."""
-    comp = [j for j in range(dim) if j not in pivots]
-    qdim = len(comp)
-
-    def reduce_vec(v):
-        v = [a % p for a in v]
-        for row, pc in zip(ideal_rows, pivots):
-            c = v[pc]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        return v
-
-    def project(v):
-        r = reduce_vec(v)
-        return tuple(r[j] for j in comp)
-
-    def lift(w):
-        v = [0] * dim
-        for val, j in zip(w, comp):
-            v[j] = val % p
-        return tuple(v)
-
-    def qmul(a, b):
-        return project(mul(lift(a), lift(b)))
-
-    qone = project(one)
-    subs = _etale_maximal_ideals(p, qdim, qmul, qone)
-    out = []
-    for sub in subs:
-        rows = [tuple(r) for r in ideal_rows] + [lift(w) for w in sub]
-        out.append(rows)
-    return out
-
-
 def _kernel_of_form(p: int, l) -> tuple:
     """HNF of {y : y . l = 0 mod p} for l nonzero mod p (index p)."""
     l0, l1, l2 = l
@@ -906,25 +775,98 @@ def _span_mod_p(p: int, v) -> tuple:
     return ((p, 0, 0), (0, p, 0), (0, 0, 1))
 
 
+def _p_generator(order: MaximalOrder, p: int):
+    """(forms, chi) of a p-generator alpha of O, an element with p not
+    dividing [O : Z[alpha]] = |det(1, alpha, alpha^2)| (rows in
+    integral-basis coordinates), or None when O has none.
+
+    alpha is the first vector of [0, min(p, 4))^3, in lexicographic
+    order, whose determinant is nonzero mod p.  The vectors that fail
+    are those of the proper subalgebras of O/pO, at most three planes.
+    For p <= 3 the box is all of O/pO, and three planes through the
+    line F_p * 1 cover it only at p = 2, when O/2O = F_2^3.  For p >= 5 a
+    plane holds at most 16 of the box's 64 points, since one coordinate
+    of its points is fixed by the other two.  So only p = 2 split into
+    three degree-1 primes has no p-generator.
+
+    forms = adj(1, alpha, alpha^2): row i is omega_i on the basis
+    1, alpha, alpha^2 mod p, times the p-unit det.  chi = (c0, c1, c2)
+    mod p with x^3 + c2 x^2 + c1 x + c0 the characteristic polynomial of
+    alpha, read off the coordinates of alpha^3 on that basis.
+    """
+    one = order.one
+    for alpha in itertools.product(range(min(p, 4)), repeat=3):
+        square = order.omega_mul(alpha, alpha)
+        powers = (one, alpha, square)
+        det = det3(powers) % p
+        if det:
+            forms = adj3(powers)
+            cube = order.omega_mul(alpha, square)
+            scale = -pow(det, -1, p)
+            chi = tuple(
+                scale * sum(c * row[k] for c, row in zip(cube, forms)) % p for k in range(3)
+            )
+            return forms, chi
+    return None
+
+
+def _root_primes(p: int, forms, chi) -> list:
+    """(f, HNF, e) of every prime above p, from the roots mod p of the
+    characteristic polynomial x^3 + c2 x^2 + c1 x + c0, chi = (c0, c1, c2),
+    of a p-generator whose basis forms are `forms` (see factor_prime)."""
+    a0, a1, a2 = (c % p for c in chi)
+    if p < _ROOT_SCAN_LIMIT:
+        roots = [x for x in range(p) if not (((x + a2) * x + a1) * x + a0) % p]
+    else:
+        roots = modpoly.roots_mod_p((a0, a1, a2, 1), p)
+    entries = []
+    for r in roots:
+        # chi = (x - r)(x^2 + g1 x + g0) mod p, by synthetic division
+        g1 = (a2 + r) % p
+        g0 = (a1 + r * g1) % p
+        e = 1
+        if not (r * r + g1 * r + g0) % p:
+            e = 3 if not (2 * r + g1) % p else 2
+        form = [(b0 + (b1 + b2 * r) * r) % p for b0, b1, b2 in forms]
+        entries.append((1, _kernel_of_form(p, form), e))
+    if not roots:
+        entries.append((3, ((p, 0, 0), (0, p, 0), (0, 0, p)), 1))
+    elif len(roots) == 1 and e == 1:  # the cofactor g is irreducible
+        u = [(b0 - b2 * g0) % p for b0, b1, b2 in forms]
+        w = [(b1 - b2 * g1) % p for b0, b1, b2 in forms]
+        v = (
+            (u[1] * w[2] - u[2] * w[1]) % p,
+            (u[2] * w[0] - u[0] * w[2]) % p,
+            (u[0] * w[1] - u[1] * w[0]) % p,
+        )
+        entries.append((2, _span_mod_p(p, v), 1))
+    return entries
+
+
 def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
     """Primes above p with ramification exponents: p*O = prod p_i^{e_i}.
 
-    Away from the index O/pO is F_p[x]/(f mod p) (Dedekind-Kummer;
-    Cohen, GTM 138, 4.8.2), and every prime is built from a root of
-    f mod p with no polynomial factoring.  A root r gives the degree-1
-    prime ker(O -> F_p, theta -> r): the kernel mod p of the form
-    l_i = b_i0 + b_i1 r + b_i2 r^2 on the basis numerators b (den is a
-    p-unit there), with e the multiplicity of r.  A single simple root
-    leaves an irreducible cofactor g = x^2 + g1 x + g0; reducing
-    theta^2 to -g0 - g1 theta turns O -> F_p[x]/(g) into two forms u, w,
-    and the degree-2 prime is p*Z^3 + Z*(u x w).  No root means p is
-    inert.
+    Every prime is read off a root mod p of the characteristic
+    polynomial chi of a p-generator alpha, an element with p not dividing
+    [O : Z[alpha]], so that O/pO is F_p[x]/(chi mod p) (Dedekind-Kummer;
+    Cohen, GTM 138, 4.8.2 and 6.2), and no polynomial is factored.  Away
+    from the index alpha is theta, chi is f, and omega_i is
+    (b_i0 + b_i1 theta + b_i2 theta^2) / den with b the basis numerators
+    and den a p-unit; at an index prime `_p_generator` gives alpha and
+    the b_ik, up to one p-unit.  A root r gives the degree-1 prime
+    ker(O -> F_p, alpha -> r): the kernel mod p of the form
+    l_i = b_i0 + b_i1 r + b_i2 r^2, with e the multiplicity of r.  A
+    single simple root leaves an irreducible cofactor g = x^2 + g1 x + g0;
+    reducing alpha^2 to -g0 - g1 alpha turns O -> F_p[x]/(g) into two
+    forms u, w, and the degree-2 prime is p*Z^3 + Z*(u x w).  No root
+    means p is inert.
 
-    At index primes the maximal ideals of O/pO are computed from its
-    radical, and each exponent is e = v_P(p), read off P's multiplier
-    tau; that tau is P's valuation kernel, so it goes into the order's
-    kernel cache.  The primes come sorted by (f, HNF), so the last one
-    has the largest residue degree.  Results are cached on the order.
+    Only 2 can lack a p-generator, exactly when it splits into three
+    degree-1 primes: 2 is the only common index divisor a cubic field can
+    have (Hensel).  Those three primes are the kernels of the ring maps
+    O -> F_2, found among the eight linear forms.  The primes come sorted
+    by (f, HNF), so the last one has the largest residue degree.  Results
+    are cached on the order.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -933,49 +875,25 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
     if got is not None:
         return got
 
-    entries = []  # (f, hnf, e)
     if order.index % p:
-        a0, a1, a2, _ = (c % p for c in order.poly.coefficients())
-        if p < _ROOT_SCAN_LIMIT:
-            roots = [x for x in range(p) if not (((x + a2) * x + a1) * x + a0) % p]
-        else:
-            roots = modpoly.roots_mod_p((a0, a1, a2, 1), p)
-        basis = order.basis_num
-        for r in roots:
-            # f = (x - r)(x^2 + g1 x + g0) mod p, by synthetic division
-            g1 = (a2 + r) % p
-            g0 = (a1 + r * g1) % p
-            e = 1
-            if not (r * r + g1 * r + g0) % p:
-                e = 3 if not (2 * r + g1) % p else 2
-            form = [(b0 + (b1 + b2 * r) * r) % p for b0, b1, b2 in basis]
-            entries.append((1, _kernel_of_form(p, form), e))
-        if not roots:
-            entries.append((3, ((p, 0, 0), (0, p, 0), (0, 0, p)), 1))
-        elif len(roots) == 1 and e == 1:  # the cofactor g is irreducible
-            u = [(b0 - b2 * g0) % p for b0, b1, b2 in basis]
-            w = [(b1 - b2 * g1) % p for b0, b1, b2 in basis]
-            v = (
-                (u[1] * w[2] - u[2] * w[1]) % p,
-                (u[2] * w[0] - u[0] * w[2]) % p,
-                (u[0] * w[1] - u[1] * w[0]) % p,
-            )
-            entries.append((2, _span_mod_p(p, v), 1))
+        generator = order.basis_num, order.poly.coefficients()[:3]
     else:
-        one = order.one
+        generator = _p_generator(order, p)
+    if generator is not None:
+        entries = _root_primes(p, *generator)
+    else:
+        table, one = order.mult_table, order.one
 
-        def mul(u, v):
-            return tuple(a % p for a in order.omega_mul(u, v))
+        def image(l, y):
+            return (l[0] * y[0] + l[1] * y[1] + l[2] * y[2]) % 2
 
-        rad = _radical_kernel(order, p)
-        red, pivots = rref_mod_p([list(v) for v in rad], 3, p)
-        for ideal_rows_sub in _quotient_maximal_ideals(
-            p, 3, mul, tuple(a % p for a in one), [tuple(r) for r in red], pivots
-        ):
-            mat = _prime_from_subspace(order, p, ideal_rows_sub)
-            f = _exact_prime_log(det3(mat), p)
-            kernel = order._valuation_cache[mat] = (p, _multiplier_rows(order, p, mat))
-            entries.append((f, mat, valuation(kernel, tuple(p * c for c in one))))
+        entries = [
+            (1, _kernel_of_form(2, l), 1)
+            for l in itertools.product(range(2), repeat=3)
+            if image(l, one) == 1
+            and all(image(l, table[i][j]) == l[i] * l[j] for i in range(3) for j in range(3))
+        ]
+        assert p == 2 and len(entries) == 3, "only 2 split into three primes lacks a p-generator"
 
     entries.sort()  # by (f, hnf): distinct primes have distinct HNFs
     primes = []

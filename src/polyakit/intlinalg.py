@@ -281,21 +281,25 @@ def det3(m) -> int:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def adj3(m) -> tuple[tuple, ...]:
+    """Adjugate of a 3x3 matrix: m * adj3(m) = adj3(m) * m = det3(m) * I."""
+    a, b, c = m[0]
+    d, e, f = m[1]
+    g, h, i = m[2]
+    return (
+        (e * i - f * h, c * h - b * i, b * f - c * e),
+        (f * g - d * i, a * i - c * g, c * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
+    )
+
+
 def invert3(m) -> list[list]:
     """Inverse of a 3x3 matrix via the adjugate, dividing as x / det:
     exact for Fraction entries, float or complex arithmetic otherwise."""
     det = det3(m)
     if det == 0:
         raise ZeroDivisionError("singular matrix")
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    adj = [
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ]
-    return [[x / det for x in row] for row in adj]
+    return [[x / det for x in row] for row in adj3(m)]
 
 
 def _zigzag(cap: int, lo: int = 0, nonneg: bool = False):

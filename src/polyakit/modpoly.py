@@ -4,10 +4,12 @@ Polynomials are coefficient tuples, low degree first, always reduced
 mod p with no trailing zeros (the zero polynomial is ()).  Roots are
 counted by a gcd with x^p - x and extracted by equal-degree splitting
 with a deterministic shift sweep; multiplicities come from division.
-The consumers are in cubicfield: `factor_monic_small` splits the etale
-algebra O/pO at index primes, `roots_mod_p` finds the roots of f mod p
-for factor_prime at large p (small p are scanned there), and
-`distinct_root_count` gives the splitting census its patterns.
+The consumers are in cubicfield: `roots_mod_p` finds the roots of the
+characteristic polynomial of a p-generator for factor_prime at large p
+(small p are scanned there), and `distinct_root_count` gives the
+splitting census its patterns.  `factor_monic_cubic` stays as the
+reference factorization of tests/fieldref.py and a layer that
+bench/tracer.py traces.
 """
 
 from __future__ import annotations
@@ -130,34 +132,6 @@ def roots_mod_p(f, p: int) -> list[int]:
     xp = ppowmod((0, 1), p, f, p)
     g = pgcd(psub(xp, (0, 1), p), f, p)
     return _split_roots(g, p)
-
-
-def factor_monic_small(f, p: int) -> list[tuple[tuple[int, ...], int]]:
-    """Factor a monic polynomial of degree 1..3 over GF(p)."""
-    f = pnorm(f, p)
-    d = pdeg(f)
-    if d == 1:
-        return [(f, 1)]
-    if d == 2:
-        rs = roots_mod_p(f, p)
-        if not rs:
-            return [(f, 1)]
-        factors = []
-        rem = f
-        for r in rs:
-            lin = pnorm((-r, 1), p)
-            mult = 0
-            while True:
-                q, s = pdivmod(rem, lin, p)
-                if s:
-                    break
-                rem, mult = q, mult + 1
-            factors.append((lin, mult))
-        assert pdeg(rem) == 0
-        return sorted(factors, key=lambda t: (pdeg(t[0]), t[0]))
-    if d == 3:
-        return factor_monic_cubic(f, p)
-    raise ValueError(f"degree {d} out of range")
 
 
 def factor_monic_cubic(f, p: int) -> list[tuple[tuple[int, ...], int]]:

@@ -85,6 +85,44 @@ def test_empty_factor_base_is_exact(orders):
     assert cl.order == 1
 
 
+def _reference_factor_base(order):
+    """Reference: the primes of norm at most the Minkowski bound sorted
+    by (p, f, HNF), the bound, and the rows of p*O = prod p_i^{e_i} over
+    them, each from its own walk of the primes below the bound."""
+    mb = minkowski_bound(order)
+    ps = primes_up_to(mb.numerator // mb.denominator)
+    fb = [q for p in ps for q in factor_prime(order, p) if q.norm <= mb]
+    fb.sort(key=lambda q: (q.p, q.f, q.hnf))
+    index_of = {q.hnf: i for i, q in enumerate(fb)}
+    rows = []
+    for p in ps:
+        facs = factor_prime(order, p)
+        if all(q.norm <= mb for q in facs):
+            row = [0] * len(fb)
+            for q in facs:
+                row[index_of[q.hnf]] = q.e
+            rows.append(row)
+    return tuple(fb), mb, rows
+
+
+def test_factor_base_walks_the_primes_once():
+    """_factor_base's one walk gives the factor base and rows of the
+    reference's two walks, on every 50th triple of the |a_i| <= 12 box
+    and the fixture fields; in the index-2 field x^3-x^2-2x-8 the only
+    row is that of its three primes above 2 (5 has one of degree 2)."""
+    polys = [parse_cubic(s) for s in FIXTURE_POLYS]
+    for t in itertools.islice(itertools.product(range(-12, 13), repeat=3), 0, None, 50):
+        try:
+            polys.append(CubicPoly(*t))
+        except ReduciblePolynomialError:
+            continue
+    for poly in polys:
+        order = maximal_order(poly)
+        assert classgroup._factor_base(order) == _reference_factor_base(order), poly
+    fb, _, rows = classgroup._factor_base(_order_of("x^3-x^2-2x-8"))
+    assert [q.label for q in fb] == ["2a", "2b", "2c", "5a"] and rows == [[1, 1, 1, 0]]
+
+
 def test_witness_field_class_group(orders):
     cl = class_group(orders["x^3+4x-1"])
     assert cl.invariant_factors == (2,)
@@ -350,14 +388,7 @@ def _full_box_harvest(order, fb, mb, radius, probes):
     whole box."""
     k = len(fb)
     index_of = {prime.hnf: i for i, prime in enumerate(fb)}
-    rows = set()
-    for p in primes_up_to(mb.numerator // mb.denominator):
-        facs = factor_prime(order, p)
-        if all(q.norm <= mb for q in facs):
-            row = [0] * k
-            for q in facs:
-                row[index_of[q.hnf]] = q.e
-            rows.add(tuple(row))
+    rows = {tuple(row) for row in _reference_factor_base(order)[2]}
     for i in probes:
         rows.add(tuple(int(j == i) for j in range(k)))
     ps = {prime.p for prime in fb}
@@ -375,7 +406,7 @@ def _full_box_class_group(order, budget, reusable):
     each pass and whether its first presentation repeats the previous
     pass's second: every pass after the first, unless the previous one
     added a certificate."""
-    fb, mb = classgroup._factor_base(order)
+    fb, mb, _ = classgroup._factor_base(order)
     if not fb:
         return classgroup._present(fb, mb, ())
 
@@ -539,7 +570,7 @@ def test_norm_derived_valuations_match_the_walk():
             order = maximal_order(CubicPoly(a2, a1, a0))
         except ReduciblePolynomialError:
             continue
-        fb, _ = classgroup._factor_base(order)
+        fb, _, _ = classgroup._factor_base(order)
         index_of = {prime.hnf: i for i, prime in enumerate(fb)}
         ps = {prime.p for prime in fb}
         screen, over = classgroup._columns(order, index_of, ps)
@@ -561,13 +592,13 @@ def test_norm_derived_valuations_match_the_walk():
 
 def test_columns_build_kernels_only_for_directly_valued_primes():
     """Every p has exactly one prime valued from the norm, the last of
-    factor_prime, and `_columns` builds it no kernel (factor_prime has
-    cached one only at an index prime); every other prime above p gets
-    its immutable (p, tau rows) kernel."""
+    factor_prime, and no kernel is built for it, at an index prime
+    too; every other prime above p gets its immutable (p, tau rows)
+    kernel."""
     direct_count = index_rests = 0
     for s in FIXTURE_POLYS:
         order = maximal_order(parse_cubic(s))  # fresh: an empty kernel cache
-        fb, _ = classgroup._factor_base(order)
+        fb, _, _ = classgroup._factor_base(order)
         index_of = {prime.hnf: i for i, prime in enumerate(fb)}
         _, over = classgroup._columns(order, index_of, {prime.p for prime in fb} | {2, 3, 5, 7})
         cache = order._valuation_cache
@@ -575,7 +606,7 @@ def test_columns_build_kernels_only_for_directly_valued_primes():
         for p, direct, rest in over:
             *primes, last = factor_prime(order, p)
             assert rest == (last.f, index_of.get(last.hnf))
-            assert (last.hnf in cache) == (order.index % p == 0), (s, p)
+            assert last.hnf not in cache, (s, p)
             index_rests += order.index % p == 0
             assert [(f, idx) for f, idx, _ in direct] == [
                 (q.f, index_of.get(q.hnf)) for q in primes
@@ -592,7 +623,7 @@ def test_norm_derived_valuation_rejects_a_broken_identity():
     """A remainder the norm-derived prime cannot take raises instead of
     reading as 'not smooth'."""
     order = _order_of("x^3-2")
-    fb, _ = classgroup._factor_base(order)
+    fb, _, _ = classgroup._factor_base(order)
     index_of = {prime.hnf: i for i, prime in enumerate(fb)}
     _, over = classgroup._columns(order, index_of, {prime.p for prime in fb})
     p, direct, (f, idx) = over[0]
@@ -612,7 +643,7 @@ def test_norm_derived_valuation_rejects_a_broken_identity():
 )
 def test_smooth_row_matches_trial_division(s, coords, extra_column):
     order = _order_of(s)
-    fb, _ = classgroup._factor_base(order)
+    fb, _, _ = classgroup._factor_base(order)
     index_of = {prime.hnf: i for i, prime in enumerate(fb)}
     ps = {prime.p for prime in fb}
     y = coords

@@ -537,8 +537,9 @@ def test_factor_prime_off_the_index_factors_no_polynomial(monkeypatch):
 
 def test_large_index_orders_factor_consistently():
     """Fields whose equation order has index 9 and 10: the index primes
-    go through the quotient-algebra path; the factorization identity and
-    the ramification criterion must still hold on the nose."""
+    are read off the roots of a p-generator's characteristic polynomial;
+    the factorization identity and the ramification criterion must still
+    hold on the nose at every p <= 60."""
     for s, expected_index in (("x^3-8x^2-2x-9", 9), ("x^3-12x^2-5x-4", 10)):
         poly = parse_cubic(s)
         O = maximal_order(poly)
@@ -554,34 +555,109 @@ def test_large_index_orders_factor_consistently():
             assert any(q.e > 1 for q in facs) == (O.disc_K % p == 0), (s, p)
 
 
+INDEX_9_POLY = "x^3-8x^2-2x-9"
+INDEX_10_POLY = "x^3-12x^2-5x-4"
+
+
+def _constructed_poly(p, c, b):
+    """The minimal polynomial of theta = p*beta + c, beta a root of
+    x^3 + b2 x^2 + b1 x + b0 with b = (b2, b1, b0): Z[theta] has index
+    p^3 in Z[beta], so p divides the index of the field."""
+    b2, b1, b0 = b
+    # p^3 * g((x - c) / p), expanded in x
+    return CubicPoly(
+        b2 * p - 3 * c,
+        3 * c * c - 2 * b2 * p * c + b1 * p * p,
+        -c**3 + b2 * p * c * c - b1 * p * p * c + b0 * p**3,
+    )
+
+
+@lru_cache(maxsize=None)
+def _index_pairs():
+    """(order, p) for every prime p dividing the index of every field of
+    a slice of the |a_i| <= 12 box (every 3rd triple), of the index-9 and
+    index-10 fields, and of p*beta + c constructions with index primes
+    on both sides of the root-scan crossover."""
+    box = itertools.product(range(-12, 13), repeat=3)
+    polys = [_box_field(t) for t in itertools.islice(box, 0, None, 3)]
+    polys += [parse_cubic(INDEX_9_POLY), parse_cubic(INDEX_10_POLY)]
+    polys += [
+        _constructed_poly(p, c, b)
+        for p in (5, 41, 1009) + ABOVE_SCAN_LIMIT[:2]
+        for c, b in ((1, (0, -1, -1)), (-2, (0, 0, -2)), (3, (-1, -2, 1)))
+    ]
+    pairs = []
+    for poly in filter(None, polys):
+        O = maximal_order(poly)
+        pairs += [(O, p) for p in cubicfield.factor_int(O.index)]
+    return pairs
+
+
+def test_index_primes_multiply_to_p():
+    """At every index pair: the primes are distinct, prod P^e = p*O, and
+    some e > 1 exactly when p divides disc_K."""
+    assert len(_index_pairs()) == 1543
+    for O, p in _index_pairs():
+        facs = factor_prime(O, p)
+        assert len({q.hnf for q in facs}) == len(facs), (O.poly, p)
+        acc = IntegralIdeal.unit()
+        for q in facs:
+            acc = ideal_product(O, acc, ideal_pow(O, q.as_integral(), q.e))
+        assert acc == IntegralIdeal.from_scalar(p), (O.poly, p)
+        assert any(q.e > 1 for q in facs) == (O.disc_K % p == 0), (O.poly, p)
+
+
 def test_index_prime_degree_one_count_matches_hom_oracle():
     """Independent oracle at index primes: the number of degree-1 primes
     over p equals the number of unital GF(p)-algebra homomorphisms
-    O -> GF(p), counted by brute force over all linear functionals."""
-    for s in ("x^3-x^2-2x-8", "x^3-8x^2-2x-9", "x^3-12x^2-5x-4"):
-        O = maximal_order(parse_cubic(s))
-        for p in [q for q in (2, 3, 5, 7) if O.index % q == 0]:
-            table = O.mult_table
-            one = O.one
-            homs = 0
-            for x0 in range(p):
-                for x1 in range(p):
-                    for x2 in range(p):
-                        phi = (x0, x1, x2)
+    O -> GF(p), counted by brute force over all linear functionals, at
+    every index pair with p <= 37."""
+    checked = 0
+    for O, p in _index_pairs():
+        if p > 37:
+            continue
+        table = O.mult_table
+        one = O.one
+        homs = 0
+        for phi in itertools.product(range(p), repeat=3):
 
-                        def apply(v):
-                            return (v[0] * phi[0] + v[1] * phi[1] + v[2] * phi[2]) % p
+            def apply(v):
+                return (v[0] * phi[0] + v[1] * phi[1] + v[2] * phi[2]) % p
 
-                        if apply(one) != 1 % p:
-                            continue
-                        if all(
-                            apply(table[i][j]) == (phi[i] * phi[j]) % p
-                            for i in range(3)
-                            for j in range(3)
-                        ):
-                            homs += 1
-            deg1 = sum(1 for q in factor_prime(O, p) if q.f == 1)
-            assert deg1 == homs, (s, p)
+            if apply(one) != 1 % p:
+                continue
+            if all(apply(table[i][j]) == (phi[i] * phi[j]) % p for i in range(3) for j in range(3)):
+                homs += 1
+        deg1 = sum(1 for q in factor_prime(O, p) if q.f == 1)
+        assert deg1 == homs, (O.poly, p)
+        checked += 1
+    assert checked == 1531
+
+
+def test_p_generator_missing_exactly_when_2_splits_completely(monkeypatch):
+    """factor_prime falls back to the ring maps O -> F_2 exactly when 2
+    splits into three degree-1 primes, and then no element of O/2O is a
+    p-generator: det(1, alpha, alpha^2) is even for all eight."""
+    found, p_generator = {}, cubicfield._p_generator
+
+    def spy(order, p):
+        found[order.poly, p] = p_generator(order, p)
+        return found[order.poly, p]
+
+    fallbacks = 0
+    for O, p in _index_pairs() + [(maximal_order(parse_cubic("x^3-x^2-2x-8")), 2)]:
+        O = maximal_order(O.poly)  # fresh: an empty prime cache
+        with monkeypatch.context() as m:
+            m.setattr(cubicfield, "_p_generator", spy)
+            facs = factor_prime(O, p)
+        split = p == 2 and [(q.f, q.e) for q in facs] == [(1, 1)] * 3
+        assert (found[O.poly, p] is None) == split, (O.poly, p)
+        if split:
+            fallbacks += 1
+            for alpha in itertools.product(range(2), repeat=3):
+                powers = (O.one, alpha, O.omega_mul(alpha, alpha))
+                assert det3(powers) % 2 == 0, (O.poly, alpha)
+    assert fallbacks == 107
 
 
 def test_index_prime_splitting_nonmonogenic(orders):
@@ -602,8 +678,6 @@ def _walk_valuation(O, q, y):
     return k
 
 
-INDEX_9_POLY = "x^3-8x^2-2x-9"
-INDEX_10_POLY = "x^3-12x^2-5x-4"
 VALUATION_POLYS = FIXTURE_POLYS + (INDEX_10_POLY,)
 
 
@@ -652,8 +726,9 @@ def test_valuation_of_zero_raises(s, p):
 
 @pytest.mark.parametrize("s", ["x^3-x^2-2x-8", INDEX_10_POLY])
 def test_index_prime_multiplier_built_once(monkeypatch, s):
-    """factor_prime's tau at an index prime is the prime's valuation
-    kernel: valuation_kernel builds no second one."""
+    """tau is built once per prime, by valuation_kernel: factor_prime
+    builds none at an index prime, the first kernel call builds it, and
+    a second call builds nothing."""
     O = maximal_order(parse_cubic(s))  # fresh: empty prime and kernel caches
     calls = []
 
@@ -666,8 +741,11 @@ def test_index_prime_multiplier_built_once(monkeypatch, s):
     assert index_primes
     for p in index_primes:
         primes = factor_prime(O, p)
+        assert calls == [], (s, p)
         kernels = [valuation_kernel(O, q) for q in primes]
-        assert sorted(calls) == sorted(q.hnf for q in primes), (s, p)
+        assert calls == [q.hnf for q in primes], (s, p)
+        assert [valuation_kernel(O, q) for q in primes] == kernels
+        assert len(calls) == len(primes)
         # the kernel is (p, tau rows); the module's import is the unpatched builder
         assert kernels == [(p, _multiplier_rows(O, p, q.hnf)) for q in primes]
         calls.clear()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from polyakit.intlinalg import (
     HermiteBasis,
     _ext_gcd,
+    adj3,
     det3,
     hnf_rows,
     invert3,
@@ -391,6 +392,16 @@ def test_kernel_mod_p(rows, p):
     assert len(free) == len(ker)
     for v, j in zip(ker, free):
         assert [v[i] for i in free] == [int(i == j) for i in free]
+
+
+@given(matrices(3, 3))
+def test_adj3_is_the_adjugate(m):
+    """m * adj3(m) = adj3(m) * m = det3(m) * I, singular m included."""
+    adj, d = adj3(m), det3(m)
+    for i in range(3):
+        for j in range(3):
+            assert sum(m[i][k] * adj[k][j] for k in range(3)) == d * (i == j)
+            assert sum(adj[i][k] * m[k][j] for k in range(3)) == d * (i == j)
 
 
 def test_invert3_exact():

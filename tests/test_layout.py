@@ -15,8 +15,9 @@ from pathlib import Path
 import polyakit
 
 PACKAGE = Path(polyakit.__file__).parent
-# wrapped by bench/tracer.py as the per-prime valuation layer
-ALLOWED = {"cubicfield.element_valuation"}
+# wrapped by bench/tracer.py as the per-prime valuation layer, and as the
+# cubic factoring layer (also the reference of tests/fieldref.py)
+ALLOWED = {"cubicfield.element_valuation", "modpoly.factor_monic_cubic"}
 
 
 def _names_used(node) -> set[str]:

@@ -77,15 +77,6 @@ def test_distinct_root_count_matches_brute_force():
             assert modpoly.distinct_root_count(f, p) == expect
 
 
-def test_factor_monic_small_degrees():
-    assert modpoly.factor_monic_small((3, 1), 5) == [((3, 1), 1)]
-    # x^2 - 1 = (x-1)(x+1) mod 7
-    fac = modpoly.factor_monic_small((6, 0, 1), 7)
-    assert fac == [((1, 1), 1), ((6, 1), 1)]
-    # x^2 + 1 irreducible mod 7
-    assert modpoly.factor_monic_small((1, 0, 1), 7) == [((1, 0, 1), 1)]
-
-
 def test_division_and_gcd():
     p = 13
     a = (1, 2, 3, 1)
