@@ -36,14 +36,10 @@ from .cubicfield import (
     PrimeIdeal,
     ReduciblePolynomialError,
     SearchBudgetExceededError,
-    discriminant,
     element_ideal,
     factor_prime,
     ideal_equal,
-    ideal_norm,
-    ideal_pow,
     ideal_product,
-    is_galois_cubic,
     is_principal,
     maximal_order,
     minkowski_bound,

@@ -44,6 +44,8 @@ from typing import Optional
 
 from .abelian import AbelianGroupSNF, Subgroup
 from .cubicfield import (
+    DEFAULT_MAX_ENUM,
+    DEFAULT_PRIME_BOUND,
     ClassGroupInconclusiveError,
     ExpressionBudgetExceededError,
     MaximalOrder,
@@ -457,7 +459,7 @@ class PolyaResult:
 def polya_group(
     order: MaximalOrder,
     cl: ClassGroupData,
-    prime_bound: int = 200,
+    prime_bound: int = DEFAULT_PRIME_BOUND,
     variant: str = "all",
 ) -> PolyaResult:
     """Subgroup of Cl(K) generated by the classes of Pi_{p^f} for
@@ -562,7 +564,7 @@ def _variant_payload(result: PolyaResult) -> dict:
 
 def verify_main_theorem(
     order: MaximalOrder,
-    prime_bound: int = 200,
+    prime_bound: int = DEFAULT_PRIME_BOUND,
     budget: Optional[int] = None,
     verify_stability: bool = True,
 ) -> PolyaReport:
@@ -646,7 +648,7 @@ class OstrowskiReport:
 def ostrowski_check(
     order: MaximalOrder,
     prime_bound: int,
-    max_candidates: int = 400000,
+    max_candidates: int = DEFAULT_MAX_ENUM,
 ) -> list[dict]:
     """Search a generator of every unramified split-product ideal
     Pi_{p^f} with p <= prime_bound, returning one record per (p, f).
@@ -674,7 +676,9 @@ def ostrowski_check(
 
 
 def ostrowski_report(
-    order: MaximalOrder, prime_bound: int = 200, max_candidates: int = 400000
+    order: MaximalOrder,
+    prime_bound: int = DEFAULT_PRIME_BOUND,
+    max_candidates: int = DEFAULT_MAX_ENUM,
 ) -> OstrowskiReport:
     records = ostrowski_check(order, prime_bound, max_candidates=max_candidates)
     return OstrowskiReport(

@@ -1,24 +1,28 @@
 """Batch front-end: group criterion checks, field analysis, coefficient
 surveys, and splitting censuses, with machine-readable output.
 
-Exit codes: 0 success, 2 malformed input, 3 budget exceeded,
-4 class group inconclusive at budget.  Reports go to stdout (UTF-8),
-diagnostics to stderr.  Identical inputs and budgets produce
-byte-identical output.
+Each subcommand accepts only the options it reads:
+
+- group-check: --family, --n, --format, --max-closure
+- field-analyze: --witnesses, --prime-bound, --max-enum, --budget
+- survey: --coeff-bound, --only-nontrivial, --prime-bound, --budget, --workers
+- census: --prime-bound, --format
+
+Exit codes: 0 success, 2 malformed input (an option the subcommand does
+not take included), 3 budget exceeded, 4 class group inconclusive at
+budget.  Reports go to stdout (UTF-8), diagnostics to stderr.
+Identical inputs and budgets produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import classgroup, cubicfield, permgroup
 from .artin import chebotarev_densities
@@ -37,29 +41,6 @@ EXIT_BUDGET = 3
 EXIT_INCONCLUSIVE = 4
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
-
-    command: str
-    prime_bound: int = 200
-    format: str = "json"
-    workers: int = 1
-    max_closure: int = permgroup.DEFAULT_CLOSURE_CEILING
-    max_enum: int = 400000
-    budget: Optional[int] = None
-
-    def __post_init__(self):
-        if self.prime_bound < 2:
-            raise ValueError("prime_bound must be >= 2")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be >= 1")
-
-
 class _ParseFailure(Exception):
     pass
 
@@ -70,6 +51,18 @@ def _emit(line: str) -> None:
 
 def _diag(msg: str) -> None:
     sys.stderr.write(msg + "\n")
+
+
+def _emit_rows(rows: list[dict], fmt: str, columns: tuple[str, ...]) -> None:
+    """Print rows as JSON lines, or as CSV under a `columns` header, with
+    an empty cell for a column a row lacks."""
+    if fmt == "json":
+        for row in rows:
+            _emit(json.dumps(row))
+        return
+    writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +93,7 @@ def _expand_group_specs(args) -> list[tuple[str, str]]:
             for n in range(lo, hi + 1):
                 specs.append((f"{args.family}{n}", "family"))
     for token in args.groups:
-        if token == "F20" or re.match(r"^[SADC]\d+$", token):
+        if token == "F20" or permgroup._FAMILY_RE.match(token):
             specs.append((token, "family"))
         else:
             specs.append((token, "file"))
@@ -109,17 +102,23 @@ def _expand_group_specs(args) -> list[tuple[str, str]]:
     return specs
 
 
-def _load_group(name: str, kind: str, config: RunConfig) -> permgroup.PermGroup:
+def _load_group(name: str, kind: str, ceiling: int) -> permgroup.PermGroup:
     if kind == "family":
-        return permgroup.family_group(name)
+        return permgroup.family_group(name, ceiling=ceiling)
     try:
         with open(name, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return permgroup.parse_group_file(text, ceiling=config.max_closure)
+        return permgroup.parse_group_file(text, ceiling=ceiling)
     except OSError as exc:
         raise _ParseFailure(f"cannot read group file {name!r}: {exc}") from exc
     except ValueError as exc:
         raise _ParseFailure(f"bad group file {name!r}: {exc}") from exc
+
+
+_GROUP_COLUMNS = (
+    "group", "order_G", "order_H", "size_T",
+    "condition_2B", "frobenius", "two_transitive", "error",
+)
 
 
 def _group_report(name: str, group: permgroup.PermGroup) -> dict:
@@ -141,32 +140,19 @@ def _group_report(name: str, group: permgroup.PermGroup) -> dict:
     }
 
 
-def _cmd_group_check(args, config: RunConfig) -> int:
+def _cmd_group_check(args) -> int:
     specs = _expand_group_specs(args)
     rows = []
     for name, kind in specs:
         try:
-            group = _load_group(name, kind, config)
+            group = _load_group(name, kind, args.max_closure)
             rows.append(_group_report(name, group))
         except GroupTooLargeError as exc:
             _diag(f"budget exceeded for {name}: {exc}")
             return EXIT_BUDGET
         except ValueError as exc:  # a group that parsed but does not suit the check
             rows.append({"group": name, "error": str(exc)})
-    if config.format == "json":
-        for row in rows:
-            _emit(json.dumps(row))
-    else:
-        cols = [
-            "group", "order_G", "order_H", "size_T",
-            "condition_2B", "frobenius", "two_transitive", "error",
-        ]
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({c: row.get(c, "") for c in cols})
-        sys.stdout.write(buf.getvalue())
+    _emit_rows(rows, args.format, _GROUP_COLUMNS)
     return EXIT_OK
 
 
@@ -181,31 +167,31 @@ def _parse_field(text: str) -> CubicPoly:
         raise _ParseFailure(f"bad cubic {text!r}: {exc}") from exc
 
 
-def _cmd_field_analyze(args, config: RunConfig) -> int:
+def _cmd_field_analyze(args) -> int:
     poly = _parse_field(args.poly)
     order = cubicfield.maximal_order(poly)
     if poly.is_galois():
         report = classgroup.ostrowski_report(
-            order, config.prime_bound, max_candidates=config.max_enum
+            order, args.prime_bound, max_candidates=args.max_enum
         )
         _emit(json.dumps(report.to_json_dict()))
         return EXIT_OK
     report = classgroup.verify_main_theorem(
-        order, prime_bound=config.prime_bound, budget=config.budget
+        order, prime_bound=args.prime_bound, budget=args.budget
     )
     if args.witnesses:
-        report.principal_witnesses = _collect_witnesses(order, report, config)
+        report.principal_witnesses = _collect_witnesses(order, args)
     _emit(json.dumps(report.to_json_dict()))
     return EXIT_OK
 
 
-def _collect_witnesses(order, report, config: RunConfig) -> list[dict]:
+def _collect_witnesses(order, args) -> list[dict]:
     """Generators for the split-product ideals whose class is trivial,
     where the bounded search finds one."""
     out = []
-    for p, f, ideal in cubicfield.split_products(order, min(config.prime_bound, 50)):
+    for p, f, ideal in cubicfield.split_products(order, min(args.prime_bound, 50)):
         try:
-            gen = cubicfield.is_principal(order, ideal, max_candidates=config.max_enum)
+            gen = cubicfield.is_principal(order, ideal, max_candidates=args.max_enum)
         except SearchBudgetExceededError:
             gen = None
         if gen is not None:
@@ -256,7 +242,12 @@ def survey_field(triple: tuple[int, int, int], prime_bound: int, budget=None) ->
     return rec
 
 
-def survey_box(coeff_bound: int, prime_bound: int = 200, budget=None, workers: int = 1):
+def survey_box(
+    coeff_bound: int,
+    prime_bound: int = cubicfield.DEFAULT_PRIME_BOUND,
+    budget=None,
+    workers: int = 1,
+):
     """Survey every coefficient triple with |a_i| <= coeff_bound, in
     lexicographic input order (polynomials are all distinct, so the
     documented polynomial-level dedup has nothing to merge)."""
@@ -281,11 +272,9 @@ def survey_box(coeff_bound: int, prime_bound: int = 200, budget=None, workers: i
             yield survey_field(t, prime_bound, budget)
 
 
-def _cmd_survey(args, config: RunConfig) -> int:
+def _cmd_survey(args) -> int:
     counts = {"verified": 0, "undetermined": 0, "skipped": 0, "error": 0}
-    for rec in survey_box(
-        args.coeff_bound, config.prime_bound, config.budget, config.workers
-    ):
+    for rec in survey_box(args.coeff_bound, args.prime_bound, args.budget, args.workers):
         counts[rec["status"]] += 1
         if rec["status"] == "error":
             _diag(f"error at ({rec['a2']},{rec['a1']},{rec['a0']}): {rec.get('error')}")
@@ -301,6 +290,11 @@ def _cmd_survey(args, config: RunConfig) -> int:
 
 # ---------------------------------------------------------------------------
 # census
+
+
+_CENSUS_COLUMNS = (
+    "splitting_type", "count", "frequency", "predicted_density", "abs_deviation",
+)
 
 
 def _census_rows(poly: CubicPoly, prime_bound: int) -> list[dict]:
@@ -327,20 +321,9 @@ def _census_rows(poly: CubicPoly, prime_bound: int) -> list[dict]:
     return rows
 
 
-def _cmd_census(args, config: RunConfig) -> int:
-    poly = _parse_field(args.poly)
-    rows = _census_rows(poly, config.prime_bound)
-    if config.format == "json":
-        for row in rows:
-            _emit(json.dumps(row))
-    else:
-        cols = ["splitting_type", "count", "frequency", "predicted_density", "abs_deviation"]
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        sys.stdout.write(buf.getvalue())
+def _cmd_census(args) -> int:
+    rows = _census_rows(_parse_field(args.poly), args.prime_bound)
+    _emit_rows(rows, args.format, _CENSUS_COLUMNS)
     return EXIT_OK
 
 
@@ -354,38 +337,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Group-criterion checks and exact cubic-field verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--prime-bound", type=int, default=cubicfield.DEFAULT_PRIME_BOUND)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--max-closure", type=int, default=permgroup.DEFAULT_CLOSURE_CEILING)
-        p.add_argument("--max-enum", type=int, default=400000)
-        p.add_argument("--budget", type=int, default=None,
-                       help="relation-harvest radius for the class group")
+    prime_bound = dict(type=int, default=cubicfield.DEFAULT_PRIME_BOUND)
+    output_format = dict(choices=("json", "csv"), default="json")
+    budget = dict(type=int, default=None, help="relation-harvest radius for the class group")
 
     g = sub.add_parser("group-check", help="evaluate the generation criterion")
     g.add_argument("groups", nargs="*", default=[],
                    help="family tokens (S5, A6, D4, C7, F20) or generator files")
     g.add_argument("--family", choices=("S", "A", "D", "C", "F20"))
     g.add_argument("--n", help="range like 3..8 (with --family)")
-    common(g)
+    g.add_argument("--format", **output_format)
+    g.add_argument("--max-closure", type=int, default=permgroup.DEFAULT_CLOSURE_CEILING)
+    g.set_defaults(run=_cmd_group_check)
 
     f = sub.add_parser("field-analyze", help="verify the theorem on one cubic field")
     f.add_argument("poly", help="e.g. \"x^3-2\" or \"0,4,-1\"")
     f.add_argument("--witnesses", action="store_true",
                    help="include principal-ideal generator witnesses")
-    common(f)
+    f.add_argument("--prime-bound", **prime_bound)
+    f.add_argument("--max-enum", type=int, default=cubicfield.DEFAULT_MAX_ENUM)
+    f.add_argument("--budget", **budget)
+    f.set_defaults(run=_cmd_field_analyze)
 
     s = sub.add_parser("survey", help="sweep a coefficient box")
     s.add_argument("--coeff-bound", type=int, required=True)
     s.add_argument("--only-nontrivial", action="store_true",
                    help="print only fields with nontrivial class group")
-    common(s)
+    s.add_argument("--prime-bound", **prime_bound)
+    s.add_argument("--budget", **budget)
+    s.add_argument("--workers", type=int, default=1)
+    s.set_defaults(run=_cmd_survey)
 
     c = sub.add_parser("census", help="splitting statistics vs predicted densities")
     c.add_argument("poly")
-    common(c)
+    c.add_argument("--prime-bound", **prime_bound)
+    c.add_argument("--format", **output_format)
+    c.set_defaults(run=_cmd_census)
     return parser
 
 
@@ -405,6 +392,11 @@ def _triple_after_dashes(argv: list[str]) -> list[str]:
     return [a for a in argv if a not in triples] + ["--", *triples]
 
 
+# The least value of each integer option that has one; a smaller value
+# exits 2.
+_LOWER_BOUNDS = {"prime_bound": 2, "workers": 1, "budget": 1}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -413,27 +405,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the parse-error code
         return EXIT_PARSE if exc.code else EXIT_OK
+    for name, low in _LOWER_BOUNDS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            _diag(f"bad configuration: {name} must be >= {low}")
+            return EXIT_PARSE
     try:
-        config = RunConfig(
-            command=args.command,
-            prime_bound=args.prime_bound,
-            format=args.format,
-            workers=args.workers,
-            max_closure=args.max_closure,
-            max_enum=args.max_enum,
-            budget=args.budget,
-        )
-    except ValueError as exc:
-        _diag(f"bad configuration: {exc}")
-        return EXIT_PARSE
-    try:
-        if args.command == "group-check":
-            return _cmd_group_check(args, config)
-        if args.command == "field-analyze":
-            return _cmd_field_analyze(args, config)
-        if args.command == "survey":
-            return _cmd_survey(args, config)
-        return _cmd_census(args, config)
+        return args.run(args)
     except _ParseFailure as exc:
         _diag(str(exc))
         return EXIT_PARSE

@@ -259,14 +259,6 @@ def parse_cubic(text: str) -> CubicPoly:
     return CubicPoly(coeffs[2], coeffs[1], coeffs[0])
 
 
-def discriminant(poly: CubicPoly) -> int:
-    return poly.discriminant()
-
-
-def is_galois_cubic(poly: CubicPoly) -> bool:
-    return poly.is_galois()
-
-
 # ---------------------------------------------------------------------------
 # Power-basis arithmetic (coordinates w.r.t. 1, theta, theta^2)
 
@@ -677,19 +669,6 @@ def ideal_product(order: MaximalOrder, I: IntegralIdeal, J: IntegralIdeal) -> In
     return IntegralIdeal.from_rows(rows)
 
 
-def ideal_pow(order: MaximalOrder, I: IntegralIdeal, k: int) -> IntegralIdeal:
-    if k < 0:
-        raise ValueError("negative ideal power")
-    result = IntegralIdeal.unit()
-    for _ in range(k):
-        result = ideal_product(order, result, I)
-    return result
-
-
-def ideal_norm(I: IntegralIdeal) -> int:
-    return I.norm
-
-
 def ideal_equal(I: IntegralIdeal, J: IntegralIdeal) -> bool:
     return I.hnf == J.hnf
 
@@ -959,11 +938,15 @@ def minkowski_bound(order: MaximalOrder) -> Fraction:
     return bound
 
 
+# The default cap on the lattice points is_principal may examine.
+DEFAULT_MAX_ENUM = 400000
+
+
 def is_principal(
     order: MaximalOrder,
     I: IntegralIdeal,
     radius_factor: float = 2.0,
-    max_candidates: int = 400000,
+    max_candidates: int = DEFAULT_MAX_ENUM,
 ) -> Optional[tuple[int, int, int]]:
     """Search I for a generator: an element of norm +-norm(I).
 

@@ -669,69 +669,85 @@ def is_2transitive(group: PermGroup, action: CosetAction) -> bool:
 # Named families and the group-file text format
 
 
-def symmetric_group(n: int) -> PermGroup:
+def _symmetric(n: int) -> tuple[int, list[Perm]]:
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return group_closure(1, [])
-    gens = [Perm.from_cycles(n, [[0, 1]])]
+    gens = [Perm.from_cycles(n, [[0, 1]])] if n > 1 else []
     if n > 2:
         gens.append(Perm.from_cycles(n, [list(range(n))]))
-    return group_closure(n, gens)
+    return n, gens
 
 
-def alternating_group(n: int) -> PermGroup:
+def _alternating(n: int) -> tuple[int, list[Perm]]:
     if n < 3:
-        return group_closure(max(n, 1), [])
+        return max(n, 1), []
     gens = [Perm.from_cycles(n, [[0, 1, 2]])]
     if n > 3:
         cycle = list(range(n)) if n % 2 == 1 else list(range(1, n))
         gens.append(Perm.from_cycles(n, [cycle]))
-    return group_closure(n, gens)
+    return n, gens
 
 
-def cyclic_group(n: int) -> PermGroup:
+def _cyclic(n: int) -> tuple[int, list[Perm]]:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return group_closure(n, [Perm.from_cycles(n, [list(range(n))])])
+    return n, [Perm.from_cycles(n, [list(range(n))])]
 
 
-def dihedral_group(n: int) -> PermGroup:
-    """Symmetries of the regular n-gon on n points (order 2n), n >= 3."""
+def _dihedral(n: int) -> tuple[int, list[Perm]]:
     if n < 3:
         raise ValueError("dihedral group needs n >= 3")
     rot = Perm.from_cycles(n, [list(range(n))])
     refl = Perm(tuple((n - i) % n for i in range(n)))
-    return group_closure(n, [rot, refl])
+    return n, [rot, refl]
+
+
+def _frobenius_20() -> tuple[int, list[Perm]]:
+    five = Perm(tuple((i + 1) % 5 for i in range(5)))
+    four = Perm(tuple((2 * i) % 5 for i in range(5)))
+    return 5, [five, four]
+
+
+# Each family's degree and generators, by the letter of its token.
+_FAMILIES = {"S": _symmetric, "A": _alternating, "D": _dihedral, "C": _cyclic}
+_FAMILY_RE = re.compile(r"^([SADC])(\d+)$")
+
+
+def symmetric_group(n: int) -> PermGroup:
+    return group_closure(*_symmetric(n))
+
+
+def alternating_group(n: int) -> PermGroup:
+    return group_closure(*_alternating(n))
+
+
+def cyclic_group(n: int) -> PermGroup:
+    return group_closure(*_cyclic(n))
+
+
+def dihedral_group(n: int) -> PermGroup:
+    """Symmetries of the regular n-gon on n points (order 2n), n >= 3."""
+    return group_closure(*_dihedral(n))
 
 
 def frobenius_20() -> PermGroup:
     """The transitive group of order 20 on 5 points: a 5-cycle together
     with x -> 2x mod 5, a 4-cycle normalizing it."""
-    five = Perm(tuple((i + 1) % 5 for i in range(5)))
-    four = Perm(tuple((2 * i) % 5 for i in range(5)))
-    return group_closure(5, [five, four])
+    return group_closure(*_frobenius_20())
 
 
-_FAMILY_RE = re.compile(r"^([SADC])(\d+)$")
-
-
-def family_group(token: str) -> PermGroup:
-    """Resolve a symbolic family token: S<n>, A<n>, D<n>, C<n>, or F20."""
+def family_group(token: str, ceiling: int = DEFAULT_CLOSURE_CEILING) -> PermGroup:
+    """Resolve a symbolic family token: S<n>, A<n>, D<n>, C<n>, or F20.
+    A closure past `ceiling` elements raises GroupTooLargeError."""
     token = token.strip()
-    if token == "F20":
-        return frobenius_20()
     m = _FAMILY_RE.match(token)
-    if not m:
+    if token == "F20":
+        degree, gens = _frobenius_20()
+    elif m:
+        degree, gens = _FAMILIES[m.group(1)](int(m.group(2)))
+    else:
         raise ValueError(f"unknown group family token: {token!r}")
-    letter, n = m.group(1), int(m.group(2))
-    if letter == "S":
-        return symmetric_group(n)
-    if letter == "A":
-        return alternating_group(n)
-    if letter == "D":
-        return dihedral_group(n)
-    return cyclic_group(n)
+    return group_closure(degree, gens, ceiling=ceiling)
 
 
 def parse_group_file(text: str, ceiling: int = DEFAULT_CLOSURE_CEILING) -> PermGroup:

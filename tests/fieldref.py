@@ -8,10 +8,11 @@ quantities that polyakit computes another way.
 - `lattice_points`: the points of `lattice_lines`, one at a time.
 - `generic_factor_prime`: the primes above p, away from the index, by
   factoring f mod p and taking the HNF of p*O + g(theta)*O.
+- `ideal_pow`: I^k by repeated `ideal_product`.
 """
 
 from polyakit import modpoly
-from polyakit.cubicfield import mul_power
+from polyakit.cubicfield import IntegralIdeal, ideal_product, mul_power
 from polyakit.intlinalg import det3, hnf_rows, lattice_lines
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -104,3 +105,11 @@ def generic_factor_prime(order, p):
         (p, f, e, mat, g, f"{p}{'abc'[k]}" if len(entries) > 1 else str(p))
         for k, (f, mat, g, e) in enumerate(entries)
     ]
+
+
+def ideal_pow(order, I, k):
+    """I^k for k >= 0, as k products."""
+    result = IntegralIdeal.unit()
+    for _ in range(k):
+        result = ideal_product(order, result, I)
+    return result

@@ -20,7 +20,6 @@ from polyakit import (
     ReduciblePolynomialError,
     class_group,
     factor_prime,
-    ideal_norm,
     ideal_product,
     is_principal,
     maximal_order,
@@ -134,7 +133,7 @@ def test_witness_field_class_group(orders):
 def _complement_ideal(order, J):
     """N(J) * J^{-1} as an integral ideal, by brute force over residues
     (oracle helper: independent of the harvest machinery)."""
-    N = ideal_norm(J)
+    N = J.norm
     rows = []
     from itertools import product
 
@@ -167,7 +166,7 @@ def test_witness_class_number_by_exhaustive_equivalence(orders):
                 small.append(q.as_integral())
     p2 = [q for q in factor_prime(order, 2) if q.f == 1][0].as_integral()
     small.append(ideal_product(order, p2, p2))  # norm 4
-    assert sorted(ideal_norm(I) for I in small) == [1, 2, 3, 4, 4]
+    assert sorted(I.norm for I in small) == [1, 2, 3, 4, 4]
 
     def equivalent(I, J):
         Jc = _complement_ideal(order, J)
@@ -349,7 +348,7 @@ def test_nontrivial_pi_classes_are_consistent_with_ideals(orders):
     ideal over 2 is not principal, while (2) itself is."""
     order = orders["x^3+4x-1"]
     pi2 = pi_ideal(order, 2)
-    assert ideal_norm(pi2) == 2
+    assert pi2.norm == 2
     assert is_principal(order, pi2, radius_factor=2.5) is None
     assert is_principal(order, IntegralIdeal.from_scalar(2)) is not None
 

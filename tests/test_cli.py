@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, output formats, determinism, round trips."""
 
+import argparse
 import hashlib
 import json
 import time
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import groupcorpus
-from polyakit.cli import main, survey_field
+from polyakit.cli import build_parser, main, survey_field
 from polyakit.cubicfield import CubicPoly, parse_cubic
 from polyakit.permgroup import GroupTooLargeError, parse_group_file
 
@@ -129,12 +130,30 @@ def test_group_check_parse_errors(capsys):
 
 
 def test_group_check_budget_exit(capsys):
-    # the closure ceiling applies to generator files
+    # the closure ceiling applies to generator files and family tokens alike
     code, _, err = run_cli(
         capsys, "group-check", str(FIXTURES / "c7_c3.grp"), "--max-closure", "5"
     )
     assert code == 3
     assert "budget" in err.lower() or "too large" in err.lower()
+
+
+def test_group_check_family_ceiling(capsys):
+    code, out, err = run_cli(capsys, "group-check", "S4", "--max-closure", "10")
+    assert code == 3
+    assert out == ""
+    assert "budget" in err.lower()
+    code, out, _ = run_cli(capsys, "group-check", "S4", "--max-closure", "24")
+    assert code == 0
+    assert json.loads(out) == {
+        "group": "S4",
+        "order_G": 24,
+        "order_H": 6,
+        "size_T": 2,
+        "condition_2B": False,
+        "frobenius": False,
+        "two_transitive": True,
+    }
 
 
 def test_group_check_deterministic(capsys):
@@ -340,9 +359,88 @@ def test_budget_below_1_exits_2_at_once(capsys, budget):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survey", "--coeff-bound", "0", "--workers", "0"],
+        ["census", "x^3-2", "--prime-bound", "1"],
+    ],
+)
+def test_option_below_its_least_value_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "bad configuration" in err
+
+
 def test_unknown_flag_exits_2(capsys):
     code = main(["field-analyze", "x^3-2", "--frobnicate"])
     assert code == 2
+
+
+# The options each subcommand accepts, -h aside: exactly those it reads.
+SUBCOMMAND_OPTIONS = {
+    "group-check": {"--family", "--n", "--format", "--max-closure"},
+    "field-analyze": {"--witnesses", "--prime-bound", "--max-enum", "--budget"},
+    "survey": {"--coeff-bound", "--only-nontrivial", "--prime-bound", "--budget", "--workers"},
+    "census": {"--prime-bound", "--format"},
+}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    declared = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert declared == SUBCOMMAND_OPTIONS
+
+
+# An option that the subcommand never read is an argparse error, as any
+# unknown flag is.
+_VALID_ARGV = {
+    "group-check": ["S3"],
+    "field-analyze": ["x^3-2"],
+    "survey": ["--coeff-bound", "0"],
+    "census": ["x^3-2"],
+}
+_OPTION_VALUES = {
+    "--prime-bound": "50",
+    "--format": "csv",
+    "--workers": "2",
+    "--max-closure": "10",
+    "--max-enum": "10",
+    "--budget": "3",
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("group-check", "--prime-bound"),
+        ("group-check", "--workers"),
+        ("group-check", "--max-enum"),
+        ("group-check", "--budget"),
+        ("field-analyze", "--format"),
+        ("field-analyze", "--workers"),
+        ("field-analyze", "--max-closure"),
+        ("survey", "--format"),
+        ("survey", "--max-closure"),
+        ("survey", "--max-enum"),
+        ("census", "--workers"),
+        ("census", "--max-closure"),
+        ("census", "--max-enum"),
+        ("census", "--budget"),
+    ],
+)
+def test_option_the_subcommand_never_read_exits_2(capsys, command, option):
+    argv = [command, *_VALID_ARGV[command], option, _OPTION_VALUES[option]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {option}" in err
 
 
 _CUBIC_ALPHABET = "x^0123456789+-*, "
@@ -408,8 +506,9 @@ def test_negative_leading_triple_is_the_poly(capsys, argv, reference):
 # outside the factor base (x^3+8x-6), a field whose 3862-row relation
 # matrix (disc_K 602645, Cl = (2, 2)) takes hnf_rows through its mod-det
 # path on the way to class_generators (x^3-21x^2+19x+16), a small
-# survey, group-check on every family and both fixture files, and census,
-# the one field-side user of permutations.  Group files are named
+# survey, group-check on every family and both fixture files, census,
+# the one field-side user of permutations, and one CSV run of each
+# command that writes CSV.  Group files are named
 # relative to the fixtures directory, since group-check prints the name.
 GOLDEN_RUNS = (
     ("field-analyze", "x^3-2"),
@@ -431,6 +530,8 @@ GOLDEN_RUNS = (
     ("group-check", "F20", "c7_c3.grp", "d4.grp"),
     ("census", "x^3-2"),
     ("census", "x^3-3x-1"),
+    ("group-check", "--format", "csv", "--family", "D", "--n", "3..8", "F20", "c7_c3.grp"),
+    ("census", "x^3-2", "--prime-bound", "500", "--format", "csv"),
 )
 
 

@@ -19,14 +19,10 @@ from polyakit import (
     CubicPoly,
     IntegralIdeal,
     ReduciblePolynomialError,
-    discriminant,
     element_ideal,
     factor_prime,
     ideal_equal,
-    ideal_norm,
-    ideal_pow,
     ideal_product,
-    is_galois_cubic,
     is_principal,
     maximal_order,
     minkowski_bound,
@@ -48,7 +44,8 @@ from polyakit.cubicfield import (
 from polyakit.intlinalg import det3, invert3, lattice_lines
 
 from fieldref import (
-    generic_factor_prime, is_p_maximal_dedekind, norm_power, poly_of_theta_omega, power_sums,
+    generic_factor_prime, ideal_pow, is_p_maximal_dedekind, norm_power, poly_of_theta_omega,
+    power_sums,
 )
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
@@ -67,9 +64,9 @@ def _order_of(s):
 # --- polynomials ------------------------------------------------------------
 
 def test_discriminant_examples():
-    assert discriminant(parse_cubic("x^3-2")) == -108
-    assert discriminant(parse_cubic("x^3-x-1")) == -23
-    assert discriminant(parse_cubic("x^3-3x-1")) == 81
+    assert parse_cubic("x^3-2").discriminant() == -108
+    assert parse_cubic("x^3-x-1").discriminant() == -23
+    assert parse_cubic("x^3-3x-1").discriminant() == 81
 
 
 def test_discriminant_general_formula_against_root_products():
@@ -84,9 +81,9 @@ def test_discriminant_general_formula_against_root_products():
 
 
 def test_is_galois_examples():
-    assert not is_galois_cubic(parse_cubic("x^3-2"))
-    assert is_galois_cubic(parse_cubic("x^3-3x-1"))
-    assert not is_galois_cubic(parse_cubic("x^3-x-1"))
+    assert not parse_cubic("x^3-2").is_galois()
+    assert parse_cubic("x^3-3x-1").is_galois()
+    assert not parse_cubic("x^3-x-1").is_galois()
 
 
 def test_reducible_rejected():
@@ -457,7 +454,7 @@ def test_prime_norms_and_two_generator_form(orders):
         for p in primes_up_to(60):
             primes = factor_prime(O, p)
             for q in primes:
-                assert ideal_norm(q.as_integral()) == p**q.f
+                assert q.as_integral().norm == p**q.f
                 assert q.as_integral().contains(tuple(p * c for c in O.one))
             if O.index % p:
                 generic = generic_factor_prime(O, p)
@@ -772,7 +769,7 @@ def test_ideal_identity_and_scalar(orders):
     O = orders["x^3-2"]
     I = factor_prime(O, 5)[0].as_integral()
     assert ideal_product(O, I, IntegralIdeal.unit()) == I
-    assert ideal_norm(IntegralIdeal.from_scalar(7)) == 343
+    assert IntegralIdeal.from_scalar(7).norm == 343
 
 
 def test_product_of_split_primes_is_p(orders):
@@ -792,7 +789,7 @@ def test_ideal_norm_multiplicative_random(orders):
             a = rng.choice(primes).as_integral()
             b = rng.choice(primes).as_integral()
             ab = ideal_product(O, a, b)
-            assert ideal_norm(ab) == ideal_norm(a) * ideal_norm(b), s
+            assert ab.norm == a.norm * b.norm, s
 
 
 def test_ideal_product_commutative_associative(orders):
@@ -908,7 +905,7 @@ def test_is_principal_soundness_random(orders):
             gen = is_principal(O, I, radius_factor=2.0)
             assert gen is not None, (s, y)
             assert element_ideal(O, gen) == I
-            assert abs(O.norm_omega(gen)) == ideal_norm(I)
+            assert abs(O.norm_omega(gen)) == I.norm
 
 
 def test_is_principal_negative_on_nontrivial_class(orders):
@@ -917,7 +914,7 @@ def test_is_principal_negative_on_nontrivial_class(orders):
     assert is_principal(O, p2.as_integral()) is None
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_is_principal_finds_unbalanced_generators():
     # principal ideals of the disc_K = 6237 field whose generators all
     # lie outside the norm-sized search region: the region must be

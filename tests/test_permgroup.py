@@ -658,6 +658,15 @@ def test_family_orders():
     assert frobenius_20().order == 20
 
 
+@pytest.mark.parametrize("tok", ["S4", "A5", "D6", "C7", "F20"])
+def test_family_group_closure_stops_at_the_ceiling(tok):
+    """A family token's closure is bounded like a group file's."""
+    order = family_group(tok).order
+    assert family_group(tok, ceiling=order) == family_group(tok)
+    with pytest.raises(GroupTooLargeError):
+        family_group(tok, ceiling=order - 1)
+
+
 def test_family_token_errors():
     with pytest.raises(ValueError):
         family_group("X5")
