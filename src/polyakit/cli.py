@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import re
@@ -250,13 +251,9 @@ def survey_box(
 ):
     """Survey every coefficient triple with |a_i| <= coeff_bound, in
     lexicographic input order (polynomials are all distinct, so the
-    documented polynomial-level dedup has nothing to merge)."""
-    triples = [
-        (a2, a1, a0)
-        for a2 in range(-coeff_bound, coeff_bound + 1)
-        for a1 in range(-coeff_bound, coeff_bound + 1)
-        for a0 in range(-coeff_bound, coeff_bound + 1)
-    ]
+    documented polynomial-level dedup has nothing to merge).  The
+    triples are generated as they are surveyed, never listed."""
+    triples = itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=3)
     if workers > 1:
         import multiprocessing as mp
         from functools import partial

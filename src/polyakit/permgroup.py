@@ -1,12 +1,22 @@
 """Exact permutation groups at small degree.
 
-Groups are stored as fully enumerated element sets (every group handled
-here has order at most |S8| = 40320, so a base-and-strong-generators
-structure would be overkill).  The module provides right-coset actions,
-derived subgroups, normal cores, the subset T of a subgroup whose
-elements fix only the distinguished coset, and the combined generation
-test built from T and the derived subgroup, together with Frobenius and
-2-transitivity predicates.
+Every group carries a base and strong generating set (BSGS): a
+stabilizer chain G = G^(0) >= G^(1) >= ... >= 1, where G^(i+1) fixes
+the base point b_i of G^(i), each level holding its strong generators
+and a transversal of the orbit of b_i (Sims 1970; Seress, *Permutation
+Group Algorithms*, 2003, ch. 4).  Schreier-Sims builds the chain one
+kept generator at a time, so the group's order is known before any
+element exists: a group past the closure ceiling is refused without
+being listed, membership is a sift, and the first base point is the
+largest point the group moves.  The element set is then enumerated once,
+as products of one transversal element per level, and the stabilizer of
+that first base point is read off level 1 with no further closure.
+
+On top of the enumerated element sets the module provides right-coset
+actions, derived subgroups, normal cores, the subset T of a subgroup
+whose elements fix only the distinguished coset, and the combined
+generation test built from T and the derived subgroup, together with
+Frobenius and 2-transitivity predicates.
 
 A `Perm` is a tuple subclass whose value is its image tuple, so loops
 over a whole group compose, hash and compare `Perm`s at tuple cost.
@@ -22,10 +32,12 @@ are 0-indexed internally; cycle-notation text I/O is 1-indexed.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
+from itertools import repeat
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Optional
 
 DEFAULT_CLOSURE_CEILING = 10**6
@@ -43,7 +55,8 @@ def _then(first: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]
     """The map sending the image tuple of b to that of "first, then b".
 
     An itemgetter composes raw image tuples several times faster than a
-    Python-level loop, so every hot loop below builds one per fixed factor.
+    Python-level loop, so every hot loop below builds one per fixed factor
+    (calling itemgetter itself where the degree is known to be at least 2).
     """
     if len(first) == 1:
         return lambda b: (b[first[0]],)
@@ -74,21 +87,28 @@ class Perm(tuple):
 
     @staticmethod
     def identity(degree: int) -> "Perm":
-        return Perm(range(degree))
+        if degree < 1:
+            raise ValueError("degree must be positive")
+        return _perm(range(degree))
 
     @staticmethod
     def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> "Perm":
         """Build a permutation from disjoint 0-indexed cycles."""
+        if degree < 1:
+            raise ValueError("degree must be positive")
         images = list(range(degree))
         seen = set()
         for cycle in cycles:
             cycle = list(cycle)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                if not 0 <= a < degree:
+                    raise ValueError(f"point {a} out of range for degree {degree}")
                 if a in seen:
                     raise ValueError(f"point {a} repeated across cycles")
                 seen.add(a)
                 images[a] = b
-        return Perm(images)
+        # distinct in-range points, each cycle sent onto itself: a permutation
+        return _perm(images)
 
     def __mul__(self, other: "Perm") -> "Perm":
         # apply self first, then other
@@ -108,10 +128,7 @@ class Perm(tuple):
         return result
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self)
-        for i, j in enumerate(self):
-            inv[j] = i
-        return _perm(inv)
+        return _perm(_inverse(self))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self))
@@ -147,16 +164,27 @@ class Perm(tuple):
 _perm: Callable[[Iterable[int]], Perm] = partial(tuple.__new__, Perm)
 
 
+def _inverse(p: tuple[int, ...]) -> list[int]:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return inv
+
+
+_CYCLE_TEXT = re.compile(r"(?:\(\s*\d+(?:[ ,]+\d+)*\s*\))+")
+
+
 def parse_perm(text: str, degree: int) -> Perm:
     """Parse 1-indexed cycle notation like ``(1 2)(3 4)``; '()' is identity."""
     text = text.strip()
     if text in ("()", "", "1", "id"):
         return Perm.identity(degree)
-    if not re.fullmatch(r"(\(\s*\d+(?:[ ,]+\d+)*\s*\))+", text):
+    if not _CYCLE_TEXT.fullmatch(text):
         raise ValueError(f"bad cycle notation: {text!r}")
     cycles = []
-    for body in re.findall(r"\(([^()]*)\)", text):
-        pts = [int(tok) - 1 for tok in re.split(r"[ ,]+", body.strip()) if tok]
+    # the notation admits no text between cycles, so ")(" splits them
+    for body in text[1:-1].split(")("):
+        pts = [int(tok) - 1 for tok in body.replace(",", " ").split()]
         for p in pts:
             if not 0 <= p < degree:
                 raise ValueError(f"point {p + 1} out of range for degree {degree}")
@@ -166,14 +194,29 @@ def parse_perm(text: str, degree: int) -> Perm:
 
 
 class PermGroup:
-    """A finite permutation group with its full element set enumerated."""
+    """A finite permutation group with its full element set enumerated.
 
-    __slots__ = ("degree", "generators", "elements", "_sorted", "_derived")
+    A group built here also keeps its stabilizer chain (`_levels`) and
+    the element list of the chain's first stabilizer (`_stab`), which
+    `point_stabilizer` reads; a group wrapped without them gets a chain
+    when one is asked for.
+    """
 
-    def __init__(self, degree: int, generators: tuple[Perm, ...], elements: frozenset[Perm]):
+    __slots__ = ("degree", "generators", "elements", "_levels", "_stab", "_sorted", "_derived")
+
+    def __init__(
+        self,
+        degree: int,
+        generators: tuple[Perm, ...],
+        elements: frozenset[Perm],
+        levels: Optional[list["_Level"]] = None,
+        stab: Optional[list[Perm]] = None,
+    ):
         self.degree = degree
         self.generators = generators
         self.elements = elements
+        self._levels = levels
+        self._stab = stab
         self._sorted: Optional[tuple[Perm, ...]] = None
         self._derived: Optional[tuple] = None  # see derived_quotient
 
@@ -229,69 +272,178 @@ class PermGroup:
         return f"<PermGroup degree={self.degree} order={self.order}>"
 
 
-def _extend(els: set[Perm], gens: list[Perm], ceiling: int) -> None:
-    """Close the group `els`, generated by every generator in `gens` but
-    the last, under the last one too (in place).
+class _Level:
+    """One level of a stabilizer chain: a base point b, the strong
+    generators `gens` (those fixing every earlier base point), and the
+    orbit of b under them in discovery order.  For each orbit point x,
+    u[x] sends b to x and v[x] = u[x]^-1 sends x back to b; other
+    entries are None.  `u_then[x]` composes u[x] with what follows it
+    (see `_then`), and `steps` holds (s, s then ., s^-1 then .) for
+    each strong generator s."""
 
-    Only the products of `els` with the new generator, and those of the
-    elements they add with every generator, are formed.
-    """
-    frontier = list(els)
-    all_steps = [_then(a) for a in gens]
-    steps = all_steps[-1:]
-    while frontier:
-        new = []
-        for b in frontier:
-            for a_then in steps:
-                c = a_then(b)  # a then b; order irrelevant for the set
-                if c not in els:
-                    c = _perm(c)
-                    els.add(c)
-                    if len(els) > ceiling:
-                        raise GroupTooLargeError(
-                            f"group too large: closure exceeds ceiling {ceiling}"
-                        )
-                    new.append(c)
-        frontier = new
-        steps = all_steps
+    __slots__ = ("base", "gens", "steps", "orbit", "u", "v", "u_then")
+
+    def __init__(self, ident: tuple[int, ...], base: int):
+        degree = len(ident)
+        self.base = base
+        self.gens: list[Perm] = []
+        self.steps: list[tuple[Perm, Callable, Callable]] = []
+        self.orbit = [base]
+        self.u: list[Optional[tuple[int, ...]]] = [None] * degree
+        self.v: list[Optional[tuple[int, ...]]] = [None] * degree
+        self.u_then: list[Optional[Callable]] = [None] * degree
+        self.u[base] = self.v[base] = ident
+        self.u_then[base] = _then(ident)
 
 
-def _close(degree: int, perms: Iterable[Perm], ceiling: int) -> tuple[list[Perm], set[Perm]]:
-    """The generators kept, each of `perms` not in the closure of those
-    before it, and their closure under composition."""
+def _sift(levels: list[_Level], g: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
+    """Strip g, which fixes the base points before level i, through the
+    levels from i on: at each, g becomes u[y] then g for y = g^-1(b),
+    which fixes b.  Returns the residue and the level where it left the
+    chain (len(levels) when it passed every level); g lies in the
+    chain's group iff it passes with the identity as residue."""
+    for j in range(i, len(levels)):
+        level = levels[j]
+        y = g.index(level.base)
+        step = level.u_then[y]
+        if step is None:
+            return g, j
+        if y != level.base:
+            g = step(g)
+    return g, len(levels)
+
+
+def _add_generator(levels: list[_Level], i: int, g: Perm) -> None:
+    """Make g a strong generator of level i and restore the chain below.
+
+    The orbit of level i grows by g, and every Schreier generator
+    u[x] then s then v[s(x)] not yet tested (x a new orbit point, or s
+    is g) is sifted from level i + 1; a residue r that is not the
+    identity becomes a strong generator of every level it reached,
+    deepest first, under a new last level when it passed them all.  A
+    pair that puts s(x) in the orbit is a tree edge, whose Schreier
+    generator is the identity, so it is not formed.  (g moves a point,
+    so the degree is at least 2 and itemgetter is `_then`.)"""
+    level = levels[i]
+    level.gens.append(g)
+    steps = level.steps
+    steps.append((g, itemgetter(*g), itemgetter(*_inverse(g))))
+    new_steps = steps[-1:]
+    orbit, u, v, u_then = level.orbit, level.u, level.v, level.u_then
+    ident = u[level.base]
+    old = len(orbit)
+    for j, x in enumerate(orbit):  # runs on over the points appended
+        x_then = u_then[x]
+        for s, s_then, s_back in steps if j >= old else new_steps:
+            y = s[x]
+            if u[y] is None:
+                t = x_then(s)
+                u[y], v[y], u_then[y] = t, s_back(v[x]), itemgetter(*t)
+                orbit.append(y)
+                continue
+            schreier = x_then(s_then(v[y]))
+            if schreier == ident:
+                continue
+            r, m = _sift(levels, schreier, i + 1)
+            if r == ident:
+                continue
+            if m == len(levels):
+                levels.append(_Level(ident, _last_moved((r,), len(r))))
+            r = _perm(r)
+            for k in range(m, i, -1):
+                _add_generator(levels, k, r)
+
+
+def _last_moved(perms: Iterable[tuple[int, ...]], degree: int) -> int:
+    """The largest point one of `perms` moves, or the last point."""
+    for p in range(degree - 1, 0, -1):
+        for g in perms:
+            if g[p] != p:
+                return p
+    return degree - 1
+
+
+def _close(
+    degree: int,
+    perms: Iterable[Perm],
+    ceiling: int,
+    first: Optional[int] = None,
+    order: Optional[int] = None,
+) -> tuple[list[Perm], list[_Level]]:
+    """The generators kept, each of `perms` not in the group of those
+    before it (tested by sifting), and the stabilizer chain of their
+    group.  Its first base point is `first`, by default the largest
+    point any of `perms` moves.  An order past `ceiling` raises
+    GroupTooLargeError before any element is listed; reaching `order`
+    stops the scan of `perms`."""
+    perms = list(perms)
+    ident = tuple(range(degree))
+    if first is None:
+        first = _last_moved(perms, degree)
+    levels = [_Level(ident, first)]
     gens: list[Perm] = []
-    els = {Perm.identity(degree)}
     for x in perms:
-        if x not in els:
+        if _sift(levels, x, 0)[0] != ident:
             gens.append(x)
-            _extend(els, gens, ceiling)
-    return gens, els
+            _add_generator(levels, 0, x)
+            size = math.prod(len(level.orbit) for level in levels)
+            if size > ceiling:
+                raise GroupTooLargeError(f"group too large: closure exceeds ceiling {ceiling}")
+            if size == order:
+                break
+    return gens, levels
+
+
+def _enumerate(degree: int, levels: list[_Level]) -> tuple[list[Perm], list[Perm]]:
+    """The elements of the chain's group and of its first stabilizer,
+    each listed once: level i's group is every v[x] then h, for x in the
+    orbit and h in level i + 1's group (the identity v[b] is skipped)."""
+    els = [_perm(range(degree))]
+    stab = els
+    for level in reversed(levels):
+        stab = els
+        els = list(stab)
+        for x in level.orbit[1:]:  # a second orbit point: degree >= 2
+            els.extend(map(tuple.__new__, repeat(Perm), map(itemgetter(*level.v[x]), stab)))
+    return els, stab
+
+
+def _generated(
+    degree: int,
+    perms: Iterable[Perm],
+    ceiling: int,
+    generators: Optional[tuple[Perm, ...]] = None,
+    order: Optional[int] = None,
+) -> PermGroup:
+    """The group of `perms`, with the generators kept unless
+    `generators` names them."""
+    gens, levels = _close(degree, perms, ceiling, order=order)
+    if generators is None:
+        generators = tuple(gens)
+    els, stab = _enumerate(degree, levels)
+    return PermGroup(degree, generators, frozenset(els), levels, stab)
 
 
 def group_closure(
     degree: int, generators: Iterable[Perm], ceiling: int = DEFAULT_CLOSURE_CEILING
 ) -> PermGroup:
-    """Smallest group containing the generators, as an explicit element set.
-
-    A finite closed subset of a symmetric group containing the identity
-    is automatically closed under inversion, so plain composition
-    closure suffices.  Rejects degree < 1 and closures past `ceiling`.
-    """
+    """Smallest group containing the generators, as an explicit element
+    set.  Rejects degree < 1 and groups of order past `ceiling`."""
     if degree < 1:
         raise ValueError("degree must be a positive integer")
     gens = tuple(generators)
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    return PermGroup(degree, gens, frozenset(_close(degree, gens, ceiling)[1]))
+    return _generated(degree, gens, ceiling, generators=gens)
 
 
 def subgroup_from_elements(degree: int, elements: Iterable[Perm]) -> PermGroup:
     """Wrap a set already closed under the group operations, finding a
     small generating set greedily (lexicographic element order)."""
     els = frozenset(elements)
-    group = generated_subgroup(degree, els, ceiling=len(els))
-    assert group.order == len(els), "element set was not closed"
+    group = _generated(degree, sorted(els), len(els), order=len(els))
+    assert group.elements == els, "element set was not closed"
     return group
 
 
@@ -303,29 +455,41 @@ def generated_subgroup(
 ) -> PermGroup:
     """Subgroup generated by `elements` (and `seed_generators`), adding
     generators incrementally so large redundant generator sets stay cheap."""
-    gens, els = _close(degree, [*seed_generators, *sorted(set(elements))], ceiling)
-    return PermGroup(degree, tuple(gens), frozenset(els))
+    return _generated(degree, [*seed_generators, *sorted(set(elements))], ceiling)
 
 
 def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
-    """Stabilizer of a point in the natural action."""
-    if not 0 <= point < group.degree:
+    """Stabilizer of a point in the natural action.
+
+    It is read off level 1 of a chain whose first base point is `point`:
+    the group's own chain when that starts there (as it does at the
+    largest point the group moves), else one built for the purpose."""
+    degree = group.degree
+    if not 0 <= point < degree:
         raise ValueError("point out of range")
-    return subgroup_from_elements(
-        group.degree, (g for g in group.elements if g[point] == point)
-    )
+    if all(g[point] == point for g in group.generators):
+        return group
+    levels, stab = group._levels, group._stab
+    if not levels or levels[0].base != point:
+        levels = _close(degree, group.generators, group.order, first=point)[1]
+        stab = None
+    if stab is None:
+        stab = _enumerate(degree, levels[1:])[0]
+    gens = tuple(levels[1].gens) if len(levels) > 1 else ()
+    return PermGroup(degree, gens, frozenset(stab), levels[1:])
 
 
-def _stabilized_point(group: PermGroup, subgroup: PermGroup) -> Optional[int]:
+def _stabilized_point(group: PermGroup, subgroup: PermGroup) -> tuple[Optional[int], set[int]]:
     """The least point p whose full stabilizer in `group` is `subgroup`,
-    or None.  Every generator of H fixing p puts H inside the stabilizer
-    of p, and |orbit(p)|*|H| = |G| makes the two equal."""
+    with its orbit, or (None, set()).  Every generator of H fixing p puts
+    H inside the stabilizer of p, and |orbit(p)|*|H| = |G| makes the two
+    equal."""
     for p in range(group.degree):
-        if all(h[p] == p for h in subgroup.generators) and (
-            len(group.orbit(p)) * subgroup.order == group.order
-        ):
-            return p
-    return None
+        if all(h[p] == p for h in subgroup.generators):
+            orbit = group.orbit(p)
+            if len(orbit) * subgroup.order == group.order:
+                return p, orbit
+    return None, set()
 
 
 class CosetAction:
@@ -336,26 +500,42 @@ class CosetAction:
     representative of coset 0 (= H itself) is the identity.
 
     When H is the full stabilizer of a point p, `point` is p and the
-    coset H*s is the point s(p): one pass over G keeps the least element
-    sending p to each orbit point, and row(g) sends the index of each
-    orbit point q to that of g(q).  Nothing sorts or hashes all of G.
-    For any other H, `point` is None and the cosets are enumerated; their
-    action rows are built lazily and cached.
+    coset H*s is the point s(p), so `fixed_count` and `is_2transitive`
+    work on the orbit of p alone.  The first use of `representatives`,
+    `row` or `coset_index` makes one pass over G, keeping the least
+    element sending p to each orbit point; row(g) then sends the index
+    of each orbit point q to that of g(q).  Nothing sorts or hashes all
+    of G.  For any other H, `point` is None and the cosets are
+    enumerated; their action rows are built lazily and cached.
     """
 
     __slots__ = (
-        "group", "subgroup", "representatives", "point", "_points", "_index",
-        "_coset_of", "_rep_then", "_rows",
+        "group", "subgroup", "point", "orbit", "_at_orbit", "_reps", "_points",
+        "_index", "_coset_of", "_rep_then", "_rows",
     )
 
     def __init__(self, group: PermGroup, subgroup: PermGroup):
         self.group = group
         self.subgroup = subgroup
-        self.point = _stabilized_point(group, subgroup)
+        self.point, orbit = _stabilized_point(group, subgroup)
+        self._reps: Optional[tuple[Perm, ...]] = None
         if self.point is None:
             self._enumerate_cosets()
         else:
+            self.orbit = tuple(sorted(orbit))
+            self._at_orbit = _then(self.orbit)
+
+    @property
+    def representatives(self) -> tuple[Perm, ...]:
+        if self._reps is None:
             self._read_orbit(self.point)
+        return self._reps
+
+    def _orbit_index(self) -> list[int]:
+        """Coset index of each orbit point (the orbit case only)."""
+        if self._reps is None:
+            self._read_orbit(self.point)
+        return self._index
 
     def _read_orbit(self, p: int) -> None:
         least: dict[int, Perm] = {}
@@ -363,8 +543,8 @@ class CosetAction:
             best = least.get(g[p])
             if best is None or g < best:
                 least[g[p]] = g
-        self.representatives = tuple(sorted(least.values()))
-        self._points = tuple(s[p] for s in self.representatives)
+        self._reps = tuple(sorted(least.values()))
+        self._points = tuple(s[p] for s in self._reps)
         self._index = [-1] * self.group.degree
         for i, q in enumerate(self._points):
             self._index[q] = i
@@ -380,14 +560,14 @@ class CosetAction:
             reps.append(s)
             for f in h_then:
                 coset_of[f(s)] = idx  # h then s
-        self.representatives = tuple(reps)
+        self._reps = tuple(reps)
         self._coset_of = coset_of
         self._rep_then = [_then(s) for s in reps]
         self._rows: dict[Perm, tuple[int, ...]] = {}
 
     @property
     def num_cosets(self) -> int:
-        return len(self.representatives)
+        return len(self._reps if self.point is None else self.orbit)
 
     def coset_index(self, g: Perm) -> int:
         """Index of the coset H*g."""
@@ -395,14 +575,14 @@ class CosetAction:
             return self._coset_of[g]
         if g not in self.group.elements:
             raise KeyError(g)
-        return self._index[g[self.point]]
+        return self._orbit_index()[g[self.point]]
 
     def row(self, g: Perm) -> tuple[int, ...]:
         """Images of every coset index under right multiplication by g."""
         if self.point is not None:
             if g not in self.group.elements:
                 raise KeyError(g)
-            index = self._index
+            index = self._orbit_index()
             return tuple([index[g[q]] for q in self._points])
         cached = self._rows.get(g)
         if cached is None:
@@ -418,6 +598,13 @@ class CosetAction:
     def perm_on_cosets(self, g: Perm) -> Perm:
         """The permutation of coset indices induced by g."""
         return _perm(self.row(g))
+
+    def fixed_count(self, g: Perm) -> int:
+        """How many cosets g fixes: in the orbit case, how many orbit
+        points; g must lie in the group."""
+        if self.point is None:
+            return sum(map(eq, self.row(g), range(self.num_cosets)))
+        return sum(map(eq, self._at_orbit(g), self.orbit))
 
 
 def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
@@ -455,20 +642,16 @@ def compute_T(
 ) -> frozenset[Perm]:
     """Elements of H whose only fixed coset is H itself.
 
-    Computed by counting fixed points of each h in the coset action.
+    Computed by counting the cosets each h fixes (`fixed_count`).
     `compute_T_conjugacy` is the independent characterization; the two
     must agree (a tested invariant).
     """
     _check_proper_subgroup(group, subgroup)
     if action is None:
         action = coset_action(group, subgroup)
-    out = []
-    for h in subgroup.elements:
-        row = action.row(h)
-        if sum(1 for i, j in enumerate(row) if i == j) == 1:
-            # h in H always fixes coset 0 = H, so the unique fixed point is H
-            out.append(h)
-    return frozenset(out)
+    fixed = action.fixed_count
+    # h in H always fixes coset 0 = H, so a lone fixed coset is H itself
+    return frozenset([h for h in subgroup.elements if fixed(h) == 1])
 
 
 def compute_T_conjugacy(
@@ -629,26 +812,33 @@ def check_condition_2B(
 
 def is_frobenius(group: PermGroup, action: CosetAction) -> bool:
     """Whether the action is a Frobenius action: no non-identity element
-    fixes two points, and some non-identity element fixes one."""
-    some_fixes_one = False
+    fixes two points, and some non-identity element fixes one.
+
+    Only H is scanned: g fixing cosets H*s and H*t conjugates to
+    s*g*s^-1 in H, fixing H and H*t*s^-1, and every h of H fixes H.  So
+    the action is Frobenius iff H is not trivial and each h != 1 of H
+    fixes no coset but H."""
+    subgroup = action.subgroup
+    if subgroup.order == 1:
+        return False
     ident = group.identity
-    for g in group.elements:
-        if g == ident:
-            continue
-        row = action.row(g)
-        fixed = sum(1 for i, j in enumerate(row) if i == j)
-        if fixed > 1:
-            return False
-        if fixed == 1:
-            some_fixes_one = True
-    return some_fixes_one
+    fixed = action.fixed_count
+    return all(fixed(h) == 1 for h in subgroup.elements if h != ident)
 
 
 def is_2transitive(group: PermGroup, action: CosetAction) -> bool:
-    """Transitivity on ordered pairs of distinct cosets."""
+    """Transitivity on ordered pairs of distinct cosets.
+
+    In the orbit case G is transitive on the orbit of p, so it is
+    2-transitive iff H, the stabilizer of p, is transitive on the other
+    orbit points."""
     n = action.num_cosets
     if n < 2:
         raise ValueError("2-transitivity needs at least 2 cosets")
+    p = action.point
+    if p is not None:
+        q = action.orbit[0] if action.orbit[0] != p else action.orbit[1]
+        return len(action.subgroup.orbit(q)) == n - 1
     gen_rows = [action.row(g) for g in group.generators]
     start = (0, 1)
     orbit = {start}
@@ -736,14 +926,27 @@ def frobenius_20() -> PermGroup:
     return group_closure(*_frobenius_20())
 
 
+def _check_degree(degree: int, ceiling: int) -> None:
+    """Refuse a degree above MAX_GROUP_DEGREE or above `ceiling`: every
+    element is a degree-length tuple, so the degree is bounded like the
+    order, and far below the default ceiling."""
+    if degree > MAX_GROUP_DEGREE:
+        raise GroupTooLargeError(f"degree {degree} exceeds the degree cap {MAX_GROUP_DEGREE}")
+    if degree > ceiling:
+        raise GroupTooLargeError(f"degree {degree} exceeds closure ceiling {ceiling}")
+
+
 def family_group(token: str, ceiling: int = DEFAULT_CLOSURE_CEILING) -> PermGroup:
     """Resolve a symbolic family token: S<n>, A<n>, D<n>, C<n>, or F20.
-    A closure past `ceiling` elements raises GroupTooLargeError."""
+    An n above MAX_GROUP_DEGREE or above `ceiling`, or a group of order
+    past `ceiling`, raises GroupTooLargeError; n is checked before any
+    permutation is built."""
     token = token.strip()
     m = _FAMILY_RE.match(token)
     if token == "F20":
         degree, gens = _frobenius_20()
     elif m:
+        _check_degree(int(m.group(2)), ceiling)
         degree, gens = _FAMILIES[m.group(1)](int(m.group(2)))
     else:
         raise ValueError(f"unknown group family token: {token!r}")
@@ -755,9 +958,7 @@ def parse_group_file(text: str, ceiling: int = DEFAULT_CLOSURE_CEILING) -> PermG
     followed by one generator per line in 1-indexed cycle notation.
 
     A degree above MAX_GROUP_DEGREE or above `ceiling` raises
-    GroupTooLargeError before any generator is parsed: every element the
-    closure builds is a degree-length tuple, so the degree is bounded
-    like the order, and far below the default ceiling."""
+    GroupTooLargeError before any generator is parsed (`_check_degree`)."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].replace(" ", "").startswith("degree="):
@@ -766,9 +967,6 @@ def parse_group_file(text: str, ceiling: int = DEFAULT_CLOSURE_CEILING) -> PermG
         degree = int(lines[0].split("=", 1)[1])
     except ValueError as exc:
         raise ValueError("bad degree line") from exc
-    if degree > MAX_GROUP_DEGREE:
-        raise GroupTooLargeError(f"degree {degree} exceeds the degree cap {MAX_GROUP_DEGREE}")
-    if degree > ceiling:
-        raise GroupTooLargeError(f"degree {degree} exceeds closure ceiling {ceiling}")
+    _check_degree(degree, ceiling)
     gens = [parse_perm(ln, degree) for ln in lines[1:]]
     return group_closure(degree, gens, ceiling=ceiling)

@@ -5,7 +5,8 @@ mixes the point-stabilizer pairs of the named families with assorted
 non-stabilizer subgroups, so the lemma-level invariants get exercised
 on cores, quotients, and abelianizations of different shapes.
 `action_image` gives the image of a coset action, which only the tests
-need.
+need, and `bfs_closure` is the breadth-first closure the stabilizer
+chains replaced, kept as their oracle.
 """
 
 from __future__ import annotations
@@ -55,6 +56,31 @@ def action_image(action: CosetAction) -> tuple[PermGroup, dict[Perm, Perm]]:
     hom = {g: action.perm_on_cosets(g) for g in action.group.elements}
     image = subgroup_from_elements(action.num_cosets, set(hom.values()))
     return image, hom
+
+
+def bfs_closure(degree: int, perms) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
+    """The generators kept, each of `perms` not in the closure of those
+    before it, and that closure as a set of image tuples.  Each kept
+    generator's products with the elements so far, and those of the
+    elements they add with every kept generator, are formed breadth
+    first until nothing new appears."""
+    gens: list[tuple[int, ...]] = []
+    els = {tuple(range(degree))}
+    for x in perms:
+        if tuple(x) in els:
+            continue
+        gens.append(tuple(x))
+        frontier, steps = list(els), gens[-1:]
+        while frontier:
+            new = []
+            for b in frontier:
+                for a in steps:
+                    c = tuple(b[i] for i in a)  # a, then b
+                    if c not in els:
+                        els.add(c)
+                        new.append(c)
+            frontier, steps = new, gens
+    return gens, els
 
 
 @lru_cache(maxsize=1)

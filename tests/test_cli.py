@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import groupcorpus
-from polyakit.cli import build_parser, main, survey_field
+from polyakit.cli import build_parser, main, survey_box, survey_field
 from polyakit.cubicfield import CubicPoly, parse_cubic
 from polyakit.permgroup import GroupTooLargeError, parse_group_file
 
@@ -154,6 +154,47 @@ def test_group_check_family_ceiling(capsys):
         "frobenius": False,
         "two_transitive": True,
     }
+
+
+@pytest.mark.parametrize("token", ["S10", "A10"])
+def test_group_check_past_the_ceiling_exits_3_at_once(capsys, token):
+    """|S10| and |A10| exceed the 10^6 ceiling; the stabilizer chain
+    knows it before listing a single element."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "group-check", token)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "closure exceeds ceiling 1000000" in err
+
+
+def test_group_check_family_degree_cap(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "group-check", "C300000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "degree cap" in err
+    code, out, err = run_cli(capsys, "group-check", "C1001")
+    assert (code, out) == (3, "")
+    code, out, _ = run_cli(capsys, "group-check", "C1000")
+    assert code == 0
+    assert json.loads(out) == {
+        "group": "C1000",
+        "order_G": 1000,
+        "order_H": 1,
+        "size_T": 0,
+        "condition_2B": False,
+        "frobenius": False,
+        "two_transitive": False,
+    }
+
+
+def test_survey_box_streams_its_triples():
+    """The first record of a box with 8*10^18 triples comes at once."""
+    start = time.perf_counter()
+    rec = next(survey_box(10**6))
+    assert time.perf_counter() - start < 2.0
+    assert (rec["a2"], rec["a1"], rec["a0"]) == (-(10**6),) * 3
 
 
 def test_group_check_deterministic(capsys):

@@ -7,6 +7,7 @@ production code paths they validate.
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,54 @@ def test_closure_rejects_degree_zero():
 def test_closure_ceiling():
     with pytest.raises(GroupTooLargeError):
         group_closure(8, symmetric_group(8).generators, ceiling=1000)
+
+
+def test_closure_refuses_s10_before_listing_it():
+    """The chain knows |S10| = 3628800 before any element exists."""
+    gens = [parse_perm("(1 2)", 10), parse_perm("(1 2 3 4 5 6 7 8 9 10)", 10)]
+    start = time.perf_counter()
+    with pytest.raises(GroupTooLargeError, match="closure exceeds ceiling 1000000"):
+        group_closure(10, gens)
+    assert time.perf_counter() - start < 1.0
+
+
+def _moving(degree: int):
+    """A permutation of `degree` points that moves only a drawn subset,
+    so small subgroups are drawn as well as S_n and A_n."""
+    def build(pts_img):
+        pts, img = pts_img
+        images = list(range(degree))
+        for a, b in zip(pts, img):
+            images[a] = b
+        return Perm(images)
+
+    subsets = st.lists(st.integers(0, degree - 1), unique=True)
+    return subsets.flatmap(lambda pts: st.permutations(pts).map(lambda img: (pts, img))).map(build)
+
+
+generator_sets = st.integers(1, 7).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(_moving(d), max_size=4))
+)
+
+
+@given(generator_sets)
+@settings(max_examples=60, deadline=None)
+def test_chain_closure_matches_the_breadth_first_oracle(case):
+    degree, gens = case
+    els = groupcorpus.bfs_closure(degree, gens)[1]
+    g = group_closure(degree, gens)
+    assert g.elements == els and g.order == len(els)
+    assert g.generators == tuple(gens)
+    sub = generated_subgroup(degree, gens)
+    assert sub.elements == els
+    assert sub.generators == tuple(groupcorpus.bfs_closure(degree, sorted(set(gens)))[0])
+    wrapped = subgroup_from_elements(degree, g.elements)
+    assert wrapped.generators == tuple(groupcorpus.bfs_closure(degree, sorted(els))[0])
+    for p in range(degree):
+        h = point_stabilizer(g, p)
+        assert h.elements == {x for x in els if x[p] == p}
+        for q in range(degree):
+            assert point_stabilizer(h, q).elements == {x for x in h.elements if x[q] == q}
 
 
 def test_lagrange_on_families():
@@ -683,6 +732,20 @@ def test_parse_group_file():
         parse_group_file("(1 2)\n")
     with pytest.raises(ValueError):
         parse_group_file("degree=x\n")
+
+
+def test_family_group_degree_cap():
+    """A family token's degree is capped like a group file's, before any
+    permutation is built."""
+    cap = permgroup.MAX_GROUP_DEGREE
+    assert family_group(f"C{cap}").order == cap
+    for tok in (f"C{cap + 1}", "C300000", "S1000000000"):
+        start = time.perf_counter()
+        with pytest.raises(GroupTooLargeError, match="degree cap"):
+            family_group(tok, ceiling=10**9)
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(GroupTooLargeError, match="exceeds closure ceiling 4"):
+        family_group("C5", ceiling=4)
 
 
 def test_parse_group_file_degree_cap():
