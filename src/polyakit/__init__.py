@@ -4,7 +4,6 @@ criterion, and exact cubic-field arithmetic for its consequences."""
 
 from .abelian import AbelianGroupSNF, Subgroup
 from .artin import (
-    AbelianizedElement,
     Abelianization,
     SplittingType,
     abelianization,
@@ -30,7 +29,6 @@ from .classgroup import (
 from .cubicfield import (
     ClassGroupInconclusiveError,
     CubicPoly,
-    ExpressionBudgetExceededError,
     IntegralIdeal,
     MaximalOrder,
     PrimeIdeal,

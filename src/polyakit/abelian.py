@@ -11,7 +11,8 @@ full-rank relation lattice L, through the Smith normal form (Cohen,
 GTM 138, 2.4.3), and keeps the columns of the SNF column transform at
 the invariant factors, so that `project` sends a vector of Z^k to its
 class.  The class group over a factor base and H/H' over the generators
-of a permutation group are both built this way.
+of a permutation group are both built this way, and the elements of
+both are plain coordinate tuples.
 """
 
 from __future__ import annotations
@@ -22,17 +23,16 @@ from operator import mul
 from .intlinalg import hnf_rows, lattice_contains, lattice_coordinates, smith_normal_form
 
 
-@dataclass
+@dataclass(frozen=True)
 class AbelianGroupSNF:
     """Invariant-factor presentation of a finite abelian group.
 
-    generator_classes maps external generator labels (e.g. prime-ideal
-    labels) to their coordinate vectors.  A group built by `presented`
-    also keeps its projection from Z^k, which group equality ignores.
+    A group built by `presented` also keeps its projection from Z^k,
+    which group equality ignores: two groups are equal when their
+    invariant factors are.
     """
 
     invariant_factors: tuple[int, ...]
-    generator_classes: dict[str, tuple[int, ...]] = field(default_factory=dict)
     # one column of the SNF column transform per invariant factor
     _projection: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
 

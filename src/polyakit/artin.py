@@ -66,18 +66,12 @@ class SplittingType:
         return self.label
 
 
-@dataclass(frozen=True)
-class AbelianizedElement:
-    """An element of H/H' in invariant-factor coordinates."""
-
-    coordinates: tuple[int, ...]
-
-
 class Abelianization:
     """The quotient H/H' of a permutation group, with its projection.
 
     `group` is the quotient in invariant-factor form; `project` sends an
-    element of H to its class.  The kernel of `project` is exactly H'.
+    element of H to its class, a coordinate tuple of `group`, so classes
+    add with `group.add`.  The kernel of `project` is exactly H'.
     """
 
     def __init__(self, subgroup: PermGroup):
@@ -121,25 +115,12 @@ class Abelianization:
         self.group = AbelianGroupSNF.presented(relations, k)
         assert self.group.order == quotient_order
 
-        self._class_cache: dict[Perm, AbelianizedElement] = {}
-
-    def project(self, p: Perm) -> AbelianizedElement:
+    def project(self, p: Perm) -> tuple[int, ...]:
         """Class of p in H/H'; p must lie in H."""
-        cached = self._class_cache.get(p)
-        if cached is not None:
-            return cached
         label = self._labels.get(p)
         if label is None:
             raise ValueError("element not in the subgroup being abelianized")
-        result = AbelianizedElement(self.group.project(self._vec[label]))
-        self._class_cache[p] = result
-        return result
-
-    def identity_class(self) -> AbelianizedElement:
-        return AbelianizedElement(self.group.identity())
-
-    def combine(self, a: AbelianizedElement, b: AbelianizedElement) -> AbelianizedElement:
-        return AbelianizedElement(self.group.add(a.coordinates, b.coordinates))
+        return self.group.project(self._vec[label])
 
 
 def abelianization(subgroup: PermGroup) -> Abelianization:
@@ -150,21 +131,23 @@ def abelianization(subgroup: PermGroup) -> Abelianization:
 def _cycles_with_reps(
     g: Perm, action: CosetAction, reps: Optional[Sequence[Perm]]
 ) -> list[tuple[int, Perm]]:
+    """`cycle_structure(g, action)`, each stored representative replaced
+    by the caller's representative of the same coset when `reps` is
+    given (one per coset, in coset-index order)."""
+    cycles = cycle_structure(g, action)
     if reps is None:
-        return cycle_structure(g, action)
+        return cycles
     if len(reps) != action.num_cosets:
         raise ValueError("need one representative per coset")
     for i, s in enumerate(reps):
         if action.coset_index(s) != i:
             raise ValueError(f"representative {i} lies in the wrong coset")
-    return [(len(c), reps[c[0]]) for c in action.perm_on_cosets(g).cycles(include_fixed=True)]
+    return [(length, reps[action.coset_index(s)]) for length, s in cycles]
 
 
 def splitting_from_frobenius(g: Perm, action: CosetAction) -> SplittingType:
     """Splitting pattern encoded by g: its cycle lengths on the cosets,
     each part unramified."""
-    if g not in action.group:
-        raise ValueError("element not in the acting group")
     return SplittingType.from_cycle_lengths(f for f, _ in cycle_structure(g, action))
 
 
@@ -174,24 +157,21 @@ def pi_class(
     action: CosetAction,
     ab: Abelianization,
     reps: Optional[Sequence[Perm]] = None,
-) -> AbelianizedElement:
+) -> tuple[int, ...]:
     """Class in H/H' of the product of s_i g^f s_i^{-1} over the cycles
-    of g with length exactly f.
+    of g with length exactly f, as a coordinate tuple of `ab.group`.
 
     An empty product (no cycle of length f) gives the identity class,
     matching the convention that a product over no maximal ideals is the
     whole ring.  Optionally uses caller-supplied coset representatives;
     the result provably does not depend on that choice.
     """
-    if g not in action.group:
-        raise ValueError("element not in the acting group")
+    cycles = _cycles_with_reps(g, action, reps)
     gf = g**f
-    acc = ab.identity_class()
-    for length, s in _cycles_with_reps(g, action, reps):
-        if length != f:
-            continue
-        conj = s * gf * s.inverse()
-        acc = ab.combine(acc, ab.project(conj))
+    acc = ab.group.identity()
+    for length, s in cycles:
+        if length == f:
+            acc = ab.group.add(acc, ab.project(s * gf * s.inverse()))
     return acc
 
 
@@ -200,15 +180,12 @@ def total_class(
     action: CosetAction,
     ab: Abelianization,
     reps: Optional[Sequence[Perm]] = None,
-) -> AbelianizedElement:
+) -> tuple[int, ...]:
     """Class of the product of s_i g^{f_i} s_i^{-1} over all cycles (the
-    transfer of g into H/H')."""
-    if g not in action.group:
-        raise ValueError("element not in the acting group")
-    acc = ab.identity_class()
+    transfer of g into H/H'), as a coordinate tuple of `ab.group`."""
+    acc = ab.group.identity()
     for length, s in _cycles_with_reps(g, action, reps):
-        conj = s * (g**length) * s.inverse()
-        acc = ab.combine(acc, ab.project(conj))
+        acc = ab.group.add(acc, ab.project(s * (g**length) * s.inverse()))
     return acc
 
 

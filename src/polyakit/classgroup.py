@@ -44,15 +44,14 @@ from typing import Optional
 
 from .abelian import AbelianGroupSNF, Subgroup
 from .cubicfield import (
-    DEFAULT_MAX_ENUM,
     DEFAULT_PRIME_BOUND,
     ClassGroupInconclusiveError,
-    ExpressionBudgetExceededError,
     MaximalOrder,
     PrimeIdeal,
     SearchBudgetExceededError,
     factor_prime,
     is_principal,
+    iter_primes_up_to,
     minkowski_bound,
     norm_line,
     primes_up_to,
@@ -79,14 +78,15 @@ _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 class ClassGroupData:
     """Cl(K) in invariant-factor form plus the factor-base witnesses.
 
-    `snf.generator_classes` maps each factor-base prime label to its
-    class coordinates, and `snf.project` gives the class of an exponent
+    `classes` maps each factor-base prime label to its class
+    coordinates, and `snf.project` gives the class of an exponent
     vector over the factor base.  `certified_trivial` marks the exact
     path where the relations span Z^k (then no stability heuristic was
     involved).
     """
 
     snf: AbelianGroupSNF
+    classes: dict[str, tuple[int, ...]]
     fb: tuple[PrimeIdeal, ...]
     mb: Fraction
     budget: int
@@ -299,15 +299,15 @@ class _Harvest:
 def _present(fb, mb: Fraction, hnf) -> Optional[ClassGroupData]:
     """Z^k modulo the relation lattice whose HNF rows are `hnf`, through
     AbelianGroupSNF.presented, with each factor-base prime's class in
-    `snf.generator_classes` and budget 0; None when the lattice has
-    rank < k."""
+    `classes` and budget 0; None when the lattice has rank < k."""
     k = len(fb)
     if len(hnf) < k:
         return None
     snf = AbelianGroupSNF.presented(hnf, k)
-    for i, prime in enumerate(fb):
-        snf.generator_classes[prime.label] = snf.project([int(j == i) for j in range(k)])
-    return ClassGroupData(snf, fb, mb, 0, certified_trivial=snf.is_trivial())
+    classes = {
+        prime.label: snf.project([int(j == i) for j in range(k)]) for i, prime in enumerate(fb)
+    }
+    return ClassGroupData(snf, classes, fb, mb, 0, certified_trivial=snf.is_trivial())
 
 
 def class_group(
@@ -358,7 +358,7 @@ def class_group(
                 suspicious = [
                     i
                     for i, prime in enumerate(fb)
-                    if any(second.snf.generator_classes[prime.label])
+                    if any(second.classes[prime.label])
                 ]
                 extra = _probe_certificates(order, fb, suspicious)
                 if not extra:
@@ -386,7 +386,7 @@ def prime_class_vector(
     """
     if not data.snf.invariant_factors:
         return ()
-    known = data.snf.generator_classes.get(prime.label)
+    known = data.classes.get(prime.label)
     if known is not None:
         return known
     key = prime.hnf
@@ -409,7 +409,7 @@ def prime_class_vector(
             coords = data.snf.neg(data.snf.project(row[:k]))
             data._expr_cache[key] = coords
             return coords
-    raise ExpressionBudgetExceededError(
+    raise SearchBudgetExceededError(
         f"could not express the class of the norm-{prime.norm} prime over {prime.p} "
         f"within shell {EXPRESSION_MAX_SHELL}"
     )
@@ -472,6 +472,8 @@ def polya_group(
     Processing stops early once the subgroup reaches the whole class
     group (more generators cannot change it); `full_at` records the
     prime at which that happened (0 when the class group is trivial).
+    Primes are sieved only as far as they are taken
+    (iter_primes_up_to), and none is taken when Cl is trivial.
     """
     if prime_bound < 2:
         raise ValueError("prime_bound must be >= 2")
@@ -482,9 +484,8 @@ def polya_group(
     sub = amb.subgroup(gens)
     used: list[tuple[int, int, tuple[int, ...]]] = []
     full_at: Optional[int] = 0 if sub.is_full() else None
-    for p in primes_up_to(prime_bound):
-        if full_at is not None:
-            break
+    primes = iter_primes_up_to(prime_bound) if full_at is None else ()
+    for p in primes:
         ramified = order.disc_K % p == 0
         if variant in ("nr", "nr1") and ramified:
             continue
@@ -502,6 +503,7 @@ def polya_group(
             sub = amb.subgroup(gens)
             if sub.is_full():
                 full_at = p
+                break
     return PolyaResult(
         variant=variant,
         subgroup=sub,
@@ -566,7 +568,6 @@ def verify_main_theorem(
     order: MaximalOrder,
     prime_bound: int = DEFAULT_PRIME_BOUND,
     budget: Optional[int] = None,
-    verify_stability: bool = True,
 ) -> PolyaReport:
     """Compute Cl(K) and the three split-product subgroups and compare.
 
@@ -575,7 +576,7 @@ def verify_main_theorem(
     """
     if order.poly.is_galois():
         raise ValueError("verify_main_theorem applies to non-Galois cubics")
-    cl = class_group(order, budget=budget, verify_stability=verify_stability)
+    cl = class_group(order, budget=budget)
     po = polya_group(order, cl, prime_bound, "all")
     po_nr = polya_group(order, cl, prime_bound, "nr")
     po_nr1 = polya_group(order, cl, prime_bound, "nr1")
@@ -593,7 +594,7 @@ def verify_main_theorem(
             "f": prime.f,
             "e": prime.e,
             "norm": prime.norm,
-            "class": list(cl.snf.generator_classes.get(prime.label, ())),
+            "class": list(cl.classes[prime.label]),
         }
     return PolyaReport(
         kind="polya",
@@ -645,42 +646,42 @@ class OstrowskiReport:
         return OstrowskiReport(**d)
 
 
-def ostrowski_check(
-    order: MaximalOrder,
-    prime_bound: int,
-    max_candidates: int = DEFAULT_MAX_ENUM,
-) -> list[dict]:
-    """Search a generator of every unramified split-product ideal
-    Pi_{p^f} with p <= prime_bound, returning one record per (p, f).
+def ostrowski_check(order: MaximalOrder, prime_bound: int) -> list[dict]:
+    """The generator of every unramified split-product ideal Pi_{p^f}
+    with p <= prime_bound of a Galois order, one record per (p, f);
+    ValueError on a non-Galois order.
 
-    This is the direct check that bypasses class-group machinery: each
-    record carries the generator found (integral-basis coordinates), or
-    "principal": false when is_principal found none in its search
-    region, which does not prove the ideal non-principal.
+    This is the direct check that bypasses class-group machinery.  In a
+    Galois cubic an unramified p splits completely or stays inert, so
+    Pi_{p^f} is p*O, and the record carries the generator p (in
+    integral-basis coordinates) read off the ideal's HNF
+    (IntegralIdeal.scalar_generator), with no search.  "principal":
+    false would mark an ideal that is not p*O, which that splitting law
+    rules out.
     """
+    if not order.poly.is_galois():
+        raise ValueError("ostrowski_check applies to Galois cubics")
     out = []
     for p, f, ideal in split_products(order, prime_bound):
         if order.disc_K % p == 0:
             continue
-        gen = is_principal(order, ideal, max_candidates=max_candidates)
+        n = ideal.scalar_generator()
         out.append(
             {
                 "p": p,
                 "f": f,
                 "norm": ideal.norm,
-                "principal": gen is not None,
-                "generator": list(gen) if gen is not None else None,
+                "principal": n is not None,
+                "generator": [n * c for c in order.one] if n is not None else None,
             }
         )
     return out
 
 
 def ostrowski_report(
-    order: MaximalOrder,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-    max_candidates: int = DEFAULT_MAX_ENUM,
+    order: MaximalOrder, prime_bound: int = DEFAULT_PRIME_BOUND
 ) -> OstrowskiReport:
-    records = ostrowski_check(order, prime_bound, max_candidates=max_candidates)
+    records = ostrowski_check(order, prime_bound)
     return OstrowskiReport(
         kind="ostrowski",
         poly=str(order.poly),

@@ -30,7 +30,6 @@ from .artin import chebotarev_densities
 from .cubicfield import (
     ClassGroupInconclusiveError,
     CubicPoly,
-    ExpressionBudgetExceededError,
     ReduciblePolynomialError,
     SearchBudgetExceededError,
 )
@@ -172,9 +171,7 @@ def _cmd_field_analyze(args) -> int:
     poly = _parse_field(args.poly)
     order = cubicfield.maximal_order(poly)
     if poly.is_galois():
-        report = classgroup.ostrowski_report(
-            order, args.prime_bound, max_candidates=args.max_enum
-        )
+        report = classgroup.ostrowski_report(order, args.prime_bound)
         _emit(json.dumps(report.to_json_dict()))
         return EXIT_OK
     report = classgroup.verify_main_theorem(
@@ -227,7 +224,7 @@ def survey_field(triple: tuple[int, int, int], prime_bound: int, budget=None) ->
     except ClassGroupInconclusiveError as exc:
         rec.update(status="error", error=f"inconclusive: {exc}")
         return rec
-    except (SearchBudgetExceededError, ExpressionBudgetExceededError) as exc:
+    except SearchBudgetExceededError as exc:
         rec.update(status="error", error=f"budget: {exc}")
         return rec
     rec.update(
@@ -412,7 +409,7 @@ def main(argv=None) -> int:
     except _ParseFailure as exc:
         _diag(str(exc))
         return EXIT_PARSE
-    except (GroupTooLargeError, SearchBudgetExceededError, ExpressionBudgetExceededError) as exc:
+    except (GroupTooLargeError, SearchBudgetExceededError) as exc:
         _diag(f"budget exceeded: {exc}")
         return EXIT_BUDGET
     except ClassGroupInconclusiveError as exc:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -56,15 +57,13 @@ class ReduciblePolynomialError(ValueError):
 
 
 class SearchBudgetExceededError(RuntimeError):
-    """A lattice enumeration region exceeded its configured ceiling."""
+    """A bounded lattice search ran out: an enumeration region over its
+    ceiling, a factor base over its cap, or a class that no shell within
+    the limit expresses over the factor base."""
 
 
 class ClassGroupInconclusiveError(RuntimeError):
     """Relation harvesting failed the stability contract at max budget."""
-
-
-class ExpressionBudgetExceededError(RuntimeError):
-    """Could not express an ideal class over the factor base in budget."""
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -80,8 +79,17 @@ def primes_up_to(n: int) -> list[int]:
         cache["primes"] = [i for i, b in enumerate(sieve) if b]
         cache["limit"] = limit
     ps = cache["primes"]
-    # binary search not worth it at these sizes
-    return [p for p in ps if p <= n]
+    return ps[: bisect_right(ps, n)]
+
+
+def iter_primes_up_to(n: int):
+    """The primes <= n in increasing order, sieved in doubling windows
+    as they are taken: a loop that stops at p sieves about 2p, not n."""
+    lo, hi = 1, min(n, 1000)
+    while lo < n:
+        ps = primes_up_to(hi)
+        yield from ps[bisect_right(ps, lo) :]
+        lo, hi = hi, min(n, 2 * hi)
 
 
 def is_prime(n: int) -> bool:

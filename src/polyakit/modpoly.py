@@ -91,12 +91,19 @@ def pmonic(a, p):
     return pnorm([c * inv for c in a], p)
 
 
-def distinct_root_count(f, p: int) -> int:
-    """Number of distinct roots of f in GF(p): deg gcd(x^p - x, f)."""
+def _root_part(f, p: int):
+    """gcd(x^p - x, f) for f made monic mod p: the product of the
+    distinct linear factors of f over GF(p)."""
     f = pmonic(pnorm(f, p), p)
+    if not f:
+        raise ValueError("zero polynomial")
     xp = ppowmod((0, 1), p, f, p)
-    g = pgcd(psub(xp, (0, 1), p), f, p)
-    return pdeg(g)
+    return pgcd(psub(xp, (0, 1), p), f, p)
+
+
+def distinct_root_count(f, p: int) -> int:
+    """Number of distinct roots of f in GF(p)."""
+    return pdeg(_root_part(f, p))
 
 
 def _split_roots(g, p: int) -> list[int]:
@@ -126,12 +133,7 @@ def _peval(f, x: int, p: int) -> int:
 
 def roots_mod_p(f, p: int) -> list[int]:
     """Distinct roots of f in GF(p), sorted."""
-    f = pmonic(pnorm(f, p), p)
-    if not f:
-        raise ValueError("zero polynomial")
-    xp = ppowmod((0, 1), p, f, p)
-    g = pgcd(psub(xp, (0, 1), p), f, p)
-    return _split_roots(g, p)
+    return _split_roots(_root_part(f, p), p)
 
 
 def factor_monic_cubic(f, p: int) -> list[tuple[tuple[int, ...], int]]:

@@ -57,11 +57,11 @@ def test_abelianization_is_homomorphism_with_kernel_hprime():
         els = h.sorted_elements()
         for a in els[:8]:
             for b in els[:8]:
-                lhs = ab.project(a * b).coordinates
-                rhs = ab.group.add(ab.project(a).coordinates, ab.project(b).coordinates)
+                lhs = ab.project(a * b)
+                rhs = ab.group.add(ab.project(a), ab.project(b))
                 assert lhs == rhs, name
         for x in els:
-            is_identity_class = ab.project(x).coordinates == ab.group.identity()
+            is_identity_class = ab.project(x) == ab.group.identity()
             assert is_identity_class == (x in hp.elements), name
 
 
@@ -99,15 +99,15 @@ def test_pi_class_worked_examples():
     ab = abelianization(h)
     tr = parse_perm("(1 2)", 3)
     # no cycle of length f: identity class
-    assert pi_class(tr, 3, act, ab).coordinates == ab.group.identity()
+    assert pi_class(tr, 3, act, ab) == ab.group.identity()
     # the fixed coset contributes the transposition itself mod H'
     assert pi_class(tr, 1, act, ab) == ab.project(tr)
-    assert pi_class(tr, 1, act, ab).coordinates == (1,)
+    assert pi_class(tr, 1, act, ab) == (1,)
     # identity element: product of conjugates of the identity
-    assert pi_class(g.identity, 1, act, ab).coordinates == ab.group.identity()
+    assert pi_class(g.identity, 1, act, ab) == ab.group.identity()
     # single 3-cycle: s g^3 s^-1 = 1
     rot = parse_perm("(1 2 3)", 3)
-    assert total_class(rot, act, ab).coordinates == ab.group.identity()
+    assert total_class(rot, act, ab) == ab.group.identity()
 
 
 def test_total_class_is_sum_of_pi_classes():
@@ -120,8 +120,8 @@ def test_total_class_is_sum_of_pi_classes():
             fs = {f for f, _ in cycle_structure(x, act)}
             acc = ab.group.identity()
             for f in fs:
-                acc = ab.group.add(acc, pi_class(x, f, act, ab).coordinates)
-            assert total_class(x, act, ab).coordinates == acc, name
+                acc = ab.group.add(acc, pi_class(x, f, act, ab))
+            assert total_class(x, act, ab) == acc, name
 
 
 def test_pi_class_representative_independence_seeded():
@@ -157,6 +157,70 @@ def test_pi_class_rejects_wrong_coset_reps():
     bad[0], bad[1] = bad[1], bad[0]
     with pytest.raises(ValueError):
         pi_class(parse_perm("(1 2)", 3), 1, act, ab, reps=bad)
+
+
+def _reps_pairs():
+    """A point-stabilizer pair (orbit-case coset action) and A4/V4 (an
+    enumerated coset action)."""
+    pairs = {name: (g, h) for name, g, h in groupcorpus.corpus()}
+    return [("S4/stab", *pairs["S4/stab"]), ("A4/V4", *pairs["A4/V4"])]
+
+
+@pytest.mark.parametrize("name,g,h", _reps_pairs())
+def test_caller_representatives_are_checked(name, g, h):
+    act = coset_action(g, h)
+    ab = abelianization(h)
+    reps = list(act.representatives)
+    x = g.sorted_elements()[-1]
+    hx = next(y for y in h.sorted_elements() if not y.is_identity())
+    # a representative of the right coset, not the stored one, is accepted
+    other = [hx * reps[0], *reps[1:]]
+    assert pi_class(x, 1, act, ab, reps=other) == pi_class(x, 1, act, ab)
+    for wrong_length in (reps[:-1], reps + reps[:1]):
+        with pytest.raises(ValueError, match="one representative per coset"):
+            pi_class(x, 1, act, ab, reps=wrong_length)
+        with pytest.raises(ValueError, match="one representative per coset"):
+            total_class(x, act, ab, reps=wrong_length)
+    swapped = [reps[1], reps[0], *reps[2:]]
+    with pytest.raises(ValueError, match="wrong coset"):
+        pi_class(x, 1, act, ab, reps=swapped)
+    with pytest.raises(ValueError, match="wrong coset"):
+        total_class(x, act, ab, reps=swapped)
+
+
+def test_classes_are_coordinate_tuples_of_the_quotient():
+    for name, g, h in groupcorpus.corpus():
+        if g.order > 60:
+            continue
+        act = coset_action(g, h)
+        ab = abelianization(h)
+        rank = ab.group.rank
+        for x in g.sorted_elements()[:10]:
+            fs = sorted({f for f, _ in cycle_structure(x, act)})
+            classes = [pi_class(x, f, act, ab) for f in fs] + [total_class(x, act, ab)]
+            for c in classes:
+                assert type(c) is tuple and len(c) == rank, name
+                assert ab.group.reduce(c) == c, name
+            if x in h.elements:
+                c = ab.project(x)
+                assert type(c) is tuple and len(c) == rank, name
+                assert ab.group.add(c, ab.group.neg(c)) == ab.group.identity(), name
+
+
+def test_element_outside_the_group_is_rejected():
+    g = alternating_group(4)
+    act = coset_action(g, groupcorpus.klein_four())
+    ab = abelianization(groupcorpus.klein_four())
+    odd = parse_perm("(1 2)", 4)
+    for call in (
+        lambda: splitting_from_frobenius(odd, act),
+        lambda: pi_class(odd, 1, act, ab),
+        lambda: total_class(odd, act, ab),
+    ):
+        with pytest.raises(ValueError, match="not in the acting group"):
+            call()
+    with pytest.raises(ValueError, match="not in the subgroup"):
+        ab.project(parse_perm("(1 2 3)", 4))
 
 
 def test_T_detection():

@@ -19,7 +19,9 @@ from polyakit import (
     IntegralIdeal,
     ReduciblePolynomialError,
     class_group,
+    element_ideal,
     factor_prime,
+    ideal_equal,
     ideal_product,
     is_principal,
     maximal_order,
@@ -35,7 +37,12 @@ from polyakit import (
 )
 from polyakit import classgroup
 from polyakit.classgroup import PolyaReport
-from polyakit.cubicfield import SearchBudgetExceededError, element_valuation, primes_up_to
+from polyakit.cubicfield import (
+    SearchBudgetExceededError,
+    element_valuation,
+    iter_primes_up_to,
+    primes_up_to,
+)
 from polyakit.intlinalg import hnf_rows
 
 from fieldref import lattice_points
@@ -127,7 +134,7 @@ def test_witness_field_class_group(orders):
     assert cl.invariant_factors == (2,)
     assert not cl.certified_trivial
     # the degree-1 prime over 2 is the nontrivial class
-    assert cl.snf.generator_classes["2a"] == (1,)
+    assert cl.classes["2a"] == (1,)
 
 
 def _complement_ideal(order, J):
@@ -299,6 +306,46 @@ def test_ostrowski_galois(orders):
         assert r["generator"] is not None
 
 
+def test_ostrowski_generators_generate_their_ideals(orders):
+    order = orders["x^3-3x-1"]
+    recs = ostrowski_check(order, 200)
+    assert recs
+    for r in recs:
+        pi = pi_ideal(order, r["p"] ** r["f"])
+        assert ideal_equal(element_ideal(order, r["generator"]), pi)
+
+
+def test_ostrowski_check_rejects_non_galois(orders):
+    with pytest.raises(ValueError, match="Galois"):
+        ostrowski_check(orders["x^3-2"], 50)
+
+
+def test_polya_group_takes_no_prime_when_cl_is_trivial(orders, monkeypatch):
+    def no_primes(n):
+        raise AssertionError("a prime was taken")
+
+    monkeypatch.setattr(classgroup, "iter_primes_up_to", no_primes)
+    order = orders["x^3-2"]
+    cl = class_group(order)
+    for variant in ("all", "nr", "nr1"):
+        res = polya_group(order, cl, 10**9, variant)
+        assert res.full_at == 0 and res.processed_bound == 0 and res.used == []
+
+
+def test_polya_group_stops_taking_primes_once_full(orders, monkeypatch):
+    taken = []
+
+    def recording(n):
+        for p in iter_primes_up_to(n):
+            taken.append(p)
+            yield p
+
+    monkeypatch.setattr(classgroup, "iter_primes_up_to", recording)
+    order = orders["x^3+4x-1"]
+    res = polya_group(order, class_group(order), 10**9)
+    assert res.full_at is not None and taken[-1] == res.full_at
+
+
 def test_ostrowski_report_round_trip(orders):
     rep = ostrowski_report(orders["x^3-3x-1"], 60)
     assert rep.galois and rep.all_principal
@@ -435,7 +482,7 @@ def _full_box_class_group(order, budget, reusable):
                 suspicious = [
                     i
                     for i, prime in enumerate(fb)
-                    if any(second.snf.generator_classes[prime.label])
+                    if any(second.classes[prime.label])
                 ]
                 extra = classgroup._probe_certificates(order, fb, suspicious)
                 if not extra:
@@ -503,7 +550,7 @@ def test_shell_harvest_matches_full_box_loop(monkeypatch, s, budget, genuine_pro
     got = class_group(order, budget=budget)
 
     assert got.invariant_factors == expected.invariant_factors
-    assert got.snf.generator_classes == expected.snf.generator_classes
+    assert got.classes == expected.classes
     assert got.budget == expected.budget
     assert got.certified_trivial == expected.certified_trivial
     assert calls == reference_calls

@@ -234,6 +234,33 @@ def test_field_analyze_galois_runs_ostrowski(capsys):
     assert rep["all_principal"] is True
 
 
+@pytest.mark.parametrize("poly", ["x^3-2", "x^3-21x^2+19x+16"])
+def test_huge_prime_bound_stops_with_the_subgroup(capsys, poly):
+    """Each Polya subgroup fills (or Cl is trivial) at a small prime, so a
+    prime bound of 10^9 costs nothing beyond that prime."""
+    _, ref, _ = run_cli(capsys, "field-analyze", poly, "--prime-bound", "200")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "field-analyze", poly, "--prime-bound", "1000000000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    expected = json.loads(ref)
+    expected["prime_bound"] = 1000000000
+    assert json.loads(out) == expected
+
+
+def test_unexpressible_class_is_a_search_budget(capsys, monkeypatch):
+    from polyakit import classgroup as cg
+
+    monkeypatch.setattr(cg, "EXPRESSION_MAX_SHELL", 0)
+    rec = survey_field((0, 8, -6), 200)
+    assert rec["status"] == "error"
+    assert rec["error"].startswith("budget: could not express")
+    code, out, err = run_cli(capsys, "field-analyze", "x^3+8x-6")
+    assert code == 3
+    assert out == ""
+    assert "budget exceeded: could not express" in err
+
+
 def test_field_analyze_witnesses(capsys):
     code, out, _ = run_cli(
         capsys, "field-analyze", "x^3-2", "--prime-bound", "50", "--witnesses"
@@ -556,6 +583,7 @@ GOLDEN_RUNS = (
     ("field-analyze", "x^3-x-1"),
     ("field-analyze", "x^3-x^2-2x-8"),
     ("field-analyze", "x^3-3x-1"),
+    ("field-analyze", "x^3-3x-1", "--max-enum", "1"),
     ("field-analyze", "x^3+4x-1"),
     ("field-analyze", "x^3-12x^2-5x-4"),
     ("field-analyze", "x^3+4x-1", "--witnesses"),

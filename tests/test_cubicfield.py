@@ -36,6 +36,7 @@ from polyakit.cubicfield import (
     _multiplier_rows,
     element_valuation,
     mul_power,
+    iter_primes_up_to,
     norm_line,
     primes_up_to,
     valuation,
@@ -1053,3 +1054,21 @@ def test_census_agrees_with_factor_prime(orders):
             label = "+".join(str(f) for f in parts)
             recount[label] = recount.get(label, 0) + 1
         assert {t.label: c for t, (c, _) in tallies.items()} == recount, s
+
+
+def test_primes_up_to_and_the_lazy_walk_match_sympy():
+    from sympy import primerange
+
+    big = primes_up_to(20000)
+    assert big == list(primerange(20001))
+    for n in (0, 1, 2, 3, 10, 997, 999, 1000, 1001, 2000, 4096, 20000):
+        assert primes_up_to(n) == big[: len(list(primerange(n + 1)))], n
+        assert list(iter_primes_up_to(n)) == primes_up_to(n), n
+
+
+def test_lazy_prime_walk_sieves_only_as_far_as_it_is_taken():
+    limit_before = primes_up_to.__dict__["_cache"]["limit"]
+    walk = iter_primes_up_to(10**12)
+    taken = [next(walk) for _ in range(1000)]
+    assert taken == primes_up_to(taken[-1])
+    assert primes_up_to.__dict__["_cache"]["limit"] <= max(limit_before, 4 * taken[-1])
