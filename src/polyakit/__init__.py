@@ -4,9 +4,7 @@ criterion, and exact cubic-field arithmetic for its consequences."""
 
 from .abelian import AbelianGroupSNF, Subgroup
 from .artin import (
-    Abelianization,
     SplittingType,
-    abelianization,
     chebotarev_densities,
     densities_to_json,
     pi_class,
@@ -46,11 +44,13 @@ from .cubicfield import (
     splitting_census,
 )
 from .permgroup import (
+    Abelianization,
     ConditionReport,
     CosetAction,
     GroupTooLargeError,
     Perm,
     PermGroup,
+    abelianization,
     alternating_group,
     check_condition_2B,
     compute_T,

@@ -9,7 +9,8 @@ class in H/H' is well defined independently of the chosen
 representatives, and those classes are what the arithmetic side
 compares against.  Classes are computed in H/H' (the computable
 refinement of the quotient the theory actually uses; equalities proved
-here imply the coarser ones).
+here imply the coarser ones), through the one H/H' object of each
+subgroup, `permgroup.abelianization`, which this module re-exports.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .abelian import AbelianGroupSNF
-from .permgroup import (
-    CosetAction, Perm, PermGroup, cycle_structure, derived_quotient,
+from .permgroup import (  # abelianization is re-exported, not called here
+    Abelianization, CosetAction, Perm, PermGroup, abelianization, cycle_structure,
 )
 
 
@@ -64,68 +64,6 @@ class SplittingType:
 
     def __str__(self) -> str:
         return self.label
-
-
-class Abelianization:
-    """The quotient H/H' of a permutation group, with its projection.
-
-    `group` is the quotient in invariant-factor form; `project` sends an
-    element of H to its class, a coordinate tuple of `group`, so classes
-    add with `group.add`.  The kernel of `project` is exactly H'.
-    """
-
-    def __init__(self, subgroup: PermGroup):
-        self.source = subgroup
-        self._hprime, labels, reps = derived_quotient(subgroup)
-        self._labels = labels
-        gens = []
-        seen_gens = set()
-        for g in subgroup.generators:
-            if not g.is_identity() and g not in seen_gens:
-                gens.append(g)
-                seen_gens.add(g)
-        k = len(gens)
-
-        # Breadth-first walk of the quotient, recording one exponent
-        # vector per coset label; every revisit yields a relation among
-        # the generator images, and those relations span the full
-        # relation lattice.
-        vec: dict[int, tuple[int, ...]] = {0: (0,) * k}
-        relations: list[tuple[int, ...]] = []
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                vx = vec[x]
-                for i, g in enumerate(gens):
-                    y = labels[tuple(map(g.__getitem__, reps[x]))]  # x then g
-                    w = tuple(v + (1 if j == i else 0) for j, v in enumerate(vx))
-                    if y in vec:
-                        rel = tuple(a - b for a, b in zip(w, vec[y]))
-                        if any(rel):
-                            relations.append(rel)
-                    else:
-                        vec[y] = w
-                        nxt.append(y)
-            frontier = nxt
-        quotient_order = subgroup.order // self._hprime.order
-        assert len(vec) == quotient_order
-        self._vec = vec
-
-        self.group = AbelianGroupSNF.presented(relations, k)
-        assert self.group.order == quotient_order
-
-    def project(self, p: Perm) -> tuple[int, ...]:
-        """Class of p in H/H'; p must lie in H."""
-        label = self._labels.get(p)
-        if label is None:
-            raise ValueError("element not in the subgroup being abelianized")
-        return self.group.project(self._vec[label])
-
-
-def abelianization(subgroup: PermGroup) -> Abelianization:
-    """H/H' in invariant-factor form together with the projection map."""
-    return Abelianization(subgroup)
 
 
 def _cycles_with_reps(

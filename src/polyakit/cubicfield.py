@@ -909,8 +909,13 @@ def pi_ideal(order: MaximalOrder, q: int) -> IntegralIdeal:
     (p, f), = fac.items()
     if f > 3:
         return IntegralIdeal.unit()
+    return _degree_product(order, factor_prime(order, p), f)
+
+
+def _degree_product(order: MaximalOrder, primes, f: int) -> IntegralIdeal:
+    """Product of the primes of residual degree f among `primes`."""
     acc = IntegralIdeal.unit()
-    for prime in factor_prime(order, p):
+    for prime in primes:
         if prime.f == f:
             acc = ideal_product(order, acc, prime.as_integral())
     return acc
@@ -919,10 +924,12 @@ def pi_ideal(order: MaximalOrder, q: int) -> IntegralIdeal:
 def split_products(order: MaximalOrder, prime_bound: int):
     """(p, f, Pi_{p^f}) for every prime p <= prime_bound and every
     residual degree f above p, in increasing (p, f): the ideals that the
-    Ostrowski sweep asks a generator of."""
-    for p in primes_up_to(prime_bound):
-        for f in sorted({q.f for q in factor_prime(order, p)}):
-            yield p, f, pi_ideal(order, p**f)
+    Ostrowski sweep asks a generator of.  The primes are sieved as they
+    are taken, so the first result costs no sieve up to prime_bound."""
+    for p in iter_primes_up_to(prime_bound):
+        primes = factor_prime(order, p)
+        for f in sorted({q.f for q in primes}):
+            yield p, f, _degree_product(order, primes, f)
 
 
 def splitting_type_of(order: MaximalOrder, p: int) -> SplittingType:

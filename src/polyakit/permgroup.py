@@ -16,7 +16,10 @@ On top of the enumerated element sets the module provides right-coset
 actions, derived subgroups, normal cores, the subset T of a subgroup
 whose elements fix only the distinguished coset, and the combined
 generation test built from T and the derived subgroup, together with
-Frobenius and 2-transitivity predicates.
+Frobenius and 2-transitivity predicates.  The quotient H/H' is one
+object per subgroup, `abelianization(H)`: it labels H by H'-cosets,
+which is all the generation test reads, and presents H/H' in
+invariant-factor form (`abelian.AbelianGroupSNF`) on first use.
 
 A `Perm` is a tuple subclass whose value is its image tuple, so loops
 over a whole group compose, hash and compare `Perm`s at tuple cost.
@@ -35,10 +38,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Optional
+
+from .abelian import AbelianGroupSNF
 
 DEFAULT_CLOSURE_CEILING = 10**6
 # The largest degree parse_group_file accepts: every element is a
@@ -202,7 +207,7 @@ class PermGroup:
     when one is asked for.
     """
 
-    __slots__ = ("degree", "generators", "elements", "_levels", "_stab", "_sorted", "_derived")
+    __slots__ = ("degree", "generators", "elements", "_levels", "_stab", "_sorted", "_ab")
 
     def __init__(
         self,
@@ -218,7 +223,7 @@ class PermGroup:
         self._levels = levels
         self._stab = stab
         self._sorted: Optional[tuple[Perm, ...]] = None
-        self._derived: Optional[tuple] = None  # see derived_quotient
+        self._ab: Optional[Abelianization] = None  # see abelianization
 
     @property
     def order(self) -> int:
@@ -728,38 +733,78 @@ class ConditionReport:
     holds: bool
 
 
-def quotient_labels(
-    group: PermGroup, normal: PermGroup
-) -> tuple[dict[tuple[int, ...], int], list[Perm]]:
-    """Label every element of `group` with its coset modulo `normal`, a
-    normal subgroup, in one pass of |group| products.
+class Abelianization:
+    """The quotient H/H' of a permutation group H, with its projection.
 
-    Returns the map from image tuples to labels, which takes `Perm`s
-    directly, and one representative per label; label 0 is `normal`
-    itself.  As `normal` is normal, the label of a product depends only
-    on its factors' labels.
+    `hprime` is H'; `labels` maps each element of H (as an image tuple,
+    so `Perm`s look up directly) to the label of its H'-coset, and
+    `reps` holds one representative per label, label 0 being H' itself.
+    As H' is normal, the label of a product depends only on its factors'
+    labels.  `group` is H/H' in invariant-factor form; `project` sends an
+    element of H to its class, a coordinate tuple of `group`, so classes
+    add with `group.add`.  The kernel of `project` is exactly H'.
+
+    The presentation behind `group` and `project` is built on first use:
+    the generation test reads only the labels.  Nothing here refers back
+    to H, so H and its labelling are freed without a cycle collection.
     """
-    labels: dict[tuple[int, ...], int] = {}
-    reps: list[Perm] = []
-    for x in (group.identity, *group.elements):
-        if x in labels:
-            continue
-        x_then = _then(x)
-        for d in normal.elements:
-            labels[x_then(d)] = len(reps)
-        reps.append(x)
-    return labels, reps
+
+    def __init__(self, subgroup: PermGroup):
+        self.hprime = hprime = derived_subgroup(subgroup)
+        self.labels: dict[tuple[int, ...], int] = {}
+        self.reps: list[Perm] = []
+        for x in (subgroup.identity, *subgroup.elements):
+            if x not in self.labels:
+                self.labels.update(dict.fromkeys(map(_then(x), hprime.elements), len(self.reps)))
+                self.reps.append(x)
+        self._gens = tuple(dict.fromkeys(g for g in subgroup.generators if not g.is_identity()))
+
+    @cached_property
+    def group(self) -> AbelianGroupSNF:
+        labels, reps, gens = self.labels, self.reps, self._gens
+        k = len(gens)
+        # Breadth-first walk of the quotient, recording one exponent
+        # vector per coset label; every revisit yields a relation among
+        # the generator images, and those relations span the full
+        # relation lattice.
+        vec: dict[int, tuple[int, ...]] = {0: (0,) * k}
+        relations: list[tuple[int, ...]] = []
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                vx = vec[x]
+                for i, g in enumerate(gens):
+                    y = labels[tuple(map(g.__getitem__, reps[x]))]  # x then g
+                    w = tuple(v + (1 if j == i else 0) for j, v in enumerate(vx))
+                    if y in vec:
+                        rel = tuple(a - b for a, b in zip(w, vec[y]))
+                        if any(rel):
+                            relations.append(rel)
+                    else:
+                        vec[y] = w
+                        nxt.append(y)
+            frontier = nxt
+        assert len(vec) == len(reps)
+        self._vec = vec
+        group = AbelianGroupSNF.presented(relations, k)
+        assert group.order == len(reps)
+        return group
+
+    def project(self, p: Perm) -> tuple[int, ...]:
+        """Class of p in H/H'; p must lie in H."""
+        label = self.labels.get(p)
+        if label is None:
+            raise ValueError("element not in the subgroup being abelianized")
+        group = self.group  # builds self._vec on first use
+        return group.project(self._vec[label])
 
 
-def derived_quotient(
-    group: PermGroup,
-) -> tuple[PermGroup, dict[tuple[int, ...], int], list[Perm]]:
-    """(H', labels, reps) for H = `group`: its derived subgroup and
-    quotient_labels(H, H'), computed once per group object."""
-    if group._derived is None:
-        hprime = derived_subgroup(group)
-        group._derived = (hprime, *quotient_labels(group, hprime))
-    return group._derived
+def abelianization(subgroup: PermGroup) -> Abelianization:
+    """H/H' for H = `subgroup`, built once per group object."""
+    if subgroup._ab is None:
+        subgroup._ab = Abelianization(subgroup)
+    return subgroup._ab
 
 
 def check_condition_2B(
@@ -770,8 +815,8 @@ def check_condition_2B(
     Computes T and the derived subgroup H', then decides <T, H'> = H in
     H/H' without closing <T, H'> as permutations: H' is normal in H and
     lies in <T, H'>, so the two are equal iff T's cosets generate H/H'.
-    Every element of H is labelled with its H'-coset, and the labels of
-    T are closed under multiplication until they fill H/H'.
+    `abelianization(H)` labels every element of H with its H'-coset, and
+    the labels of T are closed under multiplication until they fill H/H'.
     `generated` is then H itself, or else the union of the H'-cosets
     reached, generated by the generators of H' and the least element of
     T in each coset T meets; either way its element set is <T, H'>.
@@ -780,7 +825,8 @@ def check_condition_2B(
     if action is None:
         action = coset_action(group, subgroup)
     T = compute_T(group, subgroup, action)
-    hprime, labels, reps = derived_quotient(subgroup)
+    ab = abelianization(subgroup)
+    labels, reps = ab.labels, ab.reps
     least: dict[int, Perm] = {}  # the least element of T in each H'-coset it meets
     for t in sorted(T):
         least.setdefault(labels[t], t)
@@ -803,7 +849,7 @@ def check_condition_2B(
     else:
         generated = PermGroup(
             group.degree,
-            hprime.generators + tuple(least.values()),
+            ab.hprime.generators + tuple(least.values()),
             frozenset(h for h in subgroup.elements if labels[h] in reached),
         )
     holds = bool(T) and fills

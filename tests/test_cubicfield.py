@@ -831,6 +831,26 @@ def test_pi_ideal_x3_minus_2(orders):
     assert pi_ideal(O, 31) == IntegralIdeal.from_scalar(31)
 
 
+@pytest.mark.parametrize("s", ["x^3-3x-1", "x^3-12x-5", "x^3-x^2-2x-8"])
+def test_split_products_are_the_pi_ideals(s):
+    """The Ostrowski sweep's (p, f, Pi_{p^f}) on a Galois cubic, on the
+    field whose units defeat the principality search, and on a field
+    with the index prime 2."""
+    O = _order_of(s)
+    assert list(cubicfield.split_products(O, 500)) == [
+        (p, f, pi_ideal(O, p**f))
+        for p in primes_up_to(500)
+        for f in sorted({q.f for q in factor_prime(O, p)})
+    ]
+
+
+def test_split_products_yields_before_sieving_to_the_bound():
+    O = _order_of("x^3-3x-1")
+    start = time.perf_counter()
+    assert next(cubicfield.split_products(O, 10**9))[:2] == (2, 3)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_pi_product_identity_small(orders):
     for s in FIXTURE_POLYS:
         O = orders[s]

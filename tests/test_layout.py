@@ -1,5 +1,5 @@
 """Layout of src/polyakit: no module-level function or class that nothing
-in the package uses.
+in the package uses, and no import from a higher layer.
 
 A def or class at module level must be referenced somewhere in
 src/polyakit outside its own body (a name, an attribute, or an import)
@@ -7,6 +7,9 @@ or be exported from polyakit/__init__.py.  Code that only the tests use
 belongs in the test helpers (fieldref.py, groupcorpus.py).  Names are
 matched by identifier, so the check can miss an orphan that shares its
 name with something in use, but never flags a used one.
+
+The modules form layers, lowest first, and each imports only modules
+below it, so no import cycle can form.
 """
 
 import ast
@@ -18,6 +21,7 @@ PACKAGE = Path(polyakit.__file__).parent
 # wrapped by bench/tracer.py as the per-prime valuation layer, and as the
 # cubic factoring layer (also the reference of tests/fieldref.py)
 ALLOWED = {"cubicfield.element_valuation", "modpoly.factor_monic_cubic"}
+LAYERS = ("intlinalg", "modpoly", "abelian", "permgroup", "artin", "cubicfield", "classgroup", "cli")
 
 
 def _names_used(node) -> set[str]:
@@ -56,3 +60,22 @@ def test_every_module_level_def_is_used_or_exported():
 
 def test_allowlist_holds_only_orphans():
     assert ALLOWED <= _orphans()
+
+
+def _package_imports(tree) -> set[str]:
+    """The polyakit modules a module imports, anywhere in its body."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "polyakit." * (node.level > 0) + (node.module or "")
+            names += [f"{module.rstrip('.')}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("polyakit.")}
+
+
+def test_modules_import_only_lower_layers():
+    assert {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"} == set(LAYERS)
+    for i, name in enumerate(LAYERS):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        assert _package_imports(tree) <= set(LAYERS[:i]), name

@@ -5,6 +5,7 @@ conjugate intersection) are kept deliberately independent of the
 production code paths they validate.
 """
 
+import gc
 import math
 import random
 import time
@@ -18,6 +19,7 @@ from polyakit import (
     GroupTooLargeError,
     Perm,
     PermGroup,
+    abelianization,
     alternating_group,
     check_condition_2B,
     compute_T,
@@ -376,11 +378,22 @@ def test_derived_subgroup_a4_is_klein():
     assert d == groupcorpus.klein_four()
 
 
-def test_derived_quotient_is_computed_once_per_group(monkeypatch):
-    """check_condition_2B and the abelianization of the same H share one
-    H' and one labelling of H by H'-cosets."""
-    from polyakit import abelianization, permgroup
+def _coset_labels(group, normal):
+    """Label every element of `group` with its coset modulo the normal
+    subgroup `normal`, label 0 being `normal`, and keep one
+    representative per label: the oracle for `Abelianization.labels`."""
+    labels, reps = {}, []
+    for x in (group.identity, *group.elements):
+        if x not in labels:
+            for d in normal.elements:
+                labels[x * d] = len(reps)
+            reps.append(x)
+    return labels, reps
 
+
+def test_abelianization_is_built_once_per_group(monkeypatch):
+    """check_condition_2B and the abelianization of the same H share one
+    H/H' object: one H' and one labelling of H by H'-cosets."""
     calls = []
     real = permgroup.derived_subgroup
     monkeypatch.setattr(permgroup, "derived_subgroup", lambda g: calls.append(g) or real(g))
@@ -389,11 +402,52 @@ def test_derived_quotient_is_computed_once_per_group(monkeypatch):
     report = check_condition_2B(G, H)
     ab = abelianization(H)
     assert calls == [H]
-    hprime, labels, reps = permgroup.derived_quotient(H)
-    assert permgroup.derived_quotient(H) is H._derived
-    assert hprime == real(H) and hprime.order == 12
-    assert (labels, reps) == permgroup.quotient_labels(H, hprime)
+    assert abelianization(H) is ab
+    assert ab.hprime == real(H) and ab.hprime.order == 12
     assert report.holds and ab.group.invariant_factors == (2,)
+    for name, g, h in groupcorpus.corpus():
+        ab = abelianization(h)
+        assert (ab.labels, ab.reps) == _coset_labels(h, ab.hprime), name
+
+
+def test_abelianization_leaves_no_reference_cycle():
+    """Nothing in H/H' refers back to H, so a group, its report and its
+    abelianization are freed by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        G = symmetric_group(6)
+        H = point_stabilizer(G, 5)
+        report = check_condition_2B(G, H)
+        quotient = abelianization(H).group
+        del G, H, report, quotient
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_generation_test_leaves_the_presentation_unbuilt():
+    """C2 wr C12 on 24 points: the stabilizer of a point is C2^11, so
+    H/H' has 2^11 classes.  The generation test reads only the coset
+    labels; the invariant-factor presentation waits for its first use."""
+    swap = Perm.from_cycles(24, [[0, 1]])
+    shift = Perm.from_cycles(24, [list(range(0, 24, 2)), list(range(1, 24, 2))])
+    G = group_closure(24, [swap, shift])
+    H = point_stabilizer(G, 23)
+    check_condition_2B(G, H)
+    ab = abelianization(H)
+    assert "group" not in vars(ab)
+    assert ab.group.invariant_factors == (2,) * 11
+
+
+def test_condition_agrees_with_the_decision_in_the_presented_quotient():
+    """<T, H'> = H iff the classes of T fill H/H': decided here on the
+    presented group, as polya_group decides Po(K) = Cl(K)."""
+    for name, g, h in groupcorpus.corpus_with_degree8():
+        rep = check_condition_2B(g, h)
+        ab = abelianization(h)
+        classes = {ab.project(t) for t in rep.T}
+        assert rep.holds == (bool(rep.T) and ab.group.subgroup(classes).is_full()), name
 
 
 def test_derived_subgroup_matches_allpairs_oracle():
