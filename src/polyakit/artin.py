@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .permgroup import (  # abelianization is re-exported, not called here
-    Abelianization, CosetAction, Perm, PermGroup, abelianization, cycle_structure,
+    Abelianization, CosetAction, PermGroup, abelianization, compose, cycle_structure,
+    inverse, power,
 )
 
 
@@ -67,8 +68,8 @@ class SplittingType:
 
 
 def _cycles_with_reps(
-    g: Perm, action: CosetAction, reps: Optional[Sequence[Perm]]
-) -> list[tuple[int, Perm]]:
+    g: tuple[int, ...], action: CosetAction, reps: Optional[Sequence[tuple[int, ...]]]
+) -> list[tuple[int, tuple[int, ...]]]:
     """`cycle_structure(g, action)`, each stored representative replaced
     by the caller's representative of the same coset when `reps` is
     given (one per coset, in coset-index order)."""
@@ -83,18 +84,18 @@ def _cycles_with_reps(
     return [(length, reps[action.coset_index(s)]) for length, s in cycles]
 
 
-def splitting_from_frobenius(g: Perm, action: CosetAction) -> SplittingType:
+def splitting_from_frobenius(g: tuple[int, ...], action: CosetAction) -> SplittingType:
     """Splitting pattern encoded by g: its cycle lengths on the cosets,
     each part unramified."""
     return SplittingType.from_cycle_lengths(f for f, _ in cycle_structure(g, action))
 
 
 def pi_class(
-    g: Perm,
+    g: tuple[int, ...],
     f: int,
     action: CosetAction,
     ab: Abelianization,
-    reps: Optional[Sequence[Perm]] = None,
+    reps: Optional[Sequence[tuple[int, ...]]] = None,
 ) -> tuple[int, ...]:
     """Class in H/H' of the product of s_i g^f s_i^{-1} over the cycles
     of g with length exactly f, as a coordinate tuple of `ab.group`.
@@ -105,25 +106,25 @@ def pi_class(
     the result provably does not depend on that choice.
     """
     cycles = _cycles_with_reps(g, action, reps)
-    gf = g**f
+    gf = power(g, f)
     acc = ab.group.identity()
     for length, s in cycles:
         if length == f:
-            acc = ab.group.add(acc, ab.project(s * gf * s.inverse()))
+            acc = ab.group.add(acc, ab.project(compose(s, gf, inverse(s))))
     return acc
 
 
 def total_class(
-    g: Perm,
+    g: tuple[int, ...],
     action: CosetAction,
     ab: Abelianization,
-    reps: Optional[Sequence[Perm]] = None,
+    reps: Optional[Sequence[tuple[int, ...]]] = None,
 ) -> tuple[int, ...]:
     """Class of the product of s_i g^{f_i} s_i^{-1} over all cycles (the
     transfer of g into H/H'), as a coordinate tuple of `ab.group`."""
     acc = ab.group.identity()
     for length, s in _cycles_with_reps(g, action, reps):
-        acc = ab.group.add(acc, ab.project(s * (g**length) * s.inverse()))
+        acc = ab.group.add(acc, ab.project(compose(s, power(g, length), inverse(s))))
     return acc
 
 
@@ -138,10 +139,3 @@ def chebotarev_densities(
     order = group.order
     return {t: Fraction(c, order) for t, c in sorted(counts.items())}
 
-
-def densities_to_json(densities: dict[SplittingType, Fraction]) -> list[dict]:
-    """Serialize a density table with exact rationals as strings."""
-    return [
-        {"splitting_type": t.label, "density": str(d)}
-        for t, d in sorted(densities.items())
-    ]

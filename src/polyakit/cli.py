@@ -73,8 +73,11 @@ _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
 
 def _expand_group_specs(args) -> list[tuple[str, str]]:
     """Resolve CLI group selectors to (name, kind) pairs, kind in
-    {family, file}."""
+    {family, file}.  A range's upper end is checked against the degree
+    cap and the closure ceiling before any name is listed."""
     specs: list[tuple[str, str]] = []
+    if args.n is not None and args.family in (None, "F20"):
+        raise _ParseFailure("--n needs --family S, A, D or C")
     if args.family:
         if args.family == "F20":
             specs.append(("F20", "family"))
@@ -90,6 +93,7 @@ def _expand_group_specs(args) -> list[tuple[str, str]]:
                 raise _ParseFailure(f"bad range {args.n!r}")
             if lo > hi:
                 raise _ParseFailure(f"empty range {args.n!r}")
+            permgroup._check_degree(hi, args.max_closure)
             for n in range(lo, hi + 1):
                 specs.append((f"{args.family}{n}", "family"))
     for token in args.groups:
@@ -339,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("groups", nargs="*", default=[],
                    help="family tokens (S5, A6, D4, C7, F20) or generator files")
     g.add_argument("--family", choices=("S", "A", "D", "C", "F20"))
-    g.add_argument("--n", help="range like 3..8 (with --family)")
+    g.add_argument("--n", help="range like 3..8 (with --family S, A, D or C)")
     g.add_argument("--format", **output_format)
     g.add_argument("--max-closure", type=int, default=permgroup.DEFAULT_CLOSURE_CEILING)
     g.set_defaults(run=_cmd_group_check)
@@ -359,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print only fields with nontrivial class group")
     s.add_argument("--prime-bound", **prime_bound)
     s.add_argument("--budget", **budget)
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=int, default=1, help=f"1..{MAX_WORKERS} processes")
     s.set_defaults(run=_cmd_survey)
 
     c = sub.add_parser("census", help="splitting statistics vs predicted densities")
@@ -389,6 +393,9 @@ def _triple_after_dashes(argv: list[str]) -> list[str]:
 # The least value of each integer option that has one; a smaller value
 # exits 2.
 _LOWER_BOUNDS = {"prime_bound": 2, "workers": 1, "budget": 1}
+# The most worker processes a survey starts; a larger --workers exits 2
+# before any pool exists.
+MAX_WORKERS = 64
 
 
 def main(argv=None) -> int:
@@ -404,6 +411,9 @@ def main(argv=None) -> int:
         if value is not None and value < low:
             _diag(f"bad configuration: {name} must be >= {low}")
             return EXIT_PARSE
+    if getattr(args, "workers", 1) > MAX_WORKERS:
+        _diag(f"bad configuration: workers must be <= {MAX_WORKERS}")
+        return EXIT_PARSE
     try:
         return args.run(args)
     except _ParseFailure as exc:

@@ -21,16 +21,20 @@ object per subgroup, `abelianization(H)`: it labels H by H'-cosets,
 which is all the generation test reads, and presents H/H' in
 invariant-factor form (`abelian.AbelianGroupSNF`) on first use.
 
-A `Perm` is a tuple subclass whose value is its image tuple, so loops
-over a whole group compose, hash and compare `Perm`s at tuple cost.
-When H is the full stabilizer of a point p, the coset action is read
-off the orbit of p instead of enumerating cosets, and the generation
-test is decided in H/H' instead of closing <T, H'> as a set of
-permutations.
+A permutation of {0, ..., n-1} is the plain tuple of its images, and
+nothing else (Seress 2003 stores them the same way): elements,
+generators, coset representatives, T and the H'-coset labels are all
+such tuples.  `perm` checks one built from outside; `compose`,
+`inverse`, `power`, `cycles`, `cycle_string`, `from_cycles` and
+`identity` are the operations on them.  When H is the full stabilizer
+of a point p, the coset action is read off the orbit of p instead of
+enumerating cosets, and the generation test is decided in H/H' instead
+of closing <T, H'> as a set of permutations.
 
-Composition convention: ``a * b`` means "apply a, then b", so that a
-right coset ``H*s`` moved by ``g`` lands on ``H*(s*g)``.  Permutations
-are 0-indexed internally; cycle-notation text I/O is 1-indexed.
+Composition convention: ``compose(a, b)`` means "apply a, then b", so
+that a right coset ``H*s`` moved by ``g`` lands on ``H*compose(s, g)``.
+Permutations are 0-indexed internally; cycle-notation text I/O is
+1-indexed.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import repeat
+from functools import cached_property
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Optional
 
@@ -51,12 +54,15 @@ DEFAULT_CLOSURE_CEILING = 10**6
 # one degree line build million-entry tuples.
 MAX_GROUP_DEGREE = 1000
 
+# A permutation: the tuple of its images (an annotation only).
+_Perm = tuple[int, ...]
+
 
 class GroupTooLargeError(RuntimeError):
     """Raised when a closure would exceed the configured element ceiling."""
 
 
-def _then(first: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+def _then(first: _Perm) -> Callable[[_Perm], _Perm]:
     """The map sending the image tuple of b to that of "first, then b".
 
     An itemgetter composes raw image tuples several times faster than a
@@ -68,122 +74,101 @@ def _then(first: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]
     return itemgetter(*first)
 
 
-class Perm(tuple):
-    """A permutation of {0, ..., degree-1}: the tuple of its images.
-
-    It equals, hashes and sorts like that tuple.  Construction checks
-    the images; products and inverses are wrapped unchecked by `_perm`.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, images: Iterable[int]) -> "Perm":
-        self = tuple.__new__(cls, images)
-        n = len(self)
-        if n == 0:
-            raise ValueError("degree must be positive")
-        if sorted(self) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {tuple(self)}")
-        return self
-
-    @property
-    def degree(self) -> int:
-        return len(self)
-
-    @staticmethod
-    def identity(degree: int) -> "Perm":
-        if degree < 1:
-            raise ValueError("degree must be positive")
-        return _perm(range(degree))
-
-    @staticmethod
-    def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> "Perm":
-        """Build a permutation from disjoint 0-indexed cycles."""
-        if degree < 1:
-            raise ValueError("degree must be positive")
-        images = list(range(degree))
-        seen = set()
-        for cycle in cycles:
-            cycle = list(cycle)
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                if not 0 <= a < degree:
-                    raise ValueError(f"point {a} out of range for degree {degree}")
-                if a in seen:
-                    raise ValueError(f"point {a} repeated across cycles")
-                seen.add(a)
-                images[a] = b
-        # distinct in-range points, each cycle sent onto itself: a permutation
-        return _perm(images)
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        # apply self first, then other
-        return _perm(_then(self)(other))
-
-    def __pow__(self, k: int) -> "Perm":
-        n = self.degree
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Perm.identity(n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def inverse(self) -> "Perm":
-        return _perm(_inverse(self))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self))
-
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each starting at its least point, sorted by it."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cur, cyc = start, []
-            while not seen[cur]:
-                seen[cur] = True
-                cyc.append(cur)
-                cur = self[cur]
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
-        return out
-
-    def cycle_string(self) -> str:
-        """1-indexed cycle notation, '()' for the identity."""
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(i + 1) for i in c) + ")" for c in cycs)
-
-    def __repr__(self) -> str:
-        return f"Perm{tuple.__repr__(self)}"
+def perm(images: Iterable[int]) -> _Perm:
+    """The permutation with these images, checked to be one of 0..n-1."""
+    p = tuple(images)
+    n = len(p)
+    if n == 0:
+        raise ValueError("degree must be positive")
+    if sorted(p) != list(range(n)):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {p}")
+    return p
 
 
-# A product or inverse of permutations is a permutation: wrap it unchecked.
-_perm: Callable[[Iterable[int]], Perm] = partial(tuple.__new__, Perm)
+def identity(degree: int) -> _Perm:
+    if degree < 1:
+        raise ValueError("degree must be positive")
+    return tuple(range(degree))
 
 
-def _inverse(p: tuple[int, ...]) -> list[int]:
+def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> _Perm:
+    """Build a permutation from disjoint 0-indexed cycles."""
+    if degree < 1:
+        raise ValueError("degree must be positive")
+    images = list(range(degree))
+    seen = set()
+    for cycle in cycles:
+        cycle = list(cycle)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            if not 0 <= a < degree:
+                raise ValueError(f"point {a} out of range for degree {degree}")
+            if a in seen:
+                raise ValueError(f"point {a} repeated across cycles")
+            seen.add(a)
+            images[a] = b
+    # distinct in-range points, each cycle sent onto itself: a permutation
+    return tuple(images)
+
+
+def compose(first: _Perm, *rest: _Perm) -> _Perm:
+    """The product that applies `first`, then each of `rest` in turn."""
+    for p in rest:
+        first = _then(first)(p)
+    return first
+
+
+def inverse(p: _Perm) -> _Perm:
     inv = [0] * len(p)
     for i, j in enumerate(p):
         inv[j] = i
-    return inv
+    return tuple(inv)
+
+
+def power(p: _Perm, k: int) -> _Perm:
+    if k < 0:
+        p, k = inverse(p), -k
+    result = identity(len(p))
+    while k:
+        if k & 1:
+            result = compose(result, p)
+        p = compose(p, p)
+        k >>= 1
+    return result
+
+
+def cycles(p: _Perm, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    """Disjoint cycles, each starting at its least point, sorted by it."""
+    seen = [False] * len(p)
+    out = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        cur, cyc = start, []
+        while not seen[cur]:
+            seen[cur] = True
+            cyc.append(cur)
+            cur = p[cur]
+        if len(cyc) > 1 or include_fixed:
+            out.append(tuple(cyc))
+    return out
+
+
+def cycle_string(p: _Perm) -> str:
+    """1-indexed cycle notation, '()' for the identity."""
+    cycs = cycles(p)
+    if not cycs:
+        return "()"
+    return "".join("(" + " ".join(str(i + 1) for i in c) + ")" for c in cycs)
 
 
 _CYCLE_TEXT = re.compile(r"(?:\(\s*\d+(?:[ ,]+\d+)*\s*\))+")
 
 
-def parse_perm(text: str, degree: int) -> Perm:
+def parse_perm(text: str, degree: int) -> _Perm:
     """Parse 1-indexed cycle notation like ``(1 2)(3 4)``; '()' is identity."""
     text = text.strip()
     if text in ("()", "", "1", "id"):
-        return Perm.identity(degree)
+        return identity(degree)
     if not _CYCLE_TEXT.fullmatch(text):
         raise ValueError(f"bad cycle notation: {text!r}")
     cycles = []
@@ -195,7 +180,7 @@ def parse_perm(text: str, degree: int) -> Perm:
                 raise ValueError(f"point {p + 1} out of range for degree {degree}")
         if len(pts) > 1:
             cycles.append(pts)
-    return Perm.from_cycles(degree, cycles)
+    return from_cycles(degree, cycles)
 
 
 class PermGroup:
@@ -212,17 +197,17 @@ class PermGroup:
     def __init__(
         self,
         degree: int,
-        generators: tuple[Perm, ...],
-        elements: frozenset[Perm],
+        generators: tuple[_Perm, ...],
+        elements: frozenset[_Perm],
         levels: Optional[list["_Level"]] = None,
-        stab: Optional[list[Perm]] = None,
+        stab: Optional[list[_Perm]] = None,
     ):
         self.degree = degree
         self.generators = generators
         self.elements = elements
         self._levels = levels
         self._stab = stab
-        self._sorted: Optional[tuple[Perm, ...]] = None
+        self._sorted: Optional[tuple[_Perm, ...]] = None
         self._ab: Optional[Abelianization] = None  # see abelianization
 
     @property
@@ -230,15 +215,15 @@ class PermGroup:
         return len(self.elements)
 
     @property
-    def identity(self) -> Perm:
-        return Perm.identity(self.degree)
+    def identity(self) -> _Perm:
+        return identity(self.degree)
 
-    def sorted_elements(self) -> tuple[Perm, ...]:
+    def sorted_elements(self) -> tuple[_Perm, ...]:
         if self._sorted is None:
             self._sorted = tuple(sorted(self.elements))
         return self._sorted
 
-    def __contains__(self, p: Perm) -> bool:
+    def __contains__(self, p: _Perm) -> bool:
         return p in self.elements
 
     def __eq__(self, other) -> bool:
@@ -288,20 +273,20 @@ class _Level:
 
     __slots__ = ("base", "gens", "steps", "orbit", "u", "v", "u_then")
 
-    def __init__(self, ident: tuple[int, ...], base: int):
+    def __init__(self, ident: _Perm, base: int):
         degree = len(ident)
         self.base = base
-        self.gens: list[Perm] = []
-        self.steps: list[tuple[Perm, Callable, Callable]] = []
+        self.gens: list[_Perm] = []
+        self.steps: list[tuple[_Perm, Callable, Callable]] = []
         self.orbit = [base]
-        self.u: list[Optional[tuple[int, ...]]] = [None] * degree
-        self.v: list[Optional[tuple[int, ...]]] = [None] * degree
+        self.u: list[Optional[_Perm]] = [None] * degree
+        self.v: list[Optional[_Perm]] = [None] * degree
         self.u_then: list[Optional[Callable]] = [None] * degree
         self.u[base] = self.v[base] = ident
         self.u_then[base] = _then(ident)
 
 
-def _sift(levels: list[_Level], g: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
+def _sift(levels: list[_Level], g: _Perm, i: int) -> tuple[_Perm, int]:
     """Strip g, which fixes the base points before level i, through the
     levels from i on: at each, g becomes u[y] then g for y = g^-1(b),
     which fixes b.  Returns the residue and the level where it left the
@@ -318,7 +303,7 @@ def _sift(levels: list[_Level], g: tuple[int, ...], i: int) -> tuple[tuple[int, 
     return g, len(levels)
 
 
-def _add_generator(levels: list[_Level], i: int, g: Perm) -> None:
+def _add_generator(levels: list[_Level], i: int, g: _Perm) -> None:
     """Make g a strong generator of level i and restore the chain below.
 
     The orbit of level i grows by g, and every Schreier generator
@@ -332,7 +317,7 @@ def _add_generator(levels: list[_Level], i: int, g: Perm) -> None:
     level = levels[i]
     level.gens.append(g)
     steps = level.steps
-    steps.append((g, itemgetter(*g), itemgetter(*_inverse(g))))
+    steps.append((g, itemgetter(*g), itemgetter(*inverse(g))))
     new_steps = steps[-1:]
     orbit, u, v, u_then = level.orbit, level.u, level.v, level.u_then
     ident = u[level.base]
@@ -354,12 +339,11 @@ def _add_generator(levels: list[_Level], i: int, g: Perm) -> None:
                 continue
             if m == len(levels):
                 levels.append(_Level(ident, _last_moved((r,), len(r))))
-            r = _perm(r)
             for k in range(m, i, -1):
                 _add_generator(levels, k, r)
 
 
-def _last_moved(perms: Iterable[tuple[int, ...]], degree: int) -> int:
+def _last_moved(perms: Iterable[_Perm], degree: int) -> int:
     """The largest point one of `perms` moves, or the last point."""
     for p in range(degree - 1, 0, -1):
         for g in perms:
@@ -370,11 +354,11 @@ def _last_moved(perms: Iterable[tuple[int, ...]], degree: int) -> int:
 
 def _close(
     degree: int,
-    perms: Iterable[Perm],
+    perms: Iterable[_Perm],
     ceiling: int,
     first: Optional[int] = None,
     order: Optional[int] = None,
-) -> tuple[list[Perm], list[_Level]]:
+) -> tuple[list[_Perm], list[_Level]]:
     """The generators kept, each of `perms` not in the group of those
     before it (tested by sifting), and the stabilizer chain of their
     group.  Its first base point is `first`, by default the largest
@@ -386,7 +370,7 @@ def _close(
     if first is None:
         first = _last_moved(perms, degree)
     levels = [_Level(ident, first)]
-    gens: list[Perm] = []
+    gens: list[_Perm] = []
     for x in perms:
         if _sift(levels, x, 0)[0] != ident:
             gens.append(x)
@@ -399,25 +383,25 @@ def _close(
     return gens, levels
 
 
-def _enumerate(degree: int, levels: list[_Level]) -> tuple[list[Perm], list[Perm]]:
+def _enumerate(degree: int, levels: list[_Level]) -> tuple[list[_Perm], list[_Perm]]:
     """The elements of the chain's group and of its first stabilizer,
     each listed once: level i's group is every v[x] then h, for x in the
     orbit and h in level i + 1's group (the identity v[b] is skipped)."""
-    els = [_perm(range(degree))]
+    els = [tuple(range(degree))]
     stab = els
     for level in reversed(levels):
         stab = els
         els = list(stab)
         for x in level.orbit[1:]:  # a second orbit point: degree >= 2
-            els.extend(map(tuple.__new__, repeat(Perm), map(itemgetter(*level.v[x]), stab)))
+            els.extend(map(itemgetter(*level.v[x]), stab))
     return els, stab
 
 
 def _generated(
     degree: int,
-    perms: Iterable[Perm],
+    perms: Iterable[_Perm],
     ceiling: int,
-    generators: Optional[tuple[Perm, ...]] = None,
+    generators: Optional[tuple[_Perm, ...]] = None,
     order: Optional[int] = None,
 ) -> PermGroup:
     """The group of `perms`, with the generators kept unless
@@ -430,20 +414,20 @@ def _generated(
 
 
 def group_closure(
-    degree: int, generators: Iterable[Perm], ceiling: int = DEFAULT_CLOSURE_CEILING
+    degree: int, generators: Iterable[_Perm], ceiling: int = DEFAULT_CLOSURE_CEILING
 ) -> PermGroup:
     """Smallest group containing the generators, as an explicit element
     set.  Rejects degree < 1 and groups of order past `ceiling`."""
     if degree < 1:
         raise ValueError("degree must be a positive integer")
-    gens = tuple(generators)
+    gens = tuple(map(perm, generators))
     for g in gens:
-        if g.degree != degree:
-            raise ValueError(f"generator degree {g.degree} != {degree}")
+        if len(g) != degree:
+            raise ValueError(f"generator degree {len(g)} != {degree}")
     return _generated(degree, gens, ceiling, generators=gens)
 
 
-def subgroup_from_elements(degree: int, elements: Iterable[Perm]) -> PermGroup:
+def subgroup_from_elements(degree: int, elements: Iterable[_Perm]) -> PermGroup:
     """Wrap a set already closed under the group operations, finding a
     small generating set greedily (lexicographic element order)."""
     els = frozenset(elements)
@@ -454,8 +438,8 @@ def subgroup_from_elements(degree: int, elements: Iterable[Perm]) -> PermGroup:
 
 def generated_subgroup(
     degree: int,
-    elements: Iterable[Perm],
-    seed_generators: Iterable[Perm] = (),
+    elements: Iterable[_Perm],
+    seed_generators: Iterable[_Perm] = (),
     ceiling: int = DEFAULT_CLOSURE_CEILING,
 ) -> PermGroup:
     """Subgroup generated by `elements` (and `seed_generators`), adding
@@ -523,7 +507,7 @@ class CosetAction:
         self.group = group
         self.subgroup = subgroup
         self.point, orbit = _stabilized_point(group, subgroup)
-        self._reps: Optional[tuple[Perm, ...]] = None
+        self._reps: Optional[tuple[_Perm, ...]] = None
         if self.point is None:
             self._enumerate_cosets()
         else:
@@ -531,7 +515,7 @@ class CosetAction:
             self._at_orbit = _then(self.orbit)
 
     @property
-    def representatives(self) -> tuple[Perm, ...]:
+    def representatives(self) -> tuple[_Perm, ...]:
         if self._reps is None:
             self._read_orbit(self.point)
         return self._reps
@@ -543,7 +527,7 @@ class CosetAction:
         return self._index
 
     def _read_orbit(self, p: int) -> None:
-        least: dict[int, Perm] = {}
+        least: dict[int, _Perm] = {}
         for g in self.group.elements:
             best = least.get(g[p])
             if best is None or g < best:
@@ -555,8 +539,8 @@ class CosetAction:
             self._index[q] = i
 
     def _enumerate_cosets(self) -> None:
-        reps: list[Perm] = []
-        coset_of: dict[tuple[int, ...], int] = {}
+        reps: list[_Perm] = []
+        coset_of: dict[_Perm, int] = {}
         h_then = [_then(h) for h in self.subgroup.elements]
         for s in self.group.sorted_elements():
             if s in coset_of:
@@ -568,13 +552,13 @@ class CosetAction:
         self._reps = tuple(reps)
         self._coset_of = coset_of
         self._rep_then = [_then(s) for s in reps]
-        self._rows: dict[Perm, tuple[int, ...]] = {}
+        self._rows: dict[_Perm, _Perm] = {}
 
     @property
     def num_cosets(self) -> int:
         return len(self._reps if self.point is None else self.orbit)
 
-    def coset_index(self, g: Perm) -> int:
+    def coset_index(self, g: _Perm) -> int:
         """Index of the coset H*g."""
         if self.point is None:
             return self._coset_of[g]
@@ -582,7 +566,7 @@ class CosetAction:
             raise KeyError(g)
         return self._orbit_index()[g[self.point]]
 
-    def row(self, g: Perm) -> tuple[int, ...]:
+    def row(self, g: _Perm) -> _Perm:
         """Images of every coset index under right multiplication by g."""
         if self.point is not None:
             if g not in self.group.elements:
@@ -596,15 +580,7 @@ class CosetAction:
             self._rows[g] = cached
         return cached
 
-    def act(self, index: int, g: Perm) -> int:
-        """act(i, g) = index of H * (s_i * g)."""
-        return self.row(g)[index]
-
-    def perm_on_cosets(self, g: Perm) -> Perm:
-        """The permutation of coset indices induced by g."""
-        return _perm(self.row(g))
-
-    def fixed_count(self, g: Perm) -> int:
+    def fixed_count(self, g: _Perm) -> int:
         """How many cosets g fixes: in the orbit case, how many orbit
         points; g must lie in the group."""
         if self.point is None:
@@ -622,7 +598,7 @@ def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
     return CosetAction(group, subgroup)
 
 
-def cycle_structure(g: Perm, action: CosetAction) -> list[tuple[int, Perm]]:
+def cycle_structure(g: _Perm, action: CosetAction) -> list[tuple[int, _Perm]]:
     """Cycles of g on the coset space as (length, representative) pairs.
 
     Cycles are listed by their least coset index; the representative is
@@ -632,7 +608,7 @@ def cycle_structure(g: Perm, action: CosetAction) -> list[tuple[int, Perm]]:
     if g not in action.group:
         raise ValueError("element not in the acting group")
     reps = action.representatives
-    return [(len(c), reps[c[0]]) for c in action.perm_on_cosets(g).cycles(include_fixed=True)]
+    return [(len(c), reps[c[0]]) for c in cycles(action.row(g), include_fixed=True)]
 
 
 def _check_proper_subgroup(group: PermGroup, subgroup: PermGroup) -> None:
@@ -644,7 +620,7 @@ def _check_proper_subgroup(group: PermGroup, subgroup: PermGroup) -> None:
 
 def compute_T(
     group: PermGroup, subgroup: PermGroup, action: Optional[CosetAction] = None
-) -> frozenset[Perm]:
+) -> frozenset[_Perm]:
     """Elements of H whose only fixed coset is H itself.
 
     Computed by counting the cosets each h fixes (`fixed_count`).
@@ -661,7 +637,7 @@ def compute_T(
 
 def compute_T_conjugacy(
     group: PermGroup, subgroup: PermGroup, action: Optional[CosetAction] = None
-) -> frozenset[Perm]:
+) -> frozenset[_Perm]:
     """Same subset, via: h is excluded iff s*h*s^-1 lies in H for some s
     outside H.  Whether s*h*s^-1 is in H depends only on the coset H*s,
     so only the non-identity coset representatives need checking.
@@ -673,7 +649,7 @@ def compute_T_conjugacy(
     for h in subgroup.elements:
         excluded = False
         for s in action.representatives[1:]:
-            if s * h * s.inverse() in subgroup.elements:
+            if compose(s, h, inverse(s)) in subgroup.elements:
                 excluded = True
                 break
         if not excluded:
@@ -685,18 +661,16 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
     """Commutator subgroup, as the normal closure in `group` of the
     commutators of its generators."""
     gens = group.generators
-    comms = {
-        a * b * a.inverse() * b.inverse() for a in gens for b in gens
-    }
-    comms.discard(Perm.identity(group.degree))
+    comms = {compose(a, b, inverse(a), inverse(b)) for a in gens for b in gens}
+    comms.discard(identity(group.degree))
     sub = generated_subgroup(group.degree, comms)
     # normal closure: conjugate by generators until stable
     while True:
         extra = []
         for g in gens:
-            ginv = g.inverse()
+            ginv = inverse(g)
             for x in sub.generators:
-                y = ginv * x * g
+                y = compose(ginv, x, g)
                 if y not in sub.elements:
                     extra.append(y)
         if not extra:
@@ -714,7 +688,7 @@ def normal_core(group: PermGroup, subgroup: PermGroup) -> PermGroup:
     reps = action.representatives
     core = []
     for h in subgroup.elements:
-        if all(s * h * s.inverse() in subgroup.elements for s in reps):
+        if all(compose(s, h, inverse(s)) in subgroup.elements for s in reps):
             core.append(h)
     return subgroup_from_elements(group.degree, core)
 
@@ -727,7 +701,7 @@ class ConditionReport:
     `generated` coinciding with H.
     """
 
-    T: frozenset[Perm]
+    T: frozenset[_Perm]
     T_nonempty: bool
     generated: PermGroup
     holds: bool
@@ -736,13 +710,13 @@ class ConditionReport:
 class Abelianization:
     """The quotient H/H' of a permutation group H, with its projection.
 
-    `hprime` is H'; `labels` maps each element of H (as an image tuple,
-    so `Perm`s look up directly) to the label of its H'-coset, and
-    `reps` holds one representative per label, label 0 being H' itself.
-    As H' is normal, the label of a product depends only on its factors'
-    labels.  `group` is H/H' in invariant-factor form; `project` sends an
-    element of H to its class, a coordinate tuple of `group`, so classes
-    add with `group.add`.  The kernel of `project` is exactly H'.
+    `hprime` is H'; `labels` maps each element of H to the label of its
+    H'-coset, and `reps` holds one representative per label, label 0
+    being H' itself.  As H' is normal, the label of a product depends
+    only on its factors' labels.  `group` is H/H' in invariant-factor
+    form; `project` sends an element of H to its class, a coordinate
+    tuple of `group`, so classes add with `group.add`.  The kernel of
+    `project` is exactly H'.
 
     The presentation behind `group` and `project` is built on first use:
     the generation test reads only the labels.  Nothing here refers back
@@ -751,13 +725,14 @@ class Abelianization:
 
     def __init__(self, subgroup: PermGroup):
         self.hprime = hprime = derived_subgroup(subgroup)
-        self.labels: dict[tuple[int, ...], int] = {}
-        self.reps: list[Perm] = []
+        self.labels: dict[_Perm, int] = {}
+        self.reps: list[_Perm] = []
         for x in (subgroup.identity, *subgroup.elements):
             if x not in self.labels:
                 self.labels.update(dict.fromkeys(map(_then(x), hprime.elements), len(self.reps)))
                 self.reps.append(x)
-        self._gens = tuple(dict.fromkeys(g for g in subgroup.generators if not g.is_identity()))
+        ident = subgroup.identity
+        self._gens = tuple(dict.fromkeys(g for g in subgroup.generators if g != ident))
 
     @cached_property
     def group(self) -> AbelianGroupSNF:
@@ -791,7 +766,7 @@ class Abelianization:
         assert group.order == len(reps)
         return group
 
-    def project(self, p: Perm) -> tuple[int, ...]:
+    def project(self, p: _Perm) -> tuple[int, ...]:
         """Class of p in H/H'; p must lie in H."""
         label = self.labels.get(p)
         if label is None:
@@ -827,7 +802,7 @@ def check_condition_2B(
     T = compute_T(group, subgroup, action)
     ab = abelianization(subgroup)
     labels, reps = ab.labels, ab.reps
-    least: dict[int, Perm] = {}  # the least element of T in each H'-coset it meets
+    least: dict[int, _Perm] = {}  # the least element of T in each H'-coset it meets
     for t in sorted(T):
         least.setdefault(labels[t], t)
     steps = list(least.values())
@@ -905,42 +880,42 @@ def is_2transitive(group: PermGroup, action: CosetAction) -> bool:
 # Named families and the group-file text format
 
 
-def _symmetric(n: int) -> tuple[int, list[Perm]]:
+def _symmetric(n: int) -> tuple[int, list[_Perm]]:
     if n < 1:
         raise ValueError("n must be >= 1")
-    gens = [Perm.from_cycles(n, [[0, 1]])] if n > 1 else []
+    gens = [from_cycles(n, [[0, 1]])] if n > 1 else []
     if n > 2:
-        gens.append(Perm.from_cycles(n, [list(range(n))]))
+        gens.append(from_cycles(n, [list(range(n))]))
     return n, gens
 
 
-def _alternating(n: int) -> tuple[int, list[Perm]]:
+def _alternating(n: int) -> tuple[int, list[_Perm]]:
     if n < 3:
         return max(n, 1), []
-    gens = [Perm.from_cycles(n, [[0, 1, 2]])]
+    gens = [from_cycles(n, [[0, 1, 2]])]
     if n > 3:
         cycle = list(range(n)) if n % 2 == 1 else list(range(1, n))
-        gens.append(Perm.from_cycles(n, [cycle]))
+        gens.append(from_cycles(n, [cycle]))
     return n, gens
 
 
-def _cyclic(n: int) -> tuple[int, list[Perm]]:
+def _cyclic(n: int) -> tuple[int, list[_Perm]]:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return n, [Perm.from_cycles(n, [list(range(n))])]
+    return n, [from_cycles(n, [list(range(n))])]
 
 
-def _dihedral(n: int) -> tuple[int, list[Perm]]:
+def _dihedral(n: int) -> tuple[int, list[_Perm]]:
     if n < 3:
         raise ValueError("dihedral group needs n >= 3")
-    rot = Perm.from_cycles(n, [list(range(n))])
-    refl = Perm(tuple((n - i) % n for i in range(n)))
+    rot = from_cycles(n, [list(range(n))])
+    refl = perm((n - i) % n for i in range(n))
     return n, [rot, refl]
 
 
-def _frobenius_20() -> tuple[int, list[Perm]]:
-    five = Perm(tuple((i + 1) % 5 for i in range(5)))
-    four = Perm(tuple((2 * i) % 5 for i in range(5)))
+def _frobenius_20() -> tuple[int, list[_Perm]]:
+    five = perm((i + 1) % 5 for i in range(5))
+    four = perm((2 * i) % 5 for i in range(5))
     return 5, [five, four]
 
 

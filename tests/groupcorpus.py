@@ -27,7 +27,7 @@ from polyakit import (
     point_stabilizer,
     symmetric_group,
 )
-from polyakit.permgroup import CosetAction, Perm, generated_subgroup, subgroup_from_elements
+from polyakit.permgroup import CosetAction, from_cycles, generated_subgroup, subgroup_from_elements
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -39,21 +39,22 @@ def c7_c3() -> PermGroup:
 def klein_four() -> PermGroup:
     return group_closure(
         4,
-        [Perm.from_cycles(4, [[0, 1], [2, 3]]), Perm.from_cycles(4, [[0, 2], [1, 3]])],
+        [from_cycles(4, [[0, 1], [2, 3]]), from_cycles(4, [[0, 2], [1, 3]])],
     )
 
 
 def _subgroup_of(group: PermGroup, *cycle_sets) -> PermGroup:
-    gens = [Perm.from_cycles(group.degree, cycles) for cycles in cycle_sets]
+    gens = [from_cycles(group.degree, cycles) for cycles in cycle_sets]
     sub = generated_subgroup(group.degree, gens)
     assert sub.is_subgroup_of(group)
     return sub
 
 
-def action_image(action: CosetAction) -> tuple[PermGroup, dict[Perm, Perm]]:
+def action_image(action: CosetAction) -> tuple[PermGroup, dict[tuple, tuple]]:
     """The permutation group induced on coset indices, with the map
-    g -> induced permutation.  Its kernel is the normal core of H."""
-    hom = {g: action.perm_on_cosets(g) for g in action.group.elements}
+    g -> induced permutation, `action.row(g)`.  Its kernel is the normal
+    core of H."""
+    hom = {g: action.row(g) for g in action.group.elements}
     image = subgroup_from_elements(action.num_cosets, set(hom.values()))
     return image, hom
 

@@ -19,6 +19,7 @@ from polyakit import (
     alternating_group,
     check_condition_2B,
     class_group,
+    compose,
     compute_T,
     coset_action,
     cycle_structure,
@@ -83,7 +84,7 @@ def test_criterion_02_frobenius_lemma():
         act = coset_action(g, h)
         frob = is_frobenius(g, act)
         T = compute_T(g, h, act)
-        t_shape = T == {x for x in h.elements if not x.is_identity()}
+        t_shape = T == {x for x in h.elements if x != h.identity}
         holds = check_condition_2B(g, h, act).holds
         ok = ok and frob and t_shape and holds
         details.append(f"{name}:{frob and t_shape and holds}")
@@ -113,7 +114,7 @@ def test_criterion_03_representative_independence():
     for _ in range(samples):
         name, act, ab, gels, hels = prepared[rng.randrange(len(prepared))]
         g = gels[rng.randrange(len(gels))]
-        reps = [hels[rng.randrange(len(hels))] * s for s in act.representatives]
+        reps = [compose(hels[rng.randrange(len(hels))], s) for s in act.representatives]
         fs = sorted({f for f, _ in cycle_structure(g, act)})
         f = fs[rng.randrange(len(fs))]
         if pi_class(g, f, act, ab) != pi_class(g, f, act, ab, reps=reps):

@@ -11,10 +11,11 @@ from polyakit import (
     abelianization,
     alternating_group,
     chebotarev_densities,
+    compose,
     coset_action,
     cyclic_group,
     cycle_structure,
-    densities_to_json,
+    inverse,
     parse_perm,
     pi_class,
     point_stabilizer,
@@ -57,7 +58,7 @@ def test_abelianization_is_homomorphism_with_kernel_hprime():
         els = h.sorted_elements()
         for a in els[:8]:
             for b in els[:8]:
-                lhs = ab.project(a * b)
+                lhs = ab.project(compose(a, b))
                 rhs = ab.group.add(ab.project(a), ab.project(b))
                 assert lhs == rhs, name
         for x in els:
@@ -88,7 +89,7 @@ def test_splitting_degree_bookkeeping_and_conjugation_invariance():
             x = rng.choice(els)
             s = rng.choice(els)
             t1 = splitting_from_frobenius(x, act)
-            t2 = splitting_from_frobenius(s * x * s.inverse(), act)
+            t2 = splitting_from_frobenius(compose(s, x, inverse(s)), act)
             assert t1 == t2, name
 
 
@@ -140,7 +141,7 @@ def test_pi_class_representative_independence_seeded():
         name, g, h, act, ab, gels, hels = prepared[rng.randrange(len(prepared))]
         x = gels[rng.randrange(len(gels))]
         reps = [
-            hels[rng.randrange(len(hels))] * s for s in act.representatives
+            compose(hels[rng.randrange(len(hels))], s) for s in act.representatives
         ]
         fs = {f for f, _ in cycle_structure(x, act)}
         f = rng.choice(sorted(fs))
@@ -172,9 +173,9 @@ def test_caller_representatives_are_checked(name, g, h):
     ab = abelianization(h)
     reps = list(act.representatives)
     x = g.sorted_elements()[-1]
-    hx = next(y for y in h.sorted_elements() if not y.is_identity())
+    hx = next(y for y in h.sorted_elements() if y != h.identity)
     # a representative of the right coset, not the stored one, is accepted
-    other = [hx * reps[0], *reps[1:]]
+    other = [compose(hx, reps[0]), *reps[1:]]
     assert pi_class(x, 1, act, ab, reps=other) == pi_class(x, 1, act, ab)
     for wrong_length in (reps[:-1], reps + reps[:1]):
         with pytest.raises(ValueError, match="one representative per coset"):
@@ -269,10 +270,3 @@ def test_densities_sum_to_one():
         dens = chebotarev_densities(g, act)
         assert sum(dens.values()) == 1, name
 
-
-def test_densities_json_format():
-    g = symmetric_group(3)
-    act = coset_action(g, point_stabilizer(g, 2))
-    rows = densities_to_json(chebotarev_densities(g, act))
-    assert {"splitting_type": "1+2", "density": "1/2"} in rows
-    assert all(set(r) == {"splitting_type", "density"} for r in rows)

@@ -3,6 +3,10 @@
 import argparse
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -11,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import groupcorpus
+from polyakit import cli
 from polyakit.cli import build_parser, main, survey_box, survey_field
 from polyakit.cubicfield import CubicPoly, parse_cubic
 from polyakit.permgroup import GroupTooLargeError, parse_group_file
@@ -187,6 +192,50 @@ def test_group_check_family_degree_cap(capsys):
         "frobenius": False,
         "two_transitive": False,
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["S4", "--n", "3..5"],
+        ["--family", "F20", "--n", "abc"],
+        ["--family", "F20", "--n", "3..5"],
+        ["C7", "--n", "3"],
+    ],
+)
+def test_group_check_n_without_a_ranged_family_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "group-check", *argv)
+    assert (code, out) == (2, "")
+    assert "--n needs --family S, A, D or C" in err
+
+
+def test_group_check_range_past_the_degree_cap_exits_3_at_once(capsys):
+    """The range's top is refused before C3..C1000 are built."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "group-check", "--family", "C", "--n", "3..1001")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert "degree 1001 exceeds the degree cap" in err
+
+
+def test_group_check_huge_range_stays_bounded_under_an_address_limit():
+    """Refused before any name of the range is listed, so it fits a
+    1.5 GB address space, where listing 10^8 names does not."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyakit.cli", "group-check", "--family", "C", "--n",
+         "3..100000000"],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "degree 100000000 exceeds the degree cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_survey_box_streams_its_triples():
@@ -441,6 +490,20 @@ def test_option_below_its_least_value_exits_2(capsys, argv):
     assert "bad configuration" in err
 
 
+def test_workers_above_the_cap_exits_2_before_any_pool(capsys, monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out, err = run_cli(
+        capsys, "survey", "--coeff-bound", "0", "--workers", str(cli.MAX_WORKERS + 1)
+    )
+    assert (code, out) == (2, "")
+    assert f"bad configuration: workers must be <= {cli.MAX_WORKERS}" in err
+
+
 def test_unknown_flag_exits_2(capsys):
     code = main(["field-analyze", "x^3-2", "--frobnicate"])
     assert code == 2
@@ -596,6 +659,8 @@ GOLDEN_RUNS = (
     ("group-check", "--family", "A", "--n", "3..8"),
     ("group-check", "--family", "D", "--n", "3..8"),
     ("group-check", "--family", "C", "--n", "3..8"),
+    ("group-check", "--family", "S", "--n", "3..9"),
+    ("group-check", "--family", "A", "--n", "3..9"),
     ("group-check", "F20", "c7_c3.grp", "d4.grp"),
     ("census", "x^3-2"),
     ("census", "x^3-3x-1"),

@@ -17,27 +17,34 @@ from hypothesis import strategies as st
 import groupcorpus
 from polyakit import (
     GroupTooLargeError,
-    Perm,
     PermGroup,
     abelianization,
     alternating_group,
     check_condition_2B,
+    compose,
     compute_T,
     compute_T_conjugacy,
     coset_action,
+    cycle_string,
     cycle_structure,
+    cycles,
     cyclic_group,
     derived_subgroup,
     dihedral_group,
     family_group,
+    from_cycles,
     frobenius_20,
     group_closure,
+    identity,
+    inverse,
     is_2transitive,
     is_frobenius,
     normal_core,
     parse_group_file,
     parse_perm,
+    perm,
     point_stabilizer,
+    power,
     symmetric_group,
 )
 from polyakit import permgroup
@@ -62,36 +69,41 @@ def naive_closure(gens, degree):
         els |= new
 
 
-# --- Perm basics ------------------------------------------------------------
+# --- permutations as image tuples ------------------------------------------
 
-perm_strategy = st.permutations(list(range(5))).map(lambda t: Perm(tuple(t)))
+perm_strategy = st.permutations(list(range(5))).map(perm)
 
 
 @given(perm_strategy, perm_strategy, perm_strategy)
 @settings(max_examples=100, deadline=None)
 def test_composition_associative(a, b, c):
-    assert (a * b) * c == a * (b * c)
+    assert compose(compose(a, b), c) == compose(a, compose(b, c)) == compose(a, b, c)
+    assert compose(a, b) == tuple(b[a[i]] for i in range(5))  # a, then b
 
 
 @given(perm_strategy)
 @settings(max_examples=60, deadline=None)
 def test_inverse_cancels(p):
-    assert p * p.inverse() == Perm.identity(5)
-    assert p.inverse() * p == Perm.identity(5)
+    assert compose(p, inverse(p)) == identity(5)
+    assert compose(inverse(p), p) == identity(5)
+    assert power(p, -1) == inverse(p)
+    assert power(p, 3) == compose(p, p, p)
+    assert power(p, 0) == identity(5)
 
 
 def test_perm_rejects_non_bijection():
     with pytest.raises(ValueError):
-        Perm((0, 0, 2))
+        perm((0, 0, 2))
     with pytest.raises(ValueError):
-        Perm(())
+        perm(())
 
 
 @given(st.lists(st.permutations(list(range(4))), min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_perm_is_its_image_tuple(images):
-    perms = [Perm(t) for t in images]
+    perms = [perm(t) for t in images]
     for p, t in zip(perms, images):
+        assert type(p) is tuple
         assert p == tuple(t) and hash(p) == hash(tuple(t))
     assert sorted(perms) == sorted(perms, key=tuple)
     assert {tuple(t) for t in images} == set(perms)
@@ -113,16 +125,39 @@ def test_every_returned_element_is_a_perm():
     ]
     for g in groups:
         for x in g.elements:
-            assert type(x) is Perm and x * x.inverse() == g.identity
-    assert all(type(s) is Perm for s in coset_action(s5, h).representatives)
+            assert type(x) is tuple and compose(x, inverse(x)) == g.identity
+        assert all(type(x) is tuple for x in g.generators)
+    assert all(type(s) is tuple for s in coset_action(s5, h).representatives)
+    assert all(type(t) is tuple for t in compute_T(s5, h))
+    assert all(type(t) is tuple for t in check_condition_2B(s5, h).T)
+
+
+def test_group_closure_checks_every_generator():
+    """No type vouches for a tuple, so the closure checks each one."""
+    with pytest.raises(ValueError, match="not a permutation"):
+        group_closure(3, [(0, 0, 2)])
+    with pytest.raises(ValueError, match="generator degree 4 != 3"):
+        group_closure(3, [(1, 0, 2, 3)])
+    g = group_closure(3, [[1, 2, 0]])
+    assert g.order == 3 and g.generators == ((1, 2, 0),)
+
+
+def test_no_public_permutation_class():
+    """`perm` is the one checking constructor: no `Perm` class remains
+    whose call could build an unchecked tuple."""
+    import polyakit
+
+    assert not hasattr(polyakit, "Perm") and not hasattr(permgroup, "Perm")
 
 
 def test_cycle_string_round_trip():
     p = parse_perm("(1 2)(3 4)", 5)
     assert p == (1, 0, 3, 2, 4)
-    assert p.cycle_string() == "(1 2)(3 4)"
-    assert parse_perm(p.cycle_string(), 5) == p
-    assert parse_perm("()", 3) == Perm.identity(3)
+    assert cycle_string(p) == "(1 2)(3 4)"
+    assert cycles(p) == [(0, 1), (2, 3)]
+    assert cycles(p, include_fixed=True) == [(0, 1), (2, 3), (4,)]
+    assert parse_perm(cycle_string(p), 5) == p
+    assert parse_perm("()", 3) == identity(3)
     with pytest.raises(ValueError):
         parse_perm("(1 6)", 5)
     with pytest.raises(ValueError):
@@ -175,7 +210,7 @@ def _moving(degree: int):
         images = list(range(degree))
         for a, b in zip(pts, img):
             images[a] = b
-        return Perm(images)
+        return perm(images)
 
     subsets = st.lists(st.integers(0, degree - 1), unique=True)
     return subsets.flatmap(lambda pts: st.permutations(pts).map(lambda img: (pts, img))).map(build)
@@ -219,7 +254,7 @@ def test_coset_action_s4_stabilizer():
     h = point_stabilizer(g, 3)
     act = coset_action(g, h)
     assert act.num_cosets == 4
-    assert act.representatives[0].is_identity()
+    assert act.representatives[0] == identity(4)
 
 
 def test_coset_action_a4_klein():
@@ -234,7 +269,7 @@ def test_coset_action_h_equals_g():
     act = coset_action(g, g)
     assert act.num_cosets == 1
     for x in g.elements:
-        assert act.act(0, x) == 0
+        assert act.row(x)[0] == 0
 
 
 def test_coset_action_rejects_non_subgroup():
@@ -251,11 +286,11 @@ def test_coset_action_axioms_on_corpus():
         ident = g.identity
         els = g.sorted_elements()
         for i in range(act.num_cosets):
-            assert act.act(i, ident) == i
+            assert act.row(ident)[i] == i
         for x in els[:6]:
             for y in els[:6]:
                 for i in range(act.num_cosets):
-                    assert act.act(i, x * y) == act.act(act.act(i, x), y), name
+                    assert act.row(compose(x, y))[i] == act.row(y)[act.row(x)[i]], name
         # transitivity of the coset action
         reach = {0}
         frontier = [0]
@@ -263,7 +298,7 @@ def test_coset_action_axioms_on_corpus():
             nxt = []
             for i in frontier:
                 for x in g.generators:
-                    j = act.act(i, x)
+                    j = act.row(x)[i]
                     if j not in reach:
                         reach.add(j)
                         nxt.append(j)
@@ -301,9 +336,9 @@ def test_cycle_structure_lengths_sum():
             assert starts == sorted(starts), name
             for (f, rep), i in zip(cs, starts):
                 assert rep == act.representatives[i], name
-                cycle = {act.act(i, x**k) for k in range(f)}
+                cycle = {act.row(power(x, k))[i] for k in range(f)}
                 assert len(cycle) == f and min(cycle) == i, name
-                assert act.act(i, x**f) == i, name
+                assert act.row(power(x, f))[i] == i, name
 
 
 # --- T ----------------------------------------------------------------------
@@ -353,7 +388,7 @@ def test_T_oracle_direct_conjugate_scan():
         expected = set()
         for x in h.elements:
             if all(
-                s * x * s.inverse() not in h.elements
+                compose(s, x, inverse(s)) not in h.elements
                 for s in g.elements
                 if s not in h.elements
             ):
@@ -386,7 +421,7 @@ def _coset_labels(group, normal):
     for x in (group.identity, *group.elements):
         if x not in labels:
             for d in normal.elements:
-                labels[x * d] = len(reps)
+                labels[compose(x, d)] = len(reps)
             reps.append(x)
     return labels, reps
 
@@ -430,8 +465,8 @@ def test_generation_test_leaves_the_presentation_unbuilt():
     """C2 wr C12 on 24 points: the stabilizer of a point is C2^11, so
     H/H' has 2^11 classes.  The generation test reads only the coset
     labels; the invariant-factor presentation waits for its first use."""
-    swap = Perm.from_cycles(24, [[0, 1]])
-    shift = Perm.from_cycles(24, [list(range(0, 24, 2)), list(range(1, 24, 2))])
+    swap = from_cycles(24, [[0, 1]])
+    shift = from_cycles(24, [list(range(0, 24, 2)), list(range(1, 24, 2))])
     G = group_closure(24, [swap, shift])
     H = point_stabilizer(G, 23)
     check_condition_2B(G, H)
@@ -456,7 +491,7 @@ def test_derived_subgroup_matches_allpairs_oracle():
             continue
         got = derived_subgroup(h)
         comms = {
-            a * b * a.inverse() * b.inverse() for a in h.elements for b in h.elements
+            compose(a, b, inverse(a), inverse(b)) for a in h.elements for b in h.elements
         }
         oracle = generated_subgroup(h.degree, comms)
         assert got == oracle, name
@@ -470,7 +505,7 @@ def test_derived_quotient_is_abelian():
         # quotient abelian <=> every commutator lies in the subgroup
         for a in h.generators:
             for b in h.generators:
-                assert a * b * a.inverse() * b.inverse() in d.elements, name
+                assert compose(a, b, inverse(a), inverse(b)) in d.elements, name
 
 
 def test_normal_core_of_normal_subgroup():
@@ -492,14 +527,14 @@ def test_normal_core_intersection_oracle():
         core = normal_core(g, h)
         expected = set(h.elements)
         for s in g.elements:
-            sinv = s.inverse()
-            expected &= {s * x * sinv for x in h.elements}
+            sinv = inverse(s)
+            expected &= {compose(s, x, sinv) for x in h.elements}
         assert core.elements == expected, name
         # normal in G, contained in H
         assert core.elements <= h.elements
         for s in g.generators:
             for x in core.elements:
-                assert s * x * s.inverse() in core.elements
+                assert compose(s, x, inverse(s)) in core.elements
 
 
 def test_normal_core_is_action_kernel():
@@ -508,7 +543,7 @@ def test_normal_core_is_action_kernel():
             continue
         act = coset_action(g, h)
         _, hom = action_image(act)
-        kernel = {x for x in g.elements if hom[x].is_identity()}
+        kernel = {x for x in g.elements if hom[x] == identity(act.num_cosets)}
         assert kernel == set(normal_core(g, h).elements), name
 
 
@@ -523,7 +558,7 @@ def test_condition_2b_table_rows():
     # <T, H'> is the copy of A3 on {0,1,2} inside S4
     assert rep.generated.order == 3
     assert rep.generated.elements == {
-        Perm.identity(4), parse_perm("(1 2 3)", 4), parse_perm("(1 3 2)", 4)
+        identity(4), parse_perm("(1 2 3)", 4), parse_perm("(1 3 2)", 4)
     }
     a5 = alternating_group(5)
     rep5 = check_condition_2B(a5, point_stabilizer(a5, 4))
@@ -558,10 +593,10 @@ class _EnumeratedCosets:
                 continue
             self.representatives.append(s)
             for x in h.elements:
-                self.coset_of[x * s] = len(self.representatives) - 1
+                self.coset_of[compose(x, s)] = len(self.representatives) - 1
 
     def row(self, x):
-        return tuple(self.coset_of[s * x] for s in self.representatives)
+        return tuple(self.coset_of[compose(s, x)] for s in self.representatives)
 
 
 def _closure_reference(g, h):
@@ -581,8 +616,8 @@ def _relabelled_stabilizer_pairs():
             continue
         sigma = list(range(g.degree))
         rng.shuffle(sigma)
-        sigma = Perm(tuple(sigma))
-        gens = [sigma.inverse() * x * sigma for x in g.generators]
+        sigma = perm(sigma)
+        gens = [compose(inverse(sigma), x, sigma) for x in g.generators]
         g2 = group_closure(g.degree, gens)
         pairs.append((name + "^sigma", g2, point_stabilizer(g2, rng.randrange(g.degree))))
     return pairs
@@ -597,7 +632,7 @@ def test_coset_action_matches_enumeration_reference():
     fixing_not_full = (
         "S4/<(1 2)>",
         symmetric_group(4),
-        generated_subgroup(4, [Perm.from_cycles(4, [[0, 1]])]),
+        generated_subgroup(4, [from_cycles(4, [[0, 1]])]),
     )
     pairs = groupcorpus.corpus_with_degree8() + _relabelled_stabilizer_pairs()
     for name, g, h in pairs + [fixing_not_full]:
@@ -613,7 +648,7 @@ def test_coset_action_matches_enumeration_reference():
 
 def test_coset_action_rejects_non_members_on_both_paths():
     a4 = alternating_group(4)
-    odd = Perm.from_cycles(4, [[0, 1]])
+    odd = from_cycles(4, [[0, 1]])
     for h in (point_stabilizer(a4, 3), groupcorpus.klein_four()):
         act = coset_action(a4, h)
         with pytest.raises(KeyError):
@@ -658,9 +693,9 @@ def test_frobenius_oracle_fixed_point_counts():
         g = family_group(tok)
         act = _natural_action(g)
         counts = [
-            sum(1 for i in range(act.num_cosets) if act.act(i, x) == i)
+            sum(1 for i in range(act.num_cosets) if act.row(x)[i] == i)
             for x in g.elements
-            if not x.is_identity()
+            if x != g.identity
         ]
         expected = all(c <= 1 for c in counts) and any(c == 1 for c in counts)
         assert is_frobenius(g, act) == expected, tok
@@ -736,7 +771,7 @@ def test_frobenius_T_shape():
         act = coset_action(g, h)
         assert is_frobenius(g, act)
         T = compute_T(g, h, act)
-        assert T == {x for x in h.elements if not x.is_identity()}, tok
+        assert T == {x for x in h.elements if x != h.identity}, tok
         assert check_condition_2B(g, h, act).holds, tok
 
 
@@ -746,7 +781,7 @@ def test_frobenius_T_shape_across_corpus():
         if not is_frobenius(g, act):
             continue
         T = compute_T(g, h, act)
-        assert T == {x for x in h.elements if not x.is_identity()}, name
+        assert T == {x for x in h.elements if x != h.identity}, name
         if h.order >= 2:
             assert check_condition_2B(g, h, act).holds, name
 
@@ -818,7 +853,7 @@ def test_parse_perm_fuzz_gives_a_perm_or_value_error(case):
         p = parse_perm(text, degree)
     except ValueError:
         return
-    assert type(p) is Perm and p.degree == degree
+    assert type(p) is tuple and len(p) == degree
 
 
 @given(groupcorpus.group_files)
