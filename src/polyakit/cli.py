@@ -392,10 +392,13 @@ def _triple_after_dashes(argv: list[str]) -> list[str]:
 
 # The least value of each integer option that has one; a smaller value
 # exits 2.
-_LOWER_BOUNDS = {"prime_bound": 2, "workers": 1, "budget": 1}
+_LOWER_BOUNDS = {"prime_bound": 2, "workers": 1, "budget": 1, "max_closure": 1}
 # The most worker processes a survey starts; a larger --workers exits 2
 # before any pool exists.
 MAX_WORKERS = 64
+# The largest --prime-bound census takes: its sieve holds one byte per
+# integer up to the bound, so a larger one exits 2 before any sieve runs.
+MAX_CENSUS_PRIME_BOUND = 10**7
 
 
 def main(argv=None) -> int:
@@ -413,6 +416,9 @@ def main(argv=None) -> int:
             return EXIT_PARSE
     if getattr(args, "workers", 1) > MAX_WORKERS:
         _diag(f"bad configuration: workers must be <= {MAX_WORKERS}")
+        return EXIT_PARSE
+    if args.command == "census" and args.prime_bound > MAX_CENSUS_PRIME_BOUND:
+        _diag(f"bad configuration: prime_bound must be <= {MAX_CENSUS_PRIME_BOUND}")
         return EXIT_PARSE
     try:
         return args.run(args)

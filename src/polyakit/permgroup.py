@@ -7,16 +7,18 @@ and a transversal of the orbit of b_i (Sims 1970; Seress, *Permutation
 Group Algorithms*, 2003, ch. 4).  Schreier-Sims builds the chain one
 kept generator at a time, so the group's order is known before any
 element exists: a group past the closure ceiling is refused without
-being listed, membership is a sift, and the first base point is the
-largest point the group moves.  The element set is then enumerated once,
-as products of one transversal element per level, and the stabilizer of
-that first base point is read off level 1 with no further closure.
+being listed, membership and the subgroup test are sifts, and the first
+base point is the largest point the group moves, whose stabilizer is
+level 1 of the chain with no further closure.  A group's element set is
+listed only when a caller reads it, once, as products of one
+transversal element per level; `group-check` lists the point stabilizer
+H but never G.
 
-On top of the enumerated element sets the module provides right-coset
-actions, derived subgroups, normal cores, the subset T of a subgroup
-whose elements fix only the distinguished coset, and the combined
-generation test built from T and the derived subgroup, together with
-Frobenius and 2-transitivity predicates.  The quotient H/H' is one
+On top of the chains the module provides right-coset actions, derived
+subgroups, normal cores, the subset T of a subgroup whose elements fix
+only the distinguished coset, and the combined generation test built
+from T and the derived subgroup, together with Frobenius and
+2-transitivity predicates.  The quotient H/H' is one
 object per subgroup, `abelianization(H)`: it labels H by H'-cosets,
 which is all the generation test reads, and presents H/H' in
 invariant-factor form (`abelian.AbelianGroupSNF`) on first use.
@@ -184,35 +186,39 @@ def parse_perm(text: str, degree: int) -> _Perm:
 
 
 class PermGroup:
-    """A finite permutation group with its full element set enumerated.
+    """A finite permutation group, read off its stabilizer chain.
 
-    A group built here also keeps its stabilizer chain (`_levels`) and
-    the element list of the chain's first stabilizer (`_stab`), which
-    `point_stabilizer` reads; a group wrapped without them gets a chain
-    when one is asked for.
+    A group built here keeps its chain (`_levels`), which gives its
+    order, membership by sifting and its subgroup test; the element set
+    is listed, as `_enumerate` orders it, the first time `elements` is
+    read.  A group wrapped from an element set alone (`levels` None)
+    answers from that set, and gets a chain when one is asked for.
     """
 
-    __slots__ = ("degree", "generators", "elements", "_levels", "_stab", "_sorted", "_ab")
+    __slots__ = ("degree", "generators", "order", "_elements", "_levels", "_sorted", "_ab")
 
     def __init__(
         self,
         degree: int,
         generators: tuple[_Perm, ...],
-        elements: frozenset[_Perm],
+        elements: Optional[frozenset[_Perm]] = None,
         levels: Optional[list["_Level"]] = None,
-        stab: Optional[list[_Perm]] = None,
     ):
         self.degree = degree
         self.generators = generators
-        self.elements = elements
+        self._elements = elements
         self._levels = levels
-        self._stab = stab
+        self.order = (
+            len(elements) if levels is None else math.prod(len(lv.orbit) for lv in levels)
+        )
         self._sorted: Optional[tuple[_Perm, ...]] = None
         self._ab: Optional[Abelianization] = None  # see abelianization
 
     @property
-    def order(self) -> int:
-        return len(self.elements)
+    def elements(self) -> frozenset[_Perm]:
+        if self._elements is None:
+            self._elements = frozenset(_enumerate(self.degree, self._levels))
+        return self._elements
 
     @property
     def identity(self) -> _Perm:
@@ -224,7 +230,12 @@ class PermGroup:
         return self._sorted
 
     def __contains__(self, p: _Perm) -> bool:
-        return p in self.elements
+        if self._levels is None:
+            return p in self._elements
+        try:
+            return len(p) == self.degree and _sift(self._levels, p, 0)[0] == self.identity
+        except ValueError:  # p misses a base point: not a permutation
+            return False
 
     def __eq__(self, other) -> bool:
         return (
@@ -237,7 +248,13 @@ class PermGroup:
         return hash((self.degree, self.elements))
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self.elements <= other.elements
+        """Whether each generator lies in `other` (sifted through its
+        chain); a group wrapped from its elements alone, whose
+        generators need not generate it, tests every element."""
+        if self.degree != other.degree:
+            return False
+        members = self.generators if self._levels is not None else self.elements
+        return all(map(other.__contains__, members))
 
     def orbit(self, point: int) -> set[int]:
         """Orbit of a point under the natural action."""
@@ -383,18 +400,17 @@ def _close(
     return gens, levels
 
 
-def _enumerate(degree: int, levels: list[_Level]) -> tuple[list[_Perm], list[_Perm]]:
-    """The elements of the chain's group and of its first stabilizer,
-    each listed once: level i's group is every v[x] then h, for x in the
-    orbit and h in level i + 1's group (the identity v[b] is skipped)."""
+def _enumerate(degree: int, levels: list[_Level]) -> list[_Perm]:
+    """The elements of the chain's group, each listed once: level i's
+    group is every v[x] then h, for x in the orbit and h in level
+    i + 1's group (the identity v[b] is skipped)."""
     els = [tuple(range(degree))]
-    stab = els
     for level in reversed(levels):
         stab = els
         els = list(stab)
         for x in level.orbit[1:]:  # a second orbit point: degree >= 2
             els.extend(map(itemgetter(*level.v[x]), stab))
-    return els, stab
+    return els
 
 
 def _generated(
@@ -409,15 +425,14 @@ def _generated(
     gens, levels = _close(degree, perms, ceiling, order=order)
     if generators is None:
         generators = tuple(gens)
-    els, stab = _enumerate(degree, levels)
-    return PermGroup(degree, generators, frozenset(els), levels, stab)
+    return PermGroup(degree, generators, levels=levels)
 
 
 def group_closure(
     degree: int, generators: Iterable[_Perm], ceiling: int = DEFAULT_CLOSURE_CEILING
 ) -> PermGroup:
-    """Smallest group containing the generators, as an explicit element
-    set.  Rejects degree < 1 and groups of order past `ceiling`."""
+    """Smallest group containing the generators, as its stabilizer
+    chain.  Rejects degree < 1 and groups of order past `ceiling`."""
     if degree < 1:
         raise ValueError("degree must be a positive integer")
     gens = tuple(map(perm, generators))
@@ -458,14 +473,11 @@ def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
         raise ValueError("point out of range")
     if all(g[point] == point for g in group.generators):
         return group
-    levels, stab = group._levels, group._stab
+    levels = group._levels
     if not levels or levels[0].base != point:
         levels = _close(degree, group.generators, group.order, first=point)[1]
-        stab = None
-    if stab is None:
-        stab = _enumerate(degree, levels[1:])[0]
     gens = tuple(levels[1].gens) if len(levels) > 1 else ()
-    return PermGroup(degree, gens, frozenset(stab), levels[1:])
+    return PermGroup(degree, gens, levels=levels[1:])
 
 
 def _stabilized_point(group: PermGroup, subgroup: PermGroup) -> tuple[Optional[int], set[int]]:
@@ -562,14 +574,14 @@ class CosetAction:
         """Index of the coset H*g."""
         if self.point is None:
             return self._coset_of[g]
-        if g not in self.group.elements:
+        if g not in self.group:
             raise KeyError(g)
         return self._orbit_index()[g[self.point]]
 
     def row(self, g: _Perm) -> _Perm:
         """Images of every coset index under right multiplication by g."""
         if self.point is not None:
-            if g not in self.group.elements:
+            if g not in self.group:
                 raise KeyError(g)
             index = self._orbit_index()
             return tuple([index[g[q]] for q in self._points])
@@ -671,7 +683,7 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
             ginv = inverse(g)
             for x in sub.generators:
                 y = compose(ginv, x, g)
-                if y not in sub.elements:
+                if y not in sub:
                     extra.append(y)
         if not extra:
             return sub
@@ -727,10 +739,13 @@ class Abelianization:
         self.hprime = hprime = derived_subgroup(subgroup)
         self.labels: dict[_Perm, int] = {}
         self.reps: list[_Perm] = []
+        index = subgroup.order // hprime.order
         for x in (subgroup.identity, *subgroup.elements):
             if x not in self.labels:
                 self.labels.update(dict.fromkeys(map(_then(x), hprime.elements), len(self.reps)))
                 self.reps.append(x)
+                if len(self.reps) == index:  # every element of H is labelled
+                    break
         ident = subgroup.identity
         self._gens = tuple(dict.fromkeys(g for g in subgroup.generators if g != ident))
 

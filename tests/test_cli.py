@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import groupcorpus
-from polyakit import cli
+from polyakit import cli, cubicfield, permgroup
 from polyakit.cli import build_parser, main, survey_box, survey_field
 from polyakit.cubicfield import CubicPoly, parse_cubic
 from polyakit.permgroup import GroupTooLargeError, parse_group_file
@@ -159,6 +159,24 @@ def test_group_check_family_ceiling(capsys):
         "frobenius": False,
         "two_transitive": True,
     }
+
+
+def test_group_check_never_lists_G(monkeypatch):
+    """A report reads G off its stabilizer chain; only H is listed."""
+    stabilizers = []
+    stabilizer = permgroup.point_stabilizer
+
+    def kept(group, point):
+        stabilizers.append(stabilizer(group, point))
+        return stabilizers[-1]
+
+    monkeypatch.setattr(permgroup, "point_stabilizer", kept)
+    G = permgroup.family_group("S8")
+    report = cli._group_report("S8", G)
+    assert (report["order_G"], report["order_H"]) == (40320, 5040)
+    assert G._elements is None
+    [H] = stabilizers
+    assert H._elements is not None
 
 
 @pytest.mark.parametrize("token", ["S10", "A10"])
@@ -502,6 +520,26 @@ def test_workers_above_the_cap_exits_2_before_any_pool(capsys, monkeypatch):
     )
     assert (code, out) == (2, "")
     assert f"bad configuration: workers must be <= {cli.MAX_WORKERS}" in err
+
+
+@pytest.mark.parametrize("ceiling", ["0", "-1"])
+def test_max_closure_below_1_exits_2_not_3(capsys, ceiling):
+    code, out, err = run_cli(capsys, "group-check", "S3", "--max-closure", ceiling)
+    assert (code, out) == (2, "")
+    assert "bad configuration: max_closure must be >= 1" in err
+    assert "budget" not in err
+
+
+def test_census_prime_bound_above_the_cap_exits_2_before_any_sieve(capsys, monkeypatch):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("a sieve was started")
+
+    for name in ("primes_up_to", "iter_primes_up_to", "splitting_census", "maximal_order"):
+        monkeypatch.setattr(cubicfield, name, no_sieve)
+    bound = str(cli.MAX_CENSUS_PRIME_BOUND + 1)  # the only value past the cap this test runs
+    code, out, err = run_cli(capsys, "census", "x^3-2", "--prime-bound", bound)
+    assert (code, out) == (2, "")
+    assert f"bad configuration: prime_bound must be <= {cli.MAX_CENSUS_PRIME_BOUND}" in err
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -241,6 +241,65 @@ def test_chain_closure_matches_the_breadth_first_oracle(case):
             assert point_stabilizer(h, q).elements == {x for x in h.elements if x[q] == q}
 
 
+def _random_moving(rng, degree):
+    """A random permutation of `degree` points moving a random subset."""
+    images = list(range(degree))
+    pts = rng.sample(range(degree), rng.randint(0, degree))
+    for a, b in zip(pts, rng.sample(pts, len(pts))):
+        images[a] = b
+    return tuple(images)
+
+
+def _listed(g):
+    """The same group wrapped from its element set alone: no chain, so
+    `in` and `is_subgroup_of` answer by frozenset lookups."""
+    return PermGroup(g.degree, g.generators, frozenset(g.elements))
+
+
+def _chain_cases():
+    """(G, subgroups of G and other groups of its degree) for the corpus
+    and for 300 seeded random generator sets of degree 1..7."""
+    rng = random.Random(21)
+    cases = [(g, [h]) for _, g, h in groupcorpus.corpus_with_degree8()]
+    last: dict[int, PermGroup] = {}
+    for _ in range(300):
+        d = rng.randint(1, 7)
+        g = group_closure(d, [_random_moving(rng, d) for _ in range(rng.randint(0, 3))])
+        x = rng.choice(g.sorted_elements())
+        others = [point_stabilizer(g, rng.randrange(d)), generated_subgroup(d, [x])]
+        if d in last:
+            others.append(last[d])
+        last[d] = g
+        cases.append((g, others))
+    return cases
+
+
+def test_the_chain_answers_like_the_element_set():
+    """order, `in` and `is_subgroup_of` read off the stabilizer chain
+    agree with the listed elements: on members, on random non-members
+    and non-permutations of the same degree, and on subgroup pairs
+    taken both ways, each side with and without its chain."""
+    rng = random.Random(2121)
+    for g, others in _chain_cases():
+        d = g.degree
+        for group in (g, *others):
+            assert group._levels is not None
+            assert group.order == len(group.elements)
+        members = _sample(g)
+        draws = [_random_moving(rng, d) for _ in range(20)]
+        x = members[-1]
+        strangers = [x + (d,), x[:-1], tuple(range(1, d + 1)), (0,) * d]
+        listed = _listed(g)
+        for x in (*members, *draws, *strangers):
+            assert (x in g) == (x in g.elements) == (x in listed), (g, x)
+        for h in others:
+            for a, b in ((h, g), (g, h)):
+                expected = a.elements <= b.elements
+                for a2 in (a, _listed(a)):
+                    for b2 in (b, _listed(b)):
+                        assert a2.is_subgroup_of(b2) == expected, (a, b)
+
+
 def test_lagrange_on_families():
     for tok in ("S4", "A5", "D6", "C7", "F20"):
         g = family_group(tok)
