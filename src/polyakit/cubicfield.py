@@ -1,15 +1,15 @@
 """Exact arithmetic in cubic number fields.
 
-Orders, ideals and primes are integer-only: a maximal order is built by
-repeated radical/multiplier enlargement at primes whose square divides
-the polynomial discriminant, every order carries an integer
-multiplication table on its basis, ideals are integer lattices in
-Hermite normal form on the integral basis, and primes come in closed
-form from the roots mod p of the characteristic polynomial of a
-p-generator: theta away from the index, a small basis combination at
-index primes.  Rationals appear only where the quantity is one: the
-Minkowski bound and splitting frequencies.  The class group built on
-this layer lives in classgroup.py.
+Orders, ideals and primes are integer-only: the maximal order is the
+cubic ring of a binary cubic form (Delone-Faddeev), reached from
+Z[theta] by form p-steps at the primes whose square divides the
+polynomial discriminant, and it carries an integer multiplication table
+on its basis; ideals are integer lattices in Hermite normal form on the
+integral basis, and primes come in closed form from the roots mod p of
+the characteristic polynomial of a p-generator: theta away from the
+index, a small basis combination at index primes.  Rationals appear
+only where the quantity is one: the Minkowski bound and splitting
+frequencies.  The class group built on this layer lives in classgroup.py.
 
 Degree is fixed at three: the checks that need actual ideal arithmetic
 are run on cubic fields, where every algorithm here is exhaustive and
@@ -30,14 +30,13 @@ from typing import Optional
 from . import modpoly
 from .artin import SplittingType
 from .intlinalg import (
-    adj3, det3, hnf_rows, invert3, kernel_mod_p, lattice_contains, lattice_coordinates,
-    lattice_lines,
+    adj3, det3, hnf_rows, invert3, kernel_mod_p, lattice_contains, lattice_lines,
 )
 
 DEFAULT_PRIME_BOUND = 200
-# factor_prime tries every residue for a root of f mod p below this p and
-# calls modpoly.roots_mod_p from it on: both take ~0.23 ms a cubic near
-# p = 1400 (Python 3.11 on a 2-core x86-64 machine).
+# factor_prime and the form p-steps try every residue for a root mod p
+# below this p and call modpoly.roots_mod_p from it on: both take
+# ~0.23 ms a cubic near p = 1400 (Python 3.11 on a 2-core x86-64 machine).
 _ROOT_SCAN_LIMIT = 1400
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # exponents of c0, c1, c2 in the monomial order of MaximalOrder.norm_form
@@ -57,9 +56,10 @@ class ReduciblePolynomialError(ValueError):
 
 
 class SearchBudgetExceededError(RuntimeError):
-    """A bounded lattice search ran out: an enumeration region over its
-    ceiling, a factor base over its cap, or a class that no shell within
-    the limit expresses over the factor base."""
+    """A bounded search ran out: an enumeration region over its ceiling,
+    a factor base over its cap, a class that no shell within the limit
+    expresses over the factor base, or a polynomial discriminant with two
+    distinct prime factors above 10^5, which is not factored."""
 
 
 class ClassGroupInconclusiveError(RuntimeError):
@@ -93,49 +93,57 @@ def iter_primes_up_to(n: int):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-        if i > 100000:  # huge input: defer to sympy
-            from sympy import isprime
+    """Trial division below 10^10, sympy's test from there on."""
+    if n >= 10**10:
+        from sympy import isprime
 
-            return isprime(n)
-    return True
+        return isprime(n)
+    return n == 2 or (n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2)))
 
 
-def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| (n != 0) as {prime: exponent}."""
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """({p: e} for the primes p < 10^5 dividing |n| != 0, cofactor m):
+    m is 1, a prime, or has no prime factor below 10^5."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in itertools.chain((2,), range(3, 100000, 2)):
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    p = 7
-    while p * p <= n and p < 100000:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 2
-    if n > 1:
-        if is_prime(n):
-            out[n] = out.get(n, 0) + 1
-        else:
-            from sympy import factorint
+    return out, n
 
-            for q, e in factorint(n).items():
-                out[int(q)] = out.get(int(q), 0) + int(e)
+
+def factor_int(n: int) -> dict[int, int]:
+    """Prime factorization of |n| (n != 0) as {prime: exponent}."""
+    out, n = _trial_divide(n)
+    if n > 1 and is_prime(n):
+        out[n] = 1
+    elif n > 1:
+        from sympy import factorint
+
+        out.update((int(q), int(e)) for q, e in factorint(n).items())
     return dict(sorted(out.items()))
+
+
+def _square_primes(n: int) -> list[int]:
+    """The primes whose square divides n != 0, in increasing order.  This
+    is a budget: the cofactor left by trial division must be 1, a prime
+    or a prime power, which is recognised without factoring; a cofactor
+    with two distinct prime factors above 10^5 raises
+    SearchBudgetExceededError."""
+    out, m = _trial_divide(n)
+    if m > 1 and not is_prime(m):
+        from sympy import perfect_power
+
+        base, e = perfect_power(m) or (m, 1)
+        if not is_prime(int(base)):
+            raise SearchBudgetExceededError(f"discriminant cofactor {m} is not a prime power")
+        out[int(base)] = int(e)
+    return sorted(p for p, e in out.items() if e >= 2)
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +310,22 @@ def mul_power(u, v, poly: CubicPoly):
 
 
 @dataclass(frozen=True)
-class Order:
-    """An order of a cubic field, in integers only.
+class MaximalOrder:
+    """The ring of integers of a cubic field, in integers only;
+    disc(poly) = index^2 * disc_K.
 
-    The basis is `basis_num / den` (rows, power-basis coordinates,
-    Hermite normal form) and must span a ring.  Derived structures
-    (coordinate transform, multiplication table) are lazily attached and
-    treated as immutable once built; concurrent idempotent writes to the
-    caches are harmless.
+    The integral basis is `basis_num / den` (rows, power-basis
+    coordinates, Hermite normal form).  Derived structures (coordinate
+    transform, multiplication table, norm form, prime caches, numeric
+    embeddings) are lazily attached and treated as immutable once built;
+    concurrent idempotent writes to the caches are harmless.
     """
 
     poly: CubicPoly
     den: int
     basis_num: tuple[tuple[int, int, int], ...]
+    disc_K: int
+    index: int
 
     @cached_property
     def _omega_transform(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -382,18 +393,6 @@ class Order:
                 out[1] += c * t[1]
                 out[2] += c * t[2]
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class MaximalOrder(Order):
-    """The ring of integers of a cubic field; disc(poly) = index^2 * disc_K.
-
-    On top of the order arithmetic it carries the norm form, the prime
-    caches and the numeric embeddings of the integral basis.
-    """
-
-    disc_K: int
-    index: int
 
     def norm_form(self, rows) -> tuple[int, ...]:
         """Coefficients of the ternary cubic form
@@ -517,84 +516,81 @@ def _canonical_lattice(den: int, rows) -> tuple[int, tuple[tuple[int, int, int],
     return den, mat
 
 
-def _radical_kernel(order: Order, p: int):
-    """Basis of the nilradical of the order mod p, via the kernel of the
-    iterated Frobenius x -> x^q with q = p^k >= 3."""
-    q = p if p >= 3 else 4
-    cols = []
-    for i in range(3):
-        e = [0, 0, 0]
-        e[i] = 1
-        # e^q via binary powering in the mod-p algebra
-        acc = tuple(a % p for a in order.one)
-        base = tuple(e)
-        k = q
-        while k:
-            if k & 1:
-                acc = tuple(a % p for a in order.omega_mul(acc, base))
-            base = tuple(a % p for a in order.omega_mul(base, base))
-            k >>= 1
-        cols.append(acc)
-    # matrix rows indexed by output component, columns by input basis vector
-    rows = [[cols[i][j] for i in range(3)] for j in range(3)]
-    return kernel_mod_p(rows, 3, p)
+def _double_root(form, p: int) -> Optional[int]:
+    """The r of the root (r:1) of multiplicity >= 2 mod p of the binary
+    cubic form (a, b, c, d), or None: a common root of F(x, 1) and its
+    derivative, scanned for below _ROOT_SCAN_LIMIT and from it on taken
+    from their gcd by modpoly.roots_mod_p."""
+    a, b, c, d = form
+    if p < _ROOT_SCAN_LIMIT:
+        for r in range(p):
+            if not (((a * r + b) * r + c) * r + d) % p and not ((3 * a * r + 2 * b) * r + c) % p:
+                return r
+        return None
+    common = modpoly.pgcd(modpoly.pnorm((d, c, b, a), p), modpoly.pnorm((c, 2 * b, 3 * a), p), p)
+    roots = modpoly.roots_mod_p(common, p) if modpoly.pdeg(common) > 0 else []
+    return roots[0] if roots else None
 
 
-def _p_enlarge_once(order: Order, p: int) -> Order:
-    """One radical/multiplier-ring enlargement step at p.  Returns the
-    possibly larger order, its lattice in canonical form."""
-    rad = _radical_kernel(order, p)
-    ip_rows = [[p * int(i == j) for j in range(3)] for i in range(3)]
-    ip_rows += [list(v) for v in rad]
-    W = hnf_rows(ip_rows, 3)
-    assert len(W) == 3
-    # multiplier ring: y with y * I_p <= p * I_p, i.e. the kernel of
-    # y -> (coords of y*w_j in the W basis) mod p, 9 equations (j,
-    # component) in 3 unknowns; I_p is an ideal, so every y*w_j lies in W
-    per_basis = [[lattice_coordinates(W, order.omega_mul(e, w)) for w in W] for e in _UNITS]
-    eq_rows = [[per_basis[i][j][k] for i in range(3)] for j in range(3) for k in range(3)]
-    ker = kernel_mod_p(eq_rows, 3, p)
-    u_rows = [[p * int(i == j) for j in range(3)] for i in range(3)]
-    u_rows += [list(v) for v in ker]
-    U = hnf_rows(u_rows, 3)
-    # new order basis in power coords: (U / p) * (basis_num / den)
-    basis_num = order.basis_num
-    prod_rows = []
-    for urow in U:
-        prod_rows.append(
-            [
-                sum(urow[i] * basis_num[i][k] for i in range(3))
-                for k in range(3)
-            ]
-        )
-    den, basis = _canonical_lattice(order.den * p, prod_rows)
-    return Order(order.poly, den, basis)
+def _p_step(form, mobius, p: int):
+    """(form, mobius) of an overring of R(form) of index p^2 or p, or None
+    when R(form) is maximal at p (Bhargava, Shankar and Tsimerman 2013,
+    Lemma 13).  mobius = (m0, m1, n0, n1) gives the root xi of F(x, 1)
+    as (m0*theta + m1) / (n0*theta + n1).
+
+    If p divides F, F/p is the form of an overring of index p^2.  Else a
+    root (r:1) of F mod p of multiplicity >= 2 moves to (1:0) by
+    F(x, y) -> F(rx - y, x), the same ring with the root 1/(r - xi).
+    A double root at (1:0) means p | a, b; then R(F) is maximal at p
+    unless p^2 | a, and (a/p^2, b/p, c, p*d) with root p*xi is the form
+    of an overring of index p."""
+    a, b, c, d = form
+    if not (a % p or b % p or c % p or d % p):
+        return (a // p, b // p, c // p, d // p), mobius
+    m0, m1, n0, n1 = mobius
+    if a % p or b % p:
+        r = _double_root(form, p)
+        if r is None:
+            return None
+        at_r, slope = ((a * r + b) * r + c) * r + d, (3 * a * r + 2 * b) * r + c
+        a, b, c, d = at_r, -slope, 3 * a * r + b, -a
+        m0, m1, n0, n1 = n0, n1, r * n0 - m0, r * n1 - m1
+    if a % (p * p):
+        return None
+    return (a // (p * p), b // p, c, p * d), (p * m0, p * m1, n0, n1)
 
 
 def maximal_order(poly: CubicPoly) -> MaximalOrder:
-    """Ring of integers, by enlarging Z[theta] at every prime whose
-    square divides the polynomial discriminant until stable."""
+    """Ring of integers, by form p-steps.
+
+    The cubic ring R(F) of the binary cubic form F = (a, b, c, d) has the
+    basis 1, a*xi, a*xi^2 + b*xi, with xi a root of F(x, 1)
+    (Delone-Faddeev); Z[theta] is R(1, a2, a1, a0) with xi = theta.  At
+    each prime whose square divides disc(poly), `_p_step` moves to the
+    form of an overring until R(F) is maximal there.  The Moebius image
+    xi of theta is built at the end, as (m0*theta + m1) * adj(beta) /
+    N(beta) for beta = n0*theta + n1.  Finding the primes is a budget
+    (`_square_primes`)."""
     disc_poly = poly.discriminant()
-    order = Order(poly, 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    for p, e in factor_int(disc_poly).items():
-        if e < 2:
-            continue
-        while True:
-            larger = _p_enlarge_once(order, p)
-            if larger == order:
-                break
-            order = larger
-    den, basis_num = order.den, order.basis_num
-    detnum = det3(basis_num)
-    index = den**3 // abs(detnum)
+    form, mobius = (1, poly.a2, poly.a1, poly.a0), (1, 0, 0, 1)
+    for p in _square_primes(disc_poly):
+        while (step := _p_step(form, mobius, p)) is not None:
+            form, mobius = step
+    m0, m1, n0, n1 = mobius
+    times_beta = [mul_power((n1, n0, 0), e, poly) for e in _UNITS]
+    norm = det3(times_beta)
+    xi = mul_power((m1, m0, 0), adj3(times_beta)[0], poly)  # xi * norm
+    a, b = form[0], form[1]
+    rows = (
+        (norm * norm, 0, 0),
+        tuple(a * norm * x for x in xi),
+        tuple(a * s + b * norm * x for s, x in zip(mul_power(xi, xi, poly), xi)),
+    )
+    den, basis_num = _canonical_lattice(norm * norm, rows)
+    index = den**3 // abs(det3(basis_num))
     assert disc_poly % (index * index) == 0
     disc_K = disc_poly // (index * index)
-    maximal = MaximalOrder(poly=poly, den=den, basis_num=basis_num, disc_K=disc_K, index=index)
-    # The last enlargement step built these on the same lattice.
-    for name in ("_omega_transform", "one", "mult_table"):
-        if name in vars(order):
-            vars(maximal)[name] = vars(order)[name]
-    return maximal
+    return MaximalOrder(poly=poly, den=den, basis_num=basis_num, disc_K=disc_K, index=index)
 
 
 # ---------------------------------------------------------------------------

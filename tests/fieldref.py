@@ -45,7 +45,7 @@ def power_sums(poly, upto=4):
 
 def is_p_maximal_dedekind(poly, p):
     """Dedekind's criterion at p for the equation order Z[theta]; an
-    independent cross-check of the enlargement loop."""
+    independent cross-check of the form p-steps of maximal_order."""
     f = [c % p for c in poly.coefficients()]
     gstar = (1,)
     hstar = (1,)

@@ -6,6 +6,7 @@ runtime calibration.  Criterion 7 re-runs the full coefficient survey,
 which takes a few minutes on one core.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -186,15 +187,22 @@ def test_criterion_06_main_theorem_h1(capsys):
         report(6, ok, "; ".join(details))
 
 
+# sha256 of `polyakit survey --coeff-bound 12` stdout (prime bound 200)
+SURVEY_B12_SHA256 = "be19fc87693e18ea9428bc2eae5ba151247c8f1de03c0b2772babdfdc2b83f69"
+
+
 def test_criterion_07_survey_nontrivial_witnesses():
     frozen = json.loads((DATA / "survey_witnesses.json").read_text())
     bound = frozen["coeff_bound"]
     counts = {"verified": 0, "undetermined": 0, "skipped": 0, "error": 0}
     nontrivial = {}
+    # the records come in CLI order, so they hash as `survey` stdout does
+    digest = hashlib.sha256()
     for a2 in range(-bound, bound + 1):
         for a1 in range(-bound, bound + 1):
             for a0 in range(-bound, bound + 1):
                 rec = survey_field((a2, a1, a0), frozen["prime_bound"])
+                digest.update((json.dumps(rec) + "\n").encode())
                 counts[rec["status"]] += 1
                 if rec.get("h", 1) > 1:
                     nontrivial[(a2, a1, a0)] = rec
@@ -210,6 +218,8 @@ def test_criterion_07_survey_nontrivial_witnesses():
     ok = ok and len(nontrivial) == frozen["summary"]["nontrivial"]
     max_full = max(r["nr1_full_at"] for r in nontrivial.values())
     ok = ok and max_full == frozen["summary"]["max_nr1_full_at"]
+    same_bytes = digest.hexdigest() == SURVEY_B12_SHA256
+    ok = ok and same_bytes
     for w in frozen["witnesses"]:
         rec = nontrivial.get((w["a2"], w["a1"], w["a0"]))
         ok = ok and rec is not None
@@ -220,7 +230,7 @@ def test_criterion_07_survey_nontrivial_witnesses():
         ok,
         f"survey |a_i|<={bound}: {len(nontrivial)} nontrivial fields, all reach "
         f"Po_nr1 = Cl by p<={max_full}, {len(frozen['witnesses'])} frozen witnesses match, "
-        f"bad={bad_fields[:3]!r}",
+        f"survey stdout sha256 matches={same_bytes}, bad={bad_fields[:3]!r}",
     )
 
 

@@ -292,6 +292,24 @@ def test_field_analyze_huge_minkowski_bound_exits_3(capsys):
     assert "budget" in err.lower() and "Minkowski" in err
 
 
+@pytest.mark.parametrize("draw", range(1, 6))
+def test_field_analyze_huge_discriminant_exits_3(capsys, draw):
+    """x^3 + a*x + b with a ~ 10^20 and b ~ 10^30: disc(f) keeps a
+    cofactor of two or more primes above 10^5 after trial division, which
+    maximal_order refuses as a budget instead of factoring it."""
+    import random
+
+    rng = random.Random(3)
+    for _ in range(draw):
+        a, b = rng.randint(10**20, 10**21), rng.randint(10**30, 10**31)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "field-analyze", f"x^3+{a}x+{b}")
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert out == ""
+    assert "budget" in err and "not a prime power" in err
+
+
 def test_field_analyze_galois_runs_ostrowski(capsys):
     code, out, _ = run_cli(capsys, "field-analyze", "x^3-3x-1", "--prime-bound", "60")
     assert code == 0

@@ -33,6 +33,7 @@ from polyakit import (
 from polyakit import cubicfield
 from polyakit.cubicfield import (
     SearchBudgetExceededError,
+    _canonical_lattice,
     _multiplier_rows,
     element_valuation,
     mul_power,
@@ -263,37 +264,102 @@ def test_maximal_order_dedekind_field(orders):
     assert O.poly.discriminant() == -2012
 
 
-def test_maximal_order_idempotent(orders):
-    from polyakit.cubicfield import _p_enlarge_once
+def _round_two_lattice(poly):
+    """((den, basis_num), disc_K) of sympy's Round Two maximal order,
+    with the lattice in the canonical form of maximal_order."""
+    from sympy import Poly, symbols
+    from sympy.polys.numberfields.basis import round_two
 
-    for s in FIXTURE_POLYS:
-        O = orders[s]
-        for p, e in [(2, 2), (3, 2)]:
-            got = _p_enlarge_once(O, p)
-            assert (got.den, got.basis_num) == (O.den, O.basis_num), s
+    x = symbols("x")
+    ZK, dK = round_two(Poly(x**3 + poly.a2 * x**2 + poly.a1 * x + poly.a0, x))
+    M = ZK.matrix.to_Matrix()
+    columns = [[int(M[i, j]) for i in range(3)] for j in range(M.cols)]
+    return _canonical_lattice(int(ZK.denom), columns), int(dK)
+
+
+@pytest.mark.parametrize("s", FIXTURE_POLYS)
+def test_maximal_order_lattice_matches_round_two_on_fixtures(orders, s):
+    O = orders[s]
+    assert _round_two_lattice(O.poly) == ((O.den, O.basis_num), O.disc_K)
+
+
+@given(
+    st.tuples(*[st.integers(-60, 60)] * 3),
+    st.sampled_from((1, 2, 3, 4, 6, 9, 10, 12, 25)),
+)
+@settings(max_examples=80, deadline=None)
+def test_maximal_order_lattice_matches_round_two(coeffs, k):
+    """Independent oracle for the whole lattice: sympy's Round Two gives
+    the same integral basis and disc_K.  Scaling f to k^3 f(x/k) puts the
+    index primes 2, 3 and 5 in."""
+    a2, a1, a0 = coeffs
+    try:
+        poly = CubicPoly(k * a2, k * k * a1, k**3 * a0)
+    except ReduciblePolynomialError:
+        assume(False)
+    O = maximal_order(poly)
+    assert _round_two_lattice(poly) == ((O.den, O.basis_num), O.disc_K)
+
+
+@pytest.mark.parametrize("k", [1000003, 10**9 + 7])
+@pytest.mark.parametrize(
+    "coeffs, disc_K", [((0, 0, -2), -108), ((1, -2, -1), 49), ((0, -3, -1), 81)]
+)
+def test_maximal_order_at_a_huge_index_prime(k, coeffs, disc_K):
+    """k^3 f(x/k) has index k^3 at a prime k far above the root scan:
+    the double roots mod k come from a gcd, never from scanning F_k."""
+    a2, a1, a0 = coeffs
+    start = time.perf_counter()
+    O = maximal_order(CubicPoly(k * a2, k * k * a1, k**3 * a0))
+    assert time.perf_counter() - start < 1.0
+    assert (O.index, O.disc_K) == (k**3, disc_K)
+
+
+def test_maximal_order_moves_the_double_root_at_a_huge_prime():
+    """f = x(x - 5)^2 + p^2 with p = 1000003: mod p, f has the simple
+    root 0 and the double root 5, and only the double root may move to
+    (1:0), although p^2 divides f(0) as well."""
+    p = 1000003
+    O = maximal_order(CubicPoly(-10, 25, p * p))
+    assert O.index == p
+    assert _round_two_lattice(O.poly) == ((O.den, O.basis_num), O.disc_K)
+
+
+def test_maximal_order_refuses_two_large_discriminant_primes():
+    """The factoring budget, below the class-group cap: for k = 1000003,
+    k^3 f(x/k) with f = x^3 + x + 195 has index k^3 and d_K = -1026679,
+    a prime, so disc = -1026679 * k^6 leaves a cofactor that is neither
+    a prime nor a prime power and is refused unfactored.  Its Minkowski
+    bound is about 290, well under classgroup's cap."""
+    k = 1000003
+    with pytest.raises(SearchBudgetExceededError, match="not a prime power"):
+        maximal_order(CubicPoly(0, k * k, 195 * k**3))
+    # one large prime, or a power of one, is accepted
+    assert maximal_order(CubicPoly(0, 1, 195)).disc_K == -1026679
 
 
 @pytest.mark.parametrize("poly", ["x^3-2", "x^3-x^2-2x-8", "x^3-12x^2-5x-4"])
 def test_maximal_order_builds_each_table_once(monkeypatch, poly):
-    # the last enlargement step and the MaximalOrder share one lattice
+    # the form p-steps build no order arithmetic: the multiplication
+    # table is built once, on first use
     import functools
 
-    from polyakit import cubicfield
-
     built = []
-    table = cubicfield.Order.mult_table.func
+    table = cubicfield.MaximalOrder.mult_table.func
 
     def counting(self):
         built.append((self.den, self.basis_num))
         return table(self)
 
     counted = functools.cached_property(counting)
-    counted.__set_name__(cubicfield.Order, "mult_table")
-    monkeypatch.setattr(cubicfield.Order, "mult_table", counted)
+    counted.__set_name__(cubicfield.MaximalOrder, "mult_table")
+    monkeypatch.setattr(cubicfield.MaximalOrder, "mult_table", counted)
     O = maximal_order(parse_cubic(poly))
+    assert "mult_table" not in vars(O)
+    assert built == []
     O.omega_mul(O.one, O.one)
-    assert len(built) == len(set(built))
-    assert (O.den, O.basis_num) in built
+    O.omega_mul(O.one, O.one)
+    assert built == [(O.den, O.basis_num)]
 
 
 def test_maximal_order_disc_sign_and_index_relation():
@@ -390,7 +456,7 @@ def test_dedekind_criterion_agrees_with_enlargement():
         for p in (2, 3, 5, 7):
             if d % (p * p):
                 continue
-            # Z[theta] is p-maximal iff the enlargement at p gained nothing
+            # Z[theta] is p-maximal iff the p-steps at p gained nothing
             assert is_p_maximal_dedekind(poly, p) == (O.index % p != 0), (s, p)
 
 
