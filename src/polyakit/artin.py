@@ -37,10 +37,6 @@ class SplittingType:
     def from_cycle_lengths(lengths) -> "SplittingType":
         return SplittingType(tuple(sorted((int(f), 1) for f in lengths)))
 
-    @staticmethod
-    def from_ef_parts(parts) -> "SplittingType":
-        return SplittingType(tuple(sorted((int(f), int(e)) for f, e in parts)))
-
     @property
     def total(self) -> int:
         return sum(e * f for f, e in self.parts)

@@ -3,11 +3,11 @@
 Orders, ideals and primes are integer-only: the maximal order is the
 cubic ring of a binary cubic form (Delone-Faddeev), reached from
 Z[theta] by form p-steps at the primes whose square divides the
-polynomial discriminant, and it carries an integer multiplication table
-on its basis; ideals are integer lattices in Hermite normal form on the
-integral basis, and primes come in closed form from the roots mod p of
-the characteristic polynomial of a p-generator: theta away from the
-index, a small basis combination at index primes.  Rationals appear
+polynomial discriminant, and it carries its form and an integer
+multiplication table on its basis; ideals are integer lattices in
+Hermite normal form on the integral basis, and the primes above every
+p, index primes and 2 included, come in closed form from the roots of
+that form on P^1(F_p).  Rationals appear
 only where the quantity is one: the Minkowski bound and splitting
 frequencies.  The class group built on this layer lives in classgroup.py.
 
@@ -315,10 +315,13 @@ class MaximalOrder:
     disc(poly) = index^2 * disc_K.
 
     The integral basis is `basis_num / den` (rows, power-basis
-    coordinates, Hermite normal form).  Derived structures (coordinate
-    transform, multiplication table, norm form, prime caches, numeric
-    embeddings) are lazily attached and treated as immutable once built;
-    concurrent idempotent writes to the caches are harmless.
+    coordinates, Hermite normal form).  The order is the cubic ring of
+    the binary cubic form `form` = (a, b, c, d): with xi a root of
+    F(x, 1), row i of `form_basis` gives omega_i on the basis 1, a*xi,
+    a*xi^2 + b*xi of R(F).  Derived structures (coordinate transform,
+    multiplication table, norm form, prime caches, numeric embeddings)
+    are lazily attached and treated as immutable once built; concurrent
+    idempotent writes to the caches are harmless.
     """
 
     poly: CubicPoly
@@ -326,6 +329,8 @@ class MaximalOrder:
     basis_num: tuple[tuple[int, int, int], ...]
     disc_K: int
     index: int
+    form: tuple[int, int, int, int]
+    form_basis: tuple[tuple[int, int, int], ...]
 
     @cached_property
     def _omega_transform(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -567,15 +572,21 @@ def maximal_order(poly: CubicPoly) -> MaximalOrder:
     basis 1, a*xi, a*xi^2 + b*xi, with xi a root of F(x, 1)
     (Delone-Faddeev); Z[theta] is R(1, a2, a1, a0) with xi = theta.  At
     each prime whose square divides disc(poly), `_p_step` moves to the
-    form of an overring until R(F) is maximal there.  The Moebius image
-    xi of theta is built at the end, as (m0*theta + m1) * adj(beta) /
-    N(beta) for beta = n0*theta + n1.  Finding the primes is a budget
+    form of an overring until R(F) is maximal there; when no step fires
+    the order is Z[theta].  Otherwise the Moebius image xi of theta is
+    built at the end, as (m0*theta + m1) * adj(beta) / N(beta) for
+    beta = n0*theta + n1.  Finding the primes is a budget
     (`_square_primes`)."""
     disc_poly = poly.discriminant()
     form, mobius = (1, poly.a2, poly.a1, poly.a0), (1, 0, 0, 1)
     for p in _square_primes(disc_poly):
         while (step := _p_step(form, mobius, p)) is not None:
             form, mobius = step
+    if mobius == (1, 0, 0, 1):
+        return MaximalOrder(
+            poly=poly, den=1, basis_num=_UNITS, disc_K=disc_poly, index=1,
+            form=form, form_basis=((1, 0, 0), (0, 1, 0), (0, -poly.a2, 1)),
+        )
     m0, m1, n0, n1 = mobius
     times_beta = [mul_power((n1, n0, 0), e, poly) for e in _UNITS]
     norm = det3(times_beta)
@@ -590,7 +601,17 @@ def maximal_order(poly: CubicPoly) -> MaximalOrder:
     index = den**3 // abs(det3(basis_num))
     assert disc_poly % (index * index) == 0
     disc_K = disc_poly // (index * index)
-    return MaximalOrder(poly=poly, den=den, basis_num=basis_num, disc_K=disc_K, index=index)
+    # omega_i = basis_num[i] / den and the form basis is rows / norm^2, so
+    # form_basis = norm^2 * basis_num * adj(rows) / (den * det(rows)), exactly
+    adj, scale = adj3(rows), den * det3(rows)
+    form_basis = tuple(
+        tuple(norm * norm * sum(x * y for x, y in zip(row, col)) // scale for col in zip(*adj))
+        for row in basis_num
+    )
+    return MaximalOrder(
+        poly=poly, den=den, basis_num=basis_num, disc_K=disc_K, index=index,
+        form=form, form_basis=form_basis,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -758,98 +779,23 @@ def _span_mod_p(p: int, v) -> tuple:
     return ((p, 0, 0), (0, p, 0), (0, 0, 1))
 
 
-def _p_generator(order: MaximalOrder, p: int):
-    """(forms, chi) of a p-generator alpha of O, an element with p not
-    dividing [O : Z[alpha]] = |det(1, alpha, alpha^2)| (rows in
-    integral-basis coordinates), or None when O has none.
-
-    alpha is the first vector of [0, min(p, 4))^3, in lexicographic
-    order, whose determinant is nonzero mod p.  The vectors that fail
-    are those of the proper subalgebras of O/pO, at most three planes.
-    For p <= 3 the box is all of O/pO, and three planes through the
-    line F_p * 1 cover it only at p = 2, when O/2O = F_2^3.  For p >= 5 a
-    plane holds at most 16 of the box's 64 points, since one coordinate
-    of its points is fixed by the other two.  So only p = 2 split into
-    three degree-1 primes has no p-generator.
-
-    forms = adj(1, alpha, alpha^2): row i is omega_i on the basis
-    1, alpha, alpha^2 mod p, times the p-unit det.  chi = (c0, c1, c2)
-    mod p with x^3 + c2 x^2 + c1 x + c0 the characteristic polynomial of
-    alpha, read off the coordinates of alpha^3 on that basis.
-    """
-    one = order.one
-    for alpha in itertools.product(range(min(p, 4)), repeat=3):
-        square = order.omega_mul(alpha, alpha)
-        powers = (one, alpha, square)
-        det = det3(powers) % p
-        if det:
-            forms = adj3(powers)
-            cube = order.omega_mul(alpha, square)
-            scale = -pow(det, -1, p)
-            chi = tuple(
-                scale * sum(c * row[k] for c, row in zip(cube, forms)) % p for k in range(3)
-            )
-            return forms, chi
-    return None
-
-
-def _root_primes(p: int, forms, chi) -> list:
-    """(f, HNF, e) of every prime above p, from the roots mod p of the
-    characteristic polynomial x^3 + c2 x^2 + c1 x + c0, chi = (c0, c1, c2),
-    of a p-generator whose basis forms are `forms` (see factor_prime)."""
-    a0, a1, a2 = (c % p for c in chi)
-    if p < _ROOT_SCAN_LIMIT:
-        roots = [x for x in range(p) if not (((x + a2) * x + a1) * x + a0) % p]
-    else:
-        roots = modpoly.roots_mod_p((a0, a1, a2, 1), p)
-    entries = []
-    for r in roots:
-        # chi = (x - r)(x^2 + g1 x + g0) mod p, by synthetic division
-        g1 = (a2 + r) % p
-        g0 = (a1 + r * g1) % p
-        e = 1
-        if not (r * r + g1 * r + g0) % p:
-            e = 3 if not (2 * r + g1) % p else 2
-        form = [(b0 + (b1 + b2 * r) * r) % p for b0, b1, b2 in forms]
-        entries.append((1, _kernel_of_form(p, form), e))
-    if not roots:
-        entries.append((3, ((p, 0, 0), (0, p, 0), (0, 0, p)), 1))
-    elif len(roots) == 1 and e == 1:  # the cofactor g is irreducible
-        u = [(b0 - b2 * g0) % p for b0, b1, b2 in forms]
-        w = [(b1 - b2 * g1) % p for b0, b1, b2 in forms]
-        v = (
-            (u[1] * w[2] - u[2] * w[1]) % p,
-            (u[2] * w[0] - u[0] * w[2]) % p,
-            (u[0] * w[1] - u[1] * w[0]) % p,
-        )
-        entries.append((2, _span_mod_p(p, v), 1))
-    return entries
-
-
 def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
     """Primes above p with ramification exponents: p*O = prod p_i^{e_i}.
 
-    Every prime is read off a root mod p of the characteristic
-    polynomial chi of a p-generator alpha, an element with p not dividing
-    [O : Z[alpha]], so that O/pO is F_p[x]/(chi mod p) (Dedekind-Kummer;
-    Cohen, GTM 138, 4.8.2 and 6.2), and no polynomial is factored.  Away
-    from the index alpha is theta, chi is f, and omega_i is
-    (b_i0 + b_i1 theta + b_i2 theta^2) / den with b the basis numerators
-    and den a p-unit; at an index prime `_p_generator` gives alpha and
-    the b_ik, up to one p-unit.  A root r gives the degree-1 prime
-    ker(O -> F_p, alpha -> r): the kernel mod p of the form
-    l_i = b_i0 + b_i1 r + b_i2 r^2, with e the multiplicity of r.  A
-    single simple root leaves an irreducible cofactor g = x^2 + g1 x + g0;
-    reducing alpha^2 to -g0 - g1 alpha turns O -> F_p[x]/(g) into two
-    forms u, w, and the degree-2 prime is p*Z^3 + Z*(u x w).  No root
-    means p is inert.
-
-    Only 2 can lack a p-generator, exactly when it splits into three
-    degree-1 primes: 2 is the only common index divisor a cubic field can
-    have (Hensel).  Those three primes are the kernels of the ring maps
-    O -> F_2, found among the eight linear forms.  The primes come sorted
-    by (f, HNF), so the last one has the largest residue degree.  Results
-    are cached on the order.
+    O is the cubic ring of its form F = (a, b, c, d), so O/pO is the ring
+    of F mod p (Delone-Faddeev, for every p), and every prime is read
+    off a root of F mod p on P^1(F_p); no polynomial is factored.  With
+    omega_i = m0 + m1*a*xi + m2*(a*xi^2 + b*xi) (row i of `form_basis`),
+    a root (r:1) gives the degree-1 prime ker(O -> F_p, xi -> r): the
+    kernel mod p of the form l_i = m0 + m1*a*r + m2*(a*r^2 + b*r), with e
+    the multiplicity of r.  When p | a, (1:0) is a root of multiplicity
+    3 - deg F(x, 1) mod p, and its prime is the kernel of
+    l_i = m0 - b*m1 - c*m2.  A single simple root leaves an irreducible
+    quadratic, made monic as g = x^2 + g1 x + g0; reducing xi^2 to
+    -g0 - g1 xi turns O -> F_p[x]/(g) into two forms u, w, and the
+    degree-2 prime is p*Z^3 + Z*(u x w).  No root means p is inert.  The
+    primes come sorted by (f, HNF), so the last one has the largest
+    residue degree.  Results are cached on the order.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -858,25 +804,40 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
     if got is not None:
         return got
 
-    if order.index % p:
-        generator = order.basis_num, order.poly.coefficients()[:3]
+    a, b, c, d = (x % p for x in order.form)
+    # omega_i on the basis 1, xi, xi^2
+    rows = [(m0, a * m1 + b * m2, a * m2) for m0, m1, m2 in order.form_basis]
+    if p < _ROOT_SCAN_LIMIT:
+        roots = [x for x in range(p) if not (((a * x + b) * x + c) * x + d) % p]
     else:
-        generator = _p_generator(order, p)
-    if generator is not None:
-        entries = _root_primes(p, *generator)
-    else:
-        table, one = order.mult_table, order.one
-
-        def image(l, y):
-            return (l[0] * y[0] + l[1] * y[1] + l[2] * y[2]) % 2
-
-        entries = [
-            (1, _kernel_of_form(2, l), 1)
-            for l in itertools.product(range(2), repeat=3)
-            if image(l, one) == 1
-            and all(image(l, table[i][j]) == l[i] * l[j] for i in range(3) for j in range(3))
-        ]
-        assert p == 2 and len(entries) == 3, "only 2 split into three primes lacks a p-generator"
+        roots = modpoly.roots_mod_p((d, c, b, a), p)
+    entries = []
+    for r in roots:
+        # F(x, 1) = (x - r)(a x^2 + g1 x + g0) mod p, by synthetic division
+        g1 = (b + a * r) % p
+        g0 = (c + r * g1) % p
+        e = 1
+        if not ((a * r + g1) * r + g0) % p:
+            e = 3 if not (2 * a * r + g1) % p else 2
+        lin = [(b0 + (b1 + b2 * r) * r) % p for b0, b1, b2 in rows]
+        entries.append((1, _kernel_of_form(p, lin), e))
+    if not a:  # the root (1:0)
+        lin = [(m0 - b * m1 - c * m2) % p for m0, m1, m2 in order.form_basis]
+        entries.append((1, _kernel_of_form(p, lin), 1 if b else 2 if c else 3))
+        g1, g0 = c, d  # F(x, 1) = b x^2 + c x + d
+    if not entries:
+        entries.append((3, ((p, 0, 0), (0, p, 0), (0, 0, p)), 1))
+    elif len(entries) == 1 and entries[0][2] == 1:  # the quadratic is irreducible
+        inv = pow(a or b, -1, p)
+        g1, g0 = g1 * inv % p, g0 * inv % p
+        u = [(b0 - b2 * g0) % p for b0, b1, b2 in rows]
+        w = [(b1 - b2 * g1) % p for b0, b1, b2 in rows]
+        v = (
+            (u[1] * w[2] - u[2] * w[1]) % p,
+            (u[2] * w[0] - u[0] * w[2]) % p,
+            (u[0] * w[1] - u[1] * w[0]) % p,
+        )
+        entries.append((2, _span_mod_p(p, v), 1))
 
     entries.sort()  # by (f, hnf): distinct primes have distinct HNFs
     primes = []
@@ -926,12 +887,6 @@ def split_products(order: MaximalOrder, prime_bound: int):
         primes = factor_prime(order, p)
         for f in sorted({q.f for q in primes}):
             yield p, f, _degree_product(order, primes, f)
-
-
-def splitting_type_of(order: MaximalOrder, p: int) -> SplittingType:
-    return SplittingType.from_ef_parts(
-        (prime.f, prime.e) for prime in factor_prime(order, p)
-    )
 
 
 def minkowski_bound(order: MaximalOrder) -> Fraction:
@@ -1032,13 +987,14 @@ def splitting_census(
     """Tally of splitting patterns over all unramified p <= prime_bound,
     as {pattern: (count, frequency)}; frequencies sum to 1.
 
-    Away from the index the pattern only needs the number of distinct
-    roots of the polynomial mod p (no root extraction), which keeps a
-    bound of 10^4 fast; index primes go through full factorization.
+    The pattern only needs the number of distinct roots of the form F of
+    the order on P^1(F_p) (no root extraction): those of F(x, 1), plus
+    (1:0) when p divides its leading coefficient.  That keeps a bound of
+    10^4 fast, index primes included.
     """
     if prime_bound < 2:
         raise ValueError("prime_bound must be >= 2")
-    fcoeffs = order.poly.coefficients()
+    a, fx = order.form[0], order.form[::-1]  # fx: F(x, 1), low degree first
     counts: dict[SplittingType, int] = {}
     total = 0
     split = SplittingType.from_cycle_lengths([1, 1, 1])
@@ -1048,15 +1004,10 @@ def splitting_census(
     for p in primes_up_to(prime_bound):
         if order.disc_K % p == 0:
             continue  # ramified
-        if order.index % p == 0:
-            t = splitting_type_of(order, p)
-        else:
-            r = modpoly.distinct_root_count(fcoeffs, p)
-            assert r != 2, "unramified cubic cannot have exactly 2 distinct roots"
-            t = by_roots[r]
-        counts[t] = counts.get(t, 0) + 1
+        r = modpoly.distinct_root_count(fx, p) + (a % p == 0)
+        assert r != 2, "unramified cubic cannot have exactly 2 distinct roots"
+        counts[by_roots[r]] = counts.get(by_roots[r], 0) + 1
         total += 1
     return {
         t: (c, Fraction(c, total)) for t, c in sorted(counts.items())
     }
-

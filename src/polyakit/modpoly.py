@@ -4,11 +4,12 @@ Polynomials are coefficient tuples, low degree first, always reduced
 mod p with no trailing zeros (the zero polynomial is ()).  Roots are
 counted by a gcd with x^p - x and extracted by equal-degree splitting
 with a deterministic shift sweep; multiplicities come from division.
-The consumers are in cubicfield: `roots_mod_p` finds the roots of the
-characteristic polynomial of a p-generator for factor_prime and the
-double root of a binary cubic form for maximal_order's p-steps, both at
-large p (small p are scanned there), and `distinct_root_count` gives
-the splitting census its patterns.  `factor_monic_cubic` stays as the
+The consumers are in cubicfield, and every polynomial they pass is the
+binary cubic form F of an order, dehomogenized to F(x, 1) and not
+necessarily monic: `roots_mod_p` finds its roots for factor_prime and
+the double root of F for maximal_order's p-steps, both at large p
+(small p are scanned there), and `distinct_root_count` gives the
+splitting census its patterns.  `factor_monic_cubic` stays as the
 reference factorization of tests/fieldref.py and a layer that
 bench/tracer.py traces.
 """

@@ -9,7 +9,11 @@ quantities that polyakit computes another way.
 - `generic_factor_prime`: the primes above p, away from the index, by
   factoring f mod p and taking the HNF of p*O + g(theta)*O.
 - `ideal_pow`: I^k by repeated `ideal_product`.
+- `ring_map_kernels`: the degree-1 primes above p, as the kernels of
+  the ring maps O -> F_p found among all p^3 linear forms.
 """
+
+import itertools
 
 from polyakit import modpoly
 from polyakit.cubicfield import IntegralIdeal, ideal_product, mul_power
@@ -113,3 +117,25 @@ def ideal_pow(order, I, k):
     for _ in range(k):
         result = ideal_product(order, result, I)
     return result
+
+
+def ring_map_kernels(order, p):
+    """Sorted HNFs of the kernels of the unital ring maps O -> F_p, the
+    degree-1 primes above p: every linear form l on the integral basis
+    with l(1) = 1 and l(omega_i * omega_j) = l_i * l_j mod p, its kernel
+    spanned by p*Z^3 and the box vectors l sends to 0."""
+    table, one = order.mult_table, order.one
+
+    def image(l, y):
+        return (l[0] * y[0] + l[1] * y[1] + l[2] * y[2]) % p
+
+    box = list(itertools.product(range(p), repeat=3))
+    kernels = []
+    for l in box:
+        if image(l, one) == 1 % p and all(
+            image(l, table[i][j]) == l[i] * l[j] % p for i in range(3) for j in range(3)
+        ):
+            rows = [[p * int(i == j) for j in range(3)] for i in range(3)]
+            rows += [list(y) for y in box if image(l, y) == 0]
+            kernels.append(hnf_rows(rows, 3))
+    return sorted(kernels)

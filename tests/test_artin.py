@@ -30,7 +30,7 @@ def test_splitting_type_labels():
     assert t.label == "1+2"
     assert t.total == 3
     assert SplittingType.from_label("1+2") == t
-    ram = SplittingType.from_ef_parts([(1, 3)])
+    ram = SplittingType(((1, 3),))
     assert ram.label == "1^3"
     assert SplittingType.from_label("1^3") == ram
 

@@ -722,6 +722,8 @@ GOLDEN_RUNS = (
     ("census", "x^3-3x-1"),
     ("group-check", "--format", "csv", "--family", "D", "--n", "3..8", "F20", "c7_c3.grp"),
     ("census", "x^3-2", "--prime-bound", "500", "--format", "csv"),
+    ("census", "x^3-x^2-2x-8", "--prime-bound", "2000"),
+    ("census", "x^3-12x^2-5x-4", "--prime-bound", "2000"),
 )
 
 

@@ -43,11 +43,11 @@ from polyakit.cubicfield import (
     valuation,
     valuation_kernel,
 )
-from polyakit.intlinalg import det3, invert3, lattice_lines
+from polyakit.intlinalg import adj3, det3, invert3, lattice_lines
 
 from fieldref import (
     generic_factor_prime, ideal_pow, is_p_maximal_dedekind, norm_power, poly_of_theta_omega,
-    power_sums,
+    power_sums, ring_map_kernels,
 )
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
@@ -61,6 +61,13 @@ def orders():
 @lru_cache(maxsize=None)
 def _order_of(s):
     return maximal_order(parse_cubic(s))
+
+
+def _box_field(t):
+    try:
+        return CubicPoly(*t)
+    except ReduciblePolynomialError:
+        return None
 
 
 # --- polynomials ------------------------------------------------------------
@@ -362,6 +369,42 @@ def test_maximal_order_builds_each_table_once(monkeypatch, poly):
     assert built == [(O.den, O.basis_num)]
 
 
+def _form_product(form, y, z):
+    """y * z on the basis 1, omega = a*xi, theta = a*xi^2 + b*xi of the
+    cubic ring of form = (a, b, c, d): omega^2 = -b*omega + a*theta,
+    omega*theta = -a*d - c*omega, theta^2 = -b*d - d*omega - c*theta."""
+    a, b, c, d = form
+    y0, y1, y2 = y
+    z0, z1, z2 = z
+    ww, wt, tt = y1 * z1, y1 * z2 + y2 * z1, y2 * z2
+    return (
+        y0 * z0 - a * d * wt - b * d * tt,
+        y0 * z1 + y1 * z0 - b * ww - c * wt - d * tt,
+        y0 * z2 + y2 * z0 + a * ww - c * tt,
+    )
+
+
+@given(poly=st.tuples(*[st.integers(-16, 16)] * 3).map(_box_field).filter(bool))
+@settings(max_examples=120, deadline=None)
+def test_maximal_order_is_the_ring_of_its_form(poly):
+    """disc(F) = disc_K, `form_basis` is unimodular, it sends 1 to 1, and
+    the multiplication table of the cubic ring of F, carried over by
+    `form_basis`, is the order's own."""
+    O = maximal_order(poly)
+    a, b, c, d = O.form
+    disc_F = b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+    assert disc_F == O.disc_K
+    T = O.form_basis
+    assert abs(det3(T)) == 1
+    assert tuple(sum(O.one[i] * T[i][k] for i in range(3)) for k in range(3)) == (1, 0, 0)
+    back, det = adj3(T), det3(T)
+    for i in range(3):
+        for j in range(3):
+            z = _form_product(O.form, T[i], T[j])
+            omega = tuple(det * sum(z[k] * back[k][l] for k in range(3)) for l in range(3))
+            assert omega == O.mult_table[i][j]
+
+
 def test_maximal_order_disc_sign_and_index_relation():
     for s in FIXTURE_POLYS + ("x^3+6x^2+9x+3", "x^3-12x-12", "x^3+9x+9"):
         poly = parse_cubic(s)
@@ -448,7 +491,7 @@ def test_order_disc_via_trace_form(orders):
         assert Fraction(det3(gram), O.den**6) == O.disc_K, s
 
 
-def test_dedekind_criterion_agrees_with_enlargement():
+def test_dedekind_criterion_agrees_with_the_form_p_steps():
     for s in FIXTURE_POLYS + ("x^3+6x^2+9x+3", "x^3-12x-12", "x^3+9x+9", "x^3-x^2+3x+9"):
         poly = parse_cubic(s)
         O = maximal_order(poly)
@@ -562,13 +605,6 @@ def test_factor_prime_matches_the_generic_path():
     assert seen_above == {(1, 1, 1), (1, 2), (3,)}
 
 
-def _box_field(t):
-    try:
-        return CubicPoly(*t)
-    except ReduciblePolynomialError:
-        return None
-
-
 @given(
     poly=st.tuples(*[st.integers(-16, 16)] * 3).map(_box_field).filter(bool),
     ps=st.lists(st.sampled_from(primes_up_to(200) + list(ABOVE_SCAN_LIMIT)), min_size=1, max_size=8),
@@ -601,9 +637,9 @@ def test_factor_prime_off_the_index_factors_no_polynomial(monkeypatch):
 
 def test_large_index_orders_factor_consistently():
     """Fields whose equation order has index 9 and 10: the index primes
-    are read off the roots of a p-generator's characteristic polynomial;
-    the factorization identity and the ramification criterion must still
-    hold on the nose at every p <= 60."""
+    are read off the roots of the order's form on P^1(F_p), like every
+    other prime; the factorization identity and the ramification
+    criterion must still hold on the nose at every p <= 60."""
     for s, expected_index in (("x^3-8x^2-2x-9", 9), ("x^3-12x^2-5x-4", 10)):
         poly = parse_cubic(s)
         O = maximal_order(poly)
@@ -672,56 +708,67 @@ def test_index_primes_multiply_to_p():
 
 
 def test_index_prime_degree_one_count_matches_hom_oracle():
-    """Independent oracle at index primes: the number of degree-1 primes
-    over p equals the number of unital GF(p)-algebra homomorphisms
-    O -> GF(p), counted by brute force over all linear functionals, at
-    every index pair with p <= 37."""
+    """Independent oracle at index primes: the degree-1 primes over p,
+    and so their number, are the kernels of the unital GF(p)-algebra
+    homomorphisms O -> GF(p), found by brute force over all linear
+    functionals, at every index pair with p <= 37."""
     checked = 0
     for O, p in _index_pairs():
         if p > 37:
             continue
-        table = O.mult_table
-        one = O.one
-        homs = 0
-        for phi in itertools.product(range(p), repeat=3):
-
-            def apply(v):
-                return (v[0] * phi[0] + v[1] * phi[1] + v[2] * phi[2]) % p
-
-            if apply(one) != 1 % p:
-                continue
-            if all(apply(table[i][j]) == (phi[i] * phi[j]) % p for i in range(3) for j in range(3)):
-                homs += 1
-        deg1 = sum(1 for q in factor_prime(O, p) if q.f == 1)
-        assert deg1 == homs, (O.poly, p)
+        deg1 = sorted(q.hnf for q in factor_prime(O, p) if q.f == 1)
+        assert deg1 == ring_map_kernels(O, p), (O.poly, p)
         checked += 1
     assert checked == 1531
 
 
-def test_p_generator_missing_exactly_when_2_splits_completely(monkeypatch):
-    """factor_prime falls back to the ring maps O -> F_2 exactly when 2
-    splits into three degree-1 primes, and then no element of O/2O is a
-    p-generator: det(1, alpha, alpha^2) is even for all eight."""
-    found, p_generator = {}, cubicfield._p_generator
-
-    def spy(order, p):
-        found[order.poly, p] = p_generator(order, p)
-        return found[order.poly, p]
-
-    fallbacks = 0
+def test_two_split_completely_matches_the_ring_maps():
+    """Where 2 splits into three degree-1 primes, no element of O/2O
+    generates it, yet the form of O reads the three primes off its three
+    roots on P^1(F_2): they are the kernels of the three ring maps
+    O -> F_2 among the eight linear forms."""
+    split = 0
     for O, p in _index_pairs() + [(maximal_order(parse_cubic("x^3-x^2-2x-8")), 2)]:
-        O = maximal_order(O.poly)  # fresh: an empty prime cache
-        with monkeypatch.context() as m:
-            m.setattr(cubicfield, "_p_generator", spy)
-            facs = factor_prime(O, p)
-        split = p == 2 and [(q.f, q.e) for q in facs] == [(1, 1)] * 3
-        assert (found[O.poly, p] is None) == split, (O.poly, p)
-        if split:
-            fallbacks += 1
-            for alpha in itertools.product(range(2), repeat=3):
-                powers = (O.one, alpha, O.omega_mul(alpha, alpha))
-                assert det3(powers) % 2 == 0, (O.poly, alpha)
-    assert fallbacks == 107
+        if p != 2:
+            continue
+        kernels = ring_map_kernels(O, 2)
+        if len(kernels) == 3:
+            split += 1
+            assert [(q.f, q.e, q.hnf) for q in factor_prime(O, 2)] == [(1, 1, k) for k in kernels]
+    assert split == 107
+
+
+@pytest.mark.parametrize(
+    "s, p, parts",
+    [
+        ("x^3-12x^2-10x-12", 3, [(1, 1), (1, 1), (1, 1)]),  # 1+1+1
+        ("x^3-12x^2-12x+5", 2, [(1, 1), (1, 2)]),  # (1:0) lone, quadratic cofactor
+        ("x^3-12x^2-12x+10", 3, [(1, 1), (2, 1)]),  # (1:0) simple, finite double root
+        ("x^3-12x^2-11x-10", 2, [(1, 1), (2, 1)]),  # (1:0) double
+        ("x^3-12x^2-12x-12", 3, [(3, 1)]),  # (1:0) triple
+    ],
+)
+def test_factor_prime_at_the_root_at_infinity(s, p, parts):
+    """Primes at the root (1:0) of the form, which exists when p divides
+    its leading coefficient: (e, f) match sympy's prime_decomp, the
+    degree-1 primes match the ring-map oracle, and prod P^e = p*O."""
+    from sympy import Poly, symbols
+    from sympy.polys.numberfields.basis import round_two
+    from sympy.polys.numberfields.primes import prime_decomp
+
+    O = _order_of(s)
+    assert O.form[0] % p == 0
+    facs = factor_prime(O, p)
+    assert sorted((q.e, q.f) for q in facs) == parts
+    x = symbols("x")
+    T = Poly(x**3 + O.poly.a2 * x**2 + O.poly.a1 * x + O.poly.a0, x)
+    ZK, dK = round_two(T)
+    assert sorted((P.e, P.f) for P in prime_decomp(p, T=T, ZK=ZK, dK=dK)) == parts
+    assert sorted(q.hnf for q in facs if q.f == 1) == ring_map_kernels(O, p)
+    acc = IntegralIdeal.unit()
+    for q in facs:
+        acc = ideal_product(O, acc, ideal_pow(O, q.as_integral(), q.e))
+    assert acc == IntegralIdeal.from_scalar(p)
 
 
 def test_index_prime_splitting_nonmonogenic(orders):
