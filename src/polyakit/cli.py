@@ -393,9 +393,22 @@ def _triple_after_dashes(argv: list[str]) -> list[str]:
 # The least value of each integer option that has one; a smaller value
 # exits 2.
 _LOWER_BOUNDS = {"prime_bound": 2, "workers": 1, "budget": 1, "max_closure": 1}
-# The most worker processes a survey starts; a larger --workers exits 2
-# before any pool exists.
+# The most worker processes a survey starts.
 MAX_WORKERS = 64
+# The largest --budget: a harvest pass at radius r searches a box of
+# (2r+1)^3 elements, and a nontrivial class group is re-derived at 2r.
+MAX_BUDGET = 64
+# The largest --max-closure: the most elements a group may have (S10 and
+# A10 fit).
+MAX_CLOSURE = 4 * 10**6
+# The largest --max-enum: the most lattice points is_principal may scan
+# for one ideal.
+MAX_ENUM = 4 * 10**6
+# The most each integer option that has a ceiling may be; a larger value
+# exits 2 before any computation starts.
+_UPPER_BOUNDS = {
+    "workers": MAX_WORKERS, "budget": MAX_BUDGET, "max_closure": MAX_CLOSURE, "max_enum": MAX_ENUM,
+}
 # The largest --prime-bound census takes: its sieve holds one byte per
 # integer up to the bound, so a larger one exits 2 before any sieve runs.
 MAX_CENSUS_PRIME_BOUND = 10**7
@@ -414,9 +427,11 @@ def main(argv=None) -> int:
         if value is not None and value < low:
             _diag(f"bad configuration: {name} must be >= {low}")
             return EXIT_PARSE
-    if getattr(args, "workers", 1) > MAX_WORKERS:
-        _diag(f"bad configuration: workers must be <= {MAX_WORKERS}")
-        return EXIT_PARSE
+    for name, high in _UPPER_BOUNDS.items():
+        value = getattr(args, name, None)
+        if value is not None and value > high:
+            _diag(f"bad configuration: {name} must be <= {high}")
+            return EXIT_PARSE
     if args.command == "census" and args.prime_bound > MAX_CENSUS_PRIME_BOUND:
         _diag(f"bad configuration: prime_bound must be <= {MAX_CENSUS_PRIME_BOUND}")
         return EXIT_PARSE

@@ -9,10 +9,10 @@ kept generator at a time, so the group's order is known before any
 element exists: a group past the closure ceiling is refused without
 being listed, membership and the subgroup test are sifts, and the first
 base point is the largest point the group moves, whose stabilizer is
-level 1 of the chain with no further closure.  A group's element set is
-listed only when a caller reads it, once, as products of one
-transversal element per level; `group-check` lists the point stabilizer
-H but never G.
+level 1 of the chain with no further closure.  A group is its chain:
+its element set is listed only when a caller reads it, once, as
+products of one transversal element per level; `group-check` lists the
+point stabilizer H but never G.
 
 On top of the chains the module provides right-coset actions, derived
 subgroups, normal cores, the subset T of a subgroup whose elements fix
@@ -28,10 +28,12 @@ nothing else (Seress 2003 stores them the same way): elements,
 generators, coset representatives, T and the H'-coset labels are all
 such tuples.  `perm` checks one built from outside; `compose`,
 `inverse`, `power`, `cycles`, `cycle_string`, `from_cycles` and
-`identity` are the operations on them.  When H is the full stabilizer
-of a point p, the coset action is read off the orbit of p instead of
-enumerating cosets, and the generation test is decided in H/H' instead
-of closing <T, H'> as a set of permutations.
+`identity` are the operations on them.  A right coset of H is a label
+that G moves: the point s(p) when H is the full stabilizer of a point
+p, and otherwise the element of H*s that H's chain picks
+(`_coset_key`), so the coset action is one implementation over labels
+that never enumerates cosets.  The generation test is decided in H/H'
+instead of closing <T, H'> as a set of permutations.
 
 Composition convention: ``compose(a, b)`` means "apply a, then b", so
 that a right coset ``H*s`` moved by ``g`` lands on ``H*compose(s, g)``.
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Optional
 
@@ -186,31 +188,21 @@ def parse_perm(text: str, degree: int) -> _Perm:
 
 
 class PermGroup:
-    """A finite permutation group, read off its stabilizer chain.
+    """A finite permutation group: its stabilizer chain.
 
-    A group built here keeps its chain (`_levels`), which gives its
-    order, membership by sifting and its subgroup test; the element set
-    is listed, as `_enumerate` orders it, the first time `elements` is
-    read.  A group wrapped from an element set alone (`levels` None)
-    answers from that set, and gets a chain when one is asked for.
+    Every group keeps its chain (`_levels`), which gives its order,
+    membership by sifting and its subgroup test; the element set is
+    listed, as `_enumerate` orders it, the first time `elements` is read.
     """
 
     __slots__ = ("degree", "generators", "order", "_elements", "_levels", "_sorted", "_ab")
 
-    def __init__(
-        self,
-        degree: int,
-        generators: tuple[_Perm, ...],
-        elements: Optional[frozenset[_Perm]] = None,
-        levels: Optional[list["_Level"]] = None,
-    ):
+    def __init__(self, degree: int, generators: tuple[_Perm, ...], levels: list["_Level"]):
         self.degree = degree
         self.generators = generators
-        self._elements = elements
         self._levels = levels
-        self.order = (
-            len(elements) if levels is None else math.prod(len(lv.orbit) for lv in levels)
-        )
+        self.order = math.prod(len(lv.orbit) for lv in levels)
+        self._elements: Optional[frozenset[_Perm]] = None
         self._sorted: Optional[tuple[_Perm, ...]] = None
         self._ab: Optional[Abelianization] = None  # see abelianization
 
@@ -230,8 +222,6 @@ class PermGroup:
         return self._sorted
 
     def __contains__(self, p: _Perm) -> bool:
-        if self._levels is None:
-            return p in self._elements
         try:
             return len(p) == self.degree and _sift(self._levels, p, 0)[0] == self.identity
         except ValueError:  # p misses a base point: not a permutation
@@ -248,28 +238,12 @@ class PermGroup:
         return hash((self.degree, self.elements))
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        """Whether each generator lies in `other` (sifted through its
-        chain); a group wrapped from its elements alone, whose
-        generators need not generate it, tests every element."""
-        if self.degree != other.degree:
-            return False
-        members = self.generators if self._levels is not None else self.elements
-        return all(map(other.__contains__, members))
+        """Whether each generator lies in `other` (sifted through its chain)."""
+        return self.degree == other.degree and all(map(other.__contains__, self.generators))
 
     def orbit(self, point: int) -> set[int]:
         """Orbit of a point under the natural action."""
-        orbit = {point}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = g[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return orbit
+        return set(_orbit(point, self.generators, _move_point))
 
     def is_transitive(self) -> bool:
         """Transitivity of the natural action on {0, ..., degree-1}."""
@@ -277,6 +251,24 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} order={self.order}>"
+
+
+def _move_point(q: int, g: _Perm) -> int:
+    """The image of the point q under g."""
+    return g[q]
+
+
+def _orbit(start, gens: Iterable[_Perm], move: Callable) -> list:
+    """The orbit of `start` under the group of `gens`, which sends x to
+    move(x, g), in discovery order."""
+    orbit, seen = [start], {start}
+    for x in orbit:  # runs on over the labels appended
+        for g in gens:
+            y = move(x, g)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return orbit
 
 
 class _Level:
@@ -425,7 +417,7 @@ def _generated(
     gens, levels = _close(degree, perms, ceiling, order=order)
     if generators is None:
         generators = tuple(gens)
-    return PermGroup(degree, generators, levels=levels)
+    return PermGroup(degree, generators, levels)
 
 
 def group_closure(
@@ -477,7 +469,7 @@ def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
     if not levels or levels[0].base != point:
         levels = _close(degree, group.generators, group.order, first=point)[1]
     gens = tuple(levels[1].gens) if len(levels) > 1 else ()
-    return PermGroup(degree, gens, levels=levels[1:])
+    return PermGroup(degree, gens, levels[1:])
 
 
 def _stabilized_point(group: PermGroup, subgroup: PermGroup) -> tuple[Optional[int], set[int]]:
@@ -493,111 +485,108 @@ def _stabilized_point(group: PermGroup, subgroup: PermGroup) -> tuple[Optional[i
     return None, set()
 
 
+def _coset_key(levels: list[_Level], g: _Perm) -> _Perm:
+    """The label of the right coset H*g, H the group of the chain
+    `levels`: the element of H*g whose images of H's base points, in base
+    order, are least.  At each level, u[x] then g sends the base point to
+    g(x), so the least image over the orbit is reached there, and the
+    levels below fix that base point.  Two elements of H*g with the same
+    base images differ by an element of H fixing every base point, the
+    identity; so two elements get the same key iff they share a coset."""
+    for level in levels:
+        g = level.u_then[min(level.orbit, key=g.__getitem__)](g)
+    return g
+
+
 class CosetAction:
     """The action of G on the right cosets of H by right multiplication.
 
+    A coset is a label that G moves.  When H is the full stabilizer of a
+    point p, `point` is p and the label of H*s is the point s(p), which g
+    moves to g(s(p)).  For any other H, `point` is None and the label of
+    H*s is `_coset_key(H, s)`, which g moves to the key of (s then g); the
+    labels are found by walking G's generators from the label of H.
+    `orbit` holds the labels, sorted, and nothing lists G to find them:
+    `fixed_count` and `is_2transitive` read the labels alone.
+
     Cosets are indexed 0..[G:H]-1 in lexicographic order of their least
     element; each stored representative is that least element, so the
-    representative of coset 0 (= H itself) is the identity.
-
-    When H is the full stabilizer of a point p, `point` is p and the
-    coset H*s is the point s(p), so `fixed_count` and `is_2transitive`
-    work on the orbit of p alone.  The first use of `representatives`,
-    `row` or `coset_index` makes one pass over G, keeping the least
-    element sending p to each orbit point; row(g) then sends the index
-    of each orbit point q to that of g(q).  Nothing sorts or hashes all
-    of G.  For any other H, `point` is None and the cosets are
-    enumerated; their action rows are built lazily and cached.
+    representative of coset 0 (= H itself) is the identity.  The first
+    use of `representatives`, `row` or `coset_index` makes one pass over
+    G, keeping the least element with each label; row(g) then sends the
+    index of each coset to that of its image under g.
     """
 
     __slots__ = (
-        "group", "subgroup", "point", "orbit", "_at_orbit", "_reps", "_points",
-        "_index", "_coset_of", "_rep_then", "_rows",
+        "group", "subgroup", "point", "orbit", "_label", "_move", "_images",
+        "_reps", "_labels", "_index",
     )
 
     def __init__(self, group: PermGroup, subgroup: PermGroup):
         self.group = group
         self.subgroup = subgroup
-        self.point, orbit = _stabilized_point(group, subgroup)
-        self._reps: Optional[tuple[_Perm, ...]] = None
+        self.point, points = _stabilized_point(group, subgroup)
         if self.point is None:
-            self._enumerate_cosets()
+            label = partial(_coset_key, subgroup._levels)
+
+            def move(s: _Perm, g: _Perm) -> _Perm:
+                return label(compose(s, g))  # the label of H*(s then g)
+
+            orbit = tuple(sorted(_orbit(label(group.identity), group.generators, move)))
+            self.orbit = orbit
+            self._images = lambda g: [move(s, g) for s in orbit]
         else:
-            self.orbit = tuple(sorted(orbit))
-            self._at_orbit = _then(self.orbit)
+            label, move = itemgetter(self.point), _move_point
+            self.orbit = tuple(sorted(points))
+            self._images = _then(self.orbit)
+        self._label, self._move = label, move
+        self._reps: Optional[tuple[_Perm, ...]] = None
 
     @property
     def representatives(self) -> tuple[_Perm, ...]:
         if self._reps is None:
-            self._read_orbit(self.point)
+            self._read_orbit()
         return self._reps
 
-    def _orbit_index(self) -> list[int]:
-        """Coset index of each orbit point (the orbit case only)."""
+    def _coset_indices(self) -> dict:
+        """The coset index of each label."""
         if self._reps is None:
-            self._read_orbit(self.point)
+            self._read_orbit()
         return self._index
 
-    def _read_orbit(self, p: int) -> None:
-        least: dict[int, _Perm] = {}
+    def _read_orbit(self) -> None:
+        label = self._label
+        least: dict = {}
         for g in self.group.elements:
-            best = least.get(g[p])
+            q = label(g)
+            best = least.get(q)
             if best is None or g < best:
-                least[g[p]] = g
+                least[q] = g
         self._reps = tuple(sorted(least.values()))
-        self._points = tuple(s[p] for s in self._reps)
-        self._index = [-1] * self.group.degree
-        for i, q in enumerate(self._points):
-            self._index[q] = i
-
-    def _enumerate_cosets(self) -> None:
-        reps: list[_Perm] = []
-        coset_of: dict[_Perm, int] = {}
-        h_then = [_then(h) for h in self.subgroup.elements]
-        for s in self.group.sorted_elements():
-            if s in coset_of:
-                continue
-            idx = len(reps)
-            reps.append(s)
-            for f in h_then:
-                coset_of[f(s)] = idx  # h then s
-        self._reps = tuple(reps)
-        self._coset_of = coset_of
-        self._rep_then = [_then(s) for s in reps]
-        self._rows: dict[_Perm, _Perm] = {}
+        self._labels = tuple(map(label, self._reps))
+        self._index = {q: i for i, q in enumerate(self._labels)}
 
     @property
     def num_cosets(self) -> int:
-        return len(self._reps if self.point is None else self.orbit)
+        return len(self.orbit)
 
     def coset_index(self, g: _Perm) -> int:
         """Index of the coset H*g."""
-        if self.point is None:
-            return self._coset_of[g]
         if g not in self.group:
             raise KeyError(g)
-        return self._orbit_index()[g[self.point]]
+        return self._coset_indices()[self._label(g)]
 
     def row(self, g: _Perm) -> _Perm:
         """Images of every coset index under right multiplication by g."""
-        if self.point is not None:
-            if g not in self.group:
-                raise KeyError(g)
-            index = self._orbit_index()
-            return tuple([index[g[q]] for q in self._points])
-        cached = self._rows.get(g)
-        if cached is None:
-            coset_of = self._coset_of
-            cached = tuple([coset_of[f(g)] for f in self._rep_then])  # s then g
-            self._rows[g] = cached
-        return cached
+        if g not in self.group:
+            raise KeyError(g)
+        index, move = self._coset_indices(), self._move
+        return tuple([index[move(q, g)] for q in self._labels])
 
     def fixed_count(self, g: _Perm) -> int:
-        """How many cosets g fixes: in the orbit case, how many orbit
-        points; g must lie in the group."""
-        if self.point is None:
-            return sum(map(eq, self.row(g), range(self.num_cosets)))
-        return sum(map(eq, self._at_orbit(g), self.orbit))
+        """How many cosets g fixes, that is how many labels; g must lie
+        in the group."""
+        return sum(map(eq, self._images(g), self.orbit))
 
 
 def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
@@ -837,10 +826,9 @@ def check_condition_2B(
     if fills:
         generated = subgroup
     else:
-        generated = PermGroup(
-            group.degree,
-            ab.hprime.generators + tuple(least.values()),
-            frozenset(h for h in subgroup.elements if labels[h] in reached),
+        gens = ab.hprime.generators + tuple(least.values())
+        generated = _generated(
+            group.degree, gens, subgroup.order, gens, len(reached) * ab.hprime.order
         )
     holds = bool(T) and fills
     return ConditionReport(T=T, T_nonempty=bool(T), generated=generated, holds=holds)
@@ -865,30 +853,15 @@ def is_frobenius(group: PermGroup, action: CosetAction) -> bool:
 def is_2transitive(group: PermGroup, action: CosetAction) -> bool:
     """Transitivity on ordered pairs of distinct cosets.
 
-    In the orbit case G is transitive on the orbit of p, so it is
-    2-transitive iff H, the stabilizer of p, is transitive on the other
-    orbit points."""
+    G is transitive on the cosets, so it is 2-transitive iff H, the
+    stabilizer of its own coset, is transitive on the labels of the
+    others."""
     n = action.num_cosets
     if n < 2:
         raise ValueError("2-transitivity needs at least 2 cosets")
-    p = action.point
-    if p is not None:
-        q = action.orbit[0] if action.orbit[0] != p else action.orbit[1]
-        return len(action.subgroup.orbit(q)) == n - 1
-    gen_rows = [action.row(g) for g in group.generators]
-    start = (0, 1)
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for pair in frontier:
-            for row in gen_rows:
-                img = (row[pair[0]], row[pair[1]])
-                if img not in orbit:
-                    orbit.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return len(orbit) == n * (n - 1)
+    home = action._label(group.identity)
+    q = action.orbit[0] if action.orbit[0] != home else action.orbit[1]
+    return len(_orbit(q, action.subgroup.generators, action._move)) == n - 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ chains replaced, kept as their oracle.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from pathlib import Path
 
@@ -27,7 +28,13 @@ from polyakit import (
     point_stabilizer,
     symmetric_group,
 )
-from polyakit.permgroup import CosetAction, from_cycles, generated_subgroup, subgroup_from_elements
+from polyakit.permgroup import (
+    CosetAction,
+    derived_subgroup,
+    from_cycles,
+    generated_subgroup,
+    subgroup_from_elements,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -117,6 +124,40 @@ def corpus() -> list[tuple[str, PermGroup, PermGroup]]:
     pairs.append(("C6/C3", cyclic_group(6), _subgroup_of(cyclic_group(6), [[0, 2, 4], [1, 3, 5]])))
     pairs.append(("C6/C2", cyclic_group(6), _subgroup_of(cyclic_group(6), [[0, 3], [1, 4], [2, 5]])))
     pairs.append(("D6/C6", dihedral_group(6), _subgroup_of(dihedral_group(6), [[0, 1, 2, 3, 4, 5]])))
+    return pairs
+
+
+def random_moving(rng: random.Random, degree: int) -> tuple[int, ...]:
+    """A random permutation of `degree` points moving a random subset."""
+    images = list(range(degree))
+    pts = rng.sample(range(degree), rng.randint(0, degree))
+    for a, b in zip(pts, rng.sample(pts, len(pts))):
+        images[a] = b
+    return tuple(images)
+
+
+def random_pairs(seed: int, count: int) -> list[tuple[str, PermGroup, PermGroup]]:
+    """`count` seeded pairs (G, H), H a proper subgroup of G, of degree
+    2..7: G is generated by one to three random permutations, and H is
+    the stabilizer of a random point, the group of one or two random
+    elements of G, or the derived subgroup of G.  Intransitive G and
+    cyclic or derived H give general (non-stabilizer) H and nontrivial
+    cores."""
+    rng = random.Random(seed)
+    pairs: list[tuple[str, PermGroup, PermGroup]] = []
+    while len(pairs) < count:
+        d = rng.randint(2, 7)
+        g = group_closure(d, [random_moving(rng, d) for _ in range(rng.randint(1, 3))])
+        kind = rng.randrange(3)
+        if kind == 0:
+            h = point_stabilizer(g, rng.randrange(d))
+        elif kind == 1:
+            els = g.sorted_elements()
+            h = generated_subgroup(d, [rng.choice(els) for _ in range(rng.randint(1, 2))])
+        else:
+            h = derived_subgroup(g)
+        if h.order < g.order:
+            pairs.append((f"random{seed}/{len(pairs)}", g, h))
     return pairs
 
 

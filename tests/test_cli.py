@@ -540,6 +540,27 @@ def test_workers_above_the_cap_exits_2_before_any_pool(capsys, monkeypatch):
     assert f"bad configuration: workers must be <= {cli.MAX_WORKERS}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name, cap",
+    [
+        (["group-check", "S3", "--max-closure"], "max_closure", cli.MAX_CLOSURE),
+        (["field-analyze", "x^3-2", "--budget"], "budget", cli.MAX_BUDGET),
+        (["survey", "--coeff-bound", "0", "--budget"], "budget", cli.MAX_BUDGET),
+        (["field-analyze", "x^3-2", "--witnesses", "--max-enum"], "max_enum", cli.MAX_ENUM),
+    ],
+)
+def test_knob_above_its_cap_exits_2_before_any_computation(capsys, monkeypatch, argv, name, cap):
+    def no_computation(*args, **kwargs):
+        raise AssertionError("a computation was started")
+
+    monkeypatch.setattr(permgroup, "family_group", no_computation)
+    monkeypatch.setattr(cubicfield, "maximal_order", no_computation)
+    # the only value past the cap this test runs
+    code, out, err = run_cli(capsys, *argv, str(cap + 1))
+    assert (code, out) == (2, "")
+    assert f"bad configuration: {name} must be <= {cap}" in err
+
+
 @pytest.mark.parametrize("ceiling", ["0", "-1"])
 def test_max_closure_below_1_exits_2_not_3(capsys, ceiling):
     code, out, err = run_cli(capsys, "group-check", "S3", "--max-closure", ceiling)

@@ -6,6 +6,7 @@ production code paths they validate.
 """
 
 import gc
+import hashlib
 import math
 import random
 import time
@@ -241,21 +242,6 @@ def test_chain_closure_matches_the_breadth_first_oracle(case):
             assert point_stabilizer(h, q).elements == {x for x in h.elements if x[q] == q}
 
 
-def _random_moving(rng, degree):
-    """A random permutation of `degree` points moving a random subset."""
-    images = list(range(degree))
-    pts = rng.sample(range(degree), rng.randint(0, degree))
-    for a, b in zip(pts, rng.sample(pts, len(pts))):
-        images[a] = b
-    return tuple(images)
-
-
-def _listed(g):
-    """The same group wrapped from its element set alone: no chain, so
-    `in` and `is_subgroup_of` answer by frozenset lookups."""
-    return PermGroup(g.degree, g.generators, frozenset(g.elements))
-
-
 def _chain_cases():
     """(G, subgroups of G and other groups of its degree) for the corpus
     and for 300 seeded random generator sets of degree 1..7."""
@@ -264,7 +250,7 @@ def _chain_cases():
     last: dict[int, PermGroup] = {}
     for _ in range(300):
         d = rng.randint(1, 7)
-        g = group_closure(d, [_random_moving(rng, d) for _ in range(rng.randint(0, 3))])
+        g = group_closure(d, [groupcorpus.random_moving(rng, d) for _ in range(rng.randint(0, 3))])
         x = rng.choice(g.sorted_elements())
         others = [point_stabilizer(g, rng.randrange(d)), generated_subgroup(d, [x])]
         if d in last:
@@ -278,7 +264,7 @@ def test_the_chain_answers_like_the_element_set():
     """order, `in` and `is_subgroup_of` read off the stabilizer chain
     agree with the listed elements: on members, on random non-members
     and non-permutations of the same degree, and on subgroup pairs
-    taken both ways, each side with and without its chain."""
+    taken both ways."""
     rng = random.Random(2121)
     for g, others in _chain_cases():
         d = g.degree
@@ -286,18 +272,14 @@ def test_the_chain_answers_like_the_element_set():
             assert group._levels is not None
             assert group.order == len(group.elements)
         members = _sample(g)
-        draws = [_random_moving(rng, d) for _ in range(20)]
+        draws = [groupcorpus.random_moving(rng, d) for _ in range(20)]
         x = members[-1]
         strangers = [x + (d,), x[:-1], tuple(range(1, d + 1)), (0,) * d]
-        listed = _listed(g)
         for x in (*members, *draws, *strangers):
-            assert (x in g) == (x in g.elements) == (x in listed), (g, x)
+            assert (x in g) == (x in g.elements), (g, x)
         for h in others:
             for a, b in ((h, g), (g, h)):
-                expected = a.elements <= b.elements
-                for a2 in (a, _listed(a)):
-                    for b2 in (b, _listed(b)):
-                        assert a2.is_subgroup_of(b2) == expected, (a, b)
+                assert a.is_subgroup_of(b) == (a.elements <= b.elements), (a, b)
 
 
 def test_lagrange_on_families():
@@ -363,6 +345,30 @@ def test_coset_action_axioms_on_corpus():
                         nxt.append(j)
             frontier = nxt
         assert len(reach) == act.num_cosets, name
+
+
+@given(generator_sets, st.data())
+@settings(max_examples=80, deadline=None)
+def test_coset_key_labels_each_coset_once(case, data):
+    """For random G of degree <= 7 and H a point stabilizer or the
+    group of up to two random elements: the key of g lies in H*g, the
+    key of (h then g) is that of g for each generator h of H, and the
+    keys over G number exactly [G : H]."""
+    degree, gens = case
+    g = group_closure(degree, gens)
+    els = g.sorted_elements()
+    if data.draw(st.booleans()):
+        h = point_stabilizer(g, data.draw(st.integers(0, degree - 1)))
+    else:
+        h = generated_subgroup(degree, data.draw(st.lists(st.sampled_from(els), max_size=2)))
+    keys = set()
+    for x in els:
+        key = permgroup._coset_key(h._levels, x)
+        assert compose(key, inverse(x)) in h
+        for s in h.generators:
+            assert permgroup._coset_key(h._levels, compose(s, x)) == key
+        keys.add(key)
+    assert len(keys) == g.order // h.order
 
 
 def test_cycle_structure_identity():
@@ -705,6 +711,50 @@ def test_coset_action_matches_enumeration_reference():
             assert act.row(x) == ref.row(x), name
 
 
+def _digest_pairs():
+    return groupcorpus.corpus_with_degree8() + groupcorpus.random_pairs(2424, 600)
+
+
+def _group_side_digest(pairs):
+    """A SHA-256 over every group-side answer on the pairs: the
+    check_condition_2B report (holds, T, the elements and generators of
+    <T, H'>), compute_T_conjugacy, the normal core, is_frobenius,
+    is_2transitive, the coset representatives, and coset_index, row,
+    cycle_structure and fixed_count on sampled elements of G.  Also
+    returns how many pairs have a general H (no point stabilized) and
+    how many a nontrivial core."""
+    digest = hashlib.sha256()
+    general = cores = 0
+    for name, g, h in pairs:
+        act = coset_action(g, h)
+        rep = check_condition_2B(g, h, act)
+        core = normal_core(g, h)
+        general += act.point is None
+        cores += core.order > 1
+        els = g.sorted_elements()
+        sample = els[:: max(1, len(els) // 7)]
+        answers = (
+            name, rep.holds, sorted(rep.T), sorted(rep.generated.elements),
+            rep.generated.generators, sorted(compute_T_conjugacy(g, h, act)),
+            sorted(core.elements), is_frobenius(g, act), is_2transitive(g, act),
+            act.representatives,
+            [(act.coset_index(x), act.row(x), cycle_structure(x, act), act.fixed_count(x))
+             for x in sample],
+        )
+        digest.update(repr(answers).encode())
+    return digest.hexdigest(), general, cores
+
+
+def test_group_side_answers_keep_their_digest():
+    """The digest of every group-side answer on the degree-8 corpus and
+    600 seeded random pairs, as the enumerated-coset implementation
+    gave it; 178 of the pairs have a general H and 135 a nontrivial
+    core."""
+    assert _group_side_digest(_digest_pairs()) == (
+        "a4565ee237de4ad6e1234a2446cd725741629b65415c7bf2ead437f129a9900b", 178, 135,
+    )
+
+
 def test_coset_action_rejects_non_members_on_both_paths():
     a4 = alternating_group(4)
     odd = from_cycles(4, [[0, 1]])
@@ -787,9 +837,14 @@ def test_2transitive_pair_orbit_oracle():
 # suite runs them exhaustively) ----------------------------------------------
 
 def test_t_t0_lemma_small():
-    for name, g, h in groupcorpus.corpus():
-        if g.order > 60:
-            continue
+    """T is the preimage of T_rho, where rho is the action of G on G/H
+    and rho(H) the stabilizer of coset 0 in rho(G): so |T| = |T_rho| times
+    the order of the core (the kernel of rho), and the criterion holds
+    for (G, H) iff it holds for (rho(G), rho(G)_0).  On the small corpus
+    pairs and on seeded random pairs of degree <= 7."""
+    pairs = [p for p in groupcorpus.corpus() if p[1].order <= 60]
+    pairs += [p for p in groupcorpus.random_pairs(1616, 200) if p[1].order <= 720]
+    for name, g, h in pairs:
         act = coset_action(g, h)
         image, hom = action_image(act)
         h0 = generated_subgroup(image.degree, {hom[x] for x in h.elements})
@@ -800,6 +855,9 @@ def test_t_t0_lemma_small():
         T0 = compute_T(image, h0, act0)
         for x in h.elements:
             assert (x in T) == (hom[x] in T0), (name, x)
+        assert len(T) == len(T0) * normal_core(g, h).order, name
+        holds = check_condition_2B(g, h, act).holds
+        assert holds == check_condition_2B(image, h0, act0).holds, name
 
 
 def test_core_absorption_small():
