@@ -16,10 +16,13 @@ Each `class_group` call grows one relation lattice, an
 intlinalg.HermiteBasis: every new relation goes in as soon as it is
 found, the box grows one shell at a time as the radius doubles, so each
 box point is factored once per field, and the scan stops the moment the
-lattice is Z^k.  Once the lattice has full rank, a relation it already
-holds, the common case in a field with nontrivial Cl and a repeated
-row alike, costs only the basis's test in the quotient Z^k/L (a few dot
-products over the columns whose pivot is not 1), not an insertion.
+lattice is Z^k.  Only the primitive points of the box are scanned
+(intlinalg.lattice_lines): a multiple g*y of a point adds only rows
+the lattice already holds.  A row the harvest added before is skipped;
+once the lattice has full rank, any other relation it already holds,
+the common case in a field with nontrivial Cl, costs only the basis's
+test in the quotient Z^k/L (a few dot products over the columns whose
+pivot is not 1), not an insertion.
 More than MAX_FACTOR_BASE_PRIMES rational primes below the Minkowski
 bound raise SearchBudgetExceededError before any prime is factored.
 A presentation (AbelianGroupSNF.presented) only runs the SNF of the
@@ -31,8 +34,9 @@ a gcd of 1 with the product of the factor-base primes' rational primes
 before the norm is used up is rejected without trial division.  For
 the rest, every prime above p but the last of cubicfield.factor_prime
 is valued with one cached kernel (cubicfield.valuation_kernel: the
-rows of one multiplier tau with tau*P in p*O), and the valuation of
-the last one follows from the norm, with no kernel.
+rows of the multiplier tau that factor_prime read off the ring's form,
+with tau*P in p*O), and the valuation of the last one follows from the
+norm, with no kernel.
 """
 
 from __future__ import annotations
@@ -110,7 +114,9 @@ def _columns(order: MaximalOrder, index_of, ps):
     `rest` is the (f, column or None) of the last prime of
     factor_prime(order, p), the one of largest (f, HNF), and `direct`
     holds the (f, column or None, valuation kernel) of the others.
-    `rest` gets no kernel, so no tau is built that nothing uses."""
+    `rest` gets no kernel, so no tau rows are built that nothing uses:
+    factor_prime only records each tau, and valuation_kernel builds its
+    rows on first use."""
     over = []
     for p in sorted(ps):
         *primes, last = factor_prime(order, p)
@@ -250,15 +256,18 @@ class _Harvest:
 
     Three sources: factorizations p*O = prod p_i^{e_i} with every factor
     in the base (the rows of `_factor_base`), principality certificates
-    (unit rows), and the principal ideals of the elements of the
-    coordinate box of radius R that factor over the base.  Each row goes into one HermiteBasis as
-    soon as it is found, so the lattice only grows; a row the lattice
-    already holds, a repeat among them, costs only the basis's test in
-    the quotient once the rank is full.
-    Asking for a larger radius scans only the points beyond the radius
-    scanned so far, so each point is factored once per field, and the
-    scan stops once the lattice is Z^k: Cl is then proved trivial, and
-    no further relation can change that.
+    (unit rows), and the principal ideals of the primitive elements of
+    the coordinate box of radius R that factor over the base.  A
+    multiple y = g*y' adds nothing: if (y) is smooth, every prime over
+    each p | g is in the base, so row(y) = row(y') + sum row(p*O) over
+    the primes p | g, and y' is a point of this shell or an earlier one.  Each row goes into
+    one HermiteBasis as soon as it is found, so the lattice only grows;
+    a box row added before is skipped, and a row the lattice already
+    holds costs only the basis's test in the quotient once the rank is
+    full.  Asking for a larger radius scans only the points beyond the
+    radius scanned so far, so each point is factored once per field,
+    and the scan stops once the lattice is Z^k: Cl is then proved
+    trivial, and no further relation can change that.
     """
 
     def __init__(self, order: MaximalOrder, fb, mb: Fraction, rows):
@@ -269,6 +278,7 @@ class _Harvest:
         index_of = {prime.hnf: i for i, prime in enumerate(fb)}
         self.screen, self.over = _columns(order, index_of, {prime.p for prime in fb})
         self.radius = 0
+        self._seen = {bytes(self.k)}  # keys of the box rows added so far, and of the zero row
         self._last = None  # (HNF, presentation) of the last `present`
 
     def certify(self, probes) -> None:
@@ -281,11 +291,16 @@ class _Harvest:
         asked for before, and present the lattice (see `_present`)."""
         assert radius >= self.radius, "the box only grows"
         order, k, screen, over, lattice = self.order, self.k, self.screen, self.over, self.lattice
+        seen = self._seen
         if lattice.det != 1:
             box = (radius,) * 3
             form = order._norm_form_flat
             for row in _smooth_points(order, _IDENTITY, form, box, self.radius, k, screen, over):
-                if any(row):
+                # a bytes key holds a row in a fifth of a tuple's memory; the
+                # exponents are >= 0, and below 256 unless the norm passes 2^255
+                key = bytes(row) if max(row) < 256 else tuple(row)
+                if key not in seen:
+                    seen.add(key)
                     lattice.add(row)
                     if lattice.det == 1:
                         break
@@ -382,7 +397,12 @@ def prime_class_vector(
 
     Factor-base primes read their class off the presentation; any other
     prime is expressed by finding an element of it whose principal ideal
-    is the prime times a factor-base-smooth cofactor.
+    is the prime times a factor-base-smooth cofactor: the first such
+    element of the shells of the prime's HNF coordinates.  The shells
+    hold only primitive coordinates (`lattice_lines`), and that finds
+    the same element: if y = g*y' is such an element, y' lies in the
+    prime, (y') divides (y), and v_P(y') = 1, so y' is one too, in a
+    shell at most half as far out.
     """
     if not data.snf.invariant_factors:
         return ()

@@ -7,9 +7,10 @@ polynomial discriminant, and it carries its form and an integer
 multiplication table on its basis; ideals are integer lattices in
 Hermite normal form on the integral basis, and the primes above every
 p, index primes and 2 included, come in closed form from the roots of
-that form on P^1(F_p).  Rationals appear
-only where the quantity is one: the Minkowski bound and splitting
-frequencies.  The class group built on this layer lives in classgroup.py.
+that form on P^1(F_p), each with the multiplier tau that values it.
+Rationals appear only where the quantity is one: the Minkowski bound
+and splitting frequencies.  The class group built on this layer lives
+in classgroup.py.
 
 Degree is fixed at three: the checks that need actual ideal arithmetic
 are run on cubic fields, where every algorithm here is exhaustive and
@@ -29,9 +30,7 @@ from typing import Optional
 
 from . import modpoly
 from .artin import SplittingType
-from .intlinalg import (
-    adj3, det3, hnf_rows, invert3, kernel_mod_p, lattice_contains, lattice_lines,
-)
+from .intlinalg import adj3, det3, hnf_rows, invert3, lattice_contains, lattice_lines
 
 DEFAULT_PRIME_BOUND = 200
 # factor_prime and the form p-steps try every residue for a root mod p
@@ -665,13 +664,16 @@ class IntegralIdeal:
 @dataclass(frozen=True)
 class PrimeIdeal:
     """A maximal ideal above p with residue degree f and ramification
-    index e, as the HNF of its lattice in the integral basis."""
+    index e, as the HNF of its lattice in the integral basis.  `tau` is
+    its multiplier: an element of p*P^-1 outside p*O, on the form basis
+    1, a*xi, a*xi^2 + b*xi of the order (see factor_prime)."""
 
     p: int
     f: int
     e: int
     hnf: tuple[tuple[int, int, int], ...]
     label: str
+    tau: tuple[int, int, int]
 
     @property
     def norm(self) -> int:
@@ -698,31 +700,26 @@ def ideal_equal(I: IntegralIdeal, J: IntegralIdeal) -> bool:
     return I.hnf == J.hnf
 
 
-def _multiplier_rows(order: MaximalOrder, p: int, hnf) -> tuple:
-    """The rows omega_i * tau of a fixed tau with tau * P in p*O and tau
-    not in p*O, for the prime P of HNF `hnf` above p (Cohen, GTM 138,
-    4.8.3).  tau is a nonzero vector of the kernel mod p of y -> y * w
-    over the HNF rows w of P (a row in p*O adds no equation, so it is
-    skipped).  Then v_P(tau / p) = -1 and tau / p is integral at every
-    other prime, so v_P(y) is the number of times y -> y * tau / p
-    stays integral (`valuation`)."""
-    prods = [[order.omega_mul(e, w) for e in _UNITS] for w in hnf if any(c % p for c in w)]
-    eqs = [[prod[i][k] for i in range(3)] for prod in prods for k in range(3)]
-    tau = kernel_mod_p(eqs, 3, p)[0]
-    return tuple(order.omega_mul(e, tau) for e in _UNITS)
-
-
 def valuation_kernel(order: MaximalOrder, prime: PrimeIdeal) -> tuple:
     """The data `valuation` needs to compute v_P((y)) for one prime P of
-    the order: the immutable tuple (p, rows of P's multiplier tau), see
-    `_multiplier_rows`.  It is built once and cached on the order, and
-    it holds no reference to the order, so an order and its cache are
-    freed as soon as the last reference to it goes.
+    the order: the immutable tuple (p, rows omega_i * tau) for the
+    multiplier `prime.tau` from factor_prime.  tau is in p*P^-1 but not
+    in p*O (Cohen, GTM 138, 4.8.3), so v_P(tau / p) = -1 and tau / p is
+    integral at every other prime: v_P(y) is the number of times
+    y -> y * tau / p stays integral (`valuation`), for any such tau.
+    The rows are built on first use and cached on the order, and hold
+    no reference to it, so an order and its cache are freed as soon as
+    the last reference to it goes.
     """
     cache = order._valuation_cache
     kernel = cache.get(prime.hnf)
     if kernel is None:
-        kernel = cache[prime.hnf] = (prime.p, _multiplier_rows(order, prime.p, prime.hnf))
+        # tau on the integral basis is prime.tau * form_basis^-1, and the
+        # inverse of a determinant +-1 matrix is det * adjugate
+        fb = order.form_basis
+        sign, adj = det3(fb), adj3(fb)
+        tau = [sign * sum(t * row[k] for t, row in zip(prime.tau, adj)) for k in range(3)]
+        kernel = cache[prime.hnf] = (prime.p, tuple(order.omega_mul(e, tau) for e in _UNITS))
     return kernel
 
 
@@ -796,6 +793,14 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
     degree-2 prime is p*Z^3 + Z*(u x w).  No root means p is inert.  The
     primes come sorted by (f, HNF), so the last one has the largest
     residue degree.  Results are cached on the order.
+
+    Each prime P also records its multiplier tau, in p*P^-1 but not in
+    p*O, on the form basis (1, omega, theta) = (1, a*xi, a*xi^2 + b*xi):
+    g0 + r*omega + theta at a root (r:1), as (xi - r)*tau = -F(r, 1) is
+    in p*Z; omega at (1:0), as omega*(omega + b) = a*theta and
+    omega*(theta + c) = -a*d are in p*O when p | a; for the degree-2
+    prime beside a lone root, omega - a*r, or omega + b at (1:0), in the
+    degree-1 prime, which is p*P^-1; 1 when p is inert.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -820,13 +825,13 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
         if not ((a * r + g1) * r + g0) % p:
             e = 3 if not (2 * a * r + g1) % p else 2
         lin = [(b0 + (b1 + b2 * r) * r) % p for b0, b1, b2 in rows]
-        entries.append((1, _kernel_of_form(p, lin), e))
+        entries.append((1, _kernel_of_form(p, lin), e, (g0, r, 1)))
     if not a:  # the root (1:0)
         lin = [(m0 - b * m1 - c * m2) % p for m0, m1, m2 in order.form_basis]
-        entries.append((1, _kernel_of_form(p, lin), 1 if b else 2 if c else 3))
+        entries.append((1, _kernel_of_form(p, lin), 1 if b else 2 if c else 3, (0, 1, 0)))
         g1, g0 = c, d  # F(x, 1) = b x^2 + c x + d
     if not entries:
-        entries.append((3, ((p, 0, 0), (0, p, 0), (0, 0, p)), 1))
+        entries.append((3, ((p, 0, 0), (0, p, 0), (0, 0, p)), 1, (1, 0, 0)))
     elif len(entries) == 1 and entries[0][2] == 1:  # the quadratic is irreducible
         inv = pow(a or b, -1, p)
         g1, g0 = g1 * inv % p, g0 * inv % p
@@ -837,15 +842,15 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
             (u[2] * w[0] - u[0] * w[2]) % p,
             (u[0] * w[1] - u[1] * w[0]) % p,
         )
-        entries.append((2, _span_mod_p(p, v), 1))
+        entries.append((2, _span_mod_p(p, v), 1, (-a * r % p, 1, 0) if a else (b, 1, 0)))
 
     entries.sort()  # by (f, hnf): distinct primes have distinct HNFs
     primes = []
     letters = "abcdefgh"
-    for k, (f, mat, e) in enumerate(entries):
+    for k, (f, mat, e, tau) in enumerate(entries):
         assert det3(mat) == p**f
         label = f"{p}{letters[k]}" if len(entries) > 1 else str(p)
-        primes.append(PrimeIdeal(p=p, f=f, e=e, hnf=mat, label=label))
+        primes.append(PrimeIdeal(p=p, f=f, e=e, hnf=mat, label=label, tau=tau))
     # the fundamental identity sum e_i f_i = 3
     assert sum(q.e * q.f for q in primes) == 3
     cache[p] = primes
@@ -925,10 +930,13 @@ def is_principal(
     generators of a principal ideal differ by units, and when the units
     are large every generator can have an embedding above R (the field
     of x^3-12x-5 has such ideals).  Raises SearchBudgetExceededError when
-    the region itself is larger than max_candidates; a budget failure is
-    never reported as None.  The search visits one element of each pair
-    +-y (y generates I exactly when -y does), in the order of the full
-    box scan, so it returns the generator that scan would find first.
+    the region itself is larger than max_candidates, counting every
+    point of the box; a budget failure is never reported as None.  The
+    search visits one element of each pair +-y (y generates I exactly
+    when -y does) and only primitive coordinates: y = g*y' with y' in I
+    and g > 1 has |N(y)| >= 8*norm(I), so it generates nothing.  It
+    keeps the order of the full box scan, so it returns the generator
+    that scan would find first.
 
     The box is scanned by lines (intlinalg.lattice_lines): with the
     first two HNF coordinates fixed, the norm form of I's basis is a

@@ -1,8 +1,8 @@
-"""Exact integer and mod-p linear algebra: HNF, SNF, kernels, and the
-enumeration of a rank-3 coefficient box line by line (`lattice_lines`:
-the first two coefficients fixed, the third running over the line), so
-that a caller can evaluate a function of the point, such as a norm form,
-along a whole line at once.
+"""Exact integer linear algebra: HNF, SNF, and the enumeration of the
+primitive points of a rank-3 coefficient box line by line
+(`lattice_lines`: the first two coefficients fixed, the third running
+over the line), so that a caller can evaluate a function of the point,
+such as a norm form, along a whole line at once.
 
 Everything here works on plain Python ints (arbitrary precision) and
 dense matrices given as sequences of rows.  No external dependencies.
@@ -21,6 +21,7 @@ exactly for the rows of L, which are then dropped without an insertion.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
 
 
@@ -312,28 +313,41 @@ def _zigzag(cap: int, lo: int = 0, nonneg: bool = False):
 
 
 def lattice_lines(caps, skip: int = -1):
-    """The box |c_t| <= caps[t] with max |c_t| > skip, one of each pair
-    +-c (the one whose first nonzero c_t is positive), as lines: triples
-    (c0, c1, xs) with xs the tuple of c2 values on the line (c0, c1),
-    which may be shared with other lines.  Lines with no c2 value left
-    are left out.
+    """The primitive points of the box |c_t| <= caps[t] (gcd(c0, c1, c2)
+    = 1) with max |c_t| > skip, one of each pair +-c (the one whose first
+    nonzero c_t is positive), as lines: triples (c0, c1, xs) with xs the
+    list of c2 values on the line (c0, c1) prime to gcd(c0, c1), one
+    list per gcd and c0, shared with the other lines of that gcd and c0
+    and not to be changed.  Lines with no c2 value left are left out.
 
     c0 is the outermost loop and each c_t runs 0, 1, -1, 2, -2, ..., so
     flattening the lines gives the full box's nested order with the
-    other half of each pair left out.  A caller that fixes c0 and c1 can
-    treat a function of c as one of c2 alone along each line.
+    other half of each pair and every multiple g*c, g > 1, left out.
+    Such a multiple is the point c scaled, so a caller looking for an
+    element of least norm, or building a lattice that holds g's
+    factorization, loses nothing by it.  A caller that fixes c0 and c1
+    can treat a function of c as one of c2 alone along each line.
     """
     floor = max(skip, 0)
-    # c2 alone must lift max |c_t| above skip, and above 0
-    every = tuple(_zigzag(caps[2]))
-    outside = tuple(_zigzag(caps[2], floor + 1))
-    first = tuple(_zigzag(caps[2], floor + 1, nonneg=True))
+    # c2 alone must lift max |c_t| above skip, and above 0; on the line
+    # c0 = c1 = 0 only c2 = 1 is primitive
+    every = list(_zigzag(caps[2]))
+    outside = list(_zigzag(caps[2], floor + 1))
+    origin = [1] if floor == 0 and caps[2] else []
     for c0 in _zigzag(caps[0], nonneg=True):
+        # (g, whole line or not) -> the c2 values prime to g, kept for one
+        # c0 only: there g divides c0, so few lists are alive at once.
+        # Lists, not tuples: CPython keeps up to 2000 freed tuples of each
+        # length below 20, and lines of many lengths would fill those
+        coprime = {(1, True): every, (1, False): outside}
         for c1 in _zigzag(caps[1], nonneg=c0 == 0):
-            if max(c0, abs(c1)) > floor:
-                xs = every
-            else:
-                xs = outside if c0 or c1 else first
+            g = gcd(c0, c1)
+            whole = max(c0, abs(c1)) > floor
+            xs = coprime.get((g, whole)) if g else origin
+            if xs is None:
+                xs = [x for x in (every if whole else outside) if gcd(g, x) == 1]
+                if c0:  # at c0 = 0, g = c1 comes once
+                    coprime[g, whole] = xs
             if xs:
                 yield c0, c1, xs
 
@@ -426,49 +440,3 @@ def smith_normal_form(rows, ncols: int):
 
     return [abs(A[k][k]) for k in range(min(m, n))], V
 
-
-def kernel_mod_p(rows, ncols: int, p: int) -> list[tuple[int, ...]]:
-    """Basis of the right kernel of a matrix over GF(p).
-
-    `rows` are the matrix rows; solves A x = 0 for column vectors x,
-    returned as tuples of ints in [0, p).  The basis is the canonical one
-    read off `rref_mod_p`: one vector per free column j, in increasing j,
-    with 1 at j, 0 at the other free columns and -R[r][j] at the pivot
-    column of each row r of the reduced form R.
-    """
-    red, pivots = rref_mod_p(rows, ncols, p)
-    basis = []
-    for j in range(ncols):
-        if j in pivots:
-            continue
-        v = [0] * ncols
-        v[j] = 1
-        for row, pj in zip(red, pivots):
-            v[pj] = -row[j] % p
-        basis.append(tuple(v))
-    return basis
-
-
-def rref_mod_p(rows, ncols: int, p: int):
-    """Reduced row echelon form over GF(p); returns (rows, pivot columns)."""
-    A = [[a % p for a in r] for r in rows]
-    pivots = []
-    r = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(r, len(A)):
-            if A[i][j] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][j], -1, p)
-        A[r] = [(a * inv) % p for a in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][j]:
-                c = A[i][j]
-                A[i] = [(a - c * b) % p for a, b in zip(A[i], A[r])]
-        pivots.append(j)
-        r += 1
-    return [tuple(row) for row in A[:r]], pivots

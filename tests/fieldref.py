@@ -11,6 +11,9 @@ quantities that polyakit computes another way.
 - `ideal_pow`: I^k by repeated `ideal_product`.
 - `ring_map_kernels`: the degree-1 primes above p, as the kernels of
   the ring maps O -> F_p found among all p^3 linear forms.
+- `rref_mod_p`, `kernel_mod_p` and `multiplier_rows`: a prime's
+  multiplier tau found by linear algebra over GF(p), not read off the
+  form, and the valuation rows built from it.
 """
 
 import itertools
@@ -139,3 +142,53 @@ def ring_map_kernels(order, p):
             rows += [list(y) for y in box if image(l, y) == 0]
             kernels.append(hnf_rows(rows, 3))
     return sorted(kernels)
+
+
+def rref_mod_p(rows, ncols, p):
+    """Reduced row echelon form over GF(p); returns (rows, pivot columns)."""
+    A = [[a % p for a in r] for r in rows]
+    pivots = []
+    r = 0
+    for j in range(ncols):
+        piv = next((i for i in range(r, len(A)) if A[i][j] % p), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][j], -1, p)
+        A[r] = [(a * inv) % p for a in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][j]:
+                c = A[i][j]
+                A[i] = [(a - c * b) % p for a, b in zip(A[i], A[r])]
+        pivots.append(j)
+        r += 1
+    return [tuple(row) for row in A[:r]], pivots
+
+
+def kernel_mod_p(rows, ncols, p):
+    """Basis of the right kernel of a matrix over GF(p), as tuples of
+    ints in [0, p): one vector per free column j of `rref_mod_p`'s form R,
+    in increasing j, with 1 at j, 0 at the other free columns and
+    -R[r][j] at the pivot column of each row r."""
+    red, pivots = rref_mod_p(rows, ncols, p)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [0] * ncols
+        v[j] = 1
+        for row, pj in zip(red, pivots):
+            v[pj] = -row[j] % p
+        basis.append(tuple(v))
+    return basis
+
+
+def multiplier_rows(order, p, hnf):
+    """The rows omega_i * tau of a tau with tau * P in p*O and tau not in
+    p*O, for the prime P of HNF `hnf` above p (Cohen, GTM 138, 4.8.3):
+    the first vector of the kernel mod p of y -> y * w over the HNF rows
+    w of P (a row in p*O adds no equation, so it is skipped)."""
+    prods = [[order.omega_mul(e, w) for e in _UNITS] for w in hnf if any(c % p for c in w)]
+    eqs = [[prod[i][k] for i in range(3)] for prod in prods for k in range(3)]
+    tau = kernel_mod_p(eqs, 3, p)[0]
+    return tuple(order.omega_mul(e, tau) for e in _UNITS)

@@ -8,7 +8,9 @@ bound, ideal arithmetic, and exhaustive generator search.
 
 import itertools
 import json
+import random
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -554,16 +556,18 @@ def test_shell_harvest_matches_full_box_loop(monkeypatch, s, budget, genuine_pro
     assert got.budget == expected.budget
     assert got.certified_trivial == expected.certified_trivial
     assert calls == reference_calls
-    # no point is factored twice; a nontrivial answer scanned the whole
-    # largest box, a trivial one stopped once the relations spanned Z^k
+    # no point is factored twice, and only primitive ones are; a
+    # nontrivial answer scanned every primitive +-pair of the largest
+    # box, a trivial one stopped once the relations spanned Z^k
     points_seen = [y for _, y in scanned]
     assert len(set(points_seen)) == len(points_seen)
+    assert all(gcd(*y) == 1 for y in points_seen)
     R = max((caps[0] for caps, _ in scanned), default=0)
-    full_box = ((2 * R + 1) ** 3 - 1) // 2
+    primitive_pairs = sum(gcd(*c) == 1 for c in itertools.product(range(-R, R + 1), repeat=3)) // 2
     if got.invariant_factors:
-        assert len(points_seen) == full_box
+        assert len(points_seen) == primitive_pairs
     elif s == "x^3-2":
-        assert 0 < len(points_seen) < full_box
+        assert 0 < len(points_seen) < primitive_pairs
     # the one lattice runs no more SNFs than the reference less the
     # presentations a pass repeats from the one before
     assert len(presented) <= len(reference_presented) - sum(r for _, r in reusable)
@@ -705,3 +709,83 @@ def test_smooth_row_matches_trial_division(s, coords, extra_column):
     _, over = classgroup._columns(order, index_of, ps)
     got = classgroup._smooth_row(order, y, abs(order.norm_omega(y)), len(index_of), over)
     assert got == _reference_row(order, y, index_of, ps)
+
+
+def _every_point_class_vector(order, data, prime):
+    """Reference for prime_class_vector: the first point of each shell
+    of the prime's HNF coordinates, every point taken (both signs and
+    the multiples g*c too, in the full box's nested order), whose ideal
+    is the prime times a factor-base-smooth cofactor, by trial division
+    and element_valuation."""
+    known = data.classes.get(prime.label)
+    if known is not None:
+        return known
+    k = len(data.fb)
+    index_of = {q.hnf: i for i, q in enumerate(data.fb)}
+    index_of[prime.hnf] = k
+    ps = {q.p for q in data.fb} | {prime.p}
+    for shell in range(1, classgroup.EXPRESSION_MAX_SHELL + 1):
+        signed = [0] + [s * v for v in range(1, shell + 1) for s in (1, -1)]
+        for c in itertools.product(signed, repeat=3):
+            if max(map(abs, c)) < shell:
+                continue
+            y = tuple(sum(c[t] * prime.hnf[t][i] for t in range(3)) for i in range(3))
+            row = _reference_row(order, y, index_of, ps)
+            if row is not None and row[k] == 1:
+                return data.snf.neg(data.snf.project(row[:k]))
+    raise AssertionError(f"no shell expresses {prime.label}")
+
+
+def test_prime_class_vector_matches_the_every_point_scan():
+    """On drawn box-12 fields with h > 1, every prime above p <= 100: the
+    primitive shells give the class coordinates of the scan that takes
+    every point, non-primitive ones included."""
+    rng = random.Random(7)
+    fields = 0
+    while fields < 10:
+        try:
+            order = maximal_order(CubicPoly(*(rng.randint(-12, 12) for _ in range(3))))
+        except ReduciblePolynomialError:
+            continue
+        if order.poly.is_galois():
+            continue
+        cl = class_group(order)
+        if not cl.invariant_factors:
+            continue
+        fields += 1
+        for p in primes_up_to(100):
+            for q in factor_prime(order, p):
+                want = _every_point_class_vector(order, cl, q)
+                assert prime_class_vector(order, cl, q) == want, (order.poly, q.label)
+
+
+def test_harvest_adds_each_box_row_once(monkeypatch):
+    """A box row the harvest added before is skipped, not tested again in
+    the quotient: over the shells of a field with h > 1, whose smooth
+    rows repeat, no row reaches HermiteBasis.add twice and no zero row
+    does at all, and the lattice is that of every smooth row."""
+    added = []
+
+    class Recording(classgroup.HermiteBasis):
+        __slots__ = ()
+
+        def add(self, row):
+            added.append(tuple(row))
+            super().add(row)
+
+    monkeypatch.setattr(classgroup, "HermiteBasis", Recording)
+    order = _order_of("x^3-21x^2+19x+16")
+    fb, mb, rows = classgroup._factor_base(order)
+    harvest = classgroup._Harvest(order, fb, mb, rows)
+    for radius in (4, 8):
+        harvest.present(radius)
+    assert harvest.present(16).invariant_factors
+    screen, over = harvest.screen, harvest.over
+    form = order.norm_form(classgroup._IDENTITY)
+    box = (16,) * 3
+    smooth = list(
+        classgroup._smooth_points(order, classgroup._IDENTITY, form, box, -1, len(fb), screen, over)
+    )
+    assert len({tuple(r) for r in smooth}) < len(smooth)
+    assert len(set(added)) == len(added) and all(any(r) for r in added)
+    assert harvest.lattice.rows() == hnf_rows(rows + smooth, len(fb))

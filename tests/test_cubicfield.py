@@ -34,7 +34,6 @@ from polyakit import cubicfield
 from polyakit.cubicfield import (
     SearchBudgetExceededError,
     _canonical_lattice,
-    _multiplier_rows,
     element_valuation,
     mul_power,
     iter_primes_up_to,
@@ -46,8 +45,8 @@ from polyakit.cubicfield import (
 from polyakit.intlinalg import adj3, det3, invert3, lattice_lines
 
 from fieldref import (
-    generic_factor_prime, ideal_pow, is_p_maximal_dedekind, norm_power, poly_of_theta_omega,
-    power_sums, ring_map_kernels,
+    generic_factor_prime, ideal_pow, is_p_maximal_dedekind, multiplier_rows, norm_power,
+    poly_of_theta_omega, power_sums, ring_map_kernels,
 )
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
@@ -792,20 +791,66 @@ def _walk_valuation(O, q, y):
 VALUATION_POLYS = FIXTURE_POLYS + (INDEX_10_POLY,)
 
 
+def _closed_form_tau(O, p, q):
+    """The multiplier of q read off the form F = (a, b, c, d) of O mod p,
+    on the form basis (1, omega, theta) = (1, a*xi, a*xi^2 + b*xi): for a
+    degree-1 prime, the root of F on P^1(F_p) whose ring map O -> F_p
+    (xi -> r, or (1:0), omega -> -b, theta -> -c) kills q's HNF rows."""
+    a, b, c, d = (x % p for x in O.form)
+    roots = [r for r in range(p) if not (((a * r + b) * r + c) * r + d) % p]
+    if q.f == 3:
+        return (1, 0, 0)
+    if q.f == 2:
+        if a:
+            (r,) = roots
+            return (-a * r % p, 1, 0)
+        assert not roots
+        return (b, 1, 0)
+    images = [((1, a * r, a * r * r + b * r), r) for r in roots] + [((1, -b, -c), None)] * (not a)
+    (r,) = [
+        r
+        for image, r in images
+        if all(
+            sum(w[i] * sum(m * v for m, v in zip(O.form_basis[i], image)) for i in range(3)) % p == 0
+            for w in q.hnf
+        )
+    ]
+    if r is None:
+        return (0, 1, 0)
+    g1 = (b + a * r) % p
+    return ((c + r * g1) % p, r, 1)
+
+
 @pytest.mark.parametrize("s", FIXTURE_POLYS + (INDEX_9_POLY, INDEX_10_POLY))
 def test_multiplier_tau_contract(s):
-    """For every prime P above p <= 50: tau * P lies in p*O, tau does not,
-    and v_P(tau) = e - 1 by the walk (so v_P(tau / p) = -1)."""
+    """For every prime P above p <= 50, index primes 2, 3 and 5
+    included: P's tau is the closed form of its root (g0 + r*omega +
+    theta at a root (r:1), omega at (1:0), omega - a*r or omega + b for
+    f = 2, 1 when inert), the kernel's rows are omega_i * tau, tau * P
+    lies in p*O and tau does not, v_P(tau) = e - 1 by the walk (so
+    v_P(tau / p) = -1), and the valuations equal those of the tau that
+    fieldref finds by linear algebra mod p."""
     O = _order_of(s)
+    rng = random.Random(s)
     for p in primes_up_to(50):
         for q in factor_prime(O, p):
-            rows = _multiplier_rows(O, p, q.hnf)
+            assert q.tau == _closed_form_tau(O, p, q), (s, q.label)
+            kernel = valuation_kernel(O, q)
+            rows = kernel[1]
             tau = tuple(sum(O.one[i] * rows[i][k] for i in range(3)) for k in range(3))
+            assert rows == tuple(O.omega_mul(e, tau) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+            on_form = [sum(t * row[j] for t, row in zip(tau, O.form_basis)) for j in range(3)]
+            assert on_form == list(q.tau), (s, q.label)
             for w in q.hnf:
                 tau_w = [sum(w[i] * rows[i][k] for i in range(3)) for k in range(3)]
                 assert all(c % p == 0 for c in tau_w), (s, q.label)
             assert any(c % p for c in tau), (s, q.label)
             assert _walk_valuation(O, q, tau) == q.e - 1, (s, q.label)
+            oracle = (p, multiplier_rows(O, p, q.hnf))
+            for _ in range(20):
+                y = tuple(rng.randint(-30, 30) * p ** rng.randint(0, 4) for _ in range(3))
+                if any(y):
+                    assert valuation(kernel, y) == valuation(oracle, y), (s, q.label, y)
 
 
 @settings(max_examples=40, deadline=None)
@@ -835,31 +880,34 @@ def test_valuation_of_zero_raises(s, p):
             valuation(valuation_kernel(O, q), (0, 0, 0))
 
 
-@pytest.mark.parametrize("s", ["x^3-x^2-2x-8", INDEX_10_POLY])
+@pytest.mark.parametrize("s", ["x^3-x^2-2x-8", INDEX_9_POLY, INDEX_10_POLY])
 def test_index_prime_multiplier_built_once(monkeypatch, s):
-    """tau is built once per prime, by valuation_kernel: factor_prime
-    builds none at an index prime, the first kernel call builds it, and
-    a second call builds nothing."""
+    """tau's rows are built once per prime, by valuation_kernel: at an
+    index prime factor_prime only records tau and multiplies nothing,
+    the first kernel call builds the three rows omega_i * tau, and a
+    second call returns the cached kernel and builds nothing."""
     O = maximal_order(parse_cubic(s))  # fresh: empty prime and kernel caches
     calls = []
+    omega_mul = cubicfield.MaximalOrder.omega_mul
 
-    def spy(order, p, hnf):
-        calls.append(hnf)
-        return _multiplier_rows(order, p, hnf)
+    def spy(order, y, z):
+        calls.append(z)
+        return omega_mul(order, y, z)
 
-    monkeypatch.setattr(cubicfield, "_multiplier_rows", spy)
+    monkeypatch.setattr(cubicfield.MaximalOrder, "omega_mul", spy)
     index_primes = [p for p in primes_up_to(50) if O.index % p == 0]
     assert index_primes
     for p in index_primes:
         primes = factor_prime(O, p)
-        assert calls == [], (s, p)
+        assert calls == [] and O._valuation_cache == {}, (s, p)
         kernels = [valuation_kernel(O, q) for q in primes]
-        assert calls == [q.hnf for q in primes], (s, p)
-        assert [valuation_kernel(O, q) for q in primes] == kernels
-        assert len(calls) == len(primes)
-        # the kernel is (p, tau rows); the module's import is the unpatched builder
-        assert kernels == [(p, _multiplier_rows(O, p, q.hnf)) for q in primes]
+        assert len(calls) == 3 * len(primes), (s, p)
+        assert all(valuation_kernel(O, q) is k for q, k in zip(primes, kernels))
+        assert len(calls) == 3 * len(primes)
+        assert [O._valuation_cache[q.hnf] for q in primes] == kernels
+        assert all(k[0] == p for k in kernels)
         calls.clear()
+        O._valuation_cache.clear()
 
 
 def test_tau_valuation_agrees_with_lattice_walk(orders):

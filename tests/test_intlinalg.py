@@ -1,7 +1,7 @@
 """HNF/SNF against first-principles oracles on small random matrices."""
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,15 +14,13 @@ from polyakit.intlinalg import (
     det3,
     hnf_rows,
     invert3,
-    kernel_mod_p,
     lattice_contains,
     lattice_coordinates,
     lattice_lines,
-    rref_mod_p,
     smith_normal_form,
 )
 
-from fieldref import lattice_points
+from fieldref import kernel_mod_p, lattice_points, rref_mod_p
 
 small_int = st.integers(min_value=-30, max_value=30)
 
@@ -440,46 +438,59 @@ def _full_box(rows, caps):
                 yield c, tuple(sum(c[t] * rows[t][i] for t in range(3)) for i in range(3))
 
 
+def _kept(rows, caps, skip):
+    """(c, y) of the full box with gcd(c) = 1, max |c_t| > skip and the
+    first nonzero c_t positive, in the full box's order."""
+    return [
+        (c, y)
+        for c, y in _full_box(rows, caps)
+        if gcd(*c) == 1 and max(map(abs, c)) > skip and next(a for a in c if a) > 0
+    ]
+
+
 LATTICE_ROWS = ((1, 0, 0), (3, 2, 0), (-1, 5, 7))
+CAPS = [(2, 1, 3), (0, 2, 1), (1, 0, 2), (2, 2, 0), (1, 1, 1), (4, 3, 6), (6, 0, 4)]
 
 
-@pytest.mark.parametrize("caps", [(2, 1, 3), (0, 2, 1), (1, 0, 2), (2, 2, 0), (1, 1, 1)])
-@pytest.mark.parametrize("skip", [-1, 0, 1, 2])
+@pytest.mark.parametrize("caps", CAPS)
+@pytest.mark.parametrize("skip", [-1, 0, 1, 2, 3])
 def test_lattice_points_contract(caps, skip):
     got = list(lattice_points(LATTICE_ROWS, caps, skip))
     box = list(_full_box(LATTICE_ROWS, caps))
     assert (0, 0, 0) not in got
     assert len(set(got)) == len(got)
-    # one point of each nonzero +-pair, exactly those with max |c_t| > skip
-    wanted = {y for c, y in box if any(c) and max(map(abs, c)) > skip}
+    # one point of each primitive +-pair, exactly those with max |c_t| > skip
+    wanted = {y for c, y in box if gcd(*c) == 1 and max(map(abs, c)) > skip}
     for y in wanted:
         assert (y in got) + (tuple(-a for a in y) in got) == 1, y
     assert set(got) <= wanted
     if skip < 0:
+        # every point of the box but 0 is g times a primitive one, for
+        # exactly one g >= 1 and one sign
         k0, k1, k2 = caps
-        assert len(got) == ((2 * k0 + 1) * (2 * k1 + 1) * (2 * k2 + 1) - 1) // 2
+        pairs = sum(
+            len(list(lattice_points(LATTICE_ROWS, [k // g for k in caps])))
+            for g in range(1, max(caps) + 1)
+        )
+        assert 2 * pairs == (2 * k0 + 1) * (2 * k1 + 1) * (2 * k2 + 1) - 1
     # the kept member has its first nonzero coefficient positive, and the
     # points come in the full box's order
-    kept = [
-        y
-        for c, y in box
-        if any(c) and max(map(abs, c)) > skip and next(a for a in c if a) > 0
-    ]
-    assert got == kept
+    assert got == [y for _, y in _kept(LATTICE_ROWS, caps, skip)]
 
 
-@pytest.mark.parametrize("caps", [(2, 1, 3), (0, 2, 1), (1, 0, 2), (2, 2, 0), (1, 1, 1)])
-@pytest.mark.parametrize("skip", [-1, 0, 1, 2])
+@pytest.mark.parametrize("caps", CAPS)
+@pytest.mark.parametrize("skip", [-1, 0, 1, 2, 3])
 def test_lattice_lines_flatten_to_lattice_points(caps, skip):
-    """The lines, flattened, are the kept coefficients of the full box in
-    its order, and mapped through the rows they are lattice_points."""
-    flat = [(c0, c1, c2) for c0, c1, xs in lattice_lines(caps, skip) for c2 in xs]
-    kept = [
-        c
-        for c, _ in _full_box(LATTICE_ROWS, caps)
-        if any(c) and max(map(abs, c)) > skip and next(a for a in c if a) > 0
-    ]
-    assert flat == kept
+    """The lines, flattened, are the kept primitive coefficients of the
+    full box in its order, and mapped through the rows they are
+    lattice_points.  Lines of one c0 and gcd(c0, c1) share one xs list."""
+    lines = list(lattice_lines(caps, skip))
+    flat = [(c0, c1, c2) for c0, c1, xs in lines for c2 in xs]
+    assert flat == [c for c, _ in _kept(LATTICE_ROWS, caps, skip)]
     points = [tuple(sum(c[t] * LATTICE_ROWS[t][i] for t in range(3)) for i in range(3)) for c in flat]
     assert points == list(lattice_points(LATTICE_ROWS, caps, skip))
-    assert all(xs for _, _, xs in lattice_lines(caps, skip))  # no empty line
+    assert all(xs for _, _, xs in lines)  # no empty line
+    shared = {}
+    for c0, c1, xs in lines:
+        if max(c0, abs(c1)) > max(skip, 0):
+            assert shared.setdefault((c0, gcd(c0, c1)), xs) is xs
