@@ -10,7 +10,9 @@ representatives, and those classes are what the arithmetic side
 compares against.  Classes are computed in H/H' (the computable
 refinement of the quotient the theory actually uses; equalities proved
 here imply the coarser ones), through the one H/H' object of each
-subgroup, `permgroup.abelianization`, which this module re-exports.
+subgroup, `permgroup.abelianization`, which this module re-exports; an
+element's class is read off the coset-action label of its H'-coset,
+and no element of H' is listed.
 """
 
 from __future__ import annotations

@@ -392,7 +392,9 @@ def _triple_after_dashes(argv: list[str]) -> list[str]:
 
 # The least value of each integer option that has one; a smaller value
 # exits 2.
-_LOWER_BOUNDS = {"prime_bound": 2, "workers": 1, "budget": 1, "max_closure": 1}
+_LOWER_BOUNDS = {
+    "prime_bound": 2, "workers": 1, "budget": 1, "max_closure": 1, "coeff_bound": 0, "max_enum": 1,
+}
 # The most worker processes a survey starts.
 MAX_WORKERS = 64
 # The largest --budget: a harvest pass at radius r searches a box of

@@ -11,29 +11,29 @@ being listed, membership and the subgroup test are sifts, and the first
 base point is the largest point the group moves, whose stabilizer is
 level 1 of the chain with no further closure.  A group is its chain:
 its element set is listed only when a caller reads it, once, as
-products of one transversal element per level; `group-check` lists the
-point stabilizer H but never G.
+products of one transversal element per level; group equality is read
+off the chains too.  `group-check` lists the point stabilizer H once,
+to find T, and never G or H'.
 
 On top of the chains the module provides right-coset actions, derived
 subgroups, normal cores, the subset T of a subgroup whose elements fix
 only the distinguished coset, and the combined generation test built
 from T and the derived subgroup, together with Frobenius and
-2-transitivity predicates.  The quotient H/H' is one
-object per subgroup, `abelianization(H)`: it labels H by H'-cosets,
-which is all the generation test reads, and presents H/H' in
-invariant-factor form (`abelian.AbelianGroupSNF`) on first use.
+2-transitivity predicates.
 
 A permutation of {0, ..., n-1} is the plain tuple of its images, and
-nothing else (Seress 2003 stores them the same way): elements,
-generators, coset representatives, T and the H'-coset labels are all
-such tuples.  `perm` checks one built from outside; `compose`,
-`inverse`, `power`, `cycles`, `cycle_string`, `from_cycles` and
-`identity` are the operations on them.  A right coset of H is a label
-that G moves: the point s(p) when H is the full stabilizer of a point
-p, and otherwise the element of H*s that H's chain picks
-(`_coset_key`), so the coset action is one implementation over labels
-that never enumerates cosets.  The generation test is decided in H/H'
-instead of closing <T, H'> as a set of permutations.
+nothing else (Seress 2003 stores them the same way).  `perm` checks
+one built from outside; `compose`, `inverse`, `power`, `cycles`,
+`cycle_string`, `from_cycles` and `identity` are the operations on
+them.  A right coset of H is a label that G moves: the point s(p) when
+H is the full stabilizer of a point p, and otherwise the element of
+H*s that H's chain picks (`_coset_key`), so the coset action is one
+implementation over labels that never enumerates cosets.  The quotient
+H/H' is one object per subgroup, `abelianization(H)`, whose H'-cosets
+are the labels of the same action of H on them; the generation test is
+decided on those labels instead of closing <T, H'> as a set of
+permutations, and H/H' is presented in invariant-factor form
+(`abelian.AbelianGroupSNF`) on first use.
 
 Composition convention: ``compose(a, b)`` means "apply a, then b", so
 that a right coset ``H*s`` moved by ``g`` lands on ``H*compose(s, g)``.
@@ -222,20 +222,19 @@ class PermGroup:
         return self._sorted
 
     def __contains__(self, p: _Perm) -> bool:
-        try:
-            return len(p) == self.degree and _sift(self._levels, p, 0)[0] == self.identity
-        except ValueError:  # p misses a base point: not a permutation
-            return False
+        return _member(self._levels, self.identity, p)
 
     def __eq__(self, other) -> bool:
+        """Same degree and order, and each generator of one sifts into the
+        other: a subgroup of the same order is the whole group."""
         return (
             isinstance(other, PermGroup)
-            and self.degree == other.degree
-            and self.elements == other.elements
+            and self.order == other.order
+            and self.is_subgroup_of(other)
         )
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.elements))
+        return hash((self.degree, self.order))
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         """Whether each generator lies in `other` (sifted through its chain)."""
@@ -310,6 +309,15 @@ def _sift(levels: list[_Level], g: _Perm, i: int) -> tuple[_Perm, int]:
         if y != level.base:
             g = step(g)
     return g, len(levels)
+
+
+def _member(levels: list[_Level], ident: _Perm, p: _Perm) -> bool:
+    """Whether p lies in the group of the chain `levels`, whose identity
+    is `ident`: p has its degree and sifts to the identity."""
+    try:
+        return len(p) == len(ident) and _sift(levels, p, 0)[0] == ident
+    except ValueError:  # p misses a base point: not a permutation
+        return False
 
 
 def _add_generator(levels: list[_Level], i: int, g: _Perm) -> None:
@@ -711,50 +719,43 @@ class ConditionReport:
 class Abelianization:
     """The quotient H/H' of a permutation group H, with its projection.
 
-    `hprime` is H'; `labels` maps each element of H to the label of its
-    H'-coset, and `reps` holds one representative per label, label 0
-    being H' itself.  As H' is normal, the label of a product depends
-    only on its factors' labels.  `group` is H/H' in invariant-factor
-    form; `project` sends an element of H to its class, a coordinate
-    tuple of `group`, so classes add with `group.add`.  The kernel of
-    `project` is exactly H'.
-
-    The presentation behind `group` and `project` is built on first use:
-    the generation test reads only the labels.  Nothing here refers back
-    to H, so H and its labelling are freed without a cycle collection.
+    `hprime` is H'.  Its cosets are labels that H moves, as in
+    `CosetAction(H, H')`, found without listing H or H': `label` sends an
+    element of H to the label of its coset, and `labels` holds the
+    [H:H'] labels, sorted.  `group` is H/H' in invariant-factor form,
+    built on first use (the generation test reads only the labels);
+    `project` sends an element of H to its class, a coordinate tuple of
+    `group`, so classes add with `group.add`.  Its kernel is exactly H'.
+    Nothing here refers back to H, so H and its abelianization are freed
+    without a cycle collection.
     """
 
     def __init__(self, subgroup: PermGroup):
         self.hprime = hprime = derived_subgroup(subgroup)
-        self.labels: dict[_Perm, int] = {}
-        self.reps: list[_Perm] = []
-        index = subgroup.order // hprime.order
-        for x in (subgroup.identity, *subgroup.elements):
-            if x not in self.labels:
-                self.labels.update(dict.fromkeys(map(_then(x), hprime.elements), len(self.reps)))
-                self.reps.append(x)
-                if len(self.reps) == index:  # every element of H is labelled
-                    break
+        action = CosetAction(subgroup, hprime)
+        self.label, self.labels, self._move = action._label, action.orbit, action._move
         ident = subgroup.identity
+        self._home = self.label(ident)  # the label of H' itself
+        self._member = partial(_member, subgroup._levels, ident)
         self._gens = tuple(dict.fromkeys(g for g in subgroup.generators if g != ident))
 
     @cached_property
     def group(self) -> AbelianGroupSNF:
-        labels, reps, gens = self.labels, self.reps, self._gens
+        move, gens = self._move, self._gens
         k = len(gens)
         # Breadth-first walk of the quotient, recording one exponent
         # vector per coset label; every revisit yields a relation among
         # the generator images, and those relations span the full
         # relation lattice.
-        vec: dict[int, tuple[int, ...]] = {0: (0,) * k}
+        vec: dict = {self._home: (0,) * k}
         relations: list[tuple[int, ...]] = []
-        frontier = [0]
+        frontier = [self._home]
         while frontier:
             nxt = []
             for x in frontier:
                 vx = vec[x]
                 for i, g in enumerate(gens):
-                    y = labels[tuple(map(g.__getitem__, reps[x]))]  # x then g
+                    y = move(x, g)  # the label of (x's coset) then g
                     w = tuple(v + (1 if j == i else 0) for j, v in enumerate(vx))
                     if y in vec:
                         rel = tuple(a - b for a, b in zip(w, vec[y]))
@@ -764,19 +765,18 @@ class Abelianization:
                         vec[y] = w
                         nxt.append(y)
             frontier = nxt
-        assert len(vec) == len(reps)
+        assert len(vec) == len(self.labels)
         self._vec = vec
         group = AbelianGroupSNF.presented(relations, k)
-        assert group.order == len(reps)
+        assert group.order == len(self.labels)
         return group
 
     def project(self, p: _Perm) -> tuple[int, ...]:
-        """Class of p in H/H'; p must lie in H."""
-        label = self.labels.get(p)
-        if label is None:
+        """Class of p in H/H'; p must lie in H (sifted through its chain)."""
+        if not self._member(p):
             raise ValueError("element not in the subgroup being abelianized")
         group = self.group  # builds self._vec on first use
-        return group.project(self._vec[label])
+        return group.project(self._vec[self.label(p)])
 
 
 def abelianization(subgroup: PermGroup) -> Abelianization:
@@ -794,35 +794,31 @@ def check_condition_2B(
     Computes T and the derived subgroup H', then decides <T, H'> = H in
     H/H' without closing <T, H'> as permutations: H' is normal in H and
     lies in <T, H'>, so the two are equal iff T's cosets generate H/H'.
-    `abelianization(H)` labels every element of H with its H'-coset, and
-    the labels of T are closed under multiplication until they fill H/H'.
-    `generated` is then H itself, or else the union of the H'-cosets
-    reached, generated by the generators of H' and the least element of
-    T in each coset T meets; either way its element set is <T, H'>.
-    holds() iff T is nonempty and <T, H'> is all of H.
+    The H'-cosets are the labels of `abelianization(H)`.  Scanning T in
+    order, the least element of T in each coset it meets is kept, and the
+    cosets reached from H' by those kept so far are recomputed whenever a
+    kept one lies outside them, until they fill H/H'; H' is never
+    listed.  `generated` is then H itself, or else the union of the
+    H'-cosets reached, generated by the generators of H' and the least
+    element of T in each coset T meets; either way its element set is
+    <T, H'>.  holds() iff T is nonempty and <T, H'> is all of H.
     """
     if action is None:
         action = coset_action(group, subgroup)
     T = compute_T(group, subgroup, action)
     ab = abelianization(subgroup)
-    labels, reps = ab.labels, ab.reps
-    least: dict[int, _Perm] = {}  # the least element of T in each H'-coset it meets
+    label, move, home, index = ab.label, ab._move, ab._home, len(ab.labels)
+    least: dict = {}  # the least element of T in each H'-coset it meets
+    reached = {home}
     for t in sorted(T):
-        least.setdefault(labels[t], t)
-    steps = list(least.values())
-    reached = {0}
-    frontier = [0]
-    while frontier and len(reached) < len(reps):
-        new = []
-        for a in frontier:
-            a_then = _then(reps[a])
-            for b in steps:
-                c = labels[a_then(b)]
-                if c not in reached:
-                    reached.add(c)
-                    new.append(c)
-        frontier = new
-    fills = len(reached) == len(reps)
+        q = label(t)
+        if q not in least:
+            least[q] = t
+            if q not in reached:
+                reached = set(_orbit(home, least.values(), move))
+                if len(reached) == index:
+                    break
+    fills = len(reached) == index
     if fills:
         generated = subgroup
     else:

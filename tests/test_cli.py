@@ -468,11 +468,11 @@ def test_group_check_file_agrees_with_family(capsys):
     assert file_row == family_row
 
 
-def test_survey_negative_bound_is_empty_stream(capsys):
-    code, out, err = run_cli(capsys, "survey", "--coeff-bound", "-1")
-    assert code == 0
-    assert out == ""
-    assert "survey summary" in err
+def test_survey_negative_bound_exits_2(capsys):
+    code, out, err = run_cli(capsys, "survey", "--coeff-bound", "-3")
+    assert (code, out) == (2, "")
+    assert "bad configuration: coeff_bound must be >= 0" in err
+    assert "survey summary" not in err
 
 
 def test_survey_workers_pool_matches_sequential(capsys):
@@ -567,6 +567,19 @@ def test_max_closure_below_1_exits_2_not_3(capsys, ceiling):
     assert (code, out) == (2, "")
     assert "bad configuration: max_closure must be >= 1" in err
     assert "budget" not in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_max_enum_below_1_exits_2_before_any_search(capsys, monkeypatch, limit):
+    def no_computation(*args, **kwargs):
+        raise AssertionError("a computation was started")
+
+    monkeypatch.setattr(cubicfield, "maximal_order", no_computation)
+    code, out, err = run_cli(
+        capsys, "field-analyze", "x^3-x-1", "--witnesses", "--max-enum", limit
+    )
+    assert (code, out) == (2, "")
+    assert "bad configuration: max_enum must be >= 1" in err
 
 
 def test_census_prime_bound_above_the_cap_exits_2_before_any_sieve(capsys, monkeypatch):

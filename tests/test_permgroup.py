@@ -14,8 +14,13 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import AlternatingGroup, CyclicGroup, DihedralGroup, SymmetricGroup
+from sympy.combinatorics import Permutation as SympyPerm
+from sympy.combinatorics import PermutationGroup as SympyPermGroup
+from sympy.combinatorics.galois import S5TransitiveSubgroups
 
 import groupcorpus
+import groupref
 from polyakit import (
     GroupTooLargeError,
     PermGroup,
@@ -479,16 +484,14 @@ def test_derived_subgroup_a4_is_klein():
 
 
 def _coset_labels(group, normal):
-    """Label every element of `group` with its coset modulo the normal
-    subgroup `normal`, label 0 being `normal`, and keep one
-    representative per label: the oracle for `Abelianization.labels`."""
-    labels, reps = {}, []
-    for x in (group.identity, *group.elements):
+    """Label every element of `group` with the first element listed of
+    its coset modulo the normal subgroup `normal`: the oracle for the
+    classes of `Abelianization.label`."""
+    labels = {}
+    for x in group.elements:
         if x not in labels:
-            for d in normal.elements:
-                labels[compose(x, d)] = len(reps)
-            reps.append(x)
-    return labels, reps
+            labels.update(dict.fromkeys((compose(x, d) for d in normal.elements), x))
+    return labels
 
 
 def test_abelianization_is_built_once_per_group(monkeypatch):
@@ -507,7 +510,62 @@ def test_abelianization_is_built_once_per_group(monkeypatch):
     assert report.holds and ab.group.invariant_factors == (2,)
     for name, g, h in groupcorpus.corpus():
         ab = abelianization(h)
-        assert (ab.labels, ab.reps) == _coset_labels(h, ab.hprime), name
+        classes = {}
+        for x in h.elements:
+            classes.setdefault(ab.label(x), set()).add(x)
+        oracle = {}
+        for x, first in _coset_labels(h, ab.hprime).items():
+            oracle.setdefault(first, set()).add(x)
+        assert tuple(sorted(classes)) == ab.labels, name
+        assert sorted(map(sorted, classes.values())) == sorted(map(sorted, oracle.values())), name
+
+
+def test_abelianization_lists_no_element_of_hprime():
+    """The generation test and the presentation of H/H' read H'-cosets
+    through the chains of H and H': on S8 and its point stabilizer,
+    H' = A7 is never listed."""
+    G = symmetric_group(8)
+    H = point_stabilizer(G, 7)
+    assert check_condition_2B(G, H).holds
+    ab = abelianization(H)
+    assert ab.group.invariant_factors == (2,)
+    assert ab.hprime._elements is None
+
+
+def test_project_rejects_what_is_not_in_H_on_both_label_paths():
+    """An element of G outside H and a tuple of the wrong length raise,
+    whether the H'-cosets are labelled by points (S3 on 5 points, whose
+    H' = <(1 2 3)> is the stabilizer of the point 4) or by `_coset_key`
+    (S7 inside S8)."""
+    s3 = group_closure(5, [from_cycles(5, [[0, 1, 2]]), from_cycles(5, [[0, 1], [3, 4]])])
+    s7 = point_stabilizer(symmetric_group(8), 7)
+    for h, outside, by_point in (
+        (s3, from_cycles(5, [[0, 1]]), True),
+        (s7, from_cycles(8, [[6, 7]]), False),
+    ):
+        ab = abelianization(h)
+        assert isinstance(ab.labels[0], int) == by_point
+        assert ab.project(h.identity) == ab.group.identity()
+        for p in (outside, h.identity[:-1], h.identity + (h.degree,)):
+            with pytest.raises(ValueError, match="not in the subgroup"):
+                ab.project(p)
+
+
+def test_group_equality_reads_the_chain():
+    """Two groups are equal iff their element sets are, and comparing or
+    hashing them lists neither."""
+    pairs = groupcorpus.corpus_with_degree8()
+    groups = [x for _, g, h in pairs for x in (g, h)]
+    fresh = [PermGroup(x.degree, x.generators, x._levels) for x in groups]
+    equal = [[a == b for b in fresh] for a in fresh]
+    for a, row in zip(fresh, equal):
+        for b, same in zip(fresh, row):
+            assert not same or hash(a) == hash(b)
+    assert all(x._elements is None for x in fresh)
+    for a, row in zip(groups, equal):
+        for b, same in zip(groups, row):
+            assert same == (a.degree == b.degree and a.elements == b.elements)
+    assert any(same for i, row in enumerate(equal) for j, same in enumerate(row) if i != j)
 
 
 def test_abelianization_leaves_no_reference_cycle():
@@ -548,6 +606,46 @@ def test_condition_agrees_with_the_decision_in_the_presented_quotient():
         ab = abelianization(h)
         classes = {ab.project(t) for t in rep.T}
         assert rep.holds == (bool(rep.T) and ab.group.subgroup(classes).is_full()), name
+
+
+def _polyakit_report(g, h) -> dict:
+    return {
+        "order_H": h.order,
+        "size_T": len(compute_T(g, h)),
+        "condition_2B": check_condition_2B(g, h).holds,
+        "invariant_factors": abelianization(h).group.invariant_factors,
+    }
+
+
+def test_families_match_the_sympy_reference():
+    """group-check's |H|, |T| and criterion, and H/H', on S, A, D, C for
+    n = 3..8 and F20, against sympy's own constructions of the families
+    (labelled its own way: each is transitive, so every point stabilizer
+    gives the same answers)."""
+    families = {
+        "S": SymmetricGroup, "A": AlternatingGroup, "D": DihedralGroup, "C": CyclicGroup,
+    }
+    cases = [(f"{x}{n}", build(n)) for x, build in families.items() for n in range(3, 9)]
+    cases.append(("F20", S5TransitiveSubgroups.M20.get_perm_group()))
+    for name, ref_group in cases:
+        g = family_group(name)
+        h = point_stabilizer(g, g.degree - 1)
+        ref = groupref.stabilizer_report(ref_group, ref_group.degree - 1)
+        assert _polyakit_report(g, h) == ref, name
+
+
+def test_corpus_stabilizer_pairs_match_the_sympy_reference():
+    for name, g, h in groupcorpus.corpus_with_degree8():
+        if "/stab" in name:
+            ref_group = SympyPermGroup([SympyPerm(list(x)) for x in g.generators])
+            ref = groupref.stabilizer_report(ref_group, g.degree - 1)
+            assert _polyakit_report(g, h) == ref, name
+
+
+def test_sympy_invariant_factors_from_primary_invariants():
+    assert groupref.invariant_factors([]) == ()
+    assert groupref.invariant_factors([2, 4, 3]) == (2, 12)
+    assert groupref.invariant_factors([3, 2, 2, 9, 5]) == (6, 90)
 
 
 def test_derived_subgroup_matches_allpairs_oracle():
