@@ -37,6 +37,11 @@ is valued with one cached kernel (cubicfield.valuation_kernel: the
 rows of the multiplier tau that factor_prime read off the ring's form,
 with tau*P in p*O), and the valuation of the last one follows from the
 norm, with no kernel.
+
+Po(K), Po(K)_nr and Po(K)_nr1 come from one walk over the primes
+(`polya_group`): the classes of the Pi_{p^f} above each prime are found
+once and given to every variant that still takes that prime, so no
+class is searched for twice and nothing is cached between walks.
 """
 
 from __future__ import annotations
@@ -95,7 +100,6 @@ class ClassGroupData:
     mb: Fraction
     budget: int
     certified_trivial: bool
-    _expr_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -409,10 +413,6 @@ def prime_class_vector(
     known = data.classes.get(prime.label)
     if known is not None:
         return known
-    key = prime.hnf
-    cached = data._expr_cache.get(key)
-    if cached is not None:
-        return cached
 
     # the target prime is the extra column k; every y below lies in it
     k = len(data.fb)
@@ -426,9 +426,7 @@ def prime_class_vector(
             if row[k] != 1:
                 continue
             # (y) = prime * prod fb^row  =>  [prime] = -sum row
-            coords = data.snf.neg(data.snf.project(row[:k]))
-            data._expr_cache[key] = coords
-            return coords
+            return data.snf.neg(data.snf.project(row[:k]))
     raise SearchBudgetExceededError(
         f"could not express the class of the norm-{prime.norm} prime over {prime.p} "
         f"within shell {EXPRESSION_MAX_SHELL}"
@@ -466,10 +464,9 @@ def pi_class_map(
 
 @dataclass
 class PolyaResult:
-    """Subgroup of the class group generated by the selected split
+    """Subgroup of the class group generated by one variant's split
     products, with the contributing (p, f) witnesses."""
 
-    variant: str
     subgroup: Subgroup
     used: list[tuple[int, int, tuple[int, ...]]]
     processed_bound: int
@@ -480,57 +477,54 @@ def polya_group(
     order: MaximalOrder,
     cl: ClassGroupData,
     prime_bound: int = DEFAULT_PRIME_BOUND,
-    variant: str = "all",
-) -> PolyaResult:
-    """Subgroup of Cl(K) generated by the classes of Pi_{p^f} for
-    p <= prime_bound, filtered by variant:
+) -> dict[str, PolyaResult]:
+    """Po(K), Po(K)_nr and Po(K)_nr1: the subgroups of Cl(K) generated
+    by the classes of Pi_{p^f} for p <= prime_bound, keyed by variant:
 
     - "all": every prime, ramified included;
     - "nr": only p not dividing disc_K;
     - "nr1": additionally only f = 1.
 
-    Processing stops early once the subgroup reaches the whole class
-    group (more generators cannot change it); `full_at` records the
-    prime at which that happened (0 when the class group is trivial).
+    One walk over the primes asks pi_class_map once for each prime that
+    a variant still takes, and gives the classes to every such variant.
+    A variant stops taking primes once its subgroup reaches the whole
+    class group (more generators cannot change it); its `full_at`
+    records the prime at which that happened (0 when the class group is
+    trivial).  At every prime nr1's generators are among nr's, and nr's
+    among all's, so the walk ends when nr1 fills, or at the bound.
     Primes are sieved only as far as they are taken
     (iter_primes_up_to), and none is taken when Cl is trivial.
     """
     if prime_bound < 2:
         raise ValueError("prime_bound must be >= 2")
-    if variant not in ("all", "nr", "nr1"):
-        raise ValueError(f"unknown variant {variant!r}")
     amb = cl.snf
-    gens: list[tuple[int, ...]] = []
-    sub = amb.subgroup(gens)
-    used: list[tuple[int, int, tuple[int, ...]]] = []
-    full_at: Optional[int] = 0 if sub.is_full() else None
-    primes = iter_primes_up_to(prime_bound) if full_at is None else ()
-    for p in primes:
+    trivial = amb.subgroup([])
+    results = {v: PolyaResult(trivial, [], prime_bound, None) for v in ("all", "nr", "nr1")}
+    if trivial.is_full():
+        for res in results.values():
+            res.processed_bound = res.full_at = 0
+        return results
+    taking = list(results)  # the variants still taking primes
+    for p in iter_primes_up_to(prime_bound):
         ramified = order.disc_K % p == 0
-        if variant in ("nr", "nr1") and ramified:
+        askers = [v for v in taking if v == "all" or not ramified]
+        if not askers:
             continue
         classes = pi_class_map(order, cl, p)
-        grew = False
-        for f in sorted(classes):
-            if variant == "nr1" and f != 1:
-                continue
-            coords = classes[f]
-            if coords and any(coords):
-                used.append((p, f, coords))
-                gens.append(coords)
-                grew = True
-        if grew:
-            sub = amb.subgroup(gens)
-            if sub.is_full():
-                full_at = p
-                break
-    return PolyaResult(
-        variant=variant,
-        subgroup=sub,
-        used=used,
-        processed_bound=full_at if full_at is not None else prime_bound,
-        full_at=full_at,
-    )
+        for v in askers:
+            res = results[v]
+            new = [
+                (p, f, c) for f, c in sorted(classes.items()) if any(c) and (v != "nr1" or f == 1)
+            ]
+            if new:
+                res.used += new
+                res.subgroup = amb.subgroup([coords for _, _, coords in res.used])
+                if res.subgroup.is_full():
+                    res.processed_bound = res.full_at = p
+                    taking.remove(v)
+        if not taking:
+            break
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -597,13 +591,11 @@ def verify_main_theorem(
     if order.poly.is_galois():
         raise ValueError("verify_main_theorem applies to non-Galois cubics")
     cl = class_group(order, budget=budget)
-    po = polya_group(order, cl, prime_bound, "all")
-    po_nr = polya_group(order, cl, prime_bound, "nr")
-    po_nr1 = polya_group(order, cl, prime_bound, "nr1")
+    po = polya_group(order, cl, prime_bound)
     eq = {
-        "cl_eq_po": po.subgroup.is_full(),
-        "po_eq_po_nr": po.subgroup == po_nr.subgroup,
-        "po_nr_eq_po_nr1": po_nr.subgroup == po_nr1.subgroup,
+        "cl_eq_po": po["all"].subgroup.is_full(),
+        "po_eq_po_nr": po["all"].subgroup == po["nr"].subgroup,
+        "po_nr_eq_po_nr1": po["nr"].subgroup == po["nr1"].subgroup,
     }
     eq["all_equal"] = all(eq.values())
     status = "verified" if eq["all_equal"] else f"undetermined at bound {prime_bound}"
@@ -628,11 +620,7 @@ def verify_main_theorem(
         minkowski_bound=str(cl.mb),
         class_invariants=list(cl.snf.invariant_factors),
         class_generators=gens,
-        variants={
-            "all": _variant_payload(po),
-            "nr": _variant_payload(po_nr),
-            "nr1": _variant_payload(po_nr1),
-        },
+        variants={v: _variant_payload(res) for v, res in po.items()},
         equalities=eq,
         status=status,
         harvest_budget=cl.budget,

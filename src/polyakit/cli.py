@@ -188,8 +188,11 @@ def _cmd_field_analyze(args) -> int:
 
 
 def _collect_witnesses(order, args) -> list[dict]:
-    """Generators for the split-product ideals whose class is trivial,
-    where the bounded search finds one."""
+    """A generator of each split-product ideal Pi_{p^f} with
+    p <= min(prime_bound, 50) that the bounded principality search finds
+    one for.  Every such ideal is searched, whatever its class; an ideal
+    whose search region holds more than max_enum points is left out, as
+    is one the search finds no generator of."""
     out = []
     for p, f, ideal in cubicfield.split_products(order, min(args.prime_bound, 50)):
         try:

@@ -116,18 +116,6 @@ def _trial_divide(n: int) -> tuple[dict[int, int], int]:
     return out, n
 
 
-def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| (n != 0) as {prime: exponent}."""
-    out, n = _trial_divide(n)
-    if n > 1 and is_prime(n):
-        out[n] = 1
-    elif n > 1:
-        from sympy import factorint
-
-        out.update((int(q), int(e)) for q, e in factorint(n).items())
-    return dict(sorted(out.items()))
-
-
 def _square_primes(n: int) -> list[int]:
     """The primes whose square divides n != 0, in increasing order.  This
     is a budget: the cofactor left by trial division must be 1, a prime
@@ -859,19 +847,27 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
 
 def pi_ideal(order: MaximalOrder, q: int) -> IntegralIdeal:
     """Product of all maximal ideals of norm exactly q; the unit ideal
-    when q is not a prime power <= cube of a prime or no prime has that
-    norm (the empty product convention)."""
+    when q is not p, p^2 or p^3 for a prime p, or no prime has that norm
+    (the empty product convention).  q is never factored: p is its
+    exact integer square or cube root, or q itself."""
     if q < 1:
         raise ValueError("q must be positive")
-    if q == 1:
-        return IntegralIdeal.unit()
-    fac = factor_int(q)
-    if len(fac) != 1:
-        return IntegralIdeal.unit()
-    (p, f), = fac.items()
-    if f > 3:
-        return IntegralIdeal.unit()
-    return _degree_product(order, factor_prime(order, p), f)
+    for f in (1, 2, 3):
+        p = _integer_root(q, f)
+        if p**f == q and is_prime(p):
+            return _degree_product(order, factor_prime(order, p), f)
+    return IntegralIdeal.unit()
+
+
+def _integer_root(n: int, k: int) -> int:
+    """The integer k-th root floor(n^(1/k)) of n >= 1, by Newton's
+    iteration from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _degree_product(order: MaximalOrder, primes, f: int) -> IntegralIdeal:

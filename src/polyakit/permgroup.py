@@ -794,23 +794,23 @@ def check_condition_2B(
     Computes T and the derived subgroup H', then decides <T, H'> = H in
     H/H' without closing <T, H'> as permutations: H' is normal in H and
     lies in <T, H'>, so the two are equal iff T's cosets generate H/H'.
-    The H'-cosets are the labels of `abelianization(H)`.  Scanning T in
-    order, the least element of T in each coset it meets is kept, and the
-    cosets reached from H' by those kept so far are recomputed whenever a
-    kept one lies outside them, until they fill H/H'; H' is never
-    listed.  `generated` is then H itself, or else the union of the
-    H'-cosets reached, generated by the generators of H' and the least
-    element of T in each coset T meets; either way its element set is
-    <T, H'>.  holds() iff T is nonempty and <T, H'> is all of H.
+    The H'-cosets are the labels of `abelianization(H)`.  Scanning T
+    unsorted, the least element met so far in each coset is kept, and the
+    cosets reached from H' by the kept ones are recomputed whenever a
+    coset outside them is met, until they fill H/H'; H' is never listed.
+    `generated` is then H itself, or else, T scanned whole, the union of
+    the H'-cosets reached, generated by the generators of H' and the
+    least element of T in each coset T meets, in increasing order; its
+    element set is <T, H'>.  holds() iff T is nonempty and <T, H'> = H.
     """
     if action is None:
         action = coset_action(group, subgroup)
     T = compute_T(group, subgroup, action)
     ab = abelianization(subgroup)
     label, move, home, index = ab.label, ab._move, ab._home, len(ab.labels)
-    least: dict = {}  # the least element of T in each H'-coset it meets
+    least: dict = {}  # the least element of T met so far in each H'-coset
     reached = {home}
-    for t in sorted(T):
+    for t in T:
         q = label(t)
         if q not in least:
             least[q] = t
@@ -818,11 +818,13 @@ def check_condition_2B(
                 reached = set(_orbit(home, least.values(), move))
                 if len(reached) == index:
                     break
+        elif t < least[q]:
+            least[q] = t
     fills = len(reached) == index
     if fills:
         generated = subgroup
     else:
-        gens = ab.hprime.generators + tuple(least.values())
+        gens = ab.hprime.generators + tuple(sorted(least.values()))
         generated = _generated(
             group.degree, gens, subgroup.order, gens, len(reached) * ab.hprime.order
         )

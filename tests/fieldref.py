@@ -14,12 +14,14 @@ quantities that polyakit computes another way.
 - `rref_mod_p`, `kernel_mod_p` and `multiplier_rows`: a prime's
   multiplier tau found by linear algebra over GF(p), not read off the
   form, and the valuation rows built from it.
+- `polya_walk`: one Polya variant's subgroup from its own walk over the
+  primes, as (subgroup, used, processed_bound, full_at).
 """
 
 import itertools
 
-from polyakit import modpoly
-from polyakit.cubicfield import IntegralIdeal, ideal_product, mul_power
+from polyakit import classgroup, modpoly
+from polyakit.cubicfield import IntegralIdeal, ideal_product, iter_primes_up_to, mul_power
 from polyakit.intlinalg import det3, hnf_rows, lattice_lines
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -192,3 +194,34 @@ def multiplier_rows(order, p, hnf):
     eqs = [[prod[i][k] for i in range(3)] for prod in prods for k in range(3)]
     tau = kernel_mod_p(eqs, 3, p)[0]
     return tuple(order.omega_mul(e, tau) for e in _UNITS)
+
+
+def polya_walk(order, cl, prime_bound, variant):
+    """The subgroup of Cl generated by the classes of Pi_{p^f} for
+    p <= prime_bound, each variant walking the primes on its own: "all"
+    takes every prime, "nr" only p not dividing disc_K, "nr1" only those
+    and only f = 1.  The walk stops once the subgroup is all of Cl;
+    full_at is that prime (0 when Cl is trivial), processed_bound is
+    full_at or else prime_bound."""
+    amb = cl.snf
+    gens, used = [], []
+    sub = amb.subgroup(gens)
+    full_at = 0 if sub.is_full() else None
+    for p in iter_primes_up_to(prime_bound) if full_at is None else ():
+        if variant != "all" and order.disc_K % p == 0:
+            continue
+        classes = classgroup.pi_class_map(order, cl, p)
+        grew = False
+        for f in sorted(classes):
+            if variant == "nr1" and f != 1:
+                continue
+            if any(classes[f]):
+                used.append((p, f, classes[f]))
+                gens.append(classes[f])
+                grew = True
+        if grew:
+            sub = amb.subgroup(gens)
+            if sub.is_full():
+                full_at = p
+                break
+    return sub, used, full_at if full_at is not None else prime_bound, full_at

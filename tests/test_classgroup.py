@@ -11,12 +11,14 @@ import json
 import random
 from functools import lru_cache
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyakit import (
+    AbelianGroupSNF,
     CubicPoly,
     IntegralIdeal,
     ReduciblePolynomialError,
@@ -47,7 +49,7 @@ from polyakit.cubicfield import (
 )
 from polyakit.intlinalg import hnf_rows
 
-from fieldref import lattice_points
+from fieldref import lattice_points, polya_walk
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
 
@@ -233,9 +235,9 @@ def test_pi_class_map_product_identity(orders):
 def test_polya_group_variants_witness(orders):
     order = orders["x^3+4x-1"]
     cl = class_group(order)
-    po = polya_group(order, cl, 200, "all")
-    po_nr = polya_group(order, cl, 200, "nr")
-    po_nr1 = polya_group(order, cl, 200, "nr1")
+    walk = polya_group(order, cl, 200)
+    assert list(walk) == ["all", "nr", "nr1"]
+    po, po_nr, po_nr1 = walk.values()
     assert po.subgroup.is_full()
     assert po_nr.subgroup.is_full()
     assert po_nr1.subgroup.is_full()
@@ -248,8 +250,7 @@ def test_polya_group_variants_witness(orders):
 def test_polya_group_trivial_class_group(orders):
     order = orders["x^3-2"]
     cl = class_group(order)
-    for variant in ("all", "nr", "nr1"):
-        res = polya_group(order, cl, 50, variant)
+    for res in polya_group(order, cl, 50).values():
         assert res.subgroup.is_full()
         assert res.full_at == 0
         assert res.used == []
@@ -259,9 +260,7 @@ def test_polya_group_validates_arguments(orders):
     order = orders["x^3-2"]
     cl = class_group(order)
     with pytest.raises(ValueError):
-        polya_group(order, cl, 1, "nr1")
-    with pytest.raises(ValueError):
-        polya_group(order, cl, 50, "weird")
+        polya_group(order, cl, 1)
 
 
 def test_verify_main_theorem_h1(orders):
@@ -329,8 +328,7 @@ def test_polya_group_takes_no_prime_when_cl_is_trivial(orders, monkeypatch):
     monkeypatch.setattr(classgroup, "iter_primes_up_to", no_primes)
     order = orders["x^3-2"]
     cl = class_group(order)
-    for variant in ("all", "nr", "nr1"):
-        res = polya_group(order, cl, 10**9, variant)
+    for res in polya_group(order, cl, 10**9).values():
         assert res.full_at == 0 and res.processed_bound == 0 and res.used == []
 
 
@@ -344,8 +342,104 @@ def test_polya_group_stops_taking_primes_once_full(orders, monkeypatch):
 
     monkeypatch.setattr(classgroup, "iter_primes_up_to", recording)
     order = orders["x^3+4x-1"]
-    res = polya_group(order, class_group(order), 10**9)
+    res = polya_group(order, class_group(order), 10**9)["nr1"]
     assert res.full_at is not None and taken[-1] == res.full_at
+
+
+def _recording_pi_class_map(monkeypatch):
+    """Patch classgroup.pi_class_map to record each prime it is asked."""
+    asked = []
+    real = classgroup.pi_class_map
+
+    def recording(order, cl, p):
+        asked.append(p)
+        return real(order, cl, p)
+
+    monkeypatch.setattr(classgroup, "pi_class_map", recording)
+    return asked
+
+
+@pytest.mark.parametrize("s", ["x^3+4x-1", "x^3+8x-6", "-12,-10,-1"])
+def test_polya_group_asks_each_prime_once(s, monkeypatch):
+    """verify_main_theorem walks the primes once: each prime reaches
+    pi_class_map at most once, and exactly the primes some variant still
+    takes do: every p up to all's full_at, and the unramified p up to
+    nr1's.  In x^3+8x-6, all fills at 2 and nr at 17."""
+    order = _order_of(s)
+    asked = _recording_pi_class_map(monkeypatch)
+    rep = verify_main_theorem(order, prime_bound=200)
+    assert len(asked) == len(set(asked)), asked
+    full = {v: payload["full_at"] for v, payload in rep.variants.items()}
+    assert asked == [
+        p
+        for p in primes_up_to(full["nr1"])
+        if p <= full["all"] or order.disc_K % p
+    ]
+    if s == "x^3+8x-6":
+        assert (full["all"], full["nr"]) == (2, 17)
+
+
+def test_polya_group_variants_fill_at_three_primes(monkeypatch):
+    """A scripted class map over Cl = (Z/2)^2 with 2 and 3 ramified:
+    all fills at 3 from the ramified primes, nr at 5 from a degree-2
+    class, nr1 at 11; the zero class at 7 is no generator, and 13 is
+    never asked."""
+    script = {
+        2: {1: (1, 0)},
+        3: {1: (0, 1)},
+        5: {1: (1, 0), 2: (0, 1)},
+        7: {1: (0, 0), 2: (1, 1)},
+        11: {1: (1, 1)},
+    }
+    asked = []
+
+    def scripted(order, cl, p):
+        asked.append(p)
+        return script[p]
+
+    monkeypatch.setattr(classgroup, "pi_class_map", scripted)
+    order = SimpleNamespace(disc_K=-6)
+    cl = SimpleNamespace(snf=AbelianGroupSNF((2, 2)))
+    walk = polya_group(order, cl, 200)
+    assert asked == [2, 3, 5, 7, 11]
+    want = {
+        "all": ([(2, 1, (1, 0)), (3, 1, (0, 1))], 3),
+        "nr": ([(5, 1, (1, 0)), (5, 2, (0, 1))], 5),
+        "nr1": ([(5, 1, (1, 0)), (11, 1, (1, 1))], 11),
+    }
+    for v, (used, full_at) in want.items():
+        res = walk[v]
+        assert res.subgroup.is_full(), v
+        assert (res.used, res.full_at, res.processed_bound) == (used, full_at, full_at), v
+    assert walk["all"].full_at <= walk["nr"].full_at <= walk["nr1"].full_at
+
+
+def test_polya_group_matches_the_per_variant_walks():
+    """The one walk gives each variant the subgroup, witnesses and
+    bounds of that variant's own walk (fieldref.polya_walk), on a
+    seeded slice of non-Galois fields with |a_i| <= 24 and nontrivial
+    class group."""
+    rng = random.Random(2701)
+    checked = 0
+    while checked < 12:
+        try:
+            poly = CubicPoly(*(rng.randint(-24, 24) for _ in range(3)))
+        except ReduciblePolynomialError:
+            continue
+        if poly.is_galois():
+            continue
+        order = maximal_order(poly)
+        cl = class_group(order)
+        if not cl.invariant_factors:
+            continue
+        checked += 1
+        for bound in (7, 200):
+            walk = polya_group(order, cl, bound)
+            for v, res in walk.items():
+                want = polya_walk(order, cl, bound, v)
+                assert (res.subgroup, res.used, res.processed_bound, res.full_at) == want, (
+                    poly, bound, v
+                )
 
 
 def test_ostrowski_report_round_trip(orders):
@@ -375,9 +469,9 @@ def test_polya_group_galois_cubic_unramified_variants_trivial(orders):
     # unramified split products generate nothing
     order = orders["x^3-3x-1"]
     cl = class_group(order)
+    walk = polya_group(order, cl, 60)
     for variant in ("nr", "nr1"):
-        res = polya_group(order, cl, 60, variant)
-        assert res.subgroup.order == 1
+        assert walk[variant].subgroup.order == 1
 
 
 def test_class_group_budget_above_escalation_cap_still_runs(orders):

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -688,7 +689,7 @@ def _index_pairs():
     pairs = []
     for poly in filter(None, polys):
         O = maximal_order(poly)
-        pairs += [(O, p) for p in cubicfield.factor_int(O.index)]
+        pairs += [(O, p) for p in sorted(sympy.factorint(O.index))]
     return pairs
 
 
@@ -982,6 +983,35 @@ def test_pi_ideal_convention(orders):
     assert pi_ideal(O, 1).is_unit_ideal()
     assert pi_ideal(O, 16).is_unit_ideal()  # no prime of norm 2^4
     assert pi_ideal(O, 7**2).is_unit_ideal()  # 7 is inert: no norm-49 prime
+
+
+def test_pi_ideal_never_factors_q(orders, monkeypatch):
+    """A product of two primes above 10^20 is no prime power, and
+    pi_ideal says so from its integer roots, without factoring it."""
+
+    def no_factoring(n, *args, **kwargs):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(sympy, "factorint", no_factoring)
+    p, r = sympy.nextprime(10**20), sympy.nextprime(10**21)
+    O = orders["x^3-2"]
+    assert pi_ideal(O, p * r).is_unit_ideal()
+    assert pi_ideal(O, 5**2 * 7).is_unit_ideal()
+
+
+def test_pi_ideal_matches_factoring_q(orders):
+    """For every q <= 3000, pi_ideal agrees with the product of the
+    primes of norm q found by factoring q."""
+    for O in orders.values():
+        for q in range(1, 3001):
+            fac = sympy.factorint(q)
+            want = IntegralIdeal.unit()
+            if len(fac) == 1:
+                (p, f), = fac.items()
+                for prime in factor_prime(O, p):
+                    if prime.f == f:
+                        want = ideal_product(O, want, prime.as_integral())
+            assert pi_ideal(O, q) == want, (O.poly, q)
 
 
 def test_pi_ideal_x3_minus_2(orders):
