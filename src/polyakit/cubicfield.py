@@ -33,10 +33,13 @@ from .artin import SplittingType
 from .intlinalg import adj3, det3, hnf_rows, invert3, lattice_contains, lattice_lines
 
 DEFAULT_PRIME_BOUND = 200
-# factor_prime and the form p-steps try every residue for a root mod p
-# below this p and call modpoly.roots_mod_p from it on: both take
-# ~0.23 ms a cubic near p = 1400 (Python 3.11 on a 2-core x86-64 machine).
-_ROOT_SCAN_LIMIT = 1400
+# factor_prime tries every residue for a root mod p below this p and
+# calls modpoly.roots_mod_p from it on: both take ~23 us a random cubic
+# near p = 160; the scan grows linearly to ~240 us at p = 1400, where
+# roots_mod_p takes ~30 us (Python 3.11 on a 2-core x86-64 machine).
+_ROOT_SCAN_LIMIT = 160
+# Miller-Rabin on the first 13 prime bases is a proof of primality below this
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # exponents of c0, c1, c2 in the monomial order of MaximalOrder.norm_form
 _MONOMIALS = (
@@ -92,12 +95,31 @@ def iter_primes_up_to(n: int):
 
 
 def is_prime(n: int) -> bool:
-    """Trial division below 10^10, sympy's test from there on."""
-    if n >= 10**10:
+    """Trial division below 10^10, then a Miller-Rabin test on the first
+    13 prime bases, which no composite below _MILLER_RABIN_LIMIT passes
+    (Sorenson and Webster 2015), and sympy's test from that limit on."""
+    if n < 10**10:
+        return n == 2 or (n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2)))
+    if n >= _MILLER_RABIN_LIMIT:
         from sympy import isprime
 
         return isprime(n)
-    return n == 2 or (n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2)))
+    if not n % 2:
+        return False
+    d, s = n - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _trial_divide(n: int) -> tuple[dict[int, int], int]:
@@ -124,12 +146,12 @@ def _square_primes(n: int) -> list[int]:
     SearchBudgetExceededError."""
     out, m = _trial_divide(n)
     if m > 1 and not is_prime(m):
-        from sympy import perfect_power
-
-        base, e = perfect_power(m) or (m, 1)
-        if not is_prime(int(base)):
+        # m = q^e with every prime factor above 10^5 > 2^16, so 16e < log2(m)
+        e = next((e for e in range(m.bit_length() // 16, 1, -1) if _integer_root(m, e) ** e == m), 1)
+        base = _integer_root(m, e)
+        if e == 1 or not is_prime(base):
             raise SearchBudgetExceededError(f"discriminant cofactor {m} is not a prime power")
-        out[int(base)] = int(e)
+        out[base] = e
     return sorted(p for p, e in out.items() if e >= 2)
 
 
@@ -510,18 +532,25 @@ def _canonical_lattice(den: int, rows) -> tuple[int, tuple[tuple[int, int, int],
 
 def _double_root(form, p: int) -> Optional[int]:
     """The r of the root (r:1) of multiplicity >= 2 mod p of the binary
-    cubic form (a, b, c, d), or None: a common root of F(x, 1) and its
-    derivative, scanned for below _ROOT_SCAN_LIMIT and from it on taken
-    from their gcd by modpoly.roots_mod_p."""
+    cubic form (a, b, c, d), one of a, b a unit mod p, or None.  Such a
+    root is the double root of the Hessian (b^2 - 3ac, bc - 9ad,
+    c^2 - 3bd), r = -(bc - 9ad) / (2(b^2 - 3ac)), when b^2 - 3ac is a
+    unit; otherwise the Hessian vanishes and F = a(x - r)^3 has
+    r = -b/(3a), or r = -d/a at p = 3, where F = a(x^3 - r).  At p = 2
+    both residues are tried.  A candidate stands only if F(r) and F'(r)
+    vanish mod p."""
     a, b, c, d = form
-    if p < _ROOT_SCAN_LIMIT:
-        for r in range(p):
-            if not (((a * r + b) * r + c) * r + d) % p and not ((3 * a * r + 2 * b) * r + c) % p:
-                return r
-        return None
-    common = modpoly.pgcd(modpoly.pnorm((d, c, b, a), p), modpoly.pnorm((c, 2 * b, 3 * a), p), p)
-    roots = modpoly.roots_mod_p(common, p) if modpoly.pdeg(common) > 0 else []
-    return roots[0] if roots else None
+    h = (b * b - 3 * a * c) % p
+    if p == 2:
+        candidates = (0, 1)
+    elif h:
+        candidates = (-(b * c - 9 * a * d) * pow(2 * h, -1, p) % p,)
+    else:
+        candidates = (-(d if p == 3 else b * pow(3, -1, p)) * pow(a, -1, p) % p,)
+    for r in candidates:
+        if not (((a * r + b) * r + c) * r + d) % p and not ((3 * a * r + 2 * b) * r + c) % p:
+            return r
+    return None
 
 
 def _p_step(form, mobius, p: int):
@@ -991,27 +1020,36 @@ def splitting_census(
     """Tally of splitting patterns over all unramified p <= prime_bound,
     as {pattern: (count, frequency)}; frequencies sum to 1.
 
-    The pattern only needs the number of distinct roots of the form F of
-    the order on P^1(F_p) (no root extraction): those of F(x, 1), plus
-    (1:0) when p divides its leading coefficient.  That keeps a bound of
-    10^4 fast, index primes included.
+    No root is extracted.  The form F = (a, b, c, d) of the order has
+    discriminant disc_K, so at an odd unramified p Stickelberger's
+    theorem gives the pattern 1+2 exactly when (disc_K/p) = -1.
+    Otherwise F splits or is irreducible mod p: it splits when p | a,
+    the root (1:0) being fixed by Frobenius, and else exactly when
+    x^p = x modulo F(x, 1)/a.  At p = 2 the roots on P^1(F_2) are
+    counted.
     """
     if prime_bound < 2:
         raise ValueError("prime_bound must be >= 2")
-    a, fx = order.form[0], order.form[::-1]  # fx: F(x, 1), low degree first
+    a, b, c, d = order.form
     counts: dict[SplittingType, int] = {}
-    total = 0
-    split = SplittingType.from_cycle_lengths([1, 1, 1])
-    mixed = SplittingType.from_cycle_lengths([1, 2])
-    inert = SplittingType.from_cycle_lengths([3])
-    by_roots = {0: inert, 1: mixed, 3: split}
+    split, mixed, inert = map(SplittingType.from_cycle_lengths, ([1, 1, 1], [1, 2], [3]))
     for p in primes_up_to(prime_bound):
-        if order.disc_K % p == 0:
+        disc = order.disc_K % p
+        if not disc:
             continue  # ramified
-        r = modpoly.distinct_root_count(fx, p) + (a % p == 0)
-        assert r != 2, "unramified cubic cannot have exactly 2 distinct roots"
-        counts[by_roots[r]] = counts.get(by_roots[r], 0) + 1
-        total += 1
+        if p == 2:
+            roots = (d % 2 == 0) + ((a + b + c + d) % 2 == 0) + (a % 2 == 0)
+            t = {0: inert, 1: mixed, 3: split}[roots]
+        elif pow(disc, (p - 1) // 2, p) == p - 1:
+            t = mixed
+        elif not a % p:
+            t = split
+        else:
+            inv = pow(a, -1, p)
+            xp = modpoly.shifted_power(0, p, b * inv % p, c * inv % p, d * inv % p, p)
+            t = split if xp == (0, 1, 0) else inert
+        counts[t] = counts.get(t, 0) + 1
+    total = sum(counts.values())
     return {
         t: (c, Fraction(c, total)) for t, c in sorted(counts.items())
     }

@@ -1,165 +1,114 @@
-"""Monic polynomial arithmetic over GF(p) for degree <= 3.
+"""Arithmetic over GF(p) modulo one monic cubic x^3 + u x^2 + v x + w.
 
-Polynomials are coefficient tuples, low degree first, always reduced
-mod p with no trailing zeros (the zero polynomial is ()).  Roots are
-counted by a gcd with x^p - x and extracted by equal-degree splitting
-with a deterministic shift sweep; multiplicities come from division.
-The consumers are in cubicfield, and every polynomial they pass is the
-binary cubic form F of an order, dehomogenized to F(x, 1) and not
-necessarily monic: `roots_mod_p` finds its roots for factor_prime and
-the double root of F for maximal_order's p-steps, both at large p
-(small p are scanned there), and `distinct_root_count` gives the
-splitting census its patterns.  `factor_monic_cubic` stays as the
-reference factorization of tests/fieldref.py and a layer that
-bench/tracer.py traces.
+A residue is a triple (r0, r1, r2), low degree first.  `shifted_power`
+computes (x + a)^e as a residue with the three coefficients of the cubic
+inlined, and serves every question asked of a cubic mod p: x^p, whose
+equality with x decides whether the cubic splits into distinct linear
+factors (the splitting census, in cubicfield), and the distinct roots
+(`roots_mod_p`): gcd(x^p - x, F) keeps the distinct linear factors, and
+equal-degree splitting with (x + a)^((p-1)/2) over a deterministic shift
+sweep separates them.  Reference: Cohen, GTM 138, section 3.4.
+
+`roots_mod_p` is what factor_prime calls at large p (small p are scanned
+there), on the order's binary cubic form F dehomogenized to F(x, 1), not
+necessarily monic.  `factor_monic_cubic` is built on it by synthetic
+division; nothing in the package calls it, and bench/tracer.py traces it
+as the cubic factoring layer.
 """
 
 from __future__ import annotations
 
 
-def pnorm(coeffs, p: int) -> tuple[int, ...]:
-    c = [a % p for a in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def shifted_power(a: int, e: int, u: int, v: int, w: int, p: int) -> tuple[int, int, int]:
+    """(x + a)^e modulo (x^3 + u x^2 + v x + w, p), as (r0, r1, r2), by
+    left-to-right binary powering."""
+    r0, r1, r2 = 1, 0, 0
+    for bit in bin(e)[2:]:
+        # square, then fold x^4 = -u x^3 - v x^2 - w x and x^3 = -u x^2 - v x - w
+        c4 = r2 * r2
+        c3 = 2 * r1 * r2 - u * c4
+        r0, r1, r2 = (
+            (r0 * r0 - w * c3) % p,
+            (2 * r0 * r1 - w * c4 - v * c3) % p,
+            (r1 * r1 + 2 * r0 * r2 - v * c4 - u * c3) % p,
+        )
+        if bit == "1":  # times x + a
+            r0, r1, r2 = (a * r0 - w * r2) % p, (r0 + a * r1 - v * r2) % p, (r1 + a * r2 - u * r2) % p
+    return r0, r1, r2
 
 
-def pdeg(a) -> int:
-    return len(a) - 1  # zero polynomial gets -1
+def _gcd(f, g, p: int) -> list[int]:
+    """Monic gcd over GF(p) of f != 0 and g, coefficient lists low degree first."""
+    f, g = _trim(f, p), _trim(g, p)
+    while g:
+        inv = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            c, shift = f[-1] * inv, len(f) - len(g)
+            f = _trim([x - c * g[i - shift] if i >= shift else x for i, x in enumerate(f)], p)
+        f, g = g, f
+    inv = pow(f[-1], -1, p)
+    return [x * inv % p for x in f]
 
 
-def psub(a, b, p):
-    n = max(len(a), len(b))
-    return pnorm([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)], p)
-
-
-def pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return pnorm(out, p)
-
-
-def pdivmod(a, b, p):
-    """Quotient and remainder; b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    binv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = (a[i + len(b) - 1] * binv) % p
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] = (a[i + j] - c * bj) % p
-    return pnorm(q, p), pnorm(a, p)
-
-
-def pmod(a, b, p):
-    return pdivmod(a, b, p)[1]
-
-
-def pgcd(a, b, p):
-    """Monic gcd."""
-    while b:
-        a, b = b, pmod(a, b, p)
-    if not a:
-        return ()
-    inv = pow(a[-1], -1, p)
-    return pnorm([c * inv for c in a], p)
-
-
-def ppowmod(base, e: int, mod, p: int):
-    """base^e modulo (mod, p) by binary powering."""
-    result = (1,)
-    base = pmod(base, mod, p)
-    while e:
-        if e & 1:
-            result = pmod(pmul(result, base, p), mod, p)
-        base = pmod(pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def pmonic(a, p):
-    if not a:
-        return ()
-    inv = pow(a[-1], -1, p)
-    return pnorm([c * inv for c in a], p)
-
-
-def _root_part(f, p: int):
-    """gcd(x^p - x, f) for f made monic mod p: the product of the
-    distinct linear factors of f over GF(p)."""
-    f = pmonic(pnorm(f, p), p)
-    if not f:
-        raise ValueError("zero polynomial")
-    xp = ppowmod((0, 1), p, f, p)
-    return pgcd(psub(xp, (0, 1), p), f, p)
-
-
-def distinct_root_count(f, p: int) -> int:
-    """Number of distinct roots of f in GF(p)."""
-    return pdeg(_root_part(f, p))
-
-
-def _split_roots(g, p: int) -> list[int]:
-    """All roots of a monic product of distinct linear factors, deg <= 3."""
-    d = pdeg(g)
-    if d <= 0:
-        return []
-    if d == 1:
-        return [(-g[0]) % p]
-    if p <= 3 or p <= 2 * d:
-        return [x for x in range(p) if _peval(g, x, p) == 0]
-    # equal-degree splitting: gcd((x+a)^((p-1)/2) - 1, g) over a shift sweep
-    for a in range(p):
-        h = ppowmod((a, 1), (p - 1) // 2, g, p)
-        h = pgcd(psub(h, (1,), p), g, p)
-        if 0 < pdeg(h) < d:
-            return sorted(_split_roots(h, p) + _split_roots(pdivmod(g, h, p)[0], p))
-    raise AssertionError("no separating shift found")  # unreachable for distinct roots
-
-
-def _peval(f, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
+def _trim(f, p: int) -> list[int]:
+    f = [x % p for x in f]
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
 def roots_mod_p(f, p: int) -> list[int]:
-    """Distinct roots of f in GF(p), sorted."""
-    return _split_roots(_root_part(f, p), p)
+    """Distinct roots in GF(p), sorted, of the polynomial f of degree <= 3
+    (coefficients low degree first, not all divisible by p)."""
+    f = _trim(f, p)
+    if not f:
+        raise ValueError("zero polynomial")
+    if p == 2:
+        return [x for x in (0, 1) if not sum(c * x**i for i, c in enumerate(f)) % 2]
+    # x^(3 - deg f) * f made monic: the roots of f, and 0
+    inv = pow(f[-1], -1, p)
+    w, v, u, _ = [0] * (4 - len(f)) + [c * inv % p for c in f]
+    r0, r1, r2 = shifted_power(0, p, u, v, w, p)
+    g = _gcd([w, v, u, 1], [r0, r1 - 1, r2], p)  # the distinct linear factors
+    roots, a = [], 0
+    while len(g) > 2:
+        h0, h1, h2 = shifted_power(a, (p - 1) // 2, u, v, w, p)
+        s = _gcd(g, [h0 - 1, h1, h2], p)  # the roots r of g with r + a a nonzero square
+        a += 1
+        if len(s) == 2:
+            r = -s[0] % p
+        elif len(s) == len(g) - 1:  # the one root left out, by the sum of the roots
+            r = (s[-2] - g[-2]) % p
+        else:
+            continue
+        roots.append(r)
+        g = _divide(g, r, p)[0]
+    if len(g) == 2:
+        roots.append(-g[0] % p)
+    return sorted(r for r in roots if r or not f[0])
+
+
+def _divide(g, r: int, p: int) -> tuple[list[int], int]:
+    """(g / (x - r), g(r)) for monic g, by synthetic division."""
+    q = [1]
+    for c in reversed(g[:-1]):
+        q.append((c + r * q[-1]) % p)
+    return q[-2::-1], q[-1]
 
 
 def factor_monic_cubic(f, p: int) -> list[tuple[tuple[int, ...], int]]:
     """Factor a monic cubic over GF(p) into monic irreducibles with
     multiplicities, sorted by (degree, coefficients)."""
-    f = pnorm(f, p)
-    if pdeg(f) != 3 or f[-1] != 1:
+    rem = _trim(f, p)
+    if len(rem) != 4 or rem[-1] != 1:
         raise ValueError("expected a monic cubic")
-    factors: list[tuple[tuple[int, ...], int]] = []
-    rem = f
-    for r in roots_mod_p(f, p):
-        lin = pnorm((-r, 1), p)
-        mult = 0
-        while True:
-            q, s = pdivmod(rem, lin, p)
-            if s:
-                break
+    factors = []
+    for r in roots_mod_p(rem, p):
+        mult, (q, rest) = 0, _divide(rem, r, p)
+        while not rest:
             rem, mult = q, mult + 1
-        factors.append((lin, mult))
-    d = pdeg(rem)
-    if d == 3:
-        factors.append((rem, 1))  # irreducible cubic: no roots at all
-    elif d == 2:
-        factors.append((rem, 1))  # rootless quadratic is irreducible
-    elif d != 0:
-        raise AssertionError("leftover linear factor escaped root finding")
-    return sorted(factors, key=lambda t: (pdeg(t[0]), t[0]))
+            q, rest = _divide(rem, r, p)
+        factors.append(((-r % p, 1), mult))
+    if len(rem) > 1:
+        factors.append((tuple(rem), 1))  # no roots left: irreducible
+    return sorted(factors, key=lambda t: (len(t[0]), t[0]))

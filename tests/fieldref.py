@@ -1,7 +1,13 @@
 """Reference arithmetic that only the tests use: independent routes to
 quantities that polyakit computes another way.
 
-- `padd`: the sum of two polynomials over GF(p).
+- `pnorm` to `factor_monic_cubic`: general polynomial arithmetic over
+  GF(p) for degree <= 3, coefficient tuples low degree first: distinct
+  roots through gcd(x^p - x, f) and equal-degree splitting, and the
+  factorization of a monic cubic; `padd`, the sum of two polynomials.
+- `census_by_root_count`: the splitting census from the number of
+  distinct roots of the order's form on P^1(F_p), found by that
+  general arithmetic.
 - `norm_power` and `power_sums`: norms and traces in the power basis.
 - `is_p_maximal_dedekind`: Dedekind's criterion for Z[theta] at p.
 - `poly_of_theta_omega`: g(theta) in integral-basis coordinates.
@@ -20,17 +26,166 @@ quantities that polyakit computes another way.
 
 import itertools
 
-from polyakit import classgroup, modpoly
-from polyakit.cubicfield import IntegralIdeal, ideal_product, iter_primes_up_to, mul_power
+from polyakit import classgroup
+from polyakit.artin import SplittingType
+from polyakit.cubicfield import IntegralIdeal, ideal_product, iter_primes_up_to, mul_power, primes_up_to
 from polyakit.intlinalg import det3, hnf_rows, lattice_lines
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def padd(a, b, p):
-    """a + b over GF(p), in modpoly's coefficient-tuple form."""
+def pnorm(coeffs, p: int) -> tuple[int, ...]:
+    c = [a % p for a in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def pdeg(a) -> int:
+    return len(a) - 1  # zero polynomial gets -1
+
+
+def psub(a, b, p):
     n = max(len(a), len(b))
-    return modpoly.pnorm(
+    return pnorm([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)], p)
+
+
+def pmul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return pnorm(out, p)
+
+
+def pdivmod(a, b, p):
+    """Quotient and remainder; b must be nonzero."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    binv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = (a[i + len(b) - 1] * binv) % p
+        if c:
+            q[i] = c
+            for j, bj in enumerate(b):
+                a[i + j] = (a[i + j] - c * bj) % p
+    return pnorm(q, p), pnorm(a, p)
+
+
+def pmod(a, b, p):
+    return pdivmod(a, b, p)[1]
+
+
+def pgcd(a, b, p):
+    """Monic gcd."""
+    while b:
+        a, b = b, pmod(a, b, p)
+    if not a:
+        return ()
+    inv = pow(a[-1], -1, p)
+    return pnorm([c * inv for c in a], p)
+
+
+def ppowmod(base, e: int, mod, p: int):
+    """base^e modulo (mod, p) by binary powering."""
+    result = (1,)
+    base = pmod(base, mod, p)
+    while e:
+        if e & 1:
+            result = pmod(pmul(result, base, p), mod, p)
+        base = pmod(pmul(base, base, p), mod, p)
+        e >>= 1
+    return result
+
+
+def pmonic(a, p):
+    if not a:
+        return ()
+    inv = pow(a[-1], -1, p)
+    return pnorm([c * inv for c in a], p)
+
+
+def _root_part(f, p: int):
+    """gcd(x^p - x, f) for f made monic mod p: the product of the
+    distinct linear factors of f over GF(p)."""
+    f = pmonic(pnorm(f, p), p)
+    if not f:
+        raise ValueError("zero polynomial")
+    xp = ppowmod((0, 1), p, f, p)
+    return pgcd(psub(xp, (0, 1), p), f, p)
+
+
+def distinct_root_count(f, p: int) -> int:
+    """Number of distinct roots of f in GF(p)."""
+    return pdeg(_root_part(f, p))
+
+
+def _split_roots(g, p: int) -> list[int]:
+    """All roots of a monic product of distinct linear factors, deg <= 3."""
+    d = pdeg(g)
+    if d <= 0:
+        return []
+    if d == 1:
+        return [(-g[0]) % p]
+    if p <= 3 or p <= 2 * d:
+        return [x for x in range(p) if _peval(g, x, p) == 0]
+    # equal-degree splitting: gcd((x+a)^((p-1)/2) - 1, g) over a shift sweep
+    for a in range(p):
+        h = ppowmod((a, 1), (p - 1) // 2, g, p)
+        h = pgcd(psub(h, (1,), p), g, p)
+        if 0 < pdeg(h) < d:
+            return sorted(_split_roots(h, p) + _split_roots(pdivmod(g, h, p)[0], p))
+    raise AssertionError("no separating shift found")  # unreachable for distinct roots
+
+
+def _peval(f, x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def roots_mod_p(f, p: int) -> list[int]:
+    """Distinct roots of f in GF(p), sorted."""
+    return _split_roots(_root_part(f, p), p)
+
+
+def factor_monic_cubic(f, p: int) -> list[tuple[tuple[int, ...], int]]:
+    """Factor a monic cubic over GF(p) into monic irreducibles with
+    multiplicities, sorted by (degree, coefficients)."""
+    f = pnorm(f, p)
+    if pdeg(f) != 3 or f[-1] != 1:
+        raise ValueError("expected a monic cubic")
+    factors: list[tuple[tuple[int, ...], int]] = []
+    rem = f
+    for r in roots_mod_p(f, p):
+        lin = pnorm((-r, 1), p)
+        mult = 0
+        while True:
+            q, s = pdivmod(rem, lin, p)
+            if s:
+                break
+            rem, mult = q, mult + 1
+        factors.append((lin, mult))
+    d = pdeg(rem)
+    if d == 3:
+        factors.append((rem, 1))  # irreducible cubic: no roots at all
+    elif d == 2:
+        factors.append((rem, 1))  # rootless quadratic is irreducible
+    elif d != 0:
+        raise AssertionError("leftover linear factor escaped root finding")
+    return sorted(factors, key=lambda t: (pdeg(t[0]), t[0]))
+
+
+def padd(a, b, p):
+    """a + b over GF(p), in pnorm's coefficient-tuple form."""
+    n = max(len(a), len(b))
+    return pnorm(
         [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)], p
     )
 
@@ -58,10 +213,10 @@ def is_p_maximal_dedekind(poly, p):
     f = [c % p for c in poly.coefficients()]
     gstar = (1,)
     hstar = (1,)
-    for g, e in modpoly.factor_monic_cubic(f, p):
-        gstar = modpoly.pmul(gstar, g, p)
+    for g, e in factor_monic_cubic(f, p):
+        gstar = pmul(gstar, g, p)
         for _ in range(e - 1):
-            hstar = modpoly.pmul(hstar, g, p)
+            hstar = pmul(hstar, g, p)
     # (integer lift of gstar * hstar - f) / p, mod p
     prod = [0] * (len(gstar) + len(hstar) - 1)
     for i, a in enumerate(gstar):
@@ -70,8 +225,8 @@ def is_p_maximal_dedekind(poly, p):
     big = [a - b for a, b in zip(prod + [0] * (4 - len(prod)), poly.coefficients())]
     assert all(c % p == 0 for c in big)
     F = tuple((c // p) % p for c in big)
-    d = modpoly.pgcd(modpoly.pgcd(F, gstar, p), hstar, p)
-    return modpoly.pdeg(d) <= 0
+    d = pgcd(pgcd(F, gstar, p), hstar, p)
+    return pdeg(d) <= 0
 
 
 def poly_of_theta_omega(order, coeffs):
@@ -104,11 +259,11 @@ def generic_factor_prime(order, p):
     assert order.index % p
     fbar = [c % p for c in order.poly.coefficients()]
     entries = []
-    for g, e in modpoly.factor_monic_cubic(fbar, p):
+    for g, e in factor_monic_cubic(fbar, p):
         gtheta = poly_of_theta_omega(order, g)
         rows = [[p * int(i == j) for j in range(3)] for i in range(3)]
         rows += [order.omega_mul(gtheta, u) for u in _UNITS]
-        entries.append((modpoly.pdeg(g), hnf_rows(rows, 3), tuple(g), e))
+        entries.append((pdeg(g), hnf_rows(rows, 3), tuple(g), e))
     entries.sort(key=lambda t: (t[0], t[1]))
     return [
         (p, f, e, mat, g, f"{p}{'abc'[k]}" if len(entries) > 1 else str(p))
@@ -225,3 +380,18 @@ def polya_walk(order, cl, prime_bound, variant):
                 full_at = p
                 break
     return sub, used, full_at if full_at is not None else prime_bound, full_at
+
+
+def census_by_root_count(order, prime_bound):
+    """{pattern: count} over the unramified p <= prime_bound, the pattern
+    read off the number of distinct roots of the order's form F on
+    P^1(F_p): those of F(x, 1) by `distinct_root_count`, plus (1:0) when
+    p divides its leading coefficient."""
+    a, fx = order.form[0], order.form[::-1]
+    by_roots = {0: (3,), 1: (1, 2), 3: (1, 1, 1)}
+    counts = {}
+    for p in primes_up_to(prime_bound):
+        if order.disc_K % p:
+            t = SplittingType.from_cycle_lengths(by_roots[distinct_root_count(fx, p) + (a % p == 0)])
+            counts[t] = counts.get(t, 0) + 1
+    return counts

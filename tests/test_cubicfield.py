@@ -6,10 +6,14 @@ cubic x^3-3x-1 and the first complex cubic with nontrivial class group.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 import sympy
@@ -46,8 +50,8 @@ from polyakit.cubicfield import (
 from polyakit.intlinalg import adj3, det3, invert3, lattice_lines
 
 from fieldref import (
-    generic_factor_prime, ideal_pow, is_p_maximal_dedekind, multiplier_rows, norm_power,
-    poly_of_theta_omega, power_sums, ring_map_kernels,
+    census_by_root_count, generic_factor_prime, ideal_pow, is_p_maximal_dedekind, multiplier_rows,
+    norm_power, pgcd, pmul, pnorm, poly_of_theta_omega, power_sums, ring_map_kernels, roots_mod_p,
 )
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
@@ -314,7 +318,7 @@ def test_maximal_order_lattice_matches_round_two(coeffs, k):
 )
 def test_maximal_order_at_a_huge_index_prime(k, coeffs, disc_K):
     """k^3 f(x/k) has index k^3 at a prime k far above the root scan:
-    the double roots mod k come from a gcd, never from scanning F_k."""
+    the double roots mod k come from the Hessian, never from scanning F_k."""
     a2, a1, a0 = coeffs
     start = time.perf_counter()
     O = maximal_order(CubicPoly(k * a2, k * k * a1, k**3 * a0))
@@ -343,6 +347,110 @@ def test_maximal_order_refuses_two_large_discriminant_primes():
         maximal_order(CubicPoly(0, k * k, 195 * k**3))
     # one large prime, or a power of one, is accepted
     assert maximal_order(CubicPoly(0, 1, 195)).disc_K == -1026679
+
+
+def _scanned_double_root(form, p):
+    a, b, c, d = form
+    for r in range(p):
+        if not (((a * r + b) * r + c) * r + d) % p and not ((3 * a * r + 2 * b) * r + c) % p:
+            return r
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_double_root_matches_the_scan_on_every_form(p):
+    """The Hessian's double root against trying every residue, on every
+    form mod p with a or b a unit (the forms a p-step asks about)."""
+    found = 0
+    for form in itertools.product(range(p), repeat=4):
+        if form[0] or form[1]:
+            r = cubicfield._double_root(form, p)
+            assert r == _scanned_double_root(form, p), (form, p)
+            found += r is not None
+    assert found
+
+
+def test_double_root_matches_the_general_gcd_on_seeded_forms():
+    """Up to p = 1000003: the root of gcd(F(x, 1), F'(x, 1)) by fieldref's
+    general arithmetic, on random forms and on forms with a planted double
+    or triple root, some with p | a; the scan as well where p < 2000."""
+    rng = random.Random(28)
+    ps = [2, 3, 5, 163, 1009, 1999, 65537, 1000003] + rng.sample(primes_up_to(20000), 12)
+    kinds = set()
+    for p in ps:
+        for _ in range(60):
+            kind = rng.randrange(4)
+            r, s, lead = rng.randrange(p), rng.randrange(p), rng.randrange(p)
+            if kind == 0:
+                fx = tuple(rng.randrange(p) for _ in range(4))
+            else:  # (x - r)^2 (lead x - lead s), or (x - r)^3 times lead, or p | a
+                tail = (-r * lead, lead) if kind == 2 else (-s * lead, lead) if kind == 1 else (-s, 0)
+                fx = pmul(pmul((-r, 1), (-r, 1), p), tail if any(c % p for c in tail) else (1,), p)
+                fx = tuple(fx) + (0,) * (4 - len(fx))
+            a, b, c, d = (x + p * rng.randrange(-3, 4) for x in fx[::-1])
+            if not (a % p or b % p):
+                continue
+            common = pgcd(pnorm((d, c, b, a), p), pnorm((c, 2 * b, 3 * a), p), p)
+            expect = (roots_mod_p(common, p) or [None])[0] if len(common) > 1 else None
+            got = cubicfield._double_root((a, b, c, d), p)
+            assert got == expect, ((a, b, c, d), p)
+            if p < 2000:
+                assert got == _scanned_double_root((a, b, c, d), p)
+            kinds.add((kind, got is None))
+    assert {(0, True), (1, False), (2, False), (3, False)} <= kinds
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # to the first nine prime bases
+        318665857834031151167461,  # to the first twelve: 41 finds it out
+        3317044064679887385961981,  # to the first thirteen: the limit, sympy's
+        (2**61 - 1) * (2**31 - 1),
+        2**61 - 1,
+        10**12 + 39,
+    ],
+)
+def test_is_prime_on_strong_pseudoprimes(n):
+    assert cubicfield.is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_matches_sympy_above_the_trial_division():
+    rng = random.Random(2015)
+    ns = [rng.randrange(10**10, 10**24) | 1 for _ in range(3000)]
+    ns += [sympy.randprime(10**10, 10**24) for _ in range(200)]
+    ns += [sympy.randprime(10**5, 10**12) * sympy.randprime(10**5, 10**12) for _ in range(200)]
+    assert sum(map(sympy.isprime, ns)) > 300
+    for n in ns:
+        assert cubicfield.is_prime(n) == sympy.isprime(n), n
+
+
+def test_square_primes_reads_prime_powers():
+    q, r = 100003, 1000003
+    assert cubicfield._square_primes(12 * q) == [2]
+    assert cubicfield._square_primes(-5 * r**2) == [r]
+    assert cubicfield._square_primes(4 * q**3) == [2, q]
+    assert cubicfield._square_primes(q**6) == [q]
+    assert cubicfield._square_primes(7 * sympy.nextprime(10**20)) == []
+    for n in (q * r, q**2 * r**2, q**3 * r**3):
+        with pytest.raises(SearchBudgetExceededError, match="not a prime power"):
+            cubicfield._square_primes(n)
+
+
+def test_primality_below_the_bound_never_imports_sympy():
+    """is_prime on a prime above 10^10 and _square_primes on a prime
+    power above it run in a fresh process without importing sympy."""
+    code = (
+        "import sys\n"
+        "from polyakit import cubicfield\n"
+        "assert cubicfield.is_prime(10**12 + 39) and not cubicfield.is_prime(3825123056546413051)\n"
+        "assert cubicfield._square_primes(-23 * 1000003**2) == [1000003]\n"
+        "assert 'sympy' not in sys.modules, 'sympy imported'\n"
+    )
+    src = str(Path(cubicfield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.parametrize("poly", ["x^3-2", "x^3-x^2-2x-8", "x^3-12x^2-5x-4"])
@@ -581,22 +689,23 @@ def _generic_tuples(O, p):
     return [(p, f, e, hnf, label) for p, f, e, hnf, _, label in generic_factor_prime(O, p)]
 
 
-ABOVE_SCAN_LIMIT = (1409, 1601, 2003, 3001)
+# two primes on each side of the root-scan crossover, then primes far above it
+AROUND_SCAN_LIMIT = (151, 157, 163, 167, 1409, 1601, 2003, 3001)
 
 
 def test_factor_prime_matches_the_generic_path():
     """Away from the index, the primes built from roots of f mod p are the
     primes of the generic path (factor f mod p, then the HNF of
     p*O + g(theta)*O) field by field: hnf, label, order."""
-    assert min(ABOVE_SCAN_LIMIT) > cubicfield._ROOT_SCAN_LIMIT
+    assert AROUND_SCAN_LIMIT[1] < cubicfield._ROOT_SCAN_LIMIT < AROUND_SCAN_LIMIT[2]
     seen, seen_above = set(), set()
     for s in FIXTURE_POLYS + ("x^3-12x-5", "x^3-8x^2-2x-9", "x^3-12x^2-5x-4"):
         O = _order_of(s)
-        for p in primes_up_to(200) + list(ABOVE_SCAN_LIMIT):
+        for p in primes_up_to(150) + list(AROUND_SCAN_LIMIT):
             if O.index % p:
                 assert _prime_tuples(O, p) == _generic_tuples(O, p), (s, p)
                 seen.update((min(p, 5), q.f, q.e) for q in factor_prime(O, p))
-                if p > 200:
+                if p >= cubicfield._ROOT_SCAN_LIMIT:
                     seen_above.add(tuple(q.f for q in factor_prime(O, p)))
     # p = 2 and p = 3 off the index, double and triple roots, f = 2 and 3
     assert {(2, 1, 3), (3, 1, 3), (5, 1, 2), (5, 2, 1), (5, 3, 1)} <= seen
@@ -607,7 +716,7 @@ def test_factor_prime_matches_the_generic_path():
 
 @given(
     poly=st.tuples(*[st.integers(-16, 16)] * 3).map(_box_field).filter(bool),
-    ps=st.lists(st.sampled_from(primes_up_to(200) + list(ABOVE_SCAN_LIMIT)), min_size=1, max_size=8),
+    ps=st.lists(st.sampled_from(primes_up_to(150) + list(AROUND_SCAN_LIMIT)), min_size=1, max_size=8),
 )
 @settings(max_examples=60, deadline=None)
 def test_factor_prime_matches_the_generic_path_on_box_16(poly, ps):
@@ -629,8 +738,8 @@ def test_factor_prime_off_the_index_factors_no_polynomial(monkeypatch):
 
     monkeypatch.setattr(cubicfield.modpoly, "factor_monic_cubic", forbidden)
     monkeypatch.setattr(cubicfield, "hnf_rows", forbidden)
-    ps = [p for p in primes_up_to(200) + list(ABOVE_SCAN_LIMIT) if O.index % p]
-    assert len(ps) == 49
+    ps = [p for p in primes_up_to(150) + list(AROUND_SCAN_LIMIT) if O.index % p]
+    assert len(ps) == 42
     for p in ps:
         assert sum(q.e * q.f for q in factor_prime(O, p)) == 3
 
@@ -683,7 +792,7 @@ def _index_pairs():
     polys += [parse_cubic(INDEX_9_POLY), parse_cubic(INDEX_10_POLY)]
     polys += [
         _constructed_poly(p, c, b)
-        for p in (5, 41, 1009) + ABOVE_SCAN_LIMIT[:2]
+        for p in (5, 41, 1009) + AROUND_SCAN_LIMIT[1:3]
         for c, b in ((1, (0, -1, -1)), (-2, (0, 0, -2)), (3, (-1, -2, 1)))
     ]
     pairs = []
@@ -1283,3 +1392,31 @@ def test_lazy_prime_walk_sieves_only_as_far_as_it_is_taken():
     taken = [next(walk) for _ in range(1000)]
     assert taken == primes_up_to(taken[-1])
     assert primes_up_to.__dict__["_cache"]["limit"] <= max(limit_before, 4 * taken[-1])
+
+
+@lru_cache(maxsize=None)
+def _box_12_census_slice():
+    """A seeded slice of the irreducible |a_i| <= 12 box: 60 fields, and
+    20 more whose equation order has index > 1."""
+    rng = random.Random(19)
+    triples = list(itertools.product(range(-12, 13), repeat=3))
+    rng.shuffle(triples)
+    plain, index = [], []
+    for poly in filter(None, map(_box_field, triples)):
+        O = maximal_order(poly)
+        if len(plain) < 60:
+            plain.append(O)
+        elif O.index > 1 and len(index) < 20:
+            index.append(O)
+        if len(index) == 20:
+            return plain + index
+
+
+def test_census_matches_the_root_count_on_box_12():
+    """Stickelberger and x^p against counting the roots of the form on
+    P^1(F_p) with fieldref's general arithmetic, at bound 2000."""
+    orders = _box_12_census_slice()
+    assert sum(O.index > 1 for O in orders) >= 20
+    for O in orders:
+        got = {t: c for t, (c, _) in splitting_census(O, 2000).items()}
+        assert got == census_by_root_count(O, 2000), O.poly

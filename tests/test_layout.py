@@ -19,7 +19,7 @@ import polyakit
 
 PACKAGE = Path(polyakit.__file__).parent
 # wrapped by bench/tracer.py as the per-prime valuation layer, and as the
-# cubic factoring layer (also the reference of tests/fieldref.py)
+# cubic factoring layer (tests/fieldref.py keeps its own general factoring)
 ALLOWED = {"cubicfield.element_valuation", "modpoly.factor_monic_cubic"}
 LAYERS = ("intlinalg", "modpoly", "abelian", "permgroup", "artin", "cubicfield", "classgroup", "cli")
 
