@@ -95,10 +95,13 @@ def iter_primes_up_to(n: int):
 
 
 def is_prime(n: int) -> bool:
-    """Trial division below 10^10, then a Miller-Rabin test on the first
+    """Trial division below 5*10^5, then a Miller-Rabin test on the first
     13 prime bases, which no composite below _MILLER_RABIN_LIMIT passes
     (Sorenson and Webster 2015), and sympy's test from that limit on."""
-    if n < 10**10:
+    # on primes, trial division takes ~7 us near 10^5, ~19 us near 5*10^5
+    # and ~1.7 ms near 10^9; Miller-Rabin ~17 us, ~18 us and ~47 us
+    # (Python 3.11 on a 2-core x86-64 machine)
+    if n < 500000:
         return n == 2 or (n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2)))
     if n >= _MILLER_RABIN_LIMIT:
         from sympy import isprime

@@ -419,6 +419,8 @@ def test_is_prime_on_strong_pseudoprimes(n):
 def test_is_prime_matches_sympy_above_the_trial_division():
     rng = random.Random(2015)
     ns = [rng.randrange(10**10, 10**24) | 1 for _ in range(3000)]
+    ns += [rng.randrange(400000, 10**10) | 1 for _ in range(3000)]
+    ns += list(range(499001, 501001, 2))
     ns += [sympy.randprime(10**10, 10**24) for _ in range(200)]
     ns += [sympy.randprime(10**5, 10**12) * sympy.randprime(10**5, 10**12) for _ in range(200)]
     assert sum(map(sympy.isprime, ns)) > 300
@@ -691,6 +693,7 @@ def _generic_tuples(O, p):
 
 # two primes on each side of the root-scan crossover, then primes far above it
 AROUND_SCAN_LIMIT = (151, 157, 163, 167, 1409, 1601, 2003, 3001)
+COMPARED_PRIMES = sorted(set(primes_up_to(200)) | set(AROUND_SCAN_LIMIT))
 
 
 def test_factor_prime_matches_the_generic_path():
@@ -701,7 +704,7 @@ def test_factor_prime_matches_the_generic_path():
     seen, seen_above = set(), set()
     for s in FIXTURE_POLYS + ("x^3-12x-5", "x^3-8x^2-2x-9", "x^3-12x^2-5x-4"):
         O = _order_of(s)
-        for p in primes_up_to(150) + list(AROUND_SCAN_LIMIT):
+        for p in COMPARED_PRIMES:
             if O.index % p:
                 assert _prime_tuples(O, p) == _generic_tuples(O, p), (s, p)
                 seen.update((min(p, 5), q.f, q.e) for q in factor_prime(O, p))
@@ -716,7 +719,7 @@ def test_factor_prime_matches_the_generic_path():
 
 @given(
     poly=st.tuples(*[st.integers(-16, 16)] * 3).map(_box_field).filter(bool),
-    ps=st.lists(st.sampled_from(primes_up_to(150) + list(AROUND_SCAN_LIMIT)), min_size=1, max_size=8),
+    ps=st.lists(st.sampled_from(COMPARED_PRIMES), min_size=1, max_size=8),
 )
 @settings(max_examples=60, deadline=None)
 def test_factor_prime_matches_the_generic_path_on_box_16(poly, ps):
@@ -738,8 +741,8 @@ def test_factor_prime_off_the_index_factors_no_polynomial(monkeypatch):
 
     monkeypatch.setattr(cubicfield.modpoly, "factor_monic_cubic", forbidden)
     monkeypatch.setattr(cubicfield, "hnf_rows", forbidden)
-    ps = [p for p in primes_up_to(150) + list(AROUND_SCAN_LIMIT) if O.index % p]
-    assert len(ps) == 42
+    ps = [p for p in COMPARED_PRIMES if O.index % p]
+    assert len(ps) == 49
     for p in ps:
         assert sum(q.e * q.f for q in factor_prime(O, p)) == 3
 
@@ -792,7 +795,7 @@ def _index_pairs():
     polys += [parse_cubic(INDEX_9_POLY), parse_cubic(INDEX_10_POLY)]
     polys += [
         _constructed_poly(p, c, b)
-        for p in (5, 41, 1009) + AROUND_SCAN_LIMIT[1:3]
+        for p in (5, 41, 1009) + AROUND_SCAN_LIMIT[1:3] + AROUND_SCAN_LIMIT[4:6]
         for c, b in ((1, (0, -1, -1)), (-2, (0, 0, -2)), (3, (-1, -2, 1)))
     ]
     pairs = []
@@ -805,7 +808,7 @@ def _index_pairs():
 def test_index_primes_multiply_to_p():
     """At every index pair: the primes are distinct, prod P^e = p*O, and
     some e > 1 exactly when p divides disc_K."""
-    assert len(_index_pairs()) == 1543
+    assert len(_index_pairs()) == 1549
     for O, p in _index_pairs():
         facs = factor_prime(O, p)
         assert len({q.hnf for q in facs}) == len(facs), (O.poly, p)
