@@ -18,11 +18,10 @@ found, the box grows one shell at a time as the radius doubles, so each
 box point is factored once per field, and the scan stops the moment the
 lattice is Z^k.  Only the primitive points of the box are scanned
 (intlinalg.lattice_lines): a multiple g*y of a point adds only rows
-the lattice already holds.  A row the harvest added before is skipped;
-once the lattice has full rank, any other relation it already holds,
-the common case in a field with nontrivial Cl, costs only the basis's
-test in the quotient Z^k/L (a few dot products over the columns whose
-pivot is not 1), not an insertion.
+the lattice already holds.  Once the lattice has full rank, a relation
+it already holds, a repeated row or the common case in a field with
+nontrivial Cl, costs only the basis's test in the quotient Z^k/L (a few
+dot products over the columns whose pivot is not 1), not an insertion.
 More than MAX_FACTOR_BASE_PRIMES rational primes below the Minkowski
 bound raise SearchBudgetExceededError before any prime is factored.
 A presentation (AbelianGroupSNF.presented) only runs the SNF of the
@@ -46,7 +45,7 @@ class is searched for twice and nothing is cached between walks.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, log, prod
 from typing import Optional
@@ -264,12 +263,12 @@ class _Harvest:
     the coordinate box of radius R that factor over the base.  A
     multiple y = g*y' adds nothing: if (y) is smooth, every prime over
     each p | g is in the base, so row(y) = row(y') + sum row(p*O) over
-    the primes p | g, and y' is a point of this shell or an earlier one.  Each row goes into
-    one HermiteBasis as soon as it is found, so the lattice only grows;
-    a box row added before is skipped, and a row the lattice already
-    holds costs only the basis's test in the quotient once the rank is
-    full.  Asking for a larger radius scans only the points beyond the
-    radius scanned so far, so each point is factored once per field,
+    the primes p | g, and y' is a point of this shell or an earlier one.
+    Each row goes into one HermiteBasis as soon as it is found, so the
+    lattice only grows; a row the lattice already holds, a repeated one
+    included, costs only the basis's test in the quotient once the rank
+    is full.  Asking for a larger radius scans only the points beyond
+    the radius scanned so far, so each point is factored once per field,
     and the scan stops once the lattice is Z^k: Cl is then proved
     trivial, and no further relation can change that.
     """
@@ -282,7 +281,6 @@ class _Harvest:
         index_of = {prime.hnf: i for i, prime in enumerate(fb)}
         self.screen, self.over = _columns(order, index_of, {prime.p for prime in fb})
         self.radius = 0
-        self._seen = {bytes(self.k)}  # keys of the box rows added so far, and of the zero row
         self._last = None  # (HNF, presentation) of the last `present`
 
     def certify(self, probes) -> None:
@@ -295,19 +293,13 @@ class _Harvest:
         asked for before, and present the lattice (see `_present`)."""
         assert radius >= self.radius, "the box only grows"
         order, k, screen, over, lattice = self.order, self.k, self.screen, self.over, self.lattice
-        seen = self._seen
         if lattice.det != 1:
             box = (radius,) * 3
             form = order._norm_form_flat
             for row in _smooth_points(order, _IDENTITY, form, box, self.radius, k, screen, over):
-                # a bytes key holds a row in a fifth of a tuple's memory; the
-                # exponents are >= 0, and below 256 unless the norm passes 2^255
-                key = bytes(row) if max(row) < 256 else tuple(row)
-                if key not in seen:
-                    seen.add(key)
-                    lattice.add(row)
-                    if lattice.det == 1:
-                        break
+                lattice.add(row)
+                if lattice.det == 1:
+                    break
         self.radius = radius
         hnf = lattice.rows()
         if self._last is None or self._last[0] != hnf:
@@ -561,7 +553,7 @@ class PolyaReport:
     principal_witnesses: list[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # a shallow copy: the values are JSON data already
 
     @staticmethod
     def from_json_dict(d: dict) -> "PolyaReport":
@@ -647,7 +639,7 @@ class OstrowskiReport:
     witnesses: list[dict]
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
     @staticmethod
     def from_json_dict(d: dict) -> "OstrowskiReport":

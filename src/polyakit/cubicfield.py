@@ -330,10 +330,11 @@ class MaximalOrder:
     coordinates, Hermite normal form).  The order is the cubic ring of
     the binary cubic form `form` = (a, b, c, d): with xi a root of
     F(x, 1), row i of `form_basis` gives omega_i on the basis 1, a*xi,
-    a*xi^2 + b*xi of R(F).  Derived structures (coordinate transform,
-    multiplication table, norm form, prime caches, numeric embeddings)
-    are lazily attached and treated as immutable once built; concurrent
-    idempotent writes to the caches are harmless.
+    a*xi^2 + b*xi of R(F), and every product is taken in R(F).  Derived
+    structures (the inverse of `form_basis`, multiplication table, norm
+    form, prime caches, numeric embeddings) are lazily attached and
+    treated as immutable once built; concurrent idempotent writes to
+    the caches are harmless.
     """
 
     poly: CubicPoly
@@ -345,51 +346,39 @@ class MaximalOrder:
     form_basis: tuple[tuple[int, int, int], ...]
 
     @cached_property
-    def _omega_transform(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(den * adjugate(basis_num), det(basis_num)): integer data for
-        the power-to-integral coordinate change."""
-        m = self.basis_num
-        scaled = tuple(tuple(self.den * x for x in row) for row in adj3(m))
-        return scaled, det3(m)
-
-    def _to_omega(self, power_num, scale: int) -> tuple[int, int, int]:
-        """Integral-basis coordinates of the element whose power-basis
-        coordinates are power_num / scale (integers over an integer)."""
-        adj, det = self._omega_transform
-        det *= scale
-        out = []
-        for i in range(3):
-            w = power_num[0] * adj[0][i] + power_num[1] * adj[1][i] + power_num[2] * adj[2][i]
-            q, r = divmod(w, det)
-            if r:
-                raise ValueError(f"element {power_num}/{scale} is not in the order")
-            out.append(q)
-        return tuple(out)
-
-    def to_omega_int(self, power_vec) -> tuple[int, int, int]:
-        """Integral-basis coordinates of an element given by integer
-        power-basis coordinates."""
-        return self._to_omega(power_vec, 1)
+    def _from_form(self) -> tuple[tuple[int, int, int], ...]:
+        """form_basis^-1, which is det * adjugate as the determinant is
+        +-1: row k is the integral-basis coordinates of the k-th element
+        of the form basis 1, a*xi, a*xi^2 + b*xi."""
+        fb = self.form_basis
+        sign = det3(fb)
+        return tuple(tuple(sign * x for x in row) for row in adj3(fb))
 
     @cached_property
     def one(self) -> tuple[int, int, int]:
         """Integral-basis coordinates of 1."""
-        return self.to_omega_int((1, 0, 0))
+        return self._from_form[0]
 
     @cached_property
     def mult_table(self) -> tuple:
         """table[i][j] = integral-basis coordinates of omega_i * omega_j.
 
-        With omega_i = basis_num[i] / den, the product of the numerators
-        is den^2 times the power-basis coordinates of omega_i * omega_j."""
-        bn = self.basis_num
-        scale = self.den * self.den
+        Rows i and j of `form_basis` are multiplied in R(F) on its basis
+        1, w = a*xi, t = a*xi^2 + b*xi, where F(xi, 1) = 0 gives
+        w^2 = -b*w + a*t, w*t = -a*d - c*w and t^2 = -b*d - d*w - c*t,
+        and the product goes back to the integral basis by `_from_form`."""
+        a, b, c, d = self.form
+        ad, bd = a * d, b * d
+        back, fb = tuple(zip(*self._from_form)), self.form_basis
         rows = []
-        for i in range(3):
+        for y0, y1, y2 in fb:
             row = []
-            for j in range(3):
-                prod = mul_power(bn[i], bn[j], self.poly)
-                row.append(self._to_omega(prod, scale))
+            for z0, z1, z2 in fb:
+                ww, wt, tt = y1 * z1, y1 * z2 + y2 * z1, y2 * z2
+                p0 = y0 * z0 - ad * wt - bd * tt
+                p1 = y0 * z1 + y1 * z0 - b * ww - c * wt - d * tt
+                p2 = y0 * z2 + y2 * z0 + a * ww - c * tt
+                row.append(tuple(p0 * e + p1 * f + p2 * g for e, f, g in back))
             rows.append(tuple(row))
         return tuple(rows)
 
@@ -734,11 +723,9 @@ def valuation_kernel(order: MaximalOrder, prime: PrimeIdeal) -> tuple:
     cache = order._valuation_cache
     kernel = cache.get(prime.hnf)
     if kernel is None:
-        # tau on the integral basis is prime.tau * form_basis^-1, and the
-        # inverse of a determinant +-1 matrix is det * adjugate
-        fb = order.form_basis
-        sign, adj = det3(fb), adj3(fb)
-        tau = [sign * sum(t * row[k] for t, row in zip(prime.tau, adj)) for k in range(3)]
+        # tau on the integral basis is prime.tau * form_basis^-1
+        back = order._from_form
+        tau = [sum(t * row[k] for t, row in zip(prime.tau, back)) for k in range(3)]
         kernel = cache[prime.hnf] = (prime.p, tuple(order.omega_mul(e, tau) for e in _UNITS))
     return kernel
 
@@ -903,12 +890,15 @@ def _integer_root(n: int, k: int) -> int:
 
 
 def _degree_product(order: MaximalOrder, primes, f: int) -> IntegralIdeal:
-    """Product of the primes of residual degree f among `primes`."""
-    acc = IntegralIdeal.unit()
+    """Product of the primes of residual degree f among `primes`, or the
+    unit ideal when there is none.  The first such prime starts the
+    product, so one prime costs no product and three cost two."""
+    acc = None
     for prime in primes:
         if prime.f == f:
-            acc = ideal_product(order, acc, prime.as_integral())
-    return acc
+            ideal = prime.as_integral()
+            acc = ideal if acc is None else ideal_product(order, acc, ideal)
+    return IntegralIdeal.unit() if acc is None else acc
 
 
 def split_products(order: MaximalOrder, prime_bound: int):

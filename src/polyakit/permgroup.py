@@ -373,20 +373,19 @@ def _close(
     degree: int,
     perms: Iterable[_Perm],
     ceiling: int,
-    first: Optional[int] = None,
+    base: tuple[int, ...] = (),
     order: Optional[int] = None,
 ) -> tuple[list[_Perm], list[_Level]]:
     """The generators kept, each of `perms` not in the group of those
     before it (tested by sifting), and the stabilizer chain of their
-    group.  Its first base point is `first`, by default the largest
-    point any of `perms` moves.  An order past `ceiling` raises
-    GroupTooLargeError before any element is listed; reaching `order`
-    stops the scan of `perms`."""
+    group.  Its base starts with the points of `base`, by default with
+    the largest point any of `perms` moves; a level of `base` may have a
+    trivial orbit.  An order past `ceiling` raises GroupTooLargeError
+    before any element is listed; reaching `order` stops the scan of
+    `perms`."""
     perms = list(perms)
     ident = tuple(range(degree))
-    if first is None:
-        first = _last_moved(perms, degree)
-    levels = [_Level(ident, first)]
+    levels = [_Level(ident, b) for b in base or (_last_moved(perms, degree),)]
     gens: list[_Perm] = []
     for x in perms:
         if _sift(levels, x, 0)[0] != ident:
@@ -462,6 +461,15 @@ def generated_subgroup(
     return _generated(degree, [*seed_generators, *sorted(set(elements))], ceiling)
 
 
+def _chain_at(group: PermGroup, point: int) -> list[_Level]:
+    """A chain of `group` whose first base point is `point`: the group's
+    own when it starts there, else one built for the purpose."""
+    levels = group._levels
+    if not levels or levels[0].base != point:
+        levels = _close(group.degree, group.generators, group.order, base=(point,))[1]
+    return levels
+
+
 def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
     """Stabilizer of a point in the natural action.
 
@@ -473,9 +481,7 @@ def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
         raise ValueError("point out of range")
     if all(g[point] == point for g in group.generators):
         return group
-    levels = group._levels
-    if not levels or levels[0].base != point:
-        levels = _close(degree, group.generators, group.order, first=point)[1]
+    levels = _chain_at(group, point)
     gens = tuple(levels[1].gens) if len(levels) > 1 else ()
     return PermGroup(degree, gens, levels[1:])
 
@@ -514,15 +520,17 @@ class CosetAction:
     moves to g(s(p)).  For any other H, `point` is None and the label of
     H*s is `_coset_key(H, s)`, which g moves to the key of (s then g); the
     labels are found by walking G's generators from the label of H.
-    `orbit` holds the labels, sorted, and nothing lists G to find them:
+    `orbit` holds the labels, sorted, and nothing here lists G:
     `fixed_count` and `is_2transitive` read the labels alone.
 
     Cosets are indexed 0..[G:H]-1 in lexicographic order of their least
     element; each stored representative is that least element, so the
     representative of coset 0 (= H itself) is the identity.  The first
-    use of `representatives`, `row` or `coset_index` makes one pass over
-    G, keeping the least element with each label; row(g) then sends the
-    index of each coset to that of its image under g.
+    use of `representatives`, `row` or `coset_index` takes one element
+    of each coset, its key label or u[x] of a chain of G based at p, to
+    the least of its coset by `_coset_key` through a chain of H with
+    base 0, 1, ..., n-1; row(g) then sends each coset index to that of
+    its image under g.
     """
 
     __slots__ = (
@@ -563,15 +571,16 @@ class CosetAction:
         return self._index
 
     def _read_orbit(self) -> None:
-        label = self._label
-        least: dict = {}
-        for g in self.group.elements:
-            q = label(g)
-            best = least.get(q)
-            if best is None or g < best:
-                least[q] = g
-        self._reps = tuple(sorted(least.values()))
-        self._labels = tuple(map(label, self._reps))
+        if self.point is None:
+            elements = self.orbit
+        else:
+            u = _chain_at(self.group, self.point)[0].u
+            elements = [u[x] for x in self.orbit]
+        subgroup, degree = self.subgroup, self.group.degree
+        lex = _close(degree, subgroup.generators, subgroup.order, base=tuple(range(degree)))[1]
+        lex = [level for level in lex if len(level.orbit) > 1]
+        self._reps = tuple(sorted(_coset_key(lex, s) for s in elements))
+        self._labels = tuple(map(self._label, self._reps))
         self._index = {q: i for i, q in enumerate(self._labels)}
 
     @property
@@ -668,23 +677,24 @@ def compute_T_conjugacy(
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
     """Commutator subgroup, as the normal closure in `group` of the
-    commutators of its generators."""
-    gens = group.generators
+    commutators of its generators, grown on their one chain: each round
+    adds, in sorted order, the conjugates of the generators the last
+    round kept that do not sift into it."""
+    gens, ident = group.generators, group.identity
     comms = {compose(a, b, inverse(a), inverse(b)) for a in gens for b in gens}
-    comms.discard(identity(group.degree))
+    comms.discard(ident)
     sub = generated_subgroup(group.degree, comms)
-    # normal closure: conjugate by generators until stable
-    while True:
-        extra = []
-        for g in gens:
-            ginv = inverse(g)
-            for x in sub.generators:
-                y = compose(ginv, x, g)
-                if y not in sub:
-                    extra.append(y)
-        if not extra:
-            return sub
-        sub = generated_subgroup(group.degree, extra, seed_generators=sub.generators)
+    levels, kept = sub._levels, list(sub.generators)
+    new = kept
+    while new:
+        conjugates = sorted({compose(inverse(g), x, g) for g in gens for x in new})
+        new = []
+        for y in conjugates:
+            if _sift(levels, y, 0)[0] != ident:
+                new.append(y)
+                _add_generator(levels, 0, y)
+        kept += new
+    return PermGroup(group.degree, tuple(kept), levels)
 
 
 def normal_core(group: PermGroup, subgroup: PermGroup) -> PermGroup:
@@ -836,16 +846,23 @@ def is_frobenius(group: PermGroup, action: CosetAction) -> bool:
     """Whether the action is a Frobenius action: no non-identity element
     fixes two points, and some non-identity element fixes one.
 
-    Only H is scanned: g fixing cosets H*s and H*t conjugates to
-    s*g*s^-1 in H, fixing H and H*t*s^-1, and every h of H fixes H.  So
-    the action is Frobenius iff H is not trivial and each h != 1 of H
-    fixes no coset but H."""
+    Only H matters: g fixing cosets H*s and H*t conjugates to s*g*s^-1
+    in H, fixing H and H*t*s^-1, and every h of H fixes H.  So the
+    action is Frobenius iff H is not trivial and no h != 1 of H fixes a
+    coset but H, that is iff each orbit of H on the labels of the other
+    cosets has |H| labels (orbit-stabilizer).  H is not listed."""
     subgroup = action.subgroup
     if subgroup.order == 1:
         return False
-    ident = group.identity
-    fixed = action.fixed_count
-    return all(fixed(h) == 1 for h in subgroup.elements if h != ident)
+    gens, move = subgroup.generators, action._move
+    seen = {action._label(group.identity)}
+    for q in action.orbit:
+        if q not in seen:
+            orbit = _orbit(q, gens, move)
+            if len(orbit) != subgroup.order:
+                return False
+            seen.update(orbit)
+    return True
 
 
 def is_2transitive(group: PermGroup, action: CosetAction) -> bool:

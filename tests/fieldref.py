@@ -10,6 +10,10 @@ quantities that polyakit computes another way.
   general arithmetic.
 - `norm_power` and `power_sums`: norms and traces in the power basis.
 - `is_p_maximal_dedekind`: Dedekind's criterion for Z[theta] at p.
+- `to_omega_int`, `power_mult_table` and `power_valuation_kernel`: the
+  order's coordinate change, multiplication table and valuation rows
+  through the power basis and the adjugate of `basis_num`, not through
+  the order's form.
 - `poly_of_theta_omega`: g(theta) in integral-basis coordinates.
 - `lattice_points`: the points of `lattice_lines`, one at a time.
 - `generic_factor_prime`: the primes above p, away from the index, by
@@ -29,7 +33,7 @@ import itertools
 from polyakit import classgroup
 from polyakit.artin import SplittingType
 from polyakit.cubicfield import IntegralIdeal, ideal_product, iter_primes_up_to, mul_power, primes_up_to
-from polyakit.intlinalg import det3, hnf_rows, lattice_lines
+from polyakit.intlinalg import adj3, det3, hnf_rows, lattice_lines
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -229,6 +233,50 @@ def is_p_maximal_dedekind(poly, p):
     return pdeg(d) <= 0
 
 
+def to_omega_int(order, power_num, scale=1):
+    """Integral-basis coordinates of the element whose power-basis
+    coordinates are power_num / scale (integers over an integer), by
+    den * adjugate(basis_num) / det(basis_num)."""
+    m = order.basis_num
+    adj, det = adj3(m), det3(m) * scale
+    out = []
+    for i in range(3):
+        w = order.den * sum(power_num[k] * adj[k][i] for k in range(3))
+        q, r = divmod(w, det)
+        if r:
+            raise ValueError(f"element {power_num}/{scale} is not in the order")
+        out.append(q)
+    return tuple(out)
+
+
+def power_mult_table(order):
+    """table[i][j] = integral-basis coordinates of omega_i * omega_j, from
+    the product of the numerators in the power basis, which is den^2
+    times that of omega_i * omega_j."""
+    bn, scale = order.basis_num, order.den * order.den
+    return tuple(
+        tuple(to_omega_int(order, mul_power(bn[i], bn[j], order.poly), scale) for j in range(3))
+        for i in range(3)
+    )
+
+
+def _table_mul(table, y, z):
+    return tuple(
+        sum(y[i] * z[j] * table[i][j][k] for i in range(3) for j in range(3)) for k in range(3)
+    )
+
+
+def power_valuation_kernel(order, prime):
+    """(p, rows omega_i * tau) as cubicfield.valuation_kernel gives them,
+    with tau moved to the integral basis by an adjugate of form_basis
+    and multiplied by `power_mult_table`."""
+    fb = order.form_basis
+    sign, adj = det3(fb), adj3(fb)
+    tau = [sign * sum(t * row[k] for t, row in zip(prime.tau, adj)) for k in range(3)]
+    table = power_mult_table(order)
+    return (prime.p, tuple(_table_mul(table, e, tau) for e in _UNITS))
+
+
 def poly_of_theta_omega(order, coeffs):
     """Integral-basis coordinates of g(theta) for integer g (low first)."""
     acc = (0, 0, 0)
@@ -237,7 +285,7 @@ def poly_of_theta_omega(order, coeffs):
         if c:
             acc = tuple(a + c * b for a, b in zip(acc, power))
         power = mul_power(power, (0, 1, 0), order.poly)
-    return order.to_omega_int(acc)
+    return to_omega_int(order, acc)
 
 
 def lattice_points(rows, caps, skip=-1):
@@ -258,11 +306,12 @@ def generic_factor_prime(order, p):
     factor_prime does."""
     assert order.index % p
     fbar = [c % p for c in order.poly.coefficients()]
+    table = power_mult_table(order)
     entries = []
     for g, e in factor_monic_cubic(fbar, p):
         gtheta = poly_of_theta_omega(order, g)
         rows = [[p * int(i == j) for j in range(3)] for i in range(3)]
-        rows += [order.omega_mul(gtheta, u) for u in _UNITS]
+        rows += [_table_mul(table, gtheta, u) for u in _UNITS]
         entries.append((pdeg(g), hnf_rows(rows, 3), tuple(g), e))
     entries.sort(key=lambda t: (t[0], t[1]))
     return [

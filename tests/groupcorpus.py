@@ -5,8 +5,10 @@ mixes the point-stabilizer pairs of the named families with assorted
 non-stabilizer subgroups, so the lemma-level invariants get exercised
 on cores, quotients, and abelianizations of different shapes.
 `action_image` gives the image of a coset action, which only the tests
-need, and `bfs_closure` is the breadth-first closure the stabilizer
-chains replaced, kept as their oracle.
+need.  `bfs_closure` is the breadth-first closure the stabilizer
+chains replaced, and `derived_by_rounds` and `frobenius_by_elements`
+are the derived subgroup and Frobenius test that reading them off
+chains and orbits replaced, each kept as their oracle.
 """
 
 from __future__ import annotations
@@ -30,9 +32,12 @@ from polyakit import (
 )
 from polyakit.permgroup import (
     CosetAction,
+    compose,
     derived_subgroup,
     from_cycles,
     generated_subgroup,
+    identity,
+    inverse,
     subgroup_from_elements,
 )
 
@@ -89,6 +94,37 @@ def bfs_closure(degree: int, perms) -> tuple[list[tuple[int, ...]], set[tuple[in
                         new.append(c)
             frontier, steps = new, gens
     return gens, els
+
+
+def derived_by_rounds(group: PermGroup) -> PermGroup:
+    """The normal closure of the commutators of the generators, closed
+    again from its generators and the new conjugates on every round."""
+    gens = group.generators
+    comms = {compose(a, b, inverse(a), inverse(b)) for a in gens for b in gens}
+    comms.discard(identity(group.degree))
+    sub = generated_subgroup(group.degree, comms)
+    while True:
+        extra = []
+        for g in gens:
+            ginv = inverse(g)
+            for x in sub.generators:
+                y = compose(ginv, x, g)
+                if y not in sub:
+                    extra.append(y)
+        if not extra:
+            return sub
+        sub = generated_subgroup(group.degree, extra, seed_generators=sub.generators)
+
+
+def frobenius_by_elements(group: PermGroup, action: CosetAction) -> bool:
+    """Whether H is not trivial and each of its elements but 1 fixes no
+    coset but H, scanning the element set of H."""
+    subgroup = action.subgroup
+    if subgroup.order == 1:
+        return False
+    ident = group.identity
+    fixed = action.fixed_count
+    return all(fixed(h) == 1 for h in subgroup.elements if h != ident)
 
 
 @lru_cache(maxsize=1)

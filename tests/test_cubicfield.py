@@ -51,7 +51,8 @@ from polyakit.intlinalg import adj3, det3, invert3, lattice_lines
 
 from fieldref import (
     census_by_root_count, generic_factor_prime, ideal_pow, is_p_maximal_dedekind, multiplier_rows,
-    norm_power, pgcd, pmul, pnorm, poly_of_theta_omega, power_sums, ring_map_kernels, roots_mod_p,
+    norm_power, pgcd, pmul, pnorm, poly_of_theta_omega, power_mult_table, power_sums,
+    power_valuation_kernel, ring_map_kernels, roots_mod_p, to_omega_int,
 )
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
@@ -620,7 +621,20 @@ def test_mult_table_is_integral(orders):
         for i in range(3):
             for j in range(3):
                 assert all(isinstance(c, int) for c in table[i][j])
-        assert O.to_omega_int((1, 0, 0)) == O.one
+        assert to_omega_int(O, (1, 0, 0)) == O.one
+
+
+def test_form_products_match_the_power_basis_on_box_12():
+    """The table, 1 and the valuation rows above every p <= 50, read off
+    the form, equal fieldref's path through the power basis and the
+    adjugates of basis_num and form_basis, on a seeded slice of box 12
+    with 20 orders of index > 1."""
+    for O in _box_12_census_slice():
+        assert O.mult_table == power_mult_table(O), O.poly
+        assert O.one == to_omega_int(O, (1, 0, 0)), O.poly
+        for p in primes_up_to(50):
+            for q in factor_prime(O, p):
+                assert valuation_kernel(O, q) == power_valuation_kernel(O, q), (O.poly, q.label)
 
 
 # --- prime factorization ----------------------------------------------------

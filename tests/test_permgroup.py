@@ -660,6 +660,69 @@ def test_derived_subgroup_matches_allpairs_oracle():
         assert got == oracle, name
 
 
+def _fresh(group):
+    """The same group as a new object, its element set not listed."""
+    return PermGroup(group.degree, group.generators, group._levels)
+
+
+def test_derived_subgroup_closes_once_and_keeps_the_rounds_generators(monkeypatch):
+    """One generated_subgroup call per derived subgroup, and the same
+    generators, in the same order, as closing again on every round."""
+    calls = []
+    real = permgroup.generated_subgroup
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(permgroup, "generated_subgroup", counting)
+    for name, g, h in _digest_pairs():
+        for x in (g, h):
+            calls.clear()
+            got = derived_subgroup(x)
+            assert len(calls) == 1, name
+            oracle = groupcorpus.derived_by_rounds(x)
+            assert got.generators == oracle.generators, name
+            assert got == oracle, name
+
+
+def test_is_frobenius_reads_orbits_and_lists_no_element_of_H():
+    """is_frobenius equals the scan of H's elements, and leaves H unlisted."""
+    found = set()
+    for name, g, h in _digest_pairs():
+        act = coset_action(g, _fresh(h))
+        got = is_frobenius(g, act)
+        assert act.subgroup._elements is None, name
+        assert got == groupcorpus.frobenius_by_elements(g, act), name
+        found.add(got)
+    assert found == {True, False}
+
+
+def test_cycle_structure_lists_no_element_of_G():
+    """Coset representatives come off the chains: on S8 and S9 with a
+    point stabilizer, and on S8 with a two-point stabilizer (no point is
+    stabilized: coset keys), cycle_structure leaves G unlisted, and on
+    S8 each representative is the least element of its coset."""
+    s8 = symmetric_group(8)
+    s6 = point_stabilizer(point_stabilizer(s8, 7), 6)
+    cases = [(s8, point_stabilizer(s8, 7)), (s8, s6)]
+    s9 = symmetric_group(9)
+    cases.append((s9, point_stabilizer(s9, 8)))
+    for g, h in cases:
+        g = _fresh(g)
+        act = coset_action(g, h)
+        assert (act.point is None) == (h is s6)
+        x = compose(*g.generators)
+        cycle_structure(x, act)
+        assert g._elements is None
+        if g.degree == 8:
+            least = {}
+            for y in g.elements:
+                q = act._label(y)
+                least[q] = min(least.get(q, y), y)
+            assert act.representatives == tuple(sorted(least.values()))
+
+
 def test_derived_quotient_is_abelian():
     for name, g, h in groupcorpus.corpus():
         if h.order > 120:
