@@ -677,9 +677,9 @@ def compute_T_conjugacy(
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
     """Commutator subgroup, as the normal closure in `group` of the
-    commutators of its generators, grown on their one chain: each round
-    adds, in sorted order, the conjugates of the generators the last
-    round kept that do not sift into it."""
+    commutators of its generators, on one chain: the commutators are
+    closed once, and each round adds, in sorted order, the conjugates of
+    the generators the last round kept that do not sift into the chain."""
     gens, ident = group.generators, group.identity
     comms = {compose(a, b, inverse(a), inverse(b)) for a in gens for b in gens}
     comms.discard(ident)
