@@ -419,11 +419,19 @@ _UPPER_BOUNDS = {
 MAX_CENSUS_PRIME_BOUND = 10**7
 
 
+# The parser every main call reads its arguments with, built by the first
+# one: parse_args keeps no state between calls, and building the parser
+# costs about a millisecond.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_triple_after_dashes(argv))
+        args = _parser.parse_args(_triple_after_dashes(argv))
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the parse-error code
         return EXIT_PARSE if exc.code else EXIT_OK

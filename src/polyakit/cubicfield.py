@@ -30,7 +30,7 @@ from typing import Optional
 
 from . import modpoly
 from .artin import SplittingType
-from .intlinalg import adj3, det3, hnf_rows, invert3, lattice_contains, lattice_lines
+from .intlinalg import adj3, det3, half_box_lines, hnf_rows, invert3, lattice_contains, zigzag
 
 DEFAULT_PRIME_BOUND = 200
 # factor_prime tries every residue for a root mod p below this p and
@@ -951,17 +951,25 @@ def is_principal(
     the region itself is larger than max_candidates, counting every
     point of the box; a budget failure is never reported as None.  The
     search visits one element of each pair +-y (y generates I exactly
-    when -y does) and only primitive coordinates: y = g*y' with y' in I
-    and g > 1 has |N(y)| >= 8*norm(I), so it generates nothing.  It
-    keeps the order of the full box scan, so it returns the generator
-    that scan would find first.
+    when -y does), in the order of the full box scan, so it returns the
+    generator that scan would find first.
 
-    The box is scanned by lines (intlinalg.lattice_lines): with the
-    first two HNF coordinates fixed, the norm form of I's basis is a
-    cubic in the third (norm_line), evaluated over the whole line at
-    once, and a line without a value +-norm(I) is rejected as a whole.
-    Only the hit is built as an element, and checked against norm_omega
-    and the ideal it generates.
+    The box is walked by lines (intlinalg.half_box_lines): with c0 and
+    c1 fixed, the norm form F of I's basis is a cubic g in c2
+    (norm_line).  A line's values are read off one integer, whose slot i
+    of `width` bytes holds g(x_i) + 2^(W-1), W = 8*width, for the c2
+    values x_i in zigzag order (Kronecker substitution): the sum
+    A*P3 + B*P2 + C*P1 + (D + 2^(W-1))*P0 over the coefficients of g
+    and the packed powers P_e of the x_i, built once per call.  W
+    exceeds the bit length of a bound on |F| over the box and of
+    norm(I), so no slot carries into the next and the patterns
+    2^(W-1) +- norm(I) fit a slot; the first slot-aligned match of
+    either in the line's bytes is its first point of norm +-norm(I).  A
+    non-primitive point k*y' (y' in I, k > 1) has |N| >= 8*norm(I), so
+    it never matches and needs no filter; nor does (0, 0, -x), which the
+    line c0 = c1 = 0 holds just after its negative (0, 0, x).  Only the
+    hit is built as an element, and checked against norm_omega and the
+    ideal it generates.
     """
     m = I.norm
     n = I.scalar_generator()
@@ -990,17 +998,64 @@ def is_principal(
         )
 
     form = order.norm_form(rows)
+    # |F(c)| <= bound on the box; F(0, 0, 1) = N(v_2) != 0, so the bound
+    # also holds every |x|^3 with |x| <= caps[2]
+    bound = sum(abs(k) * caps[0] ** a * caps[1] ** b * caps[2] ** c
+                for k, (a, b, c) in zip(form, _MONOMIALS))
+    width = (max(bound, m).bit_length() + 8) // 8  # 2^(8*width-1) > bound, m
+    xs = list(zigzag(caps[2]))
+    p0, p1, p2, p3 = (_pack([x**e for x in xs], width) for e in range(4))
+    offset = 1 << (8 * width - 1)
+    size = width * len(xs)
+    hit = ((offset + m).to_bytes(width, "little"), (offset - m).to_bytes(width, "little"))
+    # the packed line A*p3 + B*p2 + C*p1 + (D + offset)*p0, with
+    # (A, B, C, D) = norm_line(form, c0, c1), is a cubic in c1 whose
+    # packed coefficients q0..q3 are made once per c0
+    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = form
+    top = k9 * p3 + offset * p0
+    q3 = k6 * p0
     r0, r1, r2 = rows
-    for c0, c1, xs in lattice_lines(caps):
-        A, B, C, D = norm_line(form, c0, c1)
-        vals = [((A * x + B) * x + C) * x + D for x in xs]
-        if m in vals or -m in vals:
-            x = next(x for x, v in zip(xs, vals) if v == m or v == -m)
-            y = tuple(c0 * a + c1 * b + x * d for a, b, d in zip(r0, r1, r2))
-            assert abs(order.norm_omega(y)) == m
-            assert element_ideal(order, y) == I
-            return y
+    for c0, c1s in half_box_lines(caps):
+        q2 = k7 * p1 + k3 * c0 * p0
+        q1 = k8 * p2 + c0 * (k4 * p1 + k1 * c0 * p0)
+        q0 = top + c0 * (k5 * p2 + c0 * (k2 * p1 + k0 * c0 * p0))
+        for c1 in c1s:
+            line = (((q3 * c1 + q2) * c1 + q1) * c1 + q0).to_bytes(size, "little")
+            # find, not `in`: bytes.__contains__ first tries its operand as an int
+            if line.find(hit[0]) < 0 and line.find(hit[1]) < 0:
+                continue
+            i = _first_slot(line, hit, width)
+            if i is not None:
+                x = xs[i]
+                y = tuple(c0 * a + c1 * b + x * d for a, b, d in zip(r0, r1, r2))
+                assert abs(order.norm_omega(y)) == m
+                assert element_ideal(order, y) == I
+                return y
     return None
+
+
+def _pack(values, width: int) -> int:
+    """sum_i values[i] * 2^(8*width*i), each |values[i]| < 2^(8*width-1):
+    the values offset into one slot of `width` bytes each, joined as
+    bytes (linear in the number of values), less the offsets."""
+    offset = 1 << (8 * width - 1)
+    slots = b"".join((v + offset).to_bytes(width, "little") for v in values)
+    ones = (b"\1" + bytes(width - 1)) * len(values)
+    return int.from_bytes(slots, "little") - offset * int.from_bytes(ones, "little")
+
+
+def _first_slot(data: bytes, patterns, width: int) -> Optional[int]:
+    """The least i with data[i*width:(i+1)*width] one of `patterns`
+    (each `width` bytes long), or None: a match that starts inside a
+    slot is skipped."""
+    first = None
+    for pattern in patterns:
+        at = data.find(pattern)
+        while at > 0 and at % width:
+            at = data.find(pattern, at + 1)
+        if at >= 0 and (first is None or at < first):
+            first = at
+    return None if first is None else first // width
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Exact integer linear algebra: HNF, SNF, and the enumeration of the
-primitive points of a rank-3 coefficient box line by line
-(`lattice_lines`: the first two coefficients fixed, the third running
-over the line), so that a caller can evaluate a function of the point,
-such as a norm form, along a whole line at once.
+"""Exact integer linear algebra: HNF, SNF, and the walk of a rank-3
+coefficient box line by line (`half_box_lines`: the first two
+coefficients fixed, the third running over the line), so that a caller
+can evaluate a function of the point, such as a norm form, along a whole
+line at once; `lattice_lines` keeps only the primitive points of it.
 
 Everything here works on plain Python ints (arbitrary precision) and
 dense matrices given as sequences of rows.  No external dependencies.
@@ -303,13 +303,29 @@ def invert3(m) -> list[list]:
     return [[x / det for x in row] for row in adj3(m)]
 
 
-def _zigzag(cap: int, lo: int = 0, nonneg: bool = False):
+def zigzag(cap: int, lo: int = 0, nonneg: bool = False):
     """lo, -lo, lo+1, -(lo+1), ..., cap, -cap, with 0 once and no
     negatives when `nonneg`."""
     for v in range(lo, cap + 1):
         yield v
         if v and not nonneg:
             yield -v
+
+
+def half_box_lines(caps):
+    """The lines (c0, c1) of the box |c_t| <= caps[t] through one of each
+    pair +-c, grouped by c0: pairs (c0, c1s) with c0 = 0, 1, ..., caps[0]
+    and c1s the list of c1 values in zigzag order (see zigzag), only
+    c1 >= 0 at c0 = 0.  The list is shared between the pairs and not to
+    be changed.
+
+    On each line c2 runs over zigzag(caps[2]), except that the line
+    c0 = c1 = 0 takes c2 >= 0 only; this is the one walk of a box, which
+    lattice_lines filters down to the primitive points."""
+    whole = list(zigzag(caps[1]))
+    half = list(zigzag(caps[1], nonneg=True))
+    for c0 in range(caps[0] + 1):
+        yield c0, whole if c0 else half
 
 
 def lattice_lines(caps, skip: int = -1):
@@ -320,27 +336,27 @@ def lattice_lines(caps, skip: int = -1):
     list per gcd and c0, shared with the other lines of that gcd and c0
     and not to be changed.  Lines with no c2 value left are left out.
 
-    c0 is the outermost loop and each c_t runs 0, 1, -1, 2, -2, ..., so
-    flattening the lines gives the full box's nested order with the
-    other half of each pair and every multiple g*c, g > 1, left out.
-    Such a multiple is the point c scaled, so a caller looking for an
-    element of least norm, or building a lattice that holds g's
-    factorization, loses nothing by it.  A caller that fixes c0 and c1
-    can treat a function of c as one of c2 alone along each line.
+    The lines are those of half_box_lines, so flattening them gives the
+    full box's nested order with the other half of each pair and every
+    multiple g*c, g > 1, left out.  Such a multiple is the point c
+    scaled, so a caller building a lattice that holds g's factorization,
+    or looking for the first element that expresses a class, loses
+    nothing by it.  A caller that fixes c0 and c1 can treat a function
+    of c as one of c2 alone along each line.
     """
     floor = max(skip, 0)
     # c2 alone must lift max |c_t| above skip, and above 0; on the line
     # c0 = c1 = 0 only c2 = 1 is primitive
-    every = list(_zigzag(caps[2]))
-    outside = list(_zigzag(caps[2], floor + 1))
+    every = list(zigzag(caps[2]))
+    outside = list(zigzag(caps[2], floor + 1))
     origin = [1] if floor == 0 and caps[2] else []
-    for c0 in _zigzag(caps[0], nonneg=True):
+    for c0, c1s in half_box_lines(caps):
         # (g, whole line or not) -> the c2 values prime to g, kept for one
         # c0 only: there g divides c0, so few lists are alive at once.
         # Lists, not tuples: CPython keeps up to 2000 freed tuples of each
         # length below 20, and lines of many lengths would fill those
         coprime = {(1, True): every, (1, False): outside}
-        for c1 in _zigzag(caps[1], nonneg=c0 == 0):
+        for c1 in c1s:
             g = gcd(c0, c1)
             whole = max(c0, abs(c1)) > floor
             xs = coprime.get((g, whole)) if g else origin

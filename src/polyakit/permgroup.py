@@ -453,12 +453,12 @@ def subgroup_from_elements(degree: int, elements: Iterable[_Perm]) -> PermGroup:
 def generated_subgroup(
     degree: int,
     elements: Iterable[_Perm],
-    seed_generators: Iterable[_Perm] = (),
     ceiling: int = DEFAULT_CLOSURE_CEILING,
 ) -> PermGroup:
-    """Subgroup generated by `elements` (and `seed_generators`), adding
-    generators incrementally so large redundant generator sets stay cheap."""
-    return _generated(degree, [*seed_generators, *sorted(set(elements))], ceiling)
+    """Subgroup generated by `elements`, adding them in sorted order and
+    keeping as generators only those not already in the group of the
+    ones before, so large redundant generator sets stay cheap."""
+    return _generated(degree, sorted(set(elements)), ceiling)
 
 
 def _chain_at(group: PermGroup, point: int) -> list[_Level]:

@@ -113,7 +113,13 @@ def derived_by_rounds(group: PermGroup) -> PermGroup:
                     extra.append(y)
         if not extra:
             return sub
-        sub = generated_subgroup(group.degree, extra, seed_generators=sub.generators)
+        # the kept generators, then each new conjugate, in sorted order,
+        # that the ones before it do not generate
+        kept = list(sub.generators)
+        for y in sorted(set(extra)):
+            if y not in sub:
+                kept.append(y)
+                sub = group_closure(group.degree, kept)
 
 
 def frobenius_by_elements(group: PermGroup, action: CosetAction) -> bool:

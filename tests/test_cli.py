@@ -599,6 +599,34 @@ def test_unknown_flag_exits_2(capsys):
     assert code == 2
 
 
+def test_main_builds_its_parser_once_and_carries_nothing_over(capsys, monkeypatch):
+    """Consecutive main calls, across subcommands, options left at their
+    defaults and a rejected flag, print what calls on a fresh parser print."""
+    runs = [
+        ["group-check", "S4", "--format", "csv"],
+        ["field-analyze", "x^3-2", "--witnesses", "--prime-bound", "30"],
+        ["field-analyze", "x^3-2", "--frobnicate"],
+        ["field-analyze", "x^3-2"],
+        ["census", "x^3-2", "--prime-bound", "40", "--format", "csv"],
+        ["group-check", "--family", "S", "--n", "3..4"],
+        ["survey", "--coeff-bound", "1", "--only-nontrivial"],
+        ["census", "x^3-2", "--prime-bound", "40"],
+    ]
+
+    def fresh(argv):
+        monkeypatch.setattr(cli, "_parser", None)
+        return main(argv), capsys.readouterr()
+
+    want = [fresh(argv) for argv in runs]
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    monkeypatch.setattr(cli, "_parser", None)
+    got = [(main(argv), capsys.readouterr()) for argv in runs]
+    assert got == want
+    assert len(builds) == 1
+
+
 # The options each subcommand accepts, -h aside: exactly those it reads.
 SUBCOMMAND_OPTIONS = {
     "group-check": {"--family", "--n", "--format", "--max-closure"},

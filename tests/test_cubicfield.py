@@ -1309,7 +1309,7 @@ def test_is_principal_returns_the_full_box_first_generator(s):
     for p in primes_up_to(50):
         for f in sorted({q.f for q in factor_prime(O, p)}):
             I = pi_ideal(O, p**f)
-            for search_args in ((2.0, 400000), (1.3, 8000)):
+            for search_args in ((2.0, 400000), (1.3, 8000), (0.1, 100)):
                 want = outcome(_full_box_generator, I, *search_args)
                 assert outcome(is_principal, I, *search_args) == want, (p, f, search_args)
 
@@ -1326,7 +1326,9 @@ def _nongalois_field(t):
     poly=st.tuples(*[st.integers(-12, 12)] * 3).map(_nongalois_field).filter(bool),
     p=st.sampled_from(primes_up_to(50)),
     y=st.tuples(*[st.integers(-6, 6)] * 3).filter(any),
-    search_args=st.sampled_from(((2.0, 100000), (1.3, 8000), (3.0, 100000))),
+    search_args=st.sampled_from(
+        ((2.0, 100000), (1.3, 8000), (3.0, 100000), (5.0, 400000), (0.1, 100))
+    ),
 )
 @settings(max_examples=30, deadline=None)
 def test_is_principal_matches_the_full_scan_on_drawn_fields(poly, p, y, search_args):
@@ -1345,6 +1347,65 @@ def test_is_principal_matches_the_full_scan_on_drawn_fields(poly, p, y, search_a
     ideals = [pi_ideal(O, p**f) for f in sorted({q.f for q in factor_prime(O, p)})]
     for I in ideals + [element_ideal(O, y)]:
         assert outcome(is_principal, I) == outcome(_full_box_generator, I), (poly, I.hnf)
+
+
+def _slot_widths(monkeypatch):
+    """The slot width of every packed power vector is_principal builds."""
+    widths = []
+    real = cubicfield._pack
+
+    def recording(values, width):
+        widths.append(width)
+        return real(values, width)
+
+    monkeypatch.setattr(cubicfield, "_pack", recording)
+    return widths
+
+
+def test_is_principal_matches_the_full_scan_on_slots_past_8_bytes(monkeypatch):
+    """Norm forms whose box bound needs 9-byte slots: a generator found
+    (7*(y) in x^3+4x-1) and no generator (P3*(y) in x^3+11x+6, each
+    degree-1 P3 above 3), each as the full scan finds it."""
+    widths = _slot_widths(monkeypatch)
+    O = maximal_order(parse_cubic("x^3+4x-1"))
+    I = element_ideal(O, (-56, -7, 49))
+    assert is_principal(O, I, 2.0, 400000) == _full_box_generator(O, I, 2.0, 400000) is not None
+    assert widths[-1] > 8
+    O = maximal_order(parse_cubic("x^3+11x+6"))
+    y = element_ideal(O, (5, -5, 2))
+    outcomes = []
+    for P in (q for q in factor_prime(O, 3) if q.f == 1):
+        I = ideal_product(O, P.as_integral(), y)
+        got = is_principal(O, I, 2.0, 400000)
+        assert got == _full_box_generator(O, I, 2.0, 400000), P.label
+        outcomes.append((got, widths[-1]))
+    assert any(got is None and width > 8 for got, width in outcomes)
+
+
+def test_first_slot_skips_a_match_inside_a_slot():
+    """A pattern that first occurs across a slot boundary is not a match;
+    the first slot-aligned occurrence of either pattern is."""
+    hit, other = b"\x01\x02", b"\x07\x07"
+    # slots 01 00 | 02 09 | 01 02: the first occurrence starts at byte 1
+    assert cubicfield._first_slot(bytes([1, 0, 2, 9, 1, 2]), (hit, other), 2) == 2
+    assert cubicfield._first_slot(bytes([9, 1, 2, 9, 9, 9]), (hit, other), 2) is None
+    assert cubicfield._first_slot(bytes([9, 1, 2, 9, 9, 9]), (hit,), 2) is None
+    assert cubicfield._first_slot(bytes([9, 1, 2, 9, 7, 7, 1, 2]), (hit, other), 2) == 2
+    assert cubicfield._first_slot(bytes([7, 7, 1, 2]), (hit, other), 2) == 0
+    assert cubicfield._first_slot(bytes([5, 1, 2, 5]), (hit,), 1) == 1
+
+
+def test_pack_is_linear_in_its_length():
+    """Packing 10^5 signed values takes well under a second (one bytes
+    join, not a shift-and-add per slot) and puts value i in slot i."""
+    values = [(-1) ** i * (i * i * i % 99991) for i in range(10**5)]
+    start = time.perf_counter()
+    packed = cubicfield._pack(values, 3)
+    assert time.perf_counter() - start < 1.0
+    ones = cubicfield._pack([1] * len(values), 3)
+    data = (packed + (1 << 23) * ones).to_bytes(3 * len(values), "little")
+    slots = [int.from_bytes(data[i : i + 3], "little") - (1 << 23) for i in range(0, len(data), 3)]
+    assert slots == values
 
 
 def test_is_principal_budget_signal(orders):

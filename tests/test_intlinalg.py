@@ -12,12 +12,14 @@ from polyakit.intlinalg import (
     _ext_gcd,
     adj3,
     det3,
+    half_box_lines,
     hnf_rows,
     invert3,
     lattice_contains,
     lattice_coordinates,
     lattice_lines,
     smith_normal_form,
+    zigzag,
 )
 
 from fieldref import kernel_mod_p, lattice_points, rref_mod_p
@@ -476,6 +478,21 @@ def test_lattice_points_contract(caps, skip):
     # the kept member has its first nonzero coefficient positive, and the
     # points come in the full box's order
     assert got == [y for _, y in _kept(LATTICE_ROWS, caps, skip)]
+
+
+@pytest.mark.parametrize("caps", CAPS)
+def test_half_box_lines_walk_one_of_each_pair(caps):
+    """With c2 over zigzag(caps[2]), only c2 >= 0 on the line c0 = c1 =
+    0, the lines are the origin and the points of the full box whose
+    first nonzero c_t is positive, in the full box's order."""
+    flat = [
+        (c0, c1, c2)
+        for c0, c1s in half_box_lines(caps)
+        for c1 in c1s
+        for c2 in zigzag(caps[2], nonneg=not (c0 or c1))
+    ]
+    kept = [c for c, _ in _full_box(LATTICE_ROWS, caps) if not any(c) or next(a for a in c if a) > 0]
+    assert flat == kept
 
 
 @pytest.mark.parametrize("caps", CAPS)

@@ -121,9 +121,7 @@ def test_every_returned_element_is_a_perm():
     h = point_stabilizer(s5, 4)
     groups = [
         group_closure(5, [parse_perm("(1 2 3)", 5), parse_perm("(1 2)(4 5)", 5)]),
-        generated_subgroup(
-            5, [parse_perm("(1 2 3 4)", 5)], seed_generators=[parse_perm("(1 2)", 5)]
-        ),
+        generated_subgroup(5, [parse_perm("(1 2)", 5), parse_perm("(1 2 3 4)", 5)]),
         subgroup_from_elements(4, alternating_group(4).elements),
         h,
         derived_subgroup(h),
@@ -827,9 +825,7 @@ class _EnumeratedCosets:
 
 def _closure_reference(g, h):
     """Reference <T, H'>: close T and the generators of H' as permutations."""
-    return generated_subgroup(
-        g.degree, compute_T(g, h), seed_generators=derived_subgroup(h).generators
-    )
+    return generated_subgroup(g.degree, [*derived_subgroup(h).generators, *compute_T(g, h)])
 
 
 def _relabelled_stabilizer_pairs():
