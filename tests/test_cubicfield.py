@@ -1386,8 +1386,8 @@ def test_first_slot_skips_a_match_inside_a_slot():
     """A pattern that first occurs across a slot boundary is not a match;
     the first slot-aligned occurrence of either pattern is."""
     hit, other = b"\x01\x02", b"\x07\x07"
-    # slots 01 00 | 02 09 | 01 02: the first occurrence starts at byte 1
-    assert cubicfield._first_slot(bytes([1, 0, 2, 9, 1, 2]), (hit, other), 2) == 2
+    # slots 09 01 | 02 09 | 01 02: the first occurrence starts at byte 1
+    assert cubicfield._first_slot(bytes([9, 1, 2, 9, 1, 2]), (hit, other), 2) == 2
     assert cubicfield._first_slot(bytes([9, 1, 2, 9, 9, 9]), (hit, other), 2) is None
     assert cubicfield._first_slot(bytes([9, 1, 2, 9, 9, 9]), (hit,), 2) is None
     assert cubicfield._first_slot(bytes([9, 1, 2, 9, 7, 7, 1, 2]), (hit, other), 2) == 2
