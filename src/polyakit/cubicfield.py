@@ -1045,17 +1045,12 @@ def _pack(values, width: int) -> int:
 
 
 def _first_slot(data: bytes, patterns, width: int) -> Optional[int]:
-    """The least i with data[i*width:(i+1)*width] one of `patterns`
-    (each `width` bytes long), or None: a match that starts inside a
-    slot is skipped."""
-    first = None
-    for pattern in patterns:
-        at = data.find(pattern)
-        while at > 0 and at % width:
-            at = data.find(pattern, at + 1)
-        if at >= 0 and (first is None or at < first):
-            first = at
-    return None if first is None else first // width
+    """The least i with data[i*width:(i+1)*width] one of `patterns`, or
+    None: a match that starts inside a slot is no match."""
+    for at in range(0, len(data), width):
+        if data[at : at + width] in patterns:
+            return at // width
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1392,7 +1392,7 @@ def test_first_slot_skips_a_match_inside_a_slot():
     assert cubicfield._first_slot(bytes([9, 1, 2, 9, 9, 9]), (hit,), 2) is None
     assert cubicfield._first_slot(bytes([9, 1, 2, 9, 7, 7, 1, 2]), (hit, other), 2) == 2
     assert cubicfield._first_slot(bytes([7, 7, 1, 2]), (hit, other), 2) == 0
-    assert cubicfield._first_slot(bytes([5, 1, 2, 5]), (hit,), 1) == 1
+    assert cubicfield._first_slot(bytes([5, 1, 2, 5]), (b"\x02", b"\x07"), 1) == 2
 
 
 def test_pack_is_linear_in_its_length():
