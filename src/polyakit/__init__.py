@@ -12,8 +12,6 @@ from .artin import (
 )
 from .classgroup import (
     ClassGroupData,
-    OstrowskiReport,
-    PolyaReport,
     PolyaResult,
     class_group,
     ostrowski_check,
@@ -49,7 +47,6 @@ from .permgroup import (
     GroupTooLargeError,
     PermGroup,
     abelianization,
-    alternating_group,
     check_condition_2B,
     compute_T,
     compose,
@@ -58,12 +55,9 @@ from .permgroup import (
     cycle_string,
     cycle_structure,
     cycles,
-    cyclic_group,
     derived_subgroup,
-    dihedral_group,
     family_group,
     from_cycles,
-    frobenius_20,
     group_closure,
     identity,
     inverse,
@@ -75,7 +69,6 @@ from .permgroup import (
     perm,
     point_stabilizer,
     power,
-    symmetric_group,
 )
 
 __version__ = "0.1.0"

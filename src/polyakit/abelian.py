@@ -87,15 +87,8 @@ class AbelianGroupSNF:
     def neg(self, a) -> tuple[int, ...]:
         return self.reduce(-x for x in a)
 
-    def scale(self, a, k: int) -> tuple[int, ...]:
-        return self.reduce(x * k for x in a)
-
     def subgroup(self, vectors) -> "Subgroup":
         return Subgroup.spanned_by(self, vectors)
-
-    def full_subgroup(self) -> "Subgroup":
-        basis = [[int(i == j) for j in range(self.rank)] for i in range(self.rank)]
-        return Subgroup(self, hnf_rows(basis, self.rank))
 
 
 @dataclass(frozen=True)
@@ -126,9 +119,6 @@ class Subgroup:
 
     def is_full(self) -> bool:
         return self.order == self.ambient.order
-
-    def contains(self, vec) -> bool:
-        return lattice_contains(self.basis, self.ambient.reduce(vec))
 
     def is_subgroup_of(self, other: "Subgroup") -> bool:
         if self.ambient != other.ambient:

@@ -40,26 +40,11 @@ class SplittingType:
         return SplittingType(tuple(sorted((int(f), 1) for f in lengths)))
 
     @property
-    def total(self) -> int:
-        return sum(e * f for f, e in self.parts)
-
-    @property
     def label(self) -> str:
         """Text form like ``1+2`` (ramified parts carry a caret: ``1^3``)."""
         return "+".join(
             str(f) if e == 1 else f"{f}^{e}" for f, e in self.parts
         )
-
-    @staticmethod
-    def from_label(label: str) -> "SplittingType":
-        parts = []
-        for tok in label.split("+"):
-            if "^" in tok:
-                f, e = tok.split("^")
-                parts.append((int(f), int(e)))
-            else:
-                parts.append((int(tok), 1))
-        return SplittingType(tuple(sorted(parts)))
 
     def __str__(self) -> str:
         return self.label

@@ -45,7 +45,7 @@ class is searched for twice and nothing is cached between walks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log, prod
 from typing import Optional
@@ -128,7 +128,7 @@ def _columns(order: MaximalOrder, index_of, ps):
     return prod(ps), over
 
 
-def _smooth_row(order: MaximalOrder, y, norm: int, ncols: int, over) -> Optional[list[int]]:
+def _smooth_row(y, norm: int, ncols: int, over) -> Optional[list[int]]:
     """Exponent row of the principal ideal (y), of norm `norm` (> 0), over
     `ncols` prime columns, or None when (y) is not smooth over them.
     `over` comes from `_columns`.
@@ -202,7 +202,7 @@ def _smooth_points(order: MaximalOrder, rows, form, caps, skip: int, ncols: int,
                 g = gcd(rem, g)
             else:
                 y = (e0 + x * d0, e1 + x * d1, e2 + x * d2)
-                row = _smooth_row(order, y, norm, ncols, over)
+                row = _smooth_row(y, norm, ncols, over)
                 if row is not None:
                     assert abs(order.norm_omega(y)) == norm
                     yield row
@@ -520,44 +520,22 @@ def polya_group(
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Reports: the JSON dicts field-analyze prints, all values plain data
 
 
-@dataclass
-class PolyaReport:
-    """JSON-ready record of the four groups and their equality flags.
-
-    All fields are plain data so that serialization round-trips exactly.
-    When an equality fails at the configured bound the status says
-    "undetermined at bound B": generators are guaranteed to exist among
-    all primes, not among primes up to any particular bound, so a miss
-    is never a counterexample.
-    """
-
-    kind: str
-    poly: str
-    coefficients: list[int]
-    disc_poly: int
-    disc_K: int
-    index: int
-    galois: bool
-    prime_bound: int
-    minkowski_bound: str
-    class_invariants: list[int]
-    class_generators: dict[str, dict]
-    variants: dict[str, dict]
-    equalities: dict[str, bool]
-    status: str
-    harvest_budget: int
-    certified_trivial: bool
-    principal_witnesses: list[dict] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))  # a shallow copy: the values are JSON data already
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "PolyaReport":
-        return PolyaReport(**d)
+def _report_head(order: MaximalOrder, kind: str, prime_bound: int) -> dict:
+    """The keys both reports open with, in their printed order."""
+    poly = order.poly
+    return {
+        "kind": kind,
+        "poly": str(poly),
+        "coefficients": [poly.a2, poly.a1, poly.a0],
+        "disc_poly": poly.discriminant(),
+        "disc_K": order.disc_K,
+        "index": order.index,
+        "galois": poly.is_galois(),
+        "prime_bound": prime_bound,
+    }
 
 
 def _variant_payload(result: PolyaResult) -> dict:
@@ -574,11 +552,16 @@ def verify_main_theorem(
     order: MaximalOrder,
     prime_bound: int = DEFAULT_PRIME_BOUND,
     budget: Optional[int] = None,
-) -> PolyaReport:
-    """Compute Cl(K) and the three split-product subgroups and compare.
+) -> dict:
+    """Compute Cl(K) and the three split-product subgroups and compare,
+    as the report field-analyze prints.
 
-    Requires a non-Galois defining polynomial (the Galois case is
-    covered by the direct principality sweep instead).
+    When an equality fails at the configured bound the status says
+    "undetermined at bound B": generators are guaranteed to exist among
+    all primes, not among primes up to any particular bound, so a miss
+    is never a counterexample.  `principal_witnesses` is left empty for
+    the caller to fill.  Requires a non-Galois defining polynomial (the
+    Galois case is covered by the direct principality sweep instead).
     """
     if order.poly.is_galois():
         raise ValueError("verify_main_theorem applies to non-Galois cubics")
@@ -600,50 +583,17 @@ def verify_main_theorem(
             "norm": prime.norm,
             "class": list(cl.classes[prime.label]),
         }
-    return PolyaReport(
-        kind="polya",
-        poly=str(order.poly),
-        coefficients=[order.poly.a2, order.poly.a1, order.poly.a0],
-        disc_poly=order.poly.discriminant(),
-        disc_K=order.disc_K,
-        index=order.index,
-        galois=False,
-        prime_bound=prime_bound,
-        minkowski_bound=str(cl.mb),
-        class_invariants=list(cl.snf.invariant_factors),
-        class_generators=gens,
-        variants={v: _variant_payload(res) for v, res in po.items()},
-        equalities=eq,
-        status=status,
-        harvest_budget=cl.budget,
-        certified_trivial=cl.certified_trivial,
-    )
-
-
-@dataclass
-class OstrowskiReport:
-    """Direct principality sweep for a Galois cubic: every unramified
-    split product should be principal, independent of any class-group
-    computation."""
-
-    kind: str
-    poly: str
-    coefficients: list[int]
-    disc_poly: int
-    disc_K: int
-    index: int
-    galois: bool
-    prime_bound: int
-    checked: int
-    all_principal: bool
-    witnesses: list[dict]
-
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "OstrowskiReport":
-        return OstrowskiReport(**d)
+    return _report_head(order, "polya", prime_bound) | {
+        "minkowski_bound": str(cl.mb),
+        "class_invariants": list(cl.snf.invariant_factors),
+        "class_generators": gens,
+        "variants": {v: _variant_payload(res) for v, res in po.items()},
+        "equalities": eq,
+        "status": status,
+        "harvest_budget": cl.budget,
+        "certified_trivial": cl.certified_trivial,
+        "principal_witnesses": [],
+    }
 
 
 def ostrowski_check(order: MaximalOrder, prime_bound: int) -> list[dict]:
@@ -678,20 +628,13 @@ def ostrowski_check(order: MaximalOrder, prime_bound: int) -> list[dict]:
     return out
 
 
-def ostrowski_report(
-    order: MaximalOrder, prime_bound: int = DEFAULT_PRIME_BOUND
-) -> OstrowskiReport:
+def ostrowski_report(order: MaximalOrder, prime_bound: int = DEFAULT_PRIME_BOUND) -> dict:
+    """The direct principality sweep of a Galois cubic (ostrowski_check),
+    as the report field-analyze prints: every unramified split product
+    should be principal, independent of any class-group computation."""
     records = ostrowski_check(order, prime_bound)
-    return OstrowskiReport(
-        kind="ostrowski",
-        poly=str(order.poly),
-        coefficients=[order.poly.a2, order.poly.a1, order.poly.a0],
-        disc_poly=order.poly.discriminant(),
-        disc_K=order.disc_K,
-        index=order.index,
-        galois=True,
-        prime_bound=prime_bound,
-        checked=len(records),
-        all_principal=all(r["principal"] for r in records),
-        witnesses=records,
-    )
+    return _report_head(order, "ostrowski", prime_bound) | {
+        "checked": len(records),
+        "all_principal": all(r["principal"] for r in records),
+        "witnesses": records,
+    }

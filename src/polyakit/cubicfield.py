@@ -30,7 +30,7 @@ from typing import Optional
 
 from . import modpoly
 from .artin import SplittingType
-from .intlinalg import adj3, det3, half_box_lines, hnf_rows, invert3, lattice_contains, zigzag
+from .intlinalg import adj3, det3, half_box_lines, hnf_rows, invert3, zigzag
 
 DEFAULT_PRIME_BOUND = 200
 # factor_prime tries every residue for a root mod p below this p and
@@ -216,10 +216,6 @@ class CubicPoly:
 
     def eval_at(self, x: int) -> int:
         return ((x + self.a2) * x + self.a1) * x + self.a0
-
-    def coefficients(self) -> tuple[int, int, int, int]:
-        """Low-to-high coefficient tuple (a0, a1, a2, 1)."""
-        return (self.a0, self.a1, self.a2, 1)
 
     def discriminant(self) -> int:
         a, b, c = self.a2, self.a1, self.a0
@@ -644,22 +640,12 @@ class IntegralIdeal:
     def unit() -> "IntegralIdeal":
         return IntegralIdeal(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
-    @staticmethod
-    def from_scalar(n: int) -> "IntegralIdeal":
-        n = abs(n)
-        if n == 0:
-            raise ValueError("zero ideal")
-        return IntegralIdeal(((n, 0, 0), (0, n, 0), (0, 0, n)))
-
     @property
     def norm(self) -> int:
         return self.hnf[0][0] * self.hnf[1][1] * self.hnf[2][2]
 
     def is_unit_ideal(self) -> bool:
         return self.hnf == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-    def contains(self, y) -> bool:
-        return lattice_contains(self.hnf, y)
 
     def scalar_generator(self) -> Optional[int]:
         """n if this ideal is n*O (diagonal HNF with equal entries)."""
@@ -809,12 +795,12 @@ def factor_prime(order: MaximalOrder, p: int) -> list[PrimeIdeal]:
     prime beside a lone root, omega - a*r, or omega + b at (1:0), in the
     degree-1 prime, which is p*P^-1; 1 when p is inert.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     cache = order._prime_cache
     got = cache.get(p)
     if got is not None:
-        return got
+        return got  # p was found prime when it was stored
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
     a, b, c, d = (x % p for x in order.form)
     # omega_i on the basis 1, xi, xi^2

@@ -57,6 +57,12 @@ DEFAULT_CLOSURE_CEILING = 10**6
 # degree-length tuple, so a closure ceiling of 10^6 alone would still let
 # one degree line build million-entry tuples.
 MAX_GROUP_DEGREE = 1000
+# The most tuple entries (order times degree, 8 bytes each) listing a
+# group's elements may build; a group past it raises GroupTooLargeError
+# before any element is listed.  It is ten times the CLI's largest
+# --max-closure, and |H| * degree = |G| for the point stabilizer H of a
+# transitive G, so the H of every transitive group the CLI admits lists.
+MAX_LISTED_ENTRIES = 4 * 10**7
 
 # A permutation: the tuple of its images (an annotation only).
 _Perm = tuple[int, ...]
@@ -192,10 +198,12 @@ class PermGroup:
 
     Every group keeps its chain (`_levels`), which gives its order,
     membership by sifting and its subgroup test; the element set is
-    listed, as `_enumerate` orders it, the first time `elements` is read.
+    listed, as `_enumerate` orders it, the first time `elements` is read;
+    a group of more than MAX_LISTED_ENTRIES entries (order times degree)
+    raises GroupTooLargeError there instead.
     """
 
-    __slots__ = ("degree", "generators", "order", "_elements", "_levels", "_sorted", "_ab")
+    __slots__ = ("degree", "generators", "order", "_elements", "_levels", "_ab")
 
     def __init__(self, degree: int, generators: tuple[_Perm, ...], levels: list["_Level"]):
         self.degree = degree
@@ -203,23 +211,22 @@ class PermGroup:
         self._levels = levels
         self.order = math.prod(len(lv.orbit) for lv in levels)
         self._elements: Optional[frozenset[_Perm]] = None
-        self._sorted: Optional[tuple[_Perm, ...]] = None
         self._ab: Optional[Abelianization] = None  # see abelianization
 
     @property
     def elements(self) -> frozenset[_Perm]:
         if self._elements is None:
+            if self.order * self.degree > MAX_LISTED_ENTRIES:
+                raise GroupTooLargeError(
+                    f"listing {self.order} elements of degree {self.degree} exceeds "
+                    f"{MAX_LISTED_ENTRIES} tuple entries"
+                )
             self._elements = frozenset(_enumerate(self.degree, self._levels))
         return self._elements
 
     @property
     def identity(self) -> _Perm:
         return identity(self.degree)
-
-    def sorted_elements(self) -> tuple[_Perm, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements))
-        return self._sorted
 
     def __contains__(self, p: _Perm) -> bool:
         return _member(self._levels, self.identity, p)
@@ -243,10 +250,6 @@ class PermGroup:
     def orbit(self, point: int) -> set[int]:
         """Orbit of a point under the natural action."""
         return set(_orbit(point, self.generators, _move_point))
-
-    def is_transitive(self) -> bool:
-        """Transitivity of the natural action on {0, ..., degree-1}."""
-        return len(self.orbit(0)) == self.degree
 
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} order={self.order}>"
@@ -716,12 +719,11 @@ def normal_core(group: PermGroup, subgroup: PermGroup) -> PermGroup:
 class ConditionReport:
     """Witnesses for the generation test T != {} and H = <T, H'>.
 
-    `holds` is precisely the conjunction of T_nonempty and
+    `holds` is precisely the conjunction of T being nonempty and
     `generated` coinciding with H.
     """
 
     T: frozenset[_Perm]
-    T_nonempty: bool
     generated: PermGroup
     holds: bool
 
@@ -839,7 +841,7 @@ def check_condition_2B(
             group.degree, gens, subgroup.order, gens, len(reached) * ab.hprime.order
         )
     holds = bool(T) and fills
-    return ConditionReport(T=T, T_nonempty=bool(T), generated=generated, holds=holds)
+    return ConditionReport(T=T, generated=generated, holds=holds)
 
 
 def is_frobenius(group: PermGroup, action: CosetAction) -> bool:
@@ -909,6 +911,7 @@ def _cyclic(n: int) -> tuple[int, list[_Perm]]:
 
 
 def _dihedral(n: int) -> tuple[int, list[_Perm]]:
+    """Symmetries of the regular n-gon on n points (order 2n), n >= 3."""
     if n < 3:
         raise ValueError("dihedral group needs n >= 3")
     rot = from_cycles(n, [list(range(n))])
@@ -917,6 +920,8 @@ def _dihedral(n: int) -> tuple[int, list[_Perm]]:
 
 
 def _frobenius_20() -> tuple[int, list[_Perm]]:
+    """The transitive group of order 20 on 5 points: a 5-cycle together
+    with x -> 2x mod 5, a 4-cycle normalizing it."""
     five = perm((i + 1) % 5 for i in range(5))
     four = perm((2 * i) % 5 for i in range(5))
     return 5, [five, four]
@@ -925,29 +930,6 @@ def _frobenius_20() -> tuple[int, list[_Perm]]:
 # Each family's degree and generators, by the letter of its token.
 _FAMILIES = {"S": _symmetric, "A": _alternating, "D": _dihedral, "C": _cyclic}
 _FAMILY_RE = re.compile(r"^([SADC])(\d+)$")
-
-
-def symmetric_group(n: int) -> PermGroup:
-    return group_closure(*_symmetric(n))
-
-
-def alternating_group(n: int) -> PermGroup:
-    return group_closure(*_alternating(n))
-
-
-def cyclic_group(n: int) -> PermGroup:
-    return group_closure(*_cyclic(n))
-
-
-def dihedral_group(n: int) -> PermGroup:
-    """Symmetries of the regular n-gon on n points (order 2n), n >= 3."""
-    return group_closure(*_dihedral(n))
-
-
-def frobenius_20() -> PermGroup:
-    """The transitive group of order 20 on 5 points: a 5-cycle together
-    with x -> 2x mod 5, a 4-cycle normalizing it."""
-    return group_closure(*_frobenius_20())
 
 
 def _check_degree(degree: int, ceiling: int) -> None:

@@ -214,7 +214,8 @@ def power_sums(poly, upto=4):
 def is_p_maximal_dedekind(poly, p):
     """Dedekind's criterion at p for the equation order Z[theta]; an
     independent cross-check of the form p-steps of maximal_order."""
-    f = [c % p for c in poly.coefficients()]
+    coeffs = (poly.a0, poly.a1, poly.a2, 1)
+    f = [c % p for c in coeffs]
     gstar = (1,)
     hstar = (1,)
     for g, e in factor_monic_cubic(f, p):
@@ -226,7 +227,7 @@ def is_p_maximal_dedekind(poly, p):
     for i, a in enumerate(gstar):
         for j, b in enumerate(hstar):
             prod[i + j] += a * b
-    big = [a - b for a, b in zip(prod + [0] * (4 - len(prod)), poly.coefficients())]
+    big = [a - b for a, b in zip(prod + [0] * (4 - len(prod)), coeffs)]
     assert all(c % p == 0 for c in big)
     F = tuple((c // p) % p for c in big)
     d = pgcd(pgcd(F, gstar, p), hstar, p)
@@ -305,7 +306,7 @@ def generic_factor_prime(order, p):
     hnf_rows(p*O, g(theta)*O), and the primes are sorted and labelled as
     factor_prime does."""
     assert order.index % p
-    fbar = [c % p for c in order.poly.coefficients()]
+    fbar = [c % p for c in (order.poly.a0, order.poly.a1, order.poly.a2, 1)]
     table = power_mult_table(order)
     entries = []
     for g, e in factor_monic_cubic(fbar, p):
@@ -318,6 +319,11 @@ def generic_factor_prime(order, p):
         (p, f, e, mat, g, f"{p}{'abc'[k]}" if len(entries) > 1 else str(p))
         for k, (f, mat, g, e) in enumerate(entries)
     ]
+
+
+def scalar_ideal(n: int) -> IntegralIdeal:
+    """n*O for n > 0: its HNF is n times the identity."""
+    return IntegralIdeal(((n, 0, 0), (0, n, 0), (0, 0, n)))
 
 
 def ideal_pow(order, I, k):

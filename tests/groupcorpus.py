@@ -21,14 +21,10 @@ from hypothesis import strategies as st
 
 from polyakit import (
     PermGroup,
-    alternating_group,
-    cyclic_group,
-    dihedral_group,
-    frobenius_20,
+    family_group,
     group_closure,
     parse_group_file,
     point_stabilizer,
-    symmetric_group,
 )
 from polyakit.permgroup import (
     CosetAction,
@@ -141,31 +137,31 @@ def corpus() -> list[tuple[str, PermGroup, PermGroup]]:
         pairs.append((name, g, point_stabilizer(g, g.degree - 1)))
 
     for n in range(3, 7):
-        stab_pair(f"S{n}/stab", symmetric_group(n))
+        stab_pair(f"S{n}/stab", family_group(f"S{n}"))
     for n in range(3, 7):
-        stab_pair(f"A{n}/stab", alternating_group(n))
+        stab_pair(f"A{n}/stab", family_group(f"A{n}"))
     for n in range(3, 9):
-        stab_pair(f"C{n}/stab", cyclic_group(n))
-        stab_pair(f"D{n}/stab", dihedral_group(n))
-    stab_pair("F20/stab", frobenius_20())
+        stab_pair(f"C{n}/stab", family_group(f"C{n}"))
+        stab_pair(f"D{n}/stab", family_group(f"D{n}"))
+    stab_pair("F20/stab", family_group("F20"))
     stab_pair("C7:C3/stab", c7_c3())
 
-    s4 = symmetric_group(4)
-    a4 = alternating_group(4)
-    s5 = symmetric_group(5)
-    a5 = alternating_group(5)
+    s4 = family_group("S4")
+    a4 = family_group("A4")
+    s5 = family_group("S5")
+    a5 = family_group("A5")
     pairs.append(("S4/A4", s4, a4))
-    pairs.append(("S4/D4", s4, dihedral_group(4)))
+    pairs.append(("S4/D4", s4, family_group("D4")))
     pairs.append(("S4/C4", s4, _subgroup_of(s4, [[0, 1, 2, 3]])))
     pairs.append(("S4/V4", s4, klein_four()))
     pairs.append(("A4/V4", a4, klein_four()))
-    pairs.append(("S3/A3", symmetric_group(3), alternating_group(3)))
+    pairs.append(("S3/A3", family_group("S3"), family_group("A3")))
     pairs.append(("A5/C5", a5, _subgroup_of(a5, [[0, 1, 2, 3, 4]])))
     pairs.append(("A5/D5", a5, _subgroup_of(a5, [[0, 1, 2, 3, 4]], [[1, 4], [2, 3]])))
     pairs.append(("S5/F20", s5, _subgroup_of(s5, [[0, 1, 2, 3, 4]], [[1, 2, 4, 3]])))
-    pairs.append(("C6/C3", cyclic_group(6), _subgroup_of(cyclic_group(6), [[0, 2, 4], [1, 3, 5]])))
-    pairs.append(("C6/C2", cyclic_group(6), _subgroup_of(cyclic_group(6), [[0, 3], [1, 4], [2, 5]])))
-    pairs.append(("D6/C6", dihedral_group(6), _subgroup_of(dihedral_group(6), [[0, 1, 2, 3, 4, 5]])))
+    pairs.append(("C6/C3", family_group("C6"), _subgroup_of(family_group("C6"), [[0, 2, 4], [1, 3, 5]])))
+    pairs.append(("C6/C2", family_group("C6"), _subgroup_of(family_group("C6"), [[0, 3], [1, 4], [2, 5]])))
+    pairs.append(("D6/C6", family_group("D6"), _subgroup_of(family_group("D6"), [[0, 1, 2, 3, 4, 5]])))
     return pairs
 
 
@@ -194,7 +190,7 @@ def random_pairs(seed: int, count: int) -> list[tuple[str, PermGroup, PermGroup]
         if kind == 0:
             h = point_stabilizer(g, rng.randrange(d))
         elif kind == 1:
-            els = g.sorted_elements()
+            els = sorted(g.elements)
             h = generated_subgroup(d, [rng.choice(els) for _ in range(rng.randint(1, 2))])
         else:
             h = derived_subgroup(g)
@@ -209,9 +205,9 @@ def corpus_with_degree8() -> list[tuple[str, PermGroup, PermGroup]]:
     (heavier; used where an invariant is stated up to S8)."""
     pairs = list(corpus())
     for n in (7, 8):
-        g = symmetric_group(n)
+        g = family_group(f"S{n}")
         pairs.append((f"S{n}/stab", g, point_stabilizer(g, n - 1)))
-        a = alternating_group(n)
+        a = family_group(f"A{n}")
         pairs.append((f"A{n}/stab", a, point_stabilizer(a, n - 1)))
     return pairs
 

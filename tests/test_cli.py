@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import groupcorpus
-from polyakit import cli, cubicfield, permgroup
+from polyakit import classgroup, cli, cubicfield, permgroup
 from polyakit.cli import build_parser, main, survey_box, survey_field
 from polyakit.cubicfield import CubicPoly, parse_cubic
 from polyakit.permgroup import GroupTooLargeError, parse_group_file
@@ -256,6 +256,41 @@ def test_group_check_huge_range_stays_bounded_under_an_address_limit():
     assert "Traceback" not in proc.stderr
 
 
+def test_group_check_refuses_to_list_a_huge_stabilizer_under_an_address_limit(tmp_path):
+    """S9 x C2 on 1000 points: |G| = 725760 is under the default ceiling,
+    but listing its H = S9 would build 3.6 * 10^8 tuple entries, about
+    3 GB.  Refused before any element of H is built, so it fits a 1.5 GB
+    address space."""
+    path = tmp_path / "s9xc2.txt"
+    path.write_text("degree=1000\n(1 2)\n(1 2 3 4 5 6 7 8 9)\n(999 1000)\n")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyakit.cli", "group-check", str(path)],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "listing 362880 elements of degree 1000 exceeds 40000000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_group_check_lists_the_largest_family_stabilizers(capsys):
+    """At the largest --max-closure, S10 and A10 still answer: their H
+    (S9, A9) lists 3.6 * 10^6 and 1.8 * 10^6 tuple entries.  For a
+    transitive G, |H| * degree = |G|, so no family token the closure
+    ceiling admits reaches permgroup.MAX_LISTED_ENTRIES."""
+    assert cli.MAX_CLOSURE < permgroup.MAX_LISTED_ENTRIES
+    code, out, _ = run_cli(capsys, "group-check", "S10", "A10", "--max-closure", "4000000")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["order_G"], r["order_H"]) for r in rows] == [(3628800, 362880), (1814400, 181440)]
+
+
 def test_survey_box_streams_its_triples():
     """The first record of a box with 8*10^18 triples comes at once."""
     start = time.perf_counter()
@@ -366,11 +401,11 @@ def test_field_analyze_parse_error(capsys):
 
 def test_field_analyze_round_trip(capsys):
     _, out1, _ = run_cli(capsys, "field-analyze", "0,4,-1", "--prime-bound", "200")
-    rep1 = json.loads(out1)
-    from polyakit import PolyaReport
-
-    back = PolyaReport.from_json_dict(rep1)
-    assert back.to_json_dict() == rep1
+    # the printed report is the library's dict, and it is plain JSON data
+    report = classgroup.verify_main_theorem(
+        cubicfield.maximal_order(parse_cubic("0,4,-1")), prime_bound=200
+    )
+    assert json.loads(json.dumps(report)) == report == json.loads(out1)
     _, out2, _ = run_cli(capsys, "field-analyze", "x^3+4x-1", "--prime-bound", "200")
     assert out1 == out2  # triple form and polynomial form agree byte-for-byte
 

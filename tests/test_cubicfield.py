@@ -47,12 +47,12 @@ from polyakit.cubicfield import (
     valuation,
     valuation_kernel,
 )
-from polyakit.intlinalg import adj3, det3, invert3, lattice_lines
+from polyakit.intlinalg import adj3, det3, invert3, lattice_contains, lattice_lines
 
 from fieldref import (
     census_by_root_count, generic_factor_prime, ideal_pow, is_p_maximal_dedekind, multiplier_rows,
     norm_power, pgcd, pmul, pnorm, poly_of_theta_omega, power_mult_table, power_sums,
-    power_valuation_kernel, ring_map_kernels, roots_mod_p, to_omega_int,
+    power_valuation_kernel, ring_map_kernels, roots_mod_p, scalar_ideal, to_omega_int,
 )
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
@@ -654,6 +654,29 @@ def test_factor_prime_rejects_composite(orders):
         factor_prime(orders["x^3-2"], 6)
 
 
+def test_factor_prime_reads_its_cache_before_testing_primality(monkeypatch):
+    """A cached p was found prime when it was stored, so a repeated call
+    returns the cached primes without is_prime; a composite p is never
+    cached and still raises ValueError."""
+    O = maximal_order(parse_cubic("x^3-x-1"))  # fresh: empty prime cache
+    is_prime, calls = cubicfield.is_prime, []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(cubicfield, "is_prime", counted)
+    first = factor_prime(O, 23)
+    assert calls == [23]
+    assert factor_prime(O, 23) is first
+    assert calls == [23]
+    with pytest.raises(ValueError, match="not prime"):
+        factor_prime(O, 25)
+    with pytest.raises(ValueError, match="not prime"):
+        factor_prime(O, 25)
+    assert calls == [23, 25, 25]
+
+
 def test_factorization_identity(orders):
     for s in FIXTURE_POLYS:
         O = orders[s]
@@ -661,7 +684,7 @@ def test_factorization_identity(orders):
             acc = IntegralIdeal.unit()
             for q in factor_prime(O, p):
                 acc = ideal_product(O, acc, ideal_pow(O, q.as_integral(), q.e))
-            assert acc == IntegralIdeal.from_scalar(p), (s, p)
+            assert acc == scalar_ideal(p), (s, p)
 
 
 def test_ramification_criterion_to_1000(orders):
@@ -689,12 +712,12 @@ def test_prime_norms_and_two_generator_form(orders):
             primes = factor_prime(O, p)
             for q in primes:
                 assert q.as_integral().norm == p**q.f
-                assert q.as_integral().contains(tuple(p * c for c in O.one))
+                assert lattice_contains(q.hnf, tuple(p * c for c in O.one))
             if O.index % p:
                 generic = generic_factor_prime(O, p)
                 assert len(generic) == len(primes), (s, p)
                 for q, (_, _, _, _, g, _) in zip(primes, generic):
-                    assert q.as_integral().contains(poly_of_theta_omega(O, g)), (s, p)
+                    assert lattice_contains(q.hnf, poly_of_theta_omega(O, g)), (s, p)
 
 
 def _prime_tuples(O, p):
@@ -777,7 +800,7 @@ def test_large_index_orders_factor_consistently():
             acc = IntegralIdeal.unit()
             for q in facs:
                 acc = ideal_product(O, acc, ideal_pow(O, q.as_integral(), q.e))
-            assert acc == IntegralIdeal.from_scalar(p), (s, p)
+            assert acc == scalar_ideal(p), (s, p)
             assert any(q.e > 1 for q in facs) == (O.disc_K % p == 0), (s, p)
 
 
@@ -829,7 +852,7 @@ def test_index_primes_multiply_to_p():
         acc = IntegralIdeal.unit()
         for q in facs:
             acc = ideal_product(O, acc, ideal_pow(O, q.as_integral(), q.e))
-        assert acc == IntegralIdeal.from_scalar(p), (O.poly, p)
+        assert acc == scalar_ideal(p), (O.poly, p)
         assert any(q.e > 1 for q in facs) == (O.disc_K % p == 0), (O.poly, p)
 
 
@@ -894,7 +917,7 @@ def test_factor_prime_at_the_root_at_infinity(s, p, parts):
     acc = IntegralIdeal.unit()
     for q in facs:
         acc = ideal_product(O, acc, ideal_pow(O, q.as_integral(), q.e))
-    assert acc == IntegralIdeal.from_scalar(p)
+    assert acc == scalar_ideal(p)
 
 
 def test_index_prime_splitting_nonmonogenic(orders):
@@ -909,7 +932,7 @@ def test_index_prime_splitting_nonmonogenic(orders):
 def _walk_valuation(O, q, y):
     """v_q(y) by testing y against q, q^2, ... (reference)."""
     k, power = 0, q.as_integral()  # power = q^(k+1)
-    while power.contains(y):
+    while lattice_contains(power.hnf, y):
         k += 1
         power = ideal_product(O, power, q.as_integral())
     return k
@@ -1058,7 +1081,7 @@ def test_ideal_identity_and_scalar(orders):
     O = orders["x^3-2"]
     I = factor_prime(O, 5)[0].as_integral()
     assert ideal_product(O, I, IntegralIdeal.unit()) == I
-    assert IntegralIdeal.from_scalar(7).norm == 343
+    assert scalar_ideal(7).norm == 343
 
 
 def test_product_of_split_primes_is_p(orders):
@@ -1066,7 +1089,7 @@ def test_product_of_split_primes_is_p(orders):
     acc = IntegralIdeal.unit()
     for q in factor_prime(O, 31):
         acc = ideal_product(O, acc, q.as_integral())
-    assert acc == IntegralIdeal.from_scalar(31)
+    assert acc == scalar_ideal(31)
 
 
 def test_ideal_norm_multiplicative_random(orders):
@@ -1145,7 +1168,7 @@ def test_pi_ideal_x3_minus_2(orders):
     p5 = pi_ideal(O, 5)
     deg1 = [q for q in factor_prime(O, 5) if q.f == 1][0]
     assert p5 == deg1.as_integral()
-    assert pi_ideal(O, 31) == IntegralIdeal.from_scalar(31)
+    assert pi_ideal(O, 31) == scalar_ideal(31)
 
 
 @pytest.mark.parametrize("s", ["x^3-3x-1", "x^3-12x-5", "x^3-x^2-2x-8"])
@@ -1177,7 +1200,7 @@ def test_pi_product_identity_small(orders):
             acc = IntegralIdeal.unit()
             for f in sorted({q.f for q in factor_prime(O, p)}):
                 acc = ideal_product(O, acc, pi_ideal(O, p**f))
-            assert acc == IntegralIdeal.from_scalar(p), (s, p)
+            assert acc == scalar_ideal(p), (s, p)
 
 
 # --- minkowski bound ----------------------------------------------------------
@@ -1207,7 +1230,7 @@ def test_minkowski_is_upper_bound():
 
 def test_is_principal_scalar(orders):
     O = orders["x^3-2"]
-    gen = is_principal(O, IntegralIdeal.from_scalar(7))
+    gen = is_principal(O, scalar_ideal(7))
     assert gen == tuple(7 * c for c in O.one)
 
 

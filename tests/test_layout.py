@@ -1,12 +1,15 @@
-"""Layout of src/polyakit: no module-level function or class that nothing
-in the package uses, and no import from a higher layer.
+"""Layout of src/polyakit: no function, class, method or property that
+nothing in the package uses, and no import from a higher layer.
 
 A def or class at module level must be referenced somewhere in
 src/polyakit outside its own body (a name, an attribute, or an import)
-or be exported from polyakit/__init__.py.  Code that only the tests use
-belongs in the test helpers (fieldref.py, groupcorpus.py).  Names are
-matched by identifier, so the check can miss an orphan that shares its
-name with something in use, but never flags a used one.
+or be exported from polyakit/__init__.py.  A method or property of a
+module-level class (dunders aside) must be referenced by name somewhere
+in src/polyakit outside its own body; being exported does not count.
+Code that only the tests use belongs in the test helpers (fieldref.py,
+groupcorpus.py).  Names are matched by identifier, so the check can
+miss an orphan that shares its name with something in use, but never
+flags a used one.
 
 The modules form layers, lowest first, and each imports only modules
 below it, so no import cycle can form.
@@ -19,8 +22,15 @@ import polyakit
 
 PACKAGE = Path(polyakit.__file__).parent
 # wrapped by bench/tracer.py as the per-prime valuation layer, and as the
-# cubic factoring layer (tests/fieldref.py keeps its own general factoring)
-ALLOWED = {"cubicfield.element_valuation", "modpoly.factor_monic_cubic"}
+# cubic factoring layer (tests/fieldref.py keeps its own general factoring);
+# is_unit_ideal is called by bench/checks.py and goes with ROADMAP item 5,
+# as ideal_equal does
+ALLOWED = {
+    "cubicfield.element_valuation",
+    "modpoly.factor_monic_cubic",
+    "cubicfield.IntegralIdeal.is_unit_ideal",
+}
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 LAYERS = ("intlinalg", "modpoly", "abelian", "permgroup", "artin", "cubicfield", "classgroup", "cli")
 
 
@@ -39,23 +49,41 @@ def _names_used(node) -> set[str]:
 def _orphans() -> set[str]:
     defs = []  # (qualified name, bare name, the def statement)
     uses = []  # (top-level statement, names it uses)
+    methods = []  # (qualified name, bare name, the method's def)
+    parts = []  # (statement, names it uses), each class split into its head and body
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
-            uses.append((stmt, _names_used(stmt)))
-            if path.stem != "__init__" and isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
+            names = _names_used(stmt)
+            uses.append((stmt, names))
+            if path.stem != "__init__" and isinstance(stmt, (*_FUNCS, ast.ClassDef)):
                 defs.append((f"{path.stem}.{stmt.name}", stmt.name, stmt))
+            if not isinstance(stmt, ast.ClassDef):
+                parts.append((stmt, names))
+                continue
+            head = stmt.decorator_list + stmt.bases + stmt.keywords
+            parts.append((stmt, set().union(*map(_names_used, head))))
+            for item in stmt.body:
+                parts.append((item, _names_used(item)))
+                if isinstance(item, _FUNCS) and not item.name.startswith("__"):
+                    methods.append((f"{path.stem}.{stmt.name}.{item.name}", item.name, item))
     return {
         qual
         for qual, name, stmt in defs
         if not any(name in names for other, names in uses if other is not stmt)
+    } | {
+        qual
+        for qual, name, item in methods
+        if not any(name in names for other, names in parts if other is not item)
     }
 
 
 def test_every_module_level_def_is_used_or_exported():
-    assert _orphans() - ALLOWED == set()
+    assert {q for q in _orphans() if q.count(".") == 1} - ALLOWED == set()
+
+
+def test_every_method_and_property_is_used():
+    assert {q for q in _orphans() if q.count(".") == 2} - ALLOWED == set()
 
 
 def test_allowlist_holds_only_orphans():

@@ -25,7 +25,6 @@ from polyakit import (
     GroupTooLargeError,
     PermGroup,
     abelianization,
-    alternating_group,
     check_condition_2B,
     compose,
     compute_T,
@@ -34,12 +33,9 @@ from polyakit import (
     cycle_string,
     cycle_structure,
     cycles,
-    cyclic_group,
     derived_subgroup,
-    dihedral_group,
     family_group,
     from_cycles,
-    frobenius_20,
     group_closure,
     identity,
     inverse,
@@ -51,7 +47,6 @@ from polyakit import (
     perm,
     point_stabilizer,
     power,
-    symmetric_group,
 )
 from polyakit import permgroup
 from polyakit.permgroup import generated_subgroup, subgroup_from_elements
@@ -117,15 +112,15 @@ def test_perm_is_its_image_tuple(images):
 
 def test_every_returned_element_is_a_perm():
     """A product left unwrapped would put a plain tuple in `elements`."""
-    s5 = symmetric_group(5)
+    s5 = family_group("S5")
     h = point_stabilizer(s5, 4)
     groups = [
         group_closure(5, [parse_perm("(1 2 3)", 5), parse_perm("(1 2)(4 5)", 5)]),
         generated_subgroup(5, [parse_perm("(1 2)", 5), parse_perm("(1 2 3 4)", 5)]),
-        subgroup_from_elements(4, alternating_group(4).elements),
+        subgroup_from_elements(4, family_group("A4").elements),
         h,
         derived_subgroup(h),
-        normal_core(alternating_group(4), groupcorpus.klein_four()),
+        normal_core(family_group("A4"), groupcorpus.klein_four()),
     ]
     for g in groups:
         for x in g.elements:
@@ -194,7 +189,7 @@ def test_closure_rejects_degree_zero():
 
 def test_closure_ceiling():
     with pytest.raises(GroupTooLargeError):
-        group_closure(8, symmetric_group(8).generators, ceiling=1000)
+        group_closure(8, family_group("S8").generators, ceiling=1000)
 
 
 def test_closure_refuses_s10_before_listing_it():
@@ -204,6 +199,19 @@ def test_closure_refuses_s10_before_listing_it():
     with pytest.raises(GroupTooLargeError, match="closure exceeds ceiling 1000000"):
         group_closure(10, gens)
     assert time.perf_counter() - start < 1.0
+
+
+def test_listing_is_bounded_by_order_times_degree(monkeypatch):
+    """`elements` refuses a group of more than MAX_LISTED_ENTRIES tuple
+    entries (|G| * degree = 96 for S4) before listing any, and lists one
+    at the bound."""
+    monkeypatch.setattr(permgroup, "MAX_LISTED_ENTRIES", 95)
+    g = family_group("S4")
+    with pytest.raises(GroupTooLargeError, match="listing 24 elements of degree 4"):
+        g.elements
+    assert g._elements is None
+    monkeypatch.setattr(permgroup, "MAX_LISTED_ENTRIES", 96)
+    assert len(g.elements) == 24
 
 
 def _moving(degree: int):
@@ -254,7 +262,7 @@ def _chain_cases():
     for _ in range(300):
         d = rng.randint(1, 7)
         g = group_closure(d, [groupcorpus.random_moving(rng, d) for _ in range(rng.randint(0, 3))])
-        x = rng.choice(g.sorted_elements())
+        x = rng.choice(sorted(g.elements))
         others = [point_stabilizer(g, rng.randrange(d)), generated_subgroup(d, [x])]
         if d in last:
             others.append(last[d])
@@ -294,7 +302,7 @@ def test_lagrange_on_families():
 # --- coset actions ----------------------------------------------------------
 
 def test_coset_action_s4_stabilizer():
-    g = symmetric_group(4)
+    g = family_group("S4")
     h = point_stabilizer(g, 3)
     act = coset_action(g, h)
     assert act.num_cosets == 4
@@ -302,14 +310,14 @@ def test_coset_action_s4_stabilizer():
 
 
 def test_coset_action_a4_klein():
-    a4 = alternating_group(4)
+    a4 = family_group("A4")
     v4 = groupcorpus.klein_four()
     act = coset_action(a4, v4)
     assert act.num_cosets == 3
 
 
 def test_coset_action_h_equals_g():
-    g = symmetric_group(3)
+    g = family_group("S3")
     act = coset_action(g, g)
     assert act.num_cosets == 1
     for x in g.elements:
@@ -318,7 +326,7 @@ def test_coset_action_h_equals_g():
 
 def test_coset_action_rejects_non_subgroup():
     with pytest.raises(ValueError):
-        coset_action(alternating_group(4), point_stabilizer(symmetric_group(4), 3))
+        coset_action(family_group("A4"), point_stabilizer(family_group("S4"), 3))
 
 
 def test_coset_action_axioms_on_corpus():
@@ -328,7 +336,7 @@ def test_coset_action_axioms_on_corpus():
         act = coset_action(g, h)
         assert act.num_cosets == g.order // h.order, name
         ident = g.identity
-        els = g.sorted_elements()
+        els = sorted(g.elements)
         for i in range(act.num_cosets):
             assert act.row(ident)[i] == i
         for x in els[:6]:
@@ -359,7 +367,7 @@ def test_coset_key_labels_each_coset_once(case, data):
     keys over G number exactly [G : H]."""
     degree, gens = case
     g = group_closure(degree, gens)
-    els = g.sorted_elements()
+    els = sorted(g.elements)
     if data.draw(st.booleans()):
         h = point_stabilizer(g, data.draw(st.integers(0, degree - 1)))
     else:
@@ -375,7 +383,7 @@ def test_coset_key_labels_each_coset_once(case, data):
 
 
 def test_cycle_structure_identity():
-    g = symmetric_group(3)
+    g = family_group("S3")
     h = point_stabilizer(g, 2)
     act = coset_action(g, h)
     cs = cycle_structure(g.identity, act)
@@ -383,7 +391,7 @@ def test_cycle_structure_identity():
 
 
 def test_cycle_structure_transposition_and_3cycle():
-    g = symmetric_group(3)
+    g = family_group("S3")
     h = point_stabilizer(g, 2)
     act = coset_action(g, h)
     cs = cycle_structure(parse_perm("(1 2)", 3), act)
@@ -397,7 +405,7 @@ def test_cycle_structure_lengths_sum():
         if g.order > 120:
             continue
         act = coset_action(g, h)
-        for x in g.sorted_elements()[:10]:
+        for x in sorted(g.elements)[:10]:
             cs = cycle_structure(x, act)
             assert sum(f for f, _ in cs) == act.num_cosets, name
             starts = [act.coset_index(rep) for _, rep in cs]
@@ -412,19 +420,19 @@ def test_cycle_structure_lengths_sum():
 # --- T ----------------------------------------------------------------------
 
 def test_T_s3():
-    g = symmetric_group(3)
+    g = family_group("S3")
     h = point_stabilizer(g, 2)
     assert compute_T(g, h) == {parse_perm("(1 2)", 3)}
 
 
 def test_T_s4():
-    g = symmetric_group(4)
+    g = family_group("S4")
     h = point_stabilizer(g, 3)
     assert compute_T(g, h) == {parse_perm("(1 2 3)", 4), parse_perm("(1 3 2)", 4)}
 
 
 def test_T_a5():
-    g = alternating_group(5)
+    g = family_group("A5")
     h = point_stabilizer(g, 4)
     T = compute_T(g, h)
     expected = {
@@ -436,7 +444,7 @@ def test_T_a5():
 
 
 def test_T_rejects_full_subgroup():
-    g = symmetric_group(3)
+    g = family_group("S3")
     with pytest.raises(ValueError):
         compute_T(g, g)
 
@@ -467,17 +475,17 @@ def test_T_oracle_direct_conjugate_scan():
 # --- derived subgroup and normal core ---------------------------------------
 
 def test_derived_subgroup_abelian_trivial():
-    for g in (cyclic_group(6), groupcorpus.klein_four()):
+    for g in (family_group("C6"), groupcorpus.klein_four()):
         assert derived_subgroup(g).order == 1
 
 
 def test_derived_subgroup_s3():
-    d = derived_subgroup(symmetric_group(3))
-    assert d == alternating_group(3)
+    d = derived_subgroup(family_group("S3"))
+    assert d == family_group("A3")
 
 
 def test_derived_subgroup_a4_is_klein():
-    d = derived_subgroup(alternating_group(4))
+    d = derived_subgroup(family_group("A4"))
     assert d == groupcorpus.klein_four()
 
 
@@ -498,7 +506,7 @@ def test_abelianization_is_built_once_per_group(monkeypatch):
     calls = []
     real = permgroup.derived_subgroup
     monkeypatch.setattr(permgroup, "derived_subgroup", lambda g: calls.append(g) or real(g))
-    G = symmetric_group(5)
+    G = family_group("S5")
     H = point_stabilizer(G, 4)
     report = check_condition_2B(G, H)
     ab = abelianization(H)
@@ -522,7 +530,7 @@ def test_abelianization_lists_no_element_of_hprime():
     """The generation test and the presentation of H/H' read H'-cosets
     through the chains of H and H': on S8 and its point stabilizer,
     H' = A7 is never listed."""
-    G = symmetric_group(8)
+    G = family_group("S8")
     H = point_stabilizer(G, 7)
     assert check_condition_2B(G, H).holds
     ab = abelianization(H)
@@ -536,7 +544,7 @@ def test_project_rejects_what_is_not_in_H_on_both_label_paths():
     H' = <(1 2 3)> is the stabilizer of the point 4) or by `_coset_key`
     (S7 inside S8)."""
     s3 = group_closure(5, [from_cycles(5, [[0, 1, 2]]), from_cycles(5, [[0, 1], [3, 4]])])
-    s7 = point_stabilizer(symmetric_group(8), 7)
+    s7 = point_stabilizer(family_group("S8"), 7)
     for h, outside, by_point in (
         (s3, from_cycles(5, [[0, 1]]), True),
         (s7, from_cycles(8, [[6, 7]]), False),
@@ -572,7 +580,7 @@ def test_abelianization_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        G = symmetric_group(6)
+        G = family_group("S6")
         H = point_stabilizer(G, 5)
         report = check_condition_2B(G, H)
         quotient = abelianization(H).group
@@ -701,10 +709,10 @@ def test_cycle_structure_lists_no_element_of_G():
     point stabilizer, and on S8 with a two-point stabilizer (no point is
     stabilized: coset keys), cycle_structure leaves G unlisted, and on
     S8 each representative is the least element of its coset."""
-    s8 = symmetric_group(8)
+    s8 = family_group("S8")
     s6 = point_stabilizer(point_stabilizer(s8, 7), 6)
     cases = [(s8, point_stabilizer(s8, 7)), (s8, s6)]
-    s9 = symmetric_group(9)
+    s9 = family_group("S9")
     cases.append((s9, point_stabilizer(s9, 8)))
     for g, h in cases:
         g = _fresh(g)
@@ -733,13 +741,13 @@ def test_derived_quotient_is_abelian():
 
 
 def test_normal_core_of_normal_subgroup():
-    a4 = alternating_group(4)
+    a4 = family_group("A4")
     v4 = groupcorpus.klein_four()
     assert normal_core(a4, v4) == v4
 
 
 def test_normal_core_s4_stabilizer_trivial():
-    g = symmetric_group(4)
+    g = family_group("S4")
     core = normal_core(g, point_stabilizer(g, 3))
     assert core.order == 1
 
@@ -774,9 +782,9 @@ def test_normal_core_is_action_kernel():
 # --- the generation criterion -----------------------------------------------
 
 def test_condition_2b_table_rows():
-    s5 = symmetric_group(5)
+    s5 = family_group("S5")
     assert check_condition_2B(s5, point_stabilizer(s5, 4)).holds
-    s4 = symmetric_group(4)
+    s4 = family_group("S4")
     rep = check_condition_2B(s4, point_stabilizer(s4, 3))
     assert not rep.holds
     # <T, H'> is the copy of A3 on {0,1,2} inside S4
@@ -784,11 +792,11 @@ def test_condition_2b_table_rows():
     assert rep.generated.elements == {
         identity(4), parse_perm("(1 2 3)", 4), parse_perm("(1 3 2)", 4)
     }
-    a5 = alternating_group(5)
+    a5 = family_group("A5")
     rep5 = check_condition_2B(a5, point_stabilizer(a5, 4))
     assert not rep5.holds
     assert rep5.generated.order == 4  # the Klein four-group
-    a4 = alternating_group(4)
+    a4 = family_group("A4")
     assert check_condition_2B(a4, point_stabilizer(a4, 3)).holds
 
 
@@ -797,8 +805,7 @@ def test_condition_report_invariant():
         if g.order > 120:
             continue
         rep = check_condition_2B(g, h)
-        assert rep.T_nonempty == bool(rep.T), name
-        assert rep.holds == (rep.T_nonempty and rep.generated == h), name
+        assert rep.holds == (bool(rep.T) and rep.generated == h), name
         assert rep.generated.is_subgroup_of(h), name
 
 
@@ -846,14 +853,14 @@ def _relabelled_stabilizer_pairs():
 
 
 def _sample(g):
-    els = g.sorted_elements()
+    els = sorted(g.elements)
     return els if g.order <= 5040 else els[::37]
 
 
 def test_coset_action_matches_enumeration_reference():
     fixing_not_full = (
         "S4/<(1 2)>",
-        symmetric_group(4),
+        family_group("S4"),
         generated_subgroup(4, [from_cycles(4, [[0, 1]])]),
     )
     pairs = groupcorpus.corpus_with_degree8() + _relabelled_stabilizer_pairs()
@@ -888,7 +895,7 @@ def _group_side_digest(pairs):
         core = normal_core(g, h)
         general += act.point is None
         cores += core.order > 1
-        els = g.sorted_elements()
+        els = sorted(g.elements)
         sample = els[:: max(1, len(els) // 7)]
         answers = (
             name, rep.holds, sorted(rep.T), sorted(rep.generated.elements),
@@ -913,7 +920,7 @@ def test_group_side_answers_keep_their_digest():
 
 
 def test_coset_action_rejects_non_members_on_both_paths():
-    a4 = alternating_group(4)
+    a4 = family_group("A4")
     odd = from_cycles(4, [[0, 1]])
     for h in (point_stabilizer(a4, 3), groupcorpus.klein_four()):
         act = coset_action(a4, h)
@@ -941,15 +948,15 @@ def _natural_action(g):
 
 
 def test_is_frobenius_examples():
-    s3 = symmetric_group(3)
+    s3 = family_group("S3")
     assert is_frobenius(s3, _natural_action(s3))
-    a4 = alternating_group(4)
+    a4 = family_group("A4")
     assert is_frobenius(a4, _natural_action(a4))
-    d4 = dihedral_group(4)
+    d4 = family_group("D4")
     assert not is_frobenius(d4, _natural_action(d4))
-    c4 = cyclic_group(4)
+    c4 = family_group("C4")
     assert not is_frobenius(c4, _natural_action(c4))
-    f20 = frobenius_20()
+    f20 = family_group("F20")
     assert is_frobenius(f20, _natural_action(f20))
 
 
@@ -969,12 +976,12 @@ def test_frobenius_oracle_fixed_point_counts():
 
 def test_is_2transitive_examples():
     for n in range(2, 7):
-        g = symmetric_group(n)
+        g = family_group(f"S{n}")
         h = point_stabilizer(g, n - 1)
         assert is_2transitive(g, coset_action(g, h))
-    a4 = alternating_group(4)
+    a4 = family_group("A4")
     assert is_2transitive(a4, _natural_action(a4))
-    c4 = cyclic_group(4)
+    c4 = family_group("C4")
     assert not is_2transitive(c4, _natural_action(c4))
 
 
@@ -1063,11 +1070,11 @@ def test_frobenius_T_shape_across_corpus():
 # --- families and parsing ---------------------------------------------------
 
 def test_family_orders():
-    assert symmetric_group(6).order == 720
-    assert alternating_group(6).order == 360
-    assert dihedral_group(7).order == 14
-    assert cyclic_group(9).order == 9
-    assert frobenius_20().order == 20
+    assert family_group("S6").order == 720
+    assert family_group("A6").order == 360
+    assert family_group("D7").order == 14
+    assert family_group("C9").order == 9
+    assert family_group("F20").order == 20
 
 
 @pytest.mark.parametrize("tok", ["S4", "A5", "D6", "C7", "F20"])
@@ -1090,7 +1097,7 @@ def test_parse_group_file():
     text = "degree=4\n(1 2 3 4)\n(2 4)\n"
     g = parse_group_file(text)
     assert g.order == 8
-    assert g == dihedral_group(4)
+    assert g == family_group("D4")
     with pytest.raises(ValueError):
         parse_group_file("(1 2)\n")
     with pytest.raises(ValueError):
@@ -1143,4 +1150,4 @@ def test_parse_group_file_fuzz_gives_a_group_or_a_documented_error(text):
 def test_c7_c3_fixture():
     g = groupcorpus.c7_c3()
     assert g.order == 21
-    assert g.is_transitive()
+    assert len(g.orbit(0)) == g.degree
