@@ -159,9 +159,10 @@ def corpus() -> list[tuple[str, PermGroup, PermGroup]]:
     pairs.append(("A5/C5", a5, _subgroup_of(a5, [[0, 1, 2, 3, 4]])))
     pairs.append(("A5/D5", a5, _subgroup_of(a5, [[0, 1, 2, 3, 4]], [[1, 4], [2, 3]])))
     pairs.append(("S5/F20", s5, _subgroup_of(s5, [[0, 1, 2, 3, 4]], [[1, 2, 4, 3]])))
-    pairs.append(("C6/C3", family_group("C6"), _subgroup_of(family_group("C6"), [[0, 2, 4], [1, 3, 5]])))
-    pairs.append(("C6/C2", family_group("C6"), _subgroup_of(family_group("C6"), [[0, 3], [1, 4], [2, 5]])))
-    pairs.append(("D6/C6", family_group("D6"), _subgroup_of(family_group("D6"), [[0, 1, 2, 3, 4, 5]])))
+    c6, d6 = family_group("C6"), family_group("D6")
+    pairs.append(("C6/C3", c6, _subgroup_of(c6, [[0, 2, 4], [1, 3, 5]])))
+    pairs.append(("C6/C2", c6, _subgroup_of(c6, [[0, 3], [1, 4], [2, 5]])))
+    pairs.append(("D6/C6", d6, _subgroup_of(d6, [[0, 1, 2, 3, 4, 5]])))
     return pairs
 
 

@@ -4,12 +4,12 @@ nothing in the package uses, and no import from a higher layer.
 A def or class at module level must be referenced somewhere in
 src/polyakit outside its own body (a name, an attribute, or an import)
 or be exported from polyakit/__init__.py.  A method or property of a
-module-level class (dunders aside) must be referenced by name somewhere
-in src/polyakit outside its own body; being exported does not count.
-Code that only the tests use belongs in the test helpers (fieldref.py,
-groupcorpus.py).  Names are matched by identifier, so the check can
-miss an orphan that shares its name with something in use, but never
-flags a used one.
+module-level class (dunders aside) must be read as an attribute
+(`x.name`) somewhere in src/polyakit outside its own body; exporting
+its class does not count.  Code that only the tests use belongs in the
+test helpers (fieldref.py, groupcorpus.py).  Names are matched by
+identifier, so the check can miss an orphan that shares its name with
+something in use, but never flags a used one.
 
 The modules form layers, lowest first, and each imports only modules
 below it, so no import cycle can form.
@@ -30,7 +30,6 @@ ALLOWED = {
     "modpoly.factor_monic_cubic",
     "cubicfield.IntegralIdeal.is_unit_ideal",
 }
-_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 LAYERS = ("intlinalg", "modpoly", "abelian", "permgroup", "artin", "cubicfield", "classgroup", "cli")
 
 
@@ -49,45 +48,49 @@ def _names_used(node) -> set[str]:
 def _orphans() -> set[str]:
     defs = []  # (qualified name, bare name, the def statement)
     uses = []  # (top-level statement, names it uses)
-    methods = []  # (qualified name, bare name, the method's def)
-    parts = []  # (statement, names it uses), each class split into its head and body
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
-            names = _names_used(stmt)
-            uses.append((stmt, names))
-            if path.stem != "__init__" and isinstance(stmt, (*_FUNCS, ast.ClassDef)):
+            uses.append((stmt, _names_used(stmt)))
+            if path.stem != "__init__" and isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
                 defs.append((f"{path.stem}.{stmt.name}", stmt.name, stmt))
-            if not isinstance(stmt, ast.ClassDef):
-                parts.append((stmt, names))
-                continue
-            head = stmt.decorator_list + stmt.bases + stmt.keywords
-            parts.append((stmt, set().union(*map(_names_used, head))))
-            for item in stmt.body:
-                parts.append((item, _names_used(item)))
-                if isinstance(item, _FUNCS) and not item.name.startswith("__"):
-                    methods.append((f"{path.stem}.{stmt.name}.{item.name}", item.name, item))
     return {
         qual
         for qual, name, stmt in defs
         if not any(name in names for other, names in uses if other is not stmt)
-    } | {
+    }
+
+
+def _orphan_methods() -> set[str]:
+    methods = []  # (qualified name, bare name, the method's def)
+    parts = []  # (statement, attributes it reads), each class split into its body
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            is_class = isinstance(stmt, ast.ClassDef)
+            for item in stmt.body if is_class else [stmt]:
+                attrs = {node.attr for node in ast.walk(item) if isinstance(node, ast.Attribute)}
+                parts.append((item, attrs))
+                if is_class and isinstance(item, ast.FunctionDef) and item.name[:2] != "__":
+                    methods.append((f"{path.stem}.{stmt.name}.{item.name}", item.name, item))
+    return {
         qual
         for qual, name, item in methods
-        if not any(name in names for other, names in parts if other is not item)
+        if not any(name in attrs for other, attrs in parts if other is not item)
     }
 
 
 def test_every_module_level_def_is_used_or_exported():
-    assert {q for q in _orphans() if q.count(".") == 1} - ALLOWED == set()
+    assert _orphans() - ALLOWED == set()
 
 
 def test_every_method_and_property_is_used():
-    assert {q for q in _orphans() if q.count(".") == 2} - ALLOWED == set()
+    assert _orphan_methods() - ALLOWED == set()
 
 
 def test_allowlist_holds_only_orphans():
-    assert ALLOWED <= _orphans()
+    assert ALLOWED <= _orphans() | _orphan_methods()
 
 
 def _package_imports(tree) -> set[str]:
