@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import mul
 
-from .intlinalg import hnf_rows, lattice_contains, lattice_coordinates, smith_normal_form
+from .intlinalg import hnf_rows, lattice_coordinates, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,6 @@ class Subgroup:
 
     def is_full(self) -> bool:
         return self.order == self.ambient.order
-
-    def is_subgroup_of(self, other: "Subgroup") -> bool:
-        if self.ambient != other.ambient:
-            return False
-        return all(lattice_contains(other.basis, row) for row in self.basis)
 
     def structure(self) -> tuple[int, ...]:
         """Invariant factors of the subgroup itself.

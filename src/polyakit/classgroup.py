@@ -26,16 +26,16 @@ More than MAX_FACTOR_BASE_PRIMES rational primes below the Minkowski
 bound raise SearchBudgetExceededError before any prime is factored.
 A presentation (AbelianGroupSNF.presented) only runs the SNF of the
 lattice's HNF, and only when that HNF has changed since the last one.
-The box is scanned by lines (`_smooth_points`): along each line the
-norm is a one-variable cubic (cubicfield.norm_line), so no point is
-built as an element before its norm is known.  A point whose norm has
-a gcd of 1 with the product of the factor-base primes' rational primes
-before the norm is used up is rejected without trial division.  For
-the rest, every prime above p but the last of cubicfield.factor_prime
-is valued with one cached kernel (cubicfield.valuation_kernel: the
-rows of the multiplier tau that factor_prime read off the ring's form,
-with tau*P in p*O), and the valuation of the last one follows from the
-norm, with no kernel.
+The box is scanned by lines (`_smooth_points`): the norm is a cubic in
+c2 along each line, its coefficients polynomials in c1 made once per
+c0 (cubicfield.norm_line), so no point is built as an element before
+its norm is known.  A point whose norm has a gcd of 1 with the product
+of the factor-base primes' rational primes before the norm is used up
+is rejected without trial division.  For the rest, every prime above p
+but the last of cubicfield.factor_prime is valued with one cached
+kernel (cubicfield.valuation_kernel: the rows of the multiplier tau
+that factor_prime read off the ring's form, with tau*P in p*O), and
+the valuation of the last one follows from the norm, with no kernel.
 
 Po(K), Po(K)_nr and Po(K)_nr1 come from one walk over the primes
 (`polya_group`): the classes of the Pi_{p^f} above each prime are found
@@ -99,14 +99,6 @@ class ClassGroupData:
     mb: Fraction
     budget: int
     certified_trivial: bool
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return self.snf.invariant_factors
-
-    @property
-    def order(self) -> int:
-        return self.snf.order
 
 
 def _columns(order: MaximalOrder, index_of, ps):
@@ -181,16 +173,22 @@ def _smooth_points(order: MaximalOrder, rows, form, caps, skip: int, ncols: int,
     norm form of `rows` (MaximalOrder.norm_form); `screen` and `over`
     come from `_columns`.
 
-    Each norm comes from its line's cubic (norm_line).  Most norms are
-    not smooth, so repeated gcds with `screen` first strip a norm of its
+    Each norm comes from its line's cubic: norm_line's polynomials in c1,
+    made when c0 changes, evaluated on the line.  Most norms are not
+    smooth, so repeated gcds with `screen` first strip a norm of its
     smooth part and reject it, without trial division, when a gcd of 1
     comes before the remainder reaches 1.  Only the norms that pass are
-    built into an element, and a smooth one is checked against
-    norm_omega.
+    built into an element, and a smooth one is checked against norm_omega.
     """
     (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = rows
+    last = None
     for c0, c1, xs in lattice_lines(caps, skip):
-        A, B, C, D = norm_line(form, c0, c1)
+        if c0 != last:
+            (A,), (B0, B1), (C0, C1, C2), (D0, D1, D2, D3) = norm_line(form, c0)
+            last = c0
+        B = B0 + B1 * c1
+        C = C0 + (C1 + C2 * c1) * c1
+        D = D0 + (D1 + (D2 + D3 * c1) * c1) * c1
         e0, e1, e2 = c0 * a0 + c1 * b0, c0 * a1 + c1 * b1, c0 * a2 + c1 * b2
         for x in xs:
             norm = abs(((A * x + B) * x + C) * x + D)
@@ -295,7 +293,7 @@ class _Harvest:
         order, k, screen, over, lattice = self.order, self.k, self.screen, self.over, self.lattice
         if lattice.det != 1:
             box = (radius,) * 3
-            form = order._norm_form_flat
+            form = order.basis_norm_form
             for row in _smooth_points(order, _IDENTITY, form, box, self.radius, k, screen, over):
                 lattice.add(row)
                 if lattice.det == 1:
@@ -335,8 +333,10 @@ def class_group(
     whose class came out nontrivial gets a bounded principality probe;
     any disagreement escalates the budget, and running out of budget
     raises ClassGroupInconclusiveError.  The result's `budget` is the
-    radius of the pass that returned it; a budget below 1 raises
-    ValueError.
+    radius r of the round that returned it, though only a trivial answer
+    or one with `verify_stability` off can come from the round's first
+    pass, at r: every other answer is presented at 2r, by its doubled
+    pass.  A budget below 1 raises ValueError.
 
     Every pass presents the one lattice of the call, so the pass after
     a doubling starts where the last one ended, and a presentation is

@@ -78,29 +78,24 @@ def _expand_group_specs(args) -> list[tuple[str, str]]:
     specs: list[tuple[str, str]] = []
     if args.n is not None and args.family in (None, "F20"):
         raise _ParseFailure("--n needs --family S, A, D or C")
-    if args.family:
-        if args.family == "F20":
-            specs.append(("F20", "family"))
+    if args.family == "F20":
+        specs.append(("F20", "family"))
+    elif args.family:
+        if not args.n:
+            raise _ParseFailure("--family needs --n RANGE (e.g. --n 3..8)")
+        m = _RANGE_RE.match(args.n)
+        if m:
+            lo, hi = int(m.group(1)), int(m.group(2))
+        elif args.n.isdigit():
+            lo = hi = int(args.n)
         else:
-            if not args.n:
-                raise _ParseFailure("--family needs --n RANGE (e.g. --n 3..8)")
-            m = _RANGE_RE.match(args.n)
-            if m:
-                lo, hi = int(m.group(1)), int(m.group(2))
-            elif args.n.isdigit():
-                lo = hi = int(args.n)
-            else:
-                raise _ParseFailure(f"bad range {args.n!r}")
-            if lo > hi:
-                raise _ParseFailure(f"empty range {args.n!r}")
-            permgroup._check_degree(hi, args.max_closure)
-            for n in range(lo, hi + 1):
-                specs.append((f"{args.family}{n}", "family"))
+            raise _ParseFailure(f"bad range {args.n!r}")
+        if lo > hi:
+            raise _ParseFailure(f"empty range {args.n!r}")
+        tokens = permgroup.family_tokens(args.family, range(lo, hi + 1), args.max_closure)
+        specs += [(token, "family") for token in tokens]
     for token in args.groups:
-        if token == "F20" or permgroup._FAMILY_RE.match(token):
-            specs.append((token, "family"))
-        else:
-            specs.append((token, "file"))
+        specs.append((token, "family" if permgroup.family_tokens(token) else "file"))
     if not specs:
         raise _ParseFailure("no groups given: pass tokens, files, or --family/--n")
     return specs

@@ -41,11 +41,8 @@ _ROOT_SCAN_LIMIT = 160
 # Miller-Rabin on the first 13 prime bases is a proof of primality below this
 _MILLER_RABIN_LIMIT = 3317044064679887385961981
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-# exponents of c0, c1, c2 in the monomial order of MaximalOrder.norm_form
-_MONOMIALS = (
-    (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
-    (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
-)
+# MaximalOrder.norm_form's monomials, each as the indices t of its c_t
+_MONOMIALS = tuple(itertools.combinations_with_replacement(range(3), 3))
 
 # Rational upper bound for 4/pi, used in the Minkowski bound so that the
 # factor base can only gain candidate generators, never lose one.
@@ -405,23 +402,20 @@ class MaximalOrder:
 
         The norm is the determinant of multiplication-by-y, whose row j
         is sum_t c_t * M_t[j] with M_t[j] the coordinates of
-        rows[t] * omega_j.  The determinant is linear in each row, so
-        the coefficient of c_a c_b c_c collects
-        det(M_a[0], M_b[1], M_c[2]) over the orderings of a, b, c."""
+        rows[t] * omega_j.  The determinant is linear in each row, so the
+        coefficient of c_a c_b c_c collects det(M_a[0], M_b[1], M_c[2])
+        over the distinct orderings of a, b, c."""
         mats = [[self.omega_mul(r, e) for e in _UNITS] for r in rows]
-        coeffs = dict.fromkeys(_MONOMIALS, 0)
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    e = [0, 0, 0]
-                    e[a] += 1
-                    e[b] += 1
-                    e[c] += 1
-                    coeffs[tuple(e)] += det3((mats[a][0], mats[b][1], mats[c][2]))
-        return tuple(coeffs[m] for m in _MONOMIALS)
+        return tuple(
+            sum(
+                det3((mats[a][0], mats[b][1], mats[c][2]))
+                for a, b, c in set(itertools.permutations(t))
+            )
+            for t in _MONOMIALS
+        )
 
     @cached_property
-    def _norm_form_flat(self) -> tuple[int, ...]:
+    def basis_norm_form(self) -> tuple[int, ...]:
         """The norm form on the integral basis itself, in the variables
         y0, y1, y2 (see norm_form)."""
         return self.norm_form(_UNITS)
@@ -429,7 +423,7 @@ class MaximalOrder:
     def norm_omega(self, y) -> int:
         """Field norm of an order element in integral-basis coordinates."""
         # the ten-term cubic form, nested in y0 and then in y1: 17 products
-        c = self._norm_form_flat
+        c = self.basis_norm_form
         y0, y1, y2 = y
         s2 = y2 * y2
         quad = y1 * (c[3] * y1 + c[4] * y2) + c[5] * s2
@@ -456,20 +450,13 @@ class MaximalOrder:
         ]
 
 
-def norm_line(form, c0: int, c1: int) -> tuple[int, int, int, int]:
+def norm_line(form, c0: int) -> tuple[tuple[int, ...], ...]:
     """(A, B, C, D) with F(c0, c1, x) = ((A*x + B)*x + C)*x + D for the
-    norm form F whose coefficients `form` are in MaximalOrder.norm_form's
-    monomial order: the norm along the line of c2 through (c0, c1).  A
-    does not depend on the line; B is linear, C quadratic and D cubic in
-    (c0, c1)."""
+    norm form F with coefficients `form` (in MaximalOrder.norm_form's
+    order) on the lines of c2 through c0: each a polynomial in c1, as
+    its coefficients lowest first, of degree 0, 1, 2 and 3."""
     k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = form
-    s1 = c1 * c1
-    return (
-        k9,
-        k5 * c0 + k8 * c1,
-        (k2 * c0 + k4 * c1) * c0 + k7 * s1,
-        ((k0 * c0 + k1 * c1) * c0 + k3 * s1) * c0 + k6 * s1 * c1,
-    )
+    return (k9,), (k5 * c0, k8), (k2 * c0 * c0, k4 * c0, k7), (k0 * c0**3, k1 * c0 * c0, k3 * c0, k6)
 
 
 def cubic_roots(poly: CubicPoly) -> list[complex]:
@@ -986,25 +973,20 @@ def is_principal(
     form = order.norm_form(rows)
     # |F(c)| <= bound on the box; F(0, 0, 1) = N(v_2) != 0, so the bound
     # also holds every |x|^3 with |x| <= caps[2]
-    bound = sum(abs(k) * caps[0] ** a * caps[1] ** b * caps[2] ** c
-                for k, (a, b, c) in zip(form, _MONOMIALS))
+    bound = sum(abs(k) * caps[a] * caps[b] * caps[c] for k, (a, b, c) in zip(form, _MONOMIALS))
     width = (max(bound, m).bit_length() + 8) // 8  # 2^(8*width-1) > bound, m
     xs = list(zigzag(caps[2]))
     p0, p1, p2, p3 = (_pack([x**e for x in xs], width) for e in range(4))
     offset = 1 << (8 * width - 1)
     size = width * len(xs)
     hit = ((offset + m).to_bytes(width, "little"), (offset - m).to_bytes(width, "little"))
-    # the packed line A*p3 + B*p2 + C*p1 + (D + offset)*p0, with
-    # (A, B, C, D) = norm_line(form, c0, c1), is a cubic in c1 whose
-    # packed coefficients q0..q3 are made once per c0
-    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = form
-    top = k9 * p3 + offset * p0
-    q3 = k6 * p0
-    r0, r1, r2 = rows
     for c0, c1s in half_box_lines(caps):
-        q2 = k7 * p1 + k3 * c0 * p0
-        q1 = k8 * p2 + c0 * (k4 * p1 + k1 * c0 * p0)
-        q0 = top + c0 * (k5 * p2 + c0 * (k2 * p1 + k0 * c0 * p0))
+        # the packed line A*p3 + B*p2 + C*p1 + (D + offset)*p0, a cubic in c1
+        A, B, C, D = norm_line(form, c0)
+        q0 = A[0] * p3 + B[0] * p2 + C[0] * p1 + (D[0] + offset) * p0
+        q1 = B[1] * p2 + C[1] * p1 + D[1] * p0
+        q2 = C[2] * p1 + D[2] * p0
+        q3 = D[3] * p0
         for c1 in c1s:
             line = (((q3 * c1 + q2) * c1 + q1) * c1 + q0).to_bytes(size, "little")
             # find, not `in`: bytes.__contains__ first tries its operand as an int
@@ -1013,7 +995,7 @@ def is_principal(
             i = _first_slot(line, hit, width)
             if i is not None:
                 x = xs[i]
-                y = tuple(c0 * a + c1 * b + x * d for a, b, d in zip(r0, r1, r2))
+                y = tuple(c0 * a + c1 * b + x * d for a, b, d in zip(*rows))
                 assert abs(order.norm_omega(y)) == m
                 assert element_ideal(order, y) == I
                 return y

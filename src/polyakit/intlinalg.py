@@ -269,11 +269,6 @@ def lattice_coordinates(hnf: tuple[tuple[int, ...], ...], vec) -> list[int] | No
     return None if any(v) else coords
 
 
-def lattice_contains(hnf: tuple[tuple[int, ...], ...], vec) -> bool:
-    """Whether `vec` lies in the lattice spanned by the HNF rows."""
-    return lattice_coordinates(hnf, vec) is not None
-
-
 def det3(m) -> int:
     """Determinant of a 3x3 matrix (rows of ints, Fractions or complex)."""
     a, b, c = m[0]
@@ -332,9 +327,9 @@ def lattice_lines(caps, skip: int = -1):
     """The primitive points of the box |c_t| <= caps[t] (gcd(c0, c1, c2)
     = 1) with max |c_t| > skip, one of each pair +-c (the one whose first
     nonzero c_t is positive), as lines: triples (c0, c1, xs) with xs the
-    list of c2 values on the line (c0, c1) prime to gcd(c0, c1), one
-    list per gcd and c0, shared with the other lines of that gcd and c0
-    and not to be changed.  Lines with no c2 value left are left out.
+    list of c2 values on the line (c0, c1) prime to gcd(c0, c1), not to
+    be changed: the lines with gcd 1 share one list, and the others
+    filter theirs on the spot.  Lines with no c2 value left are left out.
 
     The lines are those of half_box_lines, so flattening them gives the
     full box's nested order with the other half of each pair and every
@@ -351,19 +346,13 @@ def lattice_lines(caps, skip: int = -1):
     outside = list(zigzag(caps[2], floor + 1))
     origin = [1] if floor == 0 and caps[2] else []
     for c0, c1s in half_box_lines(caps):
-        # (g, whole line or not) -> the c2 values prime to g, kept for one
-        # c0 only: there g divides c0, so few lists are alive at once.
-        # Lists, not tuples: CPython keeps up to 2000 freed tuples of each
-        # length below 20, and lines of many lengths would fill those
-        coprime = {(1, True): every, (1, False): outside}
         for c1 in c1s:
             g = gcd(c0, c1)
-            whole = max(c0, abs(c1)) > floor
-            xs = coprime.get((g, whole)) if g else origin
-            if xs is None:
-                xs = [x for x in (every if whole else outside) if gcd(g, x) == 1]
-                if c0:  # at c0 = 0, g = c1 comes once
-                    coprime[g, whole] = xs
+            xs = every if max(c0, abs(c1)) > floor else outside
+            if g > 1:
+                xs = [x for x in xs if gcd(g, x) == 1]
+            elif not g:
+                xs = origin
             if xs:
                 yield c0, c1, xs
 

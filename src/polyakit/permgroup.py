@@ -942,6 +942,20 @@ def _check_degree(degree: int, ceiling: int) -> None:
         raise GroupTooLargeError(f"degree {degree} exceeds closure ceiling {ceiling}")
 
 
+def family_tokens(
+    family: str, degrees: Optional[range] = None, ceiling: int = DEFAULT_CLOSURE_CEILING
+) -> list[str]:
+    """The family_group tokens a selector names, before any group is
+    built: [family] or [] as the token `family`, matched as given, names
+    a family or not; with `degrees`, the tokens of the letter `family`
+    at each degree, once the largest has passed family_group's check."""
+    if degrees is None:
+        return [family] if family == "F20" or _FAMILY_RE.match(family) else []
+    if degrees:
+        _check_degree(degrees[-1], ceiling)
+    return [f"{family}{n}" for n in degrees]
+
+
 def family_group(token: str, ceiling: int = DEFAULT_CLOSURE_CEILING) -> PermGroup:
     """Resolve a symbolic family token: S<n>, A<n>, D<n>, C<n>, or F20.
     An n above MAX_GROUP_DEGREE or above `ceiling`, or a group of order

@@ -16,6 +16,9 @@ quantities that polyakit computes another way.
   the order's form.
 - `poly_of_theta_omega`: g(theta) in integral-basis coordinates.
 - `lattice_points`: the points of `lattice_lines`, one at a time.
+- `lattice_contains`: membership in the lattice of HNF rows.
+- `exponent_norm_form`: MaximalOrder.norm_form's coefficients, summed
+  into a dict keyed by the exponents of c0, c1, c2.
 - `generic_factor_prime`: the primes above p, away from the index, by
   factoring f mod p and taking the HNF of p*O + g(theta)*O.
 - `ideal_pow`: I^k by repeated `ideal_product`.
@@ -33,7 +36,7 @@ import itertools
 from polyakit import classgroup
 from polyakit.artin import SplittingType
 from polyakit.cubicfield import IntegralIdeal, ideal_product, iter_primes_up_to, mul_power, primes_up_to
-from polyakit.intlinalg import adj3, det3, hnf_rows, lattice_lines
+from polyakit.intlinalg import adj3, det3, hnf_rows, lattice_coordinates, lattice_lines
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -297,6 +300,34 @@ def lattice_points(rows, caps, skip=-1):
         e0, e1, e2 = c0 * a0 + c1 * b0, c0 * a1 + c1 * b1, c0 * a2 + c1 * b2
         for c2 in xs:
             yield e0 + c2 * d0, e1 + c2 * d1, e2 + c2 * d2
+
+
+def lattice_contains(hnf, vec) -> bool:
+    """Whether `vec` lies in the lattice spanned by the HNF rows."""
+    return lattice_coordinates(hnf, vec) is not None
+
+
+# exponents of c0, c1, c2 in the monomial order of MaximalOrder.norm_form
+_EXPONENTS = (
+    (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
+    (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
+)
+
+
+def exponent_norm_form(order, rows):
+    """The coefficients of N(c0*rows[0] + c1*rows[1] + c2*rows[2]) in
+    the order of _EXPONENTS: det(M_a[0], M_b[1], M_c[2]), with M_t[j]
+    the coordinates of rows[t] * omega_j, summed over all 27 (a, b, c)
+    into the exponent vector of c_a c_b c_c."""
+    mats = [[order.omega_mul(r, e) for e in _UNITS] for r in rows]
+    coeffs = dict.fromkeys(_EXPONENTS, 0)
+    for a, b, c in itertools.product(range(3), repeat=3):
+        e = [0, 0, 0]
+        e[a] += 1
+        e[b] += 1
+        e[c] += 1
+        coeffs[tuple(e)] += det3((mats[a][0], mats[b][1], mats[c][2]))
+    return tuple(coeffs[e] for e in _EXPONENTS)
 
 
 def generic_factor_prime(order, p):

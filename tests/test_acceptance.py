@@ -262,7 +262,7 @@ def test_criterion_10_class_group_stability():
         order = maximal_order(parse_cubic(s))
         a = class_group(order, budget=4, verify_stability=False)
         b = class_group(order, budget=8, verify_stability=False)
-        same = a.invariant_factors == b.invariant_factors
+        same = a.snf.invariant_factors == b.snf.invariant_factors
         ok = ok and same
-        details.append(f"{s}:{list(a.invariant_factors)}")
+        details.append(f"{s}:{list(a.snf.invariant_factors)}")
     report(10, ok, "budget 4 vs 8 invariant factors: " + ", ".join(details))

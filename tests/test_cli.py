@@ -227,6 +227,13 @@ def test_group_check_n_without_a_ranged_family_exits_2(capsys, argv):
     assert "--n needs --family S, A, D or C" in err
 
 
+@pytest.mark.parametrize("token", [" S4", "S4 "])
+def test_group_check_token_with_spaces_is_a_file_path(capsys, token):
+    code, out, err = run_cli(capsys, "group-check", token)
+    assert (code, out) == (2, "")
+    assert f"cannot read group file {token!r}" in err
+
+
 def test_group_check_range_past_the_degree_cap_exits_3_at_once(capsys):
     """The range's top is refused before C3..C1000 are built."""
     start = time.perf_counter()

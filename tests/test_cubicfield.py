@@ -47,12 +47,13 @@ from polyakit.cubicfield import (
     valuation,
     valuation_kernel,
 )
-from polyakit.intlinalg import adj3, det3, invert3, lattice_contains, lattice_lines
+from polyakit.intlinalg import adj3, det3, invert3, lattice_lines
 
 from fieldref import (
-    census_by_root_count, generic_factor_prime, ideal_pow, is_p_maximal_dedekind, multiplier_rows,
-    norm_power, pgcd, pmul, pnorm, poly_of_theta_omega, power_mult_table, power_sums,
-    power_valuation_kernel, ring_map_kernels, roots_mod_p, scalar_ideal, to_omega_int,
+    census_by_root_count, exponent_norm_form, generic_factor_prime, ideal_pow,
+    is_p_maximal_dedekind, lattice_contains, multiplier_rows, norm_power, pgcd, pmul, pnorm,
+    poly_of_theta_omega, power_mult_table, power_sums, power_valuation_kernel, ring_map_kernels,
+    roots_mod_p, scalar_ideal, to_omega_int,
 )
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
@@ -209,7 +210,7 @@ def test_omega_norm_matches_power_norm(u, v):
 )
 @settings(max_examples=200, deadline=None)
 def test_norm_omega_matches_expanded_form(s, y):
-    c = _order_of(s)._norm_form_flat
+    c = _order_of(s).basis_norm_form
     y0, y1, y2 = y
     monomials = (
         y0**3, y0**2 * y1, y0**2 * y2, y0 * y1**2, y0 * y1 * y2,
@@ -227,7 +228,8 @@ def test_norm_omega_matches_expanded_form(s, y):
 @settings(max_examples=80, deadline=None)
 def test_norm_lines_match_norm_omega(s, p, y, caps):
     """On the basis of Pi_{p^f} (every f above p) or of (y) when y != 0,
-    each line's cubic gives norm_omega of every point on the line."""
+    the cubic of the lines through each c0, its coefficients evaluated
+    at the line's c1, gives norm_omega of every point on the line."""
     O = _order_of(s)
     if any(y):
         ideals = [element_ideal(O, y)]
@@ -237,10 +239,36 @@ def test_norm_lines_match_norm_omega(s, p, y, caps):
         form = O.norm_form(I.hnf)
         r0, r1, r2 = I.hnf
         for c0, c1, xs in lattice_lines(caps):
-            A, B, C, D = norm_line(form, c0, c1)
+            polys = norm_line(form, c0)
+            assert [len(coeffs) for coeffs in polys] == [1, 2, 3, 4]
+            A, B, C, D = (sum(k * c1**j for j, k in enumerate(coeffs)) for coeffs in polys)
             for x in xs:
                 point = tuple(c0 * a + c1 * b + x * d for a, b, d in zip(r0, r1, r2))
                 assert ((A * x + B) * x + C) * x + D == O.norm_omega(point), (I, c0, c1, x)
+
+
+def test_norm_form_matches_exponent_dict_reference():
+    """norm_form's coefficients equal the exponent-dict reference's on
+    the identity rows, the HNF of a few element ideals and of every
+    prime above p <= 30, in the fixture fields and in 40 drawn fields
+    of the |a_i| <= 12 box."""
+    rng = random.Random(34)
+    polys = [parse_cubic(s) for s in FIXTURE_POLYS]
+    while len(polys) < len(FIXTURE_POLYS) + 40:
+        poly = _box_field(tuple(rng.randint(-12, 12) for _ in range(3)))
+        if poly is not None:
+            polys.append(poly)
+    for poly in polys:
+        O = maximal_order(poly)
+        bases = [((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        for _ in range(3):
+            y = tuple(rng.randint(-9, 9) for _ in range(3))
+            if any(y):
+                bases.append(element_ideal(O, y).hnf)
+        bases += [q.hnf for p in primes_up_to(30) for q in factor_prime(O, p)]
+        for rows in bases:
+            assert O.norm_form(rows) == exponent_norm_form(O, rows), (poly, rows)
+        assert O.basis_norm_form == exponent_norm_form(O, bases[0])
 
 
 def test_power_sums_newton():

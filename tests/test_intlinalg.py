@@ -15,14 +15,13 @@ from polyakit.intlinalg import (
     half_box_lines,
     hnf_rows,
     invert3,
-    lattice_contains,
     lattice_coordinates,
     lattice_lines,
     smith_normal_form,
     zigzag,
 )
 
-from fieldref import kernel_mod_p, lattice_points, rref_mod_p
+from fieldref import kernel_mod_p, lattice_contains, lattice_points, rref_mod_p
 
 small_int = st.integers(min_value=-30, max_value=30)
 
@@ -500,14 +499,10 @@ def test_half_box_lines_walk_one_of_each_pair(caps):
 def test_lattice_lines_flatten_to_lattice_points(caps, skip):
     """The lines, flattened, are the kept primitive coefficients of the
     full box in its order, and mapped through the rows they are
-    lattice_points.  Lines of one c0 and gcd(c0, c1) share one xs list."""
+    lattice_points."""
     lines = list(lattice_lines(caps, skip))
     flat = [(c0, c1, c2) for c0, c1, xs in lines for c2 in xs]
     assert flat == [c for c, _ in _kept(LATTICE_ROWS, caps, skip)]
     points = [tuple(sum(c[t] * LATTICE_ROWS[t][i] for t in range(3)) for i in range(3)) for c in flat]
     assert points == list(lattice_points(LATTICE_ROWS, caps, skip))
     assert all(xs for _, _, xs in lines)  # no empty line
-    shared = {}
-    for c0, c1, xs in lines:
-        if max(c0, abs(c1)) > max(skip, 0):
-            assert shared.setdefault((c0, gcd(c0, c1)), xs) is xs

@@ -13,6 +13,10 @@ something in use, but never flags a used one.
 
 The modules form layers, lowest first, and each imports only modules
 below it, so no import cycle can form.
+
+No module reads, as an attribute or an import, a single-underscore name
+that only other modules define: a private name is read only where it is
+defined, so what a module keeps private can change without the others.
 """
 
 import ast
@@ -91,6 +95,43 @@ def test_every_method_and_property_is_used():
 
 def test_allowlist_holds_only_orphans():
     assert ALLOWED <= _orphans() | _orphan_methods()
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reads() -> set[str]:
+    """`module.name` for each single-underscore name the module reads as
+    an attribute or imports, where the module does not define the name
+    (as a def, class, argument or assignment target) and another module
+    does."""
+    defined, read = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        defs, reads = set(), set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.add(node.name)
+            elif isinstance(node, ast.arg):
+                defs.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                (defs if isinstance(node.ctx, ast.Store) else reads).add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reads.update(alias.name for alias in node.names)
+        defined[path.stem] = {name for name in defs if _private(name)}
+        read[path.stem] = {name for name in reads if _private(name)}
+    return {
+        f"{module}.{name}"
+        for module, names in read.items()
+        for name in names - defined[module]
+        if any(name in defined[other] for other in defined if other != module)
+    }
+
+
+def test_no_module_reads_another_modules_private_name():
+    assert _private_reads() == set()
 
 
 def _package_imports(tree) -> set[str]:

@@ -1118,6 +1118,22 @@ def test_family_group_degree_cap():
         family_group("C5", ceiling=4)
 
 
+def test_family_tokens_match_raw_tokens_and_check_a_range_top():
+    """A token is matched as given, so one with surrounding spaces names
+    no family; a range's largest degree is checked before any token is
+    listed, as family_group checks n."""
+    for tok in ("S5", "A3", "D12", "C1000", "F20"):
+        assert permgroup.family_tokens(tok) == [tok]
+    for tok in (" S5", "S5 ", " F20", "F20 ", "F21", "X5", "S", "5", "c5.grp"):
+        assert permgroup.family_tokens(tok) == []
+    assert permgroup.family_tokens("D", range(3, 6)) == ["D3", "D4", "D5"]
+    cap = permgroup.MAX_GROUP_DEGREE
+    with pytest.raises(GroupTooLargeError, match="degree cap"):
+        permgroup.family_tokens("C", range(3, cap + 2), ceiling=10**9)
+    with pytest.raises(GroupTooLargeError, match="exceeds closure ceiling 4"):
+        permgroup.family_tokens("C", range(3, 6), ceiling=4)
+
+
 def test_parse_group_file_degree_cap():
     cap = permgroup.MAX_GROUP_DEGREE
     assert cap * 1000 <= permgroup.DEFAULT_CLOSURE_CEILING
