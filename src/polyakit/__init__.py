@@ -38,7 +38,7 @@ from .cubicfield import (
     minkowski_bound,
     parse_cubic,
     pi_ideal,
-    splitting_census,
+    splitting_types,
 )
 from .permgroup import (
     Abelianization,

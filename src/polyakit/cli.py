@@ -23,6 +23,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import classgroup, cubicfield, permgroup
@@ -168,10 +169,11 @@ def _parse_field(text: str) -> CubicPoly:
 
 def _cmd_field_analyze(args) -> int:
     poly = _parse_field(args.poly)
-    order = cubicfield.maximal_order(poly)
     if poly.is_galois():
-        report = classgroup.ostrowski_report(order, args.prime_bound)
+        _check_sweep_bound(args.prime_bound)
+        report = classgroup.ostrowski_report(cubicfield.maximal_order(poly), args.prime_bound)
     else:
+        order = cubicfield.maximal_order(poly)
         report = classgroup.verify_main_theorem(
             order, prime_bound=args.prime_bound, budget=args.budget
         )
@@ -294,13 +296,14 @@ _CENSUS_COLUMNS = (
 
 def _census_rows(poly: CubicPoly, prime_bound: int) -> list[dict]:
     order = cubicfield.maximal_order(poly)
-    tallies = cubicfield.splitting_census(order, prime_bound)
+    counts = Counter(t for _, t in cubicfield.splitting_types(order, prime_bound))
     group = permgroup.family_group("C3" if poly.is_galois() else "S3")
     stab = permgroup.point_stabilizer(group, 2)
     action = permgroup.coset_action(group, stab)
     predicted = {t.label: d for t, d in chebotarev_densities(group, action).items()}
     rows = []
-    for t, (count, freq) in tallies.items():
+    for t, count in sorted(counts.items()):
+        freq = Fraction(count, counts.total())
         pred = predicted.get(t.label, Fraction(0))
         rows.append(
             {
@@ -315,6 +318,7 @@ def _census_rows(poly: CubicPoly, prime_bound: int) -> list[dict]:
 
 
 def _cmd_census(args) -> int:
+    _check_sweep_bound(args.prime_bound)
     rows = _census_rows(_parse_field(args.poly), args.prime_bound)
     _emit_rows(rows, args.format, _CENSUS_COLUMNS)
     return EXIT_OK
@@ -406,9 +410,15 @@ MAX_ENUM = 4 * 10**6
 _UPPER_BOUNDS = {
     "workers": MAX_WORKERS, "budget": MAX_BUDGET, "max_closure": MAX_CLOSURE, "max_enum": MAX_ENUM,
 }
-# The largest --prime-bound census takes: its sieve holds one byte per
-# integer up to the bound, so a larger one exits 2 before any sieve runs.
-MAX_CENSUS_PRIME_BOUND = 10**7
+# The largest --prime-bound of census and of a Galois field-analyze, which
+# walk every prime up to it: the sieve holds one byte per integer up to
+# the bound, so a larger one exits 2 before any sieve runs.
+MAX_SWEEP_PRIME_BOUND = 10**7
+
+
+def _check_sweep_bound(prime_bound: int) -> None:
+    if prime_bound > MAX_SWEEP_PRIME_BOUND:
+        raise _ParseFailure(f"bad configuration: prime_bound must be <= {MAX_SWEEP_PRIME_BOUND}")
 
 
 # The parser every main call reads its arguments with, built by the first
@@ -437,9 +447,6 @@ def main(argv=None) -> int:
         if value is not None and value > high:
             _diag(f"bad configuration: {name} must be <= {high}")
             return EXIT_PARSE
-    if args.command == "census" and args.prime_bound > MAX_CENSUS_PRIME_BOUND:
-        _diag(f"bad configuration: prime_bound must be <= {MAX_CENSUS_PRIME_BOUND}")
-        return EXIT_PARSE
     try:
         return args.run(args)
     except _ParseFailure as exc:

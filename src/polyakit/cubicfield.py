@@ -8,9 +8,8 @@ multiplication table on its basis; ideals are integer lattices in
 Hermite normal form on the integral basis, and the primes above every
 p, index primes and 2 included, come in closed form from the roots of
 that form on P^1(F_p), each with the multiplier tau that values it.
-Rationals appear only where the quantity is one: the Minkowski bound
-and splitting frequencies.  The class group built on this layer lives
-in classgroup.py.
+Rationals appear only where the quantity is one: the Minkowski bound.
+The class group built on this layer lives in classgroup.py.
 
 Degree is fixed at three: the checks that need actual ideal arithmetic
 are run on cubic fields, where every algorithm here is exhaustive and
@@ -40,7 +39,8 @@ DEFAULT_PRIME_BOUND = 200
 _ROOT_SCAN_LIMIT = 160
 # Miller-Rabin on the first 13 prime bases is a proof of primality below this
 _MILLER_RABIN_LIMIT = 3317044064679887385961981
-_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# The integral basis as coordinate rows
+UNIT_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # MaximalOrder.norm_form's monomials, each as the indices t of its c_t
 _MONOMIALS = tuple(itertools.combinations_with_replacement(range(3), 3))
 
@@ -405,7 +405,7 @@ class MaximalOrder:
         rows[t] * omega_j.  The determinant is linear in each row, so the
         coefficient of c_a c_b c_c collects det(M_a[0], M_b[1], M_c[2])
         over the distinct orderings of a, b, c."""
-        mats = [[self.omega_mul(r, e) for e in _UNITS] for r in rows]
+        mats = [[self.omega_mul(r, e) for e in UNIT_ROWS] for r in rows]
         return tuple(
             sum(
                 det3((mats[a][0], mats[b][1], mats[c][2]))
@@ -418,7 +418,7 @@ class MaximalOrder:
     def basis_norm_form(self) -> tuple[int, ...]:
         """The norm form on the integral basis itself, in the variables
         y0, y1, y2 (see norm_form)."""
-        return self.norm_form(_UNITS)
+        return self.norm_form(UNIT_ROWS)
 
     def norm_omega(self, y) -> int:
         """Field norm of an order element in integral-basis coordinates."""
@@ -575,11 +575,11 @@ def maximal_order(poly: CubicPoly) -> MaximalOrder:
             form, mobius = step
     if mobius == (1, 0, 0, 1):
         return MaximalOrder(
-            poly=poly, den=1, basis_num=_UNITS, disc_K=disc_poly, index=1,
+            poly=poly, den=1, basis_num=UNIT_ROWS, disc_K=disc_poly, index=1,
             form=form, form_basis=((1, 0, 0), (0, 1, 0), (0, -poly.a2, 1)),
         )
     m0, m1, n0, n1 = mobius
-    times_beta = [mul_power((n1, n0, 0), e, poly) for e in _UNITS]
+    times_beta = [mul_power((n1, n0, 0), e, poly) for e in UNIT_ROWS]
     norm = det3(times_beta)
     xi = mul_power((m1, m0, 0), adj3(times_beta)[0], poly)  # xi * norm
     a, b = form[0], form[1]
@@ -625,14 +625,14 @@ class IntegralIdeal:
 
     @staticmethod
     def unit() -> "IntegralIdeal":
-        return IntegralIdeal(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        return IntegralIdeal(UNIT_ROWS)
 
     @property
     def norm(self) -> int:
         return self.hnf[0][0] * self.hnf[1][1] * self.hnf[2][2]
 
     def is_unit_ideal(self) -> bool:
-        return self.hnf == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        return self.hnf == UNIT_ROWS
 
     def scalar_generator(self) -> Optional[int]:
         """n if this ideal is n*O (diagonal HNF with equal entries)."""
@@ -667,7 +667,7 @@ class PrimeIdeal:
 
 def element_ideal(order: MaximalOrder, y) -> IntegralIdeal:
     """The principal ideal generated by an order element (omega coords)."""
-    return IntegralIdeal.from_rows([order.omega_mul(y, e) for e in _UNITS])
+    return IntegralIdeal.from_rows([order.omega_mul(y, e) for e in UNIT_ROWS])
 
 
 def ideal_product(order: MaximalOrder, I: IntegralIdeal, J: IntegralIdeal) -> IntegralIdeal:
@@ -699,7 +699,7 @@ def valuation_kernel(order: MaximalOrder, prime: PrimeIdeal) -> tuple:
         # tau on the integral basis is prime.tau * form_basis^-1
         back = order._from_form
         tau = [sum(t * row[k] for t, row in zip(prime.tau, back)) for k in range(3)]
-        kernel = cache[prime.hnf] = (prime.p, tuple(order.omega_mul(e, tau) for e in _UNITS))
+        kernel = cache[prime.hnf] = (prime.p, tuple(order.omega_mul(e, tau) for e in UNIT_ROWS))
     return kernel
 
 
@@ -876,9 +876,9 @@ def _degree_product(order: MaximalOrder, primes, f: int) -> IntegralIdeal:
 
 def split_products(order: MaximalOrder, prime_bound: int):
     """(p, f, Pi_{p^f}) for every prime p <= prime_bound and every
-    residual degree f above p, in increasing (p, f): the ideals that the
-    Ostrowski sweep asks a generator of.  The primes are sieved as they
-    are taken, so the first result costs no sieve up to prime_bound."""
+    residual degree f above p, in increasing (p, f), for --witnesses.
+    The primes are sieved as they are taken, so the first result costs
+    no sieve up to prime_bound."""
     for p in iter_primes_up_to(prime_bound):
         primes = factor_prime(order, p)
         for f in sorted({q.f for q in primes}):
@@ -1022,27 +1022,23 @@ def _first_slot(data: bytes, patterns, width: int) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Splitting statistics
+# Splitting types
 
 
-def splitting_census(
-    order: MaximalOrder, prime_bound: int
-) -> dict[SplittingType, tuple[int, Fraction]]:
-    """Tally of splitting patterns over all unramified p <= prime_bound,
-    as {pattern: (count, frequency)}; frequencies sum to 1.
+def splitting_types(order: MaximalOrder, prime_bound: int):
+    """(p, splitting type) for every unramified p <= prime_bound, in
+    increasing p, from one primes_up_to list: every caller walks to the
+    bound, past which iter_primes_up_to's doubling windows would sieve.
 
     No root is extracted.  The form F = (a, b, c, d) of the order has
     discriminant disc_K, so at an odd unramified p Stickelberger's
-    theorem gives the pattern 1+2 exactly when (disc_K/p) = -1.
+    theorem gives the type 1+2 exactly when (disc_K/p) = -1.
     Otherwise F splits or is irreducible mod p: it splits when p | a,
     the root (1:0) being fixed by Frobenius, and else exactly when
     x^p = x modulo F(x, 1)/a.  At p = 2 the roots on P^1(F_2) are
     counted.
     """
-    if prime_bound < 2:
-        raise ValueError("prime_bound must be >= 2")
     a, b, c, d = order.form
-    counts: dict[SplittingType, int] = {}
     split, mixed, inert = map(SplittingType.from_cycle_lengths, ([1, 1, 1], [1, 2], [3]))
     for p in primes_up_to(prime_bound):
         disc = order.disc_K % p
@@ -1050,17 +1046,12 @@ def splitting_census(
             continue  # ramified
         if p == 2:
             roots = (d % 2 == 0) + ((a + b + c + d) % 2 == 0) + (a % 2 == 0)
-            t = {0: inert, 1: mixed, 3: split}[roots]
+            yield p, {0: inert, 1: mixed, 3: split}[roots]
         elif pow(disc, (p - 1) // 2, p) == p - 1:
-            t = mixed
+            yield p, mixed
         elif not a % p:
-            t = split
+            yield p, split
         else:
             inv = pow(a, -1, p)
             xp = modpoly.shifted_power(0, p, b * inv % p, c * inv % p, d * inv % p, p)
-            t = split if xp == (0, 1, 0) else inert
-        counts[t] = counts.get(t, 0) + 1
-    total = sum(counts.values())
-    return {
-        t: (c, Fraction(c, total)) for t, c in sorted(counts.items())
-    }
+            yield p, split if xp == (0, 1, 0) else inert

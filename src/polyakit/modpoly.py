@@ -4,7 +4,7 @@ A residue is a triple (r0, r1, r2), low degree first.  `shifted_power`
 computes (x + a)^e as a residue with the three coefficients of the cubic
 inlined, and serves every question asked of a cubic mod p: x^p, whose
 equality with x decides whether the cubic splits into distinct linear
-factors (the splitting census, in cubicfield), and the distinct roots
+factors (cubicfield.splitting_types), and the distinct roots
 (`roots_mod_p`): gcd(x^p - x, F) keeps the distinct linear factors, and
 equal-degree splitting with (x + a)^((p-1)/2) over a deterministic shift
 sweep separates them.  Reference: Cohen, GTM 138, section 3.4.

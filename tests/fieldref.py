@@ -29,13 +29,23 @@ quantities that polyakit computes another way.
   form, and the valuation rows built from it.
 - `polya_walk`: one Polya variant's subgroup from its own walk over the
   primes, as (subgroup, used, processed_bound, full_at).
+- `ostrowski_by_ideals`: the Ostrowski records of a Galois order from
+  the ideals themselves: each Pi_{p^f} built by `split_products` and
+  its generator read off the HNF, not off the splitting law.
 """
 
 import itertools
 
 from polyakit import classgroup
 from polyakit.artin import SplittingType
-from polyakit.cubicfield import IntegralIdeal, ideal_product, iter_primes_up_to, mul_power, primes_up_to
+from polyakit.cubicfield import (
+    IntegralIdeal,
+    ideal_product,
+    iter_primes_up_to,
+    mul_power,
+    primes_up_to,
+    split_products,
+)
 from polyakit.intlinalg import adj3, det3, hnf_rows, lattice_coordinates, lattice_lines
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -481,3 +491,24 @@ def census_by_root_count(order, prime_bound):
             t = SplittingType.from_cycle_lengths(by_roots[distinct_root_count(fx, p) + (a % p == 0)])
             counts[t] = counts.get(t, 0) + 1
     return counts
+
+
+def ostrowski_by_ideals(order, prime_bound):
+    """classgroup.ostrowski_check's records, each unramified Pi_{p^f}
+    multiplied out of the primes above p and its generator read off the
+    HNF (IntegralIdeal.scalar_generator)."""
+    out = []
+    for p, f, ideal in split_products(order, prime_bound):
+        if order.disc_K % p == 0:
+            continue
+        n = ideal.scalar_generator()
+        out.append(
+            {
+                "p": p,
+                "f": f,
+                "norm": ideal.norm,
+                "principal": n is not None,
+                "generator": [n * c for c in order.one] if n is not None else None,
+            }
+        )
+    return out

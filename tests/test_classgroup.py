@@ -39,7 +39,7 @@ from polyakit import (
     prime_class_vector,
     verify_main_theorem,
 )
-from polyakit import classgroup
+from polyakit import classgroup, cubicfield
 from polyakit.cubicfield import (
     SearchBudgetExceededError,
     element_valuation,
@@ -48,7 +48,13 @@ from polyakit.cubicfield import (
 )
 from polyakit.intlinalg import hnf_rows
 
-from fieldref import lattice_contains, lattice_points, polya_walk, scalar_ideal
+from fieldref import (
+    lattice_contains,
+    lattice_points,
+    ostrowski_by_ideals,
+    polya_walk,
+    scalar_ideal,
+)
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
 
@@ -345,6 +351,50 @@ def test_ostrowski_generators_generate_their_ideals(orders):
 def test_ostrowski_check_rejects_non_galois(orders):
     with pytest.raises(ValueError, match="Galois"):
         ostrowski_check(orders["x^3-2"], 50)
+
+
+# cyclic cubics with disc_K 81, 49, 169, 3969, 961 and 8281, the last two
+# of index 2
+CYCLIC_FIXTURES = (
+    "x^3-3x-1", "x^3+x^2-2x-1", "x^3-x^2-4x-1", "x^3-21x-35", "x^3+x^2-10x-8",
+    "x^3-x^2-30x+64",
+)
+
+
+def _cyclic_box_4():
+    for t in itertools.product(range(-4, 5), repeat=3):
+        try:
+            poly = CubicPoly(*t)
+        except ReduciblePolynomialError:
+            continue
+        if poly.is_galois():
+            yield poly
+
+
+def test_ostrowski_check_matches_the_ideal_sweep():
+    """The records read off the splitting law are those of the sweep
+    that builds every Pi_{p^f} and reads its generator off the HNF, for
+    every p <= 3000, on the cyclic fixtures and every cyclic field of
+    box 4."""
+    polys = [parse_cubic(s) for s in CYCLIC_FIXTURES] + list(_cyclic_box_4())
+    assert len(polys) == 6 + 18
+    for poly in polys:
+        order = maximal_order(poly)
+        got = json.dumps(ostrowski_check(order, 3000))
+        assert got == json.dumps(ostrowski_by_ideals(order, 3000)), poly
+
+
+def test_ostrowski_check_factors_no_prime(monkeypatch):
+    orders = [maximal_order(parse_cubic(s)) for s in CYCLIC_FIXTURES]
+    want = [ostrowski_by_ideals(order, 500) for order in orders]
+
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("a prime was factored")
+
+    monkeypatch.setattr(cubicfield, "factor_prime", no_factoring)
+    monkeypatch.setattr(classgroup, "factor_prime", no_factoring)
+    fresh = [maximal_order(parse_cubic(s)) for s in CYCLIC_FIXTURES]
+    assert [ostrowski_check(order, 500) for order in fresh] == want
 
 
 def test_polya_group_takes_no_prime_when_cl_is_trivial(orders, monkeypatch):
@@ -747,11 +797,11 @@ def test_norm_derived_valuations_match_the_walk():
         powers = {}
         walked = (
             _walked_row(order, y, index_of, ps, powers)
-            for y in lattice_points(classgroup._IDENTITY, (4, 4, 4))
+            for y in lattice_points(cubicfield.UNIT_ROWS, (4, 4, 4))
         )
-        form = order.norm_form(classgroup._IDENTITY)
+        form = order.norm_form(cubicfield.UNIT_ROWS)
         got = classgroup._smooth_points(
-            order, classgroup._IDENTITY, form, (4, 4, 4), -1, len(fb), screen, over
+            order, cubicfield.UNIT_ROWS, form, (4, 4, 4), -1, len(fb), screen, over
         )
         assert list(got) == [row for row in walked if row is not None], (a2, a1, a0)
     assert fields == 88
@@ -899,10 +949,10 @@ def test_harvest_adds_each_box_row_once(monkeypatch):
         harvest.present(radius)
     assert harvest.present(16).snf.invariant_factors
     screen, over = harvest.screen, harvest.over
-    form = order.norm_form(classgroup._IDENTITY)
+    form = order.norm_form(cubicfield.UNIT_ROWS)
     box = (16,) * 3
     smooth = list(
-        classgroup._smooth_points(order, classgroup._IDENTITY, form, box, -1, len(fb), screen, over)
+        classgroup._smooth_points(order, cubicfield.UNIT_ROWS, form, box, -1, len(fb), screen, over)
     )
     assert len({tuple(r) for r in smooth}) < len(smooth)
     assert sorted(added) == sorted(map(tuple, smooth))

@@ -625,15 +625,40 @@ def test_max_enum_below_1_exits_2_before_any_search(capsys, monkeypatch, limit):
 
 
 def test_census_prime_bound_above_the_cap_exits_2_before_any_sieve(capsys, monkeypatch):
+    """census, and field-analyze on a Galois cubic, whose sweep walks
+    every prime up to the bound.  census checks the bound before the
+    cubic, so a reducible one (x^3-x) is refused for its bound."""
+
     def no_sieve(*args, **kwargs):
         raise AssertionError("a sieve was started")
 
-    for name in ("primes_up_to", "iter_primes_up_to", "splitting_census", "maximal_order"):
+    for name in ("primes_up_to", "iter_primes_up_to", "splitting_types", "maximal_order"):
         monkeypatch.setattr(cubicfield, name, no_sieve)
-    bound = str(cli.MAX_CENSUS_PRIME_BOUND + 1)  # the only value past the cap this test runs
-    code, out, err = run_cli(capsys, "census", "x^3-2", "--prime-bound", bound)
-    assert (code, out) == (2, "")
-    assert f"bad configuration: prime_bound must be <= {cli.MAX_CENSUS_PRIME_BOUND}" in err
+    monkeypatch.setattr(classgroup, "ostrowski_report", no_sieve)
+    bound = str(cli.MAX_SWEEP_PRIME_BOUND + 1)  # the only value past the cap this test runs
+    for argv in (["census", "x^3-2"], ["census", "x^3-x"], ["field-analyze", "x^3-3x-1"]):
+        code, out, err = run_cli(capsys, *argv, "--prime-bound", bound)
+        assert (code, out) == (2, ""), argv
+        assert err == f"bad configuration: prime_bound must be <= {cli.MAX_SWEEP_PRIME_BOUND}\n"
+
+
+def test_galois_sweep_over_the_cap_exits_2_under_an_address_limit():
+    """Refused before the order is built or any prime is sieved, so it
+    fits a 1 GiB address space, where the sieve to 10^10 does not."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyakit.cli", "field-analyze", "x^3-3x-1", "--prime-bound",
+         "10000000000"],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"bad configuration: prime_bound must be <= {cli.MAX_SWEEP_PRIME_BOUND}\n"
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -796,7 +821,9 @@ def test_negative_leading_triple_is_the_poly(capsys, argv, reference):
 # a --witnesses report, a field that expresses the class of a prime
 # outside the factor base (x^3+8x-6), a field whose 3862-row relation
 # matrix (disc_K 602645, Cl = (2, 2)) takes hnf_rows through its mod-det
-# path on the way to class_generators (x^3-21x^2+19x+16), a small
+# path on the way to class_generators (x^3-21x^2+19x+16), the Galois
+# sweep on two cyclic fields, one of index 2, to 10^5 and 2*10^4 (their
+# hashes recorded before the sweep read the splitting law), a small
 # survey, group-check on every family and both fixture files, census,
 # the one field-side user of permutations, and one CSV run of each
 # command that writes CSV.  Group files are named
@@ -814,6 +841,8 @@ GOLDEN_RUNS = (
     ("field-analyze", "x^3-21x^2+19x+16"),
     ("field-analyze", "x^3+8x-6", "--witnesses"),
     ("field-analyze", "x^3-12x-5", "--witnesses"),
+    ("field-analyze", "x^3-3x-1", "--prime-bound", "100000"),
+    ("field-analyze", "x^3-x^2-30x+64", "--prime-bound", "20000"),
     ("survey", "--coeff-bound", "3"),
     ("group-check", "--family", "S", "--n", "3..8"),
     ("group-check", "--family", "A", "--n", "3..8"),

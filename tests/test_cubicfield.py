@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -33,9 +34,9 @@ from polyakit import (
     minkowski_bound,
     parse_cubic,
     pi_ideal,
-    splitting_census,
+    splitting_types,
 )
-from polyakit import cubicfield
+from polyakit import cli, cubicfield
 from polyakit.cubicfield import (
     SearchBudgetExceededError,
     _canonical_lattice,
@@ -1470,39 +1471,41 @@ def test_is_principal_budget_signal(orders):
 
 def test_census_small_bound(orders):
     O = orders["x^3-2"]
-    tallies = splitting_census(O, 10)
+    types = list(splitting_types(O, 10))
     # p = 5 gives 1+2, p = 7: x^3-2 mod 7 has no root -> inert
-    labels = {t.label: c for t, (c, _) in tallies.items()}
+    labels = Counter(t.label for _, t in types)
     assert labels.get("1+2", 0) >= 1
-    total = sum(c for c, _ in tallies.values())
-    freq_sum = sum(f for _, f in tallies.values())
+    unramified = [p for p in primes_up_to(10) if O.disc_K % p]
+    rows = cli._census_rows(O.poly, 10)
+    total = sum(row["count"] for row in rows)
+    freq_sum = sum(Fraction(row["frequency"]) for row in rows)
     assert freq_sum == 1
-    assert total == len([p for p in primes_up_to(10) if O.disc_K % p])
+    assert total == len(unramified)
+    assert [p for p, _ in types] == unramified
 
 
 def test_census_with_no_unramified_primes_is_empty(orders):
     # 2 ramifies in x^3 - 2, so a census up to 2 has nothing to tally
-    assert splitting_census(orders["x^3-2"], 2) == {}
+    assert list(splitting_types(orders["x^3-2"], 2)) == []
 
 
 def test_census_galois_has_no_mixed_pattern(orders):
     O = orders["x^3-3x-1"]
-    tallies = splitting_census(O, 2000)
-    assert all(t.label in ("1+1+1", "3") for t in tallies)
+    types = list(splitting_types(O, 2000))
+    assert all(t.label in ("1+1+1", "3") for _, t in types)
 
 
 def test_census_agrees_with_factor_prime(orders):
     for s in FIXTURE_POLYS:
         O = orders[s]
-        tallies = splitting_census(O, 300)
-        recount: dict[str, int] = {}
+        got = [(p, t.label) for p, t in splitting_types(O, 300)]
+        want = []
         for p in primes_up_to(300):
             if O.disc_K % p == 0:
                 continue
             parts = sorted(q.f for q in factor_prime(O, p))
-            label = "+".join(str(f) for f in parts)
-            recount[label] = recount.get(label, 0) + 1
-        assert {t.label: c for t, (c, _) in tallies.items()} == recount, s
+            want.append((p, "+".join(str(f) for f in parts)))
+        assert got == want, s
 
 
 def test_primes_up_to_and_the_lazy_walk_match_sympy():
@@ -1547,5 +1550,5 @@ def test_census_matches_the_root_count_on_box_12():
     orders = _box_12_census_slice()
     assert sum(O.index > 1 for O in orders) >= 20
     for O in orders:
-        got = {t: c for t, (c, _) in splitting_census(O, 2000).items()}
+        got = Counter(t for _, t in splitting_types(O, 2000))
         assert got == census_by_root_count(O, 2000), O.poly
