@@ -12,8 +12,8 @@ base point is the largest point the group moves, whose stabilizer is
 level 1 of the chain with no further closure.  A group is its chain:
 its element set is listed only when a caller reads it, once, as
 products of one transversal element per level; group equality is read
-off the chains too.  `group-check` lists the point stabilizer H once,
-to find T, and never G or H'.
+off the chains too.  `group-check` lists only T, by one walk of H's
+chain under the cap that listing H would meet, and never G, H or H'.
 
 On top of the chains the module provides right-coset actions, derived
 subgroups, normal cores, the subset T of a subgroup whose elements fix
@@ -47,7 +47,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .abelian import AbelianGroupSNF
@@ -216,11 +216,7 @@ class PermGroup:
     @property
     def elements(self) -> frozenset[_Perm]:
         if self._elements is None:
-            if self.order * self.degree > MAX_LISTED_ENTRIES:
-                raise GroupTooLargeError(
-                    f"listing {self.order} elements of degree {self.degree} exceeds "
-                    f"{MAX_LISTED_ENTRIES} tuple entries"
-                )
+            _check_listable(self)
             self._elements = frozenset(_enumerate(self.degree, self._levels))
         return self._elements
 
@@ -253,6 +249,16 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} order={self.order}>"
+
+
+def _check_listable(group: PermGroup) -> None:
+    """Refuse, before any element is built, a group whose listing
+    would pass MAX_LISTED_ENTRIES tuple entries (order times degree)."""
+    if group.order * group.degree > MAX_LISTED_ENTRIES:
+        raise GroupTooLargeError(
+            f"listing {group.order} elements of degree {group.degree} exceeds "
+            f"{MAX_LISTED_ENTRIES} tuple entries"
+        )
 
 
 def _move_point(q: int, g: _Perm) -> int:
@@ -524,7 +530,7 @@ class CosetAction:
     H*s is `_coset_key(H, s)`, which g moves to the key of (s then g); the
     labels are found by walking G's generators from the label of H.
     `orbit` holds the labels, sorted, and nothing here lists G:
-    `fixed_count` and `is_2transitive` read the labels alone.
+    `is_frobenius` and `is_2transitive` read the labels alone.
 
     Cosets are indexed 0..[G:H]-1 in lexicographic order of their least
     element; each stored representative is that least element, so the
@@ -537,8 +543,7 @@ class CosetAction:
     """
 
     __slots__ = (
-        "group", "subgroup", "point", "orbit", "_label", "_move", "_images",
-        "_reps", "_labels", "_index",
+        "group", "subgroup", "point", "orbit", "_label", "_move", "_reps", "_labels", "_index",
     )
 
     def __init__(self, group: PermGroup, subgroup: PermGroup):
@@ -551,13 +556,10 @@ class CosetAction:
             def move(s: _Perm, g: _Perm) -> _Perm:
                 return label(compose(s, g))  # the label of H*(s then g)
 
-            orbit = tuple(sorted(_orbit(label(group.identity), group.generators, move)))
-            self.orbit = orbit
-            self._images = lambda g: [move(s, g) for s in orbit]
+            self.orbit = tuple(sorted(_orbit(label(group.identity), group.generators, move)))
         else:
             label, move = itemgetter(self.point), _move_point
             self.orbit = tuple(sorted(points))
-            self._images = _then(self.orbit)
         self._label, self._move = label, move
         self._reps: Optional[tuple[_Perm, ...]] = None
 
@@ -603,11 +605,6 @@ class CosetAction:
         index, move = self._coset_indices(), self._move
         return tuple([index[move(q, g)] for q in self._labels])
 
-    def fixed_count(self, g: _Perm) -> int:
-        """How many cosets g fixes, that is how many labels; g must lie
-        in the group."""
-        return sum(map(eq, self._images(g), self.orbit))
-
 
 def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
     """Right-coset action of `group` on the cosets of `subgroup`.
@@ -639,21 +636,69 @@ def _check_proper_subgroup(group: PermGroup, subgroup: PermGroup) -> None:
         raise ValueError("H = G is rejected: the fixed-coset condition is vacuous")
 
 
+def _fixing_no_label(
+    ident: _Perm, chain: list[tuple[int, list[tuple[int, Callable]]]], labels: Iterable[int]
+) -> list[_Perm]:
+    """The elements of a chain's group that fix no point of `labels`.
+
+    `chain` holds, per level, its base point b and (x, u[x] then .) for
+    each other orbit point x.  An element is the product u_(k-1)[x_(k-1)]
+    then ... then u_0[x_0], so the walk carries the prefixes
+    P_(i+1) = u_i[x_i] then P_i down the levels, level by level.  The
+    levels below i fix b_i, so the element sends b_i to P_i(x_i): when
+    b_i is a label, the branches with P_i(x_i) = b_i are cut at level i,
+    and only the labels that are no base point are tested at the end."""
+    left = set(labels)
+    tails = [ident]
+    for base, steps in chain:
+        if base in left:
+            left.discard(base)
+            nxt = [p for p in tails if p[base] != base]
+            for x, step in steps:
+                nxt += [step(p) for p in tails if p[x] != base]
+        else:
+            nxt = list(tails)
+            for x, step in steps:
+                nxt += map(step, tails)
+        tails = nxt
+    for q in left:
+        tails = [g for g in tails if g[q] != q]
+    return tails
+
+
 def compute_T(
     group: PermGroup, subgroup: PermGroup, action: Optional[CosetAction] = None
 ) -> frozenset[_Perm]:
     """Elements of H whose only fixed coset is H itself.
 
-    Computed by counting the cosets each h fixes (`fixed_count`).
+    Only T is listed, by one walk down H's stabilizer chain
+    (`_fixing_no_label`), refused before it starts where listing H
+    would pass the cap (`_check_listable`).  When H is the full
+    stabilizer of a point p, h fixes the coset labelled q iff h(q) = q,
+    so the walk cuts every branch that fixes a base point of H that is
+    a label other than p.  For any other H, each u[x] of H's chain acts,
+    beside the points, on the coset indices shifted past them, by its
+    `row`: T is what fixes no index but 0, the coset H.
     `compute_T_conjugacy` is the independent characterization; the two
     must agree (a tested invariant).
     """
     _check_proper_subgroup(group, subgroup)
+    _check_listable(subgroup)
     if action is None:
         action = coset_action(group, subgroup)
-    fixed = action.fixed_count
-    # h in H always fixes coset 0 = H, so a lone fixed coset is H itself
-    return frozenset([h for h in subgroup.elements if fixed(h) == 1])
+    levels = subgroup._levels
+    if action.point is not None:
+        chain = [(lv.base, [(x, lv.u_then[x]) for x in lv.orbit[1:]]) for lv in levels]
+        labels = [q for q in action.orbit if q != action.point]
+        return frozenset(_fixing_no_label(subgroup.identity, chain, labels))
+    degree, row = group.degree, action.row
+    chain = [
+        (lv.base, [(x, itemgetter(*lv.u[x], *[degree + i for i in row(lv.u[x])]))
+                   for x in lv.orbit[1:]])
+        for lv in levels
+    ]
+    ident = tuple(range(degree + action.num_cosets))
+    return frozenset([g[:degree] for g in _fixing_no_label(ident, chain, ident[degree + 1:])])
 
 
 def compute_T_conjugacy(

@@ -4,11 +4,13 @@ Each entry is (name, G, H) with H a proper subgroup of G.  The corpus
 mixes the point-stabilizer pairs of the named families with assorted
 non-stabilizer subgroups, so the lemma-level invariants get exercised
 on cores, quotients, and abelianizations of different shapes.
-`action_image` gives the image of a coset action, which only the tests
-need.  `bfs_closure` is the breadth-first closure the stabilizer
-chains replaced, and `derived_by_rounds` and `frobenius_by_elements`
-are the derived subgroup and Frobenius test that reading them off
-chains and orbits replaced, each kept as their oracle.
+`action_image` gives the image of a coset action, and `fixed_count`
+the number of cosets an element fixes, which only the tests need.
+`bfs_closure` is the breadth-first closure the stabilizer chains
+replaced, and `derived_by_rounds`, `frobenius_by_elements` and
+`T_by_listing` are the derived subgroup, the Frobenius test and T that
+reading them off chains, orbits and a walk of H's chain replaced, each
+kept as their oracle.
 """
 
 from __future__ import annotations
@@ -65,6 +67,19 @@ def action_image(action: CosetAction) -> tuple[PermGroup, dict[tuple, tuple]]:
     hom = {g: action.row(g) for g in action.group.elements}
     image = subgroup_from_elements(action.num_cosets, set(hom.values()))
     return image, hom
+
+
+def fixed_count(action: CosetAction, g: tuple[int, ...]) -> int:
+    """How many cosets g, an element of G, fixes: how many labels of
+    the action it moves to themselves."""
+    move = action._move
+    return sum(move(q, g) == q for q in action.orbit)
+
+
+def T_by_listing(action: CosetAction) -> frozenset[tuple[int, ...]]:
+    """The elements of H that fix one coset, H itself, found by listing
+    H and counting the cosets each element fixes."""
+    return frozenset(h for h in action.subgroup.elements if fixed_count(action, h) == 1)
 
 
 def bfs_closure(degree: int, perms) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
@@ -125,8 +140,7 @@ def frobenius_by_elements(group: PermGroup, action: CosetAction) -> bool:
     if subgroup.order == 1:
         return False
     ident = group.identity
-    fixed = action.fixed_count
-    return all(fixed(h) == 1 for h in subgroup.elements if h != ident)
+    return all(fixed_count(action, h) == 1 for h in subgroup.elements if h != ident)
 
 
 @lru_cache(maxsize=1)

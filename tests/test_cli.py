@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import groupcorpus
+import groupref
 from polyakit import classgroup, cli, cubicfield, permgroup
 from polyakit.cli import build_parser, main, survey_box, survey_field
 from polyakit.cubicfield import CubicPoly, parse_cubic
@@ -162,7 +163,8 @@ def test_group_check_family_ceiling(capsys):
 
 
 def test_group_check_never_lists_G(monkeypatch):
-    """A report reads G off its stabilizer chain; only H is listed."""
+    """A report reads G and H off their stabilizer chains: neither is
+    listed, and of H only T is."""
     stabilizers = []
     stabilizer = permgroup.point_stabilizer
 
@@ -176,7 +178,7 @@ def test_group_check_never_lists_G(monkeypatch):
     assert (report["order_G"], report["order_H"]) == (40320, 5040)
     assert G._elements is None
     [H] = stabilizers
-    assert H._elements is not None
+    assert H._elements is None
 
 
 @pytest.mark.parametrize("token", ["S10", "A10"])
@@ -287,15 +289,28 @@ def test_group_check_refuses_to_list_a_huge_stabilizer_under_an_address_limit(tm
 
 
 def test_group_check_lists_the_largest_family_stabilizers(capsys):
-    """At the largest --max-closure, S10 and A10 still answer: their H
-    (S9, A9) lists 3.6 * 10^6 and 1.8 * 10^6 tuple entries.  For a
-    transitive G, |H| * degree = |G|, so no family token the closure
-    ceiling admits reaches permgroup.MAX_LISTED_ENTRIES."""
+    """At the largest --max-closure, S10 and A10 still answer, with the
+    rows of their closed forms (size_T 133,496 and 66,752): their H (S9,
+    A9) stays under the cap at 3.6 * 10^6 and 1.8 * 10^6 tuple entries.
+    For a transitive G, |H| * degree = |G|, so no family token the
+    closure ceiling admits reaches permgroup.MAX_LISTED_ENTRIES."""
     assert cli.MAX_CLOSURE < permgroup.MAX_LISTED_ENTRIES
     code, out, _ = run_cli(capsys, "group-check", "S10", "A10", "--max-closure", "4000000")
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
-    assert [(r["order_G"], r["order_H"]) for r in rows] == [(3628800, 362880), (1814400, 181440)]
+    assert rows == [{"group": t, **groupref.family_row(t)} for t in ("S10", "A10")]
+    assert [r["size_T"] for r in rows] == [133496, 66752]
+
+
+@pytest.mark.parametrize("family, top", [("S", 9), ("A", 9), ("D", 300), ("C", 300)])
+def test_group_check_family_rows_match_their_closed_forms(capsys, family, top):
+    """Every row of `--family F --n 3..top` is the closed form's, so the
+    family table is proved at these degrees, past sympy's reach."""
+    code, out, _ = run_cli(capsys, "group-check", "--family", family, "--n", f"3..{top}")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    tokens = [f"{family}{n}" for n in range(3, top + 1)]
+    assert rows == [{"group": t, **groupref.family_row(t)} for t in tokens]
 
 
 def test_survey_box_streams_its_triples():

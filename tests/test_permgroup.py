@@ -449,10 +449,73 @@ def test_T_rejects_full_subgroup():
         compute_T(g, g)
 
 
+def _bench_family_pairs():
+    """The 25 family groups of the groups benchmark (S, A, D and C at
+    degrees 3..8, and F20), each conjugated by a seeded point map as the
+    benchmark does, with H the stabilizer of the last point."""
+    rng = random.Random(37)
+    tokens = [f"{f}{n}" for f in "SADC" for n in range(3, 9)] + ["F20"]
+    pairs = []
+    for token in tokens:
+        g = family_group(token)
+        sigma = list(range(g.degree))
+        rng.shuffle(sigma)
+        gens = [compose(inverse(sigma), x, sigma) for x in g.generators]
+        g = group_closure(g.degree, gens)
+        pairs.append((token, g, point_stabilizer(g, g.degree - 1)))
+    return pairs
+
+
+def _assert_T_three_ways(name, g, h):
+    act = coset_action(g, h)
+    T = compute_T(g, h, act)
+    assert T == groupcorpus.T_by_listing(act), name
+    assert T == compute_T_conjugacy(g, h, act), name
+
+
 def test_T_characterizations_agree_full_corpus():
-    for name, g, h in groupcorpus.corpus_with_degree8():
-        act = coset_action(g, h)
-        assert compute_T(g, h, act) == compute_T_conjugacy(g, h, act), name
+    """The walk of H's chain, listing H and counting fixed cosets, and
+    the conjugacy test give one T on the benchmark's family groups and
+    on the degree-8 corpus."""
+    for name, g, h in _bench_family_pairs() + groupcorpus.corpus_with_degree8():
+        _assert_T_three_ways(name, g, h)
+
+
+@given(generator_sets, st.data())
+@settings(max_examples=80, deadline=None)
+def test_T_characterizations_agree_on_drawn_pairs(case, data):
+    """The same on random G of degree <= 7, with H a point stabilizer or
+    the group of up to two random elements of G."""
+    degree, gens = case
+    g = group_closure(degree, gens)
+    if data.draw(st.booleans()):
+        h = point_stabilizer(g, data.draw(st.integers(0, degree - 1)))
+    else:
+        els = sorted(g.elements)
+        h = generated_subgroup(degree, data.draw(st.lists(st.sampled_from(els), max_size=2)))
+    if h.order < g.order:
+        _assert_T_three_ways("drawn", g, h)
+
+
+def test_T_lists_no_element_of_H(monkeypatch):
+    """compute_T walks H's chain and never lists H: on S8 with H = S7,
+    and on S8 with H = S4 x S4 (70 cosets, no point stabilized)."""
+    s8 = family_group("S8")
+    s4s4 = generated_subgroup(
+        8, [from_cycles(8, [[0, 1]]), from_cycles(8, [[0, 1, 2, 3]]),
+            from_cycles(8, [[4, 5]]), from_cycles(8, [[4, 5, 6, 7]])],
+    )
+
+    def refuse(*args):
+        raise AssertionError("a group was listed")
+
+    monkeypatch.setattr(permgroup, "_enumerate", refuse)
+    T = compute_T(s8, point_stabilizer(s8, 7))
+    T_general = compute_T(s8, s4s4)
+    monkeypatch.undo()
+    assert len(T) == groupref.derangements(7) == 1854
+    assert (s4s4.order, T_general) == (576, frozenset())
+    assert T_general == groupcorpus.T_by_listing(coset_action(s8, s4s4))
 
 
 def test_T_oracle_direct_conjugate_scan():
@@ -902,7 +965,7 @@ def _group_side_digest(pairs):
             rep.generated.generators, sorted(compute_T_conjugacy(g, h, act)),
             sorted(core.elements), is_frobenius(g, act), is_2transitive(g, act),
             act.representatives,
-            [(act.coset_index(x), act.row(x), cycle_structure(x, act), act.fixed_count(x))
+            [(act.coset_index(x), act.row(x), cycle_structure(x, act), groupcorpus.fixed_count(act, x))
              for x in sample],
         )
         digest.update(repr(answers).encode())
