@@ -965,8 +965,8 @@ def _group_side_digest(pairs):
             rep.generated.generators, sorted(compute_T_conjugacy(g, h, act)),
             sorted(core.elements), is_frobenius(g, act), is_2transitive(g, act),
             act.representatives,
-            [(act.coset_index(x), act.row(x), cycle_structure(x, act), groupcorpus.fixed_count(act, x))
-             for x in sample],
+            [(act.coset_index(x), act.row(x), cycle_structure(x, act),
+              groupcorpus.fixed_count(act, x)) for x in sample],
         )
         digest.update(repr(answers).encode())
     return digest.hexdigest(), general, cores
