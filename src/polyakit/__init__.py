@@ -3,13 +3,7 @@ products: an exact permutation-group engine for the group-theoretic
 criterion, and exact cubic-field arithmetic for its consequences."""
 
 from .abelian import AbelianGroupSNF, Subgroup
-from .artin import (
-    SplittingType,
-    chebotarev_densities,
-    pi_class,
-    splitting_from_frobenius,
-    total_class,
-)
+from .artin import SplittingType, chebotarev_densities, splitting_from_frobenius
 from .classgroup import (
     ClassGroupData,
     PolyaResult,
@@ -50,9 +44,7 @@ from .permgroup import (
     check_condition_2B,
     compute_T,
     compose,
-    compute_T_conjugacy,
     coset_action,
-    cycle_string,
     cycle_structure,
     cycles,
     derived_subgroup,
@@ -63,12 +55,10 @@ from .permgroup import (
     inverse,
     is_2transitive,
     is_frobenius,
-    normal_core,
     parse_group_file,
     parse_perm,
     perm,
     point_stabilizer,
-    power,
 )
 
 __version__ = "0.1.0"

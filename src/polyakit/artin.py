@@ -1,18 +1,13 @@
-"""Splitting behaviour read off a group element acting on cosets, and
-the induced products of conjugates taken modulo the derived subgroup.
+"""Splitting behaviour read off a group element acting on cosets.
 
 For a pair H <= G with coset space Omega, the cycle type of g on Omega
 is the splitting pattern of an unramified prime whose associated
-automorphism is g.  For each cycle length f the product of the
-conjugates s_i g^f s_i^{-1} over cycles of that length lands in H; its
-class in H/H' is well defined independently of the chosen
-representatives, and those classes are what the arithmetic side
-compares against.  Classes are computed in H/H' (the computable
-refinement of the quotient the theory actually uses; equalities proved
-here imply the coarser ones), through the one H/H' object of each
-subgroup, `permgroup.abelianization`, which this module re-exports; an
-element's class is read off the coset-action label of its H'-coset,
-and no element of H' is listed.
+automorphism is g: `splitting_from_frobenius` reads it off, and
+`chebotarev_densities` gives each pattern's share of G.  The one H/H'
+object of each subgroup, `permgroup.abelianization`, is re-exported
+here.  The classes in H/H' of the products of conjugates
+s_i g^f s_i^{-1} over the cycles of g, which no subcommand computes,
+are test oracles (tests/groupcorpus.py).
 """
 
 from __future__ import annotations
@@ -20,12 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
 
-from .permgroup import (  # abelianization is re-exported, not called here
-    Abelianization, CosetAction, PermGroup, abelianization, compose, cycle_structure,
-    inverse, power,
-)
+# abelianization is re-exported, not called here
+from .permgroup import CosetAction, PermGroup, abelianization, cycle_structure
 
 
 @dataclass(frozen=True, order=True)
@@ -50,65 +42,10 @@ class SplittingType:
         return self.label
 
 
-def _cycles_with_reps(
-    g: tuple[int, ...], action: CosetAction, reps: Optional[Sequence[tuple[int, ...]]]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """`cycle_structure(g, action)`, each stored representative replaced
-    by the caller's representative of the same coset when `reps` is
-    given (one per coset, in coset-index order)."""
-    cycles = cycle_structure(g, action)
-    if reps is None:
-        return cycles
-    if len(reps) != action.num_cosets:
-        raise ValueError("need one representative per coset")
-    for i, s in enumerate(reps):
-        if action.coset_index(s) != i:
-            raise ValueError(f"representative {i} lies in the wrong coset")
-    return [(length, reps[action.coset_index(s)]) for length, s in cycles]
-
-
 def splitting_from_frobenius(g: tuple[int, ...], action: CosetAction) -> SplittingType:
     """Splitting pattern encoded by g: its cycle lengths on the cosets,
     each part unramified."""
     return SplittingType.from_cycle_lengths(f for f, _ in cycle_structure(g, action))
-
-
-def pi_class(
-    g: tuple[int, ...],
-    f: int,
-    action: CosetAction,
-    ab: Abelianization,
-    reps: Optional[Sequence[tuple[int, ...]]] = None,
-) -> tuple[int, ...]:
-    """Class in H/H' of the product of s_i g^f s_i^{-1} over the cycles
-    of g with length exactly f, as a coordinate tuple of `ab.group`.
-
-    An empty product (no cycle of length f) gives the identity class,
-    matching the convention that a product over no maximal ideals is the
-    whole ring.  Optionally uses caller-supplied coset representatives;
-    the result provably does not depend on that choice.
-    """
-    cycles = _cycles_with_reps(g, action, reps)
-    gf = power(g, f)
-    acc = ab.group.identity()
-    for length, s in cycles:
-        if length == f:
-            acc = ab.group.add(acc, ab.project(compose(s, gf, inverse(s))))
-    return acc
-
-
-def total_class(
-    g: tuple[int, ...],
-    action: CosetAction,
-    ab: Abelianization,
-    reps: Optional[Sequence[tuple[int, ...]]] = None,
-) -> tuple[int, ...]:
-    """Class of the product of s_i g^{f_i} s_i^{-1} over all cycles (the
-    transfer of g into H/H'), as a coordinate tuple of `ab.group`."""
-    acc = ab.group.identity()
-    for length, s in _cycles_with_reps(g, action, reps):
-        acc = ab.group.add(acc, ab.project(compose(s, power(g, length), inverse(s))))
-    return acc
 
 
 def chebotarev_densities(

@@ -16,24 +16,26 @@ off the chains too.  `group-check` lists only T, by one walk of H's
 chain under the cap that listing H would meet, and never G, H or H'.
 
 On top of the chains the module provides right-coset actions, derived
-subgroups, normal cores, the subset T of a subgroup whose elements fix
-only the distinguished coset, and the combined generation test built
-from T and the derived subgroup, together with Frobenius and
-2-transitivity predicates.
+subgroups, the subset T of a subgroup whose elements fix only the
+distinguished coset, and the combined generation test built from T and
+the derived subgroup, together with Frobenius and 2-transitivity
+predicates: what the `group-check` subcommand runs.  The oracles the
+tests check these against, such as the conjugacy characterization of T
+and normal cores, live in the tests (tests/groupcorpus.py).
 
 A permutation of {0, ..., n-1} is the plain tuple of its images, and
 nothing else (Seress 2003 stores them the same way).  `perm` checks
-one built from outside; `compose`, `inverse`, `power`, `cycles`,
-`cycle_string`, `from_cycles` and `identity` are the operations on
-them.  A right coset of H is a label that G moves: the point s(p) when
-H is the full stabilizer of a point p, and otherwise the element of
-H*s that H's chain picks (`_coset_key`), so the coset action is one
-implementation over labels that never enumerates cosets.  The quotient
-H/H' is one object per subgroup, `abelianization(H)`, whose H'-cosets
-are the labels of the same action of H on them; the generation test is
-decided on those labels instead of closing <T, H'> as a set of
-permutations, and H/H' is presented in invariant-factor form
-(`abelian.AbelianGroupSNF`) on first use.
+one built from outside; `compose`, `inverse`, `cycles`, `from_cycles`
+and `identity` are the operations on them.  A right coset of H is a
+label that G moves: the point s(p) when H is the full stabilizer of a
+point p, and otherwise the element of H*s that H's chain picks
+(`_coset_key`), so the coset action is one implementation over labels
+that never enumerates cosets.  The quotient H/H' is one object per
+subgroup, `abelianization(H)`, whose H'-cosets are the labels of the
+same action of H on them; the generation test is decided on those
+labels instead of closing <T, H'> as a set of permutations, and H/H' is
+presented in invariant-factor form (`abelian.AbelianGroupSNF`) on first
+use.
 
 Composition convention: ``compose(a, b)`` means "apply a, then b", so
 that a right coset ``H*s`` moved by ``g`` lands on ``H*compose(s, g)``.
@@ -134,18 +136,6 @@ def inverse(p: _Perm) -> _Perm:
     return tuple(inv)
 
 
-def power(p: _Perm, k: int) -> _Perm:
-    if k < 0:
-        p, k = inverse(p), -k
-    result = identity(len(p))
-    while k:
-        if k & 1:
-            result = compose(result, p)
-        p = compose(p, p)
-        k >>= 1
-    return result
-
-
 def cycles(p: _Perm, include_fixed: bool = False) -> list[tuple[int, ...]]:
     """Disjoint cycles, each starting at its least point, sorted by it."""
     seen = [False] * len(p)
@@ -161,14 +151,6 @@ def cycles(p: _Perm, include_fixed: bool = False) -> list[tuple[int, ...]]:
         if len(cyc) > 1 or include_fixed:
             out.append(tuple(cyc))
     return out
-
-
-def cycle_string(p: _Perm) -> str:
-    """1-indexed cycle notation, '()' for the identity."""
-    cycs = cycles(p)
-    if not cycs:
-        return "()"
-    return "".join("(" + " ".join(str(i + 1) for i in c) + ")" for c in cycs)
 
 
 _CYCLE_TEXT = re.compile(r"(?:\(\s*\d+(?:[ ,]+\d+)*\s*\))+")
@@ -225,7 +207,12 @@ class PermGroup:
         return identity(self.degree)
 
     def __contains__(self, p: _Perm) -> bool:
-        return _member(self._levels, self.identity, p)
+        """Whether p has the group's degree and sifts to the identity."""
+        ident = self.identity
+        try:
+            return len(p) == len(ident) and _sift(self._levels, p, 0)[0] == ident
+        except ValueError:  # p misses a base point: not a permutation
+            return False
 
     def __eq__(self, other) -> bool:
         """Same degree and order, and each generator of one sifts into the
@@ -318,15 +305,6 @@ def _sift(levels: list[_Level], g: _Perm, i: int) -> tuple[_Perm, int]:
         if y != level.base:
             g = step(g)
     return g, len(levels)
-
-
-def _member(levels: list[_Level], ident: _Perm, p: _Perm) -> bool:
-    """Whether p lies in the group of the chain `levels`, whose identity
-    is `ident`: p has its degree and sifts to the identity."""
-    try:
-        return len(p) == len(ident) and _sift(levels, p, 0)[0] == ident
-    except ValueError:  # p misses a base point: not a permutation
-        return False
 
 
 def _add_generator(levels: list[_Level], i: int, g: _Perm) -> None:
@@ -450,15 +428,6 @@ def group_closure(
     return _generated(degree, gens, ceiling, generators=gens)
 
 
-def subgroup_from_elements(degree: int, elements: Iterable[_Perm]) -> PermGroup:
-    """Wrap a set already closed under the group operations, finding a
-    small generating set greedily (lexicographic element order)."""
-    els = frozenset(elements)
-    group = _generated(degree, sorted(els), len(els), order=len(els))
-    assert group.elements == els, "element set was not closed"
-    return group
-
-
 def generated_subgroup(
     degree: int,
     elements: Iterable[_Perm],
@@ -535,11 +504,11 @@ class CosetAction:
     Cosets are indexed 0..[G:H]-1 in lexicographic order of their least
     element; each stored representative is that least element, so the
     representative of coset 0 (= H itself) is the identity.  The first
-    use of `representatives`, `row` or `coset_index` takes one element
-    of each coset, its key label or u[x] of a chain of G based at p, to
-    the least of its coset by `_coset_key` through a chain of H with
-    base 0, 1, ..., n-1; row(g) then sends each coset index to that of
-    its image under g.
+    use of `representatives` or `row` takes one element of each coset,
+    its key label or u[x] of a chain of G based at p, to the least of its
+    coset by `_coset_key` through a chain of H with base 0, 1, ..., n-1;
+    row(g) then sends each coset index to that of its image under g, so
+    the index of H*g is row(g)[0].
     """
 
     __slots__ = (
@@ -569,12 +538,6 @@ class CosetAction:
             self._read_orbit()
         return self._reps
 
-    def _coset_indices(self) -> dict:
-        """The coset index of each label."""
-        if self._reps is None:
-            self._read_orbit()
-        return self._index
-
     def _read_orbit(self) -> None:
         if self.point is None:
             elements = self.orbit
@@ -592,17 +555,13 @@ class CosetAction:
     def num_cosets(self) -> int:
         return len(self.orbit)
 
-    def coset_index(self, g: _Perm) -> int:
-        """Index of the coset H*g."""
-        if g not in self.group:
-            raise KeyError(g)
-        return self._coset_indices()[self._label(g)]
-
     def row(self, g: _Perm) -> _Perm:
         """Images of every coset index under right multiplication by g."""
         if g not in self.group:
             raise KeyError(g)
-        index, move = self._coset_indices(), self._move
+        if self._reps is None:
+            self._read_orbit()
+        index, move = self._index, self._move
         return tuple([index[move(q, g)] for q in self._labels])
 
 
@@ -679,8 +638,6 @@ def compute_T(
     a label other than p.  For any other H, each u[x] of H's chain acts,
     beside the points, on the coset indices shifted past them, by its
     `row`: T is what fixes no index but 0, the coset H.
-    `compute_T_conjugacy` is the independent characterization; the two
-    must agree (a tested invariant).
     """
     _check_proper_subgroup(group, subgroup)
     _check_listable(subgroup)
@@ -699,28 +656,6 @@ def compute_T(
     ]
     ident = tuple(range(degree + action.num_cosets))
     return frozenset([g[:degree] for g in _fixing_no_label(ident, chain, ident[degree + 1:])])
-
-
-def compute_T_conjugacy(
-    group: PermGroup, subgroup: PermGroup, action: Optional[CosetAction] = None
-) -> frozenset[_Perm]:
-    """Same subset, via: h is excluded iff s*h*s^-1 lies in H for some s
-    outside H.  Whether s*h*s^-1 is in H depends only on the coset H*s,
-    so only the non-identity coset representatives need checking.
-    """
-    _check_proper_subgroup(group, subgroup)
-    if action is None:
-        action = coset_action(group, subgroup)
-    out = []
-    for h in subgroup.elements:
-        excluded = False
-        for s in action.representatives[1:]:
-            if compose(s, h, inverse(s)) in subgroup.elements:
-                excluded = True
-                break
-        if not excluded:
-            out.append(h)
-    return frozenset(out)
 
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
@@ -745,21 +680,6 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
     return PermGroup(group.degree, tuple(kept), levels)
 
 
-def normal_core(group: PermGroup, subgroup: PermGroup) -> PermGroup:
-    """Largest normal subgroup of G inside H, i.e. the intersection of
-    all conjugates of H.  An element of H belongs iff every conjugate
-    s*h*s^-1 stays in H, and that test only depends on the coset H*s."""
-    if not subgroup.is_subgroup_of(group):
-        raise ValueError("H is not a subgroup of G")
-    action = CosetAction(group, subgroup)
-    reps = action.representatives
-    core = []
-    for h in subgroup.elements:
-        if all(compose(s, h, inverse(s)) in subgroup.elements for s in reps):
-            core.append(h)
-    return subgroup_from_elements(group.degree, core)
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Witnesses for the generation test T != {} and H = <T, H'>.
@@ -774,17 +694,16 @@ class ConditionReport:
 
 
 class Abelianization:
-    """The quotient H/H' of a permutation group H, with its projection.
+    """The quotient H/H' of a permutation group H.
 
     `hprime` is H'.  Its cosets are labels that H moves, as in
     `CosetAction(H, H')`, found without listing H or H': `label` sends an
     element of H to the label of its coset, and `labels` holds the
     [H:H'] labels, sorted.  `group` is H/H' in invariant-factor form,
-    built on first use (the generation test reads only the labels);
-    `project` sends an element of H to its class, a coordinate tuple of
-    `group`, so classes add with `group.add`.  Its kernel is exactly H'.
-    Nothing here refers back to H, so H and its abelianization are freed
-    without a cycle collection.
+    presented on the distinct generators of H other than 1 and built on
+    first use (the generation test reads only the labels).  Nothing here
+    refers back to H, so H and its abelianization are freed without a
+    cycle collection.
     """
 
     def __init__(self, subgroup: PermGroup):
@@ -793,7 +712,6 @@ class Abelianization:
         self.label, self.labels, self._move = action._label, action.orbit, action._move
         ident = subgroup.identity
         self._home = self.label(ident)  # the label of H' itself
-        self._member = partial(_member, subgroup._levels, ident)
         self._gens = tuple(dict.fromkeys(g for g in subgroup.generators if g != ident))
 
     @cached_property
@@ -823,17 +741,9 @@ class Abelianization:
                         nxt.append(y)
             frontier = nxt
         assert len(vec) == len(self.labels)
-        self._vec = vec
         group = AbelianGroupSNF.presented(relations, k)
         assert group.order == len(self.labels)
         return group
-
-    def project(self, p: _Perm) -> tuple[int, ...]:
-        """Class of p in H/H'; p must lie in H (sifted through its chain)."""
-        if not self._member(p):
-            raise ValueError("element not in the subgroup being abelianized")
-        group = self.group  # builds self._vec on first use
-        return group.project(self._vec[self.label(p)])
 
 
 def abelianization(subgroup: PermGroup) -> Abelianization:

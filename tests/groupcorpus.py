@@ -11,6 +11,15 @@ replaced, and `derived_by_rounds`, `frobenius_by_elements` and
 `T_by_listing` are the derived subgroup, the Frobenius test and T that
 reading them off chains, orbits and a walk of H's chain replaced, each
 kept as their oracle.
+
+The group-side code that no subcommand runs lives here too, as the
+oracles of the acceptance criteria: `compute_T_conjugacy`, the
+conjugacy characterization of T; `normal_core` and
+`subgroup_from_elements`; `coset_index`, the index of a coset;
+`project`, the class of an element of H in H/H'; and `pi_class` and
+`total_class`, the classes in H/H' of products of conjugates over the
+cycles of an element on the cosets.  `power` and `cycle_string`
+complete the permutation operations.
 """
 
 from __future__ import annotations
@@ -23,12 +32,15 @@ from hypothesis import strategies as st
 
 from polyakit import (
     PermGroup,
+    cycle_structure,
+    cycles,
     family_group,
     group_closure,
     parse_group_file,
     point_stabilizer,
 )
 from polyakit.permgroup import (
+    Abelianization,
     CosetAction,
     compose,
     derived_subgroup,
@@ -36,10 +48,151 @@ from polyakit.permgroup import (
     generated_subgroup,
     identity,
     inverse,
-    subgroup_from_elements,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def power(p: tuple[int, ...], k: int) -> tuple[int, ...]:
+    if k < 0:
+        p, k = inverse(p), -k
+    result = identity(len(p))
+    while k:
+        if k & 1:
+            result = compose(result, p)
+        p = compose(p, p)
+        k >>= 1
+    return result
+
+
+def cycle_string(p: tuple[int, ...]) -> str:
+    """1-indexed cycle notation, '()' for the identity."""
+    cycs = cycles(p)
+    if not cycs:
+        return "()"
+    return "".join("(" + " ".join(str(i + 1) for i in c) + ")" for c in cycs)
+
+
+def subgroup_from_elements(degree: int, elements) -> PermGroup:
+    """Wrap a set already closed under the group operations, finding a
+    small generating set greedily (lexicographic element order)."""
+    els = frozenset(elements)
+    group = generated_subgroup(degree, els, len(els))
+    assert group.elements == els, "element set was not closed"
+    return group
+
+
+def normal_core(group: PermGroup, subgroup: PermGroup) -> PermGroup:
+    """Largest normal subgroup of G inside H, i.e. the intersection of
+    all conjugates of H.  An element of H belongs iff every conjugate
+    s*h*s^-1 stays in H, and that test only depends on the coset H*s."""
+    if not subgroup.is_subgroup_of(group):
+        raise ValueError("H is not a subgroup of G")
+    reps = CosetAction(group, subgroup).representatives
+    core = []
+    for h in subgroup.elements:
+        if all(compose(s, h, inverse(s)) in subgroup.elements for s in reps):
+            core.append(h)
+    return subgroup_from_elements(group.degree, core)
+
+
+def compute_T_conjugacy(
+    group: PermGroup, subgroup: PermGroup, action: CosetAction
+) -> frozenset[tuple[int, ...]]:
+    """T, the elements of H whose only fixed coset is H, via: h is
+    excluded iff s*h*s^-1 lies in H for some s outside H.  Whether
+    s*h*s^-1 is in H depends only on the coset H*s, so only the
+    non-identity coset representatives need checking."""
+    out = []
+    for h in subgroup.elements:
+        excluded = False
+        for s in action.representatives[1:]:
+            if compose(s, h, inverse(s)) in subgroup.elements:
+                excluded = True
+                break
+        if not excluded:
+            out.append(h)
+    return frozenset(out)
+
+
+def coset_index(action: CosetAction, g: tuple[int, ...]) -> int:
+    """Index of the coset H*g: the image of coset 0, H itself, under g.
+    An element outside G raises KeyError, as `row` does."""
+    return action.row(g)[0]
+
+
+@lru_cache(maxsize=64)
+def _coset_words(ab: Abelianization) -> dict:
+    """For each H'-coset label, an element of the coset and the exponent
+    vector, over the generators `ab.group` is presented on, of a word
+    in them that lands there, found breadth first from H'."""
+    gens = ab._gens
+    ident = ab.hprime.identity
+    home = ab.label(ident)
+    words = {home: (ident, (0,) * len(gens))}
+    queue = [home]
+    for q in queue:  # runs on over the labels appended
+        x, vx = words[q]
+        for i, g in enumerate(gens):
+            y = compose(x, g)
+            r = ab.label(y)
+            if r not in words:
+                words[r] = (y, tuple(v + (j == i) for j, v in enumerate(vx)))
+                queue.append(r)
+    return words
+
+
+def project(ab: Abelianization, p: tuple[int, ...]) -> tuple[int, ...]:
+    """Class of p in H/H', a coordinate tuple of `ab.group`.  p lies in
+    H iff it has H's degree and p = h'x for the element x recorded for
+    its H'-coset and some h' in H'; any other p raises ValueError."""
+    ident = ab.hprime.identity
+    word = _coset_words(ab).get(ab.label(p)) if len(p) == len(ident) else None
+    if word is None or compose(p, inverse(word[0])) not in ab.hprime:
+        raise ValueError("element not in the subgroup being abelianized")
+    return ab.group.project(word[1])
+
+
+def _cycles_with_reps(g, action: CosetAction, reps):
+    """`cycle_structure(g, action)`, each stored representative replaced
+    by the caller's representative of the same coset when `reps` is
+    given (one per coset, in coset-index order)."""
+    cycs = cycle_structure(g, action)
+    if reps is None:
+        return cycs
+    if len(reps) != action.num_cosets:
+        raise ValueError("need one representative per coset")
+    for i, s in enumerate(reps):
+        if coset_index(action, s) != i:
+            raise ValueError(f"representative {i} lies in the wrong coset")
+    return [(length, reps[coset_index(action, s)]) for length, s in cycs]
+
+
+def pi_class(g, f: int, action: CosetAction, ab: Abelianization, reps=None) -> tuple[int, ...]:
+    """Class in H/H' of the product of s_i g^f s_i^{-1} over the cycles
+    of g with length exactly f, as a coordinate tuple of `ab.group`.
+
+    An empty product (no cycle of length f) gives the identity class,
+    matching the convention that a product over no maximal ideals is the
+    whole ring.  Optionally uses caller-supplied coset representatives;
+    the result provably does not depend on that choice.
+    """
+    cycs = _cycles_with_reps(g, action, reps)
+    gf = power(g, f)
+    acc = ab.group.identity()
+    for length, s in cycs:
+        if length == f:
+            acc = ab.group.add(acc, project(ab, compose(s, gf, inverse(s))))
+    return acc
+
+
+def total_class(g, action: CosetAction, ab: Abelianization, reps=None) -> tuple[int, ...]:
+    """Class of the product of s_i g^{f_i} s_i^{-1} over all cycles (the
+    transfer of g into H/H'), as a coordinate tuple of `ab.group`."""
+    acc = ab.group.identity()
+    for length, s in _cycles_with_reps(g, action, reps):
+        acc = ab.group.add(acc, project(ab, compose(s, power(g, length), inverse(s))))
+    return acc
 
 
 def c7_c3() -> PermGroup:

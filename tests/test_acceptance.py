@@ -28,10 +28,8 @@ from polyakit import (
     ideal_product,
     is_frobenius,
     maximal_order,
-    normal_core,
     ostrowski_check,
     parse_cubic,
-    pi_class,
     pi_ideal,
     point_stabilizer,
 )
@@ -40,7 +38,7 @@ from polyakit.cubicfield import primes_up_to
 from polyakit.permgroup import generated_subgroup
 
 from fieldref import scalar_ideal
-from groupcorpus import action_image
+from groupcorpus import action_image, normal_core, pi_class
 
 DATA = Path(__file__).parent / "data"
 

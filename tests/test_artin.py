@@ -16,11 +16,11 @@ from polyakit import (
     family_group,
     inverse,
     parse_perm,
-    pi_class,
     point_stabilizer,
     splitting_from_frobenius,
-    total_class,
 )
+
+from groupcorpus import pi_class, project, total_class
 
 
 def test_splitting_type_labels():
@@ -54,11 +54,11 @@ def test_abelianization_is_homomorphism_with_kernel_hprime():
         els = sorted(h.elements)
         for a in els[:8]:
             for b in els[:8]:
-                lhs = ab.project(compose(a, b))
-                rhs = ab.group.add(ab.project(a), ab.project(b))
+                lhs = project(ab, compose(a, b))
+                rhs = ab.group.add(project(ab, a), project(ab, b))
                 assert lhs == rhs, name
         for x in els:
-            is_identity_class = ab.project(x) == ab.group.identity()
+            is_identity_class = project(ab, x) == ab.group.identity()
             assert is_identity_class == (x in hp.elements), name
 
 
@@ -98,7 +98,7 @@ def test_pi_class_worked_examples():
     # no cycle of length f: identity class
     assert pi_class(tr, 3, act, ab) == ab.group.identity()
     # the fixed coset contributes the transposition itself mod H'
-    assert pi_class(tr, 1, act, ab) == ab.project(tr)
+    assert pi_class(tr, 1, act, ab) == project(ab, tr)
     assert pi_class(tr, 1, act, ab) == (1,)
     # identity element: product of conjugates of the identity
     assert pi_class(g.identity, 1, act, ab) == ab.group.identity()
@@ -199,7 +199,7 @@ def test_classes_are_coordinate_tuples_of_the_quotient():
                 assert type(c) is tuple and len(c) == rank, name
                 assert ab.group.reduce(c) == c, name
             if x in h.elements:
-                c = ab.project(x)
+                c = project(ab, x)
                 assert type(c) is tuple and len(c) == rank, name
                 assert ab.group.add(c, ab.group.neg(c)) == ab.group.identity(), name
 
@@ -217,7 +217,7 @@ def test_element_outside_the_group_is_rejected():
         with pytest.raises(ValueError, match="not in the acting group"):
             call()
     with pytest.raises(ValueError, match="not in the subgroup"):
-        ab.project(parse_perm("(1 2 3)", 4))
+        project(ab, parse_perm("(1 2 3)", 4))
 
 
 def test_T_detection():
@@ -229,7 +229,7 @@ def test_T_detection():
         act = coset_action(g, h)
         ab = abelianization(h)
         for x in compute_T(g, h, act):
-            assert pi_class(x, 1, act, ab) == ab.project(x), name
+            assert pi_class(x, 1, act, ab) == project(ab, x), name
 
 
 def test_chebotarev_densities_s3():

@@ -288,7 +288,7 @@ def test_group_check_refuses_to_list_a_huge_stabilizer_under_an_address_limit(tm
     assert "Traceback" not in proc.stderr
 
 
-def test_group_check_lists_the_largest_family_stabilizers(capsys):
+def test_group_check_answers_S10_and_A10_with_closed_form_rows_under_the_listing_cap(capsys):
     """At the largest --max-closure, S10 and A10 still answer, with the
     rows of their closed forms (size_T 133,496 and 66,752): their H (S9,
     A9) stays under the cap at 3.6 * 10^6 and 1.8 * 10^6 tuple entries.

@@ -2,14 +2,17 @@
 nothing in the package uses, and no import from a higher layer.
 
 A def or class at module level must be referenced somewhere in
-src/polyakit outside its own body (a name, an attribute, or an import)
-or be exported from polyakit/__init__.py.  A method or property of a
-module-level class (dunders aside) must be read as an attribute
-(`x.name`) somewhere in src/polyakit outside its own body; exporting
-its class does not count.  Code that only the tests use belongs in the
-test helpers (fieldref.py, groupcorpus.py).  Names are matched by
-identifier, so the check can miss an orphan that shares its name with
-something in use, but never flags a used one.
+src/polyakit outside its own body and outside polyakit/__init__.py (a
+name, an attribute, or an import), or be exported from
+polyakit/__init__.py and named in the row of its module in README's
+library table, which documents it as library API.  A method or
+property of a module-level class (dunders aside) must be read as an
+attribute (`x.name`) somewhere in src/polyakit outside its own body;
+exporting its class does not count.  Code that only the tests use
+belongs in the test helpers (fieldref.py, groupref.py, groupcorpus.py);
+`ALLOWED` holds the few names that only bench/ reads.  Names are
+matched by identifier, so the check can miss an orphan that shares its
+name with something in use, but never flags a used one.
 
 The modules form layers, lowest first, and each imports only modules
 below it, so no import cycle can form.
@@ -20,19 +23,20 @@ defined, so what a module keeps private can change without the others.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import polyakit
 
 PACKAGE = Path(polyakit.__file__).parent
-# wrapped by bench/tracer.py as the per-prime valuation layer, and as the
-# cubic factoring layer (tests/fieldref.py keeps its own general factoring);
-# is_unit_ideal is called by bench/checks.py and goes with ROADMAP item 5,
-# as ideal_equal does
+ROOT = Path(__file__).resolve().parents[1]
+# The names only bench/ reads outside the tests; they leave src with
+# ROADMAP item 5, the change that may touch bench/.
 ALLOWED = {
-    "cubicfield.element_valuation",
-    "modpoly.factor_monic_cubic",
-    "cubicfield.IntegralIdeal.is_unit_ideal",
+    "cubicfield.element_valuation",  # traced by bench/tracer.py
+    "modpoly.factor_monic_cubic",  # traced by bench/tracer.py
+    "cubicfield.IntegralIdeal.is_unit_ideal",  # called by bench/checks.py
+    "cubicfield.ideal_equal",  # called by bench/checks.py
 }
 LAYERS = ("intlinalg", "modpoly", "abelian", "permgroup", "artin", "cubicfield", "classgroup", "cli")
 
@@ -49,21 +53,48 @@ def _names_used(node) -> set[str]:
     return out
 
 
+def _documented() -> dict[str, set[str]]:
+    """For each module, the identifiers inside backticks in its row of
+    README's library table."""
+    table = (ROOT / "README.md").read_text().split("\n## Library layout\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `polyakit\.(\w+)` \|(.*)\|$", table, re.MULTILINE)
+    return {
+        module: set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", text))))
+        for module, text in rows
+    }
+
+
+def _documented_exports() -> set[str]:
+    """`module.name` for each name polyakit/__init__.py imports from a
+    module whose README row names it."""
+    documented = _documented()
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        f"{node.module}.{alias.name}"
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.module in documented
+        for alias in node.names
+        if alias.name in documented[node.module]
+    }
+
+
 def _orphans() -> set[str]:
     defs = []  # (qualified name, bare name, the def statement)
     uses = []  # (top-level statement, names it uses)
     for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
             uses.append((stmt, _names_used(stmt)))
-            if path.stem != "__init__" and isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs.append((f"{path.stem}.{stmt.name}", stmt.name, stmt))
+    exported = _documented_exports()
     return {
         qual
         for qual, name, stmt in defs
-        if not any(name in names for other, names in uses if other is not stmt)
+        if qual not in exported
+        and not any(name in names for other, names in uses if other is not stmt)
     }
 
 
@@ -95,6 +126,12 @@ def test_every_method_and_property_is_used():
 
 def test_allowlist_holds_only_orphans():
     assert ALLOWED <= _orphans() | _orphan_methods()
+
+
+def test_allowlist_holds_only_names_bench_reads():
+    bench = " ".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
+    used = set(re.findall(r"\w+", bench))
+    assert {name.rsplit(".", 1)[1] for name in ALLOWED} <= used
 
 
 def _private(name: str) -> bool:
