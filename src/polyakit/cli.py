@@ -24,6 +24,7 @@ import math
 import re
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import classgroup, cubicfield, permgroup
@@ -48,6 +49,27 @@ class _ParseFailure(Exception):
 
 def _emit(line: str) -> None:
     sys.stdout.write(line + "\n")
+
+
+def _emit_report(report: dict) -> None:
+    """Print a report as the line json.dumps(report) would be, writing a
+    value that is an iterator (the Galois sweep's records) a slice of
+    items at a time as it is walked, so its list is never held."""
+    write = sys.stdout.write
+    lead = "{"
+    for key, value in report.items():
+        write(f"{lead}{json.dumps(key)}: ")
+        lead = ", "
+        if not isinstance(value, Iterator):
+            write(json.dumps(value))
+            continue
+        write("[")
+        sep = ""
+        while items := list(itertools.islice(value, 4096)):
+            write(sep + json.dumps(items)[1:-1])
+            sep = ", "
+        write("]")
+    write("}\n")
 
 
 def _diag(msg: str) -> None:
@@ -179,7 +201,7 @@ def _cmd_field_analyze(args) -> int:
         )
         if args.witnesses:
             report["principal_witnesses"] = _collect_witnesses(order, args)
-    _emit(json.dumps(report))
+    _emit_report(report)
     return EXIT_OK
 
 

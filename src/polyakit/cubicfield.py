@@ -398,27 +398,29 @@ class MaximalOrder:
         F(c) = N(c0*rows[0] + c1*rows[1] + c2*rows[2]) in the fixed
         monomial order c0^3, c0^2 c1, c0^2 c2, c0 c1^2, c0 c1 c2,
         c0 c2^2, c1^3, c1^2 c2, c1 c2^2, c2^3 (`rows` in integral-basis
-        coordinates).
-
-        The norm is the determinant of multiplication-by-y, whose row j
-        is sum_t c_t * M_t[j] with M_t[j] the coordinates of
-        rows[t] * omega_j.  The determinant is linear in each row, so the
-        coefficient of c_a c_b c_c collects det(M_a[0], M_b[1], M_c[2])
-        over the distinct orderings of a, b, c."""
-        mats = [[self.omega_mul(r, e) for e in UNIT_ROWS] for r in rows]
-        return tuple(
-            sum(
-                det3((mats[a][0], mats[b][1], mats[c][2]))
-                for a, b, c in set(itertools.permutations(t))
-            )
-            for t in _MONOMIALS
-        )
+        coordinates): `rows` substituted into basis_norm_form."""
+        return _substitute(self.basis_norm_form, rows)
 
     @cached_property
     def basis_norm_form(self) -> tuple[int, ...]:
         """The norm form on the integral basis itself, in the variables
-        y0, y1, y2 (see norm_form)."""
-        return self.norm_form(UNIT_ROWS)
+        y0, y1, y2 (in norm_form's monomial order): the rows of
+        `form_basis` substituted into the norm of R(F) on its basis
+        1, w = a*xi, t = a*xi^2 + b*xi,
+
+            N(x + y*w + z*t) = x^3 - b x^2 y - 2c x^2 z + ac x y^2
+                + (3ad + bc) x y z + (bd + c^2) x z^2 - a^2 d y^3
+                - 2abd y^2 z - (acd + b^2 d) y z^2 + (ad^2 - bcd) z^3,
+
+        the determinant of multiplication by x + y*w + z*t under the
+        relations of mult_table."""
+        a, b, c, d = self.form
+        ad, bd = a * d, b * d
+        ring = (
+            1, -b, -2 * c, a * c, 3 * ad + b * c, bd + c * c,
+            -a * ad, -2 * a * bd, -c * ad - b * bd, ad * d - c * bd,
+        )
+        return _substitute(ring, self.form_basis)
 
     def norm_omega(self, y) -> int:
         """Field norm of an order element in integral-basis coordinates."""
@@ -448,6 +450,47 @@ class MaximalOrder:
             [sum(self.basis_num[i][k] / self.den * root**k for k in range(3)) for i in range(3)]
             for root in roots
         ]
+
+
+def _substitute(form, rows) -> tuple[int, ...]:
+    """Coefficients of G(c0*rows[0] + c1*rows[1] + c2*rows[2]) for the
+    ternary cubic form G with coefficients `form`, both in
+    MaximalOrder.norm_form's monomial order.
+
+    With g = grad G, whose components are quadratic forms,
+    G(s*u + t*v) = s^3 G(u) + s^2 t g(u).v + s t^2 g(v).u + t^3 G(v)
+    and G(u) = g(u).u / 3 (Euler), so every coefficient but one is a
+    dot product of g at a row with a row; the coefficient of c0 c1 c2 is
+    (g(r0 + r1) - g(r0) - g(r1)).r2, the polarization of g at r0, r1."""
+    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = form
+    # g's components on y0^2, y0 y1, y0 y2, y1^2, y1 y2, y2^2: each
+    # coefficient times the exponent of the variable differentiated
+    k0, k6, k9 = 3 * k0, 3 * k6, 3 * k9
+    l1, l2, l3, l5, l7, l8 = 2 * k1, 2 * k2, 2 * k3, 2 * k5, 2 * k7, 2 * k8
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = r0, r1, r2 = rows
+    grads = []
+    for y0, y1, y2 in (r0, r1, r2, (a0 + b0, a1 + b1, a2 + b2)):
+        q0, q1, q2, q3, q4, q5 = y0 * y0, y0 * y1, y0 * y2, y1 * y1, y1 * y2, y2 * y2
+        grads.append((
+            k0 * q0 + l1 * q1 + l2 * q2 + k3 * q3 + k4 * q4 + k5 * q5,
+            k1 * q0 + l3 * q1 + k4 * q2 + k6 * q3 + l7 * q4 + k8 * q5,
+            k2 * q0 + k4 * q1 + l5 * q2 + k7 * q3 + l8 * q4 + k9 * q5,
+        ))
+    (u0, u1, u2), (v0, v1, v2), (w0, w1, w2), (s0, s1, s2) = grads
+    m02 = u0 * c0 + u1 * c1 + u2 * c2
+    m12 = v0 * c0 + v1 * c1 + v2 * c2
+    return (
+        (u0 * a0 + u1 * a1 + u2 * a2) // 3,
+        u0 * b0 + u1 * b1 + u2 * b2,
+        m02,
+        v0 * a0 + v1 * a1 + v2 * a2,
+        s0 * c0 + s1 * c1 + s2 * c2 - m02 - m12,
+        w0 * a0 + w1 * a1 + w2 * a2,
+        (v0 * b0 + v1 * b1 + v2 * b2) // 3,
+        m12,
+        w0 * b0 + w1 * b1 + w2 * b2,
+        (w0 * c0 + w1 * c1 + w2 * c2) // 3,
+    )
 
 
 def norm_line(form, c0: int) -> tuple[tuple[int, ...], ...]:
@@ -863,9 +906,15 @@ def _integer_root(n: int, k: int) -> int:
 
 
 def _degree_product(order: MaximalOrder, primes, f: int) -> IntegralIdeal:
-    """Product of the primes of residual degree f among `primes`, or the
-    unit ideal when there is none.  The first such prime starts the
-    product, so one prime costs no product and three cost two."""
+    """Product of the primes of residual degree f among `primes` (all the
+    primes above one p), or the unit ideal when there is none.  When
+    every prime above p has degree f and e = 1 the product is p*O itself,
+    taken without a product (inert and completely split p); otherwise
+    the first such prime starts the product, so one prime costs no
+    product and two cost one."""
+    if all(prime.f == f and prime.e == 1 for prime in primes):
+        p = primes[0].p
+        return IntegralIdeal(((p, 0, 0), (0, p, 0), (0, 0, p)))
     acc = None
     for prime in primes:
         if prime.f == f:
@@ -927,11 +976,14 @@ def is_principal(
     when -y does), in the order of the full box scan, so it returns the
     generator that scan would find first.
 
-    The box is walked by lines (intlinalg.half_box_lines): with c0 and
-    c1 fixed, the norm form F of I's basis is a cubic g in c2
-    (norm_line).  A line's values are read off one integer, whose slot i
-    of `width` bytes holds g(x_i) + 2^(W-1), W = 8*width, for the c2
-    values x_i in zigzag order (Kronecker substitution): the sum
+    The set-up is the box's caps, from the numeric embeddings, and the
+    norm form F of I's HNF basis: the HNF substituted into the cached
+    basis_norm_form (MaximalOrder.norm_form), with no product and no
+    determinant.  The box is walked by lines (intlinalg.half_box_lines):
+    with c0 and c1 fixed, F is a cubic g in c2 (norm_line).  A line's
+    values are read off one integer, whose slot i of `width` bytes holds
+    g(x_i) + 2^(W-1), W = 8*width, for the c2 values x_i in zigzag order
+    (Kronecker substitution): the sum
     A*P3 + B*P2 + C*P1 + (D + 2^(W-1))*P0 over the coefficients of g
     and the packed powers P_e of the x_i, built once per call.  W
     exceeds the bit length of a bound on |F| over the box and of

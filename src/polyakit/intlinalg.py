@@ -367,7 +367,12 @@ def smith_normal_form(rows, ncols: int):
     the divisibility chain d0 | d1 | ... (trailing entries are 0 if the
     matrix has deficient rank).
 
-    Rows may be empty, in which case diag is empty too.
+    Rows may be empty, in which case diag is empty too.  Each pivot is
+    moved to (t, t) and cleared from its row and column; a pivot that
+    does not divide every remaining entry gains the first row holding
+    one, and is cleared again.  A pivot of +-1 divides everything, so
+    the relation HNFs of the class group, whose pivots are nearly all 1,
+    pay that scan only at their few larger pivots.
     """
     m = len(rows)
     n = ncols
@@ -429,18 +434,15 @@ def smith_normal_form(rows, ncols: int):
                     if A[t][j]:
                         swap_cols(t, j)
                         dirty = True
-        # enforce divisibility of every remaining entry by the pivot
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t]:
-                    offender = i
-                    break
+        # enforce divisibility of every remaining entry by the pivot,
+        # which a pivot of +-1 divides already
+        pivot = A[t][t]
+        if pivot != 1 and pivot != -1:
+            offenders = (i for i in range(t + 1, m) if any(x % pivot for x in A[i][t + 1 :]))
+            offender = next(offenders, None)
             if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # add offending row to pivot row
-            continue
+                row_op(t, offender, -1)  # add offending row to pivot row
+                continue
         t += 1
 
     return [abs(A[k][k]) for k in range(min(m, n))], V

@@ -19,6 +19,8 @@ quantities that polyakit computes another way.
 - `lattice_contains`: membership in the lattice of HNF rows.
 - `exponent_norm_form`: MaximalOrder.norm_form's coefficients, summed
   into a dict keyed by the exponents of c0, c1, c2.
+- `norm_form_by_determinants`: the same coefficients, each summed over
+  the distinct orderings of its monomial's indices.
 - `generic_factor_prime`: the primes above p, away from the index, by
   factoring f mod p and taking the HNF of p*O + g(theta)*O.
 - `ideal_pow`: I^k by repeated `ideal_product`.
@@ -29,8 +31,10 @@ quantities that polyakit computes another way.
   form, and the valuation rows built from it.
 - `polya_walk`: one Polya variant's subgroup from its own walk over the
   primes, as (subgroup, used, processed_bound, full_at).
+- `pi_by_products`: Pi_{p^f} multiplied out of the primes above p,
+  one `ideal_product` per further prime.
 - `ostrowski_by_ideals`: the Ostrowski records of a Galois order from
-  the ideals themselves: each Pi_{p^f} built by `split_products` and
+  the ideals themselves: each Pi_{p^f} built by `pi_by_products` and
   its generator read off the HNF, not off the splitting law.
 """
 
@@ -40,11 +44,11 @@ from polyakit import classgroup
 from polyakit.artin import SplittingType
 from polyakit.cubicfield import (
     IntegralIdeal,
+    factor_prime,
     ideal_product,
     iter_primes_up_to,
     mul_power,
     primes_up_to,
-    split_products,
 )
 from polyakit.intlinalg import adj3, det3, hnf_rows, lattice_coordinates, lattice_lines
 
@@ -340,6 +344,22 @@ def exponent_norm_form(order, rows):
     return tuple(coeffs[e] for e in _EXPONENTS)
 
 
+def norm_form_by_determinants(order, rows):
+    """MaximalOrder.norm_form(rows) as the determinant of
+    multiplication-by-y, whose row j is sum_t c_t * M_t[j] with M_t[j]
+    the coordinates of rows[t] * omega_j: the determinant is linear in
+    each row, so the coefficient of c_a c_b c_c collects
+    det(M_a[0], M_b[1], M_c[2]) over the distinct orderings of a, b, c."""
+    mats = [[order.omega_mul(r, e) for e in _UNITS] for r in rows]
+    return tuple(
+        sum(
+            det3((mats[a][0], mats[b][1], mats[c][2]))
+            for a, b, c in set(itertools.permutations(t))
+        )
+        for t in itertools.combinations_with_replacement(range(3), 3)
+    )
+
+
 def generic_factor_prime(order, p):
     """(p, f, e, hnf, g, label) of each prime above p, for p not dividing
     the index: every monic irreducible factor g of f mod p (low degree
@@ -493,22 +513,36 @@ def census_by_root_count(order, prime_bound):
     return counts
 
 
+def pi_by_products(order, p, f):
+    """The product of the primes above p of residue degree f, or the
+    unit ideal when there is none: the first such prime starts the
+    product and each further one costs an ideal_product."""
+    acc = None
+    for prime in factor_prime(order, p):
+        if prime.f == f:
+            ideal = prime.as_integral()
+            acc = ideal if acc is None else ideal_product(order, acc, ideal)
+    return IntegralIdeal.unit() if acc is None else acc
+
+
 def ostrowski_by_ideals(order, prime_bound):
     """classgroup.ostrowski_check's records, each unramified Pi_{p^f}
-    multiplied out of the primes above p and its generator read off the
-    HNF (IntegralIdeal.scalar_generator)."""
+    multiplied out of the primes above p (pi_by_products) and its
+    generator read off the HNF (IntegralIdeal.scalar_generator)."""
     out = []
-    for p, f, ideal in split_products(order, prime_bound):
+    for p in primes_up_to(prime_bound):
         if order.disc_K % p == 0:
             continue
-        n = ideal.scalar_generator()
-        out.append(
-            {
-                "p": p,
-                "f": f,
-                "norm": ideal.norm,
-                "principal": n is not None,
-                "generator": [n * c for c in order.one] if n is not None else None,
-            }
-        )
+        for f in sorted({q.f for q in factor_prime(order, p)}):
+            ideal = pi_by_products(order, p, f)
+            n = ideal.scalar_generator()
+            out.append(
+                {
+                    "p": p,
+                    "f": f,
+                    "norm": ideal.norm,
+                    "principal": n is not None,
+                    "generator": [n * c for c in order.one] if n is not None else None,
+                }
+            )
     return out

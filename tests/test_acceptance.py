@@ -231,7 +231,7 @@ def test_criterion_07_survey_nontrivial_witnesses():
 
 def test_criterion_08_ostrowski_galois():
     order = maximal_order(parse_cubic("x^3-3x-1"))
-    records = ostrowski_check(order, 500)
+    records = list(ostrowski_check(order, 500))
     ok = bool(records) and all(r["principal"] for r in records)
     report(8, ok, f"cyclic cubic: {len(records)} split products p<=500 all principal")
 

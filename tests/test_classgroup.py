@@ -39,7 +39,7 @@ from polyakit import (
     prime_class_vector,
     verify_main_theorem,
 )
-from polyakit import classgroup, cubicfield
+from polyakit import classgroup, cli, cubicfield
 from polyakit.cubicfield import (
     SearchBudgetExceededError,
     element_valuation,
@@ -330,7 +330,7 @@ def test_report_round_trip(orders):
 
 
 def test_ostrowski_galois(orders):
-    recs = ostrowski_check(orders["x^3-3x-1"], 100)
+    recs = list(ostrowski_check(orders["x^3-3x-1"], 100))
     assert recs, "no unramified primes checked"
     assert all(r["principal"] for r in recs)
     # every unramified split product of a cyclic cubic is p*O itself
@@ -341,7 +341,7 @@ def test_ostrowski_galois(orders):
 
 def test_ostrowski_generators_generate_their_ideals(orders):
     order = orders["x^3-3x-1"]
-    recs = ostrowski_check(order, 200)
+    recs = list(ostrowski_check(order, 200))
     assert recs
     for r in recs:
         pi = pi_ideal(order, r["p"] ** r["f"])
@@ -380,8 +380,27 @@ def test_ostrowski_check_matches_the_ideal_sweep():
     assert len(polys) == 6 + 18
     for poly in polys:
         order = maximal_order(poly)
-        got = json.dumps(ostrowski_check(order, 3000))
+        got = json.dumps(list(ostrowski_check(order, 3000)))
         assert got == json.dumps(ostrowski_by_ideals(order, 3000)), poly
+
+
+@pytest.mark.parametrize("bound", [10**3, 10**4, 10**5])
+def test_galois_sweep_streams_the_report_it_built_whole(capsys, bound):
+    """field-analyze on a cyclic cubic writes the records as it walks
+    them, and its stdout is the line json.dumps gave for the report
+    built whole: every record listed, `checked` their count and
+    `all_principal` read off them."""
+    for s in CYCLIC_FIXTURES:
+        order = _order_of(s)
+        records = list(ostrowski_check(order, bound))
+        whole = ostrowski_report(order, bound) | {
+            "checked": len(records),
+            "all_principal": all(r["principal"] for r in records),
+            "witnesses": records,
+        }
+        assert cli.main(["field-analyze", s, "--prime-bound", str(bound)]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (json.dumps(whole) + "\n", ""), (s, bound)
 
 
 def test_ostrowski_check_factors_no_prime(monkeypatch):
@@ -394,7 +413,7 @@ def test_ostrowski_check_factors_no_prime(monkeypatch):
     monkeypatch.setattr(cubicfield, "factor_prime", no_factoring)
     monkeypatch.setattr(classgroup, "factor_prime", no_factoring)
     fresh = [maximal_order(parse_cubic(s)) for s in CYCLIC_FIXTURES]
-    assert [ostrowski_check(order, 500) for order in fresh] == want
+    assert [list(ostrowski_check(order, 500)) for order in fresh] == want
 
 
 def test_polya_group_takes_no_prime_when_cl_is_trivial(orders, monkeypatch):
@@ -520,6 +539,7 @@ def test_polya_group_matches_the_per_variant_walks():
 
 def test_ostrowski_report_round_trip(orders):
     rep = ostrowski_report(orders["x^3-3x-1"], 60)
+    rep["witnesses"] = list(rep["witnesses"])
     assert rep["galois"] and rep["all_principal"]
     assert json.loads(json.dumps(rep)) == rep
     assert list(rep) == [*REPORT_HEAD, "checked", "all_principal", "witnesses"]

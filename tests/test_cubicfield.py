@@ -52,9 +52,9 @@ from polyakit.intlinalg import adj3, det3, invert3, lattice_lines
 
 from fieldref import (
     census_by_root_count, exponent_norm_form, generic_factor_prime, ideal_pow,
-    is_p_maximal_dedekind, lattice_contains, multiplier_rows, norm_power, pgcd, pmul, pnorm,
-    poly_of_theta_omega, power_mult_table, power_sums, power_valuation_kernel, ring_map_kernels,
-    roots_mod_p, scalar_ideal, to_omega_int,
+    is_p_maximal_dedekind, lattice_contains, multiplier_rows, norm_form_by_determinants,
+    norm_power, pgcd, pi_by_products, pmul, pnorm, poly_of_theta_omega, power_mult_table,
+    power_sums, power_valuation_kernel, ring_map_kernels, roots_mod_p, scalar_ideal, to_omega_int,
 )
 
 FIXTURE_POLYS = ("x^3-2", "x^3-x-1", "x^3-x^2-2x-8", "x^3-3x-1", "x^3+4x-1")
@@ -75,6 +75,17 @@ def _box_field(t):
         return CubicPoly(*t)
     except ReduciblePolynomialError:
         return None
+
+
+INDEX_9_POLY = "x^3-8x^2-2x-9"
+INDEX_10_POLY = "x^3-12x^2-5x-4"
+# the irreducible cubics among 40 seeded draws from the |a_i| <= 12 box
+_SLICE_RNG = random.Random(39)
+BOX_12_SLICE = tuple(
+    str(poly)
+    for poly in (_box_field(tuple(_SLICE_RNG.randint(-12, 12) for _ in range(3))) for _ in range(40))
+    if poly is not None
+)
 
 
 # --- polynomials ------------------------------------------------------------
@@ -270,6 +281,40 @@ def test_norm_form_matches_exponent_dict_reference():
         for rows in bases:
             assert O.norm_form(rows) == exponent_norm_form(O, rows), (poly, rows)
         assert O.basis_norm_form == exponent_norm_form(O, bases[0])
+
+
+def _with_singular_rows(case):
+    """The drawn rows, or with row 2 replaced by k0*row0 + k1*row1."""
+    rows, singular, k0, k1 = case
+    if singular:
+        rows[2] = [k0 * a + k1 * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+@given(
+    s=st.sampled_from(FIXTURE_POLYS + (INDEX_10_POLY,) + BOX_12_SLICE),
+    rows=st.tuples(
+        st.lists(st.lists(st.integers(-60, 60), min_size=3, max_size=3), min_size=3, max_size=3),
+        st.booleans(), st.integers(-3, 3), st.integers(-3, 3),
+    ).map(_with_singular_rows),
+)
+@settings(max_examples=300, deadline=None)
+def test_norm_form_matches_the_determinant_expansion(s, rows):
+    """norm_form, rows substituted into basis_norm_form, equals the
+    expansion of the norm as a determinant on any integer rows: singular,
+    negative and not in HNF included."""
+    O = _order_of(s)
+    assert O.norm_form(rows) == norm_form_by_determinants(O, rows)
+
+
+def test_basis_norm_form_matches_the_determinant_expansion():
+    """basis_norm_form, the form basis substituted into the closed-form
+    norm of R(F), equals the determinant expansion on the integral basis
+    of the fixture fields, the index-10 field and the box-12 slice."""
+    assert len(BOX_12_SLICE) > 30
+    for s in FIXTURE_POLYS + (INDEX_10_POLY,) + BOX_12_SLICE:
+        O = _order_of(s)
+        assert O.basis_norm_form == norm_form_by_determinants(O, cubicfield.UNIT_ROWS), s
 
 
 def test_power_sums_newton():
@@ -833,10 +878,6 @@ def test_large_index_orders_factor_consistently():
             assert any(q.e > 1 for q in facs) == (O.disc_K % p == 0), (s, p)
 
 
-INDEX_9_POLY = "x^3-8x^2-2x-9"
-INDEX_10_POLY = "x^3-12x^2-5x-4"
-
-
 def _constructed_poly(p, c, b):
     """The minimal polynomial of theta = p*beta + c, beta a root of
     x^3 + b2 x^2 + b1 x + b0 with b = (b2, b1, b0): Z[theta] has index
@@ -1211,6 +1252,21 @@ def test_split_products_are_the_pi_ideals(s):
         for p in primes_up_to(500)
         for f in sorted({q.f for q in factor_prime(O, p)})
     ]
+
+
+def test_pi_ideals_equal_their_products():
+    """Pi_{p^f}, taken as p*O without a product when every prime above
+    p has degree f and e = 1, equals the product of its primes, for every
+    p <= 200 and every f above p, on the fixture fields, the index-10
+    field and the box-12 slice: every splitting type, ramified ones
+    included."""
+    types = set()
+    for s in FIXTURE_POLYS + (INDEX_10_POLY,) + BOX_12_SLICE:
+        O = _order_of(s)
+        for p, f, ideal in cubicfield.split_products(O, 200):
+            assert ideal == pi_ideal(O, p**f) == pi_by_products(O, p, f), (s, p, f)
+            types.add(tuple(sorted((q.e, q.f) for q in factor_prime(O, p))))
+    assert types == {((1, 1), (1, 1), (1, 1)), ((1, 1), (1, 2)), ((1, 3),), ((1, 1), (2, 1)), ((3, 1),)}
 
 
 def test_split_products_yields_before_sieving_to_the_bound():

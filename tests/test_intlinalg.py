@@ -355,6 +355,117 @@ def _det(mat):
     return total
 
 
+def _smith_reference(rows, ncols: int):
+    """smith_normal_form as it was before it skipped the divisibility
+    scan at unit pivots: the scan runs after every pivot."""
+    m = len(rows)
+    n = ncols
+    A = [list(r) for r in rows]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, q):  # row i -= q * row j
+        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
+
+    def col_op(i, j, q):  # col i -= q * col j
+        for row in A:
+            row[i] -= q * row[j]
+        for row in V:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < m and t < n:
+        # find the first smallest nonzero entry in the remaining
+        # submatrix; no later entry beats an entry of absolute value 1
+        piv = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                a = abs(A[i][j])
+                if a and (best is None or a < best):
+                    best = a
+                    piv = (i, j)
+                    if a == 1:
+                        break
+            if best == 1:
+                break
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    row_op(i, t, q)
+                    if A[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    col_op(j, t, q)
+                    if A[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+        # enforce divisibility of every remaining entry by the pivot
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if A[i][j] % A[t][t]:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_op(t, offender, -1)  # add offending row to pivot row
+            continue
+        t += 1
+
+    return [abs(A[k][k]) for k in range(min(m, n))], V
+
+
+@st.composite
+def relation_hnfs(draw):
+    """hnf_rows of relation-shaped rows: a full-rank HNF whose pivots
+    are nearly all 1, as the class group's presentation takes it."""
+    rows, k = draw(relation_matrices())
+    return hnf_rows(rows, k), k
+
+
+@given(
+    st.one_of(
+        matrices(4, 4).map(lambda rows: (rows, 4)),
+        hnf_inputs().map(lambda case: (hnf_rows(*case), case[1])),
+    )
+)
+@example(([[2, 0], [0, 3]], 2))
+@example(([[1, 0, 0], [0, 2, 0], [0, 0, 3]], 3))
+@settings(max_examples=200, deadline=None)
+def test_snf_matches_the_scan_at_every_pivot(case):
+    """Skipping the divisibility scan at a pivot of +-1 changes neither
+    diag nor V, on square matrices and on HNFs of any shape and rank."""
+    rows, k = case
+    assert smith_normal_form(rows, k) == _smith_reference(rows, k)
+
+
+@given(relation_hnfs())
+@settings(max_examples=10, deadline=None)
+def test_snf_of_relation_hnfs_matches_the_scan_at_every_pivot(case):
+    rows, k = case
+    assert smith_normal_form(rows, k) == _smith_reference(rows, k)
+
+
 @given(matrices(4, 4))
 @settings(max_examples=150, deadline=None)
 def test_snf_preserves_determinant_up_to_sign(rows):
