@@ -79,13 +79,17 @@ def _box_field(t):
 
 INDEX_9_POLY = "x^3-8x^2-2x-9"
 INDEX_10_POLY = "x^3-12x^2-5x-4"
-# the irreducible cubics among 40 seeded draws from the |a_i| <= 12 box
-_SLICE_RNG = random.Random(39)
-BOX_12_SLICE = tuple(
-    str(poly)
-    for poly in (_box_field(tuple(_SLICE_RNG.randint(-12, 12) for _ in range(3))) for _ in range(40))
-    if poly is not None
-)
+
+
+def _box_12_slice(seed, draws):
+    """The irreducible cubics among `draws` seeded draws from the
+    |a_i| <= 12 box, as strings."""
+    rng = random.Random(seed)
+    triples = [tuple(rng.randint(-12, 12) for _ in range(3)) for _ in range(draws)]
+    return tuple(str(poly) for poly in map(_box_field, triples) if poly is not None)
+
+
+BOX_12_SLICE = _box_12_slice(39, 40)
 
 
 # --- polynomials ------------------------------------------------------------
