@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import mul
 
-from .intlinalg import hnf_rows, lattice_coordinates, smith_normal_form
+from .intlinalg import HermiteBasis, hnf_rows, lattice_coordinates, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,14 @@ class AbelianGroupSNF:
     @classmethod
     def presented(cls, relations, k: int) -> "AbelianGroupSNF":
         """Z^k modulo the lattice spanned by the rows `relations`, which
-        must have rank k (a finite quotient); ValueError otherwise."""
-        diag, V = smith_normal_form(relations, k)
-        if len(diag) < k or 0 in diag:
+        must have rank k (a finite quotient); ValueError otherwise, raised
+        from the rows' Hermite form (`det` 0) before any Smith form."""
+        relations = list(relations)
+        lattice = HermiteBasis(k)
+        lattice.extend(relations)
+        if not lattice.det:
             raise ValueError("relations of deficient rank: the quotient is not finite")
+        diag, V = smith_normal_form(relations, k)
         kept = [j for j, d in enumerate(diag) if d > 1]
         return cls(
             tuple(diag[j] for j in kept),

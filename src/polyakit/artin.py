@@ -45,7 +45,7 @@ class SplittingType:
 def splitting_from_frobenius(g: tuple[int, ...], action: CosetAction) -> SplittingType:
     """Splitting pattern encoded by g: its cycle lengths on the cosets,
     each part unramified."""
-    return SplittingType.from_cycle_lengths(f for f, _ in cycle_structure(g, action))
+    return SplittingType.from_cycle_lengths(cycle_structure(g, action))
 
 
 def chebotarev_densities(

@@ -272,9 +272,9 @@ def survey_box(
     workers: int = 1,
 ):
     """Survey every coefficient triple with |a_i| <= coeff_bound, in
-    lexicographic input order (polynomials are all distinct, so the
-    documented polynomial-level dedup has nothing to merge).  The
-    triples are generated as they are surveyed, never listed."""
+    lexicographic input order, one record per triple: nothing is
+    deduplicated, so polynomials defining the same field each get one.
+    The triples are generated as they are surveyed, never listed."""
     triples = itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=3)
     if workers > 1:
         import multiprocessing as mp

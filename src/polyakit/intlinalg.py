@@ -373,6 +373,12 @@ def smith_normal_form(rows, ncols: int):
     one, and is cleared again.  A pivot of +-1 divides everything, so
     the relation HNFs of the class group, whose pivots are nearly all 1,
     pay that scan only at their few larger pivots.
+
+    Nothing reduces the entries, so the time is not bounded on every
+    input: on some small tall matrices of deficient rank they pass
+    10^4000 within five pivots.  `AbelianGroupSNF.presented`, the caller
+    that takes relations from outside, refuses deficient rank before
+    calling this.
     """
     m = len(rows)
     n = ncols

@@ -26,16 +26,16 @@ and normal cores, live in the tests (tests/groupcorpus.py).
 A permutation of {0, ..., n-1} is the plain tuple of its images, and
 nothing else (Seress 2003 stores them the same way).  `perm` checks
 one built from outside; `compose`, `inverse`, `cycles`, `from_cycles`
-and `identity` are the operations on them.  A right coset of H is a
-label that G moves: the point s(p) when H is the full stabilizer of a
+and `identity` are the operations on them.  A right coset of H is its
+label, which G moves: the point s(p) when H is the full stabilizer of a
 point p, and otherwise the element of H*s that H's chain picks
-(`_coset_key`), so the coset action is one implementation over labels
-that never enumerates cosets.  The quotient H/H' is one object per
-subgroup, `abelianization(H)`, whose H'-cosets are the labels of the
-same action of H on them; the generation test is decided on those
-labels instead of closing <T, H'> as a set of permutations, and H/H' is
-presented in invariant-factor form (`abelian.AbelianGroupSNF`) on first
-use.
+(`_coset_key`); coset i is the i-th label in sorted order, so the coset
+action is one implementation over labels that never enumerates cosets.
+The quotient H/H' is one object per subgroup, `abelianization(H)`,
+whose H'-cosets are the labels of the same action of H on them; the
+generation test is decided on those labels instead of closing <T, H'>
+as a set of permutations, and H/H' is presented in invariant-factor
+form (`abelian.AbelianGroupSNF`) on first use.
 
 Composition convention: ``compose(a, b)`` means "apply a, then b", so
 that a right coset ``H*s`` moved by ``g`` lands on ``H*compose(s, g)``.
@@ -357,19 +357,14 @@ def _last_moved(perms: Iterable[_Perm], degree: int) -> int:
 
 
 def _close(
-    degree: int,
-    perms: Iterable[_Perm],
-    ceiling: int,
-    base: tuple[int, ...] = (),
-    order: Optional[int] = None,
+    degree: int, perms: Iterable[_Perm], ceiling: int, base: tuple[int, ...] = ()
 ) -> tuple[list[_Perm], list[_Level]]:
     """The generators kept, each of `perms` not in the group of those
     before it (tested by sifting), and the stabilizer chain of their
     group.  Its base starts with the points of `base`, by default with
     the largest point any of `perms` moves; a level of `base` may have a
     trivial orbit.  An order past `ceiling` raises GroupTooLargeError
-    before any element is listed; reaching `order` stops the scan of
-    `perms`."""
+    before any element is listed."""
     perms = list(perms)
     ident = tuple(range(degree))
     levels = [_Level(ident, b) for b in base or (_last_moved(perms, degree),)]
@@ -378,11 +373,8 @@ def _close(
         if _sift(levels, x, 0)[0] != ident:
             gens.append(x)
             _add_generator(levels, 0, x)
-            size = math.prod(len(level.orbit) for level in levels)
-            if size > ceiling:
+            if math.prod(len(level.orbit) for level in levels) > ceiling:
                 raise GroupTooLargeError(f"group too large: closure exceeds ceiling {ceiling}")
-            if size == order:
-                break
     return gens, levels
 
 
@@ -404,11 +396,10 @@ def _generated(
     perms: Iterable[_Perm],
     ceiling: int,
     generators: Optional[tuple[_Perm, ...]] = None,
-    order: Optional[int] = None,
 ) -> PermGroup:
     """The group of `perms`, with the generators kept unless
     `generators` names them."""
-    gens, levels = _close(degree, perms, ceiling, order=order)
+    gens, levels = _close(degree, perms, ceiling)
     if generators is None:
         generators = tuple(gens)
     return PermGroup(degree, generators, levels)
@@ -439,15 +430,6 @@ def generated_subgroup(
     return _generated(degree, sorted(set(elements)), ceiling)
 
 
-def _chain_at(group: PermGroup, point: int) -> list[_Level]:
-    """A chain of `group` whose first base point is `point`: the group's
-    own when it starts there, else one built for the purpose."""
-    levels = group._levels
-    if not levels or levels[0].base != point:
-        levels = _close(group.degree, group.generators, group.order, base=(point,))[1]
-    return levels
-
-
 def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
     """Stabilizer of a point in the natural action.
 
@@ -459,7 +441,9 @@ def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
         raise ValueError("point out of range")
     if all(g[point] == point for g in group.generators):
         return group
-    levels = _chain_at(group, point)
+    levels = group._levels
+    if not levels or levels[0].base != point:
+        levels = _close(degree, group.generators, group.order, base=(point,))[1]
     gens = tuple(levels[1].gens) if len(levels) > 1 else ()
     return PermGroup(degree, gens, levels[1:])
 
@@ -493,27 +477,19 @@ def _coset_key(levels: list[_Level], g: _Perm) -> _Perm:
 class CosetAction:
     """The action of G on the right cosets of H by right multiplication.
 
-    A coset is a label that G moves.  When H is the full stabilizer of a
-    point p, `point` is p and the label of H*s is the point s(p), which g
-    moves to g(s(p)).  For any other H, `point` is None and the label of
-    H*s is `_coset_key(H, s)`, which g moves to the key of (s then g); the
-    labels are found by walking G's generators from the label of H.
-    `orbit` holds the labels, sorted, and nothing here lists G:
-    `is_frobenius` and `is_2transitive` read the labels alone.
-
-    Cosets are indexed 0..[G:H]-1 in lexicographic order of their least
-    element; each stored representative is that least element, so the
-    representative of coset 0 (= H itself) is the identity.  The first
-    use of `representatives` or `row` takes one element of each coset,
-    its key label or u[x] of a chain of G based at p, to the least of its
-    coset by `_coset_key` through a chain of H with base 0, 1, ..., n-1;
-    row(g) then sends each coset index to that of its image under g, so
-    the index of H*g is row(g)[0].
+    A coset is its label, which G moves.  When H is the full stabilizer
+    of a point p, `point` is p and the label of H*s is the point s(p),
+    which g moves to g(s(p)).  For any other H, `point` is None and the
+    label of H*s is `_coset_key(H, s)`, which g moves to the key of
+    (s then g).  `home` is the label of H itself, and the labels are
+    found by walking G's generators from it.  Coset i is `orbit[i]`, the
+    labels sorted, and nothing here lists G: row(g) sends each coset
+    index to that of its image under g, so the index of H*g is the entry
+    of row(g) at the index of `home`, and `is_frobenius` and
+    `is_2transitive` read the labels alone.
     """
 
-    __slots__ = (
-        "group", "subgroup", "point", "orbit", "_label", "_move", "_reps", "_labels", "_index",
-    )
+    __slots__ = ("group", "subgroup", "point", "home", "orbit", "_label", "_move", "_index")
 
     def __init__(self, group: PermGroup, subgroup: PermGroup):
         self.group = group
@@ -525,31 +501,14 @@ class CosetAction:
             def move(s: _Perm, g: _Perm) -> _Perm:
                 return label(compose(s, g))  # the label of H*(s then g)
 
-            self.orbit = tuple(sorted(_orbit(label(group.identity), group.generators, move)))
+            self.home = label(group.identity)
+            self.orbit = tuple(sorted(_orbit(self.home, group.generators, move)))
         else:
             label, move = itemgetter(self.point), _move_point
+            self.home = self.point
             self.orbit = tuple(sorted(points))
         self._label, self._move = label, move
-        self._reps: Optional[tuple[_Perm, ...]] = None
-
-    @property
-    def representatives(self) -> tuple[_Perm, ...]:
-        if self._reps is None:
-            self._read_orbit()
-        return self._reps
-
-    def _read_orbit(self) -> None:
-        if self.point is None:
-            elements = self.orbit
-        else:
-            u = _chain_at(self.group, self.point)[0].u
-            elements = [u[x] for x in self.orbit]
-        subgroup, degree = self.subgroup, self.group.degree
-        lex = _close(degree, subgroup.generators, subgroup.order, base=tuple(range(degree)))[1]
-        lex = [level for level in lex if len(level.orbit) > 1]
-        self._reps = tuple(sorted(_coset_key(lex, s) for s in elements))
-        self._labels = tuple(map(self._label, self._reps))
-        self._index = {q: i for i, q in enumerate(self._labels)}
+        self._index = {q: i for i, q in enumerate(self.orbit)}
 
     @property
     def num_cosets(self) -> int:
@@ -559,10 +518,8 @@ class CosetAction:
         """Images of every coset index under right multiplication by g."""
         if g not in self.group:
             raise KeyError(g)
-        if self._reps is None:
-            self._read_orbit()
         index, move = self._index, self._move
-        return tuple([index[move(q, g)] for q in self._labels])
+        return tuple([index[move(q, g)] for q in self.orbit])
 
 
 def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
@@ -575,17 +532,12 @@ def coset_action(group: PermGroup, subgroup: PermGroup) -> CosetAction:
     return CosetAction(group, subgroup)
 
 
-def cycle_structure(g: _Perm, action: CosetAction) -> list[tuple[int, _Perm]]:
-    """Cycles of g on the coset space as (length, representative) pairs.
-
-    Cycles are listed by their least coset index; the representative is
-    the stored representative of that least coset, making the output
-    reproducible.  Lengths sum to the number of cosets.
-    """
+def cycle_structure(g: _Perm, action: CosetAction) -> list[int]:
+    """The lengths of the cycles of g on the coset space, each cycle
+    listed at its least coset index; they sum to the number of cosets."""
     if g not in action.group:
         raise ValueError("element not in the acting group")
-    reps = action.representatives
-    return [(len(c), reps[c[0]]) for c in cycles(action.row(g), include_fixed=True)]
+    return [len(c) for c in cycles(action.row(g), include_fixed=True)]
 
 
 def _check_proper_subgroup(group: PermGroup, subgroup: PermGroup) -> None:
@@ -637,7 +589,7 @@ def compute_T(
     so the walk cuts every branch that fixes a base point of H that is
     a label other than p.  For any other H, each u[x] of H's chain acts,
     beside the points, on the coset indices shifted past them, by its
-    `row`: T is what fixes no index but 0, the coset H.
+    `row`: T is what fixes no index but that of `home`, the coset H.
     """
     _check_proper_subgroup(group, subgroup)
     _check_listable(subgroup)
@@ -655,7 +607,9 @@ def compute_T(
         for lv in levels
     ]
     ident = tuple(range(degree + action.num_cosets))
-    return frozenset([g[:degree] for g in _fixing_no_label(ident, chain, ident[degree + 1:])])
+    home = degree + action._index[action.home]
+    others = [q for q in ident[degree:] if q != home]
+    return frozenset([g[:degree] for g in _fixing_no_label(ident, chain, others)])
 
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
@@ -682,14 +636,10 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Witnesses for the generation test T != {} and H = <T, H'>.
-
-    `holds` is precisely the conjunction of T being nonempty and
-    `generated` coinciding with H.
-    """
+    """The generation test for (G, H): T, and whether T is nonempty and
+    H = <T, H'>."""
 
     T: frozenset[_Perm]
-    generated: PermGroup
     holds: bool
 
 
@@ -710,8 +660,8 @@ class Abelianization:
         self.hprime = hprime = derived_subgroup(subgroup)
         action = CosetAction(subgroup, hprime)
         self.label, self.labels, self._move = action._label, action.orbit, action._move
+        self._home = action.home  # the label of H' itself
         ident = subgroup.identity
-        self._home = self.label(ident)  # the label of H' itself
         self._gens = tuple(dict.fromkeys(g for g in subgroup.generators if g != ident))
 
     @cached_property
@@ -762,41 +712,24 @@ def check_condition_2B(
     H/H' without closing <T, H'> as permutations: H' is normal in H and
     lies in <T, H'>, so the two are equal iff T's cosets generate H/H'.
     The H'-cosets are the labels of `abelianization(H)`.  Scanning T
-    unsorted, the least element met so far in each coset is kept, and the
-    cosets reached from H' by the kept ones are recomputed whenever a
-    coset outside them is met, until they fill H/H'; H' is never listed.
-    `generated` is then H itself, or else, T scanned whole, the union of
-    the H'-cosets reached, generated by the generators of H' and the
-    least element of T in each coset T meets, in increasing order; its
-    element set is <T, H'>.  holds() iff T is nonempty and <T, H'> = H.
+    unsorted, one element is kept of each coset outside those the kept
+    ones reach from H', which are recomputed then, and the scan stops
+    once they fill H/H'; neither <T, H'> nor H' is listed.
     """
     if action is None:
         action = coset_action(group, subgroup)
     T = compute_T(group, subgroup, action)
     ab = abelianization(subgroup)
     label, move, home, index = ab.label, ab._move, ab._home, len(ab.labels)
-    least: dict = {}  # the least element of T met so far in each H'-coset
+    kept: list[_Perm] = []
     reached = {home}
     for t in T:
-        q = label(t)
-        if q not in least:
-            least[q] = t
-            if q not in reached:
-                reached = set(_orbit(home, least.values(), move))
-                if len(reached) == index:
-                    break
-        elif t < least[q]:
-            least[q] = t
-    fills = len(reached) == index
-    if fills:
-        generated = subgroup
-    else:
-        gens = ab.hprime.generators + tuple(sorted(least.values()))
-        generated = _generated(
-            group.degree, gens, subgroup.order, gens, len(reached) * ab.hprime.order
-        )
-    holds = bool(T) and fills
-    return ConditionReport(T=T, generated=generated, holds=holds)
+        if len(reached) == index:
+            break
+        if label(t) not in reached:
+            kept.append(t)
+            reached = set(_orbit(home, kept, move))
+    return ConditionReport(T=T, holds=bool(T) and len(reached) == index)
 
 
 def is_frobenius(group: PermGroup, action: CosetAction) -> bool:
@@ -812,7 +745,7 @@ def is_frobenius(group: PermGroup, action: CosetAction) -> bool:
     if subgroup.order == 1:
         return False
     gens, move = subgroup.generators, action._move
-    seen = {action._label(group.identity)}
+    seen = {action.home}
     for q in action.orbit:
         if q not in seen:
             orbit = _orbit(q, gens, move)
@@ -831,8 +764,7 @@ def is_2transitive(group: PermGroup, action: CosetAction) -> bool:
     n = action.num_cosets
     if n < 2:
         raise ValueError("2-transitivity needs at least 2 cosets")
-    home = action._label(group.identity)
-    q = action.orbit[0] if action.orbit[0] != home else action.orbit[1]
+    q = action.orbit[0] if action.orbit[0] != action.home else action.orbit[1]
     return len(_orbit(q, action.subgroup.generators, action._move)) == n - 1
 
 

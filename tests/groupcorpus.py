@@ -15,11 +15,16 @@ kept as their oracle.
 The group-side code that no subcommand runs lives here too, as the
 oracles of the acceptance criteria: `compute_T_conjugacy`, the
 conjugacy characterization of T; `normal_core` and
-`subgroup_from_elements`; `coset_index`, the index of a coset;
-`project`, the class of an element of H in H/H'; and `pi_class` and
-`total_class`, the classes in H/H' of products of conjugates over the
-cycles of an element on the cosets.  `power` and `cycle_string`
-complete the permutation operations.
+`subgroup_from_elements`; `project`, the class of an element of H in
+H/H'; and `pi_class` and `total_class`, the classes in H/H' of products
+of conjugates over the cycles of an element on the cosets.  They number
+the cosets by their least elements, found by listing G
+(`least_representatives`), and read the coset action in that order:
+`least_row` is `row`, `coset_index` the index of a coset and
+`least_cycles` the cycles of an element with the least element of the
+coset each starts at.  `generated_by_T` closes <T, H'> as a group,
+which the generation test decides without building.  `power` and
+`cycle_string` complete the permutation operations.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from hypothesis import strategies as st
 
 from polyakit import (
     PermGroup,
-    cycle_structure,
     cycles,
     family_group,
     group_closure,
@@ -88,7 +92,7 @@ def normal_core(group: PermGroup, subgroup: PermGroup) -> PermGroup:
     s*h*s^-1 stays in H, and that test only depends on the coset H*s."""
     if not subgroup.is_subgroup_of(group):
         raise ValueError("H is not a subgroup of G")
-    reps = CosetAction(group, subgroup).representatives
+    reps = least_representatives(CosetAction(group, subgroup))
     core = []
     for h in subgroup.elements:
         if all(compose(s, h, inverse(s)) in subgroup.elements for s in reps):
@@ -106,7 +110,7 @@ def compute_T_conjugacy(
     out = []
     for h in subgroup.elements:
         excluded = False
-        for s in action.representatives[1:]:
+        for s in least_representatives(action)[1:]:
             if compose(s, h, inverse(s)) in subgroup.elements:
                 excluded = True
                 break
@@ -115,10 +119,72 @@ def compute_T_conjugacy(
     return frozenset(out)
 
 
+@lru_cache(maxsize=64)
+def least_representatives(action: CosetAction) -> tuple[tuple[int, ...], ...]:
+    """The least element of each coset H*s, in increasing order: G is
+    listed in order, and each element that no coset opened so far holds
+    opens one.  The first is the identity, of the coset H itself."""
+    placed, reps = set(), []
+    hels = action.subgroup.elements
+    for s in sorted(action.group.elements):
+        if s not in placed:
+            reps.append(s)
+            placed.update(compose(h, s) for h in hels)
+    return tuple(reps)
+
+
+@lru_cache(maxsize=64)
+def _least_index(action: CosetAction) -> tuple[int, ...]:
+    """For each coset index of `action`, the position of the coset's
+    least element in `least_representatives`: H*s is the coset whose
+    label `home` moves to under s."""
+    index = {q: j for j, q in enumerate(action.orbit)}
+    where = [0] * action.num_cosets
+    for i, s in enumerate(least_representatives(action)):
+        where[index[action._move(action.home, s)]] = i
+    return tuple(where)
+
+
+def least_row(action: CosetAction, g: tuple[int, ...]) -> tuple[int, ...]:
+    """`action.row(g)` with coset i the one whose least element is
+    `least_representatives(action)[i]`.  An element outside G raises
+    KeyError, as `row` does."""
+    where = _least_index(action)
+    out = [0] * len(where)
+    for j, k in enumerate(action.row(g)):
+        out[where[j]] = where[k]
+    return tuple(out)
+
+
 def coset_index(action: CosetAction, g: tuple[int, ...]) -> int:
-    """Index of the coset H*g: the image of coset 0, H itself, under g.
-    An element outside G raises KeyError, as `row` does."""
-    return action.row(g)[0]
+    """Index of the coset H*g in least-representative order: the image of
+    coset 0, H itself, under g.  An element outside G raises KeyError."""
+    return least_row(action, g)[0]
+
+
+def least_cycles(action: CosetAction, g: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """The cycles of g, an element of G, on the cosets as (length,
+    representative) pairs: each listed at its least index in
+    least-representative order, with the least element of that coset."""
+    if g not in action.group:
+        raise ValueError("element not in the acting group")
+    reps = least_representatives(action)
+    return [(len(c), reps[c[0]]) for c in cycles(least_row(action, g), include_fixed=True)]
+
+
+def generated_by_T(subgroup: PermGroup, T) -> PermGroup:
+    """<T, H'> for H = `subgroup`: H itself when that is what they
+    generate, and otherwise the closure of the generators of H' and the
+    least element of T in each H'-coset T meets, in increasing order.
+    Two elements share an H'-coset when one times the inverse of the
+    other lies in H'."""
+    hprime = derived_subgroup(subgroup)
+    least: list[tuple[int, ...]] = []
+    for t in sorted(T):
+        if all(compose(t, inverse(k)) not in hprime for k in least):
+            least.append(t)
+    closure = group_closure(subgroup.degree, hprime.generators + tuple(least))
+    return subgroup if closure.order == subgroup.order else closure
 
 
 @lru_cache(maxsize=64)
@@ -154,10 +220,10 @@ def project(ab: Abelianization, p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _cycles_with_reps(g, action: CosetAction, reps):
-    """`cycle_structure(g, action)`, each stored representative replaced
-    by the caller's representative of the same coset when `reps` is
-    given (one per coset, in coset-index order)."""
-    cycs = cycle_structure(g, action)
+    """`least_cycles(action, g)`, each least element replaced by the
+    caller's representative of the same coset when `reps` is given (one
+    per coset, in least-representative order)."""
+    cycs = least_cycles(action, g)
     if reps is None:
         return cycs
     if len(reps) != action.num_cosets:

@@ -1,13 +1,18 @@
 """Invariant-factor groups and their subgroup lattices, against brute
 force enumeration on small ambients."""
 
+import os
+import subprocess
+import sys
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import polyakit
 from polyakit.abelian import AbelianGroupSNF, Subgroup
 from polyakit.intlinalg import hnf_rows
 
@@ -143,6 +148,38 @@ def test_presented_rejects_rank_deficient(lattice):
     k, rows = lattice
     with pytest.raises(ValueError):
         AbelianGroupSNF.presented(rows, k)
+
+
+# Ten rows of rank 5 in Z^6 (two equal rows, one zero row), on which the
+# Smith form's entries pass 10^4000 within five pivots.
+DEFICIENT_10x6 = [
+    [3, 0, 0, 0, -7, 0], [-10, -16, 0, -26, 0, 0], [-26, -27, 0, -13, 0, 0],
+    [-27, -4, 0, 3, -6, 0], [0] * 6, [0, 0, 0, 0, 0, -30], [11, 0, 0, 0, -14, 0],
+    [16, 0, 0, 24, 24, -27], [0, 0, 0, -14, 0, -3], [0, 0, 0, -14, 0, -3],
+]
+
+
+def test_presented_refuses_deficient_rank_before_the_smith_form():
+    """The rank is read off the rows' Hermite form, so the matrix that
+    runs the Smith form past 10^4000 raises ValueError in well under a
+    second.  It runs in a child process, so a regression fails at the
+    timeout instead of hanging the suite."""
+    code = (
+        "import time\n"
+        "from polyakit.abelian import AbelianGroupSNF\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        f"    AbelianGroupSNF.presented({DEFICIENT_10x6!r}, 6)\n"
+        "except ValueError:\n"
+        "    print(time.perf_counter() - start)\n"
+    )
+    src = str(Path(polyakit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0
 
 
 def test_presented_equality_ignores_projection():

@@ -1,5 +1,6 @@
-"""Layout of src/polyakit: no function, class, method or property that
-nothing in the package uses, and no import from a higher layer.
+"""Layout of src/polyakit: no function, class, method, property,
+dataclass field or slot that nothing in the package uses, and no import
+from a higher layer.
 
 A def or class at module level must be referenced somewhere in
 src/polyakit outside its own body and outside polyakit/__init__.py (a
@@ -8,7 +9,9 @@ polyakit/__init__.py and named in the row of its module in README's
 library table, which documents it as library API.  A method or
 property of a module-level class (dunders aside) must be read as an
 attribute (`x.name`) somewhere in src/polyakit outside its own body;
-exporting its class does not count.  Code that only the tests use
+exporting its class does not count.  A dataclass field or a
+`__slots__` entry must be read as an attribute somewhere in
+src/polyakit, and `ALLOWED` does not apply to them.  Code that only the tests use
 belongs in the test helpers (fieldref.py, groupref.py, groupcorpus.py);
 `ALLOWED` holds the few names that only bench/ reads.  Names are
 matched by identifier, so the check can miss an orphan that shares its
@@ -132,6 +135,48 @@ def test_allowlist_holds_only_names_bench_reads():
     bench = " ".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
     used = set(re.findall(r"\w+", bench))
     assert {name.rsplit(".", 1)[1] for name in ALLOWED} <= used
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(func, ast.Name) and func.id == "dataclass":
+            return True
+    return False
+
+
+def _unread_fields() -> set[str]:
+    """`module.Class.name` for each dataclass field and `__slots__` entry
+    of a module-level class that nothing in src/polyakit reads as an
+    attribute (`x.name`, not as an assignment target)."""
+    fields = []  # (qualified name, bare name)
+    reads = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)
+        )
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = []
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and _is_dataclass(cls):
+                    names.append(item.target.id)
+                elif isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+                ):
+                    names += [elt.value for elt in item.value.elts]
+            fields += [(f"{path.stem}.{cls.name}.{name}", name) for name in names]
+    return {qual for qual, name in fields if name not in reads}
+
+
+def test_every_field_and_slot_is_read():
+    """A dataclass field or a slot that nothing reads is state kept for no
+    one: a report field no caller prints, or a cache no code consults."""
+    assert _unread_fields() == set()
 
 
 def _private(name: str) -> bool:

@@ -52,6 +52,10 @@ from groupcorpus import (
     compute_T_conjugacy,
     coset_index,
     cycle_string,
+    generated_by_T,
+    least_cycles,
+    least_representatives,
+    least_row,
     normal_core,
     power,
     project,
@@ -131,7 +135,7 @@ def test_every_returned_element_is_a_perm():
         for x in g.elements:
             assert type(x) is tuple and compose(x, inverse(x)) == g.identity
         assert all(type(x) is tuple for x in g.generators)
-    assert all(type(s) is tuple for s in coset_action(s5, h).representatives)
+    assert all(type(s) is tuple for s in coset_action(s5, derived_subgroup(h)).orbit)
     assert all(type(t) is tuple for t in compute_T(s5, h))
     assert all(type(t) is tuple for t in check_condition_2B(s5, h).T)
 
@@ -311,7 +315,7 @@ def test_coset_action_s4_stabilizer():
     h = point_stabilizer(g, 3)
     act = coset_action(g, h)
     assert act.num_cosets == 4
-    assert act.representatives[0] == identity(4)
+    assert act.home == 3 and act.row(identity(4))[act.orbit.index(act.home)] == 3
 
 
 def test_coset_action_a4_klein():
@@ -387,22 +391,46 @@ def test_coset_key_labels_each_coset_once(case, data):
     assert len(keys) == g.order // h.order
 
 
+@given(generator_sets, st.data())
+@settings(max_examples=80, deadline=None)
+def test_row_indexes_the_sorted_labels(case, data):
+    """For random G of degree <= 7 and H a point stabilizer or the group
+    of up to two random elements, on sampled elements of G and of H:
+    row(x)[i] is the index of the label x moves orbit[i] to, row(x)
+    fixes the index of `home` exactly when x lies in H, and
+    cycle_structure(x) has the cycle lengths of the row in
+    least-representative order."""
+    degree, gens = case
+    g = group_closure(degree, gens)
+    els = sorted(g.elements)
+    if data.draw(st.booleans()):
+        h = point_stabilizer(g, data.draw(st.integers(0, degree - 1)))
+    else:
+        h = generated_subgroup(degree, data.draw(st.lists(st.sampled_from(els), max_size=2)))
+    act = coset_action(g, h)
+    home = act.orbit.index(act.home)
+    hels = sorted(h.elements)
+    for x in els[:: max(1, len(els) // 24)] + hels[:: max(1, len(hels) // 8)]:
+        row = act.row(x)
+        assert row == tuple(act.orbit.index(act._move(q, x)) for q in act.orbit)
+        assert (row[home] == home) == (x in h.elements)
+        lengths = [f for f, _ in least_cycles(act, x)]
+        assert sorted(cycle_structure(x, act)) == sorted(lengths)
+
+
 def test_cycle_structure_identity():
     g = family_group("S3")
     h = point_stabilizer(g, 2)
     act = coset_action(g, h)
-    cs = cycle_structure(g.identity, act)
-    assert [f for f, _ in cs] == [1, 1, 1]
+    assert cycle_structure(g.identity, act) == [1, 1, 1]
 
 
 def test_cycle_structure_transposition_and_3cycle():
     g = family_group("S3")
     h = point_stabilizer(g, 2)
     act = coset_action(g, h)
-    cs = cycle_structure(parse_perm("(1 2)", 3), act)
-    assert sorted(f for f, _ in cs) == [1, 2]
-    cs3 = cycle_structure(parse_perm("(1 2 3)", 3), act)
-    assert [f for f, _ in cs3] == [3]
+    assert sorted(cycle_structure(parse_perm("(1 2)", 3), act)) == [1, 2]
+    assert cycle_structure(parse_perm("(1 2 3)", 3), act) == [3]
 
 
 def test_cycle_structure_lengths_sum():
@@ -412,14 +440,18 @@ def test_cycle_structure_lengths_sum():
         act = coset_action(g, h)
         for x in sorted(g.elements)[:10]:
             cs = cycle_structure(x, act)
-            assert sum(f for f, _ in cs) == act.num_cosets, name
-            starts = [coset_index(act, rep) for _, rep in cs]
-            assert starts == sorted(starts), name
-            for (f, rep), i in zip(cs, starts):
-                assert rep == act.representatives[i], name
-                cycle = {act.row(power(x, k))[i] for k in range(f)}
+            assert sum(cs) == act.num_cosets, name
+            rows = [act.row(power(x, k)) for k in range(act.num_cosets + 1)]
+            least = {}  # each coset index: the least index of its cycle
+            for i in range(act.num_cosets):
+                for row in rows:
+                    least.setdefault(row[i], i)
+            starts = sorted(set(least.values()))
+            assert len(starts) == len(cs), name
+            for f, i in zip(cs, starts):
+                cycle = {rows[k][i] for k in range(f)}
                 assert len(cycle) == f and min(cycle) == i, name
-                assert act.row(power(x, f))[i] == i, name
+                assert rows[f][i] == i, name
 
 
 # --- T ----------------------------------------------------------------------
@@ -773,10 +805,9 @@ def test_is_frobenius_reads_orbits_and_lists_no_element_of_H():
 
 
 def test_cycle_structure_lists_no_element_of_G():
-    """Coset representatives come off the chains: on S8 and S9 with a
-    point stabilizer, and on S8 with a two-point stabilizer (no point is
-    stabilized: coset keys), cycle_structure leaves G unlisted, and on
-    S8 each representative is the least element of its coset."""
+    """On S8 and S9 with a point stabilizer, and on S8 with a two-point
+    stabilizer (no point is stabilized: coset keys), cycle_structure
+    leaves G unlisted."""
     s8 = family_group("S8")
     s6 = point_stabilizer(point_stabilizer(s8, 7), 6)
     cases = [(s8, point_stabilizer(s8, 7)), (s8, s6)]
@@ -789,12 +820,6 @@ def test_cycle_structure_lists_no_element_of_G():
         x = compose(*g.generators)
         cycle_structure(x, act)
         assert g._elements is None
-        if g.degree == 8:
-            least = {}
-            for y in g.elements:
-                q = act._label(y)
-                least[q] = min(least.get(q, y), y)
-            assert act.representatives == tuple(sorted(least.values()))
 
 
 def test_derived_quotient_is_abelian():
@@ -856,14 +881,15 @@ def test_condition_2b_table_rows():
     rep = check_condition_2B(s4, point_stabilizer(s4, 3))
     assert not rep.holds
     # <T, H'> is the copy of A3 on {0,1,2} inside S4
-    assert rep.generated.order == 3
-    assert rep.generated.elements == {
+    generated = generated_by_T(point_stabilizer(s4, 3), rep.T)
+    assert generated.order == 3
+    assert generated.elements == {
         identity(4), parse_perm("(1 2 3)", 4), parse_perm("(1 3 2)", 4)
     }
     a5 = family_group("A5")
     rep5 = check_condition_2B(a5, point_stabilizer(a5, 4))
     assert not rep5.holds
-    assert rep5.generated.order == 4  # the Klein four-group
+    assert generated_by_T(point_stabilizer(a5, 4), rep5.T).order == 4  # the Klein four-group
     a4 = family_group("A4")
     assert check_condition_2B(a4, point_stabilizer(a4, 3)).holds
 
@@ -873,8 +899,9 @@ def test_condition_report_invariant():
         if g.order > 120:
             continue
         rep = check_condition_2B(g, h)
-        assert rep.holds == (bool(rep.T) and rep.generated == h), name
-        assert rep.generated.is_subgroup_of(h), name
+        generated = generated_by_T(h, rep.T)
+        assert rep.holds == (bool(rep.T) and generated == h), name
+        assert generated.is_subgroup_of(h), name
 
 
 # --- orbit-read coset actions and the H/H' decision against references -------
@@ -937,10 +964,9 @@ def test_coset_action_matches_enumeration_reference():
         ref = _EnumeratedCosets(g, h)
         stabilizer_pair = "/stab" in name
         assert (act.point is not None) == stabilizer_pair, name
-        assert act.representatives == tuple(ref.representatives), name
         for x in _sample(g):
             assert coset_index(act, x) == ref.coset_of[x], name
-            assert act.row(x) == ref.row(x), name
+            assert least_row(act, x) == ref.row(x), name
 
 
 def _digest_pairs():
@@ -949,12 +975,13 @@ def _digest_pairs():
 
 def _group_side_digest(pairs):
     """A SHA-256 over every group-side answer on the pairs: the
-    check_condition_2B report (holds, T, the elements and generators of
-    <T, H'>), compute_T_conjugacy, the normal core, is_frobenius,
-    is_2transitive, the coset representatives, and coset_index, row,
-    cycle_structure and fixed_count on sampled elements of G.  Also
-    returns how many pairs have a general H (no point stabilized) and
-    how many a nontrivial core."""
+    check_condition_2B report (holds, T), the elements and generators of
+    <T, H'>, compute_T_conjugacy, the normal core, is_frobenius,
+    is_2transitive, the least element of each coset, and, with the
+    cosets in that order, coset_index, row and the cycles, and
+    fixed_count, on sampled elements of G.  Also returns how many pairs
+    have a general H (no point stabilized) and how many a nontrivial
+    core."""
     digest = hashlib.sha256()
     general = cores = 0
     for name, g, h in pairs:
@@ -965,12 +992,13 @@ def _group_side_digest(pairs):
         cores += core.order > 1
         els = sorted(g.elements)
         sample = els[:: max(1, len(els) // 7)]
+        generated = generated_by_T(h, rep.T)
         answers = (
-            name, rep.holds, sorted(rep.T), sorted(rep.generated.elements),
-            rep.generated.generators, sorted(compute_T_conjugacy(g, h, act)),
+            name, rep.holds, sorted(rep.T), sorted(generated.elements),
+            generated.generators, sorted(compute_T_conjugacy(g, h, act)),
             sorted(core.elements), is_frobenius(g, act), is_2transitive(g, act),
-            act.representatives,
-            [(coset_index(act, x), act.row(x), cycle_structure(x, act),
+            least_representatives(act),
+            [(coset_index(act, x), least_row(act, x), least_cycles(act, x),
               groupcorpus.fixed_count(act, x)) for x in sample],
         )
         digest.update(repr(answers).encode())
@@ -1002,11 +1030,12 @@ def test_condition_2b_matches_closure_reference():
     pairs = groupcorpus.corpus_with_degree8() + _relabelled_stabilizer_pairs()
     for name, g, h in pairs:
         rep = check_condition_2B(g, h)
+        generated = generated_by_T(h, rep.T)
         ref = _closure_reference(g, h)
-        assert rep.generated.elements == ref.elements, name
+        assert generated.elements == ref.elements, name
         assert rep.holds == (bool(rep.T) and ref.elements == h.elements), name
-        regenerated = generated_subgroup(g.degree, rep.generated.generators)
-        assert regenerated.elements == rep.generated.elements, name
+        regenerated = generated_subgroup(g.degree, generated.generators)
+        assert regenerated.elements == generated.elements, name
 
 
 # --- frobenius / 2-transitivity ---------------------------------------------
