@@ -11,11 +11,11 @@ property of a module-level class (dunders aside) must be read as an
 attribute (`x.name`) somewhere in src/polyakit outside its own body;
 exporting its class does not count.  A dataclass field or a
 `__slots__` entry must be read as an attribute somewhere in
-src/polyakit, and `ALLOWED` does not apply to them.  Code that only the tests use
-belongs in the test helpers (fieldref.py, groupref.py, groupcorpus.py);
-`ALLOWED` holds the few names that only bench/ reads.  Names are
-matched by identifier, so the check can miss an orphan that shares its
-name with something in use, but never flags a used one.
+src/polyakit.  Code that only the tests use belongs in the test helpers
+(fieldref.py, groupref.py, groupcorpus.py); `ALLOWED` holds the few
+names that only bench/ reads, and does not apply to fields or slots.
+Names are matched by identifier, so the check can miss an orphan that
+shares its name with something in use, but never flags a used one.
 
 The modules form layers, lowest first, and each imports only modules
 below it, so no import cycle can form.
